@@ -21,10 +21,8 @@ from .permutations import (
     Permutation,
     antiinvolution,
     antisymmetrizer,
-    compose,
     cycle_data,
     embed,
-    ga_multiply,
     ga_perm,
     ga_transposition,
     trace_map,

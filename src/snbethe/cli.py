@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -121,6 +122,9 @@ def config_from_args(args) -> SuiteConfig:
         lam = tuple(int(x) for x in str(values["lam"]).split(","))
         if sum(lam) != n:
             raise ValueError("the partition must have size n")
+    tol = float(values["tol"])
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     return SuiteConfig(
         suite=values["suite"],
         n=n,
@@ -129,7 +133,7 @@ def config_from_args(args) -> SuiteConfig:
         p=Fraction(str(values["p"])),
         lam=lam,
         seed=int(values["seed"]),
-        tol=float(values["tol"]),
+        tol=tol,
         slow=bool(values.get("slow")),
         strict=bool(values.get("strict")),
         timings=bool(values.get("timings")),
@@ -196,7 +200,8 @@ def main(argv=None) -> int:
             return 2
     try:
         cfg = config_from_args(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     report = run_suite(cfg)

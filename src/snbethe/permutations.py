@@ -6,6 +6,29 @@ Composition convention: in a product p*q the RIGHT factor acts first,
 (p*q)(i) = p(q(i)).  This is pinned by the requirement that the product of
 transpositions s(i1,i2) s(i2,i3) ... s(i_{k-1},i_k) is the increasing k-cycle
 (i1 i2 ... ik); see tests.
+
+The group-algebra product is the kernel every identity check runs through,
+so it avoids per-term-pair overhead in three ways:
+
+* Index composition.  Each permutation q lazily builds an
+  ``operator.itemgetter`` over its zero-based images, kept in a slot, so the
+  images of p*q are ``getter(p.images)``: one C call per term pair.
+* Trusted construction.  A product (or inverse, embedding, trace residue) of
+  permutations is a permutation by construction, so internal sites build the
+  result through ``Permutation._trusted``, which skips the validation that
+  the public ``Permutation(images)`` performs.  The product accumulates on
+  image tuples and builds one ``Permutation`` per output term.
+* Integer scaling.  When every coefficient of a factor is an ``int``, or
+  every one a ``Fraction``, the factor is rewritten as integer numerators
+  over the lcm of its denominators.  The term pairs then accumulate Python
+  ints, and each nonzero output term becomes one ``Fraction(s, da*db)`` (or
+  stays an ``int`` when both factors are all-``int``).  This is exact: the
+  scaled partial sum is the true partial sum times da*db, so it is zero
+  exactly when the true one is.  The accumulator drops a key whenever its
+  partial sum reaches zero, as the generic path does, so the output keeps
+  the key order of the generic accumulation.  Factors mixing ``int`` and
+  ``Fraction`` coefficients take the generic path, because the type of each
+  output coefficient then depends on which term pairs reached it.
 """
 
 from __future__ import annotations
@@ -15,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
 from itertools import permutations as _itperms
+from operator import itemgetter
 
 from .rings import UPoly
 
@@ -22,13 +46,33 @@ from .rings import UPoly
 class Permutation:
     """Permutation of {1..n} in one-line notation: images[i] = image of i+1."""
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images", "_hash", "_getter")
 
     def __init__(self, images):
         self.images = tuple(images)
         self._hash = hash(self.images)
+        self._getter = None
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {images}")
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """Permutation from a tuple already known to be a permutation of 1..n."""
+        p = object.__new__(cls)
+        p.images = images
+        p._hash = hash(images)
+        p._getter = None
+        return p
+
+    def _composer(self):
+        """Callable g with g(p.images) == (p * self).images, built on first use."""
+        g = self._getter
+        if g is None:
+            im = self.images
+            # itemgetter of a single index returns an item, not a tuple
+            g = itemgetter(*[j - 1 for j in im]) if len(im) > 1 else tuple
+            self._getter = g
+        return g
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -61,17 +105,13 @@ class Permutation:
         # right factor acts first: (p*q)(i) = p(q(i))
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        p = self.images
-        return Permutation(tuple(p[j - 1] for j in other.images))
+        return Permutation._trusted(other._composer()(self.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j - 1] = i + 1
-        return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(len(self.images)))
+        return Permutation._trusted(tuple(inv))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -87,10 +127,6 @@ class Permutation:
 
     def to_json(self):
         return list(self.images)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    return p * q
 
 
 @dataclass(frozen=True)
@@ -134,6 +170,20 @@ def all_permutations(n: int):
 
 def _as_coeff_zero_test(c):
     return not c
+
+
+def _rational_kind(terms):
+    """int or Fraction when every coefficient has exactly that type, else None."""
+    kinds = set(map(type, terms.values()))
+    if len(kinds) == 1 and kinds <= {int, Fraction}:
+        return kinds.pop()
+    return None
+
+
+def _int_scaled(terms):
+    """(d, [(p, c*d)]) with d the lcm of the coefficients' denominators."""
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return d, [(p, c.numerator * (d // c.denominator)) for p, c in terms.items()]
 
 
 class GroupAlgebraElement:
@@ -221,17 +271,36 @@ class GroupAlgebraElement:
         if isinstance(other, GroupAlgebraElement):
             if other.n != self.n:
                 raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-            out = {}
-            for p, a in self.terms.items():
+            # see the module docstring for the exactness and key-order argument
+            kinds = (_rational_kind(self.terms), _rational_kind(other.terms))
+            d = None  # common denominator of the scaled output, if any
+            if None in kinds:
+                left, right = self.terms.items(), other.terms.items()
+            else:
+                da, left = _int_scaled(self.terms)
+                db, right = _int_scaled(other.terms)
+                if Fraction in kinds:
+                    d = da * db
+            right = [(q._composer(), b) for q, b in right]
+            acc = {}
+            get, pop = acc.get, acc.pop
+            for p, a in left:
                 pim = p.images
-                for q, b in other.terms.items():
-                    r = Permutation(tuple(pim[j - 1] for j in q.images))
-                    s = out.get(r, 0) + a * b
-                    if _as_coeff_zero_test(s):
-                        out.pop(r, None)
+                for compose, b in right:
+                    r = compose(pim)
+                    s = get(r, 0) + a * b
+                    if s:
+                        acc[r] = s
                     else:
-                        out[r] = s
-            return GroupAlgebraElement(self.n, out)
+                        pop(r, None)
+            trusted = Permutation._trusted
+            out = GroupAlgebraElement(self.n)
+            # acc holds no zero, so its terms need not pass the constructor
+            if d is None:
+                out.terms = {trusted(r): s for r, s in acc.items()}
+            else:
+                out.terms = {trusted(r): Fraction(s, d) for r, s in acc.items()}
+            return out
         return GroupAlgebraElement(
             self.n, {p: c * other for p, c in self.terms.items()}
         )
@@ -287,20 +356,12 @@ def _conjugate(c):
     return c
 
 
-def ga_identity(n: int) -> GroupAlgebraElement:
-    return GroupAlgebraElement.scalar(n, Fraction(1))
-
-
 def ga_perm(p: Permutation) -> GroupAlgebraElement:
     return GroupAlgebraElement.from_perm(p)
 
 
 def ga_transposition(n: int, a: int, b: int) -> GroupAlgebraElement:
     return ga_perm(Permutation.transposition(n, a, b))
-
-
-def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    return a * b
 
 
 def antisymmetrizer(m: int) -> GroupAlgebraElement:
@@ -315,11 +376,13 @@ def antisymmetrizer(m: int) -> GroupAlgebraElement:
 
 
 def embed_perm(p: Permutation, positions, n: int) -> Permutation:
+    """Image of p under symbol i -> positions[i-1]; the positions must be
+    distinct symbols of 1..n, one per symbol of p (``embed`` checks this)."""
     pos = list(positions)
     im = list(range(1, n + 1))
     for i, r in enumerate(pos):
         im[r - 1] = pos[p(i + 1) - 1]
-    return Permutation(im)
+    return Permutation._trusted(tuple(im))
 
 
 def embed(a: GroupAlgebraElement, positions, n: int) -> GroupAlgebraElement:
@@ -354,7 +417,7 @@ def trace_perm(p: Permutation, n: int):
             continue
         for i, s in enumerate(kept):
             im[s - 1] = kept[(i + 1) % len(kept)]
-    return Permutation(im), lost
+    return Permutation._trusted(tuple(im)), lost
 
 
 def trace_map(a: GroupAlgebraElement, n: int, m: int, p) -> GroupAlgebraElement:

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,30 @@ def test_invalid_config_exit_codes(capsys):
     assert rc == 2  # wrong parameter count
     rc, _ = run_main(capsys, ["run", "all", "--n", "3", "--lambda", "2,2"])
     assert rc == 2  # partition size mismatch
+
+
+@pytest.mark.parametrize("flags", [
+    ["--z", "1/0,1"],  # ZeroDivisionError while parsing
+    ["--tol", "nan"],
+    ["--tol", "-1"],
+])
+def test_bad_values_are_configuration_errors(capsys, flags):
+    rc = main(["run", "identities-gaudin", "--n", "2", *flags])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("all-n3", ["run", "all", "--n", "3"]),
+    ("identities-gaudin-n4", ["run", "identities-gaudin", "--n", "4"]),
+])
+def test_reports_match_golden(capsys, name, argv):
+    rc, out = run_main(capsys, [*argv, "--format", "json", "--seed", "7"])
+    assert rc == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):

@@ -14,10 +14,8 @@ from snbethe.permutations import (
     antiinvolution,
     antisymmetrizer,
     class_sum,
-    compose,
     cycle_data,
     embed,
-    ga_multiply,
     ga_perm,
     ga_transposition,
     lift_coeffs_to_upoly,
@@ -25,6 +23,7 @@ from snbethe.permutations import (
     top_embed,
     trace_map,
 )
+from snbethe.permutations import _as_coeff_zero_test
 
 F = Fraction
 
@@ -35,7 +34,7 @@ def s(n, a, b):
 
 def test_increasing_cycle_convention():
     # s(1,2) s(2,3) must be the 3-cycle 1->2->3->1 (right factor acts first)
-    assert compose(s(3, 1, 2), s(3, 2, 3)) == Permutation.cycle(3, [1, 2, 3])
+    assert s(3, 1, 2) * s(3, 2, 3) == Permutation.cycle(3, [1, 2, 3])
     # and in general the chained product of s(i_k, i_{k+1}) is the increasing cycle
     p = s(5, 1, 3) * s(5, 3, 4) * s(5, 4, 5)
     assert p == Permutation.cycle(5, [1, 3, 4, 5])
@@ -55,7 +54,14 @@ def test_compose_inverse_and_cycle_order():
 
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
-        compose(Permutation.identity(2), Permutation.identity(3))
+        Permutation.identity(2) * Permutation.identity(3)
+
+
+def test_public_constructor_validates():
+    with pytest.raises(ValueError):
+        Permutation([1, 1, 2])
+    with pytest.raises(ValueError):
+        Permutation([2, 3])
 
 
 def test_cycle_data_examples():
@@ -95,14 +101,81 @@ def test_embed_examples():
 
 def test_ga_multiply_examples():
     a = ga_transposition(3, 1, 2) + GroupAlgebraElement.scalar(3, F(2))
-    assert ga_multiply(a, GroupAlgebraElement.scalar(3, F(1))) == a
+    assert a * GroupAlgebraElement.scalar(3, F(1)) == a
     for m in (1, 2, 3, 4):
         A = antisymmetrizer(m)
-        assert ga_multiply(A, A) == A
+        assert A * A == A
     t = ga_transposition(2, 1, 2)
     assert t * (GroupAlgebraElement.scalar(2, F(1)) + t) == GroupAlgebraElement.scalar(
         2, F(1)
     ) + t
+
+
+def oracle_product(x, y):
+    """The group-algebra product as first written: one validated Permutation
+    and one coefficient multiply-add per term pair."""
+    out = {}
+    for p, a in x.terms.items():
+        pim = p.images
+        for q, b in y.terms.items():
+            r = Permutation(tuple(pim[j - 1] for j in q.images))
+            s = out.get(r, 0) + a * b
+            if _as_coeff_zero_test(s):
+                out.pop(r, None)
+            else:
+                out[r] = s
+    return GroupAlgebraElement(x.n, out)
+
+
+# kind -> (coefficient of the identity, coefficient of a transposition,
+#          random coefficient); "mixed" draws an int or a Fraction per term,
+#          so it also multiplies all-int by all-Fraction factors
+COEFF_KINDS = {
+    "fraction": (F(1), F(1), lambda rng: rng.rational(2, 3)),
+    "int": (1, 1, lambda rng: rng.integer(-2, 2)),
+    "mixed": (1, F(1), lambda rng: rng.integer(-2, 2) if rng.integer(0, 1)
+              else rng.rational(2, 3)),
+    "float": (1.0, 1.0, lambda rng: float(rng.rational(2, 4))),
+    "upoly": (UPoly([F(1)]), UPoly([F(1)]),
+              lambda rng: UPoly([rng.rational(2, 2), rng.rational(1, 2)])),
+}
+
+
+def assert_same_product(x, y):
+    got, want = x * y, oracle_product(x, y)
+    assert got.terms == want.terms
+    assert list(got.terms) == list(want.terms)
+    assert [type(c) for c in got.terms.values()] == [
+        type(c) for c in want.terms.values()
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(COEFF_KINDS))
+def test_product_matches_oracle(kind):
+    one_c, s_c, coeff = COEFF_KINDS[kind]
+    rng = SeededRandom(61)
+    for n in (2, 3, 4):
+        perms = all_permutations(n)
+        for _ in range(15):
+            # few small coefficients over few permutations, so partial sums
+            # often cancel and keys drop out and come back
+            x, y = (
+                GroupAlgebraElement(n, {
+                    rng.choice(perms): coeff(rng)
+                    for _ in range(rng.integer(1, 8))
+                })
+                for _ in range(2)
+            )
+            assert_same_product(x, y)
+        one = GroupAlgebraElement.scalar(n, one_c)
+        s_ = GroupAlgebraElement.from_perm(Permutation.transposition(n, 1, 2), s_c)
+        assert_same_product(one - s_, one + s_)
+        assert not (one - s_) * (one + s_)
+        if n > 2:
+            t = GroupAlgebraElement.from_perm(
+                Permutation.transposition(n, 2, 3), s_c)
+            assert_same_product(one - s_, one + s_ + t)
+            assert_same_product(t + one - s_, one + s_)
 
 
 def test_antisymmetrizer_examples():

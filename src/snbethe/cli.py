@@ -98,20 +98,43 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_config_file(file_values, values: dict):
+    """A config file sets flags only, each with a JSON value the flag can
+    take: true/false for a switch, an integer for an integer flag, a string
+    or a number otherwise.  The suite stays the positional argument."""
+    if not isinstance(file_values, dict):
+        raise ValueError("the config file must hold a JSON object")
+    for key, val in file_values.items():
+        if key == "suite":
+            raise ValueError("the config file cannot set the suite; "
+                             "give it as the positional argument")
+        if key in ("command", "config") or key not in values:
+            raise ValueError(f"config key {key!r} is not a flag")
+        current = values[key]
+        if isinstance(current, bool):
+            allowed, want = bool, "true or false"
+        elif isinstance(current, int):
+            allowed, want = (int, str), "an integer"
+        else:
+            allowed, want = (int, float, str), "a string or a number"
+        if isinstance(val, bool) != isinstance(current, bool) or not isinstance(val, allowed):
+            raise ValueError(f"config key {key!r} must be {want}")
+
+
 def config_from_args(args) -> SuiteConfig:
     values = vars(args).copy()
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_values = json.load(fh)
-        for key, val in file_values.items():
-            values[key] = val
+        _check_config_file(file_values, values)
+        values.update(file_values)
     n = int(values["n"])
     if n < 1:
         raise ValueError("n must be positive")
     if n > HARD_CAP and not values.get("allow_large_n"):
         raise ValueError(f"n > {HARD_CAP} needs --allow-large-n")
     z = (
-        _parse_fraction_list(values["z"])
+        _parse_fraction_list(str(values["z"]))
         if values.get("z")
         else default_z(n)
     )
@@ -120,16 +143,23 @@ def config_from_args(args) -> SuiteConfig:
     lam = None
     if values.get("lam"):
         lam = tuple(int(x) for x in str(values["lam"]).split(","))
+        if any(x < 1 for x in lam) or list(lam) != sorted(lam, reverse=True):
+            raise ValueError("the partition must have positive, non-increasing parts")
         if sum(lam) != n:
             raise ValueError("the partition must have size n")
     tol = float(values["tol"])
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
+    hbar = Fraction(str(values["hbar"]))
+    if not hbar:
+        raise ValueError("hbar must be nonzero")
+    if values["fmt"] not in ("json", "text"):
+        raise ValueError("format must be json or text")
     return SuiteConfig(
         suite=values["suite"],
         n=n,
         z=z,
-        hbar=Fraction(str(values["hbar"])),
+        hbar=hbar,
         p=Fraction(str(values["p"])),
         lam=lam,
         seed=int(values["seed"]),
@@ -137,8 +167,8 @@ def config_from_args(args) -> SuiteConfig:
         slow=bool(values.get("slow")),
         strict=bool(values.get("strict")),
         timings=bool(values.get("timings")),
-        fmt=values.get("fmt", "text"),
-        out=values.get("out"),
+        fmt=values["fmt"],
+        out=None if values.get("out") is None else str(values["out"]),
     )
 
 

@@ -7,11 +7,12 @@ checkers for the two scalar relation families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .rings import BiPoly, UPoly
+from .rings import BiPoly, UPoly, poly_divmod
 from .linalg import det_perm_expansion
 from .permutations import (
     GroupAlgebraElement,
@@ -19,6 +20,7 @@ from .permutations import (
     antisymmetrizer,
     class_sum,
     embed,
+    ga_lift,
     ga_transposition,
     sign,
 )
@@ -54,20 +56,13 @@ def signed_symmetrizer_sum(n: int, i: int, z) -> UPoly:
     coefficients of degree n - i."""
     z = tuple(z)
     acc = UPoly()
-    signed = antisymmetrizer(i) * Fraction(ifact := _factorial(i))
+    signed = antisymmetrizer(i) * Fraction(math.factorial(i))
     for r in combinations(range(1, n + 1), i):
         ga = embed(signed, r, n)
         rest = [z[a - 1] for a in range(1, n + 1) if a not in r]
         poly = scalar_root_poly(rest)
         acc = acc + poly.map_coeffs(lambda c, ga=ga: c * ga)
     return acc
-
-
-def _factorial(i: int) -> int:
-    out = 1
-    for k in range(2, i + 1):
-        out *= k
-    return out
 
 
 def phi_polys(n: int, z):
@@ -82,21 +77,8 @@ def phi_polys(n: int, z):
     table = {}
     for i, poly in enumerate(polys, start=1):
         for j in range(0, n - i + 1):
-            c = poly.coeff(n - i - j)
-            if not isinstance(c, GroupAlgebraElement):
-                c = GroupAlgebraElement.scalar(n, c)
-            table[(i, j)] = c
+            table[(i, j)] = ga_lift(n, poly.coeff(n - i - j))
     return polys, table
-
-
-def _ga_lift(n: int, c):
-    if isinstance(c, GroupAlgebraElement):
-        return c
-    return GroupAlgebraElement.scalar(n, c)
-
-
-def _bipoly_ga_lift(n: int, bp: BiPoly) -> BiPoly:
-    return bp.map_coeffs(lambda c: _ga_lift(n, c))
 
 
 def phi_gen_fixed_points(n: int, z) -> BiPoly:
@@ -122,13 +104,11 @@ def phi_gen(n: int, z) -> BiPoly:
     z = tuple(z)
     polys, _ = phi_polys(n, z)
     lead = scalar_root_poly(z)
-    acc = BiPoly.from_upoly_u(lead).map_coeffs(
-        lambda c: GroupAlgebraElement.scalar(n, c)
-    ) * BiPoly([[0] * n + [Fraction(1)]])
+    acc = ga_lift(n, BiPoly.from_upoly_u(lead)) * BiPoly([[0] * n + [Fraction(1)]])
     for i, poly in enumerate(polys, start=1):
         term = BiPoly.from_upoly_u(poly) * BiPoly([[0] * (n - i) + [Fraction((-1) ** i)]])
-        acc = acc + _bipoly_ga_lift(n, term)
-    alt = _bipoly_ga_lift(n, phi_gen_fixed_points(n, z))
+        acc = acc + ga_lift(n, term)
+    alt = ga_lift(n, phi_gen_fixed_points(n, z))
     if acc != alt:
         raise AssertionError("generating-function expansions disagree")
     return acc
@@ -186,10 +166,8 @@ def kz_elements(n: int, z) -> KZFamily:
             acc = acc + rest.map_coeffs(lambda c, coeff=coeff: c * coeff)
         if acc != polys[1]:
             raise AssertionError("second-generator identity failed")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if elems[i] * elems[j] != elems[j] * elems[i]:
-                raise AssertionError("family is not commutative")
+    if not check_commuting_family(elems):
+        raise AssertionError("family is not commutative")
     return KZFamily(z, elems)
 
 
@@ -281,8 +259,6 @@ def det_presentation(variant: str, n: int, z, h):
             row.append(e)
         entries.append(row)
     det = det_perm_expansion(entries)
-    if not isinstance(det, BiPoly):
-        det = BiPoly.const(det)
     if variant == "Ptilde0":
         if det.deg_u > 0:
             raise AssertionError("variant Ptilde0 must not involve u")
@@ -308,29 +284,21 @@ def phi_tilde(n: int, z) -> BiPoly:
     denom = vfactors(1, n)
     lead = scalar_root_poly(z)
     num = BiPoly.from_upoly_u(lead) * BiPoly.from_upoly_v(denom)
-    num = _bipoly_ga_lift(n, num)
+    num = ga_lift(n, num)
     for i, poly in enumerate(polys, start=1):
         u_part = BiPoly.from_upoly_u(poly) * BiPoly(
             [[Fraction((-1) ** i)] if k == i else [0] for k in range(i + 1)]
         )
-        term = _bipoly_ga_lift(n, u_part) * _bipoly_ga_lift(
-            n, BiPoly.from_upoly_v(vfactors(i + 1, n))
-        )
+        term = ga_lift(n, u_part) * ga_lift(n, BiPoly.from_upoly_v(vfactors(i + 1, n)))
         num = num + term
-    num = num * _bipoly_ga_lift(n, BiPoly.from_upoly_v(pi_shift))
+    num = num * ga_lift(n, BiPoly.from_upoly_v(pi_shift))
     rows = []
     for i in range(num.deg_u + 1):
-        quot, rem = _poly_divmod_in_v(num.u_coeff(i), denom)
+        quot, rem = poly_divmod(num.u_coeff(i), denom)
         if rem:
             raise AssertionError("generating function is not polynomial in v")
         rows.append(quot.coeffs)
     return BiPoly(rows)
-
-
-def _poly_divmod_in_v(f: UPoly, g: UPoly):
-    from .rings import poly_divmod
-
-    return poly_divmod(f, g)
 
 
 def check_relations_H(la, z, h) -> dict:
@@ -342,10 +310,18 @@ def check_relations_H(la, z, h) -> dict:
     identity against the partition data.  Nothing is asserted here; callers
     decide what counts as a failure.
     """
+    n = sum(la)
+    return relation_residuals(la, det_presentation("P", n, tuple(z), list(h)))
+
+
+def relation_residuals(la, det: BiPoly) -> dict:
+    """Residuals of a scalar relation family read off a determinant
+    presentation det(u, w) at a partition la of n: the largest coefficient of
+    u^(n-j) w^(n-i) with j < i, which must vanish, and the largest
+    coefficient of the difference of the two sides of the diagonal identity
+    sum_i [u^(n-i) w^(n-i)] prod_{j>i} (w + j) = prod_j (w + j - la_j)."""
     la = tuple(la)
     n = sum(la)
-    z = tuple(z)
-    det = det_presentation("P", n, z, list(h))
     offdiag = max(
         (abs(det.coeff(n - j, n - i)) for i in range(n + 1) for j in range(i)),
         default=Fraction(0),
@@ -384,8 +360,6 @@ def check_relations_Ht(la, z, h) -> dict:
     diff = top - pila
     top_residual = max((abs(c) for c in diff.coeffs), default=Fraction(0))
     frac_residual = Fraction(0)
-    from .rings import poly_divmod
-
     for i in range(1, n + 1):
         tail = UPoly([Fraction(1)])
         for j in range(1, n - i + 1):

@@ -226,10 +226,7 @@ def det_P_hat(n: int, q: UPoly) -> BiPoly:
             e = e - BiPoly.const(hat_q[a - 1][b - 1])
             row.append(e)
         entries.append(row)
-    det = det_perm_expansion(entries)
-    if not isinstance(det, BiPoly):
-        det = BiPoly.const(det)
-    return det
+    return det_perm_expansion(entries)
 
 
 def series_inverse_one_plus_u(b: int, order: int) -> UPoly:

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import permutations as _itperms
 
 from .rings import UPoly
+from .permutations import _inversion_sign
 
 
 class Matrix:
@@ -84,9 +85,6 @@ class Matrix:
     def __rmul__(self, other):
         return Matrix([[other * a for a in r] for r in self.rows])
 
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
-
     def trace(self):
         acc = self.rows[0][0]
         for i in range(1, len(self.rows)):
@@ -104,9 +102,6 @@ class Matrix:
 
     def apply_vec(self, v: list) -> list:
         return [sum((a * x for a, x in zip(r, v)), Fraction(0)) for r in self.rows]
-
-    def map(self, f) -> "Matrix":
-        return Matrix([[f(a) for a in r] for r in self.rows])
 
     def to_json(self):
         return [
@@ -172,17 +167,6 @@ def nullspace(rows):
     return basis
 
 
-def in_row_span(red_rows, pivots, vec):
-    """Reduce vec against an RREF basis; returns the residual vector."""
-    v = list(vec)
-    for r, pc in enumerate(pivots):
-        if v[pc]:
-            f = v[pc]
-            row = red_rows[r]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
-
-
 def charpoly(mat: Matrix) -> UPoly:
     """Characteristic polynomial det(xI - M), exact over the rationals
     (Faddeev-LeVerrier)."""
@@ -206,19 +190,14 @@ def det_perm_expansion(entries):
 
     The entries must pairwise commute (the caller is responsible for checking
     that precondition; it is what makes the expansion well-defined).  Works for
-    entries in any ring with +, *, unary -.
+    entries in any ring with +, *, unary -.  When every term vanishes the
+    result is the zero of the entries' ring, ``entries[0][0] * 0``.
     """
     k = len(entries)
     if k == 0:
         raise ValueError("empty determinant")
     acc = None
     for perm in _itperms(range(k)):
-        # sign by counting inversions
-        inv = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                if perm[i] > perm[j]:
-                    inv += 1
         term = None
         skip = False
         for i in range(k):
@@ -229,9 +208,9 @@ def det_perm_expansion(entries):
             term = e if term is None else term * e
         if skip:
             continue
-        if inv % 2:
+        if _inversion_sign(perm) < 0:
             term = -term
         acc = term if acc is None else acc + term
     if acc is None:
-        return 0
+        return entries[0][0] * 0
     return acc

@@ -40,7 +40,7 @@ from numbers import Number
 from itertools import permutations as _itperms
 from operator import itemgetter
 
-from .rings import UPoly
+from .rings import BiPoly, UPoly
 
 
 class Permutation:
@@ -166,6 +166,14 @@ def cycle_type(p: Permutation) -> tuple:
 
 def all_permutations(n: int):
     return [Permutation(im) for im in _itperms(range(1, n + 1))]
+
+
+def _inversion_sign(seq) -> int:
+    """Sign of a permutation in one-line form (any distinct comparable
+    entries), by counting inversions."""
+    k = len(seq)
+    inv = sum(1 for i in range(k) for j in range(i + 1, k) if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
 
 
 def _as_coeff_zero_test(c):
@@ -455,6 +463,24 @@ def antiinvolution(a: GroupAlgebraElement, kind: str = "dagger") -> GroupAlgebra
     if kind == "star":
         return a.star()
     raise ValueError(f"unknown antiinvolution {kind!r}")
+
+
+def ga_lift(n: int, x):
+    """Read scalars as multiples of the identity of S_n.
+
+    A scalar becomes a group-algebra element and a group-algebra element is
+    returned as it is.  A UPoly or BiPoly is lifted coefficientwise: its
+    scalar coefficients are lifted and its group-algebra ones kept.
+    """
+    if isinstance(x, (UPoly, BiPoly)):
+        return x.map_coeffs(lambda c: _lift_scalar(n, c))
+    return _lift_scalar(n, x)
+
+
+def _lift_scalar(n: int, c):
+    if isinstance(c, GroupAlgebraElement):
+        return c
+    return GroupAlgebraElement.scalar(n, c)
 
 
 def lift_coeffs_to_upoly(a: GroupAlgebraElement) -> GroupAlgebraElement:

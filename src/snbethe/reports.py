@@ -10,23 +10,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 PASS = "PASS"
 FAIL = "FAIL"
 CONJECTURE_PASS = "CONJECTURE-PASS"
 CONJECTURE_FAIL = "CONJECTURE-FAIL"
 SKIPPED = "SKIPPED"
-
-
-def format_residual(r) -> str:
-    if isinstance(r, Fraction):
-        return f"{r.numerator}/{r.denominator}"
-    if isinstance(r, int):
-        return f"{r}/1"
-    if isinstance(r, float):
-        return repr(r)
-    return str(r)
 
 
 @dataclass

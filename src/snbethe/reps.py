@@ -287,9 +287,6 @@ class BlockMatrix:
             out.extend(b.flatten())
         return out
 
-    def block(self, la) -> Matrix:
-        return self.blocks[self.partitions.index(tuple(la))]
-
     def to_json(self):
         return [
             {"partition": list(la), "matrix": b.to_json()}
@@ -324,16 +321,6 @@ def _as_ga_block_input(poly, c):
         if isinstance(other, GroupAlgebraElement):
             return GroupAlgebraElement.scalar(other.n, c)
     raise ValueError("polynomial has no group-algebra coefficient to fix the degree")
-
-
-def represent_poly(poly: UPoly, n: int) -> list:
-    """Blockwise image of a polynomial with group-algebra coefficients:
-    the list of BlockMatrix coefficients, lowest degree first."""
-    return [
-        represent(c if isinstance(c, GroupAlgebraElement) else
-                  GroupAlgebraElement.scalar(n, c))
-        for c in poly.coeffs
-    ]
 
 
 def central_idempotent(la, n: int) -> GroupAlgebraElement:

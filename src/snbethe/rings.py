@@ -15,19 +15,8 @@ from fractions import Fraction
 from numbers import Number
 
 
-def rat(a, b=None) -> Fraction:
-    """Shorthand Fraction constructor; rat(3, 4) or rat(\"3/4\")."""
-    if b is None:
-        return Fraction(a)
-    return Fraction(a, b)
-
-
 def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def ring_one(sample):
@@ -64,11 +53,6 @@ class UPoly:
     def gen(cls, one=Fraction(1)) -> "UPoly":
         """The variable itself, with the given ring unit as leading coefficient."""
         return cls([one * 0, one])
-
-    @classmethod
-    def x_plus(cls, c) -> "UPoly":
-        one = ring_one(c) if not isinstance(c, Number) else Fraction(1)
-        return cls([c, one])
 
     @property
     def degree(self) -> int:
@@ -165,11 +149,6 @@ class UPoly:
         if result is None:
             return UPoly([Fraction(1)])
         return result
-
-    def times_x(self, k: int = 1) -> "UPoly":
-        if not self.coeffs:
-            return UPoly()
-        return UPoly([0] * k + self.coeffs)
 
     def eval_at(self, x):
         """Horner evaluation; x may live in any ring containing the coefficients."""
@@ -363,20 +342,6 @@ class BiPoly:
     def from_upoly_v(cls, p: UPoly) -> "BiPoly":
         return cls([list(p.coeffs)])
 
-    @classmethod
-    def from_v_coeffs(cls, upolys) -> "BiPoly":
-        """Sum of upolys[k](u) * v^k."""
-        rows = []
-        for k, p in enumerate(upolys):
-            for i, c in enumerate(p.coeffs):
-                while len(rows) <= i:
-                    rows.append([])
-                row = rows[i]
-                while len(row) <= k:
-                    row.append(0)
-                row[k] = row[k] + c
-        return cls(rows)
-
     @property
     def deg_u(self) -> int:
         return len(self.rows) - 1
@@ -481,16 +446,8 @@ class BiPoly:
         """P(u, v) -> P(u, v + c)."""
         return BiPoly([UPoly(r).shift_arg(c).coeffs for r in self.rows])
 
-    def subst_u_shift(self, c) -> "BiPoly":
-        return BiPoly.from_v_coeffs(
-            [self.v_coeff(j).shift_arg(c) for j in range(self.deg_v + 1)]
-        )
-
     def eval_v(self, x) -> UPoly:
         return UPoly([UPoly(r).eval_at(x) for r in self.rows])
-
-    def eval_u(self, x) -> UPoly:
-        return UPoly([self.v_coeff(j).eval_at(x) for j in range(self.deg_v + 1)])
 
     def eval(self, u0, v0):
         return self.eval_v(v0).eval_at(u0)
@@ -579,11 +536,6 @@ class MultiPoly:
 
     def __rmul__(self, other):
         return MultiPoly(self.nvars, {e: other * c for e, c in self.terms.items()})
-
-    def truncate_total(self, bound: int) -> "MultiPoly":
-        return MultiPoly(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= bound}
-        )
 
     def mul_trunc(self, other: "MultiPoly", bound: int) -> "MultiPoly":
         out = {}

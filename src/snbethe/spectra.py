@@ -30,8 +30,7 @@ def wronskian(fs) -> UPoly:
     for _ in range(m):
         rows.append(list(cur))
         cur = [f.deriv() for f in cur]
-    out = det_perm_expansion(rows)
-    return out if isinstance(out, UPoly) else UPoly([out])
+    return det_perm_expansion(rows)
 
 
 def casorati(fs, hbar) -> UPoly:
@@ -44,8 +43,7 @@ def casorati(fs, hbar) -> UPoly:
     for i in range(m):
         shift = -hbar * i
         rows.append([f.shift_arg(shift) for f in fs])
-    out = det_perm_expansion(rows)
-    return out if isinstance(out, UPoly) else UPoly([out])
+    return det_perm_expansion(rows)
 
 
 def f_bivariate(fs, hbar=Fraction(1), variant: str = "homogeneous") -> BiPoly:
@@ -75,8 +73,6 @@ def f_bivariate(fs, hbar=Fraction(1), variant: str = "homogeneous") -> BiPoly:
     for r in range(n + 1):
         minor_rows = [rows[i] for i in range(n + 1) if i != r]
         minor = det_perm_expansion(minor_rows) if n else UPoly([Fraction(1)])
-        if not isinstance(minor, UPoly):
-            minor = UPoly([minor])
         s = Fraction((-1) ** (n + r))  # (-1)^{(r+1) + (n+1)}
         term = BiPoly.from_upoly_u(minor * s) * BiPoly([[0] * power(r) + [Fraction(1)]])
         out = out + term
@@ -325,17 +321,29 @@ def random_combination(basis: SpanBasis, rng: SeededRandom):
     return coeffs, acc
 
 
+# A span with simple spectrum has a squarefree random combination except on a
+# proper subvariety, so a few further draws certify a seed whose first draw
+# landed on it; a span without simple spectrum never certifies.
+CERT_DRAWS = 10
+
+
 def simple_spectrum_cert(basis: SpanBasis, seed: int):
-    """Certify simple spectrum on one copy of each irreducible block: draw a
-    seeded random combination and test its characteristic polynomial for
-    squarefreeness.  A False answer is only 'not certified'."""
+    """Certify simple spectrum on one copy of each irreducible block: draw
+    seeded random combinations from one stream, up to CERT_DRAWS of them,
+    until one has a squarefree characteristic polynomial.  A False answer is
+    only 'not certified'.  The witness holds the last combination drawn (its
+    coefficients and its block matrix) and the number of draws."""
     rng = SeededRandom(seed)
-    coeffs, combo = random_combination(basis, rng)
-    poly = UPoly([Fraction(1)])
-    for block in combo.blocks:
-        poly = poly * charpoly(block)
-    ok = squarefree_test(poly)
-    return ok, {"combination": coeffs, "charpoly_degree": poly.degree}
+    for draws in range(1, CERT_DRAWS + 1):
+        coeffs, combo = random_combination(basis, rng)
+        poly = UPoly([Fraction(1)])
+        for block in combo.blocks:
+            poly = poly * charpoly(block)
+        ok = squarefree_test(poly)
+        if ok:
+            break
+    return ok, {"combination": coeffs, "element": combo,
+                "charpoly_degree": poly.degree, "draws": draws}
 
 
 @dataclass
@@ -357,11 +365,10 @@ def joint_eigen(basis: SpanBasis, generators: dict, seed: int, tol: float = 1e-8
     """Numeric joint eigenrecords: eigen-decompose a certified random
     combination blockwise and read off every generator eigenvalue by Rayleigh
     quotient; residuals above tol raise."""
-    ok, _ = simple_spectrum_cert(basis, seed)
+    ok, witness = simple_spectrum_cert(basis, seed)
     if not ok:
         raise ValueError("simple spectrum not certified for this seed")
-    rng = SeededRandom(seed)
-    _, combo = random_combination(basis, rng)
+    combo = witness["element"]
     records = []
     for bi, la in enumerate(partitions_of(basis.n)):
         M = np.array([[float(x) for x in row] for row in combo.blocks[bi].rows])

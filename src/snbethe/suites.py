@@ -17,6 +17,7 @@ from .permutations import (
     all_permutations,
     antisymmetrizer,
     embed,
+    ga_lift,
     ga_perm,
     ga_transposition,
     lift_coeffs_to_upoly,
@@ -32,6 +33,7 @@ from .reps import (
     sum_of_dims,
 )
 from .gaudin import (
+    ParameterSet,
     check_relations_H,
     check_relations_Ht,
     det_presentation,
@@ -52,6 +54,7 @@ from .xxx import (
     st_transform,
     t_gen,
     t_m_poly,
+    t_m_table,
     ts_transform,
     xxx_params,
 )
@@ -130,16 +133,17 @@ def bipoly_diff_residual(a: BiPoly, b: BiPoly):
     return bipoly_max_abs(a - b)
 
 
-def _ga_lift_poly(n: int, p: UPoly) -> UPoly:
-    return p.map_coeffs(
-        lambda c: c if isinstance(c, GroupAlgebraElement) else GroupAlgebraElement.scalar(n, c)
-    )
+def max_commutator(elements) -> Fraction:
+    """Largest coefficient of any pairwise commutator ab - ba."""
+    worst = Fraction(0)
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            a, b = elements[i], elements[j]
+            worst = max(worst, ga_max_abs(a * b - b * a))
+    return worst
 
 
-def _ga_lift_bipoly(n: int, b: BiPoly) -> BiPoly:
-    return b.map_coeffs(
-        lambda c: c if isinstance(c, GroupAlgebraElement) else GroupAlgebraElement.scalar(n, c)
-    )
+DISTINCT_Z = "needs pairwise-distinct z"
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +162,7 @@ def gaudin_span(n: int, z: tuple):
 
 @lru_cache(maxsize=None)
 def xxx_table(n: int, z: tuple, hbar: Fraction, p: Fraction):
-    params = xxx_params(z, hbar, p)
-    out = {}
-    for m in range(1, n):
-        poly = t_m_poly(params, m, p=p)
-        for i in range(1, n + 1):
-            out[(m, i)] = _lift_ga(n, poly.coeff(n - i))
-    return out
-
-
-def _lift_ga(n, c):
-    if isinstance(c, GroupAlgebraElement):
-        return c
-    return GroupAlgebraElement.scalar(n, c)
+    return t_m_table(xxx_params(z, hbar, p), p, range(1, n), range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -207,12 +199,9 @@ def xxx_eigen(n: int, z: tuple, hbar: Fraction, seed: int):
 
 @lru_cache(maxsize=None)
 def homogeneous_eigen(n: int, seed: int):
-    params = homogeneous_params(n)
-    gens = {}
-    for m in range(1, n + 1):
-        poly = t_m_poly(params, m, p=Fraction(n))
-        for i in range(0, n + 1):
-            gens[f"T{m}c{i}"] = represent(_lift_ga(n, poly.coeff(n - i)))
+    table = t_m_table(homogeneous_params(n), Fraction(n), range(1, n + 1),
+                      range(n + 1))
+    gens = {f"T{m}c{i}": represent(g) for (m, i), g in table.items()}
     return sp.joint_eigen(homogeneous_span(n), gens, seed)
 
 
@@ -243,7 +232,7 @@ class Suite:
         self.report = report
         self.tol = tol
 
-    def run(self, check_id, anchor, params, fn, exact=True, conjecture=False):
+    def run(self, check_id, anchor, params, fn, conjecture=False):
         with Timer() as t:
             try:
                 residual = fn()
@@ -292,24 +281,16 @@ def suite_gaudin(s: Suite, cfg):
     table = gaudin_table(n, z)
     rng = SeededRandom(cfg.seed)
 
-    def commuting():
-        worst = Fraction(0)
-        gens = list(table.values())
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                worst = max(worst, ga_max_abs(gens[i] * gens[j] - gens[j] * gens[i]))
-        return worst
-
     s.run("gaudin.commuting", "pairwise commutativity of the rational family",
-          {"n": n, "z": [str(x) for x in z]}, commuting)
+          {"n": n, "z": [str(x) for x in z]},
+          lambda: max_commutator(list(table.values())))
 
-    if 2 <= n <= 4:
+    if 2 <= n <= 4 and ParameterSet(z).distinct:
         fam = kz_elements(n, z)
 
         def generating_det():
             return bipoly_diff_residual(
-                phi_gen(n, z),
-                _ga_lift_bipoly(n, det_presentation("P", n, z, list(fam))),
+                phi_gen(n, z), ga_lift(n, det_presentation("P", n, z, list(fam)))
             )
 
         s.run("gaudin.generating-det",
@@ -319,7 +300,7 @@ def suite_gaudin(s: Suite, cfg):
         def shifted_det():
             return bipoly_diff_residual(
                 phi_tilde(n, z),
-                _ga_lift_bipoly(n, det_presentation("Ptilde", n, z, list(fam))),
+                ga_lift(n, det_presentation("Ptilde", n, z, list(fam))),
             )
 
         s.run("gaudin.shifted-det",
@@ -330,18 +311,18 @@ def suite_gaudin(s: Suite, cfg):
             from .reps import content_product_all
 
             return poly_diff_residual(
-                _ga_lift_poly(n, det_presentation("Ptilde0", n, z, list(fam))),
-                _ga_lift_poly(n, content_product_all(n)),
+                ga_lift(n, det_presentation("Ptilde0", n, z, list(fam))),
+                ga_lift(n, content_product_all(n)),
             )
 
         s.run("gaudin.content-det",
               "parameter-free determinant equals the content product",
               {"n": n}, content_det)
-    elif n > 4:
+    elif n >= 2:
+        why = "presentation checks run at n <= 4" if n > 4 else DISTINCT_Z
         for cid in ("gaudin.generating-det", "gaudin.shifted-det",
                     "gaudin.content-det"):
-            s.skip(cid, "determinant presentation", {"n": n},
-                   "presentation checks run at n <= 4")
+            s.skip(cid, "determinant presentation", {"n": n}, why)
 
     def dagger_fixed():
         worst = Fraction(0)
@@ -391,13 +372,13 @@ def suite_gaudin(s: Suite, cfg):
     def fixed_points():
         polys, _ = phi_polys(n, z)
         acc = BiPoly.from_upoly_u(scalar_root_poly(z)) * BiPoly([[0] * n + [Fraction(1)]])
-        acc = _ga_lift_bipoly(n, acc)
+        acc = ga_lift(n, acc)
         for i, poly in enumerate(polys, start=1):
             term = BiPoly.from_upoly_u(poly) * BiPoly(
                 [[0] * (n - i) + [Fraction((-1) ** i)]]
             )
-            acc = acc + _ga_lift_bipoly(n, term)
-        return bipoly_diff_residual(acc, _ga_lift_bipoly(n, phi_gen_fixed_points(n, z)))
+            acc = acc + ga_lift(n, term)
+        return bipoly_diff_residual(acc, ga_lift(n, phi_gen_fixed_points(n, z)))
 
     s.run("gaudin.fixed-points", "fixed-point expansion of the generating function",
           {"n": n}, fixed_points)
@@ -459,12 +440,12 @@ def suite_gaudin(s: Suite, cfg):
 
         pt = phi_tilde(n, z)
         pi = content_product_all(n)
-        worst = poly_diff_residual(pt.u_coeff(n), _ga_lift_poly(n, pi))
+        worst = poly_diff_residual(pt.u_coeff(n), ga_lift(n, pi))
         zprod = Fraction(1)
         for x in z:
             zprod *= x
         tail = pi.shift_arg(Fraction(1)) * (Fraction((-1) ** n) * zprod)
-        worst = max(worst, poly_diff_residual(pt.u_coeff(0), _ga_lift_poly(n, tail)))
+        worst = max(worst, poly_diff_residual(pt.u_coeff(0), ga_lift(n, tail)))
         return worst
 
     s.run("gaudin.shifted-edges", "edge coefficients of the shifted function",
@@ -505,9 +486,7 @@ def suite_xxx(s: Suite, cfg):
 
     def tnn():
         worst = Fraction(0)
-        target = scalar_root_poly([x - hbar for x in z]).map_coeffs(
-            lambda c: GroupAlgebraElement.scalar(n, c)
-        )
+        target = ga_lift(n, scalar_root_poly([x - hbar for x in z]))
         orders = (n, n + 1) if n <= 4 else (n,)
         for m in orders:
             tm = t_m_poly(params, m, p=Fraction(m))
@@ -524,9 +503,7 @@ def suite_xxx(s: Suite, cfg):
         acc = UPoly()
         for k in range(0, n + 1):
             acc = acc + s_k_poly(params, k)
-        target = scalar_root_poly([x - hbar for x in z]).map_coeffs(
-            lambda c: GroupAlgebraElement.scalar(n, c)
-        )
+        target = ga_lift(n, scalar_root_poly([x - hbar for x in z]))
         return poly_diff_residual(acc, target)
 
     s.run("xxx.sum-rule", "the p-free family sums to the shifted root product",
@@ -773,22 +750,16 @@ def suite_xxx(s: Suite, cfg):
     s.run("xxx.trace-dagger", "trace commutes with the antiinvolution",
           {}, trace_dagger)
 
-    def qkz():
-        fam = qkz_elements(params)  # construction self-checks inside
-        worst = Fraction(0)
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                worst = max(worst, ga_max_abs(fam[i] * fam[j] - fam[j] * fam[i]))
-        return worst
-
+    # the construction self-checks the value and the product
     s.run("xxx.ordered-products", "ordered-product family: value, product, commutativity",
-          {"n": n, "invertible": params.hbar_separated}, qkz)
+          {"n": n, "invertible": params.hbar_separated},
+          lambda: max_commutator(qkz_elements(params).elements))
 
     if params.distinct and params.hbar_separated and n <= 4:
 
         def generating_det():
             lhs = t_gen(params)
-            rhs = _ga_lift_bipoly(n, det_P_hbar(params, s_k_poly(params, 1)))
+            rhs = ga_lift(n, det_P_hbar(params, s_k_poly(params, 1)))
             return bipoly_diff_residual(lhs, rhs)
 
         s.run("xxx.generating-det",
@@ -800,16 +771,9 @@ def suite_xxx(s: Suite, cfg):
                {"n": n},
                "needs distinct, hbar-separated parameters and n <= 4")
 
-    def commuting():
-        gens = list(xxx_table(n, z, hbar, Fraction(2)).values())
-        worst = Fraction(0)
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                worst = max(worst, ga_max_abs(gens[i] * gens[j] - gens[j] * gens[i]))
-        return worst
-
     s.run("xxx.commuting", "pairwise commutativity of the trace family",
-          {"n": n}, commuting)
+          {"n": n},
+          lambda: max_commutator(list(xxx_table(n, z, hbar, Fraction(2)).values())))
 
     def scaling():
         sc = rng.nonzero_rational(4, 2)
@@ -861,7 +825,7 @@ def suite_homogeneous(s: Suite, cfg):
         def generating_det():
             params = homogeneous_params(n)
             lhs = t_gen(params)
-            rhs = _ga_lift_bipoly(n, det_P_hat(n, s_k_poly(params, 1)))
+            rhs = ga_lift(n, det_P_hat(n, s_k_poly(params, 1)))
             return bipoly_diff_residual(lhs, rhs)
 
         s.run("homog.generating-det",
@@ -918,12 +882,9 @@ def suite_homogeneous(s: Suite, cfg):
     def well_defined():
         base = homogeneous_span(n)
         for (hb, z1) in ((Fraction(2), Fraction(0)), (Fraction(1), Fraction(5))):
-            params = xxx_params((z1,) * n, hb)
-            gens = []
-            for m in range(1, n):
-                poly = t_m_poly(params, m, p=Fraction(2))
-                for i in range(1, n + 1):
-                    gens.append(represent(_lift_ga(n, poly.coeff(n - i))))
+            table = t_m_table(xxx_params((z1,) * n, hb), Fraction(2), range(1, n),
+                              range(1, n + 1))
+            gens = [represent(g) for g in table.values()]
             if not sp.algebra_span(gens).same_span(base):
                 return False
         return True
@@ -1003,7 +964,7 @@ def suite_schur_weyl(s: Suite, cfg):
         Ph = scalar_root_poly(z).subst_linear(hb, Fraction(0))
         for m in (1, 2):
             tm = t_m_poly(params, m, p=Fraction(N))
-            mats = [varpi(_lift_ga(nn, c), N) * (hb**k)
+            mats = [varpi(ga_lift(nn, c), N) * (hb**k)
                     for k, c in enumerate(tm.coeffs)]
             psi = yangian_transfer(N, nn, m, [x / hb for x in z])
             d = N**nn
@@ -1149,8 +1110,12 @@ def suite_spectra(s: Suite, cfg):
             and len(homogeneous_eigen(n, seed)) == want
         )
 
-    s.run("spectra.eigen-count", "one joint eigenvector per standard tableau",
-          {"n": n}, eigen_counts)
+    if ParameterSet(z).distinct:
+        s.run("spectra.eigen-count", "one joint eigenvector per standard tableau",
+              {"n": n}, eigen_counts)
+    else:
+        s.skip("spectra.eigen-count", "one joint eigenvector per standard tableau",
+               {"n": n}, DISTINCT_Z)
 
     def relations_h():
         nn = min(n, 3)
@@ -1162,8 +1127,12 @@ def suite_spectra(s: Suite, cfg):
             worst = max(worst, float(rep["max_residual"]))
         return worst
 
-    s.run("spectra.relations", "eigenvalue data satisfies the scalar relations",
-          {"n": min(n, 3)}, relations_h, exact=False)
+    if ParameterSet(z[:3]).distinct:
+        s.run("spectra.relations", "eigenvalue data satisfies the scalar relations",
+              {"n": min(n, 3)}, relations_h)
+    else:
+        s.skip("spectra.relations", "eigenvalue data satisfies the scalar relations",
+               {"n": min(n, 3)}, DISTINCT_Z)
 
     def theta_loop():
         for nn in (3, 4):
@@ -1310,12 +1279,19 @@ def suite_conjectures(s: Suite, cfg):
             worst = max(worst, float(rep["max_residual"]))
         return worst
 
-    s.run("conjecture.shifted-relations",
-          "eigen data satisfies the shifted scalar relations",
-          {"n": n}, shifted_relations, exact=False, conjecture=True)
+    if ParameterSet(z).distinct:
+        s.run("conjecture.shifted-relations",
+              "eigen data satisfies the shifted scalar relations",
+              {"n": n}, shifted_relations, conjecture=True)
+    else:
+        s.skip("conjecture.shifted-relations",
+               "eigen data satisfies the shifted scalar relations",
+               {"n": n}, DISTINCT_Z)
+
+    hbar = Fraction(1)
+    params = xxx_params(z, hbar)
 
     def xxx_relations():
-        hbar = Fraction(1)
         worst = 0.0
         for rec in xxx_eigen(n, z, hbar, seed):
             if not keep(rec):
@@ -1326,15 +1302,18 @@ def suite_conjectures(s: Suite, cfg):
                 float(hbar ** (i + 1)) * rec.eigenvalues[f"S{i}"]
                 for i in range(1, n)
             ]
-            rep = check_relations_Hh(
-                rec.partition, xxx_params(z, hbar), qvals
-            )
+            rep = check_relations_Hh(rec.partition, params, qvals)
             worst = max(worst, float(rep["max_residual"]))
         return worst
 
-    s.run("conjecture.deformed-relations",
-          "eigen data satisfies the deformed scalar relations",
-          {"n": n}, xxx_relations, exact=False, conjecture=True)
+    if params.distinct and params.hbar_separated:
+        s.run("conjecture.deformed-relations",
+              "eigen data satisfies the deformed scalar relations",
+              {"n": n}, xxx_relations, conjecture=True)
+    else:
+        s.skip("conjecture.deformed-relations",
+               "eigen data satisfies the deformed scalar relations",
+               {"n": n}, "needs distinct, hbar-separated parameters (hbar = 1)")
 
 
 SUITES = {

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations as _itperms, combinations, product as _itproduct
 
 from .rings import UPoly, poly_divmod, poly_gcd
-from .permutations import Permutation
+from .permutations import Permutation, _inversion_sign
 
 
 class TensorOperator:
@@ -112,14 +112,6 @@ def _flat(N: int, key) -> int:
     for i in key:
         idx = idx * N + (i - 1)
     return idx
-
-
-def _unflat(N: int, n: int, idx: int) -> tuple:
-    out = []
-    for _ in range(n):
-        out.append(idx % N + 1)
-        idx //= N
-    return tuple(reversed(out))
 
 
 def varpi_perm(p: Permutation, N: int) -> TensorOperator:
@@ -387,17 +379,11 @@ def gaudin_diffop_coeffs(N: int, n: int, z) -> dict:
 
     total = None
     for sigma in _itperms(range(1, N + 1)):
-        inv = sum(
-            1
-            for x in range(N)
-            for y in range(x + 1, N)
-            if sigma[x] > sigma[y]
-        )
         term = None
         for col in range(1, N + 1):
             op = xops[(sigma[col - 1], col)]
             term = op if term is None else term * op
-        if inv % 2:
+        if _inversion_sign(sigma) < 0:
             term = -term
         total = term if total is None else total + term
     rootprod = UPoly([Fraction(1)])
@@ -494,18 +480,12 @@ def yangian_transfer(N: int, n: int, m: int, x) -> dict:
     total = {}
     for combo in combinations(range(1, N + 1), m):
         for sigma in _itperms(range(m)):
-            inv = sum(
-                1
-                for a in range(m)
-                for b in range(a + 1, m)
-                if sigma[a] > sigma[b]
-            )
             term = None
             for a in range(m):
                 # a-th factor carries argument u - m + 1 + a
                 mat = shifted(combo[sigma[a]], combo[a], m - 1 - a)
                 term = mat if term is None else _mat_mul(term, mat)
-            if inv % 2:
+            if _inversion_sign(sigma) < 0:
                 term = _mat_scale(term, RationalFunc.const(-1))
             total = _mat_add(total, term)
     return total

@@ -17,19 +17,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from .rings import BiPoly, UPoly
+from .rings import BiPoly, UPoly, falling_binomial
 from .linalg import det_perm_expansion
 from .permutations import (
     GroupAlgebraElement,
     antisymmetrizer,
     embed,
+    ga_lift,
     ga_transposition,
     lift_coeffs_to_upoly,
     top_embed,
     trace_map,
 )
-from .gaudin import check_commuting_family, scalar_root_poly
-from .reps import partition_parts
+from .gaudin import check_commuting_family, relation_residuals, scalar_root_poly
 
 SYMBOLIC = None  # sentinel for a symbolic trace parameter
 
@@ -84,9 +84,7 @@ def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
     if p is None:
         p = _trace_parameter(params)
     if m == 0:
-        poly = scalar_root_poly(z).map_coeffs(
-            lambda c: GroupAlgebraElement.scalar(n, c)
-        )
+        poly = ga_lift(n, scalar_root_poly(z))
         if isinstance(p, UPoly):
             poly = poly.map_coeffs(lift_coeffs_to_upoly)
         return poly
@@ -101,11 +99,17 @@ def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
     return UPoly([trace_map(c, n, m, p) for c in acc.coeffs])
 
 
-def t_m_coeffs(params: XXXParams, m: int, p=None) -> dict:
-    """Coefficient table: (m, i) -> coefficient of u^(n-i), i = 0..n."""
-    poly = t_m_poly(params, m, p)
+def t_m_table(params: XXXParams, p, ms, rows) -> dict:
+    """(m, i) -> the coefficient of u^(n-i) in T_m(u; p), lifted into the
+    group algebra, for m in ms and i in rows.  One t_m_poly per m; the keys
+    run m-major, which is the order span closures receive them in."""
     n = params.n
-    return {i: poly.coeff(n - i) for i in range(n + 1)}
+    out = {}
+    for m in ms:
+        poly = t_m_poly(params, m, p=p)
+        for i in rows:
+            out[(m, i)] = ga_lift(n, poly.coeff(n - i))
+    return out
 
 
 def s_k_poly(params: XXXParams, k: int) -> UPoly:
@@ -116,9 +120,7 @@ def s_k_poly(params: XXXParams, k: int) -> UPoly:
     if k > n:
         return UPoly()
     if k == 0:
-        return scalar_root_poly(z).map_coeffs(
-            lambda c: GroupAlgebraElement.scalar(n, c)
-        )
+        return ga_lift(n, scalar_root_poly(z))
     signed = antisymmetrizer(k) * Fraction(math.factorial(k))
     total = UPoly()
     for r in combinations(range(1, n + 1), k):
@@ -223,17 +225,11 @@ def t_gen(params: XXXParams) -> BiPoly:
             continue
         term = BiPoly.from_upoly_u(sk) * vm1 ** (n - k) * Fraction((-1) ** k)
         rhs = rhs + term
-    lhs_l = lhs.map_coeffs(lambda c: _lift(n, c))
-    rhs_l = rhs.map_coeffs(lambda c: _lift(n, c))
+    lhs_l = ga_lift(n, lhs)
+    rhs_l = ga_lift(n, rhs)
     if lhs_l != rhs_l:
         raise AssertionError("the two generating expansions disagree")
     return lhs_l
-
-
-def _lift(n, c):
-    if isinstance(c, GroupAlgebraElement):
-        return c
-    return GroupAlgebraElement.scalar(n, c)
 
 
 def det_P_hbar(params: XXXParams, q: UPoly) -> BiPoly:
@@ -269,10 +265,7 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> BiPoly:
             e = u_minus * ((v if a == b else BiPoly()) - qh) - hbar * qh
             row.append(e)
         entries.append(row)
-    det = det_perm_expansion(entries)
-    if not isinstance(det, BiPoly):
-        det = BiPoly.const(det)
-    return det
+    return det_perm_expansion(entries)
 
 
 def check_relations_Hh(la, params: XXXParams, qvals) -> dict:
@@ -288,54 +281,20 @@ def check_relations_Hh(la, params: XXXParams, qvals) -> dict:
     if len(qvals) != n:
         raise ValueError("need n coefficient values")
     q = UPoly(list(reversed(qvals)))  # q(u) = q_1 u^{n-1} + ... + q_n
-    det = det_P_hbar(params, q)
-    shifted = det.subst_v_shift(1)  # coefficients in powers of w = v - 1
-    offdiag = max(
-        (
-            abs(shifted.coeff(n - j, n - i))
-            for i in range(n + 1)
-            for j in range(i)
-        ),
-        default=Fraction(0),
-    )
-    lhs = UPoly()
-    for i in range(n + 1):
-        tail = UPoly([Fraction(1)])
-        for j in range(i + 1, n + 1):
-            tail = tail * UPoly([Fraction(j), Fraction(1)])
-        lhs = lhs + tail * shifted.coeff(n - i, n - i)
-    rhs = UPoly([Fraction(1)])
-    for j, lam in enumerate(partition_parts(la, n), start=1):
-        rhs = rhs * UPoly([Fraction(j - lam), Fraction(1)])
-    diff = lhs - rhs
-    diagonal = max((abs(c) for c in diff.coeffs), default=Fraction(0))
-    return {
-        "partition": la,
-        "offdiag_residual": offdiag,
-        "diagonal_residual": diagonal,
-        "max_residual": max(offdiag, diagonal),
-    }
+    # coefficients in powers of w = v - 1
+    return relation_residuals(la, det_P_hbar(params, q).subst_v_shift(1))
 
 
 def ts_transform(params: XXXParams, m: int, p) -> UPoly:
     """The binomial transform sum_k S_k/(m-k)! * prod_{i=1..m-k}(p - m + i);
     equals T_m for every p, which is the cross-check between the two
     construction pipelines."""
-    n = params.n
     acc = UPoly()
     for k in range(0, m + 1):
         sk = s_k_poly(params, k)
         if not sk:
             continue
-        w = Fraction(1, math.factorial(m - k))
-        factor = None
-        for i in range(1, m - k + 1):
-            f = p - m + i if not isinstance(p, UPoly) else p + Fraction(i - m)
-            factor = f if factor is None else factor * f
-        if factor is None:
-            scale = w
-        else:
-            scale = w * factor
+        scale = falling_binomial(p - k, m - k)
         acc = acc + sk.map_coeffs(lambda c, s=scale: c * s)
     return acc
 
@@ -345,11 +304,6 @@ def st_transform(params: XXXParams, m: int, p) -> UPoly:
     acc = UPoly()
     for k in range(0, m + 1):
         tk = t_m_poly(params, k, p=p)
-        w = Fraction((-1) ** (m - k), math.factorial(m - k))
-        factor = None
-        for i in range(1, m - k + 1):
-            f = p - m + i if not isinstance(p, UPoly) else p + Fraction(i - m)
-            factor = f if factor is None else factor * f
-        scale = w if factor is None else w * factor
+        scale = falling_binomial(p - k, m - k) * (-1) ** (m - k)
         acc = acc + tk.map_coeffs(lambda c, s=scale: c * s)
     return acc

@@ -56,12 +56,18 @@ def test_invalid_config_exit_codes(capsys):
     assert rc == 2  # wrong parameter count
     rc, _ = run_main(capsys, ["run", "all", "--n", "3", "--lambda", "2,2"])
     assert rc == 2  # partition size mismatch
+    rc, _ = run_main(capsys, ["run", "conjectures", "--n", "3", "--lambda", "1,2"])
+    assert rc == 2  # parts not non-increasing
+    rc, _ = run_main(capsys, ["run", "identities-xxx", "--n", "2", "--hbar", "0"])
+    assert rc == 2
 
 
 @pytest.mark.parametrize("flags", [
     ["--z", "1/0,1"],  # ZeroDivisionError while parsing
     ["--tol", "nan"],
     ["--tol", "-1"],
+    ["--hbar", "0"],
+    ["--lambda", "0,2"],  # a zero part
 ])
 def test_bad_values_are_configuration_errors(capsys, flags):
     rc = main(["run", "identities-gaudin", "--n", "2", *flags])
@@ -80,6 +86,42 @@ def test_reports_match_golden(capsys, name, argv):
     rc, out = run_main(capsys, [*argv, "--format", "json", "--seed", "7"])
     assert rc == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("values", [
+    {"nosuch": 1},  # not a flag
+    {"suite": "nosuch"},  # the suite is the positional argument
+    {"suite": "homogeneous"},
+    {"tol": [1]},  # wrong JSON type
+    {"slow": "yes"},
+    {"n": True},
+    {"seed": 2.5},  # an integer flag
+    [2],  # not an object
+])
+def test_bad_config_files_are_configuration_errors(capsys, tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    rc = main(["run", "identities-gaudin", "--n", "2", "--config", str(cfg)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (["run", "identities-gaudin", "--n", "3"],
+     ["gaudin.content-det", "gaudin.generating-det", "gaudin.shifted-det"]),
+    (["run", "spectra", "--n", "3"], ["spectra.eigen-count", "spectra.relations"]),
+    (["run", "conjectures", "--n", "3"],
+     ["conjecture.deformed-relations", "conjecture.shifted-relations"]),
+])
+def test_repeated_z_skips_what_needs_distinct_z(capsys, argv, skipped):
+    rc, out = run_main(capsys, [*argv, "--z", "0,0,1", "--format", "json"])
+    assert rc == 0
+    checks = json.loads(out)["checks"]
+    assert all(c["status"] != "FAIL" for c in checks)
+    got = {c["check"]: c["detail"] for c in checks
+           if c["status"] == "SKIPPED" and c["check"] in skipped}
+    assert sorted(got) == skipped
+    assert all("distinct" in why for why in got.values())
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):

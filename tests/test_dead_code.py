@@ -1,0 +1,75 @@
+"""Dead-code guard: every module- or class-level definition in the package is
+named somewhere outside its own body, in the package or in the tests.
+
+Re-exports in ``__init__.py`` do not count as a use.  Names read by string
+(``getattr(x, "ring_one")``) count, since the protocol hooks are found that
+way.  A method counts as used only through an attribute or a string, so a
+method named like a builtin (``map``) is not kept alive by the builtin.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "snbethe"
+
+
+def _names(tree, members_only=False) -> Counter:
+    """Every identifier a tree reads: attributes and identifier-like string
+    constants, and unless members_only also loaded and imported names."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out[node.value] += 1
+        elif members_only:
+            continue
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out[node.id] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+    return out
+
+
+def _definitions(tree):
+    """(qualified name, bare name, node, is a member) for module- and
+    class-level definitions."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, kinds):
+                        yield f"{node.name}.{member.name}", member.name, member, True
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id, node, False
+
+
+def unused_definitions() -> list:
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text()) for p in sources}
+    readers = list(trees.values()) + [
+        ast.parse(p.read_text()) for p in sorted((ROOT / "tests").glob("*.py"))
+    ]
+    used = {flag: Counter() for flag in (False, True)}
+    for tree in readers:
+        for flag in used:
+            used[flag] += _names(tree, flag)
+    out = []
+    for path, tree in trees.items():
+        for qualified, name, node, member in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if used[member][name] - _names(node, member)[name] <= 0:
+                out.append(f"{path.stem}.{qualified}")
+    return out
+
+
+def test_no_unused_definitions():
+    assert unused_definitions() == []

@@ -4,6 +4,7 @@ eigenanalysis, fiber reconstruction, cyclic vectors, and subspace distance."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from snbethe.rings import MultiPoly, SeededRandom, UPoly
@@ -215,6 +216,25 @@ def test_certificates():
     )
     ok, _ = simple_spectrum_cert(span4, 999)
     assert ok
+
+
+def test_certificate_draws_again_and_eigen_reuses_it():
+    # at seed 2 the first combination drawn in the homogeneous span at n = 4
+    # has a repeated eigenvalue; the certificate draws again from its stream
+    gens = homogeneous_generators(4)
+    span = algebra_span([represent(g) for g in gens])
+    ok, witness = simple_spectrum_cert(span, 2)
+    assert ok and witness["draws"] == 2
+    recs = joint_eigen(span, {f"G{k}": represent(g) for k, g in enumerate(gens)}, 2)
+    assert len(recs) == sum_of_dims(4)
+    # the eigenvectors are those of the certified combination
+    parts = partitions_of(4)
+    for rec in recs:
+        block = witness["element"].blocks[parts.index(rec.partition)]
+        M = np.array([[float(x) for x in row] for row in block.rows])
+        v = rec.vector
+        mu = np.conj(v) @ (M @ v)
+        assert np.linalg.norm(M @ v - mu * v) < 1e-8 * max(1.0, np.abs(M).max())
 
 
 def test_joint_eigen_n2_homogeneous_values():

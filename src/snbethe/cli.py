@@ -37,7 +37,6 @@ class SuiteConfig:
     n: int
     z: tuple
     hbar: Fraction
-    p: Fraction
     lam: tuple | None
     seed: int
     tol: float
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n", type=int, default=3)
     run.add_argument("--z", type=str, help="comma-separated rationals")
     run.add_argument("--hbar", type=str, default="1")
-    run.add_argument("--p", type=str, default="2")
     run.add_argument("--lambda", dest="lam", type=str,
                      help="partition, comma-separated")
     run.add_argument("--seed", type=int, default=20260801)
@@ -160,7 +158,6 @@ def config_from_args(args) -> SuiteConfig:
         n=n,
         z=z,
         hbar=hbar,
-        p=Fraction(str(values["p"])),
         lam=lam,
         seed=int(values["seed"]),
         tol=tol,

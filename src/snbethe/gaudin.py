@@ -41,6 +41,11 @@ class ParameterSet:
     def distinct(self) -> bool:
         return len(set(self.z)) == len(self.z)
 
+    @property
+    def at_most_pairs(self) -> bool:
+        """No value occurs three or more times."""
+        return all(self.z.count(x) < 3 for x in set(self.z))
+
 
 def scalar_root_poly(z) -> UPoly:
     """prod (u - z_a) with scalar coefficients."""

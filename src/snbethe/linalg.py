@@ -7,14 +7,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as _itperms
+from operator import mul
 
-from .rings import UPoly
+from .rings import UPoly, _int_scaled
 from .permutations import _inversion_sign
 
 
 class Matrix:
-    """Dense matrix; entries may live in any commutative ring (Fractions for
-    all exact linear algebra, polynomial entries only for bookkeeping)."""
+    """Dense matrix of exact rationals (int or Fraction entries).
+
+    The matrix product scales both factors to integer numerators over their
+    lcm denominators and returns Fraction entries; any other entry type
+    raises TypeError there.  Sums and scalar multiples keep whatever the
+    entries are.
+    """
 
     __slots__ = ("rows",)
 
@@ -66,20 +72,15 @@ class Matrix:
             k2, c = other.shape
             if k != k2:
                 raise ValueError("shape mismatch")
-            bcols = list(zip(*other.rows))
-            out = []
-            for row in self.rows:
-                orow = []
-                for col in bcols:
-                    acc = None
-                    for a, b in zip(row, col):
-                        if not a or not b:
-                            continue
-                        t = a * b
-                        acc = t if acc is None else acc + t
-                    orow.append(acc if acc is not None else Fraction(0))
-                out.append(orow)
-            return Matrix(out)
+            # exact: integer numerators over each factor's lcm denominator
+            da, a = _int_scaled(self.flatten())
+            db, b = _int_scaled(other.flatten())
+            d = da * db
+            arows = [a[i * k:(i + 1) * k] for i in range(r)]
+            bcols = [b[j::c] for j in range(c)]
+            return Matrix(
+                [[Fraction(sum(map(mul, row, col)), d) for col in bcols] for row in arows]
+            )
         return Matrix([[a * other for a in r] for r in self.rows])
 
     def __rmul__(self, other):

@@ -40,7 +40,7 @@ from numbers import Number
 from itertools import permutations as _itperms
 from operator import itemgetter
 
-from .rings import BiPoly, UPoly
+from .rings import BiPoly, UPoly, _int_scaled
 
 
 class Permutation:
@@ -188,12 +188,6 @@ def _rational_kind(terms):
     return None
 
 
-def _int_scaled(terms):
-    """(d, [(p, c*d)]) with d the lcm of the coefficients' denominators."""
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return d, [(p, c.numerator * (d // c.denominator)) for p, c in terms.items()]
-
-
 class GroupAlgebraElement:
     """Sparse element of the group algebra of S_n: dict Permutation -> coeff.
 
@@ -285,8 +279,9 @@ class GroupAlgebraElement:
             if None in kinds:
                 left, right = self.terms.items(), other.terms.items()
             else:
-                da, left = _int_scaled(self.terms)
-                db, right = _int_scaled(other.terms)
+                da, left = _int_scaled(self.terms.values())
+                db, right = _int_scaled(other.terms.values())
+                left, right = zip(self.terms, left), zip(other.terms, right)
                 if Fraction in kinds:
                     d = da * db
             right = [(q._composer(), b) for q, b in right]

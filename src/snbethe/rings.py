@@ -19,6 +19,25 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _int_scaled(values):
+    """(d, [c*d for c in values]) with d the lcm of the values' denominators.
+
+    The exact kernels (group-algebra product, block-matrix product, span
+    echelon) run on these integer numerators.  Every value must be an int or
+    a Fraction; anything else raises TypeError.
+    """
+    values = list(values)
+    try:
+        dens = [c.denominator for c in values]
+    except AttributeError:
+        raise TypeError(
+            "integer scaling needs int or Fraction values, got "
+            + ", ".join(sorted({type(c).__name__ for c in values}))
+        ) from None
+    d = math.lcm(*dens)
+    return d, [c.numerator * (d // e) for c, e in zip(values, dens)]
+
+
 def ring_one(sample):
     """Multiplicative unit of the ring that `sample` lives in."""
     if isinstance(sample, Number):

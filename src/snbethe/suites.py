@@ -144,6 +144,7 @@ def max_commutator(elements) -> Fraction:
 
 
 DISTINCT_Z = "needs pairwise-distinct z"
+AT_MOST_PAIRS_Z = "needs no z value repeated three times"
 
 
 # ---------------------------------------------------------------------------
@@ -870,14 +871,9 @@ def suite_homogeneous(s: Suite, cfg):
             span1 = sp.algebra_span(gens1)
             return span1.same_span(homogeneous_span(n))
 
-        if n <= 4 or cfg.slow:
-            s.run("homog.charges-generate",
-                  "long cycle and charges generate the same algebra",
-                  {"n": n}, charges_generate)
-        else:
-            s.skip("homog.charges-generate",
-                   "long cycle and charges generate the same algebra",
-                   {"n": n}, "enable --slow for n = 5")
+        s.run("homog.charges-generate",
+              "long cycle and charges generate the same algebra",
+              {"n": n}, charges_generate)
 
     def well_defined():
         base = homogeneous_span(n)
@@ -1048,12 +1044,18 @@ def suite_spectra(s: Suite, cfg):
             return False
         return True
 
-    if n <= 4 or cfg.slow:
+    # the rational family keeps the dimension law, maximality and simple
+    # spectrum while parameters coincide at most in pairs (spectra.coincidences)
+    at_most_pairs = ParameterSet(z).at_most_pairs
+    slow_skip = None if n <= 4 or cfg.slow else "enable --slow for n = 5"
+    span_skip = slow_skip if at_most_pairs else AT_MOST_PAIRS_Z
+
+    if span_skip is None:
         s.run("spectra.dimension-law", "all three spans have the standard dimension",
               {"n": n, "expect": sum_of_dims(n)}, dims)
     else:
         s.skip("spectra.dimension-law", "all three spans have the standard dimension",
-               {"n": n}, "enable --slow for n = 5")
+               {"n": n}, span_skip)
 
     def maximality():
         for span in (gaudin_span(n, z), xxx_span(n, z, hbar), homogeneous_span(n),
@@ -1062,12 +1064,12 @@ def suite_spectra(s: Suite, cfg):
                 return False
         return True
 
-    if n <= 4 or cfg.slow:
+    if span_skip is None:
         s.run("spectra.maximality", "each family is its own commutant",
               {"n": n}, maximality)
     else:
         s.skip("spectra.maximality", "each family is its own commutant",
-               {"n": n}, "enable --slow for n = 5")
+               {"n": n}, span_skip)
 
     def coincidences():
         zp = (Fraction(0), Fraction(0), Fraction(1), Fraction(3))
@@ -1100,8 +1102,12 @@ def suite_spectra(s: Suite, cfg):
         ok3, _ = sp.simple_spectrum_cert(homogeneous_span(n), seed)
         return ok1 and ok2 and ok3
 
-    s.run("spectra.simple-spectrum", "random combinations have squarefree charpoly",
-          {"n": n, "seed": seed}, certs)
+    if at_most_pairs:
+        s.run("spectra.simple-spectrum", "random combinations have squarefree charpoly",
+              {"n": n, "seed": seed}, certs)
+    else:
+        s.skip("spectra.simple-spectrum", "random combinations have squarefree charpoly",
+               {"n": n, "seed": seed}, AT_MOST_PAIRS_Z)
 
     def eigen_counts():
         want = sum_of_dims(n)
@@ -1247,8 +1253,14 @@ def suite_spectra(s: Suite, cfg):
                 dists.append(sp.span_distance(xxx_span(n, z, hb), base))
             return all(a > b for a, b in zip(dists, dists[1:]))
 
-        s.run("spectra.trend-hbar", "small deformation contracts to the rational family",
-              {"n": n}, hbar_trend)
+        if at_most_pairs:
+            s.run("spectra.trend-hbar",
+                  "small deformation contracts to the rational family",
+                  {"n": n}, hbar_trend)
+        else:
+            s.skip("spectra.trend-hbar",
+                   "small deformation contracts to the rational family",
+                   {"n": n}, AT_MOST_PAIRS_Z)
     else:
         for cid in ("spectra.trend-rational", "spectra.trend-shifted",
                     "spectra.trend-hbar"):

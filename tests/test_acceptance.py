@@ -558,7 +558,7 @@ def test_acceptance_13_conjecture_probes():
     from snbethe.suites import run_suite
 
     cfg = SuiteConfig(
-        suite="conjectures", n=3, z=default_z(3), hbar=F(1), p=F(2), lam=None,
+        suite="conjectures", n=3, z=default_z(3), hbar=F(1), lam=None,
         seed=SEED, tol=1e-8, slow=False, strict=False, timings=False,
         fmt="json", out=None)
     report = run_suite(cfg)

@@ -60,6 +60,9 @@ def test_invalid_config_exit_codes(capsys):
     assert rc == 2  # parts not non-increasing
     rc, _ = run_main(capsys, ["run", "identities-xxx", "--n", "2", "--hbar", "0"])
     assert rc == 2
+    with pytest.raises(SystemExit) as exc:  # run has no --p (emit keeps it)
+        main(["run", "identities-xxx", "--n", "2", "--p", "5"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("flags", [
@@ -97,6 +100,7 @@ def test_reports_match_golden(capsys, name, argv):
     {"n": True},
     {"seed": 2.5},  # an integer flag
     [2],  # not an object
+    {"p": 5},  # a flag of emit only
 ])
 def test_bad_config_files_are_configuration_errors(capsys, tmp_path, values):
     cfg = tmp_path / "cfg.json"
@@ -112,16 +116,25 @@ def test_bad_config_files_are_configuration_errors(capsys, tmp_path, values):
     (["run", "spectra", "--n", "3"], ["spectra.eigen-count", "spectra.relations"]),
     (["run", "conjectures", "--n", "3"],
      ["conjecture.deformed-relations", "conjecture.shifted-relations"]),
+    # a triple coincidence: the span claims need z values repeated at most twice
+    (["run", "spectra", "--n", "4", "--z", "0,0,0,1"],
+     ["spectra.dimension-law", "spectra.eigen-count", "spectra.maximality",
+      "spectra.relations", "spectra.simple-spectrum", "spectra.trend-hbar"]),
 ])
 def test_repeated_z_skips_what_needs_distinct_z(capsys, argv, skipped):
-    rc, out = run_main(capsys, [*argv, "--z", "0,0,1", "--format", "json"])
+    if "--z" not in argv:
+        argv = [*argv, "--z", "0,0,1"]
+    rc, out = run_main(capsys, [*argv, "--format", "json"])
     assert rc == 0
     checks = json.loads(out)["checks"]
     assert all(c["status"] != "FAIL" for c in checks)
     got = {c["check"]: c["detail"] for c in checks
            if c["status"] == "SKIPPED" and c["check"] in skipped}
     assert sorted(got) == skipped
-    assert all("distinct" in why for why in got.values())
+    triple = {"spectra.dimension-law", "spectra.maximality",
+              "spectra.simple-spectrum", "spectra.trend-hbar"}
+    for check, why in got.items():
+        assert ("three times" if check in triple else "distinct") in why
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):

@@ -224,6 +224,55 @@ def test_jm_content_diagonal(n):
                     assert m.rows[t_idx][c] == want
 
 
+def oracle_matmul(a, b):
+    """The Matrix product as first written: a generic multiply-add over the
+    nonzero entry pairs, Fraction(0) where none is left."""
+    out = []
+    for row in a.rows:
+        orow = []
+        for col in zip(*b.rows):
+            acc = None
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = x * y if acc is None else acc + x * y
+            orow.append(Fraction(0) if acc is None else acc)
+        out.append(orow)
+    return out
+
+
+def test_matrix_product_matches_oracle():
+    rng = SeededRandom(4099)
+    kinds = {
+        "fraction": lambda: rng.rational(3, 5),
+        "int": lambda: rng.integer(-3, 3),
+        "mixed": lambda: rng.integer(-3, 3) if rng.integer(0, 1) else rng.rational(3, 5),
+        "zero": lambda: Fraction(0),
+    }
+    for ka, kb in [(ka, kb) for ka in kinds for kb in kinds]:
+        for r, k, c in ((1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5), (3, 1, 4)):
+            a = Matrix([[kinds[ka]() for _ in range(k)] for _ in range(r)])
+            b = Matrix([[kinds[kb]() for _ in range(c)] for _ in range(k)])
+            got, want = a * b, oracle_matmul(a, b)
+            assert got.rows == want
+            assert all(type(x) is Fraction for row in got.rows for x in row)
+    # a seminormal block product, large denominators included
+    g = seminormal_rep((3, 2)).gens
+    big = g[0] * Fraction(10**12, 7) + g[2] * Fraction(-3, 10**9)
+    assert (big * g[1]).rows == oracle_matmul(big, g[1])
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]) * Matrix([[1, 2]])
+
+
+@pytest.mark.parametrize("entry", [0.5, UPoly([Fraction(1), Fraction(1)])])
+def test_matrix_product_rejects_non_rational_entries(entry):
+    rational = Matrix([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1, 3)]])
+    other = Matrix([[Fraction(1), entry], [Fraction(2), Fraction(0)]])
+    with pytest.raises(TypeError):
+        rational * other
+    with pytest.raises(TypeError):
+        other * rational
+
+
 def test_represent_identity_and_burnside():
     bm = represent(GroupAlgebraElement.scalar(4, F(1)))
     for la, block in zip(bm.partitions, bm.blocks):

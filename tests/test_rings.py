@@ -9,6 +9,7 @@ from snbethe.rings import (
     MultiPoly,
     SeededRandom,
     UPoly,
+    _int_scaled,
     falling_binomial,
     poly_divmod,
     poly_gcd,
@@ -34,6 +35,15 @@ def test_mul_example():
 def test_shift_example():
     # u^2 at u -> u - 1
     assert P(0, 0, 1).shift_arg(F(-1)) == P(1, -2, 1)
+
+
+def test_int_scaled():
+    assert _int_scaled([F(1, 2), 3, F(-2, 3), F(0)]) == (6, [3, 18, -4, 0])
+    assert _int_scaled(iter([1, -2])) == (1, [1, -2])
+    assert _int_scaled([]) == (1, [])
+    for bad in (0.5, P(1)):
+        with pytest.raises(TypeError):
+            _int_scaled([F(1), bad])
 
 
 def test_cancellation_gives_canonical_zero():

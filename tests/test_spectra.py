@@ -8,17 +8,26 @@ import numpy as np
 import pytest
 
 from snbethe.rings import MultiPoly, SeededRandom, UPoly
+from snbethe.linalg import Matrix
 from snbethe.permutations import (
     GroupAlgebraElement,
     all_permutations,
     ga_perm,
     ga_transposition,
 )
-from snbethe.reps import BlockMatrix, central_idempotent, partitions_of, represent, sum_of_dims
+from snbethe.reps import (
+    BlockMatrix,
+    central_idempotent,
+    dimension,
+    partitions_of,
+    represent,
+    sum_of_dims,
+)
 from snbethe.gaudin import gz_spanning_set, kz_elements, phi_polys
 from snbethe.homogeneous import homogeneous_generators
 from snbethe.xxx import t_m_poly, xxx_params
 from snbethe.spectra import (
+    SpanBasis,
     algebra_span,
     annihilator_residual,
     casorati,
@@ -160,6 +169,112 @@ def test_intro_example_span_n3_deformed():
         s23 * z[0] + s13 * z[1] + s12 * z[2] - s12 * s23 * hb,
     ]
     assert span.same_span(linear_span([represent(g) for g in explicit]))
+
+
+def oracle_reduce(rows, pivots, vec):
+    v = list(vec)
+    for row, piv in zip(rows, pivots):
+        if v[piv]:
+            f = v[piv]
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
+def oracle_span(mats):
+    """The span echelon as first written, over the rationals: (accepted,
+    rows, pivots), each row 1 at its pivot and 0 at every other pivot."""
+    accepted, rows, pivots = [], [], []
+    for bm in mats:
+        v = oracle_reduce(rows, pivots, bm.flatten())
+        piv = next((i for i, x in enumerate(v) if x), None)
+        accepted.append(piv is not None)
+        if piv is None:
+            continue
+        inv = Fraction(1) / v[piv]
+        v = [x * inv for x in v]
+        for i, row in enumerate(rows):
+            if row[piv]:
+                f = row[piv]
+                rows[i] = [x - f * y for x, y in zip(row, v)]
+        rows.append(v)
+        pivots.append(piv)
+    return accepted, rows, pivots
+
+
+def oracle_float_rows(rows):
+    return np.array(
+        [[float(x / max(abs(y) for y in r)) for x in r] for r in rows], dtype=float
+    )
+
+
+def random_block_matrix(rng, n):
+    return BlockMatrix(n, [
+        Matrix([[rng.rational(9, 4) for _ in range(dimension(la))]
+                for _ in range(dimension(la))])
+        for la in partitions_of(n)
+    ])
+
+
+def combination(rng, mats):
+    acc = mats[0] * rng.rational(5, 3)
+    for m in mats[1:]:
+        acc = acc + m * rng.rational(5, 3)
+    return acc
+
+
+def assert_matches_oracle(mats, probes=()):
+    """SpanBasis against the Fraction echelon: same answers from add, same
+    pivots, integer rows that are primitive positive multiples of the
+    oracle rows, bit-identical float rows, and the same membership."""
+    sb = SpanBasis(mats[0].n)
+    got = [sb.add(m) for m in mats]
+    accepted, rows, pivots = oracle_span(mats)
+    assert got == accepted
+    assert sb.dim == len(rows) == sum(accepted)
+    assert sb._pivots == pivots
+    for irow, frow, p in zip(sb._rows, rows, pivots):
+        assert all(type(x) is int for x in irow)
+        assert irow[p] > 0 and math.gcd(*irow) == 1
+        assert [irow[p] * x for x in frow] == irow
+    assert sb.float_rows().tobytes() == oracle_float_rows(rows).tobytes()
+    for m in [*mats, *probes]:
+        want = not any(oracle_reduce(rows, pivots, m.flatten()))
+        assert sb.contains(m) == want
+    return sb
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_span_basis_matches_fraction_oracle(n):
+    rng = SeededRandom(2027 + n)
+    for rank in (1, 3, 5):
+        base = [random_block_matrix(rng, n) for _ in range(rank)]
+        # dependent vectors: combinations of the base, zero, and duplicates
+        mats = base + [combination(rng, base) for _ in range(4)]
+        mats += [BlockMatrix.identity(n) * 0, base[0] * F(-7, 3)]
+        probes = [random_block_matrix(rng, n) for _ in range(3)]
+        probes += [combination(rng, base) for _ in range(3)]
+        sb = assert_matches_oracle(mats, probes)
+        assert sb.dim == rank
+        other = linear_span(list(reversed(mats)))
+        assert sb.same_span(other) and other.same_span(sb)
+        assert sb.same_span(linear_span([rng.choice(mats) for _ in mats] + base))
+        if rank > 1:
+            assert not sb.same_span(linear_span(base[1:]))
+            assert not sb.same_span(linear_span(base[1:] + [probes[0]]))
+
+
+@pytest.mark.parametrize("n, gens", [
+    # steep parameters: extreme dynamic range in the raw elements
+    (3, lambda: phi_polys(3, (F(1), F(10**4), F(10**8)))[1].values()),
+    (3, lambda: phi_polys(3, (F(1), F(10**6), F(10**12)))[1].values()),
+    (3, lambda: phi_polys(3, (F(0), F(1, 7), F(-5, 3)))[1].values()),
+    (4, lambda: homogeneous_generators(4)),
+])
+def test_span_basis_matches_oracle_on_closures(n, gens):
+    span = algebra_span([represent(g) for g in gens()])
+    assert span.dim == sum_of_dims(n)
+    probes = [represent(ga_perm(p)) for p in all_permutations(n)[:8]]
+    assert_matches_oracle(span.elements, probes)
 
 
 def test_center_span_dimension():

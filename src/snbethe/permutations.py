@@ -1,6 +1,7 @@
 """Permutations, the sparse group algebra of the symmetric group over
-pluggable coefficient rings, embeddings, the antisymmetrizer, the two
-antiinvolutions, and the parametrized cycle-deletion trace map.
+pluggable coefficient rings, embeddings, the antisymmetrizer and its
+conjugacy-class form, the two antiinvolutions, and the parametrized
+cycle-deletion trace map.
 
 Composition convention: in a product p*q the RIGHT factor acts first,
 (p*q)(i) = p(q(i)).  This is pinned by the requirement that the product of
@@ -376,6 +377,26 @@ def antisymmetrizer(m: int) -> GroupAlgebraElement:
     for p in all_permutations(m):
         terms[p] = c * sign(p)
     return GroupAlgebraElement(m, terms)
+
+
+def antisymmetrizer_classes(m: int) -> GroupAlgebraElement:
+    """The antisymmetrizer of S_m with each conjugacy class collapsed onto one
+    member: sum over cycle types mu of (sgn(mu)/z_mu) sigma_mu, with sigma_mu
+    the first permutation of type mu in ``all_permutations`` order (the
+    identity first) and sgn(mu)/z_mu = sgn(mu)|C_mu|/m!.  p(m) terms instead
+    of m!; it stands in for the antisymmetrizer under any linear map that is
+    constant on conjugacy classes."""
+    if m < 1:
+        raise ValueError("antisymmetrizer needs m >= 1")
+    reps, sizes = {}, {}
+    for p in all_permutations(m):
+        mu = cycle_type(p)
+        reps.setdefault(mu, p)
+        sizes[mu] = sizes.get(mu, 0) + 1
+    c = Fraction(1, math.factorial(m))
+    return GroupAlgebraElement(
+        m, {p: c * sizes[mu] * sign(p) for mu, p in reps.items()}
+    )
 
 
 def embed_perm(p: Permutation, positions, n: int) -> Permutation:

@@ -4,7 +4,8 @@ numeric joint eigenanalysis, reconstruction of polynomial subspaces from
 eigenvalue data, cyclic vectors, and a principal-angle subspace distance.
 
 Everything dimension-like is exact rational; floating point enters only for
-eigenvectors, reconstruction, and subspace distances.
+eigenvectors, reconstruction, and subspace distances.  Only those float
+functions import numpy, so the exact checks never load it.
 """
 
 from __future__ import annotations
@@ -12,12 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .rings import BiPoly, MultiPoly, SeededRandom, UPoly, _int_scaled, squarefree_test
 from .linalg import det_perm_expansion, nullspace, rank
 from .reps import BlockMatrix, dimension, partition_parts, partitions_of, seminormal_rep
 from .linalg import charpoly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def wronskian(fs) -> UPoly:
@@ -276,6 +280,8 @@ class SpanBasis:
         # the other pivot columns, so their float image keeps full rank even
         # when the raw elements have extreme dynamic range (steep parameters);
         # int / int is correctly rounded, as float(Fraction) is
+        import numpy as np
+
         rows = []
         for r in self._rows:
             m = max(abs(x) for x in r)
@@ -385,16 +391,15 @@ class EigenRecord:
         }
 
 
-def joint_eigen(basis: SpanBasis, generators: dict, seed: int, tol: float = 1e-8):
-    """Numeric joint eigenrecords: eigen-decompose a certified random
-    combination blockwise and read off every generator eigenvalue by Rayleigh
-    quotient; residuals above tol raise."""
-    ok, witness = simple_spectrum_cert(basis, seed)
-    if not ok:
-        raise ValueError("simple spectrum not certified for this seed")
-    combo = witness["element"]
+def joint_eigen(combo: BlockMatrix, generators: dict, tol: float = 1e-8):
+    """Numeric joint eigenrecords: eigen-decompose the combination certified
+    by ``simple_spectrum_cert`` (its witness ``element``) blockwise and read
+    off every generator eigenvalue by Rayleigh quotient; residuals above tol
+    raise."""
+    import numpy as np
+
     records = []
-    for bi, la in enumerate(partitions_of(basis.n)):
+    for bi, la in enumerate(partitions_of(combo.n)):
         M = np.array([[float(x) for x in row] for row in combo.blocks[bi].rows])
         _, vecs = np.linalg.eig(M)
         d = M.shape[0]
@@ -423,6 +428,8 @@ def reconstruct_subspace(
     """Polynomial kernel of the operator read off from the v-expansion of a
     scalar eigenvalue polynomial, degree-bounded; returns a PolySpace, raising
     if the kernel dimension is not n."""
+    import numpy as np
+
     taps = []
     for k in range(F.deg_v + 1):
         fk = [complex(c) for c in F.v_coeff(k).coeffs]
@@ -469,6 +476,8 @@ def reconstruct_subspace(
 def theta_membership_residual(space: PolySpace, n: int) -> float:
     """Relative distance of the Casorati determinant of the basis from the
     line through (u+1)^n (unit shift)."""
+    import numpy as np
+
     c = casorati(space.basis, 1.0)
     target = UPoly([float(math.comb(n, k)) for k in range(n + 1)])
     size = max(len(c.coeffs), len(target.coeffs))
@@ -483,6 +492,8 @@ def theta_membership_residual(space: PolySpace, n: int) -> float:
 def span_distance(a: SpanBasis, b: SpanBasis) -> float:
     """Principal-angle distance between two spans in the flattened block
     coordinates; capped at 1 for unequal dimensions."""
+    import numpy as np
+
     A = a.float_rows()
     B = b.float_rows()
     qa = np.linalg.svd(A, full_matrices=False)[2]

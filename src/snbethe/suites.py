@@ -182,10 +182,23 @@ def gz_span(n: int):
 
 
 @lru_cache(maxsize=None)
+def spectrum_cert(span, seed: int):
+    """``simple_spectrum_cert`` of a cached span, computed once per seed."""
+    return sp.simple_spectrum_cert(span, seed)
+
+
+def certified_combination(span, seed: int):
+    ok, witness = spectrum_cert(span, seed)
+    if not ok:
+        raise ValueError("simple spectrum not certified for this seed")
+    return witness["element"]
+
+
+@lru_cache(maxsize=None)
 def gaudin_eigen(n: int, z: tuple, seed: int):
     fam = kz_elements(n, z)
     gens = {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
-    return sp.joint_eigen(gaudin_span(n, z), gens, seed)
+    return sp.joint_eigen(certified_combination(gaudin_span(n, z), seed), gens)
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +208,7 @@ def xxx_eigen(n: int, z: tuple, hbar: Fraction, seed: int):
         f"S{i}": represent(el)
         for i, el in enumerate(s1_coeff_elements(params), start=1)
     }
-    return sp.joint_eigen(xxx_span(n, z, hbar), gens, seed)
+    return sp.joint_eigen(certified_combination(xxx_span(n, z, hbar), seed), gens)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +216,7 @@ def homogeneous_eigen(n: int, seed: int):
     table = t_m_table(homogeneous_params(n), Fraction(n), range(1, n + 1),
                       range(n + 1))
     gens = {f"T{m}c{i}": represent(g) for (m, i), g in table.items()}
-    return sp.joint_eigen(homogeneous_span(n), gens, seed)
+    return sp.joint_eigen(certified_combination(homogeneous_span(n), seed), gens)
 
 
 def homogeneous_f_from_record(n: int, rec) -> BiPoly:
@@ -1094,12 +1107,10 @@ def suite_spectra(s: Suite, cfg):
                {"n": 4}, "check fixed at n = 4; raise --n")
 
     def certs():
-        ok1, _ = sp.simple_spectrum_cert(gaudin_span(n, z), seed)
+        ok1, _ = spectrum_cert(gaudin_span(n, z), seed)
         zx = tuple(Fraction(3 - i) for i in range(n))
-        ok2, _ = sp.simple_spectrum_cert(
-            xxx_span(n, zx, Fraction(1, 2)), seed
-        )
-        ok3, _ = sp.simple_spectrum_cert(homogeneous_span(n), seed)
+        ok2, _ = spectrum_cert(xxx_span(n, zx, Fraction(1, 2)), seed)
+        ok3, _ = spectrum_cert(homogeneous_span(n), seed)
         return ok1 and ok2 and ok3
 
     if at_most_pairs:

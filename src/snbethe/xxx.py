@@ -4,11 +4,14 @@ commuting elements, the bivariate generating polynomial, the shifted-Cauchy
 determinant presentation, and the residual checker for the conjectural scalar
 relation family.
 
-T_m is computed literally: form the ordered product in the group algebra of
-S_{n+m} with polynomial coefficients, left-multiply by the embedded
-antisymmetrizer, and push down with the cycle-deletion trace.  The binomial
-transform between T and S is then available as an independent cross-check
-rather than a definition.
+T_m is the cycle-deletion trace of the antisymmetrized ordered product in
+the group algebra of S_{n+m} with polynomial coefficients.  Because the trace
+is constant on the conjugacy classes of the top S_m, the m!-term
+antisymmetrizer is replaced by one representative per cycle type, weighted
+sgn(mu)/z_mu (p(m) terms); ``t_m_poly`` gives the argument, and the literal
+m!-term construction is kept in the tests as the oracle.  The binomial
+transform between T and S is an independent cross-check rather than a
+definition.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .linalg import det_perm_expansion
 from .permutations import (
     GroupAlgebraElement,
     antisymmetrizer,
+    antisymmetrizer_classes,
     embed,
     ga_lift,
     ga_transposition,
@@ -77,7 +81,16 @@ def _trace_parameter(params: XXXParams):
 def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
     """The m-th generator polynomial, built in the group algebra of S_{n+m}
     and traced down; degree n in u.  With a symbolic p the coefficients of the
-    output live in the polynomial ring in p."""
+    output live in the polynomial ring in p.
+
+    T_m(u) = tr(A_m X(u)), with A_m the antisymmetrizer of the top S_m (the
+    symbols n+1..n+m) and X(u) the ordered product of the factors
+    u - z_a + hbar sum_i (a, n+i).  Conjugation by g in the top S_m sends
+    (a, n+i) to (a, n+g(i)), so it fixes every factor and X commutes with g.
+    It only relabels symbols above n, which the trace deletes, so
+    tr(g Y g^-1) = tr(Y).  Hence tr(s X) = tr(g s g^-1 X) depends only on the
+    cycle type of s, and tr(A_m X) = sum_mu sgn(mu)/z_mu tr(s_mu X) with one
+    representative s_mu per cycle type (``antisymmetrizer_classes``)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     n, z, hbar = params.n, params.z, params.hbar
@@ -89,7 +102,7 @@ def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
             poly = poly.map_coeffs(lift_coeffs_to_upoly)
         return poly
     big = n + m
-    acc = UPoly([top_embed(antisymmetrizer(m), n, m)])
+    acc = UPoly([top_embed(antisymmetrizer_classes(m), n, m)])
     for a in range(n, 0, -1):
         const = GroupAlgebraElement.scalar(big, -z[a - 1])
         for i in range(1, m + 1):

@@ -1,11 +1,14 @@
 """Batch driver: exit codes, deterministic reports, object emission."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from snbethe import spectra, suites
 from snbethe.cli import build_parser, config_from_args, main
 
 F = Fraction
@@ -84,11 +87,41 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("name, argv", [
     ("all-n3", ["run", "all", "--n", "3"]),
     ("identities-gaudin-n4", ["run", "identities-gaudin", "--n", "4"]),
+    ("homogeneous-n4", ["run", "homogeneous", "--n", "4"]),
+    ("identities-xxx-n4", ["run", "identities-xxx", "--n", "4"]),
 ])
 def test_reports_match_golden(capsys, name, argv):
     rc, out = run_main(capsys, [*argv, "--format", "json", "--seed", "7"])
     assert rc == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_cli_import_does_not_load_numpy():
+    # only the float pipeline (eigenvectors, reconstruction, span distances)
+    # needs numpy, and it imports it where it is used
+    code = "import sys, snbethe.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
+    calls = []
+    real = spectra.simple_spectrum_cert
+
+    def counted(span, seed):
+        calls.append((id(span), seed))
+        return real(span, seed)
+
+    monkeypatch.setattr(spectra, "simple_spectrum_cert", counted)
+    for builder in (suites.spectrum_cert, suites.gaudin_eigen,
+                    suites.xxx_eigen, suites.homogeneous_eigen):
+        builder.cache_clear()
+    rc, _ = run_main(capsys, ["run", "spectra", "--n", "4", "--seed", "7"])
+    assert rc == 0
+    # simple-spectrum certifies the gaudin, xxx and homogeneous spans at n = 4;
+    # the eigen records reuse two of them and add gaudin and homogeneous at n = 3
+    assert len(calls) == len(set(calls)) == 5
 
 
 @pytest.mark.parametrize("values", [

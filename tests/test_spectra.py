@@ -340,7 +340,8 @@ def test_certificate_draws_again_and_eigen_reuses_it():
     span = algebra_span([represent(g) for g in gens])
     ok, witness = simple_spectrum_cert(span, 2)
     assert ok and witness["draws"] == 2
-    recs = joint_eigen(span, {f"G{k}": represent(g) for k, g in enumerate(gens)}, 2)
+    named = {f"G{k}": represent(g) for k, g in enumerate(gens)}
+    recs = joint_eigen(witness["element"], named)
     assert len(recs) == sum_of_dims(4)
     # the eigenvectors are those of the certified combination
     parts = partitions_of(4)
@@ -357,7 +358,9 @@ def test_joint_eigen_n2_homogeneous_values():
     # are u^2(v-1)^2 - (2u+1)(v-1) and u^2(v-1)^2 - (2u-1)(v-1) + 2
     gens = {"g2": represent(homogeneous_generators(2)[0])}
     span = algebra_span(list(gens.values()))
-    recs = joint_eigen(span, gens, 777)
+    ok, witness = simple_spectrum_cert(span, 777)
+    assert ok
+    recs = joint_eigen(witness["element"], gens)
     assert len(recs) == 2
     by_partition = {rec.partition: rec for rec in recs}
     assert by_partition[(2,)].eigenvalues["g2"] == pytest.approx(1.0)
@@ -385,7 +388,9 @@ def test_joint_eigen_counts_and_h_sum():
         fam = kz_elements(n, z)
         gens = {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
         span = algebra_span([represent(g) for g in phi_polys(n, z)[1].values()])
-        recs = joint_eigen(span, gens, 424242)
+        ok, witness = simple_spectrum_cert(span, 424242)
+        assert ok
+        recs = joint_eigen(witness["element"], gens)
         assert len(recs) == sum_of_dims(n)
         for rec in recs:
             total = sum(rec.eigenvalues[f"H{a}"] for a in range(1, n + 1))

@@ -10,9 +10,14 @@ from snbethe.rings import BiPoly, SeededRandom, UPoly
 from snbethe.permutations import (
     GroupAlgebraElement,
     Permutation,
+    antisymmetrizer,
+    antisymmetrizer_classes,
+    cycle_type,
     ga_perm,
     ga_transposition,
     lift_coeffs_to_upoly,
+    top_embed,
+    trace_map,
 )
 from snbethe.gaudin import scalar_root_poly
 from snbethe.xxx import (
@@ -39,6 +44,52 @@ def lift(n, poly):
     return poly.map_coeffs(
         lambda c: c if isinstance(c, GroupAlgebraElement) else GroupAlgebraElement.scalar(n, c)
     )
+
+
+def oracle_t_m_poly(params, m, p):
+    """T_m built literally: the full m!-term antisymmetrizer of the top S_m
+    times the ordered product in S_{n+m}, traced down."""
+    n, z, hbar = params.n, params.z, params.hbar
+    big = n + m
+    acc = UPoly([top_embed(antisymmetrizer(m), n, m)])
+    for a in range(n, 0, -1):
+        const = ga(big, -z[a - 1])
+        for i in range(1, m + 1):
+            const = const + ga_transposition(big, a, n + i) * hbar
+        acc = acc * UPoly([const, ga(big, 1)])
+    return UPoly([trace_map(c, n, m, p) for c in acc.coeffs])
+
+
+def layout(poly):
+    """Every coefficient's terms in key order, with the type of each
+    coefficient (and of the coefficients of a polynomial one)."""
+    def typed(c):
+        if isinstance(c, UPoly):
+            return "UPoly", [typed(x) for x in c.coeffs]
+        return type(c).__name__, c
+
+    return [[(q.images, typed(c)) for q, c in e.terms.items()] for e in poly.coeffs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_t_m_poly_matches_literal_oracle(n):
+    distinct = [F(k, 3) - 1 for k in range(n)]
+    coincident = [F(k // 2) for k in range(n)]  # z_1 = z_2, z_3 = z_4
+    for z in (distinct, coincident):
+        params = xxx_params(z, F(1, 2))
+        for p in (UPoly.gen(), F(2), F(n)):
+            for m in range(1, 5):
+                got = layout(t_m_poly(params, m, p=p))
+                assert got == layout(oracle_t_m_poly(params, m, p)), (z, p, m)
+
+
+def test_antisymmetrizer_classes():
+    partition_counts = [1, 2, 3, 5, 7, 11]
+    for m, count in enumerate(partition_counts, start=1):
+        classes = antisymmetrizer_classes(m)
+        assert len({cycle_type(q) for q in classes.terms}) == len(classes.terms) == count
+        total = sum(classes.terms.values())
+        assert total == sum(antisymmetrizer(m).terms.values()) == (1 if m == 1 else 0)
 
 
 def test_params_flags():

@@ -103,18 +103,24 @@ def phi_gen_fixed_points(n: int, z) -> BiPoly:
     return Fraction((-1) ** n) * acc
 
 
-def phi_gen(n: int, z) -> BiPoly:
-    """Bivariate generating function of the generator polynomials; verified on
-    construction against the independent fixed-point expansion."""
+def phi_expansion(n: int, z) -> BiPoly:
+    """The generating function expanded in v from the generator polynomials:
+    prod (u - z_a) v^n + sum_i (-1)^i phi_i(u) v^(n-i)."""
     z = tuple(z)
     polys, _ = phi_polys(n, z)
-    lead = scalar_root_poly(z)
-    acc = ga_lift(n, BiPoly.from_upoly_u(lead)) * BiPoly([[0] * n + [Fraction(1)]])
+    acc = ga_lift(n, BiPoly.from_upoly_u(scalar_root_poly(z))
+                  * BiPoly([[0] * n + [Fraction(1)]]))
     for i, poly in enumerate(polys, start=1):
         term = BiPoly.from_upoly_u(poly) * BiPoly([[0] * (n - i) + [Fraction((-1) ** i)]])
         acc = acc + ga_lift(n, term)
-    alt = ga_lift(n, phi_gen_fixed_points(n, z))
-    if acc != alt:
+    return acc
+
+
+def phi_gen(n: int, z) -> BiPoly:
+    """Bivariate generating function of the generator polynomials; verified on
+    construction against the independent fixed-point expansion."""
+    acc = phi_expansion(n, z)
+    if acc != ga_lift(n, phi_gen_fixed_points(n, z)):
         raise AssertionError("generating-function expansions disagree")
     return acc
 

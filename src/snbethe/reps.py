@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import BiPoly, UPoly
+from .rings import UPoly
 from .linalg import Matrix
 from .permutations import (
     GroupAlgebraElement,
@@ -294,15 +294,9 @@ class BlockMatrix:
         ]
 
 
-def represent(a, la=None):
-    """Image in one irreducible block (la given) or in the full block model.
-
-    Accepts a group-algebra element, or a polynomial (UPoly/BiPoly) with
-    group-algebra coefficients, in which case the result is the same
-    polynomial with block-matrix coefficients.
-    """
-    if isinstance(a, (UPoly, BiPoly)):
-        return a.map_coeffs(lambda c: represent(_as_ga_block_input(a, c), la))
+def represent(a: GroupAlgebraElement, la=None):
+    """Image of a group-algebra element in one irreducible block (la given)
+    or in the full block model."""
     if la is not None:
         rep = seminormal_rep(tuple(la))
         if rep.n != a.n:
@@ -311,16 +305,6 @@ def represent(a, la=None):
     return BlockMatrix(
         a.n, [seminormal_rep(mu).matrix_of_ga(a) for mu in partitions_of(a.n)]
     )
-
-
-def _as_ga_block_input(poly, c):
-    if isinstance(c, GroupAlgebraElement):
-        return c
-    for other in (poly.coeffs if isinstance(poly, UPoly)
-                  else (x for row in poly.rows for x in row)):
-        if isinstance(other, GroupAlgebraElement):
-            return GroupAlgebraElement.scalar(other.n, c)
-    raise ValueError("polynomial has no group-algebra coefficient to fix the degree")
 
 
 def central_idempotent(la, n: int) -> GroupAlgebraElement:

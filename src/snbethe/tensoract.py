@@ -13,6 +13,36 @@ from .rings import UPoly, poly_divmod, poly_gcd
 from .permutations import Permutation, _inversion_sign
 
 
+def _sparse_add(A: dict, B: dict, zero) -> dict:
+    """Sum of two sparse matrices {(row, col): entry}; ``zero`` is the
+    entries' additive identity, and zero sums are dropped."""
+    out = dict(A)
+    for k, v in B.items():
+        s = out.get(k, zero) + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _sparse_mul(A: dict, B: dict, zero) -> dict:
+    """Product of two sparse matrices, as for ``_sparse_add``."""
+    rows = {}
+    for (r, c), v in B.items():
+        rows.setdefault(r, []).append((c, v))
+    out = {}
+    for (r, k), a in A.items():
+        for c, b in rows.get(k, ()):
+            key = (r, c)
+            s = out.get(key, zero) + a * b
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
 class TensorOperator:
     """Sparse exact operator on the n-th tensor power of an N-dimensional
     space; entries indexed by (row, col) flat base-N indices."""
@@ -46,14 +76,7 @@ class TensorOperator:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorOperator(self.N, self.n, out)
+        return TensorOperator(self.N, self.n, _sparse_add(self.entries, other.entries, 0))
 
     def __sub__(self, other):
         return self + (-other)
@@ -64,19 +87,9 @@ class TensorOperator:
     def __mul__(self, other):
         if isinstance(other, TensorOperator):
             self._check(other)
-            rows = {}
-            for (r, c), v in other.entries.items():
-                rows.setdefault(r, []).append((c, v))
-            out = {}
-            for (r, k), a in self.entries.items():
-                for c, b in rows.get(k, ()):
-                    key = (r, c)
-                    s = out.get(key, 0) + a * b
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return TensorOperator(self.N, self.n, out)
+            return TensorOperator(
+                self.N, self.n, _sparse_mul(self.entries, other.entries, 0)
+            )
         return TensorOperator(
             self.N, self.n, {k: v * other for k, v in self.entries.items()}
         )
@@ -255,33 +268,6 @@ class RationalFunc:
 RF_ZERO = RationalFunc(UPoly())
 
 
-def _mat_mul(A: dict, B: dict) -> dict:
-    rows = {}
-    for (r, c), v in B.items():
-        rows.setdefault(r, []).append((c, v))
-    out = {}
-    for (r, k), a in A.items():
-        for c, b in rows.get(k, ()):
-            key = (r, c)
-            s = out.get(key, RF_ZERO) + a * b
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _mat_add(A: dict, B: dict) -> dict:
-    out = dict(A)
-    for k, v in B.items():
-        s = out.get(k, RF_ZERO) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _mat_scale(A: dict, c) -> dict:
     return {k: v * c for k, v in A.items() if v * c}
 
@@ -319,8 +305,9 @@ class DiffOperator:
                 binom = 1
                 for l in range(i, -1, -1):
                     # at this point deriv = B^{(i-l)} and binom = C(i, l)
-                    term = _mat_mul(A, _mat_scale(deriv, RationalFunc.const(binom)))
-                    out[l + j] = _mat_add(out[l + j], term)
+                    scaled = _mat_scale(deriv, RationalFunc.const(binom))
+                    term = _sparse_mul(A, scaled, RF_ZERO)
+                    out[l + j] = _sparse_add(out[l + j], term, RF_ZERO)
                     if l > 0:
                         deriv = _mat_deriv(deriv)
                         binom = binom * l // (i - l + 1)
@@ -332,7 +319,7 @@ class DiffOperator:
         for i in range(k):
             A = self.coeffs[i] if i < len(self.coeffs) else {}
             B = other.coeffs[i] if i < len(other.coeffs) else {}
-            out.append(_mat_add(A, B))
+            out.append(_sparse_add(A, B, RF_ZERO))
         return DiffOperator(out)
 
     def __neg__(self):
@@ -457,7 +444,8 @@ def yangian_generator_image(N: int, n: int, x) -> list:
             for j in range(N):
                 cell = {}
                 for k in range(N):
-                    cell = _mat_add(cell, _mat_mul(L[i][k], acc[k][j]))
+                    term = _sparse_mul(L[i][k], acc[k][j], RF_ZERO)
+                    cell = _sparse_add(cell, term, RF_ZERO)
                 row.append(cell)
             nxt.append(row)
         acc = nxt
@@ -484,8 +472,8 @@ def yangian_transfer(N: int, n: int, m: int, x) -> dict:
             for a in range(m):
                 # a-th factor carries argument u - m + 1 + a
                 mat = shifted(combo[sigma[a]], combo[a], m - 1 - a)
-                term = mat if term is None else _mat_mul(term, mat)
+                term = mat if term is None else _sparse_mul(term, mat, RF_ZERO)
             if _inversion_sign(sigma) < 0:
                 term = _mat_scale(term, RationalFunc.const(-1))
-            total = _mat_add(total, term)
+            total = _sparse_add(total, term, RF_ZERO)
     return total

@@ -20,8 +20,9 @@ def run_main(capsys, argv):
     return rc, out
 
 
-def test_run_all_smallest_scale(capsys):
-    rc, out = run_main(capsys, ["run", "all", "--n", "2"])
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_run_all_smallest_scale(capsys, n):
+    rc, out = run_main(capsys, ["run", "all", "--n", n])
     assert rc == 0
     assert "FAIL" not in out.replace("CONJECTURE-FAIL", "")
     assert "suite all" in out
@@ -168,6 +169,22 @@ def test_repeated_z_skips_what_needs_distinct_z(capsys, argv, skipped):
               "spectra.simple-spectrum", "spectra.trend-hbar"}
     for check, why in got.items():
         assert ("three times" if check in triple else "distinct") in why
+
+
+@pytest.mark.parametrize("argv", [
+    *(["run", suite, "--n", n] for suite in suites.SUITES for n in ("1", "2", "3")),
+    ["run", "spectra", "--n", "4", "--z", "0,0,0,1"],
+], ids=lambda argv: "".join(argv[1:]).replace("--", "-"))
+def test_every_declared_check_reported_once(capsys, argv):
+    rc, out = run_main(capsys, [*argv, "--format", "json"])
+    assert rc == 0
+    claims = {c.check_id: c for c in suites.SUITES[argv[1]]}
+    assert len(claims) == len(suites.SUITES[argv[1]])  # ids declared once
+    records = json.loads(out)["checks"]
+    assert sorted(r["check"] for r in records) == sorted(claims)
+    for r in records:
+        if r["status"] == "SKIPPED":
+            assert r["detail"] in [q.text for q in claims[r["check"]].requires]
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):

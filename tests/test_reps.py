@@ -11,6 +11,7 @@ from snbethe.linalg import Matrix, rank
 from snbethe.permutations import (
     GroupAlgebraElement,
     all_permutations,
+    ga_lift,
     ga_perm,
     ga_transposition,
     sign,
@@ -359,7 +360,7 @@ def test_content_product_three_forms(n):
 def test_represent_polynomial_input():
     z = (F(0), F(1), F(3))
     poly = phi_polys(3, z)[0][0]
-    img = represent(poly)
+    img = ga_lift(3, poly).map_coeffs(represent)
     assert isinstance(img, UPoly)
     # coefficientwise image agrees with evaluating first
     u0 = F(2, 3)

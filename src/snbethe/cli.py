@@ -40,15 +40,20 @@ class SuiteConfig:
     lam: tuple | None
     seed: int
     tol: float
-    slow: bool
     strict: bool
     timings: bool
     fmt: str
     out: str | None
 
 
-def _parse_fraction_list(text: str) -> tuple:
-    return tuple(Fraction(part) for part in text.split(","))
+def _parse_z(text, n: int) -> tuple:
+    """The parameters: comma-separated rationals, or the first n default
+    values when text is empty.  Anything but exactly n values is a
+    configuration error."""
+    z = tuple(Fraction(part) for part in str(text).split(",")) if text else default_z(n)
+    if len(z) != n:
+        raise ValueError("need exactly n parameter values")
+    return z
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=str)
     run.add_argument("--strict", action="store_true",
                      help="conjecture failures also fail the process")
-    run.add_argument("--slow", action="store_true",
-                     help="enable the n=5 closure checks")
     run.add_argument("--timings", action="store_true",
                      help="include real runtimes (breaks byte-identical output)")
     run.add_argument("--allow-large-n", action="store_true")
@@ -131,13 +134,7 @@ def config_from_args(args) -> SuiteConfig:
         raise ValueError("n must be positive")
     if n > HARD_CAP and not values.get("allow_large_n"):
         raise ValueError(f"n > {HARD_CAP} needs --allow-large-n")
-    z = (
-        _parse_fraction_list(str(values["z"]))
-        if values.get("z")
-        else default_z(n)
-    )
-    if len(z) != n:
-        raise ValueError("need exactly n parameter values")
+    z = _parse_z(values.get("z"), n)
     lam = None
     if values.get("lam"):
         lam = tuple(int(x) for x in str(values["lam"]).split(","))
@@ -161,7 +158,6 @@ def config_from_args(args) -> SuiteConfig:
         lam=lam,
         seed=int(values["seed"]),
         tol=tol,
-        slow=bool(values.get("slow")),
         strict=bool(values.get("strict")),
         timings=bool(values.get("timings")),
         fmt=values["fmt"],
@@ -181,10 +177,11 @@ def _write_output(text: str, out: str | None):
 
 def _emit(args) -> int:
     n = args.n
-    z = _parse_fraction_list(args.z) if args.z else default_z(n)
+    kind = args.kind
+    # only the parametrized families read z
+    z = _parse_z(args.z, n) if kind in ("phi", "t", "s", "qkz", "kz") else None
     hbar = Fraction(str(args.hbar))
     p = Fraction(str(args.p))
-    kind = args.kind
     if kind == "phi":
         _, table = phi_polys(n, z)
         payload = {

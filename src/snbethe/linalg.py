@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over the rationals: matrices, row reduction,
-nullspaces, characteristic polynomials, and the permutation-expansion
-determinant for matrices with entries in a commutative subring.
+"""Exact dense linear algebra over the rationals: matrices, the one exact
+row reduction (a fraction-free echelon) with the rank and nullspace built on
+it, characteristic polynomials, and the permutation-expansion determinant
+for matrices with entries in a commutative subring.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations as _itperms
 from operator import mul
@@ -114,56 +116,93 @@ class Matrix:
         return f"Matrix({self.rows!r})"
 
 
-def rref(rows):
-    """Reduced row echelon form over the rationals; returns (rows, pivot cols).
+class Echelon:
+    """Exact reduced row echelon form, built one row at a time and kept
+    fraction-free (Bareiss, Math. Comp. 22, 1968).
 
-    The input is a list of coefficient lists and is not modified.
+    Each row is a primitive integer vector whose first nonzero entry is a
+    positive entry at its pivot, and it is zero at every other row's pivot.
+    So it is the unique positive integer multiple of the reduced row over the
+    rationals with the same pivot, and the pivots are those of the reduced
+    row echelon form of the rows added.  A vector enters as integer
+    numerators over the lcm of its denominators (int or Fraction entries).
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c] if isinstance(m[r][c], Fraction) else 1.0 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows=()):
+        self.rows = []
+        self.pivots = []
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, vec) -> list:
+        """A positive integer multiple of the residual of vec modulo the rows.
+
+        Rows are zero at each other's pivots, so with L the lcm of the pivot
+        entries used, L*v - sum_i (L / r_i[p_i]) * v[p_i] * r_i clears every
+        pivot in one pass.
+        """
+        _, v = _int_scaled(vec)
+        used = [(row, p) for row, p in zip(self.rows, self.pivots) if v[p]]
+        if not used:
+            return v
+        lcm = math.lcm(*[row[p] for row, p in used])
+        res = [lcm * x for x in v]
+        for row, p in used:
+            f = lcm // row[p] * v[p]
+            res = [x - f * y for x, y in zip(res, row)]
+        return res
+
+    def add(self, vec) -> bool:
+        """Insert the residual of vec if it is nonzero; returns True when the
+        rank grew."""
+        v = self.reduce(vec)
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        g = math.gcd(*v)
+        if v[piv] < 0:
+            g = -g
+        v = [x // g for x in v]
+        vp = v[piv]
+        for i, row in enumerate(self.rows):
+            f = row[piv]
+            if f:
+                # the row's own pivot entry becomes vp * row[p] > 0
+                row = [vp * x - f * y for x, y in zip(row, v)]
+                g = math.gcd(*row)
+                self.rows[i] = [x // g for x in row]
+        self.rows.append(v)
+        self.pivots.append(piv)
+        return True
+
+    def contains(self, vec) -> bool:
+        return not any(self.reduce(vec))
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(Echelon(rows).rows)
 
 
 def nullspace(rows):
-    """Basis of the right nullspace of the matrix given as a row list."""
+    """Basis of the right nullspace of the matrix given as a row list, as read
+    off its reduced row echelon form: one vector per free column fc, in
+    increasing order, with 1 at fc, 0 at the other free columns and
+    -row[fc] / row[pc] at the pivot pc of each echelon row."""
     if not rows:
         return []
-    red, pivots = rref(rows)
+    ech = Echelon(rows)
+    pivot_rows = dict(zip(ech.pivots, ech.rows))
     ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_rows:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for pc, row in pivot_rows.items():
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 

@@ -177,10 +177,6 @@ def _inversion_sign(seq) -> int:
     return -1 if inv % 2 else 1
 
 
-def _as_coeff_zero_test(c):
-    return not c
-
-
 def _rational_kind(terms):
     """int or Fraction when every coefficient has exactly that type, else None."""
     kinds = set(map(type, terms.values()))
@@ -204,7 +200,7 @@ class GroupAlgebraElement:
         self.terms = {}
         if terms:
             for p, c in terms.items():
-                if not _as_coeff_zero_test(c):
+                if c:
                     self.terms[p] = c
 
     @classmethod
@@ -256,7 +252,7 @@ class GroupAlgebraElement:
         out = dict(self.terms)
         for p, c in other.terms.items():
             s = out.get(p, 0) + c
-            if _as_coeff_zero_test(s):
+            if not s:
                 out.pop(p, None)
             else:
                 out[p] = s
@@ -454,23 +450,15 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p) -> GroupAlgebraElement:
     """
     if a.n != n + m:
         raise ValueError(f"trace_map: element has degree {a.n}, expected {n + m}")
-    symbolic = isinstance(p, UPoly)
-    out = GroupAlgebraElement.zero(n)
     acc = {}
     for perm, c in a.terms.items():
         tau, lost = trace_perm(perm, n)
-        if symbolic:
-            w = c * p ** lost
-        else:
-            w = c * p**lost
-        s = acc.get(tau, 0) + w
-        acc[tau] = s
-    if symbolic:
+        acc[tau] = acc.get(tau, 0) + c * p**lost
+    if isinstance(p, UPoly):
         acc = {
             t: (c if isinstance(c, UPoly) else UPoly([c])) for t, c in acc.items()
         }
-    out = GroupAlgebraElement(n, acc)
-    return out
+    return GroupAlgebraElement(n, acc)
 
 
 def antiinvolution(a: GroupAlgebraElement, kind: str = "dagger") -> GroupAlgebraElement:

@@ -126,8 +126,6 @@ class UPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, UPoly):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .rings import BiPoly, MultiPoly, SeededRandom, UPoly, _int_scaled, squarefree_test
-from .linalg import det_perm_expansion, nullspace, rank
+from .rings import BiPoly, MultiPoly, SeededRandom, UPoly, squarefree_test
+from .linalg import Echelon, charpoly, det_perm_expansion, nullspace, rank
 from .reps import BlockMatrix, dimension, partition_parts, partitions_of, seminormal_rep
-from .linalg import charpoly
 
 if TYPE_CHECKING:
     import numpy as np
@@ -205,70 +204,28 @@ def echelon_polys(polys, tol: float = 0.0) -> PolySpace:
 
 
 class SpanBasis:
-    """Linearly independent spanning list of block matrices together with an
-    echelonized coordinate form for membership tests.
-
-    The echelon is exact and fraction-free (Bareiss, Math. Comp. 22, 1968).
-    Each row is a primitive integer vector with a positive entry at its pivot
-    and zeros at every other row's pivot, so it is the unique positive
-    integer multiple of the reduced row over the rationals with the same
-    pivots.  A vector enters as integer numerators over the lcm of its
-    denominators.
-    """
+    """Linearly independent spanning list of block matrices together with the
+    exact echelon of their flattened coordinates (``linalg.Echelon``) for
+    membership tests."""
 
     def __init__(self, n: int):
         self.n = n
         self.elements = []
-        self._rows = []
-        self._pivots = []
+        self.echelon = Echelon()
 
     @property
     def dim(self) -> int:
         return len(self.elements)
 
-    def _reduce(self, vec):
-        """A positive integer multiple of the residual of vec modulo the rows.
-
-        Rows are zero at each other's pivots, so with L the lcm of the pivot
-        entries used, L*v - sum_i (L / r_i[p_i]) * v[p_i] * r_i clears every
-        pivot in one pass.
-        """
-        _, v = _int_scaled(vec)
-        used = [(row, p) for row, p in zip(self._rows, self._pivots) if v[p]]
-        if not used:
-            return v
-        lcm = math.lcm(*[row[p] for row, p in used])
-        res = [lcm * x for x in v]
-        for row, p in used:
-            f = lcm // row[p] * v[p]
-            res = [x - f * y for x, y in zip(res, row)]
-        return res
-
     def add(self, bm: BlockMatrix) -> bool:
         """Insert if independent; returns True when the dimension grew."""
-        v = self._reduce(bm.flatten())
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+        if not self.echelon.add(bm.flatten()):
             return False
-        g = math.gcd(*v)
-        if v[piv] < 0:
-            g = -g
-        v = [x // g for x in v]
-        vp = v[piv]
-        for i, row in enumerate(self._rows):
-            f = row[piv]
-            if f:
-                # the row's own pivot entry becomes vp * row[p] > 0
-                row = [vp * x - f * y for x, y in zip(row, v)]
-                g = math.gcd(*row)
-                self._rows[i] = [x // g for x in row]
-        self._rows.append(v)
-        self._pivots.append(piv)
         self.elements.append(bm)
         return True
 
     def contains(self, bm: BlockMatrix) -> bool:
-        return not any(self._reduce(bm.flatten()))
+        return self.echelon.contains(bm.flatten())
 
     def same_span(self, other: "SpanBasis") -> bool:
         return self.dim == other.dim and all(
@@ -283,7 +240,7 @@ class SpanBasis:
         import numpy as np
 
         rows = []
-        for r in self._rows:
+        for r in self.echelon.rows:
             m = max(abs(x) for x in r)
             rows.append([x / m for x in r])
         return np.array(rows, dtype=float)

@@ -301,8 +301,10 @@ AT_MOST_PAIRS_Z = Requirement("needs no z value repeated three times",
 HBAR_SEPARATED = Requirement(
     "needs hbar-separated parameters",
     lambda cfg: xxx_params(cfg.z, cfg.hbar).hbar_separated)
-SLOW = Requirement("needs --slow at n >= 5", lambda cfg: cfg.n <= 4 or cfg.slow)
-# the eigenvalue relations are checked at min(n, 3), on the first three z
+# the eigenvalue relations are checked at min(n, 3), on the first three z,
+# so the conjecture probes find no record of a partition --lambda of n > 3
+LAMBDA_AT_MOST_THREE = Requirement("needs n <= 3 with --lambda",
+                                   lambda cfg: cfg.lam is None or cfg.n <= 3)
 FIRST_THREE_DISTINCT = Requirement(
     "needs the first three z values pairwise distinct",
     lambda cfg: ParameterSet(cfg.z[:3]).distinct)
@@ -1191,9 +1193,9 @@ SUITES = {
         Claim("spectra.dimension-law", "all three spans have the standard dimension",
               spectra_dimension_law,
               lambda cfg: {"n": cfg.n, "expect": sum_of_dims(cfg.n)},
-              requires=(AT_MOST_PAIRS_Z, SLOW)),
+              requires=(AT_MOST_PAIRS_Z,)),
         Claim("spectra.maximality", "each family is its own commutant",
-              spectra_maximality, requires=(AT_MOST_PAIRS_Z, SLOW)),
+              spectra_maximality, requires=(AT_MOST_PAIRS_Z,)),
         Claim("spectra.coincidences", "maximality survives a pair but fails on a triple",
               spectra_coincidences, lambda cfg: {"n": 4}, requires=(n_range(4),)),
         Claim("spectra.simple-spectrum", "random combinations have squarefree charpoly",
@@ -1222,11 +1224,12 @@ SUITES = {
         Claim("conjecture.shifted-relations",
               "eigen data satisfies the shifted scalar relations",
               conjecture_shifted_relations, lambda cfg: {"n": min(cfg.n, 3)},
-              requires=(FIRST_THREE_DISTINCT,), conjecture=True),
+              requires=(LAMBDA_AT_MOST_THREE, FIRST_THREE_DISTINCT), conjecture=True),
         Claim("conjecture.deformed-relations",
               "eigen data satisfies the deformed scalar relations",
               conjecture_deformed_relations, lambda cfg: {"n": min(cfg.n, 3)},
-              requires=(FIRST_THREE_DISTINCT, FIRST_THREE_SEPARATED), conjecture=True),
+              requires=(LAMBDA_AT_MOST_THREE, FIRST_THREE_DISTINCT, FIRST_THREE_SEPARATED),
+              conjecture=True),
     ),
 }
 
@@ -1240,7 +1243,6 @@ def run_suite(cfg) -> VerificationReport:
             "hbar": f"{cfg.hbar.numerator}/{cfg.hbar.denominator}",
             "seed": cfg.seed,
             "tol": cfg.tol,
-            "slow": cfg.slow,
         },
     )
     s = Suite(report, cfg.tol)

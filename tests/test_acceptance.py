@@ -559,7 +559,7 @@ def test_acceptance_13_conjecture_probes():
 
     cfg = SuiteConfig(
         suite="conjectures", n=3, z=default_z(3), hbar=F(1), lam=None,
-        seed=SEED, tol=1e-8, slow=False, strict=False, timings=False,
+        seed=SEED, tol=1e-8, strict=False, timings=False,
         fmt="json", out=None)
     report = run_suite(cfg)
     assert not report.internal_error

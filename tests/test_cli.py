@@ -67,6 +67,9 @@ def test_invalid_config_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:  # run has no --p (emit keeps it)
         main(["run", "identities-xxx", "--n", "2", "--p", "5"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # the n = 5 spans need no switch
+        main(["run", "spectra", "--n", "5", "--slow"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("flags", [
@@ -135,6 +138,7 @@ def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
     {"seed": 2.5},  # an integer flag
     [2],  # not an object
     {"p": 5},  # a flag of emit only
+    {"slow": True},  # the removed --slow switch is no flag
 ])
 def test_bad_config_files_are_configuration_errors(capsys, tmp_path, values):
     cfg = tmp_path / "cfg.json"
@@ -174,6 +178,8 @@ def test_repeated_z_skips_what_needs_distinct_z(capsys, argv, skipped):
 @pytest.mark.parametrize("argv", [
     *(["run", suite, "--n", n] for suite in suites.SUITES for n in ("1", "2", "3")),
     ["run", "spectra", "--n", "4", "--z", "0,0,0,1"],
+    # the probes run at min(n, 3), where no record has a partition of 4
+    ["run", "conjectures", "--n", "4", "--lambda", "2,1,1"],
 ], ids=lambda argv: "".join(argv[1:]).replace("--", "-"))
 def test_every_declared_check_reported_once(capsys, argv):
     rc, out = run_main(capsys, [*argv, "--format", "json"])
@@ -185,6 +191,18 @@ def test_every_declared_check_reported_once(capsys, argv):
     for r in records:
         if r["status"] == "SKIPPED":
             assert r["detail"] in [q.text for q in claims[r["check"]].requires]
+
+
+def test_lambda_above_three_skips_the_probes(capsys):
+    # a partition of 4 matches no eigen record at min(n, 3), so the probes
+    # would check nothing
+    rc, out = run_main(capsys, ["run", "conjectures", "--n", "4", "--lambda", "2,1,1",
+                                "--format", "json"])
+    assert rc == 0
+    got = {r["check"]: (r["status"], r["detail"]) for r in json.loads(out)["checks"]}
+    skip = ("SKIPPED", "needs n <= 3 with --lambda")
+    assert got == {"conjecture.deformed-relations": skip,
+                   "conjecture.shifted-relations": skip}
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):
@@ -241,9 +259,18 @@ def test_emit_phi_and_idempotents(capsys):
     ]
 
 
-def test_emit_rejects_bad_values(capsys):
-    rc, _ = run_main(capsys, ["emit", "kz", "--n", "2", "--z", "1,1"])
+@pytest.mark.parametrize("argv", [
+    ["emit", "kz", "--n", "2", "--z", "1,1"],
+    # n and the number of parameter values disagree
+    ["emit", "phi", "--n", "8"],  # seven default values
+    ["emit", "t", "--n", "8", "--m", "1"],
+    ["emit", "t", "--n", "3", "--z", "1,2"],
+    ["emit", "s", "--n", "3", "--z", "1,2"],
+])
+def test_emit_rejects_bad_values(capsys, argv):
+    rc = main(argv)
     assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_suite():
@@ -252,7 +279,16 @@ def test_parser_rejects_unknown_suite():
 
 
 def test_strict_flag_plumbs_through():
-    args = build_parser().parse_args(["run", "all", "--strict", "--slow"])
+    args = build_parser().parse_args(["run", "all", "--strict"])
     cfg = config_from_args(args)
-    assert cfg.strict and cfg.slow
+    assert cfg.strict
     assert cfg.n == 3 and len(cfg.z) == 3
+
+
+def test_readme_flag_list_matches_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = readme.split("Flags: `", 1)[1].split("`", 1)[0].split()
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    flags = [opt for action in run._actions for opt in action.option_strings
+             if opt.startswith("--") and opt != "--help"]
+    assert sorted(listed) == sorted(flags)

@@ -23,7 +23,6 @@ from snbethe.permutations import (
     top_embed,
     trace_map,
 )
-from snbethe.permutations import _as_coeff_zero_test
 
 F = Fraction
 
@@ -120,7 +119,7 @@ def oracle_product(x, y):
         for q, b in y.terms.items():
             r = Permutation(tuple(pim[j - 1] for j in q.images))
             s = out.get(r, 0) + a * b
-            if _as_coeff_zero_test(s):
+            if not s:
                 out.pop(r, None)
             else:
                 out[r] = s

@@ -231,8 +231,8 @@ def assert_matches_oracle(mats, probes=()):
     accepted, rows, pivots = oracle_span(mats)
     assert got == accepted
     assert sb.dim == len(rows) == sum(accepted)
-    assert sb._pivots == pivots
-    for irow, frow, p in zip(sb._rows, rows, pivots):
+    assert sb.echelon.pivots == pivots
+    for irow, frow, p in zip(sb.echelon.rows, rows, pivots):
         assert all(type(x) is int for x in irow)
         assert irow[p] > 0 and math.gcd(*irow) == 1
         assert [irow[p] * x for x in frow] == irow

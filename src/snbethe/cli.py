@@ -56,6 +56,12 @@ def _parse_z(text, n: int) -> tuple:
     return z
 
 
+def _positive_n(n) -> int:
+    if int(n) < 1:
+        raise ValueError("n must be positive")
+    return int(n)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="snbethe", description="exact verification of symmetric-group "
@@ -129,9 +135,7 @@ def config_from_args(args) -> SuiteConfig:
             file_values = json.load(fh)
         _check_config_file(file_values, values)
         values.update(file_values)
-    n = int(values["n"])
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _positive_n(values["n"])
     if n > HARD_CAP and not values.get("allow_large_n"):
         raise ValueError(f"n > {HARD_CAP} needs --allow-large-n")
     z = _parse_z(values.get("z"), n)
@@ -176,7 +180,7 @@ def _write_output(text: str, out: str | None):
 
 
 def _emit(args) -> int:
-    n = args.n
+    n = _positive_n(args.n)
     kind = args.kind
     # only the parametrized families read z
     z = _parse_z(args.z, n) if kind in ("phi", "t", "s", "qkz", "kz") else None

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .rings import BiPoly, UPoly, poly_divmod
-from .linalg import det_perm_expansion
+from .linalg import det
 from .permutations import (
     GroupAlgebraElement,
     all_permutations,
@@ -228,8 +228,8 @@ def det_presentation(variant: str, n: int, z, h):
     variant "Ptilde":  det of (u - Z)(v - ZQ) - Z         -> BiPoly
     variant "Ptilde0": det of (v - ZQ)                    -> UPoly in v
 
-    The determinant is the permutation expansion; there is no row reduction,
-    which is why pairwise commutativity of h is a hard precondition.
+    The determinant ``linalg.det`` does no row reduction, which is why
+    pairwise commutativity of h is a hard precondition.
     """
     z = tuple(z)
     h = list(h)
@@ -269,12 +269,12 @@ def det_presentation(variant: str, n: int, z, h):
                 raise ValueError(f"unknown variant {variant!r}")
             row.append(e)
         entries.append(row)
-    det = det_perm_expansion(entries)
+    d = det(entries)
     if variant == "Ptilde0":
-        if det.deg_u > 0:
+        if d.deg_u > 0:
             raise AssertionError("variant Ptilde0 must not involve u")
-        return det.u_coeff(0)
-    return det
+        return d.u_coeff(0)
+    return d
 
 
 def phi_tilde(n: int, z) -> BiPoly:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .rings import BiPoly, MultiPoly, UPoly, series_log, series_mul
-from .linalg import det_perm_expansion
+from .linalg import det
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -226,7 +226,7 @@ def det_P_hat(n: int, q: UPoly) -> BiPoly:
             e = e - BiPoly.const(hat_q[a - 1][b - 1])
             row.append(e)
         entries.append(row)
-    return det_perm_expansion(entries)
+    return det(entries)
 
 
 def series_inverse_one_plus_u(b: int, order: int) -> UPoly:

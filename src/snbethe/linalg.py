@@ -1,18 +1,17 @@
 """Exact dense linear algebra over the rationals: matrices, the one exact
 row reduction (a fraction-free echelon) with the rank and nullspace built on
-it, characteristic polynomials, and the permutation-expansion determinant
-for matrices with entries in a commutative subring.
+it, characteristic polynomials, and the shared-minor determinant for matrices
+with entries in a commutative subring.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations as _itperms
+from itertools import combinations
 from operator import mul
 
 from .rings import UPoly, _int_scaled
-from .permutations import _inversion_sign
 
 
 class Matrix:
@@ -225,32 +224,35 @@ def charpoly(mat: Matrix) -> UPoly:
     return UPoly(list(reversed(coeffs)))
 
 
-def det_perm_expansion(entries):
-    """Determinant of a square matrix via the full permutation expansion.
-
-    The entries must pairwise commute (the caller is responsible for checking
-    that precondition; it is what makes the expansion well-defined).  Works for
-    entries in any ring with +, *, unary -.  When every term vanishes the
-    result is the zero of the entries' ring, ``entries[0][0] * 0``.
-    """
+def det(entries):
+    """Determinant by Laplace expansion along the rows from the bottom up,
+    each minor shared by every expansion that reaches its column set: at most
+    k * 2^(k-1) ring products against the k! * (k-1) of the permutation one.
+    Each term keeps its factors in row order and only the grouping of the sums
+    differs, so the result equals the permutation expansion in any associative
+    ring (the determinant when the entries commute); with no surviving term it
+    is the zero ``entries[0][0] * 0``."""
     k = len(entries)
     if k == 0:
         raise ValueError("empty determinant")
-    acc = None
-    for perm in _itperms(range(k)):
-        term = None
-        skip = False
-        for i in range(k):
-            e = entries[i][perm[i]]
-            if not e:
-                skip = True
-                break
-            term = e if term is None else term * e
-        if skip:
-            continue
-        if _inversion_sign(perm) < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return entries[0][0] * 0
-    return acc
+    # minors[cols]: the minor on the rows below the current one and on the
+    # sorted column tuple cols; absent when no term of it survives
+    minors = {(j,): e for j, e in enumerate(entries[k - 1]) if e}
+    for i in range(k - 2, -1, -1):
+        row = entries[i]
+        level = {}
+        for cols in combinations(range(k), k - i):
+            acc = None
+            for t, j in enumerate(cols):
+                rest = minors.get(cols[:t] + cols[t + 1:])
+                if rest is None or not row[j]:
+                    continue
+                term = row[j] * rest
+                if acc is None:
+                    acc = -term if t % 2 else term
+                else:
+                    acc = acc - term if t % 2 else acc + term
+            if acc is not None:
+                level[cols] = acc
+        minors = level
+    return minors.get(tuple(range(k)), entries[0][0] * 0)

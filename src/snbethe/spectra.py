@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .rings import BiPoly, MultiPoly, SeededRandom, UPoly, squarefree_test
-from .linalg import Echelon, charpoly, det_perm_expansion, nullspace, rank
+from .linalg import Echelon, charpoly, det, nullspace, rank
 from .reps import BlockMatrix, dimension, partition_parts, partitions_of, seminormal_rep
 
 if TYPE_CHECKING:
@@ -33,7 +33,7 @@ def wronskian(fs) -> UPoly:
     for _ in range(m):
         rows.append(list(cur))
         cur = [f.deriv() for f in cur]
-    return det_perm_expansion(rows)
+    return det(rows)
 
 
 def casorati(fs, hbar) -> UPoly:
@@ -41,12 +41,7 @@ def casorati(fs, hbar) -> UPoly:
     if not hbar:
         raise ValueError("hbar must be nonzero")
     fs = list(fs)
-    m = len(fs)
-    rows = []
-    for i in range(m):
-        shift = -hbar * i
-        rows.append([f.shift_arg(shift) for f in fs])
-    return det_perm_expansion(rows)
+    return det([[f.shift_arg(-hbar * i) for f in fs] for i in range(len(fs))])
 
 
 def f_bivariate(fs, hbar=Fraction(1), variant: str = "homogeneous") -> BiPoly:
@@ -75,7 +70,7 @@ def f_bivariate(fs, hbar=Fraction(1), variant: str = "homogeneous") -> BiPoly:
     out = BiPoly()
     for r in range(n + 1):
         minor_rows = [rows[i] for i in range(n + 1) if i != r]
-        minor = det_perm_expansion(minor_rows) if n else UPoly([Fraction(1)])
+        minor = det(minor_rows) if n else UPoly([Fraction(1)])
         s = Fraction((-1) ** (n + r))  # (-1)^{(r+1) + (n+1)}
         term = BiPoly.from_upoly_u(minor * s) * BiPoly([[0] * power(r) + [Fraction(1)]])
         out = out + term
@@ -113,7 +108,6 @@ def check_O_relations(la, a, fs, variant: str = "differential", hbar=Fraction(1)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             prefactor *= parts[j - 1] - parts[i - 1] + i - j
-    rhs = UPoly([Fraction(1)])
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     for s, as_ in enumerate(a, start=1):
@@ -257,24 +251,24 @@ def linear_span(mats) -> SpanBasis:
 
 
 def algebra_span(generators) -> SpanBasis:
-    """Fixpoint closure of the unital span of the generators under products."""
+    """Span of the unital algebra generated by the generators: 1 and the
+    generators, closed under left products by the generators that enlarged
+    it.  A unital subspace closed under each L_g holds every word in the g,
+    and a dependent g = c*1 + sum_i c_i g_i has L_g = c + sum_i c_i L_{g_i}."""
     generators = list(generators)
     if not generators:
         raise ValueError("empty generating set")
     n = generators[0].n
     sb = SpanBasis(n)
     sb.add(BlockMatrix.identity(n))
-    queue = []
-    for g in generators:
-        if sb.add(g):
-            queue.append(g)
+    gens = [g for g in generators if sb.add(g)]
+    queue = list(gens)
     while queue:
         new = queue.pop()
-        partners = list(sb.elements)
-        for other in partners:
-            for prod in (new * other, other * new):
-                if sb.add(prod):
-                    queue.append(prod)
+        for g in gens:
+            prod = g * new
+            if sb.add(prod):
+                queue.append(prod)
     return sb
 
 

@@ -1144,7 +1144,7 @@ SUITES = {
         Claim("xxx.generating-det",
               "generating polynomial equals the shifted-Cauchy determinant",
               xxx_generating_det,
-              requires=(n_range(hi=4), DISTINCT_Z, HBAR_SEPARATED)),
+              requires=(n_range(hi=5), DISTINCT_Z, HBAR_SEPARATED)),
         Claim("xxx.commuting", "pairwise commutativity of the trace family",
               xxx_commuting),
         Claim("xxx.covariance", "simultaneous scaling and shift covariance",
@@ -1155,7 +1155,7 @@ SUITES = {
               homog_s1_cycles),
         Claim("homog.generating-det",
               "generating polynomial equals the Taylor-coefficient determinant",
-              homog_generating_det, requires=(n_range(hi=4),)),
+              homog_generating_det, requires=(n_range(hi=5),)),
         Claim("homog.charge-densities",
               "window densities rebuild the charges as cyclic sums",
               homog_charge_densities,

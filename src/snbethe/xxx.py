@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from .rings import BiPoly, UPoly, falling_binomial
-from .linalg import det_perm_expansion
+from .linalg import det
 from .permutations import (
     GroupAlgebraElement,
     antisymmetrizer,
@@ -278,7 +278,7 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> BiPoly:
             e = u_minus * ((v if a == b else BiPoly()) - qh) - hbar * qh
             row.append(e)
         entries.append(row)
-    return det_perm_expansion(entries)
+    return det(entries)
 
 
 def check_relations_Hh(la, params: XXXParams, qvals) -> dict:

@@ -266,6 +266,8 @@ def test_emit_phi_and_idempotents(capsys):
     ["emit", "t", "--n", "8", "--m", "1"],
     ["emit", "t", "--n", "3", "--z", "1,2"],
     ["emit", "s", "--n", "3", "--z", "1,2"],
+    *(["emit", kind, "--n", n] for n in ("0", "-1") for kind in (
+        "phi", "t", "s", "qkz", "kz", "charges", "theta", "idempotents")),
 ])
 def test_emit_rejects_bad_values(capsys, argv):
     rc = main(argv)

@@ -1,16 +1,19 @@
 """The one exact row reduction: the fraction-free echelon, and the rank and
-nullspace built on it, against the Gauss-Jordan reduction they replaced."""
+nullspace built on it, against the Gauss-Jordan reduction they replaced; the
+shared-minor determinant against the permutation expansion it replaced."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from snbethe import spectra
-from snbethe.linalg import Echelon, nullspace, rank
-from snbethe.permutations import all_permutations
+from snbethe import homogeneous, spectra
+from snbethe.linalg import Echelon, det, nullspace, rank
+from snbethe.permutations import GroupAlgebraElement, all_permutations, ga_perm
 from snbethe.reps import partitions_of
-from snbethe.rings import SeededRandom
+from snbethe.rings import BiPoly, SeededRandom, UPoly
 from snbethe.tensoract import varpi_perm
+from snbethe.xxx import s_k_poly
 
 F = Fraction
 
@@ -120,3 +123,105 @@ def test_random_rational_matrices_match_oracle(nrows, ncols, rank_bound):
                      for c in range(ncols)])
     assert rank(rows) == rank_bound
     assert_matches_oracle(rows)
+
+
+def oracle_det(entries):
+    """The permutation expansion the determinant replaced: the sum over all k!
+    permutations s of sign(s) * entries[0][s(0)] * ... * entries[k-1][s(k-1)],
+    factors in row order, starting from the zero ``entries[0][0] * 0``."""
+    k = len(entries)
+    if k == 0:
+        raise ValueError("empty determinant")
+    acc = entries[0][0] * 0
+    for perm in permutations(range(k)):
+        term = entries[0][perm[0]]
+        for i in range(1, k):
+            term = term * entries[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def random_matrix(rng, k, entry):
+    return [[entry(rng) for _ in range(k)] for _ in range(k)]
+
+
+def sparse_rational(rng):
+    # about half the entries vanish, so whole minors drop out
+    return rng.rational(3, 2) if rng.integer(0, 1) else F(0)
+
+
+def random_upoly(rng):
+    return UPoly([rng.rational(5, 3) for _ in range(rng.integer(0, 3))])
+
+
+def random_bipoly(rng):
+    return BiPoly([[rng.rational(5, 3) for _ in range(rng.integer(1, 2))]
+                   for _ in range(rng.integer(0, 2))])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_det_matches_permutation_expansion(k):
+    rng = SeededRandom(6007 + k)
+    for entry in (lambda r: r.rational(9, 4), sparse_rational):
+        for _ in range(3):
+            m = random_matrix(rng, k, entry)
+            got = det(m)
+            assert got == oracle_det(m) and type(got) is Fraction
+
+
+def test_det_of_empty_matrix_raises():
+    with pytest.raises(ValueError):
+        det([])
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_det_zero_row_or_column(k):
+    rng = SeededRandom(7001 + k)
+    for i in range(k):
+        rows = random_matrix(rng, k, lambda r: r.nonzero_rational(9, 4))
+        rows[i] = [F(0)] * k
+        cols = [[F(0) if j == i else x for j, x in enumerate(r)]
+                for r in random_matrix(rng, k, lambda r: r.nonzero_rational(9, 4))]
+        for m in (rows, cols):
+            got = det(m)
+            assert got == oracle_det(m) == 0 and type(got) is Fraction
+
+
+@pytest.mark.parametrize("entry", [random_upoly, random_bipoly])
+def test_det_polynomial_entries(entry):
+    rng = SeededRandom(8009)
+    for k in (1, 2, 3, 4):
+        m = random_matrix(rng, k, entry)
+        assert det(m) == oracle_det(m)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_det_p_hat_matches_permutation_expansion(n, monkeypatch):
+    # BiPoly entries with group-algebra coefficients
+    q = s_k_poly(homogeneous.homogeneous_params(n), 1)
+    got = homogeneous.det_P_hat(n, q)
+    monkeypatch.setattr(homogeneous, "det", oracle_det)
+    assert got == homogeneous.det_P_hat(n, q)
+
+
+def test_det_keeps_row_order_over_noncommuting_entries():
+    # group-algebra entries of S_3 that do not commute: the expansion equals
+    # the row-ordered permutation expansion term by term, and a swap of the
+    # factors in any product would change it
+    rng = SeededRandom(9011)
+    perms = all_permutations(3)
+
+    def element(r):
+        acc = GroupAlgebraElement.zero(3)
+        for _ in range(2):
+            acc = acc + ga_perm(r.choice(perms)) * r.nonzero_rational(5, 2)
+        return acc
+
+    m = random_matrix(rng, 3, element)
+    flat = [x for row in m for x in row]
+    assert any(a * b != b * a for a in flat for b in flat)
+    transposed = [list(col) for col in zip(*m)]
+    assert oracle_det(m) != oracle_det(transposed)
+    assert det(m) == oracle_det(m)
+    assert det(transposed) == oracle_det(transposed)

@@ -24,8 +24,8 @@ from snbethe.reps import (
     sum_of_dims,
 )
 from snbethe.gaudin import gz_spanning_set, kz_elements, phi_polys
-from snbethe.homogeneous import homogeneous_generators
-from snbethe.xxx import t_m_poly, xxx_params
+from snbethe.homogeneous import gamma_perm, homogeneous_generators
+from snbethe.xxx import t_m_poly, t_m_table, xxx_params
 from snbethe.spectra import (
     SpanBasis,
     algebra_span,
@@ -288,6 +288,72 @@ def test_center_span_dimension():
 def test_identity_span():
     span = algebra_span([BlockMatrix.identity(3)])
     assert span.dim == 1
+
+
+def oracle_algebra_span(generators):
+    """The closure algebra_span replaced: every element that enters is
+    multiplied by every basis element, on both sides, until nothing new
+    enters."""
+    n = generators[0].n
+    sb = SpanBasis(n)
+    sb.add(BlockMatrix.identity(n))
+    queue = [g for g in generators if sb.add(g)]
+    while queue:
+        new = queue.pop()
+        for other in list(sb.elements):
+            for prod in (new * other, other * new):
+                if sb.add(prod):
+                    queue.append(prod)
+    return sb
+
+
+def family_generators(family, n):
+    z = tuple(F(v) for v in (0, 1, 3, 7)[:n])
+    if family == "gaudin":
+        gens = phi_polys(n, z)[1].values()
+    elif family == "xxx":
+        p = F(2)
+        gens = t_m_table(xxx_params(z, F(1), p), p, range(1, n), range(1, n + 1)).values()
+    elif family == "homogeneous":
+        gens = homogeneous_generators(n)
+    elif family == "gz":
+        gens = gz_spanning_set(n)
+    else:
+        # the whole group algebra, from two noncommuting generators
+        gens = [ga_transposition(n, 1, 2), ga_perm(gamma_perm(n))]
+    return [represent(g) for g in gens]
+
+
+def assert_closure_matches_oracle(gens):
+    got, want = algebra_span(gens), oracle_algebra_span(gens)
+    assert got.dim == want.dim
+    assert got.same_span(want) and want.same_span(got)
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", ["gaudin", "xxx", "homogeneous", "gz", "group"])
+def test_algebra_span_matches_all_pairs_oracle(family, n):
+    span = assert_closure_matches_oracle(family_generators(family, n))
+    if family == "group":
+        assert span.dim == math.factorial(n)
+    else:
+        assert span.dim == sum_of_dims(n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_algebra_span_identity_and_dependent_generators(n):
+    one = BlockMatrix.identity(n)
+    for family in ("homogeneous", "group"):
+        gens = family_generators(family, n)
+        a, b = gens[0], gens[1]
+        dependent = one * F(5) + a * F(-2, 3) + b * F(7)
+        want = algebra_span(gens)
+        for variant in ([one] + gens, gens + [one], [dependent] + gens,
+                        gens + [dependent], [a, dependent] + gens[2:]):
+            got = assert_closure_matches_oracle(variant)
+            assert got.same_span(want)
+    assert algebra_span([one]).dim == algebra_span([one * F(3)]).dim == 1
 
 
 @pytest.mark.parametrize("n", [3, 4])

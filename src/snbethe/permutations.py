@@ -424,41 +424,67 @@ def top_embed(a: GroupAlgebraElement, n: int, m: int) -> GroupAlgebraElement:
     return embed(a, range(n + 1, n + m + 1), n + m)
 
 
-def trace_perm(p: Permutation, n: int):
-    """Delete symbols > n from the cycle record; return (residual permutation,
-    number of orbits lost entirely)."""
-    data = cycle_data(p)
-    im = list(range(1, n + 1))
-    lost = 0
-    for cyc in data.cycles:
-        kept = [s for s in cyc if s <= n]
-        if not kept:
-            lost += 1
-            continue
-        for i, s in enumerate(kept):
-            im[s - 1] = kept[(i + 1) % len(kept)]
-    return Permutation._trusted(tuple(im)), lost
-
-
 def trace_map(a: GroupAlgebraElement, n: int, m: int, p) -> GroupAlgebraElement:
     """Cycle-deletion trace from the group algebra of S_{n+m} down to S_n.
 
-    Each permutation is rewritten as cycles, symbols above n are removed, and
-    the term is weighted by p to the number of orbits lost.  p may be a
-    Fraction, a float, or a UPoly generator (symbolic parameter); with a
-    symbolic p every output coefficient is lifted into the polynomial ring.
+    Each permutation loses the symbols above n from its cycles, and the term
+    is weighted by p to the number of orbits lost entirely.  The coefficients
+    of ``a`` must be ints or Fractions (anything else raises TypeError), and p
+    a rational (int or Fraction) or the symbolic generator ``UPoly.gen()``.
+    Output coefficients are ints when p and every coefficient of ``a`` are,
+    else Fractions; with a symbolic p, UPolys with Fraction coefficients.
+
+    One pass over integer numerators over one denominator d: each term sends
+    every symbol i <= n to the next symbol <= n on its orbit, marking the top
+    symbols passed; the unmarked ones form the lost orbits.  Sums s_l are kept
+    per (residual, l lost orbits), and each output is built once, as
+    sum_l s_l p^l / d, in the order its residual first occurs.
     """
     if a.n != n + m:
         raise ValueError(f"trace_map: element has degree {a.n}, expected {n + m}")
-    acc = {}
-    for perm, c in a.terms.items():
-        tau, lost = trace_perm(perm, n)
-        acc[tau] = acc.get(tau, 0) + c * p**lost
-    if isinstance(p, UPoly):
-        acc = {
-            t: (c if isinstance(c, UPoly) else UPoly([c])) for t, c in acc.items()
-        }
-    return GroupAlgebraElement(n, acc)
+    symbolic = isinstance(p, UPoly)
+    if symbolic:
+        if p != UPoly.gen():
+            raise ValueError("a symbolic trace parameter must be UPoly.gen()")
+    elif not isinstance(p, (int, Fraction)):
+        raise TypeError(f"trace parameter must be rational, got {type(p).__name__}")
+    d, nums = _int_scaled(a.terms.values())
+    top = range(n, n + m)  # zero-based top symbols
+    acc = {}  # residual images -> {orbits lost: scaled sum}
+    for perm, s in zip(a.terms, nums):
+        im = perm.images
+        passed = [False] * (n + m)
+        res = []
+        for j in im[:n]:
+            while j > n:
+                passed[j - 1] = True
+                j = im[j - 1]
+            res.append(j)
+        lost = 0
+        for t in top:
+            if not passed[t]:
+                lost += 1
+                while not passed[t]:
+                    passed[t] = True
+                    t = im[t] - 1
+        sums = acc.setdefault(tuple(res), {})
+        sums[lost] = sums.get(lost, 0) + s
+    out = GroupAlgebraElement(n)
+    terms, trusted = out.terms, Permutation._trusted
+    if symbolic:
+        for res, sums in acc.items():
+            c = UPoly([Fraction(sums.get(l, 0), d) for l in range(max(sums) + 1)])
+            if c:
+                terms[trusted(res)] = c
+        return out
+    whole = isinstance(p, int) and _rational_kind(a.terms) is int
+    pn, pd = p.numerator, p.denominator
+    for res, sums in acc.items():
+        k = max(sums)
+        total = sum(s * pn**l * pd ** (k - l) for l, s in sums.items())
+        if total:
+            terms[trusted(res)] = total if whole else Fraction(total, d * pd**k)
+    return out
 
 
 def antiinvolution(a: GroupAlgebraElement, kind: str = "dagger") -> GroupAlgebraElement:

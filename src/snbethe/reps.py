@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import UPoly
+from .rings import UPoly, _int_scaled
 from .linalg import Matrix
 from .permutations import (
     GroupAlgebraElement,
@@ -133,8 +133,9 @@ def dimension(la) -> int:
 
 class IrrepAction:
     """Exact seminormal matrices of the adjacent transpositions on the
-    standard-tableau basis.  Matrices act on coordinate columns; images of
-    arbitrary permutations are built from a reduced word and cached."""
+    standard-tableau basis.  Matrices act on coordinate columns.  The image of
+    an arbitrary permutation is built from a reduced word and cached as
+    integer numerators over one denominator."""
 
     def __init__(self, la):
         self.shape = tuple(la)
@@ -143,7 +144,8 @@ class IrrepAction:
         self.dim = len(self.tableaux)
         self._index = {t: i for i, t in enumerate(self.tableaux)}
         self.gens = [self._gen_matrix(i) for i in range(1, self.n)]
-        self._perm_cache = {Permutation.identity(self.n): Matrix.identity(self.dim)}
+        # permutation -> (d, row-major numerators of d * matrix)
+        self._perm_cache = {}
 
     def _gen_matrix(self, i: int) -> Matrix:
         d = self.dim
@@ -184,7 +186,7 @@ class IrrepAction:
             for row in t
         )
 
-    def matrix_of(self, p: Permutation) -> Matrix:
+    def _numerators(self, p: Permutation) -> tuple:
         cached = self._perm_cache.get(p)
         if cached is not None:
             return cached
@@ -207,16 +209,26 @@ class IrrepAction:
         m = Matrix.identity(self.dim)
         for i in word:
             m = m * self.gens[i - 1]
-        self._perm_cache[p] = m
-        return m
+        cached = self._perm_cache[p] = _int_scaled(m.flatten())
+        return cached
 
     def matrix_of_ga(self, a: GroupAlgebraElement) -> Matrix:
+        """Image of a (int or Fraction coefficients): the sum of c * M_p is
+        accumulated on integer numerators, one Fraction per entry at the end."""
         if a.n != self.n:
             raise ValueError("degree mismatch")
-        acc = Matrix([[Fraction(0)] * self.dim for _ in range(self.dim)])
-        for p, c in a.terms.items():
-            acc = acc + self.matrix_of(p) * c
-        return acc
+        k = self.dim
+        dc, coeffs = _int_scaled(a.terms.values())
+        mats = [self._numerators(p) for p in a.terms]
+        d = math.lcm(*(dp for dp, _ in mats))
+        acc = [0] * (k * k)
+        for c, (dp, nums) in zip(coeffs, mats):
+            f = c * (d // dp)
+            acc = [x + f * y for x, y in zip(acc, nums)]
+        d *= dc
+        return Matrix(
+            [[Fraction(x, d) for x in acc[i * k:(i + 1) * k]] for i in range(k)]
+        )
 
 
 @lru_cache(maxsize=None)

@@ -488,9 +488,9 @@ def shifted_root_target(cfg):
 def xxx_saturation(cfg, rng):
     n, params = cfg.n, xxx_params(cfg.z, cfg.hbar)
     target = shifted_root_target(cfg)
-    orders = (n, n + 1) if n <= 4 else (n,)
+    orders = (n, n + 1) if n <= 5 else (n,)
     residuals = [t_m_poly(params, m, p=Fraction(m)) - target for m in orders]
-    if n <= 4:
+    if n <= 5:
         residuals.append(t_m_poly(params, n + 1, p=Fraction(n)))
     return max_abs(*residuals)
 

@@ -9,9 +9,17 @@ the group algebra of S_{n+m} with polynomial coefficients.  Because the trace
 is constant on the conjugacy classes of the top S_m, the m!-term
 antisymmetrizer is replaced by one representative per cycle type, weighted
 sgn(mu)/z_mu (p(m) terms); ``t_m_poly`` gives the argument, and the literal
-m!-term construction is kept in the tests as the oracle.  The binomial
-transform between T and S is an independent cross-check rather than a
-definition.
+m!-term construction is kept in the tests as the oracle.
+
+The binomial transform ``ts_transform`` writes T_m exactly through S_k, a
+sum over k-subsets in S_n.  The generator tables that spans and eigen-records
+are built from (``t_m_table``) come from the transform, so no algebra builder
+works in S_{n+m}.  The literal trace ``t_m_poly`` stays where the trace is the
+claim: the binomial and inverse transforms, saturation, p-independence, the
+cycle shift, the swap intertwiner, the reversal, the dagger reversal, the
+covariance and the Schur-Weyl trace compatibility checks, and also in
+``t_gen``, whose T-against-S equality is its own cross-check, and in the
+CLI's ``emit t``.
 """
 
 from __future__ import annotations
@@ -114,12 +122,16 @@ def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
 
 def t_m_table(params: XXXParams, p, ms, rows) -> dict:
     """(m, i) -> the coefficient of u^(n-i) in T_m(u; p), lifted into the
-    group algebra, for m in ms and i in rows.  One t_m_poly per m; the keys
-    run m-major, which is the order span closures receive them in."""
-    n = params.n
+    group algebra, for m in ms and i in rows; the keys run m-major, which is
+    the order span closures receive them in.  The tables come from the
+    binomial transform of the S_k, each built once in S_n, not from S_{n+m};
+    the literal ``t_m_poly`` stays in the trace claims, ``t_gen`` and
+    ``emit t`` (see the module docstring)."""
+    n, ms = params.n, list(ms)
+    s_family = [s_k_poly(params, k) for k in range(max(ms, default=0) + 1)]
     out = {}
     for m in ms:
-        poly = t_m_poly(params, m, p=p)
+        poly = ts_transform(params, m, p, s_family)
         for i in rows:
             out[(m, i)] = ga_lift(n, poly.coeff(n - i))
     return out
@@ -298,13 +310,13 @@ def check_relations_Hh(la, params: XXXParams, qvals) -> dict:
     return relation_residuals(la, det_P_hbar(params, q).subst_v_shift(1))
 
 
-def ts_transform(params: XXXParams, m: int, p) -> UPoly:
-    """The binomial transform sum_k S_k/(m-k)! * prod_{i=1..m-k}(p - m + i);
-    equals T_m for every p, which is the cross-check between the two
-    construction pipelines."""
+def ts_transform(params: XXXParams, m: int, p, s_family=None) -> UPoly:
+    """The binomial transform sum_k S_k/(m-k)! * prod_{i=1..m-k}(p - m + i),
+    which equals T_m for every p.  ``s_family`` may hold S_0..S_m already
+    built for these parameters (``t_m_table`` shares them across orders)."""
     acc = UPoly()
     for k in range(0, m + 1):
-        sk = s_k_poly(params, k)
+        sk = s_family[k] if s_family is not None else s_k_poly(params, k)
         if not sk:
             continue
         scale = falling_binomial(p - k, m - k)

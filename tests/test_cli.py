@@ -1,6 +1,7 @@
 """Batch driver: exit codes, deterministic reports, object emission."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import snbethe
 from snbethe import spectra, suites
 from snbethe.cli import build_parser, config_from_args, main
 
@@ -104,8 +106,13 @@ def test_cli_import_does_not_load_numpy():
     # only the float pipeline (eigenvectors, reconstruction, span distances)
     # needs numpy, and it imports it where it is used
     code = "import sys, snbethe.cli; print('numpy' in sys.modules)"
+    # the child imports the package from where this process found it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(snbethe.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, env=env).stdout
     assert out.strip() == "False"
 
 

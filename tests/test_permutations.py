@@ -16,6 +16,7 @@ from snbethe.permutations import (
     class_sum,
     cycle_data,
     embed,
+    embed_perm,
     ga_perm,
     ga_transposition,
     lift_coeffs_to_upoly,
@@ -210,6 +211,96 @@ def test_phi_generators_dagger_fixed_n3():
     _, table = phi_polys(3, (F(0), F(1), F(3)))
     for g in table.values():
         assert g.dagger() == g
+
+
+def oracle_trace_map(a, n, m, p):
+    """The trace map as first written: each permutation's cycle record loses
+    the symbols above n, and each term adds c * p**lost."""
+    assert a.n == n + m
+    acc = {}
+    for perm, c in a.terms.items():
+        im = list(range(1, n + 1))
+        lost = 0
+        for cyc in cycle_data(perm).cycles:
+            kept = [s for s in cyc if s <= n]
+            if not kept:
+                lost += 1
+                continue
+            for i, s in enumerate(kept):
+                im[s - 1] = kept[(i + 1) % len(kept)]
+        tau = Permutation(im)
+        acc[tau] = acc.get(tau, 0) + c * p**lost
+    if isinstance(p, UPoly):
+        acc = {t: (c if isinstance(c, UPoly) else UPoly([c])) for t, c in acc.items()}
+    return GroupAlgebraElement(n, acc)
+
+
+def typed_terms(a, inner=True):
+    """Every term in key order with the type of its coefficient, and of the
+    coefficients of a polynomial one when inner is set."""
+    def typed(c):
+        if isinstance(c, UPoly):
+            return "UPoly", [typed(x) for x in c.coeffs] if inner else c
+        return type(c).__name__, c
+
+    return [(q.images, typed(c)) for q, c in a.terms.items()]
+
+
+TRACE_SHAPES = ((1, 0), (1, 1), (2, 2), (3, 3), (2, 4), (4, 2))
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int"])
+@pytest.mark.parametrize("n,m", TRACE_SHAPES)
+def test_trace_map_matches_cycle_record_oracle(kind, n, m):
+    _, unit, coeff = COEFF_KINDS[kind]
+    rng = SeededRandom(97 + 10 * n + m)
+    perms = all_permutations(n + m)
+    elements = [GroupAlgebraElement(n + m)]
+    for _ in range(6):
+        elements.append(GroupAlgebraElement(n + m, {
+            rng.choice(perms): coeff(rng) for _ in range(rng.integer(1, 12))}))
+    if m > 1:
+        # x and g x g^-1, g in the top S_m, leave the same residual and lose
+        # as many orbits, so c (x - g x g^-1) traces to zero and cancels
+        # against any other term on the same residual
+        tops = [embed_perm(g, range(n + 1, n + m + 1), n + m)
+                for g in all_permutations(m)[1:]]
+        for _ in range(4):
+            x, g, c = rng.choice(perms), rng.choice(tops), coeff(rng) or unit
+            cancel = GroupAlgebraElement(n + m, {x: c}) - GroupAlgebraElement(
+                n + m, {g * x * g.inverse(): c})
+            elements += [cancel, cancel + elements[1]]
+    if m:
+        # the identity loses m orbits and (n, n+1) one fewer, on the same
+        # residual, so this cancels at p = 2
+        elements.append(GroupAlgebraElement(n + m, {
+            Permutation.identity(n + m): unit,
+            Permutation.transposition(n + m, n, n + 1): -2 * unit}))
+    for p in (2, F(2), F(-1, 3), UPoly.gen()):
+        for a in elements:
+            got, want = trace_map(a, n, m, p), oracle_trace_map(a, n, m, p)
+            assert got == want
+            # with int coefficients the oracle's polynomial coefficients mix
+            # int and Fraction zeros; the kernel's are all Fractions
+            inner = kind == "fraction"
+            assert typed_terms(got, inner) == typed_terms(want, inner), (a, p)
+            if isinstance(p, UPoly):
+                assert all(type(x) is Fraction
+                           for c in got.terms.values() for x in c.coeffs)
+    if m:
+        assert not trace_map(elements[-1], n, m, 2)
+    if m > 1:
+        assert any(a and not trace_map(a, n, m, UPoly.gen()) for a in elements)
+
+
+def test_trace_map_rejects_other_parameters():
+    a = GroupAlgebraElement.scalar(3, F(1))
+    with pytest.raises(TypeError):
+        trace_map(a, 2, 1, 0.5)
+    with pytest.raises(ValueError):
+        trace_map(a, 2, 1, UPoly.gen() + 1)
+    with pytest.raises(TypeError):
+        trace_map(GroupAlgebraElement.scalar(3, 0.5), 2, 1, F(2))
 
 
 def test_trace_map_worked_example():

@@ -274,6 +274,58 @@ def test_matrix_product_rejects_non_rational_entries(entry):
         other * rational
 
 
+def oracle_matrix_of(rep, p):
+    """The seminormal image of a permutation as a dense Fraction product along
+    its bubble-sort word, as first written."""
+    pos = {v: i for i, v in enumerate(p.images)}
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, rep.n):
+            if pos[i + 1] < pos[i]:
+                word.append(i)
+                pos[i], pos[i + 1] = pos[i + 1], pos[i]
+                changed = True
+    m = Matrix.identity(rep.dim)
+    for i in word:
+        m = m * rep.gens[i - 1]
+    return m
+
+
+def oracle_matrix_of_ga(rep, a):
+    """One Fraction Matrix per term, summed."""
+    acc = Matrix.zeros(rep.dim, rep.dim)
+    for p, c in a.terms.items():
+        acc = acc + oracle_matrix_of(rep, p) * c
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_of_ga_matches_per_term_oracle(n):
+    rng = SeededRandom(211 + n)
+    perms = all_permutations(n)
+    elements = [GroupAlgebraElement.zero(n), GroupAlgebraElement.scalar(n, 3)]
+    elements += [GroupAlgebraElement.from_perm(p, F(-2, 7)) for p in perms]
+    for draw in (lambda: rng.rational(3, 5), lambda: rng.integer(-4, 4)):
+        for _ in range(4):
+            elements.append(GroupAlgebraElement(n, {
+                rng.choice(perms): draw() for _ in range(rng.integer(1, 10))}))
+    for la in partitions_of(n):
+        # a fresh action, so the cache fills in the order the terms ask for it
+        rep = seminormal_rep.__wrapped__(la)
+        for a in elements:
+            got = rep.matrix_of_ga(a)
+            assert got.rows == oracle_matrix_of_ga(rep, a).rows
+            assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+def test_matrix_of_ga_rejects_non_rational_coefficients():
+    rep = seminormal_rep((2, 1))
+    with pytest.raises(TypeError):
+        rep.matrix_of_ga(GroupAlgebraElement.scalar(3, 0.5))
+
+
 def test_represent_identity_and_burnside():
     bm = represent(GroupAlgebraElement.scalar(4, F(1)))
     for la, block in zip(bm.partitions, bm.blocks):

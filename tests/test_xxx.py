@@ -13,6 +13,7 @@ from snbethe.permutations import (
     antisymmetrizer,
     antisymmetrizer_classes,
     cycle_type,
+    ga_lift,
     ga_perm,
     ga_transposition,
     lift_coeffs_to_upoly,
@@ -29,9 +30,11 @@ from snbethe.xxx import (
     st_transform,
     t_gen,
     t_m_poly,
+    t_m_table,
     ts_transform,
     xxx_params,
 )
+from snbethe import xxx as xxx_module
 
 F = Fraction
 
@@ -81,6 +84,59 @@ def test_t_m_poly_matches_literal_oracle(n):
             for m in range(1, 5):
                 got = layout(t_m_poly(params, m, p=p))
                 assert got == layout(oracle_t_m_poly(params, m, p)), (z, p, m)
+
+
+def literal_table(params, p, ms, rows):
+    """t_m_table as first written: one literal t_m_poly per order."""
+    n = params.n
+    out = {}
+    for m in ms:
+        poly = t_m_poly(params, m, p=p)
+        for i in rows:
+            out[(m, i)] = ga_lift(n, poly.coeff(n - i))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_t_m_table_matches_literal_trace(n, monkeypatch):
+    pr = xxx_params([F(k, 3) - 1 for k in range(n)], F(1, 2))
+    for p in (F(2), F(n), UPoly.gen()):
+        # the orders of xxx_table (none at n = 1) and of homogeneous_eigen
+        for ms, rows in ((range(1, n), range(1, n + 1)),
+                         (range(1, n + 1), range(n + 1))):
+            want = literal_table(pr, p, ms, rows)
+            with monkeypatch.context() as patched:
+                patched.setattr(xxx_module, "t_m_poly", None)
+                patched.setattr(xxx_module, "trace_map", None)
+                got = t_m_table(pr, p, ms, rows)
+            assert list(got) == list(want)
+            for key, g in got.items():
+                assert lift_coeffs_to_upoly(g) == lift_coeffs_to_upoly(want[key])
+
+
+def test_span_and_eigen_builders_stay_in_s_n(monkeypatch):
+    from types import SimpleNamespace
+
+    from snbethe import suites
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra builder traced down from S_{n+m}")
+
+    monkeypatch.setattr(xxx_module, "t_m_poly", refuse)
+    monkeypatch.setattr(xxx_module, "trace_map", refuse)
+    builders = (suites.xxx_table, suites.xxx_span, suites.homogeneous_span,
+                suites.spectrum_cert, suites.homogeneous_eigen)
+    for builder in builders:
+        builder.cache_clear()
+    try:
+        n, z = 3, (F(0), F(1), F(3))
+        assert suites.xxx_span(n, z, F(1)).dim == 4
+        assert suites.homog_well_defined(SimpleNamespace(n=n), None)
+        assert len(suites.homogeneous_eigen(n, 7)) == 4
+    finally:
+        # the caches hold equal values either way; start the next test cold
+        for builder in builders:
+            builder.cache_clear()
 
 
 def test_antisymmetrizer_classes():

@@ -463,22 +463,32 @@ def gaudin_shifted_edges(cfg, rng):
 # xxx identities
 
 
-def transform_residual(cfg, direct, via):
-    """``direct`` against ``via`` at symbolic p, for orders 0..min(n+1, 4)."""
-    params, psym = xxx_params(cfg.z, cfg.hbar), UPoly.gen()
+def transform_residual(direct, via):
+    """The largest coefficient of direct[m] - via[m], compared in the
+    polynomial ring in p."""
     return max_abs(*(
-        direct(params, m).map_coeffs(lift_coeffs_to_upoly)
-        - via(params, m, psym).map_coeffs(lift_coeffs_to_upoly)
-        for m in range(0, min(cfg.n + 1, 4) + 1)
+        d.map_coeffs(lift_coeffs_to_upoly) - v.map_coeffs(lift_coeffs_to_upoly)
+        for d, v in zip(direct, via)
     ))
 
 
+def transform_setup(cfg):
+    """Parameters, symbolic p and the orders 0..min(n+1, 4) of the transform
+    claims."""
+    return xxx_params(cfg.z, cfg.hbar), UPoly.gen(), range(0, min(cfg.n + 1, 4) + 1)
+
+
 def xxx_binomial_transform(cfg, rng):
-    return transform_residual(cfg, t_m_poly, ts_transform)
+    params, psym, orders = transform_setup(cfg)
+    family = [s_k_poly(params, k) for k in orders]
+    return transform_residual([t_m_poly(params, m) for m in orders],
+                              [ts_transform(family, m, psym) for m in orders])
 
 
 def xxx_inverse_transform(cfg, rng):
-    return transform_residual(cfg, s_k_poly, st_transform)
+    params, psym, orders = transform_setup(cfg)
+    return transform_residual([s_k_poly(params, m) for m in orders],
+                              [st_transform(params, m, psym) for m in orders])
 
 
 def shifted_root_target(cfg):
@@ -581,11 +591,15 @@ def xxx_dagger_reversal(cfg, rng):
 
 
 def xxx_p_independence(cfg, rng):
+    """Built from the literal trace: through the binomial transform T_m is
+    S_m plus lower S_k, so that span would not depend on p by construction."""
+    n, params = cfg.n, xxx_params(cfg.z, cfg.hbar)
     spans = []
     for p in (Fraction(1), Fraction(2), Fraction(17)):
-        mats = [BlockMatrix.identity(cfg.n)] + [
-            represent(g) for g in xxx_table(cfg.n, cfg.z, cfg.hbar, p).values()
-        ]
+        mats = [BlockMatrix.identity(n)]
+        for m in range(1, n):
+            poly = t_m_poly(params, m, p=p)
+            mats += [represent(ga_lift(n, poly.coeff(n - i))) for i in range(1, n + 1)]
         spans.append(sp.linear_span(mats))
     return spans[0].same_span(spans[1]) and spans[0].same_span(spans[2])
 

@@ -15,11 +15,12 @@ The binomial transform ``ts_transform`` writes T_m exactly through S_k, a
 sum over k-subsets in S_n.  The generator tables that spans and eigen-records
 are built from (``t_m_table``) come from the transform, so no algebra builder
 works in S_{n+m}.  The literal trace ``t_m_poly`` stays where the trace is the
-claim: the binomial and inverse transforms, saturation, p-independence, the
-cycle shift, the swap intertwiner, the reversal, the dagger reversal, the
-covariance and the Schur-Weyl trace compatibility checks, and also in
-``t_gen``, whose T-against-S equality is its own cross-check, and in the
-CLI's ``emit t``.
+claim: the binomial and inverse transforms, saturation, the cycle shift, the
+swap intertwiner, the reversal, the dagger reversal, the covariance, the
+p-independence (through the transform its span is S_1..S_{n-1}'s for every p)
+and the Schur-Weyl transfer-match checks, and also in ``t_gen``, whose
+T-against-S equality is its own cross-check, and in the CLI's ``emit t``.
+The Schur-Weyl trace compatibility check calls ``trace_map`` directly.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def t_m_table(params: XXXParams, p, ms, rows) -> dict:
     s_family = [s_k_poly(params, k) for k in range(max(ms, default=0) + 1)]
     out = {}
     for m in ms:
-        poly = ts_transform(params, m, p, s_family)
+        poly = ts_transform(s_family, m, p)
         for i in rows:
             out[(m, i)] = ga_lift(n, poly.coeff(n - i))
     return out
@@ -310,13 +311,13 @@ def check_relations_Hh(la, params: XXXParams, qvals) -> dict:
     return relation_residuals(la, det_P_hbar(params, q).subst_v_shift(1))
 
 
-def ts_transform(params: XXXParams, m: int, p, s_family=None) -> UPoly:
+def ts_transform(s_family, m: int, p) -> UPoly:
     """The binomial transform sum_k S_k/(m-k)! * prod_{i=1..m-k}(p - m + i),
-    which equals T_m for every p.  ``s_family`` may hold S_0..S_m already
-    built for these parameters (``t_m_table`` shares them across orders)."""
+    which equals T_m for every p; ``s_family[k]`` is S_k for k = 0..m, built
+    once by the caller and shared across orders."""
     acc = UPoly()
     for k in range(0, m + 1):
-        sk = s_family[k] if s_family is not None else s_k_poly(params, k)
+        sk = s_family[k]
         if not sk:
             continue
         scale = falling_binomial(p - k, m - k)

@@ -266,9 +266,10 @@ def test_acceptance_06_trace_calculus():
     for n in (1, 2, 3, 4):
         pr = xxx_params(tuple(rng.distinct_rationals(n)),
                         rng.nonzero_rational(3, 2))
+        family = [s_k_poly(pr, k) for k in range(0, min(n + 1, 4) + 1)]
         for m in range(0, min(n + 1, 4) + 1):
             assert t_m_poly(pr, m).map_coeffs(lift_coeffs_to_upoly) == \
-                ts_transform(pr, m, p).map_coeffs(lift_coeffs_to_upoly)
+                ts_transform(family, m, p).map_coeffs(lift_coeffs_to_upoly)
             assert s_k_poly(pr, m).map_coeffs(lift_coeffs_to_upoly) == \
                 st_transform(pr, m, p).map_coeffs(lift_coeffs_to_upoly)
     # saturation, sum rule, telescoping

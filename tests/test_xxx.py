@@ -139,6 +139,33 @@ def test_span_and_eigen_builders_stay_in_s_n(monkeypatch):
             builder.cache_clear()
 
 
+def test_p_independence_claim_uses_the_literal_trace(monkeypatch):
+    from types import SimpleNamespace
+
+    from snbethe import suites
+
+    cfg = SimpleNamespace(n=3, z=(F(0), F(1), F(3)), hbar=F(1))
+    assert suites.xxx_p_independence(cfg, None) is True
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("literal trace called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(suites, "t_m_poly", refuse)
+        with pytest.raises(AssertionError, match="literal trace called"):
+            suites.xxx_p_independence(cfg, None)
+
+    # a trace whose coefficients moved with p is caught
+    def drifting(params, m, p=None):
+        poly = t_m_poly(params, m, p=p)
+        if p == 17 and m == 1:
+            poly = poly + UPoly([ga_transposition(params.n, 1, 2)])
+        return poly
+
+    monkeypatch.setattr(suites, "t_m_poly", drifting)
+    assert suites.xxx_p_independence(cfg, None) is False
+
+
 def test_antisymmetrizer_classes():
     partition_counts = [1, 2, 3, 5, 7, 11]
     for m, count in enumerate(partition_counts, start=1):
@@ -211,9 +238,10 @@ def test_binomial_transform_symbolic(n):
     rng = SeededRandom(n + 50)
     pr = xxx_params(rng.distinct_rationals(n), rng.nonzero_rational(3, 2))
     p = UPoly.gen()
+    family = [s_k_poly(pr, k) for k in range(0, min(n + 1, 4) + 1)]
     for m in range(0, min(n + 1, 4) + 1):
         direct = t_m_poly(pr, m).map_coeffs(lift_coeffs_to_upoly)
-        via_s = ts_transform(pr, m, p).map_coeffs(lift_coeffs_to_upoly)
+        via_s = ts_transform(family, m, p).map_coeffs(lift_coeffs_to_upoly)
         assert direct == via_s
 
 

@@ -58,16 +58,17 @@ def scalar_root_poly(z) -> UPoly:
 def signed_symmetrizer_sum(n: int, i: int, z) -> UPoly:
     """i! * sum over i-subsets of the embedded antisymmetrizer times the
     complementary root product; a polynomial in u with group-algebra
-    coefficients of degree n - i."""
+    coefficients of degree n - i, each coefficient one sum of products over
+    the subsets."""
     z = tuple(z)
-    acc = UPoly()
     signed = antisymmetrizer(i) * Fraction(math.factorial(i))
-    for r in combinations(range(1, n + 1), i):
-        ga = embed(signed, r, n)
-        rest = [z[a - 1] for a in range(1, n + 1) if a not in r]
-        poly = scalar_root_poly(rest)
-        acc = acc + poly.map_coeffs(lambda c, ga=ga: c * ga)
-    return acc
+    subsets = [
+        (scalar_root_poly([z[a - 1] for a in range(1, n + 1) if a not in r]),
+         embed(signed, r, n))
+        for r in combinations(range(1, n + 1), i)
+    ]
+    return UPoly([GroupAlgebraElement.dot([(rest.coeff(k), ga) for rest, ga in subsets])
+                  for k in range(n - i + 1)])
 
 
 def phi_polys(n: int, z):
@@ -89,25 +90,29 @@ def phi_polys(n: int, z):
 def phi_gen_fixed_points(n: int, z) -> BiPoly:
     """Fixed-point expansion of the generating function: (-1)^n times the sum
     over permutations of sign * sigma * prod over fixed points of
-    (1 - v(u - z_b))."""
+    (1 - v(u - z_b)).  Each permutation lands in each coefficient once, so
+    the coefficients' terms are written directly."""
     z = tuple(z)
-    acc = BiPoly()
+    slots = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
     for p in all_permutations(n):
         factor = BiPoly.const(Fraction(1))
         for b in range(1, n + 1):
             if p(b) == b:
                 # 1 - v*(u - z_b)
                 factor = factor * BiPoly([[Fraction(1), z[b - 1]], [0, Fraction(-1)]])
-        ga = GroupAlgebraElement.from_perm(p, Fraction(sign(p)))
-        acc = acc + factor.map_coeffs(lambda c, ga=ga: c * ga)
-    return Fraction((-1) ** n) * acc
+        signed = Fraction((-1) ** n * sign(p))
+        for i, row in enumerate(factor.rows):
+            for j, c in enumerate(row):
+                if c:
+                    slots[i][j][p] = signed * c
+    return BiPoly([[GroupAlgebraElement(n, terms) for terms in row] for row in slots])
 
 
-def phi_expansion(n: int, z) -> BiPoly:
-    """The generating function expanded in v from the generator polynomials:
+def phi_expansion(n: int, z, polys) -> BiPoly:
+    """The generating function expanded in v from the generator polynomials
+    ``polys`` (``phi_polys(n, z)[0]``):
     prod (u - z_a) v^n + sum_i (-1)^i phi_i(u) v^(n-i)."""
     z = tuple(z)
-    polys, _ = phi_polys(n, z)
     acc = ga_lift(n, BiPoly.from_upoly_u(scalar_root_poly(z))
                   * BiPoly([[0] * n + [Fraction(1)]]))
     for i, poly in enumerate(polys, start=1):
@@ -116,10 +121,11 @@ def phi_expansion(n: int, z) -> BiPoly:
     return acc
 
 
-def phi_gen(n: int, z) -> BiPoly:
-    """Bivariate generating function of the generator polynomials; verified on
-    construction against the independent fixed-point expansion."""
-    acc = phi_expansion(n, z)
+def phi_gen(n: int, z, polys) -> BiPoly:
+    """Bivariate generating function of the generator polynomials ``polys``
+    (``phi_polys(n, z)[0]``); verified on construction against the
+    independent fixed-point expansion."""
+    acc = phi_expansion(n, z, polys)
     if acc != ga_lift(n, phi_gen_fixed_points(n, z)):
         raise AssertionError("generating-function expansions disagree")
     return acc
@@ -277,13 +283,13 @@ def det_presentation(variant: str, n: int, z, h):
     return d
 
 
-def phi_tilde(n: int, z) -> BiPoly:
+def phi_tilde(n: int, z, polys) -> BiPoly:
     """Second generating function: the content product at v+1 times the sum of
-    the shifted generator polynomials over the partial denominators.  The
-    rational expression is assembled over the common denominator and the exact
-    divisibility is verified rather than assumed."""
+    the shifted generator polynomials ``polys`` (``phi_polys(n, z)[0]``) over
+    the partial denominators.  The rational expression is assembled over the
+    common denominator and the exact divisibility is verified rather than
+    assumed."""
     z = tuple(z)
-    polys, _ = phi_polys(n, z)
     pi_shift = content_product_all(n).shift_arg(Fraction(1))  # in v, GA coeffs
 
     def vfactors(lo: int, hi: int) -> UPoly:

@@ -18,18 +18,35 @@ so it avoids per-term-pair overhead in three ways:
   permutations is a permutation by construction, so internal sites build the
   result through ``Permutation._trusted``, which skips the validation that
   the public ``Permutation(images)`` performs.  The product accumulates on
-  image tuples and builds one ``Permutation`` per output term.
-* Integer scaling.  When every coefficient of a factor is an ``int``, or
-  every one a ``Fraction``, the factor is rewritten as integer numerators
-  over the lcm of its denominators.  The term pairs then accumulate Python
-  ints, and each nonzero output term becomes one ``Fraction(s, da*db)`` (or
-  stays an ``int`` when both factors are all-``int``).  This is exact: the
-  scaled partial sum is the true partial sum times da*db, so it is zero
-  exactly when the true one is.  The accumulator drops a key whenever its
-  partial sum reaches zero, as the generic path does, so the output keeps
-  the key order of the generic accumulation.  Factors mixing ``int`` and
-  ``Fraction`` coefficients take the generic path, because the type of each
-  output coefficient then depends on which term pairs reached it.
+  image tuples and builds one ``Permutation`` per output term.  Likewise a
+  product, sum or negation of elements holds no zero coefficient by
+  construction, so it is built through ``GroupAlgebraElement._trusted``,
+  which skips the constructor's zero filter.
+* One sum-of-products kernel.  ``GroupAlgebraElement.dot(pairs)`` is the
+  sum of a*b over pairs (a, b) of elements, a scalar factor read on the
+  identity.  A product is ``dot`` on one pair, and polynomial products and
+  divisions find ``dot`` on their coefficients to form each output
+  coefficient in one pass.  Every term pair goes through one loop,
+  ``_accumulate``.
+
+  - Kind rule: a factor is int or Fraction when all its coefficients are;
+    a product is int when both factors are, else Fraction.  When every pair
+    has an element factor and all pairs with terms share one product kind,
+    each factor is scaled to integer numerators over the lcm of its
+    denominators, all term pairs accumulate Python ints over D, the lcm of
+    the pairs' da*db (a pair's numerators times D/(da*db)), and each nonzero
+    output term becomes one ``Fraction(s, D)``, or stays an int.  Otherwise
+    (floats, UPolys, a factor mixing int and Fraction, pairs of two kinds or
+    of two scalars) each product is formed on the coefficients themselves
+    and the products are added left to right, because the type of an
+    output term then depends on that order.
+  - Exactness: the scaled partial sum is the true partial sum times D, so it
+    is zero exactly when the true one is.
+  - Key order: a key is dropped whenever its partial sum reaches zero, so a
+    product keeps the key order of the term-pair accumulation.  A sum of
+    several products on the integer path is one accumulation over all their
+    term pairs: the keys, values and types of adding the products one by
+    one, the key order possibly not.
 """
 
 from __future__ import annotations
@@ -185,6 +202,86 @@ def _rational_kind(terms):
     return None
 
 
+def _accumulate(acc, left, right):
+    """The product loop: acc[r] += a*b over the term pairs (p, a) of ``left``
+    and (q, b) of ``right``, r the images of p*q; a partial sum that reaches
+    zero drops its key."""
+    right = [(q._composer(), b) for q, b in right]
+    get, pop = acc.get, acc.pop
+    for p, a in left:
+        pim = p.images
+        for compose, b in right:
+            r = compose(pim)
+            s = get(r, 0) + a * b
+            if s:
+                acc[r] = s
+            else:
+                pop(r, None)
+    return acc
+
+
+def _element(n: int, acc: dict, d=None) -> "GroupAlgebraElement":
+    """The element of an accumulator, its sums divided by d if d is given."""
+    trusted = Permutation._trusted
+    if d is None:
+        return GroupAlgebraElement._trusted(n, {trusted(r): s for r, s in acc.items()})
+    return GroupAlgebraElement._trusted(
+        n, {trusted(r): Fraction(s, d) for r, s in acc.items()})
+
+
+def _dot(pairs) -> "GroupAlgebraElement":
+    """Sum of a*b over pairs (a, b) of group-algebra elements of one degree
+    or scalars (see the module docstring).  A pair of two scalars is
+    multiplied as it is, so a sum of such pairs alone is a scalar."""
+    pairs = list(pairs)
+    degrees = {x.n for pair in pairs for x in pair
+               if isinstance(x, GroupAlgebraElement)}
+    if len(degrees) > 1:
+        raise ValueError("degree mismatch: " + " vs ".join(map(str, sorted(degrees))))
+    n = degrees.pop() if degrees else None
+    # each pair's factors as terms, or None for a pair of two scalars
+    rows = [(_factor_terms(a, n), _factor_terms(b, n))
+            if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)
+            else None for a, b in pairs]
+    kinds = {None if row is None else _product_kind(*row)
+             for row in rows if row is None or all(row)}
+    if None in kinds or len(kinds) > 1:
+        acc = None
+        for (a, b), row in zip(pairs, rows):
+            t = a * b if row is None else _element(
+                n, _accumulate({}, row[0].items(), row[1].items()))
+            acc = t if acc is None else acc + t
+        return acc
+    scaled, d = [], 1
+    for ta, tb in filter(all, rows):
+        da, na = _int_scaled(ta.values())
+        db, nb = _int_scaled(tb.values())
+        scaled.append((ta, na, tb, nb, da * db))
+        d = math.lcm(d, da * db)
+    acc = {}
+    for ta, na, tb, nb, dp in scaled:
+        if dp != d:
+            na = [x * (d // dp) for x in na]
+        _accumulate(acc, zip(ta, na), zip(tb, nb))
+    return _element(n, acc, d if Fraction in kinds else None)
+
+
+def _factor_terms(x, n: int) -> dict:
+    """Terms of a factor: an element's own, a scalar's on the identity."""
+    if isinstance(x, GroupAlgebraElement):
+        return x.terms
+    return {Permutation.identity(n): x} if x else {}
+
+
+def _product_kind(ta: dict, tb: dict):
+    """int or Fraction, the kind of the product of two factors with terms,
+    or None when the generic path must form it."""
+    ka, kb = _rational_kind(ta), _rational_kind(tb)
+    if ka is None or kb is None:
+        return None
+    return Fraction if Fraction in (ka, kb) else int
+
+
 class GroupAlgebraElement:
     """Sparse element of the group algebra of S_n: dict Permutation -> coeff.
 
@@ -202,6 +299,14 @@ class GroupAlgebraElement:
             for p, c in terms.items():
                 if c:
                     self.terms[p] = c
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "GroupAlgebraElement":
+        """Element owning ``terms``, which must hold no zero coefficient."""
+        a = object.__new__(cls)
+        a.n = n
+        a.terms = terms
+        return a
 
     @classmethod
     def zero(cls, n: int) -> "GroupAlgebraElement":
@@ -245,7 +350,8 @@ class GroupAlgebraElement:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __neg__(self):
-        return GroupAlgebraElement(self.n, {p: -c for p, c in self.terms.items()})
+        return GroupAlgebraElement._trusted(
+            self.n, {p: -c for p, c in self.terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -256,7 +362,7 @@ class GroupAlgebraElement:
                 out.pop(p, None)
             else:
                 out[p] = s
-        return GroupAlgebraElement(self.n, out)
+        return GroupAlgebraElement._trusted(self.n, out)
 
     __radd__ = __add__
 
@@ -268,42 +374,13 @@ class GroupAlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, GroupAlgebraElement):
-            if other.n != self.n:
-                raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-            # see the module docstring for the exactness and key-order argument
-            kinds = (_rational_kind(self.terms), _rational_kind(other.terms))
-            d = None  # common denominator of the scaled output, if any
-            if None in kinds:
-                left, right = self.terms.items(), other.terms.items()
-            else:
-                da, left = _int_scaled(self.terms.values())
-                db, right = _int_scaled(other.terms.values())
-                left, right = zip(self.terms, left), zip(other.terms, right)
-                if Fraction in kinds:
-                    d = da * db
-            right = [(q._composer(), b) for q, b in right]
-            acc = {}
-            get, pop = acc.get, acc.pop
-            for p, a in left:
-                pim = p.images
-                for compose, b in right:
-                    r = compose(pim)
-                    s = get(r, 0) + a * b
-                    if s:
-                        acc[r] = s
-                    else:
-                        pop(r, None)
-            trusted = Permutation._trusted
-            out = GroupAlgebraElement(self.n)
-            # acc holds no zero, so its terms need not pass the constructor
-            if d is None:
-                out.terms = {trusted(r): s for r, s in acc.items()}
-            else:
-                out.terms = {trusted(r): Fraction(s, d) for r, s in acc.items()}
-            return out
+            return _dot(((self, other),))
         return GroupAlgebraElement(
             self.n, {p: c * other for p, c in self.terms.items()}
         )
+
+    # the sum of a*b over pairs (a, b); see the module docstring
+    dot = staticmethod(_dot)
 
     def __rmul__(self, other):
         return GroupAlgebraElement(

@@ -350,9 +350,11 @@ def content_poly(la, n: int) -> UPoly:
     return poly
 
 
+@lru_cache(maxsize=None)
 def content_product_all(n: int) -> UPoly:
     """Sum over partitions of chi_la times the content polynomial, as a
-    polynomial in v with group-algebra coefficients."""
+    polynomial in v with group-algebra coefficients; built once per n and
+    shared, so callers must not mutate it."""
     acc = UPoly()
     for la in partitions_of(n):
         chi = central_idempotent(la, n)

@@ -38,6 +38,27 @@ def _int_scaled(values):
     return d, [c.numerator * (d // e) for c, e in zip(values, dens)]
 
 
+def _dot_hook(*samples):
+    """The ``dot`` (sum of products over pairs) of the first sample whose
+    type has one, else None; the polynomial products sum each output slot
+    with it."""
+    for c in samples:
+        dot = getattr(c, "dot", None)
+        if dot is not None:
+            return dot
+    return None
+
+
+def _sum_of_products(pairs):
+    """a*b added left to right over the pairs: an output slot of a
+    polynomial product whose coefficients have no ``dot``."""
+    acc = None
+    for a, b in pairs:
+        t = a * b
+        acc = t if acc is None else acc + t
+    return acc
+
+
 def ring_one(sample):
     """Multiplicative unit of the ring that `sample` lives in."""
     if isinstance(sample, Number):
@@ -135,17 +156,14 @@ class UPoly:
         if isinstance(other, UPoly):
             if not self.coeffs or not other.coeffs:
                 return UPoly()
-            out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+            slots = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
             for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b:
-                        continue
-                    t = a * b
-                    out[i + j] = t if out[i + j] is None else out[i + j] + t
-            zero = 0
-            return UPoly([c if c is not None else zero for c in out])
+                if a:
+                    for j, b in enumerate(other.coeffs):
+                        if b:
+                            slots[i + j].append((a, b))
+            total = _dot_hook(self.coeffs[-1], other.coeffs[-1]) or _sum_of_products
+            return UPoly([total(pairs) if pairs else 0 for pairs in slots])
         return UPoly([c * other for c in self.coeffs])
 
     def __rmul__(self, other):
@@ -215,12 +233,29 @@ class UPoly:
 def poly_divmod(f: UPoly, g: UPoly):
     """Division with remainder.  The leading coefficient of g must be an
     invertible scalar (Fraction or float); the coefficients of f may live in
-    any ring on which that scalar acts."""
+    any ring on which that scalar acts.
+
+    Each output coefficient is a combination of f's coefficients with scalar
+    weights.  When f's coefficients have a ``dot`` hook, the division runs
+    on the weights (f_k read as t^k) and each output is one ``dot``: the
+    same values, though where coefficients mix int and Fraction terms an
+    output term's type, which follows the order of the additions, can
+    differ from the step-by-step division's."""
     if not g.coeffs:
         raise ZeroDivisionError("polynomial division by zero")
     lead = g.lead()
     if not isinstance(lead, Number):
         raise ValueError("divisor must have scalar leading coefficient")
+    dot = _dot_hook(f.coeffs[-1]) if f.coeffs else None
+    if dot is not None:
+        units = UPoly([UPoly([0] * k + [1]) for k in range(len(f.coeffs))])
+
+        def combine(weights):
+            pairs = [(c, w) for c, w in zip(f.coeffs, weights.coeffs) if c and w]
+            return dot(pairs) if pairs else 0
+
+        return tuple(UPoly([combine(w) if w else 0 for w in part.coeffs])
+                     for part in poly_divmod(units, g))
     inv = Fraction(1) / lead if isinstance(lead, Fraction) else 1.0 / lead
     rem = list(f.coeffs)
     dg = g.degree
@@ -434,17 +469,19 @@ class BiPoly:
                 return BiPoly()
             nr = len(self.rows) + len(other.rows) - 1
             nc = self.deg_v + other.deg_v + 1
-            rows = [[0] * nc for _ in range(nr)]
+            slots = [[[] for _ in range(nc)] for _ in range(nr)]
             for i, ra in enumerate(self.rows):
                 for j, a in enumerate(ra):
-                    if not a:
-                        continue
-                    for k, rb in enumerate(other.rows):
-                        for l, b in enumerate(rb):
-                            if not b:
-                                continue
-                            rows[i + k][j + l] = rows[i + k][j + l] + a * b
-            return BiPoly(rows)
+                    if a:
+                        for k, rb in enumerate(other.rows):
+                            out = slots[i + k]
+                            for l, b in enumerate(rb):
+                                if b:
+                                    out[j + l].append((a, b))
+            # the last row of a nonzero BiPoly has a nonzero entry
+            total = _dot_hook(next(filter(None, self.rows[-1])),
+                              next(filter(None, other.rows[-1]))) or _sum_of_products
+            return BiPoly([[total(pairs) if pairs else 0 for pairs in r] for r in slots])
         return BiPoly([[c * other for c in r] for r in self.rows])
 
     def __rmul__(self, other):

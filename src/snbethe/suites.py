@@ -27,7 +27,6 @@ from .permutations import (
     ga_perm,
     ga_transposition,
     lift_coeffs_to_upoly,
-    sign,
     top_embed,
     trace_map,
 )
@@ -126,9 +125,12 @@ def max_abs(*xs) -> Fraction:
 
 
 def max_commutator(elements) -> Fraction:
-    """Largest coefficient of any pairwise commutator ab - ba."""
-    return max_abs(*(a * b - b * a for i, a in enumerate(elements)
-                     for b in elements[i + 1:]))
+    """Largest coefficient of any pairwise commutator ab - ba of group-algebra
+    elements, each formed as one sum of products."""
+    negated = [-b for b in elements]
+    return max_abs(*(GroupAlgebraElement.dot(((a, elements[j]), (negated[j], a)))
+                     for i, a in enumerate(elements)
+                     for j in range(i + 1, len(elements))))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,15 @@ def span_of(n: int, elements):
 @lru_cache(maxsize=None)
 def gaudin_table(n: int, z: tuple):
     return phi_polys(n, z)[1]
+
+
+def gaudin_polys(n: int, z: tuple):
+    """The generator polynomials of ``phi_polys(n, z)``, read back from the
+    cached coefficient table: table[(i, j)] is the coefficient of
+    u^(n-i-j)."""
+    table = gaudin_table(n, z)
+    return [UPoly([table[(i, n - i - k)] for k in range(n - i + 1)])
+            for i in range(1, n + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -358,11 +369,13 @@ def gaudin_presentation(cfg, kind):
 
 
 def gaudin_generating_det(cfg, rng):
-    return max_abs(phi_gen(cfg.n, cfg.z) - gaudin_presentation(cfg, "P"))
+    return max_abs(phi_gen(cfg.n, cfg.z, gaudin_polys(cfg.n, cfg.z))
+                   - gaudin_presentation(cfg, "P"))
 
 
 def gaudin_shifted_det(cfg, rng):
-    return max_abs(phi_tilde(cfg.n, cfg.z) - gaudin_presentation(cfg, "Ptilde"))
+    return max_abs(phi_tilde(cfg.n, cfg.z, gaudin_polys(cfg.n, cfg.z))
+                   - gaudin_presentation(cfg, "Ptilde"))
 
 
 def gaudin_content_det(cfg, rng):
@@ -379,23 +392,22 @@ def gaudin_covariance(cfg, rng):
     n, z = cfg.n, cfg.z
     sscale = rng.nonzero_rational(5, 3)
     sshift = rng.rational(5, 3)
-    table_s = gaudin_table(n, tuple(sscale * x for x in z))
+    table_s = phi_polys(n, tuple(sscale * x for x in z))[1]
     scaled = [table_s[(i, j)] - g * sscale**j
               for (i, j), g in gaudin_table(n, z).items()]
     polys_t = phi_polys(n, tuple(x + sshift for x in z))[0]
-    polys_0 = phi_polys(n, z)[0]
     return max_abs(*scaled, *(pt.shift_arg(sshift) - p0
-                              for pt, p0 in zip(polys_t, polys_0)))
+                              for pt, p0 in zip(polys_t, gaudin_polys(n, z))))
 
 
 def gaudin_equivariance(cfg, rng):
     n, z = cfg.n, cfg.z
+    polys_0 = gaudin_polys(n, z)
     residuals = []
     for _ in range(3):
         sig = rng.choice(all_permutations(n))
         zperm = tuple(z[sig(a) - 1] for a in range(1, n + 1))
         polys_p = phi_polys(n, zperm)[0]
-        polys_0 = phi_polys(n, z)[0]
         g = ga_perm(sig)
         ginv = ga_perm(sig.inverse())
         residuals += [pp.map_coeffs(lambda c: g * c * ginv) - p0
@@ -405,7 +417,8 @@ def gaudin_equivariance(cfg, rng):
 
 def gaudin_fixed_points(cfg, rng):
     n, z = cfg.n, cfg.z
-    return max_abs(phi_expansion(n, z) - ga_lift(n, phi_gen_fixed_points(n, z)))
+    return max_abs(phi_expansion(n, z, gaudin_polys(n, z))
+                   - ga_lift(n, phi_gen_fixed_points(n, z)))
 
 
 def shifted_u(n: int, c) -> UPoly:
@@ -441,16 +454,17 @@ def gaudin_content_jm(cfg, rng):
     prod = UPoly([GroupAlgebraElement.scalar(n, Fraction(1))])
     for jm in jm_elements(n):
         prod = prod * shifted_u(n, -jm)
-    coeffs = [GroupAlgebraElement.zero(n) for _ in range(n + 1)]
+    coeffs = [{} for _ in range(n + 1)]
     for p in all_permutations(n):
-        c = cycle_data(p).orbit_count
-        coeffs[c] = coeffs[c] + ga_perm(p) * Fraction(sign(p))
-    return max_abs(pi - prod, pi - UPoly(coeffs))
+        d = cycle_data(p)
+        coeffs[d.orbit_count][p] = Fraction(d.sign)
+    return max_abs(pi - prod,
+                   pi - UPoly([GroupAlgebraElement(n, terms) for terms in coeffs]))
 
 
 def gaudin_shifted_edges(cfg, rng):
     n, z = cfg.n, cfg.z
-    pt = phi_tilde(n, z)
+    pt = phi_tilde(n, z, gaudin_polys(n, z))
     pi = content_product_all(n)
     zprod = Fraction(1)
     for x in z:

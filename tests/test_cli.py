@@ -95,11 +95,43 @@ GOLDEN = Path(__file__).parent / "golden"
     ("identities-gaudin-n4", ["run", "identities-gaudin", "--n", "4"]),
     ("homogeneous-n4", ["run", "homogeneous", "--n", "4"]),
     ("identities-xxx-n4", ["run", "identities-xxx", "--n", "4"]),
+    ("identities-gaudin-n5", ["run", "identities-gaudin", "--n", "5"]),
 ])
 def test_reports_match_golden(capsys, name, argv):
     rc, out = run_main(capsys, [*argv, "--format", "json", "--seed", "7"])
     assert rc == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
+    # at n = 5 the claims at the run's own z read the generator polynomials
+    # from the cached gaudin_table; only the one-off z values (scaled,
+    # shifted, permuted) build their own.  Seed 7 draws no identity
+    # permutation, scale 1 or shift 0, so none of those is the run's z.
+    from snbethe import gaudin, reps
+
+    built = []
+    real = gaudin.phi_polys
+
+    def counted(n, z):
+        built.append(tuple(z))
+        return real(n, z)
+
+    monkeypatch.setattr(suites, "phi_polys", counted)
+    monkeypatch.setattr(gaudin, "phi_polys", counted)
+    caches = (suites.gaudin_table, reps.content_product_all)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        rc, _ = run_main(capsys, ["run", "identities-gaudin", "--n", "5",
+                                  "--format", "json", "--seed", "7"])
+        assert rc == 0
+        assert built.count(suites.default_z(5)) == 1
+        assert len(built) == 6
+        assert reps.content_product_all.cache_info().misses == 1
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_cli_import_does_not_load_numpy():

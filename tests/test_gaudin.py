@@ -73,14 +73,14 @@ def test_phi_top_is_signed_sum(n):
 
 
 def test_phi_gen_n2_and_n1():
-    g = phi_gen(2, (F(0), F(1)))
+    g = phi_gen(2, (F(0), F(1)), phi_polys(2, (F(0), F(1)))[0])
     # u(u-1)v^2 - (2u-1)v + 1 - s12
     assert g.coeff(2, 2) == F(1)
     assert g.coeff(1, 2) == F(-1)
     assert g.coeff(1, 1) == F(-2)
     assert g.coeff(0, 1) == F(1)
     assert g.coeff(0, 0) == GroupAlgebraElement.scalar(2, F(1)) - ga_transposition(2, 1, 2)
-    g1 = phi_gen(1, (F(5),))
+    g1 = phi_gen(1, (F(5),), phi_polys(1, (F(5),))[0])
     assert g1.coeff(1, 1) == F(1)
     assert g1.coeff(0, 1) == F(-5)
     assert g1.coeff(0, 0) == F(-1)
@@ -90,7 +90,7 @@ def test_phi_gen_n2_and_n1():
 def test_phi_gen_leading_v_coefficient(n):
     rng = SeededRandom(n)
     z = tuple(rng.rational(5, 2) for _ in range(n))
-    g = phi_gen(n, z)
+    g = phi_gen(n, z, phi_polys(n, z)[0])
     assert g.v_coeff(n) == lift_poly(n, scalar_root_poly(z))
 
 
@@ -155,7 +155,7 @@ def test_generating_det_presentation(n):
     z = tuple(rng.distinct_rationals(n))
     fam = kz_elements(n, z)
     det = det_presentation("P", n, z, list(fam))
-    assert lift_bipoly(n, det) == phi_gen(n, z)
+    assert lift_bipoly(n, det) == phi_gen(n, z, phi_polys(n, z)[0])
 
 
 def test_det_presentation_zero_family():
@@ -186,7 +186,7 @@ def test_shifted_det_presentation_and_content(n):
         else [GroupAlgebraElement.zero(1)]
     )
     det = det_presentation("Ptilde", n, z, list(fam))
-    assert lift_bipoly(n, det) == phi_tilde(n, z)
+    assert lift_bipoly(n, det) == phi_tilde(n, z, phi_polys(n, z)[0])
     det0 = det_presentation("Ptilde0", n, z, list(fam))
     assert lift_poly(n, det0) == lift_poly(n, content_product_all(n))
 
@@ -195,7 +195,7 @@ def test_shifted_det_presentation_and_content(n):
 def test_phi_tilde_edge_coefficients(n):
     rng = SeededRandom(n + 3)
     z = tuple(rng.rational(5, 2) for _ in range(n))
-    pt = phi_tilde(n, z)
+    pt = phi_tilde(n, z, phi_polys(n, z)[0])
     pi = content_product_all(n)
     assert pt.u_coeff(n) == lift_poly(n, pi)
     zprod = F(1)
@@ -206,7 +206,7 @@ def test_phi_tilde_edge_coefficients(n):
 
 def test_phi_tilde_n1_explicit():
     # (v+1)(u - z) - u, so the u-coefficient is v and the constant is -z(v+1)
-    pt = phi_tilde(1, (F(2),))
+    pt = phi_tilde(1, (F(2),), phi_polys(1, (F(2),))[0])
     assert pt.u_coeff(1) == lift_poly(1, UPoly([F(0), F(1)]))
     assert pt.u_coeff(0) == lift_poly(1, UPoly([F(-2), F(-2)]))
 
@@ -279,3 +279,14 @@ def test_check_relations_Ht_examples():
     assert rep["max_residual"] == 0
     rep = check_relations_Ht((1,), (F(4),), [F(1, 3)])
     assert rep["max_residual"] != 0
+
+
+def test_fused_commutator_reports_the_unfused_residual():
+    # ab - ba formed as one sum of products must not hide a failure
+    from snbethe.suites import max_abs, max_commutator
+
+    a, b = ga_transposition(3, 1, 2), ga_transposition(3, 2, 3)
+    want = max_abs(a * b - b * a)
+    assert want == 1 and type(want) is Fraction
+    got = max_commutator([a, b])
+    assert got == want and type(got) is type(want)

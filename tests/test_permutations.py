@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from snbethe.rings import SeededRandom, UPoly, falling_binomial
+from snbethe.rings import BiPoly, SeededRandom, UPoly, falling_binomial, poly_divmod
 from snbethe.permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -176,6 +176,134 @@ def test_product_matches_oracle(kind):
                 Permutation.transposition(n, 2, 3), s_c)
             assert_same_product(one - s_, one + s_ + t)
             assert_same_product(t + one - s_, one + s_)
+
+
+def oracle_dot(n, pairs):
+    """A sum of products as the polynomial loop first formed it: each pair
+    through ``oracle_product``, scalars read on the identity, the products
+    added left to right."""
+    def lift(x):
+        return x if isinstance(x, GroupAlgebraElement) else GroupAlgebraElement.scalar(n, x)
+
+    acc = None
+    for a, b in pairs:
+        t = oracle_product(lift(a), lift(b))
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def assert_same_terms(got, want):
+    """Same keys, values and coefficient types; the key order may differ."""
+    assert got.terms == want.terms
+    assert {p: type(c) for p, c in got.terms.items()} == {
+        p: type(c) for p, c in want.terms.items()
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(COEFF_KINDS))
+def test_dot_matches_sum_of_oracle_products(kind):
+    _, _, coeff = COEFF_KINDS[kind]
+    rng = SeededRandom(67)
+    for n in (2, 3, 4):
+        perms = all_permutations(n)
+
+        def element():
+            if not rng.integer(0, 5):
+                return GroupAlgebraElement.zero(n)
+            return GroupAlgebraElement(n, {
+                rng.choice(perms): coeff(rng) for _ in range(rng.integer(1, 6))
+            })
+
+        def scalar():
+            # the kind's own scalars, and sometimes a scalar of another
+            # rational kind, so that pairs of different kinds meet
+            roll = rng.integer(0, 5)
+            return (0 if roll == 0 else rng.integer(-2, 2) if roll == 1
+                    else rng.rational(2, 3) if roll == 2 else coeff(rng))
+
+        for _ in range(25):
+            pairs = []
+            for _ in range(rng.integer(1, 4)):
+                shape = rng.integer(0, 3)
+                a = scalar() if shape == 1 else element()
+                b = scalar() if shape == 2 else element()
+                pairs.append((a, b))
+                if shape == 3:
+                    # a pair that cancels the last one
+                    pairs.append((-a, b))
+            got = GroupAlgebraElement.dot(pairs)
+            assert got.n == n
+            assert_same_terms(got, oracle_dot(n, pairs))
+        # one pair is the product itself
+        x, y = element(), element()
+        assert_same_terms(GroupAlgebraElement.dot([(x, y)]), x * y)
+        s_ = GroupAlgebraElement.from_perm(Permutation.transposition(n, 1, 2), coeff(rng))
+        assert not GroupAlgebraElement.dot([(s_, s_), (-s_, s_)])
+
+
+def test_dot_rejects_mixed_degrees():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        GroupAlgebraElement.dot([(ga_perm(s(2, 1, 2)), ga_perm(s(3, 1, 2)))])
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "mixed"])
+def test_polynomial_products_over_the_group_algebra_match_the_generic_loop(
+        kind, monkeypatch):
+    # the products and divisions with the ``dot`` hook against the same ones
+    # once the hook is gone, which is the loop the polynomial code ran
+    # before it
+    _, _, coeff = COEFF_KINDS[kind]
+    rng = SeededRandom(71)
+    n = 3
+    perms = all_permutations(n)
+
+    def entry():
+        roll = rng.integer(0, 4)
+        if roll == 0:
+            return 0
+        if roll == 1:
+            return coeff(rng)  # scalar coefficients beside elements
+        return GroupAlgebraElement(n, {
+            rng.choice(perms): coeff(rng) for _ in range(rng.integer(1, 4))
+        })
+
+    def multiply(f, g):
+        return [f * g]
+
+    def divide(f, g):
+        return list(poly_divmod(f, g))
+
+    cases = []
+    for _ in range(12):
+        f = UPoly([entry() for _ in range(rng.integer(1, 4))] + [ga_perm(s(n, 1, 2))])
+        g = UPoly([entry() for _ in range(rng.integer(1, 4))] + [entry() or 1])
+        cases.append((multiply, f, g))
+        rows = [[entry() for _ in range(3)] for _ in range(rng.integer(1, 3))]
+        cases.append((multiply, BiPoly(rows + [[ga_perm(s(n, 2, 3))]]),
+                      BiPoly([[entry(), entry()], [entry(), coeff(rng) or 1]])))
+        divisor = UPoly([rng.rational(3, 3) for _ in range(rng.integer(0, 3))]
+                        + [rng.nonzero_rational(3, 3)])
+        cases.append((divide, f * f, divisor))
+    hooked = [op(f, g) for op, f, g in cases]
+    monkeypatch.delattr(GroupAlgebraElement, "dot")
+    for got, (op, f, g) in zip(hooked, cases):
+        # a division by weights adds in another order than step by step, so
+        # with mixed int and Fraction terms only the values must agree
+        same_types = kind != "mixed" or op is multiply
+        for x, y in zip(got, op(f, g), strict=True):
+            assert type(x) is type(y)
+            xs = x.coeffs if isinstance(x, UPoly) else [c for r in x.rows for c in r]
+            ys = y.coeffs if isinstance(y, UPoly) else [c for r in y.rows for c in r]
+            assert len(xs) == len(ys)
+            for a, b in zip(xs, ys):
+                if type(a) is not type(b):
+                    # a zero output of a division may be the empty element
+                    # on one side and the scalar 0 on the other
+                    assert op is divide and not a and not b
+                elif isinstance(a, GroupAlgebraElement) and same_types:
+                    assert_same_terms(a, b)
+                else:
+                    assert a == b
 
 
 def test_antisymmetrizer_examples():

@@ -46,11 +46,20 @@ class SuiteConfig:
     out: str | None
 
 
+def _rational(flag: str, text) -> Fraction:
+    """The rational value of a flag; the error names the flag and the text."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: {str(text)!r} is not a rational number") from None
+
+
 def _parse_z(text, n: int) -> tuple:
     """The parameters: comma-separated rationals, or the first n default
     values when text is empty.  Anything but exactly n values is a
     configuration error."""
-    z = tuple(Fraction(part) for part in str(text).split(",")) if text else default_z(n)
+    z = (tuple(_rational("--z", part) for part in str(text).split(","))
+         if text else default_z(n))
     if len(z) != n:
         raise ValueError("need exactly n parameter values")
     return z
@@ -149,7 +158,7 @@ def config_from_args(args) -> SuiteConfig:
     tol = float(values["tol"])
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    hbar = Fraction(str(values["hbar"]))
+    hbar = _rational("--hbar", values["hbar"])
     if not hbar:
         raise ValueError("hbar must be nonzero")
     if values["fmt"] not in ("json", "text"):
@@ -184,8 +193,8 @@ def _emit(args) -> int:
     kind = args.kind
     # only the parametrized families read z
     z = _parse_z(args.z, n) if kind in ("phi", "t", "s", "qkz", "kz") else None
-    hbar = Fraction(str(args.hbar))
-    p = Fraction(str(args.p))
+    hbar = _rational("--hbar", args.hbar)
+    p = _rational("--p", args.p)
     if kind == "phi":
         _, table = phi_polys(n, z)
         payload = {
@@ -200,7 +209,7 @@ def _emit(args) -> int:
         fam = qkz_elements(xxx_params(z, hbar))
         payload = [el.to_json() for el in fam]
     elif kind == "kz":
-        fam = kz_elements(n, z)
+        fam = kz_elements(n, z, phi_polys(n, z)[0])
         payload = [el.to_json() for el in fam]
     elif kind == "charges":
         payload = [c.to_json() for c in local_charges(n)]

@@ -148,9 +148,10 @@ class KZFamily:
         return len(self.elements)
 
 
-def kz_elements(n: int, z) -> KZFamily:
+def kz_elements(n: int, z, polys) -> KZFamily:
     """H_a = sum over b != a of s(a,b)/(z_a - z_b); verified on construction
-    against the second-generator identity and for pairwise commutativity."""
+    against the second generator polynomial of ``polys`` (``phi_polys(n,
+    z)[0]``) and for pairwise commutativity."""
     z = tuple(z)
     if len(set(z)) != n:
         raise ValueError("parameters must be pairwise distinct")
@@ -171,7 +172,6 @@ def kz_elements(n: int, z) -> KZFamily:
     if total:
         raise AssertionError("commuting family does not sum to zero")
     if n >= 2:
-        polys, _ = phi_polys(n, z)
         acc = UPoly()
         for a in range(1, n + 1):
             s = sum(

@@ -17,8 +17,9 @@ so it avoids per-term-pair overhead in three ways:
 * Trusted construction.  A product (or inverse, embedding, trace residue) of
   permutations is a permutation by construction, so internal sites build the
   result through ``Permutation._trusted``, which skips the validation that
-  the public ``Permutation(images)`` performs.  The product accumulates on
-  image tuples and builds one ``Permutation`` per output term.  Likewise a
+  the public ``Permutation(images)`` performs.  The dict product
+  accumulates on image tuples and builds one ``Permutation`` per output
+  term; the Cayley-table product reuses the table's.  Likewise a
   product, sum or negation of elements holds no zero coefficient by
   construction, so it is built through ``GroupAlgebraElement._trusted``,
   which skips the constructor's zero filter.
@@ -26,8 +27,8 @@ so it avoids per-term-pair overhead in three ways:
   sum of a*b over pairs (a, b) of elements, a scalar factor read on the
   identity.  A product is ``dot`` on one pair, and polynomial products and
   divisions find ``dot`` on their coefficients to form each output
-  coefficient in one pass.  Every term pair goes through one loop,
-  ``_accumulate``.
+  coefficient in one pass.  Every term pair goes through one of two
+  loops, over the Cayley table or ``_accumulate`` (the dict product).
 
   - Kind rule: a factor is int or Fraction when all its coefficients are;
     a product is int when both factors are, else Fraction.  When every pair
@@ -42,11 +43,17 @@ so it avoids per-term-pair overhead in three ways:
     output term then depends on that order.
   - Exactness: the scaled partial sum is the true partial sum times D, so it
     is zero exactly when the true one is.
-  - Key order: a key is dropped whenever its partial sum reaches zero, so a
-    product keeps the key order of the term-pair accumulation.  A sum of
-    several products on the integer path is one accumulation over all their
-    term pairs: the keys, values and types of adding the products one by
-    one, the key order possibly not.
+  - Cayley table.  For n <= CAYLEY_MAX_DEGREE, an integer-path dot whose
+    term pairs (the sum of |a|*|b| over its pairs) number at least n! runs
+    on permutation ids: ``_cayley(n)``, built on first use, holds
+    rows[i][j] = the id of perms[i]*perms[j], and the sums go into a list of
+    n! ints.  Every other dot goes through ``_accumulate``.
+  - Key order: a dot on the Cayley table lists its terms in lexicographic
+    image order.  On ``_accumulate`` a key is dropped whenever its partial
+    sum reaches zero, so a product keeps the key order of the term-pair
+    accumulation.  A sum of several products on the integer path is one
+    accumulation over all their term pairs: the keys, values and types of
+    adding the products one by one, the key order possibly not.
 """
 
 from __future__ import annotations
@@ -54,11 +61,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Number
 from itertools import permutations as _itperms
 from operator import itemgetter
 
 from .rings import BiPoly, UPoly, _int_scaled
+
+# The Cayley table of S_n holds (n!)^2 ids: 518,400 (about 4 MB) at n = 6,
+# 25.4M (about 200 MB) at n = 7, so larger degrees keep the dict product.
+CAYLEY_MAX_DEGREE = 6
 
 
 class Permutation:
@@ -202,6 +214,30 @@ def _rational_kind(terms):
     return None
 
 
+@lru_cache(maxsize=None)
+def _cayley(n: int):
+    """(index, perms, rows) for S_n: index maps image tuples to ids in
+    lexicographic order, perms[i] is the permutation of id i, and rows[i][j]
+    is the id of perms[i] * perms[j].  A breadth-first walk from the identity
+    over the adjacent transpositions s fills the rows: the row of s*t is the
+    row of s gathered along the row of t."""
+    images = list(_itperms(range(1, n + 1)))
+    index = {im: i for i, im in enumerate(images)}
+    perms = [Permutation._trusted(im) for im in images]
+    gens = [tuple(index[(s * q).images] for q in perms)
+            for s in (Permutation.transposition(n, k, k + 1) for k in range(1, n))]
+    rows = [None] * len(perms)
+    rows[0] = tuple(range(len(perms)))  # the identity comes first
+    order = [0]
+    for t in order:
+        for row_s in gens:
+            st = row_s[t]
+            if rows[st] is None:
+                rows[st] = itemgetter(*rows[t])(row_s)
+                order.append(st)
+    return index, perms, rows
+
+
 def _accumulate(acc, left, right):
     """The product loop: acc[r] += a*b over the term pairs (p, a) of ``left``
     and (q, b) of ``right``, r the images of p*q; a partial sum that reaches
@@ -258,12 +294,33 @@ def _dot(pairs) -> "GroupAlgebraElement":
         db, nb = _int_scaled(tb.values())
         scaled.append((ta, na, tb, nb, da * db))
         d = math.lcm(d, da * db)
+    scaled = [(ta, na if dp == d else [x * (d // dp) for x in na], tb, nb)
+              for ta, na, tb, nb, dp in scaled]
+    d = d if Fraction in kinds else None
+    if (n <= CAYLEY_MAX_DEGREE
+            and sum(len(ta) * len(tb) for ta, _, tb, _ in scaled) >= math.factorial(n)):
+        return _cayley_dot(n, scaled, d)
     acc = {}
-    for ta, na, tb, nb, dp in scaled:
-        if dp != d:
-            na = [x * (d // dp) for x in na]
+    for ta, na, tb, nb in scaled:
         _accumulate(acc, zip(ta, na), zip(tb, nb))
-    return _element(n, acc, d if Fraction in kinds else None)
+    return _element(n, acc, d)
+
+
+def _cayley_dot(n: int, scaled, d) -> "GroupAlgebraElement":
+    """The integer-path dot on the Cayley table: the sums of the term pairs
+    of (terms, numerators) pairs ``scaled``, by permutation id, divided by d
+    if d is given; the terms come out in id order."""
+    index, perms, rows = _cayley(n)
+    acc = [0] * len(perms)
+    for ta, na, tb, nb in scaled:
+        right = list(zip([index[q.images] for q in tb], nb))
+        for p, a in zip(ta, na):
+            row = rows[index[p.images]]
+            for j, b in right:
+                acc[row[j]] += a * b
+    nonzero = [(perms[i], s) for i, s in enumerate(acc) if s]
+    return GroupAlgebraElement._trusted(
+        n, dict(nonzero) if d is None else {p: Fraction(s, d) for p, s in nonzero})
 
 
 def _factor_terms(x, n: int) -> dict:

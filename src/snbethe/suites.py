@@ -197,7 +197,7 @@ def certified_combination(span, seed: int):
 
 @lru_cache(maxsize=None)
 def gaudin_eigen(n: int, z: tuple, seed: int):
-    fam = kz_elements(n, z)
+    fam = kz_elements(n, z, gaudin_polys(n, z))
     gens = {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
     return sp.joint_eigen(certified_combination(gaudin_span(n, z), seed), gens)
 
@@ -365,7 +365,8 @@ def gaudin_commuting(cfg, rng):
 
 def gaudin_presentation(cfg, kind):
     n, z = cfg.n, cfg.z
-    return ga_lift(n, det_presentation(kind, n, z, list(kz_elements(n, z))))
+    fam = kz_elements(n, z, gaudin_polys(n, z))
+    return ga_lift(n, det_presentation(kind, n, z, list(fam)))
 
 
 def gaudin_generating_det(cfg, rng):

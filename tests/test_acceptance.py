@@ -182,8 +182,8 @@ def test_acceptance_05_determinant_presentations():
     rng = SeededRandom(SEED + 5)
     for n in (1, 2, 3, 4):
         z = tuple(rng.distinct_rationals(n))
-        fam = list(kz_elements(n, z)) if n >= 2 else [GroupAlgebraElement.zero(1)]
         polys = phi_polys(n, z)[0]
+        fam = list(kz_elements(n, z, polys)) if n >= 2 else [GroupAlgebraElement.zero(1)]
         assert lift(n, det_presentation("P", n, z, fam)) == phi_gen(n, z, polys)
         assert lift(n, det_presentation("Ptilde", n, z, fam)) == phi_tilde(n, z, polys)
         assert lift(n, det_presentation("Ptilde0", n, z, fam)) == lift(

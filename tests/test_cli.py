@@ -74,17 +74,30 @@ def test_invalid_config_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+RUN_N2 = ["run", "identities-gaudin", "--n", "2"]
+
+
 @pytest.mark.parametrize("flags", [
-    ["--z", "1/0,1"],  # ZeroDivisionError while parsing
-    ["--tol", "nan"],
-    ["--tol", "-1"],
-    ["--hbar", "0"],
-    ["--lambda", "0,2"],  # a zero part
+    # (argv, the configuration error it reports)
+    (RUN_N2 + ["--z", "1/0,1"], "--z: '1/0' is not a rational number"),
+    (RUN_N2 + ["--tol", "nan"], "tol must be finite and positive"),
+    (RUN_N2 + ["--tol", "-1"], "tol must be finite and positive"),
+    (RUN_N2 + ["--hbar", "0"], "hbar must be nonzero"),
+    (RUN_N2 + ["--lambda", "0,2"],  # a zero part
+     "the partition must have positive, non-increasing parts"),
+    (RUN_N2 + ["--z", "0,x"], "--z: 'x' is not a rational number"),
+    (["run", "identities-gaudin", "--n", "3", "--z", "1/0,2,3"],
+     "--z: '1/0' is not a rational number"),
+    (RUN_N2 + ["--hbar", "1/0"], "--hbar: '1/0' is not a rational number"),
+    (["emit", "t", "--p", "1/0"], "--p: '1/0' is not a rational number"),
+    (["emit", "t", "--hbar", "1/0"], "--hbar: '1/0' is not a rational number"),
+    (["emit", "kz", "--n", "3", "--z", "0,1/0,2"], "--z: '1/0' is not a rational number"),
 ])
 def test_bad_values_are_configuration_errors(capsys, flags):
-    rc = main(["run", "identities-gaudin", "--n", "2", *flags])
+    argv, message = flags
+    rc = main(argv)
     assert rc == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,10 +117,11 @@ def test_reports_match_golden(capsys, name, argv):
 
 
 def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
-    # at n = 5 the claims at the run's own z read the generator polynomials
-    # from the cached gaudin_table; only the one-off z values (scaled,
-    # shifted, permuted) build their own.  Seed 7 draws no identity
-    # permutation, scale 1 or shift 0, so none of those is the run's z.
+    # the claims at the run's own z, the three presentations at n = 4
+    # among them, read the generator polynomials from the cached
+    # gaudin_table; only the one-off z values (scaled, shifted, permuted)
+    # build their own.  Seed 7 draws no identity permutation, scale 1 or
+    # shift 0, so none of those is the run's z.
     from snbethe import gaudin, reps
 
     built = []
@@ -120,32 +134,49 @@ def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
     monkeypatch.setattr(suites, "phi_polys", counted)
     monkeypatch.setattr(gaudin, "phi_polys", counted)
     caches = (suites.gaudin_table, reps.content_product_all)
-    for cache in caches:
-        cache.cache_clear()
     try:
-        rc, _ = run_main(capsys, ["run", "identities-gaudin", "--n", "5",
-                                  "--format", "json", "--seed", "7"])
-        assert rc == 0
-        assert built.count(suites.default_z(5)) == 1
-        assert len(built) == 6
-        assert reps.content_product_all.cache_info().misses == 1
+        for n in (4, 5):
+            for cache in caches:
+                cache.cache_clear()
+            built.clear()
+            rc, _ = run_main(capsys, ["run", "identities-gaudin", "--n", str(n),
+                                      "--format", "json", "--seed", "7"])
+            assert rc == 0
+            assert built.count(suites.default_z(n)) == 1
+            assert len(built) == 6
+            assert reps.content_product_all.cache_info().misses == 1
     finally:
         for cache in caches:
             cache.cache_clear()
 
 
-def test_cli_import_does_not_load_numpy():
-    # only the float pipeline (eigenvectors, reconstruction, span distances)
-    # needs numpy, and it imports it where it is used
-    code = "import sys, snbethe.cli; print('numpy' in sys.modules)"
-    # the child imports the package from where this process found it
+def child_output(code: str) -> str:
+    """Standard output of a fresh interpreter running code, which imports
+    the package from where this process found it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(snbethe.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout.strip()
+
+
+def test_cli_import_does_not_load_numpy():
+    # only the float pipeline (eigenvectors, reconstruction, span distances)
+    # needs numpy, and it imports it where it is used
+    assert child_output("import sys, snbethe.cli; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_setup_builds_no_cayley_table():
+    # the Cayley tables are built on the first large product, so importing
+    # the CLI and reading a configuration stay as cheap as before them
+    code = (
+        "from snbethe import cli, permutations\n"
+        "cli.config_from_args(cli.build_parser().parse_args("
+        "['run', 'identities-gaudin', '--n', '6']))\n"
+        "print(permutations._cayley.cache_info().misses)\n"
+    )
+    assert child_output(code) == "0"
 
 
 def test_one_certificate_per_span_and_seed(capsys, monkeypatch):

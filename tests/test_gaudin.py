@@ -122,17 +122,26 @@ def test_commutativity(n, sets):
 
 
 def test_kz_n2_and_n3():
-    fam = kz_elements(2, (F(0), F(1)))
+    fam = kz_elements(2, (F(0), F(1)), phi_polys(2, (F(0), F(1)))[0])
     t = ga_transposition(2, 1, 2)
     assert fam[0] == -t and fam[1] == t
-    fam3 = kz_elements(3, (F(0), F(1), F(3)))
+    z3 = (F(0), F(1), F(3))
+    fam3 = kz_elements(3, z3, phi_polys(3, z3)[0])
     want = -ga_transposition(3, 1, 2) - ga_transposition(3, 1, 3) * F(1, 3)
     assert fam3[0] == want
 
 
+def test_kz_checks_the_given_generator_polynomials():
+    # the construction check reads the second generator polynomial it is
+    # given, so the polynomials of other parameters fail it
+    z, other = (F(0), F(1), F(3)), (F(0), F(1), F(4))
+    with pytest.raises(AssertionError, match="second-generator identity"):
+        kz_elements(3, z, phi_polys(3, other)[0])
+
+
 def test_kz_rejects_coincident_parameters():
     with pytest.raises(ValueError):
-        kz_elements(2, (F(1), F(1)))
+        kz_elements(2, (F(1), F(1)), phi_polys(2, (F(1), F(1)))[0])
 
 
 def test_kz_steep_limit_contracts_to_jm():
@@ -140,7 +149,7 @@ def test_kz_steep_limit_contracts_to_jm():
     n = 3
     s = F(10) ** 6
     z = (F(1), s, s * s)
-    fam = kz_elements(n, z)
+    fam = kz_elements(n, z, phi_polys(n, z)[0])
     jms = jm_elements(n)
     for a in range(2, n + 1):
         scaled = fam[a - 1] * (z[a - 1] - z[0])
@@ -153,9 +162,10 @@ def test_kz_steep_limit_contracts_to_jm():
 def test_generating_det_presentation(n):
     rng = SeededRandom(n + 77)
     z = tuple(rng.distinct_rationals(n))
-    fam = kz_elements(n, z)
+    polys = phi_polys(n, z)[0]
+    fam = kz_elements(n, z, polys)
     det = det_presentation("P", n, z, list(fam))
-    assert lift_bipoly(n, det) == phi_gen(n, z, phi_polys(n, z)[0])
+    assert lift_bipoly(n, det) == phi_gen(n, z, polys)
 
 
 def test_det_presentation_zero_family():
@@ -181,7 +191,7 @@ def test_shifted_det_presentation_and_content(n):
     rng = SeededRandom(n + 99)
     z = tuple(rng.distinct_rationals(n))
     fam = (
-        kz_elements(n, z)
+        kz_elements(n, z, phi_polys(n, z)[0])
         if n >= 2
         else [GroupAlgebraElement.zero(1)]
     )

@@ -8,6 +8,7 @@ import pytest
 
 from snbethe.rings import BiPoly, SeededRandom, UPoly, falling_binomial, poly_divmod
 from snbethe.permutations import (
+    CAYLEY_MAX_DEGREE,
     GroupAlgebraElement,
     Permutation,
     all_permutations,
@@ -23,7 +24,9 @@ from snbethe.permutations import (
     sign,
     top_embed,
     trace_map,
+    _cayley,
 )
+from snbethe.reps import central_idempotent, partitions_of
 
 F = Fraction
 
@@ -141,19 +144,38 @@ COEFF_KINDS = {
 }
 
 
+def on_cayley_table(x, y):
+    """The module docstring's selection rule for one product: each factor
+    all int or all Fraction, the degree at most CAYLEY_MAX_DEGREE, and at
+    least n! term pairs."""
+    def rational(a):
+        kinds = {type(c) for c in a.terms.values()}
+        return len(kinds) == 1 and kinds <= {int, F}
+
+    return (x.n <= CAYLEY_MAX_DEGREE and rational(x) and rational(y)
+            and len(x.terms) * len(y.terms) >= math.factorial(x.n))
+
+
 def assert_same_product(x, y):
+    """x*y has the oracle's keys, values and types, its keys in sorted image
+    order on the Cayley table and in the oracle's order otherwise; returns
+    whether the product took the table."""
     got, want = x * y, oracle_product(x, y)
+    dense = on_cayley_table(x, y)
     assert got.terms == want.terms
-    assert list(got.terms) == list(want.terms)
+    assert list(got.terms) == (
+        sorted(want.terms, key=lambda p: p.images) if dense else list(want.terms))
     assert [type(c) for c in got.terms.values()] == [
         type(c) for c in want.terms.values()
     ]
+    return dense
 
 
 @pytest.mark.parametrize("kind", sorted(COEFF_KINDS))
 def test_product_matches_oracle(kind):
     one_c, s_c, coeff = COEFF_KINDS[kind]
     rng = SeededRandom(61)
+    paths = set()
     for n in (2, 3, 4):
         perms = all_permutations(n)
         for _ in range(15):
@@ -166,7 +188,7 @@ def test_product_matches_oracle(kind):
                 })
                 for _ in range(2)
             )
-            assert_same_product(x, y)
+            paths.add(assert_same_product(x, y))
         one = GroupAlgebraElement.scalar(n, one_c)
         s_ = GroupAlgebraElement.from_perm(Permutation.transposition(n, 1, 2), s_c)
         assert_same_product(one - s_, one + s_)
@@ -176,6 +198,54 @@ def test_product_matches_oracle(kind):
                 Permutation.transposition(n, 2, 3), s_c)
             assert_same_product(one - s_, one + s_ + t)
             assert_same_product(t + one - s_, one + s_)
+    # the rational kinds reach both the table and the dict product
+    assert paths == ({False} if kind in ("float", "upoly") else {True, False})
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dense_products_with_cancellation(n):
+    # products on the Cayley table whose sums cancel: the central
+    # idempotents are orthogonal idempotents, and 1 - s(2,3) kills the part
+    # of an element that is fixed by right multiplication with s(2,3)
+    chis = [central_idempotent(la, n) for la in partitions_of(n)]
+    for i, x in enumerate(chis):
+        for j, y in enumerate(chis):
+            assert assert_same_product(x, y)
+            assert x * y == (x if i == j else GroupAlgebraElement.zero(n))
+    rng = SeededRandom(83)
+    t = s(n, 2, 3)
+    for coeff in (lambda: rng.integer(1, 5), lambda: rng.nonzero_rational(3, 3)):
+        # full support; on the permutations fixing 1 (a union of cosets
+        # {g, g*t}) the coefficients are constant on each coset, elsewhere
+        # they are pairwise distinct
+        terms = {}
+        for k, p in enumerate(all_permutations(n)):
+            terms[p] = (terms[p * t] if p(1) == 1 and p * t in terms
+                        else coeff() + 10 * k)
+        x = GroupAlgebraElement(n, terms)
+        for one in (1, F(1)):
+            y = GroupAlgebraElement(n, {Permutation.identity(n): one, t: -one})
+            assert assert_same_product(x, y)
+            got = x * y
+            assert len(x.terms) == math.factorial(n)
+            assert len(got.terms) == math.factorial(n) - math.factorial(n - 1)
+            assert all(p(1) != 1 for p in got.terms)
+
+
+def test_cayley_table_matches_permutation_product():
+    for n in range(1, CAYLEY_MAX_DEGREE + 1):
+        index, perms, rows = _cayley(n)
+        assert [p.images for p in perms] == [p.images for p in all_permutations(n)]
+        assert all(index[p.images] == i for i, p in enumerate(perms))
+        assert len(rows) == len(perms)
+        rng = SeededRandom(89 + n)
+        # every entry to n = 5, a sample of 40 columns of every row at n = 6
+        columns = (range(len(perms)) if n <= 5
+                   else sorted({rng.integer(0, len(perms) - 1) for _ in range(40)}))
+        for i, p in enumerate(perms):
+            assert len(rows[i]) == len(perms)
+            for j in columns:
+                assert perms[rows[i][j]] == p * perms[j]
 
 
 def oracle_dot(n, pairs):

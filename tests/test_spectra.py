@@ -451,7 +451,7 @@ def test_joint_eigen_n2_homogeneous_values():
 def test_joint_eigen_counts_and_h_sum():
     for n in (3, 4):
         z = tuple(F(v) for v in (0, 1, 3, 7)[:n])
-        fam = kz_elements(n, z)
+        fam = kz_elements(n, z, phi_polys(n, z)[0])
         gens = {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
         span = algebra_span([represent(g) for g in phi_polys(n, z)[1].values()])
         ok, witness = simple_spectrum_cert(span, 424242)

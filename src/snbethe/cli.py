@@ -201,7 +201,7 @@ def _emit(args) -> int:
             f"{i},{j}": g.to_json() for (i, j), g in sorted(table.items())
         }
     elif kind == "t":
-        poly = t_m_poly(xxx_params(z, hbar, p), args.m, p=p)
+        poly = t_m_poly(xxx_params(z, hbar), args.m, p=p)
         payload = poly.to_json()
     elif kind == "s":
         payload = s_k_poly(xxx_params(z, hbar), args.k).to_json()

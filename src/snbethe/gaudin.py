@@ -8,7 +8,7 @@ checkers for the two scalar relation families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +19,7 @@ from .permutations import (
     all_permutations,
     antisymmetrizer,
     class_sum,
+    commutators,
     embed,
     ga_lift,
     ga_transposition,
@@ -131,25 +132,9 @@ def phi_gen(n: int, z, polys) -> BiPoly:
     return acc
 
 
-@dataclass
-class KZFamily:
-    """The n pairwise commuting rational elements for distinct parameters."""
-
-    z: tuple
-    elements: list = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def kz_elements(n: int, z, polys) -> KZFamily:
-    """H_a = sum over b != a of s(a,b)/(z_a - z_b); verified on construction
+def kz_elements(n: int, z, polys) -> list:
+    """The n pairwise commuting rational elements for distinct parameters,
+    H_a = sum over b != a of s(a,b)/(z_a - z_b); verified on construction
     against the second generator polynomial of ``polys`` (``phi_polys(n,
     z)[0]``) and for pairwise commutativity."""
     z = tuple(z)
@@ -183,9 +168,9 @@ def kz_elements(n: int, z, polys) -> KZFamily:
             acc = acc + rest.map_coeffs(lambda c, coeff=coeff: c * coeff)
         if acc != polys[1]:
             raise AssertionError("second-generator identity failed")
-    if not check_commuting_family(elems):
+    if any(commutators(elems)):
         raise AssertionError("family is not commutative")
-    return KZFamily(z, elems)
+    return elems
 
 
 def jm_elements(n: int):
@@ -210,17 +195,6 @@ def gz_spanning_set(n: int):
     return out
 
 
-def check_commuting_family(h) -> bool:
-    items = list(h)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            a, b = items[i], items[j]
-            if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement):
-                if a * b != b * a:
-                    return False
-    return True
-
-
 def _bp_u_minus(c) -> BiPoly:
     return BiPoly([[-c], [Fraction(1)]])
 
@@ -243,7 +217,7 @@ def det_presentation(variant: str, n: int, z, h):
         raise ValueError("need n parameters and n family elements")
     if len(set(z)) != n:
         raise ValueError("parameters must be pairwise distinct")
-    if not check_commuting_family(h):
+    if any(commutators(h)):
         raise ValueError("supplied family does not pairwise commute")
 
     def q_entry(a: int, b: int):

@@ -9,15 +9,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .rings import BiPoly, MultiPoly, UPoly, series_log, series_mul
+from .rings import BiPoly, MultiPoly, UPoly, series_inverse, series_log, series_mul
 from .linalg import det
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
+    commutators,
     embed,
     ga_perm,
 )
-from .gaudin import check_commuting_family
 from .xxx import XXXParams, xxx_params
 
 
@@ -52,13 +52,12 @@ def s1_homogeneous(n: int) -> UPoly:
     return UPoly(coeffs)
 
 
-def local_charges(n: int, order: int | None = None) -> list:
-    """Charges I_1..I_order from the series logarithm of the inverse-shifted
-    first-order polynomial; order defaults to n - 2."""
+def local_charges(n: int) -> list:
+    """Charges I_1..I_{n-2} from the series logarithm of the inverse-shifted
+    first-order polynomial."""
     if n < 3:
         raise ValueError("charges need n >= 3")
-    if order is None:
-        order = n - 2
+    order = n - 2
     gam_inv = ga_perm(gamma_perm(n).inverse())
     poly = s1_homogeneous(n).map_coeffs(lambda c: gam_inv * c)
     log = series_log(poly, order)
@@ -198,7 +197,7 @@ def det_P_hat(n: int, q: UPoly) -> BiPoly:
     """Determinant presentation at the homogeneous point: the structured
     matrix has the upper shift in place of the diagonal parameters and Taylor
     coefficients of q(u)/(u+1)^b in place of the Cauchy entries."""
-    if not check_commuting_family(list(q.coeffs)):
+    if any(commutators(q.coeffs)):
         raise ValueError("coefficients of q do not pairwise commute")
     # Q[a][b] = coefficient of u^{n-a} in q(u) * (1+u)^{-b}
     qc = list(q.coeffs) + [0] * (n - len(q.coeffs))
@@ -206,7 +205,7 @@ def det_P_hat(n: int, q: UPoly) -> BiPoly:
     for a in range(1, n + 1):
         row = []
         for b in range(1, n + 1):
-            inv = series_inverse_one_plus_u(b, n - a)
+            inv = series_inverse(UPoly([Fraction(1), Fraction(1)]) ** b, n - a)
             prod = series_mul(qc, inv.coeffs + [0] * (n - a + 1 - len(inv.coeffs)), n - a)
             row.append(prod[n - a] if n - a < len(prod) else 0)
         hat_q.append(row)
@@ -227,16 +226,6 @@ def det_P_hat(n: int, q: UPoly) -> BiPoly:
             row.append(e)
         entries.append(row)
     return det(entries)
-
-
-def series_inverse_one_plus_u(b: int, order: int) -> UPoly:
-    """(1+u)^{-b} truncated: binomial series with alternating signs."""
-    coeffs = []
-    c = Fraction(1)
-    for j in range(order + 1):
-        coeffs.append(c)
-        c = c * Fraction(-(b + j), j + 1)
-    return UPoly(coeffs)
 
 
 def homogeneous_generators(n: int) -> list:

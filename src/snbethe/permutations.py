@@ -1,7 +1,7 @@
 """Permutations, the sparse group algebra of the symmetric group over
-pluggable coefficient rings, embeddings, the antisymmetrizer and its
-conjugacy-class form, the two antiinvolutions, and the parametrized
-cycle-deletion trace map.
+pluggable coefficient rings and its pairwise commutators, embeddings, the
+antisymmetrizer and its conjugacy-class form, the two antiinvolutions, and
+the parametrized cycle-deletion trace map.
 
 Composition convention: in a product p*q the RIGHT factor acts first,
 (p*q)(i) = p(q(i)).  This is pinned by the requirement that the product of
@@ -196,14 +196,6 @@ def cycle_type(p: Permutation) -> tuple:
 
 def all_permutations(n: int):
     return [Permutation(im) for im in _itperms(range(1, n + 1))]
-
-
-def _inversion_sign(seq) -> int:
-    """Sign of a permutation in one-line form (any distinct comparable
-    entries), by counting inversions."""
-    k = len(seq)
-    inv = sum(1 for i in range(k) for j in range(i + 1, k) if seq[i] > seq[j])
-    return -1 if inv % 2 else 1
 
 
 def _rational_kind(terms):
@@ -479,6 +471,16 @@ class GroupAlgebraElement:
         parts = [f"{c!r}*{list(p.images)}" for p, c in sorted(
             self.terms.items(), key=lambda t: t[0].images)]
         return "GA(" + (" + ".join(parts) if parts else "0") + ")"
+
+
+def commutators(elements) -> list:
+    """ab - ba, each formed as one sum of products, for every pair a, b of
+    ``elements`` (group-algebra elements or scalars) that is not two
+    scalars."""
+    items = list(elements)
+    return [GroupAlgebraElement.dot(((a, b), (-b, a)))
+            for i, a in enumerate(items) for b in items[i + 1:]
+            if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)]
 
 
 def _conjugate(c):

@@ -90,9 +90,9 @@ class UPoly:
         return cls([c])
 
     @classmethod
-    def gen(cls, one=Fraction(1)) -> "UPoly":
-        """The variable itself, with the given ring unit as leading coefficient."""
-        return cls([one * 0, one])
+    def gen(cls) -> "UPoly":
+        """The variable itself, over the rationals."""
+        return cls([Fraction(0), Fraction(1)])
 
     @property
     def degree(self) -> int:
@@ -488,6 +488,8 @@ class BiPoly:
         return BiPoly([[other * c for c in r] for r in self.rows])
 
     def __pow__(self, e: int) -> "BiPoly":
+        if e < 0:
+            raise ValueError("negative power")
         result = BiPoly.const(Fraction(1))
         for _ in range(e):
             result = result * self

@@ -21,6 +21,7 @@ from .permutations import (
     Permutation,
     all_permutations,
     antisymmetrizer,
+    commutators,
     cycle_data,
     embed,
     ga_lift,
@@ -126,11 +127,8 @@ def max_abs(*xs) -> Fraction:
 
 def max_commutator(elements) -> Fraction:
     """Largest coefficient of any pairwise commutator ab - ba of group-algebra
-    elements, each formed as one sum of products."""
-    negated = [-b for b in elements]
-    return max_abs(*(GroupAlgebraElement.dot(((a, elements[j]), (negated[j], a)))
-                     for i, a in enumerate(elements)
-                     for j in range(i + 1, len(elements))))
+    elements."""
+    return max_abs(*commutators(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,7 @@ def gaudin_span(n: int, z: tuple):
 
 @lru_cache(maxsize=None)
 def xxx_table(n: int, z: tuple, hbar: Fraction, p: Fraction):
-    return t_m_table(xxx_params(z, hbar, p), p, range(1, n), range(1, n + 1))
+    return t_m_table(xxx_params(z, hbar), p, range(1, n), range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -366,7 +364,7 @@ def gaudin_commuting(cfg, rng):
 def gaudin_presentation(cfg, kind):
     n, z = cfg.n, cfg.z
     fam = kz_elements(n, z, gaudin_polys(n, z))
-    return ga_lift(n, det_presentation(kind, n, z, list(fam)))
+    return ga_lift(n, det_presentation(kind, n, z, fam))
 
 
 def gaudin_generating_det(cfg, rng):
@@ -721,7 +719,7 @@ def xxx_trace_dagger(cfg, rng):
 
 def xxx_ordered_products(cfg, rng):
     # the construction self-checks the value and the product
-    return max_commutator(qkz_elements(xxx_params(cfg.z, cfg.hbar)).elements)
+    return max_commutator(qkz_elements(xxx_params(cfg.z, cfg.hbar)))
 
 
 def xxx_generating_det(cfg, rng):
@@ -795,8 +793,8 @@ def homog_well_defined(cfg, rng):
     n = cfg.n
     base = homogeneous_span(n)
     return all(
-        span_of(n, t_m_table(xxx_params((z1,) * n, hb), Fraction(2), range(1, n),
-                             range(1, n + 1)).values()).same_span(base)
+        span_of(n, t_m_table(homogeneous_params(n, hb, z1), Fraction(2),
+                             range(1, n), range(1, n + 1)).values()).same_span(base)
         for (hb, z1) in ((Fraction(2), Fraction(0)), (Fraction(1), Fraction(5)))
     )
 

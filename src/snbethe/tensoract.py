@@ -7,10 +7,11 @@ matrices with exact rational-function entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations as _itperms, combinations, product as _itproduct
+from itertools import combinations, product as _itproduct
 
 from .rings import UPoly, poly_divmod, poly_gcd
-from .permutations import Permutation, _inversion_sign
+from .permutations import Permutation, all_permutations, sign
+from .gaudin import scalar_root_poly
 
 
 def _sparse_add(A: dict, B: dict, zero) -> dict:
@@ -349,12 +350,8 @@ def gaudin_diffop_coeffs(N: int, n: int, z) -> dict:
         out = {}
         for a in range(1, n + 1):
             e = elementary(N, n, a, i, j)
-            for key, v in e.entries.items():
-                s = out.get(key, RF_ZERO) + pole[a] * RationalFunc.const(v)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            out = _sparse_add(out, {key: pole[a] * RationalFunc.const(v)
+                                    for key, v in e.entries.items()}, RF_ZERO)
         return out
 
     xops = {}
@@ -365,18 +362,15 @@ def gaudin_diffop_coeffs(N: int, n: int, z) -> dict:
             xops[(i, j)] = DiffOperator([order0, order1])
 
     total = None
-    for sigma in _itperms(range(1, N + 1)):
+    for sigma in all_permutations(N):
         term = None
         for col in range(1, N + 1):
-            op = xops[(sigma[col - 1], col)]
+            op = xops[(sigma(col), col)]
             term = op if term is None else term * op
-        if _inversion_sign(sigma) < 0:
+        if sign(sigma) < 0:
             term = -term
         total = term if total is None else total + term
-    rootprod = UPoly([Fraction(1)])
-    for za in z:
-        rootprod = rootprod * UPoly([-za, Fraction(1)])
-    total = total.scale(RationalFunc(rootprod))
+    total = total.scale(RationalFunc(scalar_root_poly(z)))
 
     table = {}
     for power, mat in enumerate(total.coeffs):
@@ -414,18 +408,10 @@ def yangian_l_matrix(N: int, n: int, a: int, x) -> list:
     for i in range(1, N + 1):
         row = []
         for j in range(1, N + 1):
-            mat = {}
-            if i == j:
-                for r in range(N**n):
-                    mat[(r, r)] = RationalFunc.const(1)
+            ident = {(r, r): RationalFunc.const(1) for r in range(N**n)} if i == j else {}
             e = elementary(N, n, a, j, i)
-            for key, v in e.entries.items():
-                s = mat.get(key, RF_ZERO) + pole * RationalFunc.const(v)
-                if s:
-                    mat[key] = s
-                else:
-                    mat.pop(key, None)
-            row.append(mat)
+            row.append(_sparse_add(ident, {key: pole * RationalFunc.const(v)
+                                           for key, v in e.entries.items()}, RF_ZERO))
         out.append(row)
     return out
 
@@ -467,13 +453,13 @@ def yangian_transfer(N: int, n: int, m: int, x) -> dict:
 
     total = {}
     for combo in combinations(range(1, N + 1), m):
-        for sigma in _itperms(range(m)):
+        for sigma in all_permutations(m):
             term = None
             for a in range(m):
                 # a-th factor carries argument u - m + 1 + a
-                mat = shifted(combo[sigma[a]], combo[a], m - 1 - a)
+                mat = shifted(combo[sigma(a + 1) - 1], combo[a], m - 1 - a)
                 term = mat if term is None else _sparse_mul(term, mat, RF_ZERO)
-            if _inversion_sign(sigma) < 0:
+            if sign(sigma) < 0:
                 term = _mat_scale(term, RationalFunc.const(-1))
             total = _sparse_add(total, term, RF_ZERO)
     return total

@@ -35,6 +35,7 @@ from .permutations import (
     GroupAlgebraElement,
     antisymmetrizer,
     antisymmetrizer_classes,
+    commutators,
     embed,
     ga_lift,
     ga_transposition,
@@ -42,18 +43,15 @@ from .permutations import (
     top_embed,
     trace_map,
 )
-from .gaudin import check_commuting_family, relation_residuals, scalar_root_poly
-
-SYMBOLIC = None  # sentinel for a symbolic trace parameter
+from .gaudin import relation_residuals, scalar_root_poly
 
 
 @dataclass(frozen=True)
 class XXXParams:
-    """Parameters (z_1..z_n, hbar, p); p may be SYMBOLIC."""
+    """Parameters (z_1..z_n, hbar)."""
 
     z: tuple
     hbar: Fraction
-    p: object = SYMBOLIC
 
     def __post_init__(self):
         if not self.hbar:
@@ -77,20 +75,15 @@ class XXXParams:
         )
 
 
-def xxx_params(z, hbar=Fraction(1), p=SYMBOLIC) -> XXXParams:
-    return XXXParams(tuple(Fraction(x) for x in z), Fraction(hbar), p)
-
-
-def _trace_parameter(params: XXXParams):
-    if params.p is SYMBOLIC:
-        return UPoly.gen()
-    return params.p
+def xxx_params(z, hbar=Fraction(1)) -> XXXParams:
+    return XXXParams(tuple(Fraction(x) for x in z), Fraction(hbar))
 
 
 def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
     """The m-th generator polynomial, built in the group algebra of S_{n+m}
-    and traced down; degree n in u.  With a symbolic p the coefficients of the
-    output live in the polynomial ring in p.
+    and traced down at the trace parameter p; degree n in u.  p=None reads as
+    the symbolic ``UPoly.gen()``, and then the coefficients of the output live
+    in the polynomial ring in p.
 
     T_m(u) = tr(A_m X(u)), with A_m the antisymmetrizer of the top S_m (the
     symbols n+1..n+m) and X(u) the ordered product of the factors
@@ -104,7 +97,7 @@ def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
         raise ValueError("m must be nonnegative")
     n, z, hbar = params.n, params.z, params.hbar
     if p is None:
-        p = _trace_parameter(params)
+        p = UPoly.gen()
     if m == 0:
         poly = ga_lift(n, scalar_root_poly(z))
         if isinstance(p, UPoly):
@@ -175,30 +168,12 @@ def s1_coeff_elements(params: XXXParams) -> list:
     return out
 
 
-@dataclass
-class QKZFamily:
-    """Ordered-product commuting elements; invertible iff parameters are
-    hbar-separated."""
-
-    params: XXXParams
-    elements: list
-    invertible: bool
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def qkz_elements(params: XXXParams) -> QKZFamily:
-    """K_a as the ordered product of linear factors; verified on construction
-    against the first-order polynomial evaluated at z_a (which carries one
-    extra overall factor of hbar), and the full product against its closed
-    scalar form."""
+def qkz_elements(params: XXXParams) -> list:
+    """The commuting elements K_a, each the ordered product of linear
+    factors; invertible iff the parameters are hbar-separated.  Verified on
+    construction against the first-order polynomial evaluated at z_a (which
+    carries one extra overall factor of hbar), and the full product against
+    its closed scalar form."""
     n, z, hbar = params.n, params.z, params.hbar
     elems = []
     for a in range(1, n + 1):
@@ -228,7 +203,7 @@ def qkz_elements(params: XXXParams) -> QKZFamily:
                 scalar *= z[a] - z[b] + hbar
     if prod != GroupAlgebraElement.scalar(n, scalar):
         raise AssertionError("product of the family disagrees with closed form")
-    return QKZFamily(params, elems, params.hbar_separated)
+    return elems
 
 
 def t_gen(params: XXXParams) -> BiPoly:
@@ -269,7 +244,7 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> BiPoly:
         for b in range(n):
             if z[a] - z[b] + hbar == 0:
                 raise ValueError("entry denominator vanishes: z_a - z_b = -hbar")
-    if not check_commuting_family(list(q.coeffs)):
+    if any(commutators(q.coeffs)):
         raise ValueError("coefficients of q do not pairwise commute")
     c_vals = []
     for a in range(1, n + 1):
@@ -278,7 +253,7 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> BiPoly:
             if b != a:
                 c = c * (Fraction(1) / (z[a - 1] - z[b - 1]))
         c_vals.append(c)
-    if not check_commuting_family(c_vals):
+    if any(commutators(c_vals)):
         raise ValueError("matrix entries do not pairwise commute")
 
     v = BiPoly([[0, Fraction(1)]])

@@ -8,6 +8,7 @@ method named like a builtin (``map``) is not kept alive by the builtin.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -73,3 +74,41 @@ def unused_definitions() -> list:
 
 def test_no_unused_definitions():
     assert unused_definitions() == []
+
+
+# Names the benchmark reports that no longer exist; each of its metrics reads
+# 0.  The benchmark's own files must drop them, and then this set shrinks.
+BENCHMARK_STALE = {"linalg.det_perm_expansion", "permutations.trace_perm"}
+
+
+def benchmark_names() -> set:
+    """Every function or method of the package that the benchmark's tables
+    name, as 'module.qualname': ``FUNCTION_METRICS`` in ``perfbench/run.py``,
+    ``DUNDERS``, ``BUILDERS`` and ``PER_TERM`` in ``perfbench/tracer.py``,
+    read with ``ast``."""
+    tables = {}
+    for name in ("run.py", "tracer.py"):
+        for node in ast.parse((ROOT / "perfbench" / name).read_text()).body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                tables[node.targets[0].id] = node.value
+    tables = {k: ast.literal_eval(tables[k])
+              for k in ("FUNCTION_METRICS", "DUNDERS", "BUILDERS", "PER_TERM")}
+    # a dunder is reported under an alias such as permutations.ga_mul
+    aliases = {alias: ".".join(key) for key, alias in tables["DUNDERS"].items()}
+    names = set(aliases.values()) | set(tables["PER_TERM"])
+    names |= {f"suites.{b}" for b in tables["BUILDERS"]}
+    for metric in tables["FUNCTION_METRICS"]:
+        names.add(aliases.get(metric, metric.replace("suites.build.", "suites.")))
+    return names
+
+
+def test_benchmark_names_exist():
+    missing = set()
+    for name in benchmark_names():
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"snbethe.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.add(name)
+    assert missing == BENCHMARK_STALE

@@ -9,6 +9,7 @@ from snbethe.rings import BiPoly, SeededRandom, UPoly
 from snbethe.permutations import (
     GroupAlgebraElement,
     all_permutations,
+    commutators,
     ga_perm,
     ga_transposition,
 )
@@ -27,6 +28,8 @@ from snbethe.gaudin import (
     phi_tilde,
     scalar_root_poly,
 )
+from snbethe.homogeneous import det_P_hat
+from snbethe.xxx import det_P_hbar, xxx_params
 
 F = Fraction
 
@@ -179,11 +182,27 @@ def test_det_presentation_zero_family():
     assert det == want
 
 
-def test_det_presentation_requires_commuting_family():
+Z3 = (F(0), F(2), F(5))  # distinct and 1-separated
+# each determinant presentation on three entries: the family, or q's coefficients
+DET_BUILDERS = {
+    "det_presentation": lambda h: det_presentation("P", 3, Z3, h),
+    "det_P_hbar": lambda h: det_P_hbar(xxx_params(Z3, 1), UPoly(h)),
+    "det_P_hat": lambda h: det_P_hat(3, UPoly(h)),
+}
+
+
+@pytest.mark.parametrize("builder", DET_BUILDERS)
+def test_det_presentation_requires_commuting_family(builder):
     a = ga_transposition(3, 1, 2)
     b = ga_transposition(3, 2, 3)
-    with pytest.raises(ValueError):
-        det_presentation("P", 3, (F(0), F(1), F(3)), [a, b, a])
+    with pytest.raises(ValueError, match="(do|does) not pairwise commute"):
+        DET_BUILDERS[builder]([a, b, a])
+
+
+@pytest.mark.parametrize("builder", DET_BUILDERS)
+def test_det_presentation_accepts_scalar_and_float_entries(builder):
+    # float eigenvalues reach the guards from check_relations_H and _Hh
+    DET_BUILDERS[builder]([F(1, 3), 0.5, ga_transposition(3, 1, 2) * F(2)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -300,3 +319,12 @@ def test_fused_commutator_reports_the_unfused_residual():
     assert want == 1 and type(want) is Fraction
     got = max_commutator([a, b])
     assert got == want and type(got) is type(want)
+    # a scalar entry commutes with everything; two scalars form no commutator
+    items = [a, F(2), b, F(1, 3)]
+    want = [x * y - y * x for i, x in enumerate(items) for y in items[i + 1:]
+            if isinstance(x, GroupAlgebraElement) or isinstance(y, GroupAlgebraElement)]
+    got = commutators(items)
+    assert got == want and len(got) == 5
+    assert [set(map(type, c.terms.values())) for c in got] == \
+        [set(map(type, c.terms.values())) for c in want]
+    assert max_commutator(items) == 1

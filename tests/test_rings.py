@@ -1,5 +1,6 @@
 """Exact core: polynomials, series, squarefree test, seeded randomness."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,17 @@ def test_series_log_example():
 
 def test_series_inverse_example():
     assert series_inverse(P(1, 1) * P(1, 1), 2) == P(1, -2, 3)
+    # (1+u)^(-b) = sum_j (-1)^j C(b+j-1, j) u^j, as Fractions
+    for b in range(1, 6):
+        got = series_inverse(P(1, 1) ** b, 6).coeffs
+        assert got == [(-1) ** j * math.comb(b + j - 1, j) for j in range(7)]
+        assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("poly", [P(1, 1), BiPoly([[F(1), F(1)]])])
+def test_negative_power_raises(poly):
+    with pytest.raises(ValueError, match="negative power"):
+        poly ** -1
 
 
 def test_series_roundtrip_example():

@@ -313,7 +313,7 @@ def family_generators(family, n):
         gens = phi_polys(n, z)[1].values()
     elif family == "xxx":
         p = F(2)
-        gens = t_m_table(xxx_params(z, F(1), p), p, range(1, n), range(1, n + 1)).values()
+        gens = t_m_table(xxx_params(z, F(1)), p, range(1, n), range(1, n + 1)).values()
     elif family == "homogeneous":
         gens = homogeneous_generators(n)
     elif family == "gz":

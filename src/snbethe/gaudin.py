@@ -1,8 +1,10 @@
 """Gaudin-type commuting families in the symmetric group algebra: the
 generator polynomials and their bivariate generating function, the rational
 commuting elements built from pairwise-distinct parameters, Jucys-Murphy and
-related spanning sets, the three determinant presentations, and the residual
-checkers for the two scalar relation families.
+related spanning sets, the determinant presentations over one builder of
+det((u - Z)(v - Q) - R) and one signed v-expansion (both shared with ``xxx``
+and ``homogeneous``), and the residual checkers for the two scalar relation
+families.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .rings import BiPoly, UPoly, poly_divmod
+from .rings import BiPoly, UPoly, poly_divmod, scalar_root_poly
 from .linalg import det
 from .permutations import (
     GroupAlgebraElement,
@@ -26,6 +28,8 @@ from .permutations import (
     sign,
 )
 from .reps import content_poly, content_product_all, partition_parts, partitions_of
+
+V = BiPoly([[0, Fraction(1)]])  # the variable v
 
 
 @dataclass(frozen=True)
@@ -46,14 +50,6 @@ class ParameterSet:
     def at_most_pairs(self) -> bool:
         """No value occurs three or more times."""
         return all(self.z.count(x) < 3 for x in set(self.z))
-
-
-def scalar_root_poly(z) -> UPoly:
-    """prod (u - z_a) with scalar coefficients."""
-    poly = UPoly([Fraction(1)])
-    for za in z:
-        poly = poly * UPoly([-za, Fraction(1)])
-    return poly
 
 
 def signed_symmetrizer_sum(n: int, i: int, z) -> UPoly:
@@ -109,17 +105,22 @@ def phi_gen_fixed_points(n: int, z) -> BiPoly:
     return BiPoly([[GroupAlgebraElement(n, terms) for terms in row] for row in slots])
 
 
+def v_expansion(polys, base=V) -> BiPoly:
+    """sum_m (-1)^m P_m(u) base^(n-m) over ``polys`` = [P_0, ..., P_n].  The
+    sign goes into the scalar power of ``base`` before the one product with
+    P_m, so float coefficients are only negated."""
+    n = len(polys) - 1
+    acc = BiPoly()
+    for m, poly in enumerate(polys):
+        acc = acc + BiPoly.from_upoly_u(poly) * (base ** (n - m) * Fraction((-1) ** m))
+    return acc
+
+
 def phi_expansion(n: int, z, polys) -> BiPoly:
     """The generating function expanded in v from the generator polynomials
     ``polys`` (``phi_polys(n, z)[0]``):
     prod (u - z_a) v^n + sum_i (-1)^i phi_i(u) v^(n-i)."""
-    z = tuple(z)
-    acc = ga_lift(n, BiPoly.from_upoly_u(scalar_root_poly(z))
-                  * BiPoly([[0] * n + [Fraction(1)]]))
-    for i, poly in enumerate(polys, start=1):
-        term = BiPoly.from_upoly_u(poly) * BiPoly([[0] * (n - i) + [Fraction((-1) ** i)]])
-        acc = acc + ga_lift(n, term)
-    return acc
+    return ga_lift(n, v_expansion([scalar_root_poly(z), *polys]))
 
 
 def phi_gen(n: int, z, polys) -> BiPoly:
@@ -195,21 +196,43 @@ def gz_spanning_set(n: int):
     return out
 
 
-def _bp_u_minus(c) -> BiPoly:
-    return BiPoly([[-c], [Fraction(1)]])
+def diagonal(values) -> list:
+    """The square matrix with ``values`` on the diagonal and 0 elsewhere."""
+    return [[x if a == b else 0 for b in range(len(values))] for a, x in enumerate(values)]
+
+
+def presentation_det(Z, Q, R) -> BiPoly:
+    """det((u - Z)(v - Q) - R) for n x n matrices: Z of scalars, Q and R of
+    scalars or ring elements that pairwise commute.
+
+    Entry (a, b) is (u - Z_aa)(v d_ab - Q_ab), minus Z_ac (v d_cb - Q_cb) for
+    each nonzero off-diagonal Z_ac, minus R_ab.  ``linalg.det`` does no row
+    reduction, so commutativity is a hard precondition; each caller checks
+    it on the elements its Q and R are scalar combinations of."""
+    n = len(Z)
+
+    def v_minus_q(a: int, b: int) -> BiPoly:
+        return (V if a == b else BiPoly()) - BiPoly.const(Q[a][b])
+
+    def entry(a: int, b: int) -> BiPoly:
+        e = BiPoly([[-Z[a][a]], [Fraction(1)]]) * v_minus_q(a, b)
+        for c in range(n):
+            if c != a and Z[a][c]:
+                e = e - Z[a][c] * v_minus_q(c, b)
+        return e - BiPoly.const(R[a][b])
+
+    return det([[entry(a, b) for b in range(n)] for a in range(n)])
 
 
 def det_presentation(variant: str, n: int, z, h):
     """Determinant presentations over the commutative subring generated by the
     scalars and the supplied commuting family h (group-algebra elements or
-    plain numbers).
+    plain numbers), with Z = diag(z) and Q the matrix with h on the diagonal
+    and 1/(z_a - z_b) off it.
 
     variant "P":       det of (u - Z)(v - Q) - 1          -> BiPoly
     variant "Ptilde":  det of (u - Z)(v - ZQ) - Z         -> BiPoly
     variant "Ptilde0": det of (v - ZQ)                    -> UPoly in v
-
-    The determinant ``linalg.det`` does no row reduction, which is why
-    pairwise commutativity of h is a hard precondition.
     """
     z = tuple(z)
     h = list(h)
@@ -219,42 +242,20 @@ def det_presentation(variant: str, n: int, z, h):
         raise ValueError("parameters must be pairwise distinct")
     if any(commutators(h)):
         raise ValueError("supplied family does not pairwise commute")
-
-    def q_entry(a: int, b: int):
-        if a == b:
-            return h[a - 1]
-        return Fraction(1) / (z[a - 1] - z[b - 1])
-
-    one = BiPoly.const(Fraction(1))
-    v = BiPoly([[0, Fraction(1)]])
-    entries = []
-    for a in range(1, n + 1):
-        row = []
-        for b in range(1, n + 1):
-            if variant == "P":
-                vq = (v if a == b else BiPoly()) - BiPoly.const(q_entry(a, b))
-                e = _bp_u_minus(z[a - 1]) * vq - (one if a == b else BiPoly())
-            elif variant == "Ptilde":
-                vzq = (v if a == b else BiPoly()) - BiPoly.const(
-                    z[a - 1] * q_entry(a, b)
-                )
-                e = _bp_u_minus(z[a - 1]) * vzq - (
-                    BiPoly.const(z[a - 1]) if a == b else BiPoly()
-                )
-            elif variant == "Ptilde0":
-                e = (v if a == b else BiPoly()) - BiPoly.const(
-                    z[a - 1] * q_entry(a, b)
-                )
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
-            row.append(e)
-        entries.append(row)
-    d = det(entries)
-    if variant == "Ptilde0":
-        if d.deg_u > 0:
-            raise AssertionError("variant Ptilde0 must not involve u")
-        return d.u_coeff(0)
-    return d
+    q = [[h[a] if a == b else Fraction(1) / (z[a] - z[b]) for b in range(n)]
+         for a in range(n)]
+    if variant == "P":
+        return presentation_det(diagonal(z), q, diagonal([Fraction(1)] * n))
+    zq = [[z[a] * x for x in row] for a, row in enumerate(q)]
+    if variant == "Ptilde":
+        return presentation_det(diagonal(z), zq, diagonal(z))
+    if variant != "Ptilde0":
+        raise ValueError(f"unknown variant {variant!r}")
+    d = det([[(V if a == b else BiPoly()) - BiPoly.const(zq[a][b]) for b in range(n)]
+             for a in range(n)])
+    if d.deg_u > 0:
+        raise AssertionError("variant Ptilde0 must not involve u")
+    return d.u_coeff(0)
 
 
 def phi_tilde(n: int, z, polys) -> BiPoly:
@@ -267,10 +268,7 @@ def phi_tilde(n: int, z, polys) -> BiPoly:
     pi_shift = content_product_all(n).shift_arg(Fraction(1))  # in v, GA coeffs
 
     def vfactors(lo: int, hi: int) -> UPoly:
-        poly = UPoly([Fraction(1)])
-        for j in range(lo, hi + 1):
-            poly = poly * UPoly([Fraction(j), Fraction(1)])
-        return poly
+        return scalar_root_poly([Fraction(-j) for j in range(lo, hi + 1)])
 
     denom = vfactors(1, n)
     lead = scalar_root_poly(z)
@@ -319,13 +317,10 @@ def relation_residuals(la, det: BiPoly) -> dict:
     )
     lhs = UPoly()
     for i in range(n + 1):
-        tail = UPoly([Fraction(1)])
-        for j in range(i + 1, n + 1):
-            tail = tail * UPoly([Fraction(j), Fraction(1)])
+        tail = scalar_root_poly([Fraction(-j) for j in range(i + 1, n + 1)])
         lhs = lhs + tail * det.coeff(n - i, n - i)
-    rhs = UPoly([Fraction(1)])
-    for j, lam in enumerate(partition_parts(la, n), start=1):
-        rhs = rhs * UPoly([Fraction(j - lam), Fraction(1)])
+    rhs = scalar_root_poly([Fraction(lam - j)
+                            for j, lam in enumerate(partition_parts(la, n), start=1)])
     diff = lhs - rhs
     diagonal = max((abs(c) for c in diff.coeffs), default=Fraction(0))
     return {
@@ -352,9 +347,7 @@ def check_relations_Ht(la, z, h) -> dict:
     top_residual = max((abs(c) for c in diff.coeffs), default=Fraction(0))
     frac_residual = Fraction(0)
     for i in range(1, n + 1):
-        tail = UPoly([Fraction(1)])
-        for j in range(1, n - i + 1):
-            tail = tail * UPoly([Fraction(j), Fraction(1)])
+        tail = scalar_root_poly([Fraction(-j) for j in range(1, n - i + 1)])
         numer = det.u_coeff(n - i) * tail
         _, rem = poly_divmod(numer, pila1)
         r = max((abs(c) for c in rem.coeffs), default=Fraction(0))

@@ -10,7 +10,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .rings import BiPoly, MultiPoly, UPoly, series_inverse, series_log, series_mul
-from .linalg import det
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -18,6 +17,7 @@ from .permutations import (
     embed,
     ga_perm,
 )
+from .gaudin import presentation_det
 from .xxx import XXXParams, xxx_params
 
 
@@ -209,23 +209,9 @@ def det_P_hat(n: int, q: UPoly) -> BiPoly:
             prod = series_mul(qc, inv.coeffs + [0] * (n - a + 1 - len(inv.coeffs)), n - a)
             row.append(prod[n - a] if n - a < len(prod) else 0)
         hat_q.append(row)
-    u = BiPoly([[0], [Fraction(1)]])
-    v = BiPoly([[0, Fraction(1)]])
     # M = (u - Zhat)(v - Qhat) - Qhat, with Zhat the upper shift
-    entries = []
-    for a in range(1, n + 1):
-        row = []
-        for b in range(1, n + 1):
-            e = u * ((v if a == b else BiPoly()) - BiPoly.const(hat_q[a - 1][b - 1]))
-            if a + 1 <= n:
-                e = e - (
-                    (v if a + 1 == b else BiPoly())
-                    - BiPoly.const(hat_q[a][b - 1])
-                )
-            e = e - BiPoly.const(hat_q[a - 1][b - 1])
-            row.append(e)
-        entries.append(row)
-    return det(entries)
+    shift = [[1 if b == a + 1 else 0 for b in range(n)] for a in range(n)]
+    return presentation_det(shift, hat_q, hat_q)
 
 
 def homogeneous_generators(n: int) -> list:

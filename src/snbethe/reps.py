@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import UPoly, _int_scaled
+from .rings import UPoly, _int_scaled, scalar_root_poly
 from .linalg import Matrix
 from .permutations import (
     GroupAlgebraElement,
@@ -134,8 +134,9 @@ def dimension(la) -> int:
 class IrrepAction:
     """Exact seminormal matrices of the adjacent transpositions on the
     standard-tableau basis.  Matrices act on coordinate columns.  The image of
-    an arbitrary permutation is built from a reduced word and cached as
-    integer numerators over one denominator."""
+    an arbitrary permutation is one sparse generator step from the cached
+    image of a neighbour with one inversion fewer, and is cached as integer
+    numerators over one denominator."""
 
     def __init__(self, la):
         self.shape = tuple(la)
@@ -144,8 +145,16 @@ class IrrepAction:
         self.dim = len(self.tableaux)
         self._index = {t: i for i, t in enumerate(self.tableaux)}
         self.gens = [self._gen_matrix(i) for i in range(1, self.n)]
-        # permutation -> (d, row-major numerators of d * matrix)
-        self._perm_cache = {}
+        # generator -> (e, per row the (column, numerator) of its nonzeros in
+        # e * matrix); each row has at most two
+        k = self.dim
+        self._steps = [(e, [[(c, x) for c, x in enumerate(nums[r * k:(r + 1) * k]) if x]
+                            for r in range(k)])
+                       for e, nums in (_int_scaled(g.flatten()) for g in self.gens)]
+        # permutation -> (d, row-major numerators of d * matrix), d the lcm of
+        # the entries' denominators
+        self._perm_cache = {Permutation.identity(self.n):
+                            _int_scaled(Matrix.identity(self.dim).flatten())}
 
     def _gen_matrix(self, i: int) -> Matrix:
         d = self.dim
@@ -190,26 +199,18 @@ class IrrepAction:
         cached = self._perm_cache.get(p)
         if cached is not None:
             return cached
-        # left-multiplying by s_i swaps the VALUES i, i+1 in one-line notation,
-        # so sorting the word back to the identity yields p = s_{i1} ... s_{ik}.
-        w = list(p.images)
-        word = []
-        n = self.n
-        pos = [0] * (n + 1)
-        for idx, v in enumerate(w):
-            pos[v] = idx
-        changed = True
-        while changed:
-            changed = False
-            for i in range(1, n):
-                if pos[i + 1] < pos[i]:
-                    word.append(i)
-                    pos[i], pos[i + 1] = pos[i + 1], pos[i]
-                    changed = True
-        m = Matrix.identity(self.dim)
-        for i in word:
-            m = m * self.gens[i - 1]
-        cached = self._perm_cache[p] = _int_scaled(m.flatten())
+        # left-multiplying by s_i swaps the VALUES i, i+1 in one-line
+        # notation; where i+1 comes before i, q = s_i p has one inversion
+        # fewer and p = s_i q, so rho(p) = rho(s_i) rho(q)
+        pos = p.inverse().images
+        i = next(i for i in range(1, self.n) if pos[i] < pos[i - 1])
+        dq, nums = self._numerators(Permutation.transposition(self.n, i, i + 1) * p)
+        e, rows = self._steps[i - 1]
+        k = self.dim
+        out = [sum(x * nums[c * k + j] for c, x in row) for row in rows for j in range(k)]
+        d = dq * e
+        g = math.gcd(d, *out)
+        cached = self._perm_cache[p] = (d // g, [x // g for x in out])
         return cached
 
     def matrix_of_ga(self, a: GroupAlgebraElement) -> Matrix:
@@ -343,11 +344,8 @@ def content_poly(la, n: int) -> UPoly:
     la = tuple(la)
     if sum(la) != n:
         raise ValueError("partition size mismatch")
-    poly = UPoly([Fraction(1)])
-    for i, part in enumerate(la, start=1):
-        for j in range(1, part + 1):
-            poly = poly * UPoly([Fraction(i - j), Fraction(1)])
-    return poly
+    return scalar_root_poly([Fraction(j - i) for i, part in enumerate(la, start=1)
+                             for j in range(1, part + 1)])
 
 
 @lru_cache(maxsize=None)

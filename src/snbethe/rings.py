@@ -230,6 +230,17 @@ class UPoly:
         return f"UPoly({self.coeffs!r})"
 
 
+def scalar_root_poly(roots) -> UPoly:
+    """prod (u - r) over the roots, in order: monic, with a Fraction leading
+    coefficient, so ``poly_divmod`` divides by it exactly.  Pass Fraction
+    roots so that every coefficient is a Fraction (``to_json`` writes ints
+    and Fractions differently)."""
+    poly = UPoly([Fraction(1)])
+    for r in roots:
+        poly = poly * UPoly([-r, Fraction(1)])
+    return poly
+
+
 def poly_divmod(f: UPoly, g: UPoly):
     """Division with remainder.  The leading coefficient of g must be an
     invertible scalar (Fraction or float); the coefficients of f may live in

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .rings import BiPoly, MultiPoly, SeededRandom, UPoly, falling_binomial
+from .rings import BiPoly, MultiPoly, SeededRandom, UPoly, falling_binomial, scalar_root_poly
 from .linalg import Matrix, rank
 from .permutations import (
     GroupAlgebraElement,
@@ -53,7 +53,7 @@ from .gaudin import (
     phi_gen_fixed_points,
     phi_polys,
     phi_tilde,
-    scalar_root_poly,
+    v_expansion,
 )
 from .xxx import (
     check_relations_Hh,
@@ -221,19 +221,10 @@ def homogeneous_eigen(n: int, seed: int):
 def homogeneous_f_from_record(n: int, rec) -> BiPoly:
     """Assemble the scalar bivariate eigenvalue polynomial from the recorded
     generator eigenvalues."""
-    polys = []
-    t0 = [0.0] * (n + 1)
-    t0[n] = 1.0
-    polys.append(UPoly(t0))
-    for m in range(1, n + 1):
-        cs = [rec.eigenvalues[f"T{m}c{i}"] for i in range(n + 1)]
-        polys.append(UPoly(list(reversed(cs))))
-    out = BiPoly()
-    for m, poly in enumerate(polys):
-        out = out + BiPoly.from_upoly_u(poly) * BiPoly(
-            [[0.0] * (n - m) + [(-1.0) ** m]]
-        )
-    return out
+    polys = [UPoly([0.0] * n + [1.0])]
+    polys += [UPoly([rec.eigenvalues[f"T{m}c{i}"] for i in range(n, -1, -1)])
+              for m in range(1, n + 1)]
+    return v_expansion(polys)
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +419,16 @@ def shifted_u(n: int, c) -> UPoly:
 def gaudin_center_poly(cfg, rng):
     n = cfg.n
     table = gaudin_table(n, cfg.z)
-    unit = GroupAlgebraElement.scalar(n, Fraction(1))
-    one = UPoly([unit])
     lhs = UPoly()
     for i in range(0, n + 1):
-        top = unit if i == 0 else table[(i, 0)]
-        tail = one
-        for j in range(i + 1, n + 1):
-            tail = tail * shifted_u(n, Fraction(j))
+        top = GroupAlgebraElement.scalar(n, Fraction(1)) if i == 0 else table[(i, 0)]
+        tail = scalar_root_poly([Fraction(-j) for j in range(i + 1, n + 1)])
         lhs = lhs + tail.map_coeffs(lambda c, t=top: c * t * Fraction((-1) ** i))
     rhs = UPoly()
     for la in partitions_of(n):
         chi = central_idempotent(la, n)
-        prod = one
-        for j, lam in enumerate(partition_parts(la, n), start=1):
-            prod = prod * shifted_u(n, Fraction(j - lam))
+        prod = scalar_root_poly([Fraction(lam - j)
+                                 for j, lam in enumerate(partition_parts(la, n), start=1)])
         rhs = rhs + prod.map_coeffs(lambda c, chi=chi: c * chi)
     return max_abs(lhs - rhs)
 
@@ -800,9 +786,12 @@ def homog_well_defined(cfg, rng):
 
 
 def homog_dagger_invariant(cfg, rng):
-    base = homogeneous_span(cfg.n)
-    daggers = [g.dagger() for g in homogeneous_generators(cfg.n)]
-    return span_of(cfg.n, daggers).same_span(base)
+    # the dagger reverses products, so the daggers of the generators generate
+    # an algebra of the same dimension as the span; that algebra is the span
+    # exactly when it lies in it, that is when each dagger lies in it
+    span = homogeneous_span(cfg.n)
+    return all(span.contains(represent(g.dagger()))
+               for g in homogeneous_generators(cfg.n))
 
 
 # ---------------------------------------------------------------------------

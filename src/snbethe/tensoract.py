@@ -9,9 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product as _itproduct
 
-from .rings import UPoly, poly_divmod, poly_gcd
+from .rings import UPoly, poly_divmod, poly_gcd, scalar_root_poly
 from .permutations import Permutation, all_permutations, sign
-from .gaudin import scalar_root_poly
 
 
 def _sparse_add(A: dict, B: dict, zero) -> dict:

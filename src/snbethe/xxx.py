@@ -29,8 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from .rings import BiPoly, UPoly, falling_binomial
-from .linalg import det
+from .rings import BiPoly, UPoly, falling_binomial, scalar_root_poly
 from .permutations import (
     GroupAlgebraElement,
     antisymmetrizer,
@@ -43,7 +42,7 @@ from .permutations import (
     top_embed,
     trace_map,
 )
-from .gaudin import relation_residuals, scalar_root_poly
+from .gaudin import V, diagonal, presentation_det, relation_residuals, v_expansion
 
 
 @dataclass(frozen=True)
@@ -211,31 +210,17 @@ def t_gen(params: XXXParams) -> BiPoly:
     T-expansion in v and the S-expansion in v-1 are computed and their
     equality is enforced."""
     n = params.n
-    lhs = BiPoly()
-    for m in range(n + 1):
-        tm = t_m_poly(params, m, p=Fraction(n))
-        term = BiPoly.from_upoly_u(tm) * BiPoly(
-            [[0] * (n - m) + [Fraction((-1) ** m)]]
-        )
-        lhs = lhs + term
-    rhs = BiPoly()
-    vm1 = BiPoly([[Fraction(-1), Fraction(1)]])  # v - 1
-    for k in range(n + 1):
-        sk = s_k_poly(params, k)
-        if not sk:
-            continue
-        term = BiPoly.from_upoly_u(sk) * vm1 ** (n - k) * Fraction((-1) ** k)
-        rhs = rhs + term
-    lhs_l = ga_lift(n, lhs)
-    rhs_l = ga_lift(n, rhs)
-    if lhs_l != rhs_l:
+    lhs = ga_lift(n, v_expansion([t_m_poly(params, m, p=Fraction(n)) for m in range(n + 1)]))
+    rhs = ga_lift(n, v_expansion([s_k_poly(params, k) for k in range(n + 1)], V - Fraction(1)))
+    if lhs != rhs:
         raise AssertionError("the two generating expansions disagree")
-    return lhs_l
+    return lhs
 
 
 def det_P_hbar(params: XXXParams, q: UPoly) -> BiPoly:
-    """Determinant presentation over the shifted Cauchy-type matrix built from
-    the values of q at the parameters.  q must have pairwise commuting
+    """Determinant presentation det((u - Z)(v - Q) - hbar Q) with Z = diag(z)
+    and the shifted Cauchy-type Q_ab = c_a / (z_a - z_b + hbar), where
+    c_a = q(z_a) / prod_{b != a} (z_a - z_b).  q must have pairwise commuting
     coefficients; the parameters must be distinct and hbar-separated."""
     n, z, hbar = params.n, params.z, params.hbar
     if not params.distinct:
@@ -246,6 +231,8 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> BiPoly:
                 raise ValueError("entry denominator vanishes: z_a - z_b = -hbar")
     if any(commutators(q.coeffs)):
         raise ValueError("coefficients of q do not pairwise commute")
+    # each c_a, hence each entry, is a scalar combination of q's
+    # coefficients, so the guard above covers every entry
     c_vals = []
     for a in range(1, n + 1):
         c = q.eval_at(z[a - 1])
@@ -253,20 +240,9 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> BiPoly:
             if b != a:
                 c = c * (Fraction(1) / (z[a - 1] - z[b - 1]))
         c_vals.append(c)
-    if any(commutators(c_vals)):
-        raise ValueError("matrix entries do not pairwise commute")
-
-    v = BiPoly([[0, Fraction(1)]])
-    entries = []
-    for a in range(1, n + 1):
-        row = []
-        for b in range(1, n + 1):
-            qh = BiPoly.const(c_vals[a - 1] * (Fraction(1) / (z[a - 1] - z[b - 1] + hbar)))
-            u_minus = BiPoly([[-z[a - 1]], [Fraction(1)]])
-            e = u_minus * ((v if a == b else BiPoly()) - qh) - hbar * qh
-            row.append(e)
-        entries.append(row)
-    return det(entries)
+    qh = [[c * (Fraction(1) / (z[a] - z[b] + hbar)) for b in range(n)]
+          for a, c in enumerate(c_vals)]
+    return presentation_det(diagonal(z), qh, [[hbar * x for x in row] for row in qh])
 
 
 def check_relations_Hh(la, params: XXXParams, qvals) -> dict:

@@ -7,7 +7,7 @@ import math
 import time
 from fractions import Fraction
 
-from snbethe.rings import SeededRandom, UPoly, falling_binomial
+from snbethe.rings import SeededRandom, UPoly, falling_binomial, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -39,7 +39,6 @@ from snbethe.gaudin import (
     phi_gen,
     phi_polys,
     phi_tilde,
-    scalar_root_poly,
 )
 from snbethe.xxx import (
     det_P_hbar,

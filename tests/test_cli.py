@@ -109,6 +109,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("homogeneous-n4", ["run", "homogeneous", "--n", "4"]),
     ("identities-xxx-n4", ["run", "identities-xxx", "--n", "4"]),
     ("identities-gaudin-n5", ["run", "identities-gaudin", "--n", "5"]),
+    ("homogeneous-n5", ["run", "homogeneous", "--n", "5"]),
 ])
 def test_reports_match_golden(capsys, name, argv):
     rc, out = run_main(capsys, [*argv, "--format", "json", "--seed", "7"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from snbethe.rings import BiPoly, SeededRandom, UPoly
+from snbethe.rings import BiPoly, SeededRandom, UPoly, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
     all_permutations,
@@ -26,7 +26,8 @@ from snbethe.gaudin import (
     phi_gen_fixed_points,
     phi_polys,
     phi_tilde,
-    scalar_root_poly,
+    presentation_det,
+    v_expansion,
 )
 from snbethe.homogeneous import det_P_hat
 from snbethe.xxx import det_P_hbar, xxx_params
@@ -180,6 +181,34 @@ def test_det_presentation_zero_family():
     one = BiPoly.const(F(1))
     want = (u * v - one) * ((u - one) * v - one) + u * (u - one)
     assert det == want
+
+
+def test_presentation_det_forms_each_entry_from_z_q_r():
+    # a 2 x 2 with an off-diagonal Z entry, against the matrix product
+    Z = [[F(1), F(2)], [0, F(3)]]
+    Q = [[F(1, 2), F(5)], [F(-1), F(7)]]
+    R = [[F(2), 0], [F(1), F(-4)]]
+    u = BiPoly([[0], [F(1)]])
+    v = BiPoly([[0, F(1)]])
+
+    def entry(a, b):
+        return sum((((u if a == c else BiPoly()) - Z[a][c])
+                    * ((v if c == b else BiPoly()) - Q[c][b]) for c in range(2)),
+                   BiPoly()) - R[a][b]
+
+    want = entry(0, 0) * entry(1, 1) - entry(0, 1) * entry(1, 0)
+    assert presentation_det(Z, Q, R) == want
+
+
+def test_v_expansion_signs_and_base():
+    polys = [UPoly([F(1)]), UPoly([F(2), F(1)]), UPoly([F(3)])]
+    p0, p1, p2 = (BiPoly.from_upoly_u(p) for p in polys)
+    v = BiPoly([[0, F(1)]])
+    w = v - F(1)
+    assert v_expansion(polys) == p0 * v * v - p1 * v + p2
+    assert v_expansion(polys, w) == p0 * w * w - p1 * w + p2
+    # float coefficients are only negated
+    assert v_expansion([UPoly([0.1]), UPoly([0.3])]).rows == [[-0.3, 0.1]]
 
 
 Z3 = (F(0), F(2), F(5))  # distinct and 1-separated

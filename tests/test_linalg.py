@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from snbethe import homogeneous, spectra
+from snbethe import gaudin, homogeneous, spectra
 from snbethe.linalg import Echelon, det, nullspace, rank
 from snbethe.permutations import GroupAlgebraElement, all_permutations, ga_perm
 from snbethe.reps import partitions_of
@@ -198,10 +198,11 @@ def test_det_polynomial_entries(entry):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_det_p_hat_matches_permutation_expansion(n, monkeypatch):
-    # BiPoly entries with group-algebra coefficients
+    # BiPoly entries with group-algebra coefficients; det_P_hat reaches the
+    # determinant through gaudin.presentation_det
     q = s_k_poly(homogeneous.homogeneous_params(n), 1)
     got = homogeneous.det_P_hat(n, q)
-    monkeypatch.setattr(homogeneous, "det", oracle_det)
+    monkeypatch.setattr(gaudin, "det", oracle_det)
     assert got == homogeneous.det_P_hat(n, q)
 
 

@@ -301,7 +301,7 @@ def oracle_matrix_of_ga(rep, a):
     return acc
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_matrix_of_ga_matches_per_term_oracle(n):
     rng = SeededRandom(211 + n)
     perms = all_permutations(n)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from snbethe.rings import SeededRandom, UPoly
+from snbethe.rings import SeededRandom, UPoly, scalar_root_poly
 from snbethe.linalg import rank
 from snbethe.permutations import (
     GroupAlgebraElement,
@@ -15,7 +15,7 @@ from snbethe.permutations import (
     antisymmetrizer,
     trace_map,
 )
-from snbethe.gaudin import phi_polys, scalar_root_poly
+from snbethe.gaudin import phi_polys
 from snbethe.xxx import t_m_poly, xxx_params
 from snbethe.tensoract import (
     RF_ZERO,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from snbethe.rings import BiPoly, SeededRandom, UPoly
+from snbethe.rings import BiPoly, SeededRandom, UPoly, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -20,7 +20,6 @@ from snbethe.permutations import (
     top_embed,
     trace_map,
 )
-from snbethe.gaudin import scalar_root_poly
 from snbethe.xxx import (
     check_relations_Hh,
     det_P_hbar,

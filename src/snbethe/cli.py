@@ -229,16 +229,11 @@ def _emit(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "emit":
-        try:
-            return _emit(args)
-        except (ValueError, ZeroDivisionError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if args.command == "emit":
+            return _emit(args)
         cfg = config_from_args(args)
-    except (ValueError, ZeroDivisionError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     report = run_suite(cfg)
@@ -247,7 +242,11 @@ def main(argv=None) -> int:
         if cfg.fmt == "json"
         else report.to_text(with_timings=cfg.timings)
     )
-    _write_output(text, cfg.out)
+    try:
+        _write_output(text, cfg.out)
+    except OSError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     if report.internal_error:
         return 3
     if report.failed:

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the rationals: matrices, the one exact
 row reduction (a fraction-free echelon) with the rank and nullspace built on
-it, characteristic polynomials, and the shared-minor determinant for matrices
-with entries in a commutative subring.
+it, and the shared-minor determinant for matrices with entries in a
+commutative subring.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .rings import UPoly, _int_scaled
+from .rings import _int_scaled
 
 
 class Matrix:
@@ -59,14 +59,6 @@ class Matrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __sub__(self, other):
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows])
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             r, k = self.shape
@@ -83,15 +75,6 @@ class Matrix:
                 [[Fraction(sum(map(mul, row, col)), d) for col in bcols] for row in arows]
             )
         return Matrix([[a * other for a in r] for r in self.rows])
-
-    def __rmul__(self, other):
-        return Matrix([[other * a for a in r] for r in self.rows])
-
-    def trace(self):
-        acc = self.rows[0][0]
-        for i in range(1, len(self.rows)):
-            acc = acc + self.rows[i][i]
-        return acc
 
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)
@@ -204,24 +187,6 @@ def nullspace(rows):
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
-
-
-def charpoly(mat: Matrix) -> UPoly:
-    """Characteristic polynomial det(xI - M), exact over the rationals
-    (Faddeev-LeVerrier)."""
-    d = mat.shape[0]
-    if d != mat.shape[1]:
-        raise ValueError("charpoly of a non-square matrix")
-    coeffs = [Fraction(1)]  # of x^d, then x^{d-1}, ...
-    M = mat
-    c = M.trace()
-    coeffs.append(-c)
-    Mk = M
-    for k in range(2, d + 1):
-        Mk = mat * (Mk - c * Matrix.identity(d))
-        c = Mk.trace() / k
-        coeffs.append(-c)
-    return UPoly(list(reversed(coeffs)))
 
 
 def det(entries):

@@ -260,11 +260,6 @@ class BlockMatrix:
             self.n, [a + b for a, b in zip(self.blocks, other.blocks)], self.partitions
         )
 
-    def __sub__(self, other):
-        return BlockMatrix(
-            self.n, [a - b for a, b in zip(self.blocks, other.blocks)], self.partitions
-        )
-
     def __mul__(self, other):
         if isinstance(other, BlockMatrix):
             return BlockMatrix(
@@ -273,12 +268,6 @@ class BlockMatrix:
                 self.partitions,
             )
         return BlockMatrix(self.n, [b * other for b in self.blocks], self.partitions)
-
-    def __rmul__(self, other):
-        return BlockMatrix(self.n, [other * b for b in self.blocks], self.partitions)
-
-    def __neg__(self):
-        return BlockMatrix(self.n, [-b for b in self.blocks], self.partitions)
 
     def __eq__(self, other):
         if isinstance(other, BlockMatrix):

@@ -293,13 +293,6 @@ def poly_gcd(f: UPoly, g: UPoly) -> UPoly:
     return a
 
 
-def squarefree_test(f: UPoly) -> bool:
-    """True iff gcd(f, f') is constant.  Rejects the zero polynomial."""
-    if not f.coeffs:
-        raise ValueError("squarefree test of the zero polynomial")
-    return poly_gcd(f, f.deriv()).degree <= 0
-
-
 def _series_trim(coeffs, order):
     return list(coeffs[: order + 1]) + [0] * max(0, order + 1 - len(coeffs))
 

@@ -1,11 +1,12 @@
-"""Wronskian and Casorati utilities, fiber-relation checkers, exact span and
-commutant computations in the block model, simple-spectrum certification,
+"""Wronskian and Casorati utilities, fiber-relation checkers, exact spans in
+the block model, the cyclic-element certificate of the spectral claims,
 numeric joint eigenanalysis, reconstruction of polynomial subspaces from
 eigenvalue data, cyclic vectors, and a principal-angle subspace distance.
 
-Everything dimension-like is exact rational; floating point enters only for
-eigenvectors, reconstruction, and subspace distances.  Only those float
-functions import numpy, so the exact checks never load it.
+Everything dimension-like is exact rational or a one-sided certificate mod a
+prime; floating point enters only for eigenvectors, reconstruction, and
+subspace distances.  Only those float functions import numpy, so the exact
+checks never load it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
-from .rings import BiPoly, MultiPoly, SeededRandom, UPoly, squarefree_test
-from .linalg import Echelon, charpoly, det, nullspace, rank
-from .reps import BlockMatrix, dimension, partition_parts, partitions_of, seminormal_rep
+from .rings import BiPoly, MultiPoly, SeededRandom, UPoly
+from .linalg import Echelon, det, nullspace, rank
+from .reps import BlockMatrix, partition_parts, partitions_of, seminormal_rep
 
 if TYPE_CHECKING:
     import numpy as np
@@ -272,59 +274,89 @@ def algebra_span(generators) -> SpanBasis:
     return sb
 
 
-def commutant_dim(basis: SpanBasis) -> int:
-    """Dimension of the commutant of the span inside the full block algebra
-    (the image of the group algebra), block by block."""
-    n = basis.n
-    total = 0
-    for bi, la in enumerate(partitions_of(n)):
-        d = dimension(la)
-        rows = []
-        for b in basis.elements:
-            B = b.blocks[bi].rows
-            for i in range(d):
-                for j in range(d):
-                    row = [Fraction(0)] * (d * d)
-                    for k in range(d):
-                        row[i * d + k] += B[k][j]
-                        row[k * d + j] -= B[i][k]
-                    rows.append(row)
-        total += d * d - rank(rows)
-    return total
-
-
-def random_combination(basis: SpanBasis, rng: SeededRandom):
-    coeffs = [rng.nonzero_rational(9, 1) for _ in basis.elements]
-    acc = None
-    for c, b in zip(coeffs, basis.elements):
-        t = b * c
-        acc = t if acc is None else acc + t
-    return coeffs, acc
-
-
-# A span with simple spectrum has a squarefree random combination except on a
-# proper subvariety, so a few further draws certify a seed whose first draw
-# landed on it; a span without simple spectrum never certifies.
+# 2^61 - 1 is prime; each test of the certificate mod p is one-sided
+CERT_PRIME = 2**61 - 1
+# A family with simple spectrum has a squarefree random element off a proper
+# subvariety, so a few further draws certify a seed whose first draw landed
+# on it; a family without simple spectrum never certifies.
 CERT_DRAWS = 10
 
 
-def simple_spectrum_cert(basis: SpanBasis, seed: int):
-    """Certify simple spectrum on one copy of each irreducible block: draw
-    seeded random combinations from one stream, up to CERT_DRAWS of them,
-    until one has a squarefree characteristic polynomial.  A False answer is
-    only 'not certified'.  The witness holds the last combination drawn (its
-    coefficients and its block matrix) and the number of draws."""
-    rng = SeededRandom(seed)
+def certificate(gens, seed: int) -> dict:
+    """Certify that the unital algebra A generated by the block images
+    ``gens`` (at least one) is Q[x] = C_B(x), B the full block algebra,
+    for x = sum_i c_i g_i with seeded integers c_i; draw again (up to
+    CERT_DRAWS times) until x is also squarefree.  The witness holds the last
+    x ("element"), "cyclic", "squarefree", its ``_krylov_relation`` "chi" and
+    the "degree" of chi, the "prime" and the number of "draws".
+
+    x lies in A, and A lies in C_B(x) once each g_i commutes with x (checked
+    exactly; else nothing is certified).  If v, xv, ..., x^(N-1)v are
+    independent mod p for a seeded v in V = sum_la Q^(d_la), of dimension N,
+    they are independent over Q, so x is cyclic on V: its minimal polynomial
+    is chi = prod_la charpoly(x_la), so the x_la are nonderogatory with
+    coprime charpolys, and C_B(x) = sum_la Q[x_la] = Q[x] has dimension N.
+    So A = Q[x] = C_B(x) has dimension N and is maximal commutative.  If
+    also gcd(chi, chi') = 1 over F_p, the discriminant of chi is nonzero over
+    Q: x has N distinct eigenvalues on V, so A has simple spectrum and
+    ``joint_eigen`` can diagonalize x."""
+    rng, p = SeededRandom(seed), CERT_PRIME
+    size = sum(len(b.rows) for b in gens[0].blocks)
     for draws in range(1, CERT_DRAWS + 1):
-        coeffs, combo = random_combination(basis, rng)
-        poly = UPoly([Fraction(1)])
-        for block in combo.blocks:
-            poly = poly * charpoly(block)
-        ok = squarefree_test(poly)
-        if ok:
+        coeffs = [rng.integer(-999, 999) for _ in gens]
+        x = sum((g * c for g, c in zip(gens[1:], coeffs[1:])), gens[0] * coeffs[0])
+        v = [rng.integer(0, p - 1) for _ in range(size)]
+        commuting = all(g * x == x * g for g in gens)
+        chi = _krylov_relation(x, v, p) if commuting else ()
+        cyclic = len(chi) == size + 1
+        squarefree = cyclic and _coprime_to_derivative(chi, p)
+        if squarefree or not commuting:
             break
-    return ok, {"combination": coeffs, "element": combo,
-                "charpoly_degree": poly.degree, "draws": draws}
+    return {"element": x, "cyclic": cyclic, "squarefree": squarefree, "chi": chi,
+            "degree": len(chi) - 1, "prime": p, "draws": draws}
+
+
+def _krylov_relation(x: BlockMatrix, v: list, p: int) -> tuple:
+    """The monic relation sum_j chi[j] x^j v = 0 mod p, low degree first, of
+    the first vector of v, xv, x^2 v, ... that depends on those before it;
+    () if p divides a denominator of x."""
+    mat, at = [], 0  # the rows of x mod p, each with its block's offset
+    for b in x.blocks:
+        try:
+            mat += [(at, [c.numerator * pow(c.denominator, -1, p) % p for c in row])
+                    for row in b.rows]
+        except ValueError:  # p divides the denominator
+            return ()
+        at += len(b.rows)
+    # each row: a vector of the chain reduced to 1 at its pivot and 0 at every
+    # earlier pivot, followed by its combination of the chain
+    rows, w, n = [], v, len(v)
+    for k in range(n + 1):
+        vec = w + [0] * k + [1]
+        for piv, r in rows:
+            f = vec[piv]
+            vec = [(a - f * b) % p for a, b in zip(vec, r)] + vec[len(r):]
+        piv = next((i for i, a in enumerate(vec[:n]) if a), None)
+        if piv is None:
+            return tuple(vec[n:])
+        inv = pow(vec[piv], -1, p)
+        rows.append((piv, [a * inv % p for a in vec]))
+        w = [sum(map(mul, row, w[at:at + len(row)])) % p for at, row in mat]
+
+
+def _coprime_to_derivative(chi, p: int) -> bool:
+    """gcd(chi, chi') = 1 over F_p, for chi monic, low degree first."""
+    a, b = list(chi), [k * c % p for k, c in enumerate(chi)][1:]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a zero leading coefficient is dropped
+            q, s = a[-1] * inv % p, len(a) - len(b)
+            a = a[:s] + [(x - q * y) % p for x, y in zip(a[s:], b)]
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 @dataclass
@@ -342,13 +374,16 @@ class EigenRecord:
         }
 
 
-def joint_eigen(combo: BlockMatrix, generators: dict, tol: float = 1e-8):
-    """Numeric joint eigenrecords: eigen-decompose the combination certified
-    by ``simple_spectrum_cert`` (its witness ``element``) blockwise and read
-    off every generator eigenvalue by Rayleigh quotient; residuals above tol
-    raise."""
+def joint_eigen(cert: dict, generators: dict, tol: float = 1e-8):
+    """Numeric joint eigenrecords: eigen-decompose the squarefree element of
+    a ``certificate`` blockwise and read off every generator eigenvalue by
+    Rayleigh quotient; an uncertified element or a residual above tol
+    raises."""
     import numpy as np
 
+    if not cert["squarefree"]:
+        raise ValueError("simple spectrum not certified for this seed")
+    combo = cert["element"]
     records = []
     for bi, la in enumerate(partitions_of(combo.n)):
         M = np.array([[float(x) for x in row] for row in combo.blocks[bi].rows])

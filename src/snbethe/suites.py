@@ -181,23 +181,17 @@ def gz_span(n: int):
 
 
 @lru_cache(maxsize=None)
-def spectrum_cert(span, seed: int):
-    """``simple_spectrum_cert`` of a cached span, computed once per seed."""
-    return sp.simple_spectrum_cert(span, seed)
-
-
-def certified_combination(span, seed: int):
-    ok, witness = spectrum_cert(span, seed)
-    if not ok:
-        raise ValueError("simple spectrum not certified for this seed")
-    return witness["element"]
+def certificate(n: int, elements: tuple, seed: int):
+    """``spectra.certificate`` of the unital algebra that group-algebra
+    elements of S_n generate, built once per element tuple and seed."""
+    return sp.certificate([BlockMatrix.identity(n)] + [represent(g) for g in elements], seed)
 
 
 @lru_cache(maxsize=None)
 def gaudin_eigen(n: int, z: tuple, seed: int):
     fam = kz_elements(n, z, gaudin_polys(n, z))
     gens = {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
-    return sp.joint_eigen(certified_combination(gaudin_span(n, z), seed), gens)
+    return sp.joint_eigen(certificate(n, tuple(gaudin_table(n, z).values()), seed), gens)
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +201,8 @@ def xxx_eigen(n: int, z: tuple, hbar: Fraction, seed: int):
         f"S{i}": represent(el)
         for i, el in enumerate(s1_coeff_elements(params), start=1)
     }
-    return sp.joint_eigen(certified_combination(xxx_span(n, z, hbar), seed), gens)
+    cert = certificate(n, tuple(xxx_table(n, z, hbar, Fraction(2)).values()), seed)
+    return sp.joint_eigen(cert, gens)
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +210,7 @@ def homogeneous_eigen(n: int, seed: int):
     table = t_m_table(homogeneous_params(n), Fraction(n), range(1, n + 1),
                       range(n + 1))
     gens = {f"T{m}c{i}": represent(g) for (m, i), g in table.items()}
-    return sp.joint_eigen(certified_combination(homogeneous_span(n), seed), gens)
+    return sp.joint_eigen(certificate(n, tuple(homogeneous_generators(n)), seed), gens)
 
 
 def homogeneous_f_from_record(n: int, rec) -> BiPoly:
@@ -903,38 +898,39 @@ def sw_heisenberg(cfg, rng):
 
 
 def spectra_dimension_law(cfg, rng):
-    n, z, want = cfg.n, cfg.z, sum_of_dims(cfg.n)
-    return (gaudin_span(n, z).dim == want
-            and xxx_span(n, z, cfg.hbar).dim == want
-            and homogeneous_span(n).dim == want)
+    n, z = cfg.n, cfg.z
+    return all(certificate(n, gens, cfg.seed)["cyclic"] for gens in (
+        tuple(gaudin_table(n, z).values()),
+        tuple(xxx_table(n, z, cfg.hbar, Fraction(2)).values()),
+        tuple(homogeneous_generators(n))))
 
 
 def spectra_maximality(cfg, rng):
-    n, z = cfg.n, cfg.z
-    return all(
-        sp.commutant_dim(span) == span.dim
-        for span in (gaudin_span(n, z), xxx_span(n, z, cfg.hbar),
-                     homogeneous_span(n), gz_span(n))
-    )
+    # a cyclic element makes its algebra maximal commutative too, so the
+    # certificates of the dimension law prove maximality
+    return (spectra_dimension_law(cfg, rng)
+            and certificate(cfg.n, tuple(gz_spanning_set(cfg.n)), cfg.seed)["cyclic"])
 
 
 def spectra_coincidences(cfg, rng):
+    # the triple family is symmetric in its first three symbols: s(1,2) and
+    # s(2,3), which do not commute, commute with every generator, so the
+    # commutant of that algebra is not commutative, and it is not the algebra
     zp = (Fraction(0), Fraction(0), Fraction(1), Fraction(3))
-    span_pair = span_of(4, phi_polys(4, zp)[1].values())
-    if sp.commutant_dim(span_pair) != span_pair.dim:
-        return False
     zt = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    span_triple = span_of(4, phi_polys(4, zt)[1].values())
-    return sp.commutant_dim(span_triple) > span_triple.dim
+    return (certificate(4, tuple(phi_polys(4, zp)[1].values()), cfg.seed)["cyclic"]
+            and all(s * g == g * s for s in (ga_transposition(4, 1, 2),
+                                             ga_transposition(4, 2, 3))
+                    for g in phi_polys(4, zt)[1].values()))
 
 
 def spectra_simple_spectrum(cfg, rng):
-    n, seed = cfg.n, cfg.seed
-    ok1, _ = spectrum_cert(gaudin_span(n, cfg.z), seed)
+    n = cfg.n
     zx = tuple(Fraction(3 - i) for i in range(n))
-    ok2, _ = spectrum_cert(xxx_span(n, zx, Fraction(1, 2)), seed)
-    ok3, _ = spectrum_cert(homogeneous_span(n), seed)
-    return ok1 and ok2 and ok3
+    return all(certificate(n, gens, cfg.seed)["squarefree"] for gens in (
+        tuple(gaudin_table(n, cfg.z).values()),
+        tuple(xxx_table(n, zx, Fraction(1, 2), Fraction(2)).values()),
+        tuple(homogeneous_generators(n))))
 
 
 def spectra_eigen_count(cfg, rng):

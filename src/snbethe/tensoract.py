@@ -112,9 +112,6 @@ class TensorOperator:
     def __bool__(self):
         return bool(self.entries)
 
-    def trace(self):
-        return sum((v for (r, c), v in self.entries.items() if r == c), Fraction(0))
-
     def flatten_rows(self) -> list:
         d = self.dim
         return [self.entries.get((r, c), Fraction(0)) for r in range(d) for c in range(d)]

@@ -53,6 +53,7 @@ from snbethe.homogeneous import (
     charge_from_density,
     det_P_hat,
     gamma_perm,
+    homogeneous_generators,
     homogeneous_params,
     local_charges,
     local_density,
@@ -68,9 +69,11 @@ from snbethe.tensoract import (
 )
 from snbethe import spectra as sp
 from snbethe.suites import (
+    certificate,
     default_z,
     gaudin_eigen,
     gaudin_span,
+    gaudin_table,
     gz_span,
     homogeneous_eigen,
     homogeneous_f_from_record,
@@ -159,20 +162,21 @@ def test_acceptance_03_dimension_law():
     announce(3, f"span dimensions 4/10/26 for all three families ({elapsed:.0f}s)")
 
 
+def family_elements(n, z, hbar):
+    """The rational, deformed and homogeneous generators, a tuple each."""
+    return (tuple(gaudin_table(n, z).values()),
+            tuple(xxx_table(n, z, hbar, F(2)).values()),
+            tuple(homogeneous_generators(n)))
+
+
 def test_acceptance_04_maximality_and_coincidences():
     for n in (2, 3, 4):
-        z = default_z(n)
-        for span in (gaudin_span(n, z), xxx_span(n, z, F(1)),
-                     homogeneous_span(n)):
-            assert sp.commutant_dim(span) == span.dim
-    pair = sp.algebra_span(
-        [represent(g) for g in phi_polys(4, (F(0), F(0), F(1), F(3)))[1].values()]
-    )
-    assert sp.commutant_dim(pair) == pair.dim
-    triple = sp.algebra_span(
-        [represent(g) for g in phi_polys(4, (F(0), F(0), F(0), F(1)))[1].values()]
-    )
-    assert sp.commutant_dim(triple) > triple.dim
+        for elements in family_elements(n, default_z(n), F(1)):
+            assert certificate(n, elements, SEED)["cyclic"]
+    pair = tuple(phi_polys(4, (F(0), F(0), F(1), F(3)))[1].values())
+    assert certificate(4, pair, SEED)["cyclic"]
+    triple = tuple(phi_polys(4, (F(0), F(0), F(0), F(1)))[1].values())
+    assert not certificate(4, triple, SEED)["cyclic"]
     announce(4, "maximality at n<=4; pair survives, triple fails")
 
 
@@ -501,15 +505,12 @@ def test_acceptance_10_tensor_crosschecks():
 
 def test_acceptance_11_spectra():
     for n in (2, 3, 4, 5):
-        z = default_z(n)
-        ok, _ = sp.simple_spectrum_cert(gaudin_span(n, z), SEED)
-        assert ok, f"rational-family certificate failed at n={n}"
-        ok, _ = sp.simple_spectrum_cert(homogeneous_span(n), SEED)
-        assert ok, f"homogeneous certificate failed at n={n}"
-        if n <= 4:
-            zx = tuple(F(3 - i) for i in range(n))
-            ok, _ = sp.simple_spectrum_cert(xxx_span(n, zx, F(1, 2)), SEED)
-            assert ok, f"deformed certificate failed at n={n}"
+        zx = tuple(F(3 - i) for i in range(n))
+        gaudin, _, homogeneous = family_elements(n, default_z(n), F(1))
+        for name, elements in (("rational", gaudin), ("homogeneous", homogeneous),
+                               ("deformed", family_elements(n, zx, F(1, 2))[1])):
+            assert certificate(n, elements, SEED)["squarefree"], \
+                f"{name} certificate failed at n={n}"
     for n in (2, 3, 4):
         z = default_z(n)
         assert len(gaudin_eigen(n, z, SEED)) == sum_of_dims(n)

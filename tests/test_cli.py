@@ -53,6 +53,25 @@ def test_output_file_and_out_dir(capsys, tmp_path, monkeypatch):
     assert data["summary"]["fail"] == 0
 
 
+@pytest.mark.parametrize("argv", [["run", "all", "--n", "1"], ["emit", "phi", "--n", "2"]])
+def test_unwritable_out_is_a_configuration_error(capsys, tmp_path, argv):
+    rc = main([*argv, "--out", str(tmp_path / "missing" / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_spectra_at_two_coinciding_pairs(capsys):
+    # at z = (0, 0, 1, 1) the deformed family (hbar = 1) has a cyclic but no
+    # squarefree element; the dimension law and maximality hold all the same
+    rc, out = run_main(capsys, ["run", "spectra", "--n", "4", "--z", "0,0,1,1",
+                                "--format", "json"])
+    assert rc == 0
+    status = {c["check"]: c["status"] for c in json.loads(out)["checks"]}
+    assert "FAIL" not in status.values()
+    assert status["spectra.dimension-law"] == status["spectra.maximality"] == "PASS"
+
+
 def test_invalid_config_exit_codes(capsys):
     rc, _ = run_main(capsys, ["run", "all", "--n", "0"])
     assert rc == 2
@@ -182,21 +201,24 @@ def test_cli_setup_builds_no_cayley_table():
 
 def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
     calls = []
-    real = spectra.simple_spectrum_cert
+    real = spectra.certificate
 
-    def counted(span, seed):
-        calls.append((id(span), seed))
-        return real(span, seed)
+    def counted(gens, seed):
+        calls.append((tuple(tuple(g.flatten()) for g in gens), seed))
+        return real(gens, seed)
 
-    monkeypatch.setattr(spectra, "simple_spectrum_cert", counted)
-    for builder in (suites.spectrum_cert, suites.gaudin_eigen,
+    monkeypatch.setattr(spectra, "certificate", counted)
+    for builder in (suites.certificate, suites.gaudin_eigen,
                     suites.xxx_eigen, suites.homogeneous_eigen):
         builder.cache_clear()
     rc, _ = run_main(capsys, ["run", "spectra", "--n", "4", "--seed", "7"])
     assert rc == 0
-    # simple-spectrum certifies the gaudin, xxx and homogeneous spans at n = 4;
-    # the eigen records reuse two of them and add gaudin and homogeneous at n = 3
-    assert len(calls) == len(set(calls)) == 5
+    # the gaudin, xxx and homogeneous generators at the run's parameters (the
+    # dimension law and maximality), the Gelfand-Zetlin ones, the pair of
+    # spectra.coincidences, and xxx at its own parameters (simple spectrum);
+    # the eigen records reuse two of them and add gaudin and homogeneous at
+    # n = 3
+    assert len(calls) == len(set(calls)) == 8
 
 
 @pytest.mark.parametrize("values", [

@@ -1,4 +1,4 @@
-"""Exact core: polynomials, series, squarefree test, seeded randomness."""
+"""Exact core: polynomials, gcds, series, seeded randomness."""
 
 import math
 from fractions import Fraction
@@ -17,7 +17,6 @@ from snbethe.rings import (
     series_exp,
     series_inverse,
     series_log,
-    squarefree_test,
 )
 from snbethe.permutations import GroupAlgebraElement, ga_transposition
 
@@ -113,12 +112,11 @@ def test_series_preconditions():
 
 
 def test_squarefree_examples():
-    assert squarefree_test(P(-1, 0, 1)) is True
-    assert squarefree_test(P(1, -2, 1)) is False
+    # gcd(f, f') is constant exactly when f has no repeated root;
     # u^3 - 2u^2 + u = u(u-1)^2
-    assert squarefree_test(P(0, 1, -2, 1)) is False
-    with pytest.raises(ValueError):
-        squarefree_test(UPoly())
+    for f, repeated in ((P(-1, 0, 1), False), (P(1, -2, 1), True),
+                        (P(0, 1, -2, 1), True)):
+        assert (poly_gcd(f, f.deriv()).degree > 0) == repeated
 
 
 def test_squarefree_shared_factor_products():
@@ -129,7 +127,7 @@ def test_squarefree_shared_factor_products():
         f = common * (P(1, 1) + UPoly([rng.rational(5, 2)]))
         g = common * (P(2, 0, 1) + UPoly([rng.rational(5, 2)]))
         if poly_gcd(f, g).degree > 0:
-            assert squarefree_test(f * g) is False
+            assert poly_gcd(f * g, (f * g).deriv()).degree > 0
 
 
 def _random_poly(rng, deg):

@@ -1,4 +1,5 @@
-"""Wronskian utilities, span and commutant machinery, certificates, joint
+"""Wronskian utilities, span machinery, the cyclic-element certificate
+against its exact oracles (closure, commutant, Fraction charpolys), joint
 eigenanalysis, fiber reconstruction, cyclic vectors, and subspace distance."""
 
 import math
@@ -7,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from snbethe.rings import MultiPoly, SeededRandom, UPoly
-from snbethe.linalg import Matrix
+from snbethe.rings import MultiPoly, SeededRandom, UPoly, poly_gcd
+from snbethe.linalg import Matrix, rank
 from snbethe.permutations import (
     GroupAlgebraElement,
     all_permutations,
@@ -23,16 +24,17 @@ from snbethe.reps import (
     represent,
     sum_of_dims,
 )
-from snbethe.gaudin import gz_spanning_set, kz_elements, phi_polys
+from snbethe.gaudin import gz_spanning_set, jm_elements, kz_elements, phi_polys
 from snbethe.homogeneous import gamma_perm, homogeneous_generators
 from snbethe.xxx import t_m_poly, t_m_table, xxx_params
 from snbethe.spectra import (
+    CERT_DRAWS,
     SpanBasis,
     algebra_span,
     annihilator_residual,
     casorati,
     check_O_relations,
-    commutant_dim,
+    certificate,
     cyclic_vector,
     cyclicity_verdict,
     echelon_polys,
@@ -40,7 +42,6 @@ from snbethe.spectra import (
     joint_eigen,
     linear_span,
     reconstruct_subspace,
-    simple_spectrum_cert,
     span_distance,
     symmetric_action_on_poly,
     theta_membership_residual,
@@ -356,77 +357,223 @@ def test_algebra_span_identity_and_dependent_generators(n):
     assert algebra_span([one]).dim == algebra_span([one * F(3)]).dim == 1
 
 
+def oracle_commutant_dim(basis: SpanBasis) -> int:
+    """Dimension of the commutant of the span inside the full block algebra,
+    block by block: the rank of the commutator map on each block."""
+    n = basis.n
+    total = 0
+    for bi, la in enumerate(partitions_of(n)):
+        d = dimension(la)
+        rows = []
+        for b in basis.elements:
+            B = b.blocks[bi].rows
+            for i in range(d):
+                for j in range(d):
+                    row = [Fraction(0)] * (d * d)
+                    for k in range(d):
+                        row[i * d + k] += B[k][j]
+                        row[k * d + j] -= B[i][k]
+                    rows.append(row)
+        total += d * d - rank(rows)
+    return total
+
+
+def oracle_charpoly(mat: Matrix) -> UPoly:
+    """det(xI - M), exact over the rationals (Faddeev-LeVerrier)."""
+    d = mat.shape[0]
+
+    def trace(m):
+        return sum(m.rows[i][i] for i in range(d))
+
+    coeffs = [Fraction(1)]  # of x^d, then x^{d-1}, ...
+    c = trace(mat)
+    coeffs.append(-c)
+    Mk = mat
+    for k in range(2, d + 1):
+        Mk = mat * Matrix([[a - c * (i == j) for j, a in enumerate(row)]
+                           for i, row in enumerate(Mk.rows)])
+        c = trace(Mk) / k
+        coeffs.append(-c)
+    return UPoly(list(reversed(coeffs)))
+
+
+def oracle_chi(x: BlockMatrix) -> UPoly:
+    """The product of the exact charpolys of the blocks."""
+    chi = UPoly([Fraction(1)])
+    for block in x.blocks:
+        chi = chi * oracle_charpoly(block)
+    return chi
+
+
+def mod_p(q: Fraction, p: int) -> int:
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def unital(n, elements):
+    return [BlockMatrix.identity(n)] + [represent(g) for g in elements]
+
+
+def test_oracle_charpoly_examples():
+    assert oracle_charpoly(Matrix([[F(2), F(1)], [F(0), F(3)]])) == P(6, -5, 1)
+    assert oracle_charpoly(Matrix([[F(0), F(-1)], [F(1), F(0)]])) == P(1, 0, 1)
+    assert oracle_charpoly(Matrix.identity(3)) == P(-1, 3, -3, 1)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_commutant_examples(n):
     z = tuple(F(v) for v in (0, 1, 3, 7)[:n])
     _, table = phi_polys(n, z)
-    span = algebra_span([represent(g) for g in table.values()])
+    gens = unital(n, table.values())
+    span = algebra_span(gens)
     assert span.dim == sum_of_dims(n)
-    assert commutant_dim(span) == span.dim  # maximal commutative
-    ctr = algebra_span([represent(table[(i, 0)]) for i in range(1, n + 1)])
-    assert commutant_dim(ctr) == math.factorial(n)
+    assert oracle_commutant_dim(span) == span.dim  # maximal commutative
+    assert certificate(gens, 5)["cyclic"]
+    # the centre: each block is a scalar, so no element of it is cyclic
+    center = unital(n, [table[(i, 0)] for i in range(1, n + 1)])
+    assert oracle_commutant_dim(algebra_span(center)) == math.factorial(n)
+    cert = certificate(center, 5)
+    assert not cert["cyclic"] and cert["degree"] == len(partitions_of(n))
+    idempotents = unital(n, [central_idempotent(la, n) for la in partitions_of(n)])
+    assert not certificate(idempotents, 5)["cyclic"]
     full = algebra_span([represent(ga_perm(p)) for p in all_permutations(n)])
-    assert commutant_dim(full) == len(partitions_of(n))
+    assert oracle_commutant_dim(full) == len(partitions_of(n))
 
 
 def test_coincidence_pair_and_triple():
-    span_pair = algebra_span(
-        [represent(g) for g in phi_polys(4, (F(0), F(0), F(1), F(3)))[1].values()]
-    )
-    assert commutant_dim(span_pair) == span_pair.dim
-    span_triple = algebra_span(
-        [represent(g) for g in phi_polys(4, (F(0), F(0), F(0), F(1)))[1].values()]
-    )
-    assert commutant_dim(span_triple) > span_triple.dim
+    pair = phi_polys(4, (F(0), F(0), F(1), F(3)))[1].values()
+    span_pair = algebra_span(unital(4, pair))
+    assert oracle_commutant_dim(span_pair) == span_pair.dim
+    assert certificate(unital(4, pair), 5)["cyclic"]
+    triple = phi_polys(4, (F(0), F(0), F(0), F(1)))[1].values()
+    span_triple = algebra_span(unital(4, triple))
+    assert oracle_commutant_dim(span_triple) > span_triple.dim
+    cert = certificate(unital(4, triple), 5)
+    assert not cert["cyclic"] and not cert["squarefree"]
+    # the triple argument (s(1,2) and s(2,3) commute with every generator)
+    # cannot fire on the pair: s(2,3) moves the third, unpaired symbol
+    s23 = ga_transposition(4, 2, 3)
+    assert any(s23 * g != g * s23 for g in pair)
 
 
 def test_certificates():
-    gens = [represent(g) for g in homogeneous_generators(3)]
-    span = algebra_span(gens)
-    ok, witness = simple_spectrum_cert(span, 12345)
-    assert ok and witness["charpoly_degree"] == 4
-    # the center is never certified: eigenvalues are constant on blocks
-    ctr = algebra_span(
-        [represent(central_idempotent(la, 3)) for la in partitions_of(3)]
-    )
-    ok, _ = simple_spectrum_cert(ctr, 12345)
-    assert not ok
+    cert = certificate(unital(3, homogeneous_generators(3)), 12345)
+    assert cert["cyclic"] and cert["squarefree"] and cert["draws"] == 1
+    assert cert["degree"] == len(cert["chi"]) - 1 == 4
+    assert cert["prime"] == 2**61 - 1
     # real-parameter certificate at n = 4
-    span4 = algebra_span(
-        [represent(g) for g in phi_polys(4, (F(0), F(1), F(3), F(7)))[1].values()]
-    )
-    ok, _ = simple_spectrum_cert(span4, 999)
-    assert ok
+    gens = unital(4, phi_polys(4, (F(0), F(1), F(3), F(7)))[1].values())
+    assert certificate(gens, 999)["squarefree"]
+
+
+def test_certificate_never_certifies_a_noncommuting_family():
+    # one transposition added: it does not commute with the family, so the
+    # first draw ends the certificate
+    z = (F(0), F(1), F(3), F(7))
+    gens = unital(4, phi_polys(4, z)[1].values()) + [represent(ga_transposition(4, 1, 2))]
+    for seed in (1, 2, 3):
+        cert = certificate(gens, seed)
+        assert not cert["cyclic"] and not cert["squarefree"] and cert["draws"] == 1
+
+
+def test_certificate_rejects_proper_subalgebras():
+    # the Jucys-Murphy elements generate the Gelfand-Zetlin algebra; without
+    # the last one they generate a proper subalgebra
+    jm = jm_elements(4)
+    assert certificate(unital(4, jm), 3)["squarefree"]
+    cert = certificate(unital(4, jm[:-1]), 3)
+    assert not cert["cyclic"] and cert["draws"] == CERT_DRAWS
+    assert certificate(unital(4, gz_spanning_set(4)), 3)["squarefree"]
+
+
+def test_certificate_cyclic_without_simple_spectrum():
+    # the deformed family at a pair of pairs one hbar apart: A = Q[x] for a
+    # cyclic x, but no element of A is squarefree
+    gens = unital(4, t_m_table(xxx_params((F(0), F(0), F(1), F(1)), F(1)), F(2),
+                               range(1, 4), range(1, 5)).values())
+    cert = certificate(gens, 11)
+    assert cert["cyclic"] and not cert["squarefree"] and cert["draws"] == CERT_DRAWS
+    assert not oracle_squarefree(oracle_chi(cert["element"]))
+
+
+def test_certificate_n1():
+    # B = Q: the identity alone generates it
+    cert = certificate([BlockMatrix.identity(1)], 1)
+    assert cert["cyclic"] and cert["squarefree"] and cert["degree"] == 1
+
+
+def oracle_squarefree(f: UPoly) -> bool:
+    """gcd(f, f') over the rationals is constant."""
+    return poly_gcd(f, f.deriv()).degree == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mod_p_chi_is_the_exact_charpoly_product(n):
+    z = tuple(F(v) for v in (0, 1, 3, 7, 12)[:n])
+    families = [phi_polys(n, z)[1].values(), homogeneous_generators(n)]
+    if n <= 4:
+        families += [gz_spanning_set(n), t_m_table(xxx_params(z, F(1, 2)), F(2),
+                                                   range(1, n), range(1, n + 1)).values()]
+    for elements in families:
+        cert = certificate(unital(n, elements), 21)
+        assert cert["squarefree"]
+        want = oracle_chi(cert["element"])
+        assert cert["chi"] == tuple(mod_p(c, cert["prime"]) for c in want.coeffs)
+
+
+SWEEP = [
+    # (n, z, hbar): distinct, pairs, pairs one hbar apart, a triple, and z
+    # that are not hbar-separated
+    (3, (0, 1, 3), 1), (3, (0, 0, 1), 1), (3, (0, 1, 2), 1), (3, (0, 0, 0), 1),
+    (3, (0, 0, 1), F(1, 2)), (3, (2, 1, 0), -1),
+    (4, (0, 1, 3, 7), 1), (4, (0, 0, 1, 3), 1), (4, (0, 0, 1, 1), 1),
+    (4, (0, 1, 2, 3), 1), (4, (0, 0, 0, 1), 1), (4, (0, 1, 1, 2), F(1, 2)),
+    (4, (0, 0, 1, 1), 2), (4, (3, 2, 1, 0), -1), (4, (0, 0, 2, 2), 2),
+]
+
+
+@pytest.mark.parametrize("n, z, hbar", SWEEP)
+def test_certificate_matches_the_exact_oracles(n, z, hbar):
+    z, hbar = tuple(F(v) for v in z), F(hbar)
+    families = [phi_polys(n, z)[1].values(),
+                t_m_table(xxx_params(z, hbar), F(2), range(1, n), range(1, n + 1)).values()]
+    for elements in families:
+        gens = unital(n, elements)
+        span = algebra_span(gens)
+        maximal = span.dim == sum_of_dims(n) and oracle_commutant_dim(span) == span.dim
+        cert = certificate(gens, 4)
+        assert cert["cyclic"] == maximal
+        assert cert["squarefree"] == oracle_squarefree(oracle_chi(cert["element"]))
 
 
 def test_certificate_draws_again_and_eigen_reuses_it():
-    # at seed 2 the first combination drawn in the homogeneous span at n = 4
-    # has a repeated eigenvalue; the certificate draws again from its stream
+    # at seed 169 the first element drawn in the homogeneous algebra at n = 4
+    # is not squarefree; the certificate draws again from its stream
     gens = homogeneous_generators(4)
-    span = algebra_span([represent(g) for g in gens])
-    ok, witness = simple_spectrum_cert(span, 2)
-    assert ok and witness["draws"] == 2
+    cert = certificate(unital(4, gens), 169)
+    assert cert["squarefree"] and cert["draws"] == 2
     named = {f"G{k}": represent(g) for k, g in enumerate(gens)}
-    recs = joint_eigen(witness["element"], named)
+    recs = joint_eigen(cert, named)
     assert len(recs) == sum_of_dims(4)
-    # the eigenvectors are those of the certified combination
+    # the eigenvectors are those of the certified element
     parts = partitions_of(4)
     for rec in recs:
-        block = witness["element"].blocks[parts.index(rec.partition)]
+        block = cert["element"].blocks[parts.index(rec.partition)]
         M = np.array([[float(x) for x in row] for row in block.rows])
         v = rec.vector
         mu = np.conj(v) @ (M @ v)
         assert np.linalg.norm(M @ v - mu * v) < 1e-8 * max(1.0, np.abs(M).max())
+    # an element that is not squarefree is no witness
+    with pytest.raises(ValueError):
+        joint_eigen(certificate(unital(4, jm_elements(4)[:-1]), 3), named)
 
 
 def test_joint_eigen_n2_homogeneous_values():
     # two eigenvectors: symmetric and antisymmetric; the bivariate eigenvalues
     # are u^2(v-1)^2 - (2u+1)(v-1) and u^2(v-1)^2 - (2u-1)(v-1) + 2
     gens = {"g2": represent(homogeneous_generators(2)[0])}
-    span = algebra_span(list(gens.values()))
-    ok, witness = simple_spectrum_cert(span, 777)
-    assert ok
-    recs = joint_eigen(witness["element"], gens)
+    cert = certificate(unital(2, homogeneous_generators(2)), 777)
+    assert cert["squarefree"]
+    recs = joint_eigen(cert, gens)
     assert len(recs) == 2
     by_partition = {rec.partition: rec for rec in recs}
     assert by_partition[(2,)].eigenvalues["g2"] == pytest.approx(1.0)
@@ -453,10 +600,9 @@ def test_joint_eigen_counts_and_h_sum():
         z = tuple(F(v) for v in (0, 1, 3, 7)[:n])
         fam = kz_elements(n, z, phi_polys(n, z)[0])
         gens = {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
-        span = algebra_span([represent(g) for g in phi_polys(n, z)[1].values()])
-        ok, witness = simple_spectrum_cert(span, 424242)
-        assert ok
-        recs = joint_eigen(witness["element"], gens)
+        cert = certificate(unital(n, phi_polys(n, z)[1].values()), 424242)
+        assert cert["squarefree"]
+        recs = joint_eigen(cert, gens)
         assert len(recs) == sum_of_dims(n)
         for rec in recs:
             total = sum(rec.eigenvalues[f"H{a}"] for a in range(1, n + 1))

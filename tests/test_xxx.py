@@ -124,7 +124,7 @@ def test_span_and_eigen_builders_stay_in_s_n(monkeypatch):
     monkeypatch.setattr(xxx_module, "t_m_poly", refuse)
     monkeypatch.setattr(xxx_module, "trace_map", refuse)
     builders = (suites.xxx_table, suites.xxx_span, suites.homogeneous_span,
-                suites.spectrum_cert, suites.homogeneous_eigen)
+                suites.certificate, suites.homogeneous_eigen)
     for builder in builders:
         builder.cache_clear()
     try:

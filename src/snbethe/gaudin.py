@@ -39,10 +39,6 @@ class ParameterSet:
     z: tuple
 
     @property
-    def n(self) -> int:
-        return len(self.z)
-
-    @property
     def distinct(self) -> bool:
         return len(set(self.z)) == len(self.z)
 

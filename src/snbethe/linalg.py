@@ -51,9 +51,6 @@ class Matrix:
             )
         return NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
     def __add__(self, other):
         return Matrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
@@ -84,15 +81,6 @@ class Matrix:
 
     def flatten(self) -> list:
         return [a for r in self.rows for a in r]
-
-    def apply_vec(self, v: list) -> list:
-        return [sum((a * x for a, x in zip(r, v)), Fraction(0)) for r in self.rows]
-
-    def to_json(self):
-        return [
-            [f"{a.numerator}/{a.denominator}" if isinstance(a, Fraction) else a for a in r]
-            for r in self.rows
-        ]
 
     def __repr__(self):
         return f"Matrix({self.rows!r})"

@@ -66,7 +66,7 @@ from numbers import Number
 from itertools import permutations as _itperms
 from operator import itemgetter
 
-from .rings import BiPoly, UPoly, _int_scaled
+from .rings import BiPoly, UPoly, _int_scaled, format_rational
 
 # The Cayley table of S_n holds (n!)^2 ids: 518,400 (about 4 MB) at n = 6,
 # 25.4M (about 200 MB) at n = 7, so larger degrees keep the dict product.
@@ -149,14 +149,8 @@ class Permutation:
     def __hash__(self):
         return self._hash
 
-    def __lt__(self, other):
-        return self.images < other.images
-
     def __repr__(self):
         return f"Permutation({list(self.images)})"
-
-    def to_json(self):
-        return list(self.images)
 
 
 @dataclass(frozen=True)
@@ -375,9 +369,6 @@ class GroupAlgebraElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, p: Permutation):
         return self.terms.get(p, 0)
 
@@ -459,7 +450,7 @@ class GroupAlgebraElement:
         for p in self.support():
             c = self.terms[p]
             if isinstance(c, Fraction):
-                cj = f"{c.numerator}/{c.denominator}"
+                cj = format_rational(c)
             elif hasattr(c, "to_json"):
                 cj = c.to_json()
             else:

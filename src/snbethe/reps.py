@@ -242,13 +242,12 @@ class BlockMatrix:
     the image of a group-algebra element in the direct sum of all irreducible
     matrix blocks."""
 
-    __slots__ = ("n", "partitions", "blocks")
+    __slots__ = ("n", "blocks")
 
-    def __init__(self, n: int, blocks, partitions=None):
+    def __init__(self, n: int, blocks):
         self.n = n
-        self.partitions = list(partitions) if partitions else partitions_of(n)
         self.blocks = list(blocks)
-        if len(self.blocks) != len(self.partitions):
+        if len(self.blocks) != len(partitions_of(n)):
             raise ValueError("one block per partition required")
 
     @classmethod
@@ -256,26 +255,17 @@ class BlockMatrix:
         return cls(n, [Matrix.identity(dimension(la)) for la in partitions_of(n)])
 
     def __add__(self, other):
-        return BlockMatrix(
-            self.n, [a + b for a, b in zip(self.blocks, other.blocks)], self.partitions
-        )
+        return BlockMatrix(self.n, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __mul__(self, other):
         if isinstance(other, BlockMatrix):
-            return BlockMatrix(
-                self.n,
-                [a * b for a, b in zip(self.blocks, other.blocks)],
-                self.partitions,
-            )
-        return BlockMatrix(self.n, [b * other for b in self.blocks], self.partitions)
+            return BlockMatrix(self.n, [a * b for a, b in zip(self.blocks, other.blocks)])
+        return BlockMatrix(self.n, [b * other for b in self.blocks])
 
     def __eq__(self, other):
         if isinstance(other, BlockMatrix):
             return self.n == other.n and self.blocks == other.blocks
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.blocks)))
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks)
@@ -289,21 +279,9 @@ class BlockMatrix:
             out.extend(b.flatten())
         return out
 
-    def to_json(self):
-        return [
-            {"partition": list(la), "matrix": b.to_json()}
-            for la, b in zip(self.partitions, self.blocks)
-        ]
 
-
-def represent(a: GroupAlgebraElement, la=None):
-    """Image of a group-algebra element in one irreducible block (la given)
-    or in the full block model."""
-    if la is not None:
-        rep = seminormal_rep(tuple(la))
-        if rep.n != a.n:
-            raise ValueError("degree mismatch")
-        return rep.matrix_of_ga(a)
+def represent(a: GroupAlgebraElement) -> BlockMatrix:
+    """Image of a group-algebra element in the full block model."""
     return BlockMatrix(
         a.n, [seminormal_rep(mu).matrix_of_ga(a) for mu in partitions_of(a.n)]
     )

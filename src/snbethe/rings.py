@@ -86,10 +86,6 @@ class UPoly:
         self.coeffs = cs
 
     @classmethod
-    def const(cls, c) -> "UPoly":
-        return cls([c])
-
-    @classmethod
     def gen(cls) -> "UPoly":
         """The variable itself, over the rationals."""
         return cls([Fraction(0), Fraction(1)])
@@ -97,9 +93,6 @@ class UPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -123,9 +116,6 @@ class UPoly:
             return len(self.coeffs) == 1 and self.coeffs[0] == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
     def __neg__(self) -> "UPoly":
         return UPoly([-c for c in self.coeffs])
 
@@ -148,9 +138,6 @@ class UPoly:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, UPoly):
@@ -209,11 +196,6 @@ class UPoly:
 
     def map_coeffs(self, f) -> "UPoly":
         return UPoly([f(c) for c in self.coeffs])
-
-    def ring_one(self) -> "UPoly":
-        if not self.coeffs:
-            return UPoly([Fraction(1)])
-        return UPoly([ring_one(self.coeffs[0])])
 
     def to_json(self):
         out = []
@@ -438,9 +420,6 @@ class BiPoly:
             return True
         return NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
     def __neg__(self):
         return BiPoly([[-c for c in r] for r in self.rows])
 
@@ -463,9 +442,6 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             other = BiPoly.const(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
@@ -512,9 +488,6 @@ class BiPoly:
     def eval(self, u0, v0):
         return self.eval_v(v0).eval_at(u0)
 
-    def to_json(self):
-        return [UPoly(r).to_json() for r in self.rows]
-
     def __repr__(self):
         return f"BiPoly({self.rows!r})"
 
@@ -553,9 +526,6 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             return self.nvars == other.nvars and self.terms == other.terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __neg__(self):
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})

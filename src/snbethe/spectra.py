@@ -151,9 +151,6 @@ class PolySpace:
     def degrees(self) -> list:
         return [p.degree for p in self.basis]
 
-    def to_json(self):
-        return [list(p.coeffs) for p in self.basis]
-
 
 def echelon_polys(polys, tol: float = 0.0) -> PolySpace:
     """Reduce a list of polynomials (exact or float coefficients) to echelon
@@ -200,33 +197,29 @@ def echelon_polys(polys, tol: float = 0.0) -> PolySpace:
 
 
 class SpanBasis:
-    """Linearly independent spanning list of block matrices together with the
-    exact echelon of their flattened coordinates (``linalg.Echelon``) for
-    membership tests."""
+    """Span of block matrices, held as the exact echelon of their flattened
+    coordinates (``linalg.Echelon``); its rows are a canonical basis."""
 
     def __init__(self, n: int):
         self.n = n
-        self.elements = []
         self.echelon = Echelon()
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return len(self.echelon.rows)
 
     def add(self, bm: BlockMatrix) -> bool:
         """Insert if independent; returns True when the dimension grew."""
-        if not self.echelon.add(bm.flatten()):
-            return False
-        self.elements.append(bm)
-        return True
+        return self.echelon.add(bm.flatten())
 
     def contains(self, bm: BlockMatrix) -> bool:
         return self.echelon.contains(bm.flatten())
 
     def same_span(self, other: "SpanBasis") -> bool:
-        return self.dim == other.dim and all(
-            self.contains(b) for b in other.elements
-        )
+        # each echelon row is the unique primitive positive multiple of its
+        # reduced row, so equal spans have equal (pivot, row) pairs
+        return (sorted(zip(self.echelon.pivots, self.echelon.rows))
+                == sorted(zip(other.echelon.pivots, other.echelon.rows)))
 
     def float_rows(self) -> np.ndarray:
         # the exact echelon rows span the same space and have exact zeros in
@@ -365,13 +358,6 @@ class EigenRecord:
     eigenvalues: dict
     residual: float
     vector: np.ndarray = field(repr=False, default=None)
-
-    def to_json(self):
-        return {
-            "partition": list(self.partition),
-            "eigenvalues": {k: v for k, v in self.eigenvalues.items()},
-            "residual": self.residual,
-        }
 
 
 def joint_eigen(cert: dict, generators: dict, tol: float = 1e-8):
@@ -615,13 +601,14 @@ def _monomials(n: int, deg: int):
 def cyclicity_verdict(basis: SpanBasis, block_vectors: dict) -> bool:
     """True iff mapping every span element to the tuple of its block images of
     the given vectors is injective, i.e. the vectors generate the span's
-    module."""
+    module; the map is linear, so it is applied to the echelon rows."""
+    vectors = [block_vectors[la] for la in partitions_of(basis.n)]
     rows = []
-    parts = partitions_of(basis.n)
-    for b in basis.elements:
-        row = []
-        for bi, la in enumerate(parts):
-            w = block_vectors[tuple(la)]
-            row.extend(b.blocks[bi].apply_vec(w))
+    for r in basis.echelon.rows:
+        row, at = [], 0
+        for w in vectors:
+            d = len(w)
+            row += [sum(map(mul, r[at + i * d:at + (i + 1) * d], w)) for i in range(d)]
+            at += d * d
         rows.append(row)
     return rank(rows) == basis.dim

@@ -14,7 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .rings import BiPoly, MultiPoly, SeededRandom, UPoly, falling_binomial, scalar_root_poly
+from .rings import (
+    BiPoly, MultiPoly, SeededRandom, UPoly, falling_binomial, format_rational, scalar_root_poly,
+)
 from .linalg import Matrix, rank
 from .permutations import (
     GroupAlgebraElement,
@@ -256,11 +258,7 @@ class Suite:
             shown = repr(residual)
         else:
             ok = residual == 0
-            shown = (
-                f"{residual.numerator}/{residual.denominator}"
-                if isinstance(residual, Fraction)
-                else str(residual)
-            )
+            shown = format_rational(residual) if isinstance(residual, Fraction) else str(residual)
         if conjecture:
             status = CONJECTURE_PASS if ok else CONJECTURE_FAIL
         else:
@@ -1251,8 +1249,8 @@ def run_suite(cfg) -> VerificationReport:
         suite=cfg.suite,
         config={
             "n": cfg.n,
-            "z": [f"{x.numerator}/{x.denominator}" for x in cfg.z],
-            "hbar": f"{cfg.hbar.numerator}/{cfg.hbar.denominator}",
+            "z": [format_rational(x) for x in cfg.z],
+            "hbar": format_rational(cfg.hbar),
             "seed": cfg.seed,
             "tol": cfg.tol,
         },

@@ -78,12 +78,6 @@ class TensorOperator:
         self._check(other)
         return TensorOperator(self.N, self.n, _sparse_add(self.entries, other.entries, 0))
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorOperator(self.N, self.n, {k: -v for k, v in self.entries.items()})
-
     def __mul__(self, other):
         if isinstance(other, TensorOperator):
             self._check(other)
@@ -94,20 +88,12 @@ class TensorOperator:
             self.N, self.n, {k: v * other for k, v in self.entries.items()}
         )
 
-    def __rmul__(self, other):
-        return TensorOperator(
-            self.N, self.n, {k: other * v for k, v in self.entries.items()}
-        )
-
     def __eq__(self, other):
         if isinstance(other, TensorOperator):
             return (
                 self.N == other.N and self.n == other.n and self.entries == other.entries
             )
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.N, self.n, frozenset(self.entries.items())))
 
     def __bool__(self):
         return bool(self.entries)
@@ -216,21 +202,11 @@ class RationalFunc:
             return self.num == self.den * Fraction(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((tuple(self.num.coeffs), tuple(self.den.coeffs)))
-
     def __add__(self, other):
         other = other if isinstance(other, RationalFunc) else RationalFunc.const(other)
         return RationalFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunc(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        other = other if isinstance(other, RationalFunc) else RationalFunc.const(other)
-        return self + (-other)
 
     def __mul__(self, other):
         other = other if isinstance(other, RationalFunc) else RationalFunc.const(other)

@@ -380,6 +380,14 @@ def test_strict_flag_plumbs_through():
     assert cfg.n == 3 and len(cfg.z) == 3
 
 
+@pytest.mark.parametrize("flags, code", [([], 0), (["--strict"], 1)])
+def test_strict_exits_1_on_conjecture_fail(capsys, monkeypatch, flags, code):
+    monkeypatch.setattr(suites, "relation_residual", lambda records, check: 1.0)
+    rc, out = run_main(capsys, ["run", "conjectures", "--n", "3", *flags])
+    assert rc == code
+    assert out.count("CONJECTURE-FAIL") == 2
+
+
 def test_readme_flag_list_matches_parser():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     listed = readme.split("Flags: `", 1)[1].split("`", 1)[0].split()

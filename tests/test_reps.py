@@ -328,7 +328,7 @@ def test_matrix_of_ga_rejects_non_rational_coefficients():
 
 def test_represent_identity_and_burnside():
     bm = represent(GroupAlgebraElement.scalar(4, F(1)))
-    for la, block in zip(bm.partitions, bm.blocks):
+    for la, block in zip(partitions_of(bm.n), bm.blocks):
         assert block == Matrix.identity(dimension(la))
     assert sum(dimension(la) ** 2 for la in partitions_of(5)) == 120
     assert sum_of_dims(3) == 4
@@ -358,7 +358,7 @@ def test_represent_idempotent_blocks():
     n = 4
     for la in partitions_of(n):
         bm = represent(central_idempotent(la, n))
-        for mu, block in zip(bm.partitions, bm.blocks):
+        for mu, block in zip(partitions_of(bm.n), bm.blocks):
             want = Matrix.identity(dimension(mu)) if mu == la else None
             if want is not None:
                 assert block == want

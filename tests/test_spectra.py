@@ -223,6 +223,19 @@ def combination(rng, mats):
     return acc
 
 
+def echelon_elements(sb):
+    """The span's echelon rows as block matrices: a basis of the span."""
+    dims = [dimension(la) for la in partitions_of(sb.n)]
+    out = []
+    for row in sb.echelon.rows:
+        blocks, at = [], 0
+        for d in dims:
+            blocks.append(Matrix([row[at + i * d:at + (i + 1) * d] for i in range(d)]))
+            at += d * d
+        out.append(BlockMatrix(sb.n, blocks))
+    return out
+
+
 def assert_matches_oracle(mats, probes=()):
     """SpanBasis against the Fraction echelon: same answers from add, same
     pivots, integer rows that are primitive positive multiples of the
@@ -275,7 +288,7 @@ def test_span_basis_matches_oracle_on_closures(n, gens):
     span = algebra_span([represent(g) for g in gens()])
     assert span.dim == sum_of_dims(n)
     probes = [represent(ga_perm(p)) for p in all_permutations(n)[:8]]
-    assert_matches_oracle(span.elements, probes)
+    assert_matches_oracle(echelon_elements(span), probes)
 
 
 def test_center_span_dimension():
@@ -299,12 +312,14 @@ def oracle_algebra_span(generators):
     sb = SpanBasis(n)
     sb.add(BlockMatrix.identity(n))
     queue = [g for g in generators if sb.add(g)]
+    elements = [BlockMatrix.identity(n)] + queue
     while queue:
         new = queue.pop()
-        for other in list(sb.elements):
+        for other in list(elements):
             for prod in (new * other, other * new):
                 if sb.add(prod):
                     queue.append(prod)
+                    elements.append(prod)
     return sb
 
 
@@ -360,12 +375,12 @@ def test_algebra_span_identity_and_dependent_generators(n):
 def oracle_commutant_dim(basis: SpanBasis) -> int:
     """Dimension of the commutant of the span inside the full block algebra,
     block by block: the rank of the commutator map on each block."""
-    n = basis.n
+    elements = echelon_elements(basis)
     total = 0
-    for bi, la in enumerate(partitions_of(n)):
+    for bi, la in enumerate(partitions_of(basis.n)):
         d = dimension(la)
         rows = []
-        for b in basis.elements:
+        for b in elements:
             B = b.blocks[bi].rows
             for i in range(d):
                 for j in range(d):
@@ -694,6 +709,10 @@ def test_cyclic_vector_degrees_and_cyclicity(variant, hbar):
         vectors[la] = value
     span = algebra_span([represent(g) for g in phi_polys(n, z)[1].values()])
     assert cyclicity_verdict(span, vectors)
+    # a zero vector in one block: the span's central idempotent of that block
+    # maps to zero, so the vectors do not generate the module
+    for la in partitions_of(n):
+        assert not cyclicity_verdict(span, {**vectors, la: [F(0)] * len(vectors[la])})
 
 
 def test_span_distance_basics():

@@ -279,6 +279,18 @@ class BlockMatrix:
             out.extend(b.flatten())
         return out
 
+    @classmethod
+    def from_flat(cls, n: int, row) -> "BlockMatrix":
+        """Inverse of flatten: one row-major d x d block per partition of n."""
+        blocks, at = [], 0
+        for la in partitions_of(n):
+            d = dimension(la)
+            blocks.append(Matrix([row[at + i * d:at + (i + 1) * d] for i in range(d)]))
+            at += d * d
+        if at != len(row):
+            raise ValueError("row length does not match the block model")
+        return cls(n, blocks)
+
 
 def represent(a: GroupAlgebraElement) -> BlockMatrix:
     """Image of a group-algebra element in the full block model."""

@@ -605,10 +605,6 @@ def cyclicity_verdict(basis: SpanBasis, block_vectors: dict) -> bool:
     vectors = [block_vectors[la] for la in partitions_of(basis.n)]
     rows = []
     for r in basis.echelon.rows:
-        row, at = [], 0
-        for w in vectors:
-            d = len(w)
-            row += [sum(map(mul, r[at + i * d:at + (i + 1) * d], w)) for i in range(d)]
-            at += d * d
-        rows.append(row)
+        blocks = BlockMatrix.from_flat(basis.n, r).blocks
+        rows.append([sum(map(mul, br, w)) for b, w in zip(blocks, vectors) for br in b.rows])
     return rank(rows) == basis.dim

@@ -225,15 +225,7 @@ def combination(rng, mats):
 
 def echelon_elements(sb):
     """The span's echelon rows as block matrices: a basis of the span."""
-    dims = [dimension(la) for la in partitions_of(sb.n)]
-    out = []
-    for row in sb.echelon.rows:
-        blocks, at = [], 0
-        for d in dims:
-            blocks.append(Matrix([row[at + i * d:at + (i + 1) * d] for i in range(d)]))
-            at += d * d
-        out.append(BlockMatrix(sb.n, blocks))
-    return out
+    return [BlockMatrix.from_flat(sb.n, row) for row in sb.echelon.rows]
 
 
 def assert_matches_oracle(mats, probes=()):
@@ -285,10 +277,15 @@ def test_span_basis_matches_fraction_oracle(n):
     (4, lambda: homogeneous_generators(4)),
 ])
 def test_span_basis_matches_oracle_on_closures(n, gens):
-    span = algebra_span([represent(g) for g in gens()])
+    gens = [represent(g) for g in gens()]
+    span = algebra_span(gens)
     assert span.dim == sum_of_dims(n)
+    # the raw closure products, not the reduced echelon rows, go through the
+    # elimination that is compared with the oracle
+    _, elements = oracle_algebra_span(gens)
     probes = [represent(ga_perm(p)) for p in all_permutations(n)[:8]]
-    assert_matches_oracle(echelon_elements(span), probes)
+    sb = assert_matches_oracle(elements, probes)
+    assert sb.same_span(span)
 
 
 def test_center_span_dimension():
@@ -307,7 +304,7 @@ def test_identity_span():
 def oracle_algebra_span(generators):
     """The closure algebra_span replaced: every element that enters is
     multiplied by every basis element, on both sides, until nothing new
-    enters."""
+    enters.  Returns the span and the raw elements it accepted."""
     n = generators[0].n
     sb = SpanBasis(n)
     sb.add(BlockMatrix.identity(n))
@@ -320,7 +317,7 @@ def oracle_algebra_span(generators):
                 if sb.add(prod):
                     queue.append(prod)
                     elements.append(prod)
-    return sb
+    return sb, elements
 
 
 def family_generators(family, n):
@@ -341,7 +338,7 @@ def family_generators(family, n):
 
 
 def assert_closure_matches_oracle(gens):
-    got, want = algebra_span(gens), oracle_algebra_span(gens)
+    got, (want, _) = algebra_span(gens), oracle_algebra_span(gens)
     assert got.dim == want.dim
     assert got.same_span(want) and want.same_span(got)
     return got

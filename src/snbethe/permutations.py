@@ -8,21 +8,33 @@ Composition convention: in a product p*q the RIGHT factor acts first,
 transpositions s(i1,i2) s(i2,i3) ... s(i_{k-1},i_k) is the increasing k-cycle
 (i1 i2 ... ik); see tests.
 
-The group-algebra product is the kernel every identity check runs through,
-so it avoids per-term-pair overhead in three ways:
+The group-algebra arithmetic is the kernel every identity check runs
+through, so it avoids per-term overhead in four ways:
 
 * Index composition.  Each permutation q lazily builds an
   ``operator.itemgetter`` over its zero-based images, kept in a slot, so the
   images of p*q are ``getter(p.images)``: one C call per term pair.
 * Trusted construction.  A product (or inverse, embedding, trace residue) of
-  permutations is a permutation by construction, so internal sites build the
-  result through ``Permutation._trusted``, which skips the validation that
-  the public ``Permutation(images)`` performs.  The dict product
-  accumulates on image tuples and builds one ``Permutation`` per output
-  term; the Cayley-table product reuses the table's.  Likewise a
-  product, sum or negation of elements holds no zero coefficient by
-  construction, so it is built through ``GroupAlgebraElement._trusted``,
-  which skips the constructor's zero filter.
+  permutations is a permutation by construction, and so are the outputs of
+  ``itertools.permutations`` and the identity, so internal sites build them
+  through ``Permutation._trusted``, which skips the validation that the
+  public ``Permutation(images)`` performs.  The dict product accumulates on
+  image tuples and builds one ``Permutation`` per output term; the
+  Cayley-table product reuses the table's.  Likewise a product, sum or negation of
+  elements holds no zero coefficient by construction, so it is built from
+  its form through ``GroupAlgebraElement._trusted``, which skips the
+  constructor's zero filter and type scan.
+* Numerator form.  An all-int or all-Fraction element holds integer
+  numerators over one denominator d (see ``GroupAlgebraElement``), so sums,
+  negations, multiples by an int or Fraction and products run on Python
+  ints: a sum of one kind merges the numerators over lcm(da, db), a scalar
+  cn/cd multiplies them by cn and d by cd, and each result is divided by
+  the gcd of d and its numerators.  The form is then canonical, so ``==``
+  compares it directly, across the two kinds too.  ``terms`` builds the
+  Fractions on first read; ``represent`` and ``trace_map`` read the
+  numerators.  A mix of int and Fraction, floats, UPolys, UPoly or float
+  scalars and empty elements take the dict path on the coefficients, and
+  its result is scanned back into its form.
 * One sum-of-products kernel.  ``GroupAlgebraElement.dot(pairs)`` is the
   sum of a*b over pairs (a, b) of elements, a scalar factor read on the
   identity.  A product is ``dot`` on one pair, and polynomial products and
@@ -30,17 +42,16 @@ so it avoids per-term-pair overhead in three ways:
   coefficient in one pass.  Every term pair goes through one of two
   loops, over the Cayley table or ``_accumulate`` (the dict product).
 
-  - Kind rule: a factor is int or Fraction when all its coefficients are;
-    a product is int when both factors are, else Fraction.  When every pair
-    has an element factor and all pairs with terms share one product kind,
-    each factor is scaled to integer numerators over the lcm of its
-    denominators, all term pairs accumulate Python ints over D, the lcm of
-    the pairs' da*db (a pair's numerators times D/(da*db)), and each nonzero
-    output term becomes one ``Fraction(s, D)``, or stays an int.  Otherwise
-    (floats, UPolys, a factor mixing int and Fraction, pairs of two kinds or
-    of two scalars) each product is formed on the coefficients themselves
-    and the products are added left to right, because the type of an
-    output term then depends on that order.
+  - Kind rule: a product is int when both factors are int, Fraction when
+    both are rational and either is Fraction.  When every pair has an
+    element factor and all pairs with terms share one product kind, the
+    factors' numerators are read as they are, all term pairs accumulate
+    Python ints over D, the lcm of the pairs' da*db (a pair's left
+    numerators times D/(da*db)), and the nonzero sums are the output's
+    numerators over D.  Otherwise (floats, UPolys, a factor mixing int and
+    Fraction, pairs of two kinds or of two scalars) each product is formed
+    on the coefficients themselves and the products are added left to
+    right, because the type of an output term then depends on that order.
   - Exactness: the scaled partial sum is the true partial sum times D, so it
     is zero exactly when the true one is.
   - Cayley table.  For n <= CAYLEY_MAX_DEGREE, an integer-path dot whose
@@ -53,7 +64,8 @@ so it avoids per-term-pair overhead in three ways:
     sum reaches zero, so a product keeps the key order of the term-pair
     accumulation.  A sum of several products on the integer path is one
     accumulation over all their term pairs: the keys, values and types of
-    adding the products one by one, the key order possibly not.
+    adding the products one by one, the key order possibly not.  A sum
+    ``a + b`` lists a's keys, then b's new ones.
 """
 
 from __future__ import annotations
@@ -106,7 +118,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
@@ -189,15 +201,7 @@ def cycle_type(p: Permutation) -> tuple:
 
 
 def all_permutations(n: int):
-    return [Permutation(im) for im in _itperms(range(1, n + 1))]
-
-
-def _rational_kind(terms):
-    """int or Fraction when every coefficient has exactly that type, else None."""
-    kinds = set(map(type, terms.values()))
-    if len(kinds) == 1 and kinds <= {int, Fraction}:
-        return kinds.pop()
-    return None
+    return [Permutation._trusted(im) for im in _itperms(range(1, n + 1))]
 
 
 @lru_cache(maxsize=None)
@@ -242,13 +246,60 @@ def _accumulate(acc, left, right):
     return acc
 
 
-def _element(n: int, acc: dict, d=None) -> "GroupAlgebraElement":
-    """The element of an accumulator, its sums divided by d if d is given."""
+def _coefficients(kind, d, nums) -> dict:
+    """The coefficient dict of a form: Fractions of the numerators over d for
+    the Fraction kind, else ``nums`` itself."""
+    if kind is Fraction:
+        return {p: Fraction(x, d) for p, x in nums.items()}
+    return nums
+
+
+def _form(coeffs: dict):
+    """(kind, d, nums) of a dict of nonzero coefficients (see the class
+    docstring); the kind is int or Fraction when every coefficient has
+    exactly that type."""
+    kinds = set(map(type, coeffs.values()))
+    kind = kinds.pop() if len(kinds) == 1 and kinds <= {int, Fraction} else None
+    if kind is not Fraction:
+        return kind, 1, coeffs
+    d, nums = _int_scaled(coeffs.values())
+    return kind, d, dict(zip(coeffs, nums))
+
+
+def _reduced(n: int, kind, d: int, nums: dict) -> "GroupAlgebraElement":
+    """The element of the nonzero numerators ``nums`` over d of a rational
+    kind, with d and the numerators divided by their gcd."""
+    if not nums:
+        return GroupAlgebraElement._trusted(n, None, 1, nums)
+    if d > 1:
+        g = math.gcd(d, *nums.values())
+        if g > 1:
+            d //= g
+            nums = {p: x // g for p, x in nums.items()}
+    return GroupAlgebraElement._trusted(n, kind, d, nums)
+
+
+def _element(n: int, acc: dict, kind=None, d=1) -> "GroupAlgebraElement":
+    """The element of an accumulator: its sums are numerators over d of the
+    given kind, or the coefficients themselves when kind is None."""
     trusted = Permutation._trusted
-    if d is None:
-        return GroupAlgebraElement._trusted(n, {trusted(r): s for r, s in acc.items()})
-    return GroupAlgebraElement._trusted(
-        n, {trusted(r): Fraction(s, d) for r, s in acc.items()})
+    terms = {trusted(r): s for r, s in acc.items()}
+    if kind is None:
+        return GroupAlgebraElement._trusted(n, *_form(terms))
+    return _reduced(n, kind, d, terms)
+
+
+def _factor(x, n: int):
+    """(kind, d, nums) of a factor of ``dot``: an element's own form, a
+    scalar's on the identity; nums is empty for a zero factor."""
+    if isinstance(x, GroupAlgebraElement):
+        return x._kind, x._d, x._nums
+    if not x:
+        return None, 1, {}
+    kind = type(x)
+    if kind is int or kind is Fraction:
+        return kind, x.denominator, {Permutation.identity(n): x.numerator}
+    return None, 1, {Permutation.identity(n): x}
 
 
 def _dot(pairs) -> "GroupAlgebraElement":
@@ -261,95 +312,109 @@ def _dot(pairs) -> "GroupAlgebraElement":
     if len(degrees) > 1:
         raise ValueError("degree mismatch: " + " vs ".join(map(str, sorted(degrees))))
     n = degrees.pop() if degrees else None
-    # each pair's factors as terms, or None for a pair of two scalars
-    rows = [(_factor_terms(a, n), _factor_terms(b, n))
+    # each pair's factors, or None for a pair of two scalars
+    rows = [(_factor(a, n), _factor(b, n))
             if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)
             else None for a, b in pairs]
-    kinds = {None if row is None else _product_kind(*row)
-             for row in rows if row is None or all(row)}
+    # the product kind of each pair with terms (see the kind rule)
+    kinds = set()
+    for row in rows:
+        if row is None:
+            kinds.add(None)
+        elif row[0][2] and row[1][2]:
+            ka, kb = row[0][0], row[1][0]
+            kinds.add(None if None in (ka, kb)
+                      else Fraction if Fraction in (ka, kb) else int)
     if None in kinds or len(kinds) > 1:
         acc = None
         for (a, b), row in zip(pairs, rows):
-            t = a * b if row is None else _element(
-                n, _accumulate({}, row[0].items(), row[1].items()))
+            t = a * b if row is None else _element(n, _accumulate(
+                {}, _coefficients(*row[0]).items(), _coefficients(*row[1]).items()))
             acc = t if acc is None else acc + t
         return acc
-    scaled, d = [], 1
-    for ta, tb in filter(all, rows):
-        da, na = _int_scaled(ta.values())
-        db, nb = _int_scaled(tb.values())
-        scaled.append((ta, na, tb, nb, da * db))
-        d = math.lcm(d, da * db)
-    scaled = [(ta, na if dp == d else [x * (d // dp) for x in na], tb, nb)
-              for ta, na, tb, nb, dp in scaled]
-    d = d if Fraction in kinds else None
+    kind = kinds.pop() if kinds else int
+    live, d = [], 1
+    for (_, da, na), (_, db, nb) in rows:
+        if na and nb:
+            live.append((na, nb, da * db))
+            d = math.lcm(d, da * db)
+    scaled = [(na.items() if dp == d else [(p, x * (d // dp)) for p, x in na.items()],
+               nb.items()) for na, nb, dp in live]
     if (n <= CAYLEY_MAX_DEGREE
-            and sum(len(ta) * len(tb) for ta, _, tb, _ in scaled) >= math.factorial(n)):
-        return _cayley_dot(n, scaled, d)
+            and sum(len(na) * len(nb) for na, nb, _ in live) >= math.factorial(n)):
+        return _reduced(n, kind, d, _cayley_dot(n, scaled))
     acc = {}
-    for ta, na, tb, nb in scaled:
-        _accumulate(acc, zip(ta, na), zip(tb, nb))
-    return _element(n, acc, d)
+    for left, right in scaled:
+        _accumulate(acc, left, right)
+    return _element(n, acc, kind, d)
 
 
-def _cayley_dot(n: int, scaled, d) -> "GroupAlgebraElement":
-    """The integer-path dot on the Cayley table: the sums of the term pairs
-    of (terms, numerators) pairs ``scaled``, by permutation id, divided by d
-    if d is given; the terms come out in id order."""
+def _cayley_dot(n: int, scaled) -> dict:
+    """The integer-path dot on the Cayley table: the nonzero sums of the term
+    pairs of the (left, right) numerator items in ``scaled``, keyed by
+    permutation in id order."""
     index, perms, rows = _cayley(n)
     acc = [0] * len(perms)
-    for ta, na, tb, nb in scaled:
-        right = list(zip([index[q.images] for q in tb], nb))
-        for p, a in zip(ta, na):
+    for left, right in scaled:
+        right = [(index[q.images], b) for q, b in right]
+        for p, a in left:
             row = rows[index[p.images]]
             for j, b in right:
                 acc[row[j]] += a * b
-    nonzero = [(perms[i], s) for i, s in enumerate(acc) if s]
-    return GroupAlgebraElement._trusted(
-        n, dict(nonzero) if d is None else {p: Fraction(s, d) for p, s in nonzero})
-
-
-def _factor_terms(x, n: int) -> dict:
-    """Terms of a factor: an element's own, a scalar's on the identity."""
-    if isinstance(x, GroupAlgebraElement):
-        return x.terms
-    return {Permutation.identity(n): x} if x else {}
-
-
-def _product_kind(ta: dict, tb: dict):
-    """int or Fraction, the kind of the product of two factors with terms,
-    or None when the generic path must form it."""
-    ka, kb = _rational_kind(ta), _rational_kind(tb)
-    if ka is None or kb is None:
-        return None
-    return Fraction if Fraction in (ka, kb) else int
+    return {perms[i]: s for i, s in enumerate(acc) if s}
 
 
 class GroupAlgebraElement:
-    """Sparse element of the group algebra of S_n: dict Permutation -> coeff.
+    """Sparse element of the group algebra of S_n: Permutation -> coeff.
 
-    Coefficients may be Fractions, floats, or UPoly (auxiliary variables);
-    scalars occurring in mixed arithmetic are read as scalar multiples of the
-    identity permutation.  Zero coefficients are never stored.
+    Coefficients may be ints, Fractions, floats, or UPoly (auxiliary
+    variables); scalars occurring in mixed arithmetic are read as scalar
+    multiples of the identity permutation.  Zero coefficients are never
+    stored.
+
+    The form: a nonempty element whose coefficients are all ints or all
+    Fractions has kind int or Fraction and holds ``nums``, permutation ->
+    integer numerator over one denominator d, the lcm of the coefficients'
+    reduced denominators (1 for the int kind).  Any other element has kind
+    None, d = 1, and ``nums`` holds the coefficients themselves.  ``terms``,
+    permutation -> coefficient, is built from the form on first read.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_kind", "_d", "_nums", "_terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for p, c in terms.items():
-                if c:
-                    self.terms[p] = c
+        self._terms = None
+        coeffs = {p: c for p, c in terms.items() if c} if terms else {}
+        self._kind, self._d, self._nums = _form(coeffs)
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict) -> "GroupAlgebraElement":
-        """Element owning ``terms``, which must hold no zero coefficient."""
+    def _trusted(cls, n: int, kind, d: int, nums: dict) -> "GroupAlgebraElement":
+        """Element of the form (kind, d, nums), which must be its canonical
+        form (see the class docstring)."""
         a = object.__new__(cls)
         a.n = n
-        a.terms = terms
+        a._kind = kind
+        a._d = d
+        a._nums = nums
+        a._terms = None
         return a
+
+    @property
+    def terms(self) -> dict:
+        """Permutation -> coefficient, in the form's key order."""
+        t = self._terms
+        if t is None:
+            t = self._terms = _coefficients(self._kind, self._d, self._nums)
+        return t
+
+    def numerators(self):
+        """(d, permutation -> integer numerator over d).  Every coefficient
+        must be an int or a Fraction; anything else raises TypeError."""
+        if self._kind is not None:
+            return self._d, self._nums
+        d, nums = _int_scaled(self._nums.values())
+        return d, dict(zip(self._nums, nums))
 
     @classmethod
     def zero(cls, n: int) -> "GroupAlgebraElement":
@@ -367,7 +432,7 @@ class GroupAlgebraElement:
         return GroupAlgebraElement.scalar(self.n, Fraction(1))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._nums)
 
     def coeff(self, p: Permutation):
         return self.terms.get(p, 0)
@@ -381,7 +446,11 @@ class GroupAlgebraElement:
 
     def __eq__(self, other):
         if isinstance(other, GroupAlgebraElement):
-            return self.n == other.n and self.terms == other.terms
+            if self.n != other.n:
+                return False
+            if self._kind is None or other._kind is None:
+                return self.terms == other.terms
+            return self._d == other._d and self._nums == other._nums
         if isinstance(other, (Number, UPoly)):
             return self == GroupAlgebraElement.scalar(self.n, other)
         return NotImplemented
@@ -390,19 +459,41 @@ class GroupAlgebraElement:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __neg__(self):
-        return GroupAlgebraElement._trusted(
-            self.n, {p: -c for p, c in self.terms.items()})
+        negated = {p: -c for p, c in self._nums.items()}
+        if self._kind is None:
+            return GroupAlgebraElement._trusted(self.n, *_form(negated))
+        return GroupAlgebraElement._trusted(self.n, self._kind, self._d, negated)
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p, 0) + c
-            if not s:
-                out.pop(p, None)
-            else:
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        kind = self._kind
+        if kind is None or kind is not other._kind:
+            out = dict(self.terms)
+            for p, c in other.terms.items():
+                s = out.get(p, 0) + c
+                if not s:
+                    out.pop(p, None)
+                else:
+                    out[p] = s
+            return GroupAlgebraElement._trusted(self.n, *_form(out))
+        # one kind: the numerators merge over the lcm of the denominators
+        da, db = self._d, other._d
+        d = da if da == db else math.lcm(da, db)
+        f = d // da
+        out = dict(self._nums) if f == 1 else {p: x * f for p, x in self._nums.items()}
+        f = d // db
+        get, pop = out.get, out.pop
+        for p, y in other._nums.items():
+            s = get(p, 0) + y * f
+            if s:
                 out[p] = s
-        return GroupAlgebraElement._trusted(self.n, out)
+            else:
+                pop(p, None)
+        return _reduced(self.n, kind, d, out)
 
     __radd__ = __add__
 
@@ -412,9 +503,19 @@ class GroupAlgebraElement:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, c):
+        """self times an int or Fraction c, on the numerators; the product
+        is a Fraction when either side is."""
+        kind = Fraction if type(c) is Fraction else self._kind
+        cn = c.numerator
+        return _reduced(self.n, kind, self._d * c.denominator,
+                        {p: x * cn for p, x in self._nums.items()} if cn else {})
+
     def __mul__(self, other):
         if isinstance(other, GroupAlgebraElement):
             return _dot(((self, other),))
+        if self._kind is not None and type(other) in (int, Fraction):
+            return self._scaled(other)
         return GroupAlgebraElement(
             self.n, {p: c * other for p, c in self.terms.items()}
         )
@@ -423,18 +524,24 @@ class GroupAlgebraElement:
     dot = staticmethod(_dot)
 
     def __rmul__(self, other):
+        if self._kind is not None and type(other) in (int, Fraction):
+            return self._scaled(other)
         return GroupAlgebraElement(
             self.n, {p: other * c for p, c in self.terms.items()}
         )
+
+    def _rekeyed(self, n: int, f) -> "GroupAlgebraElement":
+        """The element of S_n with each permutation p replaced by f(p); f
+        must be injective."""
+        return GroupAlgebraElement._trusted(
+            n, self._kind, self._d, {f(p): x for p, x in self._nums.items()})
 
     def map_coeffs(self, f) -> "GroupAlgebraElement":
         return GroupAlgebraElement(self.n, {p: f(c) for p, c in self.terms.items()})
 
     def dagger(self) -> "GroupAlgebraElement":
         """Linear antiinvolution: each permutation goes to its inverse."""
-        return GroupAlgebraElement(
-            self.n, {p.inverse(): c for p, c in self.terms.items()}
-        )
+        return self._rekeyed(self.n, Permutation.inverse)
 
     def star(self) -> "GroupAlgebraElement":
         """Semilinear antiinvolution: inverse permutations, conjugated coefficients."""
@@ -541,9 +648,7 @@ def embed(a: GroupAlgebraElement, positions, n: int) -> GroupAlgebraElement:
         raise ValueError("positions out of range")
     if len(pos) != a.n:
         raise ValueError("positions must match the degree of the element")
-    return GroupAlgebraElement(
-        n, {embed_perm(p, pos, n): c for p, c in a.terms.items()}
-    )
+    return a._rekeyed(n, lambda p: embed_perm(p, pos, n))
 
 
 def top_embed(a: GroupAlgebraElement, n: int, m: int) -> GroupAlgebraElement:
@@ -575,10 +680,10 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p) -> GroupAlgebraElement:
             raise ValueError("a symbolic trace parameter must be UPoly.gen()")
     elif not isinstance(p, (int, Fraction)):
         raise TypeError(f"trace parameter must be rational, got {type(p).__name__}")
-    d, nums = _int_scaled(a.terms.values())
+    d, nums = a.numerators()
     top = range(n, n + m)  # zero-based top symbols
     acc = {}  # residual images -> {orbits lost: scaled sum}
-    for perm, s in zip(a.terms, nums):
+    for perm, s in nums.items():
         im = perm.images
         passed = [False] * (n + m)
         res = []
@@ -596,22 +701,24 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p) -> GroupAlgebraElement:
                     t = im[t] - 1
         sums = acc.setdefault(tuple(res), {})
         sums[lost] = sums.get(lost, 0) + s
-    out = GroupAlgebraElement(n)
-    terms, trusted = out.terms, Permutation._trusted
+    trusted = Permutation._trusted
     if symbolic:
+        terms = {}
         for res, sums in acc.items():
             c = UPoly([Fraction(sums.get(l, 0), d) for l in range(max(sums) + 1)])
             if c:
                 terms[trusted(res)] = c
-        return out
-    whole = isinstance(p, int) and _rational_kind(a.terms) is int
+        return GroupAlgebraElement._trusted(n, None, 1, terms)
+    # every sum over d * pd**k, k the most orbits any term loses
+    k = max((max(sums) for sums in acc.values()), default=0)
     pn, pd = p.numerator, p.denominator
+    out = {}
     for res, sums in acc.items():
-        k = max(sums)
         total = sum(s * pn**l * pd ** (k - l) for l, s in sums.items())
         if total:
-            terms[trusted(res)] = total if whole else Fraction(total, d * pd**k)
-    return out
+            out[trusted(res)] = total
+    kind = int if isinstance(p, int) and a._kind is int else Fraction
+    return _reduced(n, kind, d * pd**k, out)
 
 
 def antiinvolution(a: GroupAlgebraElement, kind: str = "dagger") -> GroupAlgebraElement:

@@ -219,11 +219,11 @@ class IrrepAction:
         if a.n != self.n:
             raise ValueError("degree mismatch")
         k = self.dim
-        dc, coeffs = _int_scaled(a.terms.values())
-        mats = [self._numerators(p) for p in a.terms]
+        dc, coeffs = a.numerators()
+        mats = [self._numerators(p) for p in coeffs]
         d = math.lcm(*(dp for dp, _ in mats))
         acc = [0] * (k * k)
-        for c, (dp, nums) in zip(coeffs, mats):
+        for c, (dp, nums) in zip(coeffs.values(), mats):
             f = c * (d // dp)
             acc = [x + f * y for x, y in zip(acc, nums)]
         d *= dc

@@ -22,8 +22,8 @@ def format_rational(q: Fraction) -> str:
 def _int_scaled(values):
     """(d, [c*d for c in values]) with d the lcm of the values' denominators.
 
-    The exact kernels (group-algebra product, block-matrix product, span
-    echelon) run on these integer numerators.  Every value must be an int or
+    The exact kernels (group-algebra numerator form, block-matrix product,
+    span echelon) run on these integer numerators.  Every value must be an int or
     a Fraction; anything else raises TypeError.
     """
     values = list(values)
@@ -482,12 +482,6 @@ class BiPoly:
         """P(u, v) -> P(u, v + c)."""
         return BiPoly([UPoly(r).shift_arg(c).coeffs for r in self.rows])
 
-    def eval_v(self, x) -> UPoly:
-        return UPoly([UPoly(r).eval_at(x) for r in self.rows])
-
-    def eval(self, u0, v0):
-        return self.eval_v(v0).eval_at(u0)
-
     def __repr__(self):
         return f"BiPoly({self.rows!r})"
 
@@ -584,9 +578,6 @@ class MultiPoly:
                 else:
                     out.pop(e, None)
         return MultiPoly(self.nvars, out)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), 0)

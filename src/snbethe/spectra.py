@@ -18,7 +18,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .rings import BiPoly, MultiPoly, SeededRandom, UPoly
-from .linalg import Echelon, det, nullspace, rank
+from .linalg import Echelon, det, nullspace
 from .reps import BlockMatrix, partition_parts, partitions_of, seminormal_rep
 
 if TYPE_CHECKING:
@@ -596,15 +596,3 @@ def _monomials(n: int, deg: int):
         for rest in _monomials(n - 1, deg - first):
             out.append((first,) + rest)
     return out
-
-
-def cyclicity_verdict(basis: SpanBasis, block_vectors: dict) -> bool:
-    """True iff mapping every span element to the tuple of its block images of
-    the given vectors is injective, i.e. the vectors generate the span's
-    module; the map is linear, so it is applied to the echelon rows."""
-    vectors = [block_vectors[la] for la in partitions_of(basis.n)]
-    rows = []
-    for r in basis.echelon.rows:
-        blocks = BlockMatrix.from_flat(basis.n, r).blocks
-        rows.append([sum(map(mul, br, w)) for b, w in zip(blocks, vectors) for br in b.rows])
-    return rank(rows) == basis.dim

@@ -1,6 +1,7 @@
 """Symmetric group layer: composition convention, cycle data, embeddings,
 group-algebra arithmetic, antiinvolutions, and the cycle-deletion trace."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from snbethe.permutations import (
     Permutation,
     all_permutations,
     antiinvolution,
+    commutators,
     antisymmetrizer,
     class_sum,
     cycle_data,
@@ -26,7 +28,7 @@ from snbethe.permutations import (
     trace_map,
     _cayley,
 )
-from snbethe.reps import central_idempotent, partitions_of
+from snbethe.reps import central_idempotent, partitions_of, represent
 
 F = Fraction
 
@@ -114,20 +116,25 @@ def test_ga_multiply_examples():
     ) + t
 
 
-def oracle_product(x, y):
-    """The group-algebra product as first written: one validated Permutation
-    and one coefficient multiply-add per term pair."""
+def dict_product(x: dict, y: dict) -> dict:
+    """The group-algebra product as first written, on plain dicts of
+    coefficients: one validated Permutation and one coefficient multiply-add
+    per term pair."""
     out = {}
-    for p, a in x.terms.items():
+    for p, a in x.items():
         pim = p.images
-        for q, b in y.terms.items():
+        for q, b in y.items():
             r = Permutation(tuple(pim[j - 1] for j in q.images))
             s = out.get(r, 0) + a * b
             if not s:
                 out.pop(r, None)
             else:
                 out[r] = s
-    return GroupAlgebraElement(x.n, out)
+    return out
+
+
+def oracle_product(x, y):
+    return GroupAlgebraElement(x.n, dict_product(x.terms, y.terms))
 
 
 # kind -> (coefficient of the identity, coefficient of a transposition,
@@ -249,17 +256,10 @@ def test_cayley_table_matches_permutation_product():
 
 
 def oracle_dot(n, pairs):
-    """A sum of products as the polynomial loop first formed it: each pair
-    through ``oracle_product``, scalars read on the identity, the products
-    added left to right."""
-    def lift(x):
-        return x if isinstance(x, GroupAlgebraElement) else GroupAlgebraElement.scalar(n, x)
+    def plain(x):
+        return x.terms if isinstance(x, GroupAlgebraElement) else x
 
-    acc = None
-    for a, b in pairs:
-        t = oracle_product(lift(a), lift(b))
-        acc = t if acc is None else acc + t
-    return acc
+    return GroupAlgebraElement(n, dict_dot(n, [(plain(a), plain(b)) for a, b in pairs]))
 
 
 def assert_same_terms(got, want):
@@ -648,3 +648,217 @@ def test_json_round_shapes():
         {"perm": [1, 2], "coeff": "2/1"},
         {"perm": [2, 1], "coeff": "1/3"},
     ]
+
+
+def test_all_permutations_match_the_validated_list():
+    # rng.choice draws depend on this order
+    for n in range(1, 5):
+        validated = [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
+        assert all_permutations(n) == validated
+        assert Permutation.identity(n) == Permutation(range(1, n + 1))
+
+
+# The element operations against plain dicts of coefficients: the same keys,
+# values and coefficient types, and the key order where the operation fixes
+# one (a sum lists self's keys then other's new ones).
+
+def dict_add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for p, c in y.items():
+        s = out.get(p, 0) + c
+        if s:
+            out[p] = s
+        else:
+            out.pop(p, None)
+    return out
+
+
+def dict_neg(x: dict) -> dict:
+    return {p: -c for p, c in x.items()}
+
+
+def dict_lift(n: int, c) -> dict:
+    return {Permutation.identity(n): c} if c else {}
+
+
+def dict_times(x: dict, c, left: bool) -> dict:
+    out = {p: c * v if left else v * c for p, v in x.items()}
+    return {p: v for p, v in out.items() if v}
+
+
+def dict_dot(n: int, pairs) -> dict:
+    """A sum of products as the polynomial loop first formed it: each pair
+    of dicts or scalars through ``dict_product``, scalars read on the
+    identity, the products added left to right."""
+    def plain(x):
+        return x if isinstance(x, dict) else dict_lift(n, x)
+
+    acc = {}
+    for a, b in pairs:
+        acc = dict_add(acc, dict_product(plain(a), plain(b)))
+    return acc
+
+
+def assert_matches(got, want: dict, ordered=True):
+    assert got.terms == want
+    assert {p: type(c) for p, c in got.terms.items()} == {
+        p: type(c) for p, c in want.items()}
+    if ordered:
+        assert list(got.terms) == list(want)
+    assert bool(got) == bool(want)
+    assert got == GroupAlgebraElement(got.n, want)
+    try:
+        want_hash = hash((got.n, frozenset(want.items())))
+    except TypeError:  # UPoly coefficients
+        with pytest.raises(TypeError):
+            hash(got)
+    else:
+        assert hash(got) == want_hash
+
+
+# element kind -> one random coefficient; "mixed" starts with an int and
+# ends with a Fraction
+ELEMENT_KINDS = {
+    "int": lambda rng: rng.integer(-3, 3),
+    "fraction": lambda rng: rng.rational(3, 4),
+    "mixed": lambda rng: (rng.integer(-3, 3) if rng.integer(0, 1)
+                          else rng.rational(3, 4)),
+    "empty": None,
+}
+SCALARS = (
+    lambda rng: 0,
+    lambda rng: rng.integer(-3, 3),
+    lambda rng: rng.rational(3, 4),
+    lambda rng: float(rng.rational(3, 4)),
+    lambda rng: UPoly([rng.rational(2, 2), rng.nonzero_rational(2, 2)]),
+)
+
+
+def random_plain(rng, perms, kind) -> dict:
+    draw = ELEMENT_KINDS[kind]
+    if draw is None:
+        return {}
+    out = {rng.choice(perms): draw(rng) for _ in range(rng.integer(1, 6))}
+    if kind == "mixed":
+        out[perms[0]], out[perms[-1]] = rng.integer(1, 3), rng.nonzero_rational(3, 4)
+    return {p: c for p, c in out.items() if c}
+
+
+def rational_plain(x: dict) -> bool:
+    return {type(c) for c in x.values()} <= {int, F}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_element_operations_match_plain_dicts(n):
+    rng = SeededRandom(101 + n)
+    perms = all_permutations(n)
+    # (element, its plain dict); results take the place of one of the copies
+    # in the second half, so operations also see elements that the kernels
+    # built
+    pool = []
+    for kind in ELEMENT_KINDS:
+        for _ in range(3):
+            x = random_plain(rng, perms, kind)
+            pool.append((GroupAlgebraElement(n, x), x))
+    base = len(pool)
+    pool += pool
+    for a, x in pool:
+        assert_matches(a, x)
+    seen = set()
+    for _ in range(300):
+        (a, x), (b, y) = rng.choice(pool), rng.choice(pool)
+        c = SCALARS[rng.integer(0, len(SCALARS) - 1)](rng)
+        op = rng.integer(0, 9)
+        seen.add(op)
+        if op == 0:
+            got, want = a + b, dict_add(x, y)
+        elif op == 1:
+            got, want = a - b, dict_add(x, dict_neg(y))
+        elif op == 2:
+            got, want = -a, dict_neg(x)
+        elif op == 3:
+            # a UPoly on the left would take the product itself
+            got, want = a.__rmul__(c), dict_times(x, c, True)
+        elif op == 4:
+            got, want = a * c, dict_times(x, c, False)
+        elif op == 5 and rng.integer(0, 1):
+            got, want = a + c, dict_add(x, dict_lift(n, c))
+        elif op == 5:
+            got, want = a.__rsub__(c), dict_add(dict_neg(x), dict_lift(n, c))
+        elif op in (6, 7):
+            pairs = [((a, x), (b, y))] + [
+                rng.choice([(rng.choice(pool), c), (c, rng.choice(pool)),
+                            (rng.choice(pool), rng.choice(pool))])
+                for _ in range(rng.integer(0, 2))]
+            got = GroupAlgebraElement.dot(
+                [tuple(f[0] if isinstance(f, tuple) else f for f in pair)
+                 for pair in pairs])
+            want = dict_dot(n, [tuple(f[1] if isinstance(f, tuple) else f for f in pair)
+                                for pair in pairs])
+            assert_matches(got, want, ordered=False)
+            continue
+        elif op == 8:
+            e, z = rng.choice(pool)
+            got = commutators([a, c, b, e] if c else [a, b, e])
+            plains = [x, c, y, z] if c else [x, y, z]
+            want = [dict_dot(n, [(u, v), (dict_neg(v) if isinstance(v, dict) else -v, u)])
+                    for i, u in enumerate(plains) for v in plains[i + 1:]
+                    if isinstance(u, dict) or isinstance(v, dict)]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_matches(g, w, ordered=False)
+            continue
+        else:
+            rational = [(e, z) for e, z in pool if rational_plain(z)]
+            (e, z) = rng.choice(rational)
+            blocks = represent(e).flatten()
+            want = [0] * len(blocks)
+            for p, v in z.items():
+                image = represent(ga_perm(p)).flatten()
+                want = [w + v * m for w, m in zip(want, image)]
+            assert blocks == want
+            m = rng.integer(1, n - 1)
+            for t in (2, F(-1, 3), UPoly.gen()):
+                got = trace_map(e, n - m, m, t)
+                want = oracle_trace_map(GroupAlgebraElement(n, z), n - m, m, t).terms
+                if len({type(v) for v in z.values()}) < 2:
+                    assert_matches(got, want)
+                else:
+                    # a mixed-kind element traces to Fractions; the oracle
+                    # keeps an int where only ints met
+                    assert got.terms == want and list(got.terms) == list(want)
+                    if t == 2:
+                        assert {type(v) for v in got.terms.values()} <= {F}
+            continue
+        assert_matches(got, want)
+        # float and UPoly results join less often, so that most products
+        # stay on the integer path
+        if rational_plain(want) or not rng.integer(0, 3):
+            pool[rng.integer(base, len(pool) - 1)] = (got, want)
+        for e, z in pool:
+            assert (got == e) == (want == z)
+    assert seen == set(range(10))
+    # a mixed-kind element traces like its plain dict, to Fractions
+    x = {perms[0]: 1, perms[-1]: F(1, 2), perms[1]: 2}
+    got = trace_map(GroupAlgebraElement(n, x), n - 1, 1, 2)
+    assert got.terms and {type(v) for v in got.terms.values()} == {F}
+    assert got == oracle_trace_map(GroupAlgebraElement(n, x), n - 1, 1, 2)
+    # equal values of the two kinds are equal elements with one hash
+    ints = GroupAlgebraElement(n, {p: k + 1 for k, p in enumerate(perms[:3])})
+    fracs = GroupAlgebraElement(n, {p: F(k + 1) for k, p in enumerate(perms[:3])})
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert {type(v) for v in fracs.terms.values()} == {F}
+
+
+def test_rational_elements_build_no_terms_until_read():
+    from snbethe.gaudin import phi_polys
+
+    # the table that suites.gaudin_table caches, built afresh so that no
+    # other test has read it
+    table = phi_polys(4, (F(0), F(1, 2), F(3), F(7, 3)))[1]
+    built = list(table.values()) + commutators(list(table.values()))
+    fractions = [a for a in built if a._kind is F]
+    assert fractions and all(a._terms is None for a in built)
+    for a in fractions:
+        terms = a.terms
+        assert a._terms is terms and all(type(c) is F for c in terms.values())

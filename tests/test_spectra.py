@@ -4,6 +4,7 @@ eigenanalysis, fiber reconstruction, cyclic vectors, and subspace distance."""
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from snbethe.spectra import (
     check_O_relations,
     certificate,
     cyclic_vector,
-    cyclicity_verdict,
     echelon_polys,
     f_bivariate,
     joint_eigen,
@@ -692,6 +692,18 @@ def test_deformed_action_is_an_action():
                 symmetric_action_on_poly(q, i + 2, hb), i, hb
             )
             assert ab == ba
+
+
+def cyclicity_verdict(basis: SpanBasis, block_vectors: dict) -> bool:
+    """True iff mapping every span element to the tuple of its block images of
+    the given vectors is injective, i.e. the vectors generate the span's
+    module; the map is linear, so it is applied to the echelon rows."""
+    vectors = [block_vectors[la] for la in partitions_of(basis.n)]
+    rows = []
+    for r in basis.echelon.rows:
+        blocks = BlockMatrix.from_flat(basis.n, r).blocks
+        rows.append([sum(map(mul, br, w)) for b, w in zip(blocks, vectors) for br in b.rows])
+    return rank(rows) == basis.dim
 
 
 @pytest.mark.parametrize("variant,hbar", [("classic", F(1)), ("hbar", F(1, 2))])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .rings import BiPoly, UPoly, poly_divmod, scalar_root_poly
@@ -181,6 +182,19 @@ def jm_elements(n: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def jm_content_product(n: int) -> UPoly:
+    """prod_k (v - J_k) over the Jucys-Murphy elements, in k order, as a
+    polynomial in v with group-algebra coefficients.  Jucys' theorem says it
+    equals ``content_product_all(n)``.  Built once per n and shared, so
+    callers must not mutate it."""
+    one = GroupAlgebraElement.scalar(n, Fraction(1))
+    prod = UPoly([one])
+    for jm in jm_elements(n):
+        prod = prod * UPoly([-jm, one])
+    return prod
+
+
 def gz_spanning_set(n: int):
     """Embedded class sums of every smaller symmetric group: a spanning set of
     the Gelfand-Zetlin subalgebra."""
@@ -259,9 +273,15 @@ def phi_tilde(n: int, z, polys) -> BiPoly:
     the shifted generator polynomials ``polys`` (``phi_polys(n, z)[0]``) over
     the partial denominators.  The rational expression is assembled over the
     common denominator and the exact divisibility is verified rather than
-    assumed."""
+    assumed.
+
+    The content product at v+1 enters as its n sparse Jucys-Murphy factors
+    v + 1 - J_k, not as its dense coefficients.  That it is their product is
+    checked exactly first: ``jm_content_product(n)`` must equal
+    ``content_product_all(n)``, else AssertionError."""
     z = tuple(z)
-    pi_shift = content_product_all(n).shift_arg(Fraction(1))  # in v, GA coeffs
+    if jm_content_product(n) != content_product_all(n):
+        raise AssertionError("Jucys-Murphy factors do not give the content product")
 
     def vfactors(lo: int, hi: int) -> UPoly:
         return scalar_root_poly([Fraction(-j) for j in range(lo, hi + 1)])
@@ -276,7 +296,9 @@ def phi_tilde(n: int, z, polys) -> BiPoly:
         )
         term = ga_lift(n, u_part) * ga_lift(n, BiPoly.from_upoly_v(vfactors(i + 1, n)))
         num = num + term
-    num = num * ga_lift(n, BiPoly.from_upoly_v(pi_shift))
+    one = GroupAlgebraElement.scalar(n, Fraction(1))
+    for jm in jm_elements(n):
+        num = num * BiPoly([[one - jm, one]])
     rows = []
     for i in range(num.deg_u + 1):
         quot, rem = poly_divmod(num.u_coeff(i), denom)

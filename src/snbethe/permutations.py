@@ -39,8 +39,9 @@ through, so it avoids per-term overhead in four ways:
   sum of a*b over pairs (a, b) of elements, a scalar factor read on the
   identity.  A product is ``dot`` on one pair, and polynomial products and
   divisions find ``dot`` on their coefficients to form each output
-  coefficient in one pass.  Every term pair goes through one of two
-  loops, over the Cayley table or ``_accumulate`` (the dict product).
+  coefficient in one pass.  Every term pair goes through one of three
+  loops: a linear combination, the Cayley table or ``_accumulate`` (the
+  dict product).
 
   - Kind rule: a product is int when both factors are int, Fraction when
     both are rational and either is Fraction.  When every pair has an
@@ -54,18 +55,23 @@ through, so it avoids per-term overhead in four ways:
     right, because the type of an output term then depends on that order.
   - Exactness: the scaled partial sum is the true partial sum times D, so it
     is zero exactly when the true one is.
-  - Cayley table.  For n <= CAYLEY_MAX_DEGREE, an integer-path dot whose
-    term pairs (the sum of |a|*|b| over its pairs) number at least n! runs
-    on permutation ids: ``_cayley(n)``, built on first use, holds
+  - Linear combinations.  When every live pair (both factors nonzero) of an
+    integer-path dot has a factor c*1 alone (a scalar, or an element whose
+    one term is the identity), no permutation is composed: each pair adds
+    the other factor's numerators times c*D/(da*db) on its own keys.
+  - Cayley table.  For n <= CAYLEY_MAX_DEGREE, any other integer-path dot
+    whose term pairs (the sum of |a|*|b| over its pairs) number at least n!
+    runs on permutation ids: ``_cayley(n)``, built on first use, holds
     rows[i][j] = the id of perms[i]*perms[j], and the sums go into a list of
     n! ints.  Every other dot goes through ``_accumulate``.
   - Key order: a dot on the Cayley table lists its terms in lexicographic
-    image order.  On ``_accumulate`` a key is dropped whenever its partial
-    sum reaches zero, so a product keeps the key order of the term-pair
-    accumulation.  A sum of several products on the integer path is one
-    accumulation over all their term pairs: the keys, values and types of
-    adding the products one by one, the key order possibly not.  A sum
-    ``a + b`` lists a's keys, then b's new ones.
+    image order.  A linear combination and ``_accumulate`` drop a key
+    whenever its partial sum reaches zero, so they keep the key order of
+    the term-pair accumulation (for a linear combination, the other
+    factors' keys in pair order).  A sum of several products on the integer
+    path is one accumulation over all their term pairs: the keys, values
+    and types of adding the products one by one, the key order possibly
+    not.  A sum ``a + b`` lists a's keys, then b's new ones.
 """
 
 from __future__ import annotations
@@ -205,6 +211,13 @@ def all_permutations(n: int):
 
 
 @lru_cache(maxsize=None)
+def typed_permutations(n: int) -> tuple:
+    """(p, cycle_type(p)) for p in ``all_permutations(n)`` order; built once
+    per n and shared."""
+    return tuple((p, cycle_type(p)) for p in all_permutations(n))
+
+
+@lru_cache(maxsize=None)
 def _cayley(n: int):
     """(index, perms, rows) for S_n: index maps image tuples to ids in
     lexicographic order, perms[i] is the permutation of id i, and rows[i][j]
@@ -338,6 +351,9 @@ def _dot(pairs) -> "GroupAlgebraElement":
         if na and nb:
             live.append((na, nb, da * db))
             d = math.lcm(d, da * db)
+    combination = _combination(n, live, d)
+    if combination is not None:
+        return _reduced(n, kind, d, combination)
     scaled = [(na.items() if dp == d else [(p, x * (d // dp)) for p, x in na.items()],
                nb.items()) for na, nb, dp in live]
     if (n <= CAYLEY_MAX_DEGREE
@@ -347,6 +363,35 @@ def _dot(pairs) -> "GroupAlgebraElement":
     for left, right in scaled:
         _accumulate(acc, left, right)
     return _element(n, acc, kind, d)
+
+
+def _combination(n: int, live, d: int):
+    """The integer-path dot over D = d as a linear combination, or None when
+    some live pair (na, nb, da*db) has no factor c*1 alone: each pair adds
+    its other factor's numerators times c*D/(da*db) on their own keys, in
+    pair order, and a sum that reaches zero drops its key."""
+    one = Permutation.identity(n)
+    parts = []
+    for na, nb, dp in live:
+        if len(na) == 1 and one in na:
+            parts.append((nb, na[one] * (d // dp)))
+        elif len(nb) == 1 and one in nb:
+            parts.append((na, nb[one] * (d // dp)))
+        else:
+            return None
+    acc = {}
+    for nums, c in parts:
+        if not acc:
+            acc = {p: x * c for p, x in nums.items()}
+            continue
+        get, pop = acc.get, acc.pop
+        for p, x in nums.items():
+            s = get(p, 0) + x * c
+            if s:
+                acc[p] = s
+            else:
+                pop(p, None)
+    return acc
 
 
 def _cayley_dot(n: int, scaled) -> dict:
@@ -598,15 +643,14 @@ def ga_transposition(n: int, a: int, b: int) -> GroupAlgebraElement:
     return ga_perm(Permutation.transposition(n, a, b))
 
 
+@lru_cache(maxsize=None)
 def antisymmetrizer(m: int) -> GroupAlgebraElement:
-    """(1/m!) sum of sign(s)*s over S_m; idempotent."""
+    """(1/m!) sum of sign(s)*s over S_m; idempotent.  Built once per m as
+    the numerators sign(s) over m! and shared, so callers must not mutate
+    it."""
     if m < 1:
         raise ValueError("antisymmetrizer needs m >= 1")
-    c = Fraction(1, math.factorial(m))
-    terms = {}
-    for p in all_permutations(m):
-        terms[p] = c * sign(p)
-    return GroupAlgebraElement(m, terms)
+    return _reduced(m, Fraction, math.factorial(m), {p: sign(p) for p in all_permutations(m)})
 
 
 def antisymmetrizer_classes(m: int) -> GroupAlgebraElement:
@@ -619,8 +663,7 @@ def antisymmetrizer_classes(m: int) -> GroupAlgebraElement:
     if m < 1:
         raise ValueError("antisymmetrizer needs m >= 1")
     reps, sizes = {}, {}
-    for p in all_permutations(m):
-        mu = cycle_type(p)
+    for p, mu in typed_permutations(m):
         reps.setdefault(mu, p)
         sizes[mu] = sizes.get(mu, 0) + 1
     c = Fraction(1, math.factorial(m))
@@ -755,8 +798,5 @@ def lift_coeffs_to_upoly(a: GroupAlgebraElement) -> GroupAlgebraElement:
 def class_sum(n: int, mu) -> GroupAlgebraElement:
     """Sum of all permutations of S_n with the given cycle type."""
     mu = tuple(sorted(mu, reverse=True))
-    terms = {}
-    for p in all_permutations(n):
-        if cycle_type(p) == mu:
-            terms[p] = Fraction(1)
-    return GroupAlgebraElement(n, terms)
+    return GroupAlgebraElement(n, {p: Fraction(1) for p, t in typed_permutations(n)
+                                   if t == mu})

@@ -15,8 +15,8 @@ from .linalg import Matrix
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
-    all_permutations,
-    cycle_type,
+    _reduced,
+    typed_permutations,
 )
 
 Partition = tuple
@@ -300,21 +300,20 @@ def represent(a: GroupAlgebraElement) -> BlockMatrix:
 
 
 def central_idempotent(la, n: int) -> GroupAlgebraElement:
-    """chi_la = (dim/n!) sum over sigma of character(la, type(sigma)) * sigma."""
-    la = tuple(la)
+    """chi_la = (dim/n!) sum over sigma of character(la, type(sigma)) * sigma;
+    built once per (la, n) and shared, so callers must not mutate it."""
+    return _central_idempotent(tuple(la), n)
+
+
+@lru_cache(maxsize=None)
+def _central_idempotent(la: Partition, n: int) -> GroupAlgebraElement:
+    """``central_idempotent`` as the numerators dim * character over n!."""
     if sum(la) != n:
         raise ValueError("partition size mismatch")
-    d = Fraction(dimension(la), math.factorial(n))
-    char_by_type = {}
-    terms = {}
-    for p in all_permutations(n):
-        ct = cycle_type(p)
-        if ct not in char_by_type:
-            char_by_type[ct] = character(la, ct)
-        c = d * char_by_type[ct]
-        if c:
-            terms[p] = c
-    return GroupAlgebraElement(n, terms)
+    dim = dimension(la)
+    weights = {mu: dim * character(la, mu).numerator for mu in partitions_of(n)}
+    return _reduced(n, Fraction, math.factorial(n),
+                    {p: weights[mu] for p, mu in typed_permutations(n) if weights[mu]})
 
 
 def content_poly(la, n: int) -> UPoly:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Number
 
 
@@ -233,7 +234,9 @@ def poly_divmod(f: UPoly, g: UPoly):
     on the weights (f_k read as t^k) and each output is one ``dot``: the
     same values, though where coefficients mix int and Fraction terms an
     output term's type, which follows the order of the additions, can
-    differ from the step-by-step division's."""
+    differ from the step-by-step division's.  The weights depend only on
+    len(f.coeffs) and g, so ``_division_weights`` computes them once per
+    such pair."""
     if not g.coeffs:
         raise ZeroDivisionError("polynomial division by zero")
     lead = g.lead()
@@ -241,14 +244,14 @@ def poly_divmod(f: UPoly, g: UPoly):
         raise ValueError("divisor must have scalar leading coefficient")
     dot = _dot_hook(f.coeffs[-1]) if f.coeffs else None
     if dot is not None:
-        units = UPoly([UPoly([0] * k + [1]) for k in range(len(f.coeffs))])
-
         def combine(weights):
             pairs = [(c, w) for c, w in zip(f.coeffs, weights.coeffs) if c and w]
             return dot(pairs) if pairs else 0
 
+        divisor = tuple(g.coeffs)
         return tuple(UPoly([combine(w) if w else 0 for w in part.coeffs])
-                     for part in poly_divmod(units, g))
+                     for part in _division_weights(len(f.coeffs), divisor,
+                                                   tuple(map(type, divisor))))
     inv = Fraction(1) / lead if isinstance(lead, Fraction) else 1.0 / lead
     rem = list(f.coeffs)
     dg = g.degree
@@ -262,6 +265,16 @@ def poly_divmod(f: UPoly, g: UPoly):
         for i, gc in enumerate(g.coeffs):
             rem[k + i] = rem[k + i] - q * gc
     return UPoly(qcoeffs), UPoly(rem[:dg])
+
+
+@lru_cache(maxsize=None)
+def _division_weights(size: int, divisor: tuple, types: tuple):
+    """(quotient, remainder) of sum_k t^k u^k, k < size, by the polynomial
+    of the coefficients ``divisor``: the weights of ``poly_divmod``'s dot
+    path, shared, so callers must not mutate them.  ``types`` keys the
+    cache by coefficient type too, since 1 == 1.0 == Fraction(1)."""
+    units = UPoly([UPoly([0] * k + [1]) for k in range(size)])
+    return poly_divmod(units, UPoly(divisor))
 
 
 def poly_gcd(f: UPoly, g: UPoly) -> UPoly:
@@ -620,15 +633,6 @@ class SeededRandom:
 
     def choice(self, seq):
         return seq[self.next_u64() % len(seq)]
-
-    def distinct_rationals(self, k: int, spread: int = 40) -> list:
-        """k pairwise distinct rationals with all pairwise differences != 1."""
-        out = []
-        while len(out) < k:
-            q = Fraction(self.integer(-spread, spread), self.integer(1, 3))
-            if all(q != z and abs(q - z) != 1 for z in out):
-                out.append(q)
-        return out
 
 
 def falling_binomial(p, m: int):

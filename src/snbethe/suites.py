@@ -48,7 +48,7 @@ from .gaudin import (
     check_relations_Ht,
     det_presentation,
     gz_spanning_set,
-    jm_elements,
+    jm_content_product,
     kz_elements,
     phi_expansion,
     phi_gen,
@@ -429,9 +429,7 @@ def gaudin_center_poly(cfg, rng):
 def gaudin_content_jm(cfg, rng):
     n = cfg.n
     pi = content_product_all(n)
-    prod = UPoly([GroupAlgebraElement.scalar(n, Fraction(1))])
-    for jm in jm_elements(n):
-        prod = prod * shifted_u(n, -jm)
+    prod = jm_content_product(n)
     coeffs = [{} for _ in range(n + 1)]
     for p in all_permutations(n):
         d = cycle_data(p)

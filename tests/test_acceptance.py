@@ -7,6 +7,7 @@ import math
 import time
 from fractions import Fraction
 
+from helpers import distinct_rationals
 from snbethe.rings import SeededRandom, UPoly, falling_binomial, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
@@ -126,7 +127,7 @@ def test_acceptance_02_commutativity_to_n5():
     rng = SeededRandom(SEED)
     for n in (2, 3, 4, 5):
         for _ in range(3):
-            z = tuple(rng.distinct_rationals(n))
+            z = tuple(distinct_rationals(rng, n))
             gens = list(phi_polys(n, z)[1].values())
             for i in range(len(gens)):
                 for j in range(i + 1, len(gens)):
@@ -184,7 +185,7 @@ def test_acceptance_05_determinant_presentations():
     t0 = time.time()
     rng = SeededRandom(SEED + 5)
     for n in (1, 2, 3, 4):
-        z = tuple(rng.distinct_rationals(n))
+        z = tuple(distinct_rationals(rng, n))
         polys = phi_polys(n, z)[0]
         fam = list(kz_elements(n, z, polys)) if n >= 2 else [GroupAlgebraElement.zero(1)]
         assert lift(n, det_presentation("P", n, z, fam)) == phi_gen(n, z, polys)
@@ -268,7 +269,7 @@ def test_acceptance_06_trace_calculus():
                 assert lhs == inner.map_coeffs(lambda c: c * factor)
     # binomial transform and its inverse, symbolic p, n <= 4
     for n in (1, 2, 3, 4):
-        pr = xxx_params(tuple(rng.distinct_rationals(n)),
+        pr = xxx_params(tuple(distinct_rationals(rng, n)),
                         rng.nonzero_rational(3, 2))
         family = [s_k_poly(pr, k) for k in range(0, min(n + 1, 4) + 1)]
         for m in range(0, min(n + 1, 4) + 1):
@@ -313,7 +314,7 @@ def test_acceptance_06_trace_calculus():
 def test_acceptance_07_symmetries():
     rng = SeededRandom(SEED + 7)
     for n in (2, 3, 4):
-        z = tuple(rng.distinct_rationals(n))
+        z = tuple(distinct_rationals(rng, n))
         pr = xxx_params(z, F(1, 3))
         gam = gamma_perm(n)
         g, ginv = ga_perm(gam), ga_perm(gam.inverse())
@@ -357,7 +358,7 @@ def test_acceptance_07_symmetries():
             assert gg.dagger() == gg and gg.star() == gg
     # mirror identities at n <= 3 (need the full range of orders)
     for n in (1, 2, 3):
-        z = tuple(rng.distinct_rationals(n))
+        z = tuple(distinct_rationals(rng, n))
         pr = xxx_params(z, F(1, 2))
         N = n
         rho = ga_perm(Permutation([n + 1 - i for i in range(1, n + 1)]))

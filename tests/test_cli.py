@@ -129,6 +129,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("identities-xxx-n4", ["run", "identities-xxx", "--n", "4"]),
     ("identities-gaudin-n5", ["run", "identities-gaudin", "--n", "5"]),
     ("homogeneous-n5", ["run", "homogeneous", "--n", "5"]),
+    ("identities-gaudin-n6", ["run", "identities-gaudin", "--n", "6"]),
 ])
 def test_reports_match_golden(capsys, name, argv):
     rc, out = run_main(capsys, [*argv, "--format", "json", "--seed", "7"])

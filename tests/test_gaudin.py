@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from snbethe.rings import BiPoly, SeededRandom, UPoly, scalar_root_poly
+from helpers import distinct_rationals
+from snbethe import gaudin
+from snbethe.rings import BiPoly, SeededRandom, UPoly, poly_divmod, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
     all_permutations,
     commutators,
+    ga_lift,
     ga_perm,
     ga_transposition,
 )
@@ -30,6 +33,7 @@ from snbethe.gaudin import (
     v_expansion,
 )
 from snbethe.homogeneous import det_P_hat
+from snbethe.suites import default_z
 from snbethe.xxx import det_P_hbar, xxx_params
 
 F = Fraction
@@ -117,7 +121,7 @@ def test_fixed_point_expansion_matches(n):
 def test_commutativity(n, sets):
     rng = SeededRandom(1000 + n)
     for _ in range(sets):
-        z = tuple(rng.distinct_rationals(n))
+        z = tuple(distinct_rationals(rng, n))
         _, table = phi_polys(n, z)
         gens = list(table.values())
         for i in range(len(gens)):
@@ -165,7 +169,7 @@ def test_kz_steep_limit_contracts_to_jm():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_generating_det_presentation(n):
     rng = SeededRandom(n + 77)
-    z = tuple(rng.distinct_rationals(n))
+    z = tuple(distinct_rationals(rng, n))
     polys = phi_polys(n, z)[0]
     fam = kz_elements(n, z, polys)
     det = det_presentation("P", n, z, list(fam))
@@ -237,7 +241,7 @@ def test_det_presentation_accepts_scalar_and_float_entries(builder):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_shifted_det_presentation_and_content(n):
     rng = SeededRandom(n + 99)
-    z = tuple(rng.distinct_rationals(n))
+    z = tuple(distinct_rationals(rng, n))
     fam = (
         kz_elements(n, z, phi_polys(n, z)[0])
         if n >= 2
@@ -262,6 +266,49 @@ def test_phi_tilde_edge_coefficients(n):
     assert pt.u_coeff(0) == lift_poly(n, pi.shift_arg(F(1)) * (F((-1) ** n) * zprod))
 
 
+def oracle_phi_tilde(n, z, polys):
+    """phi_tilde as first written: the assembled numerator times the dense
+    content product at v+1, then divided exactly."""
+    pi_shift = content_product_all(n).shift_arg(F(1))
+
+    def vfactors(lo, hi):
+        return scalar_root_poly([F(-j) for j in range(lo, hi + 1)])
+
+    denom = vfactors(1, n)
+    num = ga_lift(n, BiPoly.from_upoly_u(scalar_root_poly(z)) * BiPoly.from_upoly_v(denom))
+    for i, poly in enumerate(polys, start=1):
+        u_part = BiPoly.from_upoly_u(poly) * BiPoly(
+            [[F((-1) ** i)] if k == i else [0] for k in range(i + 1)])
+        num = num + ga_lift(n, u_part) * ga_lift(n, BiPoly.from_upoly_v(vfactors(i + 1, n)))
+    num = num * ga_lift(n, BiPoly.from_upoly_v(pi_shift))
+    rows = []
+    for i in range(num.deg_u + 1):
+        quot, rem = poly_divmod(num.u_coeff(i), denom)
+        assert not rem
+        rows.append(quot.coeffs)
+    return BiPoly(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_phi_tilde_matches_the_dense_product(n):
+    rng = SeededRandom(n + 41)
+    for z in (default_z(n), tuple(distinct_rationals(rng, n))):
+        polys = phi_polys(n, z)[0]
+        assert phi_tilde(n, z, polys) == oracle_phi_tilde(n, z, polys)
+
+
+def test_phi_tilde_checks_the_jucys_murphy_factors(monkeypatch):
+    n = 3
+    z = default_z(n)
+    polys = phi_polys(n, z)[0]
+    jm = gaudin.jm_content_product(n)
+    assert jm == content_product_all(n)
+    perturbed = jm + UPoly([GroupAlgebraElement.zero(n), ga_transposition(n, 1, 2)])
+    monkeypatch.setattr(gaudin, "jm_content_product", lambda m: perturbed)
+    with pytest.raises(AssertionError, match="Jucys-Murphy"):
+        phi_tilde(n, z, polys)
+
+
 def test_phi_tilde_n1_explicit():
     # (v+1)(u - z) - u, so the u-coefficient is v and the constant is -z(v+1)
     pt = phi_tilde(1, (F(2),), phi_polys(1, (F(2),))[0])
@@ -272,7 +319,7 @@ def test_phi_tilde_n1_explicit():
 def test_scaling_and_shift_covariance():
     rng = SeededRandom(12)
     n = 3
-    z = tuple(rng.distinct_rationals(n))
+    z = tuple(distinct_rationals(rng, n))
     s = rng.nonzero_rational(5, 2)
     _, table = phi_polys(n, z)
     _, table_s = phi_polys(n, tuple(s * x for x in z))
@@ -288,7 +335,7 @@ def test_scaling_and_shift_covariance():
 def test_conjugation_equivariance():
     rng = SeededRandom(13)
     n = 4
-    z = tuple(rng.distinct_rationals(n))
+    z = tuple(distinct_rationals(rng, n))
     for _ in range(3):
         sig = rng.choice(all_permutations(n))
         zperm = tuple(z[sig(a) - 1] for a in range(1, n + 1))

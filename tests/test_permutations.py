@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from snbethe.rings import BiPoly, SeededRandom, UPoly, falling_binomial, poly_divmod
+from snbethe.rings import (
+    BiPoly,
+    SeededRandom,
+    UPoly,
+    _division_weights,
+    falling_binomial,
+    poly_divmod,
+)
 from snbethe.permutations import (
     CAYLEY_MAX_DEGREE,
     GroupAlgebraElement,
@@ -153,13 +160,18 @@ COEFF_KINDS = {
 
 def on_cayley_table(x, y):
     """The module docstring's selection rule for one product: each factor
-    all int or all Fraction, the degree at most CAYLEY_MAX_DEGREE, and at
-    least n! term pairs."""
+    all int or all Fraction, neither factor c*1 alone (that product is a
+    linear combination), the degree at most CAYLEY_MAX_DEGREE, and at least
+    n! term pairs."""
     def rational(a):
         kinds = {type(c) for c in a.terms.values()}
         return len(kinds) == 1 and kinds <= {int, F}
 
+    def unit(a):
+        return list(a.terms) == [Permutation.identity(a.n)]
+
     return (x.n <= CAYLEY_MAX_DEGREE and rational(x) and rational(y)
+            and not (unit(x) or unit(y))
             and len(x.terms) * len(y.terms) >= math.factorial(x.n))
 
 
@@ -374,6 +386,24 @@ def test_polynomial_products_over_the_group_algebra_match_the_generic_loop(
                     assert_same_terms(a, b)
                 else:
                     assert a == b
+
+
+def test_division_weights_are_shared_per_divisor_and_type():
+    # the weights depend on len(f.coeffs) and g alone; equal divisors of
+    # another coefficient type (1.0 == 1 == F(1)) get their own weights
+    n = 3
+    f = UPoly([ga_perm(s(n, 1, 2)), ga_transposition(n, 1, 3) * F(1, 2),
+               GroupAlgebraElement.scalar(n, F(3))])
+    _division_weights.cache_clear()
+    floats = poly_divmod(f, UPoly([1.0, 1.0]))
+    got = poly_divmod(f, UPoly([F(1), F(1)]))
+    assert poly_divmod(f, UPoly([F(1), F(1)])) == got
+    info = _division_weights.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    for part, other in zip(got, floats):
+        for c, x in zip(part.coeffs, other.coeffs):
+            assert c == x and {type(v) for v in c.terms.values()} == {F}
+            assert {type(v) for v in x.terms.values()} == {float}
 
 
 def test_antisymmetrizer_examples():
@@ -848,6 +878,62 @@ def test_element_operations_match_plain_dicts(n):
     fracs = GroupAlgebraElement(n, {p: F(k + 1) for k, p in enumerate(perms[:3])})
     assert ints == fracs and hash(ints) == hash(fracs)
     assert {type(v) for v in fracs.terms.values()} == {F}
+
+
+def shuffled(rng, items) -> list:
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.integer(0, i)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_scalar_side_dots_match_plain_dicts(n):
+    # dots in which every live pair has a factor c*1 alone are linear
+    # combinations: the same keys, values and types as the plain dicts, and
+    # the key order of the accumulation, even at n! term pairs, where a
+    # product would take the Cayley table
+    rng = SeededRandom(301 + n)
+    perms = all_permutations(n)
+    one = Permutation.identity(n)
+    draws = {int: lambda: rng.integer(-3, 3), F: lambda: rng.rational(3, 4)}
+
+    def dot(case):
+        return GroupAlgebraElement.dot([
+            tuple(GroupAlgebraElement(n, f) if isinstance(f, dict) else f for f in pair)
+            for pair in case])
+
+    for kind, draw in draws.items():
+        # n! terms in a shuffled key order, so that sorted order shows
+        full = {p: draw() or kind(1) for p in shuffled(rng, perms)}
+        other = {p: draw() or kind(2) for p in shuffled(rng, perms)[: len(perms) // 2]}
+        c = kind(2) if kind is int else F(-2, 3)
+        cases = [
+            [(full, c)],                                  # a bare scalar on the right
+            [(c, full)],                                  # and on the left
+            [({one: c}, full)],                           # an identity-only element
+            [(full, {one: c}), (other, c)],
+            [(full, 1), (full, -1), (other, c)],          # every key dropped, then new ones
+            [(full, c), (other, -c), (other, c), ({one: c}, {one: -c})],
+            [({one: c}, c), (c, {one: -c})],              # both factors c*1, summing to 0
+            [(full, {one: c}), (-c, full)],               # zero
+        ]
+        for _ in range(20):
+            x = random_plain(rng, perms, "int" if kind is int else "fraction")
+            cases.append([
+                rng.choice([(x, draw()), (draw(), x), ({one: draw() or c}, x),
+                            (full, -draw())])
+                if x else (full, draw())
+                for _ in range(rng.integer(1, 4))])
+        for case in cases:
+            assert_matches(dot(case), dict_dot(n, case))
+        # one true product beside a scalar pair stays on the product path:
+        # n! term pairs on the Cayley table, so its keys come in sorted order
+        case = [(full, c), ({Permutation.transposition(n, 1, 2): kind(1)}, full)]
+        got, want = dot(case), dict_dot(n, case)
+        assert_matches(got, want, ordered=False)
+        assert list(got.terms) == sorted(want, key=lambda p: p.images) != list(want)
 
 
 def test_rational_elements_build_no_terms_until_read():

@@ -11,6 +11,8 @@ from snbethe.linalg import Matrix, rank
 from snbethe.permutations import (
     GroupAlgebraElement,
     all_permutations,
+    antisymmetrizer,
+    cycle_type,
     ga_lift,
     ga_perm,
     ga_transposition,
@@ -80,6 +82,27 @@ def test_idempotents_n2():
     t = ga_transposition(2, 1, 2)
     assert central_idempotent((2,), 2) == (one + t) * F(1, 2)
     assert central_idempotent((1, 1), 2) == (one - t) * F(1, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_numerator_built_tables_match_fraction_oracles(n):
+    # central_idempotent and antisymmetrizer write their numerators
+    # directly and are cached; the oracles form one Fraction per permutation
+    perms = all_permutations(n)
+    for la in partitions_of(n):
+        c = F(dimension(la), math.factorial(n))
+        want = {p: c * character(la, cycle_type(p)) for p in perms}
+        want = {p: x for p, x in want.items() if x}
+        got = central_idempotent(list(la), n)  # a list works with the cache
+        assert got is central_idempotent(la, n)
+        assert got._kind is F
+        assert list(got.terms.items()) == list(want.items())
+        assert all(type(x) is F for x in got.terms.values())
+    got = antisymmetrizer(n)
+    assert got is antisymmetrizer(n) and got._kind is F
+    want = {p: F(sign(p), math.factorial(n)) for p in perms}
+    assert list(got.terms.items()) == list(want.items())
+    assert all(type(x) is F for x in got.terms.values())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

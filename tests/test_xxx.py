@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import distinct_rationals
 from snbethe.rings import BiPoly, SeededRandom, UPoly, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
@@ -225,7 +226,7 @@ def test_s_polys_n2_zero_parameters():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sum_rule(n):
     rng = SeededRandom(n + 40)
-    pr = xxx_params(rng.distinct_rationals(n), rng.nonzero_rational(3, 2))
+    pr = xxx_params(distinct_rationals(rng, n), rng.nonzero_rational(3, 2))
     acc = UPoly()
     for k in range(0, n + 1):
         acc = acc + s_k_poly(pr, k)
@@ -235,7 +236,7 @@ def test_sum_rule(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_binomial_transform_symbolic(n):
     rng = SeededRandom(n + 50)
-    pr = xxx_params(rng.distinct_rationals(n), rng.nonzero_rational(3, 2))
+    pr = xxx_params(distinct_rationals(rng, n), rng.nonzero_rational(3, 2))
     p = UPoly.gen()
     family = [s_k_poly(pr, k) for k in range(0, min(n + 1, 4) + 1)]
     for m in range(0, min(n + 1, 4) + 1):
@@ -248,7 +249,7 @@ def test_trace_family_at_special_p_gives_s():
     # specializing the trace parameter to m - 1 collapses the transform
     rng = SeededRandom(314)
     for n in (2, 3):
-        pr = xxx_params(rng.distinct_rationals(n), F(1, 2))
+        pr = xxx_params(distinct_rationals(rng, n), F(1, 2))
         for m in (1, 2, 3):
             assert t_m_poly(pr, m, p=F(m - 1)) == s_k_poly(pr, m)
 
@@ -256,7 +257,7 @@ def test_trace_family_at_special_p_gives_s():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_inverse_transform_symbolic(n):
     rng = SeededRandom(n + 60)
-    pr = xxx_params(rng.distinct_rationals(n), rng.nonzero_rational(3, 2))
+    pr = xxx_params(distinct_rationals(rng, n), rng.nonzero_rational(3, 2))
     p = UPoly.gen()
     for m in range(0, min(n + 1, 4) + 1):
         direct = s_k_poly(pr, m).map_coeffs(lift_coeffs_to_upoly)
@@ -281,7 +282,7 @@ def test_qkz_examples():
 
 def test_qkz_matches_first_order_values():
     rng = SeededRandom(71)
-    pr = xxx_params(rng.distinct_rationals(4), F(1, 3))
+    pr = xxx_params(distinct_rationals(rng, 4), F(1, 3))
     fam = qkz_elements(pr)
     s1 = s_k_poly(pr, 1)
     for a, el in enumerate(fam, start=1):
@@ -338,7 +339,7 @@ def test_det_P_hbar_scalar_and_zero():
 def test_generating_det_presentation(n):
     rng = SeededRandom(n + 81)
     while True:
-        z = tuple(rng.distinct_rationals(n))
+        z = tuple(distinct_rationals(rng, n))
         pr = xxx_params(z, F(1))
         if pr.hbar_separated:
             break
@@ -365,7 +366,7 @@ def test_check_relations_Hh_n1():
 def test_commutativity(n, sets):
     rng = SeededRandom(2000 + n)
     for _ in range(sets):
-        pr = xxx_params(rng.distinct_rationals(n), rng.nonzero_rational(3, 2))
+        pr = xxx_params(distinct_rationals(rng, n), rng.nonzero_rational(3, 2))
         gens = []
         for m in range(1, n):
             poly = t_m_poly(pr, m, p=F(7, 2))
@@ -410,7 +411,7 @@ def test_telescoping_lemma():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cycle_shift(n):
     rng = SeededRandom(n + 91)
-    pr = xxx_params(rng.distinct_rationals(n), F(1, 3))
+    pr = xxx_params(distinct_rationals(rng, n), F(1, 3))
     from snbethe.homogeneous import gamma_perm
 
     gam = gamma_perm(n)
@@ -425,7 +426,7 @@ def test_cycle_shift(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_swap_intertwiner(n):
     rng = SeededRandom(n + 101)
-    pr = xxx_params(rng.distinct_rationals(n), F(2, 3))
+    pr = xxx_params(distinct_rationals(rng, n), F(2, 3))
     for a in range(1, n):
         w = ga_transposition(n, a, a + 1) * (pr.z[a - 1] - pr.z[a]) + GroupAlgebraElement.scalar(
             n, pr.hbar
@@ -442,7 +443,7 @@ def test_swap_intertwiner(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reversal_and_dagger(n):
     rng = SeededRandom(n + 111)
-    pr = xxx_params(rng.distinct_rationals(n), F(1, 2))
+    pr = xxx_params(distinct_rationals(rng, n), F(1, 2))
     N = n
     rho = ga_perm(Permutation([n + 1 - i for i in range(1, n + 1)]))
     pneg = xxx_params(tuple(-x for x in pr.z), pr.hbar)
@@ -464,7 +465,7 @@ def test_p_independence_of_unital_span():
 
     n = 3
     rng = SeededRandom(121)
-    z = tuple(rng.distinct_rationals(n))
+    z = tuple(distinct_rationals(rng, n))
     spans = []
     for p in (F(1), F(2), F(17)):
         pr = xxx_params(z, F(1, 2))
@@ -487,7 +488,7 @@ def test_p_independence_of_unital_span():
 def test_scaling_shift_covariance():
     rng = SeededRandom(131)
     n = 3
-    pr = xxx_params(rng.distinct_rationals(n), F(1, 2))
+    pr = xxx_params(distinct_rationals(rng, n), F(1, 2))
     s = rng.nonzero_rational(4, 2)
     sh = rng.rational(4, 2)
     pscale = xxx_params(tuple(s * x for x in pr.z), s * pr.hbar)

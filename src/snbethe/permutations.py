@@ -1,7 +1,7 @@
-"""Permutations, the sparse group algebra of the symmetric group over
-pluggable coefficient rings and its pairwise commutators, embeddings, the
-antisymmetrizer and its conjugacy-class form, the two antiinvolutions, and
-the parametrized cycle-deletion trace map.
+"""Permutations, the sparse group algebra of the symmetric group over the
+rationals and its pairwise commutators, embeddings, the antisymmetrizer and
+its conjugacy-class form, the two antiinvolutions, and the parametrized
+cycle-deletion trace map.
 
 Composition convention: in a product p*q the RIGHT factor acts first,
 (p*q)(i) = p(q(i)).  This is pinned by the requirement that the product of
@@ -24,17 +24,17 @@ through, so it avoids per-term overhead in four ways:
   elements holds no zero coefficient by construction, so it is built from
   its form through ``GroupAlgebraElement._trusted``, which skips the
   constructor's zero filter and type scan.
-* Numerator form.  An all-int or all-Fraction element holds integer
-  numerators over one denominator d (see ``GroupAlgebraElement``), so sums,
-  negations, multiples by an int or Fraction and products run on Python
-  ints: a sum of one kind merges the numerators over lcm(da, db), a scalar
-  cn/cd multiplies them by cn and d by cd, and each result is divided by
-  the gcd of d and its numerators.  The form is then canonical, so ``==``
-  compares it directly, across the two kinds too.  ``terms`` builds the
-  Fractions on first read; ``represent`` and ``trace_map`` read the
-  numerators.  A mix of int and Fraction, floats, UPolys, UPoly or float
-  scalars and empty elements take the dict path on the coefficients, and
-  its result is scanned back into its form.
+* Numerator form.  Every element holds integer numerators over one
+  denominator d (see ``GroupAlgebraElement``), so sums, negations, multiples
+  by an int or Fraction and products run on Python ints: a sum merges the
+  numerators over lcm(da, db), a scalar cn/cd multiplies them by cn and d by
+  cd, and each result is divided by the gcd of d and its numerators.  The
+  form is canonical, so ``==`` and ``hash`` read it directly, across the
+  two kinds too.  ``terms`` builds the Fractions on first read; ``represent``
+  and ``trace_map`` read the numerators.  Polynomials (``UPoly``,
+  ``BiPoly``) hold elements as coefficients, so an operation of an element
+  with a polynomial returns NotImplemented and the polynomial's reflected
+  operator applies; a polynomial in the trace parameter p is one of them.
 * One sum-of-products kernel.  ``GroupAlgebraElement.dot(pairs)`` is the
   sum of a*b over pairs (a, b) of elements, a scalar factor read on the
   identity.  A product is ``dot`` on one pair, and polynomial products and
@@ -43,35 +43,32 @@ through, so it avoids per-term overhead in four ways:
   loops: a linear combination, the Cayley table or ``_accumulate`` (the
   dict product).
 
-  - Kind rule: a product is int when both factors are int, Fraction when
-    both are rational and either is Fraction.  When every pair has an
-    element factor and all pairs with terms share one product kind, the
-    factors' numerators are read as they are, all term pairs accumulate
-    Python ints over D, the lcm of the pairs' da*db (a pair's left
-    numerators times D/(da*db)), and the nonzero sums are the output's
-    numerators over D.  Otherwise (floats, UPolys, a factor mixing int and
-    Fraction, pairs of two kinds or of two scalars) each product is formed
-    on the coefficients themselves and the products are added left to
-    right, because the type of an output term then depends on that order.
+  - Kind rule: a sum or product of nonempty operands is int when both are,
+    and Fraction otherwise; a sum with an empty operand is the other one,
+    and an empty result is int.  A dot is int when every live pair (both
+    factors nonzero) has two int factors.  The factors' numerators are read
+    as they are, all term pairs accumulate Python ints over D, the lcm of
+    the live pairs' da*db (a pair's left numerators times D/(da*db)), and
+    the nonzero sums are the output's numerators over D.
   - Exactness: the scaled partial sum is the true partial sum times D, so it
     is zero exactly when the true one is.
-  - Linear combinations.  When every live pair (both factors nonzero) of an
-    integer-path dot has a factor c*1 alone (a scalar, or an element whose
-    one term is the identity), no permutation is composed: each pair adds
-    the other factor's numerators times c*D/(da*db) on its own keys.
-  - Cayley table.  For n <= CAYLEY_MAX_DEGREE, any other integer-path dot
-    whose term pairs (the sum of |a|*|b| over its pairs) number at least n!
-    runs on permutation ids: ``_cayley(n)``, built on first use, holds
+  - Linear combinations.  When every live pair of a dot has a factor c*1
+    alone (a scalar, or an element whose one term is the identity), no
+    permutation is composed: each pair adds the other factor's numerators
+    times c*D/(da*db) on its own keys.
+  - Cayley table.  For n <= CAYLEY_MAX_DEGREE, any other dot whose term
+    pairs (the sum of |a|*|b| over its pairs) number at least n! runs on
+    permutation ids: ``_cayley(n)``, built on first use, holds
     rows[i][j] = the id of perms[i]*perms[j], and the sums go into a list of
     n! ints.  Every other dot goes through ``_accumulate``.
   - Key order: a dot on the Cayley table lists its terms in lexicographic
     image order.  A linear combination and ``_accumulate`` drop a key
     whenever its partial sum reaches zero, so they keep the key order of
     the term-pair accumulation (for a linear combination, the other
-    factors' keys in pair order).  A sum of several products on the integer
-    path is one accumulation over all their term pairs: the keys, values
-    and types of adding the products one by one, the key order possibly
-    not.  A sum ``a + b`` lists a's keys, then b's new ones.
+    factors' keys in pair order).  A sum of several products is one
+    accumulation over all their term pairs: the keys and values of adding
+    the products one by one, the key order possibly not.  A sum ``a + b``
+    lists a's keys, then b's new ones.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Number
 from itertools import permutations as _itperms
 from operator import itemgetter
 
@@ -259,31 +255,20 @@ def _accumulate(acc, left, right):
     return acc
 
 
-def _coefficients(kind, d, nums) -> dict:
-    """The coefficient dict of a form: Fractions of the numerators over d for
-    the Fraction kind, else ``nums`` itself."""
-    if kind is Fraction:
-        return {p: Fraction(x, d) for p, x in nums.items()}
-    return nums
-
-
-def _form(coeffs: dict):
-    """(kind, d, nums) of a dict of nonzero coefficients (see the class
-    docstring); the kind is int or Fraction when every coefficient has
-    exactly that type."""
-    kinds = set(map(type, coeffs.values()))
-    kind = kinds.pop() if len(kinds) == 1 and kinds <= {int, Fraction} else None
-    if kind is not Fraction:
-        return kind, 1, coeffs
-    d, nums = _int_scaled(coeffs.values())
-    return kind, d, dict(zip(coeffs, nums))
+def _rational(c):
+    """c itself when it is an int or a Fraction, the only coefficients an
+    element holds; anything else raises TypeError naming its type."""
+    if type(c) is int or type(c) is Fraction:
+        return c
+    raise TypeError("group-algebra coefficients must be int or Fraction, got "
+                    + type(c).__name__)
 
 
 def _reduced(n: int, kind, d: int, nums: dict) -> "GroupAlgebraElement":
-    """The element of the nonzero numerators ``nums`` over d of a rational
+    """The element of the nonzero numerators ``nums`` over d of the given
     kind, with d and the numerators divided by their gcd."""
     if not nums:
-        return GroupAlgebraElement._trusted(n, None, 1, nums)
+        return GroupAlgebraElement._trusted(n, int, 1, nums)
     if d > 1:
         g = math.gcd(d, *nums.values())
         if g > 1:
@@ -292,65 +277,37 @@ def _reduced(n: int, kind, d: int, nums: dict) -> "GroupAlgebraElement":
     return GroupAlgebraElement._trusted(n, kind, d, nums)
 
 
-def _element(n: int, acc: dict, kind=None, d=1) -> "GroupAlgebraElement":
-    """The element of an accumulator: its sums are numerators over d of the
-    given kind, or the coefficients themselves when kind is None."""
-    trusted = Permutation._trusted
-    terms = {trusted(r): s for r, s in acc.items()}
-    if kind is None:
-        return GroupAlgebraElement._trusted(n, *_form(terms))
-    return _reduced(n, kind, d, terms)
-
-
 def _factor(x, n: int):
     """(kind, d, nums) of a factor of ``dot``: an element's own form, a
     scalar's on the identity; nums is empty for a zero factor."""
     if isinstance(x, GroupAlgebraElement):
         return x._kind, x._d, x._nums
-    if not x:
-        return None, 1, {}
-    kind = type(x)
-    if kind is int or kind is Fraction:
-        return kind, x.denominator, {Permutation.identity(n): x.numerator}
-    return None, 1, {Permutation.identity(n): x}
+    kind = type(_rational(x))
+    return kind, x.denominator, {Permutation.identity(n): x.numerator} if x else {}
 
 
 def _dot(pairs) -> "GroupAlgebraElement":
     """Sum of a*b over pairs (a, b) of group-algebra elements of one degree
-    or scalars (see the module docstring).  A pair of two scalars is
-    multiplied as it is, so a sum of such pairs alone is a scalar."""
+    or int and Fraction scalars (see the module docstring).  Pairs of two
+    scalars alone sum to a scalar; no pairs at all raise ValueError."""
     pairs = list(pairs)
+    if not pairs:
+        raise ValueError("a dot of no pairs has no degree")
     degrees = {x.n for pair in pairs for x in pair
                if isinstance(x, GroupAlgebraElement)}
     if len(degrees) > 1:
         raise ValueError("degree mismatch: " + " vs ".join(map(str, sorted(degrees))))
-    n = degrees.pop() if degrees else None
-    # each pair's factors, or None for a pair of two scalars
-    rows = [(_factor(a, n), _factor(b, n))
-            if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)
-            else None for a, b in pairs]
-    # the product kind of each pair with terms (see the kind rule)
-    kinds = set()
-    for row in rows:
-        if row is None:
-            kinds.add(None)
-        elif row[0][2] and row[1][2]:
-            ka, kb = row[0][0], row[1][0]
-            kinds.add(None if None in (ka, kb)
-                      else Fraction if Fraction in (ka, kb) else int)
-    if None in kinds or len(kinds) > 1:
-        acc = None
-        for (a, b), row in zip(pairs, rows):
-            t = a * b if row is None else _element(n, _accumulate(
-                {}, _coefficients(*row[0]).items(), _coefficients(*row[1]).items()))
-            acc = t if acc is None else acc + t
-        return acc
-    kind = kinds.pop() if kinds else int
-    live, d = [], 1
-    for (_, da, na), (_, db, nb) in rows:
+    if not degrees:
+        return sum(a * b for a, b in pairs)
+    n = degrees.pop()
+    kind, live, d = int, [], 1
+    for a, b in pairs:
+        (ka, da, na), (kb, db, nb) = _factor(a, n), _factor(b, n)
         if na and nb:
             live.append((na, nb, da * db))
             d = math.lcm(d, da * db)
+            if ka is Fraction or kb is Fraction:
+                kind = Fraction
     combination = _combination(n, live, d)
     if combination is not None:
         return _reduced(n, kind, d, combination)
@@ -362,11 +319,12 @@ def _dot(pairs) -> "GroupAlgebraElement":
     acc = {}
     for left, right in scaled:
         _accumulate(acc, left, right)
-    return _element(n, acc, kind, d)
+    trusted = Permutation._trusted
+    return _reduced(n, kind, d, {trusted(r): s for r, s in acc.items()})
 
 
 def _combination(n: int, live, d: int):
-    """The integer-path dot over D = d as a linear combination, or None when
+    """The dot over D = d as a linear combination, or None when
     some live pair (na, nb, da*db) has no factor c*1 alone: each pair adds
     its other factor's numerators times c*D/(da*db) on their own keys, in
     pair order, and a sum that reaches zero drops its key."""
@@ -395,7 +353,7 @@ def _combination(n: int, live, d: int):
 
 
 def _cayley_dot(n: int, scaled) -> dict:
-    """The integer-path dot on the Cayley table: the nonzero sums of the term
+    """The dot on the Cayley table: the nonzero sums of the term
     pairs of the (left, right) numerator items in ``scaled``, keyed by
     permutation in id order."""
     index, perms, rows = _cayley(n)
@@ -410,19 +368,18 @@ def _cayley_dot(n: int, scaled) -> dict:
 
 
 class GroupAlgebraElement:
-    """Sparse element of the group algebra of S_n: Permutation -> coeff.
+    """Sparse element of the group algebra of S_n over the rationals:
+    Permutation -> int or Fraction coefficient.
 
-    Coefficients may be ints, Fractions, floats, or UPoly (auxiliary
-    variables); scalars occurring in mixed arithmetic are read as scalar
-    multiples of the identity permutation.  Zero coefficients are never
-    stored.
+    Scalars occurring in mixed arithmetic are read as scalar multiples of
+    the identity permutation.  Zero coefficients are never stored, and a
+    coefficient of any other type raises TypeError.
 
-    The form: a nonempty element whose coefficients are all ints or all
-    Fractions has kind int or Fraction and holds ``nums``, permutation ->
-    integer numerator over one denominator d, the lcm of the coefficients'
-    reduced denominators (1 for the int kind).  Any other element has kind
-    None, d = 1, and ``nums`` holds the coefficients themselves.  ``terms``,
-    permutation -> coefficient, is built from the form on first read.
+    The form: ``nums``, permutation -> integer numerator over one
+    denominator d, the lcm of the coefficients' reduced denominators, and a
+    kind, int when every coefficient is an int (then d = 1; the empty
+    element too) and Fraction otherwise.  ``terms``, permutation ->
+    coefficient of the element's kind, is built from the form on first read.
     """
 
     __slots__ = ("n", "_kind", "_d", "_nums", "_terms")
@@ -430,8 +387,12 @@ class GroupAlgebraElement:
     def __init__(self, n: int, terms=None):
         self.n = n
         self._terms = None
-        coeffs = {p: c for p, c in terms.items() if c} if terms else {}
-        self._kind, self._d, self._nums = _form(coeffs)
+        coeffs = {p: c for p, c in terms.items() if _rational(c)} if terms else {}
+        if all(type(c) is int for c in coeffs.values()):
+            self._kind, self._d, self._nums = int, 1, coeffs
+        else:
+            self._d, nums = _int_scaled(coeffs.values())
+            self._kind, self._nums = Fraction, dict(zip(coeffs, nums))
 
     @classmethod
     def _trusted(cls, n: int, kind, d: int, nums: dict) -> "GroupAlgebraElement":
@@ -450,16 +411,14 @@ class GroupAlgebraElement:
         """Permutation -> coefficient, in the form's key order."""
         t = self._terms
         if t is None:
-            t = self._terms = _coefficients(self._kind, self._d, self._nums)
+            d = self._d
+            t = self._terms = (self._nums if self._kind is int
+                               else {p: Fraction(x, d) for p, x in self._nums.items()})
         return t
 
     def numerators(self):
-        """(d, permutation -> integer numerator over d).  Every coefficient
-        must be an int or a Fraction; anything else raises TypeError."""
-        if self._kind is not None:
-            return self._d, self._nums
-        d, nums = _int_scaled(self._nums.values())
-        return d, dict(zip(self._nums, nums))
+        """(d, permutation -> integer numerator over d)."""
+        return self._d, self._nums
 
     @classmethod
     def zero(cls, n: int) -> "GroupAlgebraElement":
@@ -482,50 +441,33 @@ class GroupAlgebraElement:
     def coeff(self, p: Permutation):
         return self.terms.get(p, 0)
 
-    def _coerce(self, other) -> "GroupAlgebraElement":
-        if isinstance(other, GroupAlgebraElement):
-            if other.n != self.n:
-                raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-            return other
-        return GroupAlgebraElement.scalar(self.n, other)
-
     def __eq__(self, other):
         if isinstance(other, GroupAlgebraElement):
-            if self.n != other.n:
-                return False
-            if self._kind is None or other._kind is None:
-                return self.terms == other.terms
-            return self._d == other._d and self._nums == other._nums
-        if isinstance(other, (Number, UPoly)):
+            return self.n == other.n and self._d == other._d and self._nums == other._nums
+        if type(other) is int or type(other) is Fraction:
             return self == GroupAlgebraElement.scalar(self.n, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self._d, frozenset(self._nums.items())))
 
     def __neg__(self):
-        negated = {p: -c for p, c in self._nums.items()}
-        if self._kind is None:
-            return GroupAlgebraElement._trusted(self.n, *_form(negated))
-        return GroupAlgebraElement._trusted(self.n, self._kind, self._d, negated)
+        return GroupAlgebraElement._trusted(
+            self.n, self._kind, self._d, {p: -x for p, x in self._nums.items()})
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if isinstance(other, (UPoly, BiPoly)):
+            return NotImplemented
+        if not isinstance(other, GroupAlgebraElement):
+            other = GroupAlgebraElement.scalar(self.n, other)
+        elif other.n != self.n:
+            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
         if not other._nums:
             return self
         if not self._nums:
             return other
-        kind = self._kind
-        if kind is None or kind is not other._kind:
-            out = dict(self.terms)
-            for p, c in other.terms.items():
-                s = out.get(p, 0) + c
-                if not s:
-                    out.pop(p, None)
-                else:
-                    out[p] = s
-            return GroupAlgebraElement._trusted(self.n, *_form(out))
-        # one kind: the numerators merge over the lcm of the denominators
+        kind = int if self._kind is int and other._kind is int else Fraction
+        # the numerators merge over the lcm of the denominators
         da, db = self._d, other._d
         d = da if da == db else math.lcm(da, db)
         f = d // da
@@ -543,7 +485,7 @@ class GroupAlgebraElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -551,7 +493,7 @@ class GroupAlgebraElement:
     def _scaled(self, c):
         """self times an int or Fraction c, on the numerators; the product
         is a Fraction when either side is."""
-        kind = Fraction if type(c) is Fraction else self._kind
+        kind = Fraction if type(_rational(c)) is Fraction else self._kind
         cn = c.numerator
         return _reduced(self.n, kind, self._d * c.denominator,
                         {p: x * cn for p, x in self._nums.items()} if cn else {})
@@ -559,21 +501,15 @@ class GroupAlgebraElement:
     def __mul__(self, other):
         if isinstance(other, GroupAlgebraElement):
             return _dot(((self, other),))
-        if self._kind is not None and type(other) in (int, Fraction):
-            return self._scaled(other)
-        return GroupAlgebraElement(
-            self.n, {p: c * other for p, c in self.terms.items()}
-        )
+        if isinstance(other, (UPoly, BiPoly)):
+            return NotImplemented
+        return self._scaled(other)
+
+    # scalars commute with every element
+    __rmul__ = _scaled
 
     # the sum of a*b over pairs (a, b); see the module docstring
     dot = staticmethod(_dot)
-
-    def __rmul__(self, other):
-        if self._kind is not None and type(other) in (int, Fraction):
-            return self._scaled(other)
-        return GroupAlgebraElement(
-            self.n, {p: other * c for p, c in self.terms.items()}
-        )
 
     def _rekeyed(self, n: int, f) -> "GroupAlgebraElement":
         """The element of S_n with each permutation p replaced by f(p); f
@@ -581,34 +517,24 @@ class GroupAlgebraElement:
         return GroupAlgebraElement._trusted(
             n, self._kind, self._d, {f(p): x for p, x in self._nums.items()})
 
-    def map_coeffs(self, f) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.n, {p: f(c) for p, c in self.terms.items()})
-
     def dagger(self) -> "GroupAlgebraElement":
         """Linear antiinvolution: each permutation goes to its inverse."""
         return self._rekeyed(self.n, Permutation.inverse)
 
     def star(self) -> "GroupAlgebraElement":
-        """Semilinear antiinvolution: inverse permutations, conjugated coefficients."""
-        return GroupAlgebraElement(
-            self.n, {p.inverse(): _conjugate(c) for p, c in self.terms.items()}
-        )
+        """Semilinear antiinvolution: inverse permutations, conjugated
+        coefficients.  A rational coefficient is its own conjugate, so this
+        is ``dagger``."""
+        return self.dagger()
 
     def support(self):
         return sorted(self.terms.keys(), key=lambda p: p.images)
 
     def to_json(self):
-        out = []
-        for p in self.support():
-            c = self.terms[p]
-            if isinstance(c, Fraction):
-                cj = format_rational(c)
-            elif hasattr(c, "to_json"):
-                cj = c.to_json()
-            else:
-                cj = c
-            out.append({"perm": list(p.images), "coeff": cj})
-        return out
+        terms, fraction = self.terms, self._kind is Fraction
+        return [{"perm": list(p.images),
+                 "coeff": format_rational(terms[p]) if fraction else terms[p]}
+                for p in self.support()]
 
     def __repr__(self):
         parts = [f"{c!r}*{list(p.images)}" for p, c in sorted(
@@ -624,15 +550,6 @@ def commutators(elements) -> list:
     return [GroupAlgebraElement.dot(((a, b), (-b, a)))
             for i, a in enumerate(items) for b in items[i + 1:]
             if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)]
-
-
-def _conjugate(c):
-    conj = getattr(c, "conjugate", None)
-    if conj is not None:
-        return conj()
-    if isinstance(c, UPoly):
-        return c.map_coeffs(_conjugate)
-    return c
 
 
 def ga_perm(p: Permutation) -> GroupAlgebraElement:
@@ -699,21 +616,23 @@ def top_embed(a: GroupAlgebraElement, n: int, m: int) -> GroupAlgebraElement:
     return embed(a, range(n + 1, n + m + 1), n + m)
 
 
-def trace_map(a: GroupAlgebraElement, n: int, m: int, p) -> GroupAlgebraElement:
+def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
     """Cycle-deletion trace from the group algebra of S_{n+m} down to S_n.
 
     Each permutation loses the symbols above n from its cycles, and the term
-    is weighted by p to the number of orbits lost entirely.  The coefficients
-    of ``a`` must be ints or Fractions (anything else raises TypeError), and p
-    a rational (int or Fraction) or the symbolic generator ``UPoly.gen()``.
-    Output coefficients are ints when p and every coefficient of ``a`` are,
-    else Fractions; with a symbolic p, UPolys with Fraction coefficients.
+    is weighted by p to the number of orbits lost entirely.  p is a rational
+    (int or Fraction) or the symbolic generator ``UPoly.gen()``.  For a
+    rational p the trace is an element of S_n, int when p and ``a`` are, else
+    Fraction.  For the symbolic p it is the polynomial in p
+    ``UPoly([T_0, T_1, ...])`` over the group algebra, T_l the Fraction
+    element of S_n that is the coefficient of p^l.
 
     One pass over integer numerators over one denominator d: each term sends
     every symbol i <= n to the next symbol <= n on its orbit, marking the top
     symbols passed; the unmarked ones form the lost orbits.  Sums s_l are kept
-    per (residual, l lost orbits), and each output is built once, as
-    sum_l s_l p^l / d, in the order its residual first occurs.
+    per (residual, l lost orbits).  A rational p builds each output term
+    once, as sum_l s_l p^l / d, in the order its residual first occurs; the
+    symbolic p puts s_l / d on that residual in T_l.
     """
     if a.n != n + m:
         raise ValueError(f"trace_map: element has degree {a.n}, expected {n + m}")
@@ -745,15 +664,16 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p) -> GroupAlgebraElement:
         sums = acc.setdefault(tuple(res), {})
         sums[lost] = sums.get(lost, 0) + s
     trusted = Permutation._trusted
-    if symbolic:
-        terms = {}
-        for res, sums in acc.items():
-            c = UPoly([Fraction(sums.get(l, 0), d) for l in range(max(sums) + 1)])
-            if c:
-                terms[trusted(res)] = c
-        return GroupAlgebraElement._trusted(n, None, 1, terms)
-    # every sum over d * pd**k, k the most orbits any term loses
+    # k, the most orbits any term loses
     k = max((max(sums) for sums in acc.values()), default=0)
+    if symbolic:
+        coeffs = [{} for _ in range(k + 1)]
+        for res, sums in acc.items():
+            for l, s in sums.items():
+                if s:
+                    coeffs[l][trusted(res)] = s
+        return UPoly([_reduced(n, Fraction, d, c) for c in coeffs])
+    # every sum over d * pd**k
     pn, pd = p.numerator, p.denominator
     out = {}
     for res, sums in acc.items():
@@ -776,23 +696,14 @@ def ga_lift(n: int, x):
     """Read scalars as multiples of the identity of S_n.
 
     A scalar becomes a group-algebra element and a group-algebra element is
-    returned as it is.  A UPoly or BiPoly is lifted coefficientwise: its
-    scalar coefficients are lifted and its group-algebra ones kept.
+    returned as it is.  A UPoly or BiPoly is lifted coefficientwise, into
+    nested polynomials too.
     """
     if isinstance(x, (UPoly, BiPoly)):
-        return x.map_coeffs(lambda c: _lift_scalar(n, c))
-    return _lift_scalar(n, x)
-
-
-def _lift_scalar(n: int, c):
-    if isinstance(c, GroupAlgebraElement):
-        return c
-    return GroupAlgebraElement.scalar(n, c)
-
-
-def lift_coeffs_to_upoly(a: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Wrap every scalar coefficient into a constant UPoly (symbolic-parameter ring)."""
-    return a.map_coeffs(lambda c: c if isinstance(c, UPoly) else UPoly([c]))
+        return x.map_coeffs(lambda c: ga_lift(n, c))
+    if isinstance(x, GroupAlgebraElement):
+        return x
+    return GroupAlgebraElement.scalar(n, x)
 
 
 def class_sum(n: int, mu) -> GroupAlgebraElement:

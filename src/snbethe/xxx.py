@@ -21,6 +21,10 @@ p-independence (through the transform its span is S_1..S_{n-1}'s for every p)
 and the Schur-Weyl transfer-match checks, and also in ``t_gen``, whose
 T-against-S equality is its own cross-check, and in the CLI's ``emit t``.
 The Schur-Weyl trace compatibility check calls ``trace_map`` directly.
+
+A symbolic trace parameter p is ``UPoly.gen()``: a polynomial in u whose
+coefficients depend on p then has as each coefficient a ``UPoly`` in p over
+the group algebra, built and compared with plain ``UPoly`` arithmetic.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .permutations import (
     embed,
     ga_lift,
     ga_transposition,
-    lift_coeffs_to_upoly,
     top_embed,
     trace_map,
 )
@@ -81,8 +84,8 @@ def xxx_params(z, hbar=Fraction(1)) -> XXXParams:
 def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
     """The m-th generator polynomial, built in the group algebra of S_{n+m}
     and traced down at the trace parameter p; degree n in u.  p=None reads as
-    the symbolic ``UPoly.gen()``, and then the coefficients of the output live
-    in the polynomial ring in p.
+    the symbolic ``UPoly.gen()``, and then each coefficient of the output is
+    a ``UPoly`` in p over the group algebra of S_n (see ``trace_map``).
 
     T_m(u) = tr(A_m X(u)), with A_m the antisymmetrizer of the top S_m (the
     symbols n+1..n+m) and X(u) the ordered product of the factors
@@ -99,9 +102,7 @@ def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
         p = UPoly.gen()
     if m == 0:
         poly = ga_lift(n, scalar_root_poly(z))
-        if isinstance(p, UPoly):
-            poly = poly.map_coeffs(lift_coeffs_to_upoly)
-        return poly
+        return poly.map_coeffs(lambda c: UPoly([c])) if isinstance(p, UPoly) else poly
     big = n + m
     acc = UPoly([top_embed(antisymmetrizer_classes(m), n, m)])
     for a in range(n, 0, -1):
@@ -265,7 +266,9 @@ def check_relations_Hh(la, params: XXXParams, qvals) -> dict:
 def ts_transform(s_family, m: int, p) -> UPoly:
     """The binomial transform sum_k S_k/(m-k)! * prod_{i=1..m-k}(p - m + i),
     which equals T_m for every p; ``s_family[k]`` is S_k for k = 0..m, built
-    once by the caller and shared across orders."""
+    once by the caller and shared across orders.  For the symbolic
+    ``UPoly.gen()`` each weight is a ``UPoly`` in p, so a coefficient of the
+    output is one too, or an element where only S_m contributes to it."""
     acc = UPoly()
     for k in range(0, m + 1):
         sk = s_family[k]

@@ -142,29 +142,38 @@ def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
     # among them, read the generator polynomials from the cached
     # gaudin_table; only the one-off z values (scaled, shifted, permuted)
     # build their own.  Seed 7 draws no identity permutation, scale 1 or
-    # shift 0, so none of those is the run's z.
+    # shift 0, so none of those is the run's z.  The shifted polynomial φ̃
+    # is built once for shifted-det and shifted-edges; at n = 5 shifted-det
+    # is capped, and shifted-edges alone builds it.
     from snbethe import gaudin, reps
 
-    built = []
-    real = gaudin.phi_polys
+    built, shifted = [], []
+    real, real_tilde = gaudin.phi_polys, gaudin.phi_tilde
 
     def counted(n, z):
         built.append(tuple(z))
         return real(n, z)
 
+    def counted_tilde(n, z, polys):
+        shifted.append(tuple(z))
+        return real_tilde(n, z, polys)
+
     monkeypatch.setattr(suites, "phi_polys", counted)
     monkeypatch.setattr(gaudin, "phi_polys", counted)
-    caches = (suites.gaudin_table, reps.content_product_all)
+    monkeypatch.setattr(suites, "phi_tilde", counted_tilde)
+    caches = (suites.gaudin_table, suites.gaudin_shifted, reps.content_product_all)
     try:
         for n in (4, 5):
             for cache in caches:
                 cache.cache_clear()
             built.clear()
+            shifted.clear()
             rc, _ = run_main(capsys, ["run", "identities-gaudin", "--n", str(n),
                                       "--format", "json", "--seed", "7"])
             assert rc == 0
             assert built.count(suites.default_z(n)) == 1
             assert len(built) == 6
+            assert shifted == [suites.default_z(n)]
             assert reps.content_product_all.cache_info().misses == 1
     finally:
         for cache in caches:

@@ -235,7 +235,11 @@ def test_det_presentation_requires_commuting_family(builder):
 @pytest.mark.parametrize("builder", DET_BUILDERS)
 def test_det_presentation_accepts_scalar_and_float_entries(builder):
     # float eigenvalues reach the guards from check_relations_H and _Hh
-    DET_BUILDERS[builder]([F(1, 3), 0.5, ga_transposition(3, 1, 2) * F(2)])
+    DET_BUILDERS[builder]([F(1, 3), 0.5, 2.0])
+    DET_BUILDERS[builder]([F(1, 3), 5, ga_transposition(3, 1, 2) * F(2)])
+    # an element holds no float coefficient
+    with pytest.raises(TypeError, match="float"):
+        DET_BUILDERS[builder]([F(1, 3), 0.5, ga_transposition(3, 1, 2) * F(2)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

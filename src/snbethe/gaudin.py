@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .rings import BiPoly, UPoly, poly_divmod, scalar_root_poly
+from .rings import UPoly, poly_divmod, scalar_root_poly
 from .linalg import det
 from .permutations import (
     GroupAlgebraElement,
@@ -30,7 +30,7 @@ from .permutations import (
 )
 from .reps import content_poly, content_product_all, partition_parts, partitions_of
 
-V = BiPoly([[0, Fraction(1)]])  # the variable v
+V = UPoly([UPoly([0, Fraction(1)])])  # the variable v, in u over v
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def phi_polys(n: int, z):
     return polys, table
 
 
-def phi_gen_fixed_points(n: int, z) -> BiPoly:
+def phi_gen_fixed_points(n: int, z) -> UPoly:
     """Fixed-point expansion of the generating function: (-1)^n times the sum
     over permutations of sign * sigma * prod over fixed points of
     (1 - v(u - z_b)).  Each permutation lands in each coefficient once, so
@@ -89,38 +89,41 @@ def phi_gen_fixed_points(n: int, z) -> BiPoly:
     z = tuple(z)
     slots = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
     for p in all_permutations(n):
-        factor = BiPoly.const(Fraction(1))
+        factor = UPoly([UPoly([Fraction(1)])])
         for b in range(1, n + 1):
             if p(b) == b:
                 # 1 - v*(u - z_b)
-                factor = factor * BiPoly([[Fraction(1), z[b - 1]], [0, Fraction(-1)]])
+                factor = factor * UPoly([UPoly([Fraction(1), z[b - 1]]),
+                                         UPoly([0, Fraction(-1)])])
         signed = Fraction((-1) ** n * sign(p))
-        for i, row in enumerate(factor.rows):
-            for j, c in enumerate(row):
+        for i, row in enumerate(factor.coeffs):
+            for j, c in enumerate(row.coeffs):
                 if c:
                     slots[i][j][p] = signed * c
-    return BiPoly([[GroupAlgebraElement(n, terms) for terms in row] for row in slots])
+    return UPoly([UPoly([GroupAlgebraElement(n, terms) for terms in row]) for row in slots])
 
 
-def v_expansion(polys, base=V) -> BiPoly:
-    """sum_m (-1)^m P_m(u) base^(n-m) over ``polys`` = [P_0, ..., P_n].  The
-    sign goes into the scalar power of ``base`` before the one product with
-    P_m, so float coefficients are only negated."""
+def v_expansion(polys, base=V) -> UPoly:
+    """sum_m (-1)^m P_m(u) base^(n-m) over ``polys`` = [P_0, ..., P_n], a
+    polynomial in u over polynomials in v.  The sign goes into the scalar
+    power of ``base`` before the one product with P_m, so float coefficients
+    are only negated."""
     n = len(polys) - 1
-    acc = BiPoly()
+    acc = UPoly()
     for m, poly in enumerate(polys):
-        acc = acc + BiPoly.from_upoly_u(poly) * (base ** (n - m) * Fraction((-1) ** m))
+        acc = acc + (poly.map_coeffs(lambda c: UPoly([c]))
+                     * (base ** (n - m) * Fraction((-1) ** m)))
     return acc
 
 
-def phi_expansion(n: int, z, polys) -> BiPoly:
+def phi_expansion(n: int, z, polys) -> UPoly:
     """The generating function expanded in v from the generator polynomials
     ``polys`` (``phi_polys(n, z)[0]``):
     prod (u - z_a) v^n + sum_i (-1)^i phi_i(u) v^(n-i)."""
     return ga_lift(n, v_expansion([scalar_root_poly(z), *polys]))
 
 
-def phi_gen(n: int, z, polys) -> BiPoly:
+def phi_gen(n: int, z, polys) -> UPoly:
     """Bivariate generating function of the generator polynomials ``polys``
     (``phi_polys(n, z)[0]``); verified on construction against the
     independent fixed-point expansion."""
@@ -211,9 +214,15 @@ def diagonal(values) -> list:
     return [[x if a == b else 0 for b in range(len(values))] for a, x in enumerate(values)]
 
 
-def presentation_det(Z, Q, R) -> BiPoly:
+def v_minus(q, on_diagonal: bool) -> UPoly:
+    """v - q on the diagonal and -q off it, in u over polynomials in v."""
+    return UPoly([UPoly([-q, Fraction(1)] if on_diagonal else [-q])])
+
+
+def presentation_det(Z, Q, R) -> UPoly:
     """det((u - Z)(v - Q) - R) for n x n matrices: Z of scalars, Q and R of
-    scalars or ring elements that pairwise commute.
+    scalars or ring elements that pairwise commute; a polynomial in u over
+    polynomials in v.
 
     Entry (a, b) is (u - Z_aa)(v d_ab - Q_ab), minus Z_ac (v d_cb - Q_cb) for
     each nonzero off-diagonal Z_ac, minus R_ab.  ``linalg.det`` does no row
@@ -221,15 +230,12 @@ def presentation_det(Z, Q, R) -> BiPoly:
     it on the elements its Q and R are scalar combinations of."""
     n = len(Z)
 
-    def v_minus_q(a: int, b: int) -> BiPoly:
-        return (V if a == b else BiPoly()) - BiPoly.const(Q[a][b])
-
-    def entry(a: int, b: int) -> BiPoly:
-        e = BiPoly([[-Z[a][a]], [Fraction(1)]]) * v_minus_q(a, b)
+    def entry(a: int, b: int) -> UPoly:
+        e = UPoly([UPoly([-Z[a][a]]), UPoly([Fraction(1)])]) * v_minus(Q[a][b], a == b)
         for c in range(n):
             if c != a and Z[a][c]:
-                e = e - Z[a][c] * v_minus_q(c, b)
-        return e - BiPoly.const(R[a][b])
+                e = e - Z[a][c] * v_minus(Q[c][b], c == b)
+        return e - UPoly([UPoly([R[a][b]])])
 
     return det([[entry(a, b) for b in range(n)] for a in range(n)])
 
@@ -240,8 +246,8 @@ def det_presentation(variant: str, n: int, z, h):
     plain numbers), with Z = diag(z) and Q the matrix with h on the diagonal
     and 1/(z_a - z_b) off it.
 
-    variant "P":       det of (u - Z)(v - Q) - 1          -> BiPoly
-    variant "Ptilde":  det of (u - Z)(v - ZQ) - Z         -> BiPoly
+    variant "P":       det of (u - Z)(v - Q) - 1          -> UPoly in u over v
+    variant "Ptilde":  det of (u - Z)(v - ZQ) - Z         -> UPoly in u over v
     variant "Ptilde0": det of (v - ZQ)                    -> UPoly in v
     """
     z = tuple(z)
@@ -261,14 +267,13 @@ def det_presentation(variant: str, n: int, z, h):
         return presentation_det(diagonal(z), zq, diagonal(z))
     if variant != "Ptilde0":
         raise ValueError(f"unknown variant {variant!r}")
-    d = det([[(V if a == b else BiPoly()) - BiPoly.const(zq[a][b]) for b in range(n)]
-             for a in range(n)])
-    if d.deg_u > 0:
+    d = det([[v_minus(zq[a][b], a == b) for b in range(n)] for a in range(n)])
+    if d.degree > 0:
         raise AssertionError("variant Ptilde0 must not involve u")
-    return d.u_coeff(0)
+    return d.coeff(0)
 
 
-def phi_tilde(n: int, z, polys) -> BiPoly:
+def phi_tilde(n: int, z, polys) -> UPoly:
     """Second generating function: the content product at v+1 times the sum of
     the shifted generator polynomials ``polys`` (``phi_polys(n, z)[0]``) over
     the partial denominators.  The rational expression is assembled over the
@@ -288,24 +293,21 @@ def phi_tilde(n: int, z, polys) -> BiPoly:
 
     denom = vfactors(1, n)
     lead = scalar_root_poly(z)
-    num = BiPoly.from_upoly_u(lead) * BiPoly.from_upoly_v(denom)
-    num = ga_lift(n, num)
+    num = ga_lift(n, lead.map_coeffs(lambda c: UPoly([c])) * UPoly([denom]))
     for i, poly in enumerate(polys, start=1):
-        u_part = BiPoly.from_upoly_u(poly) * BiPoly(
-            [[Fraction((-1) ** i)] if k == i else [0] for k in range(i + 1)]
-        )
-        term = ga_lift(n, u_part) * ga_lift(n, BiPoly.from_upoly_v(vfactors(i + 1, n)))
-        num = num + term
+        u_part = poly.map_coeffs(lambda c: UPoly([c])) * UPoly(
+            [UPoly()] * i + [UPoly([Fraction((-1) ** i)])])
+        num = num + ga_lift(n, u_part) * ga_lift(n, UPoly([vfactors(i + 1, n)]))
     one = GroupAlgebraElement.scalar(n, Fraction(1))
     for jm in jm_elements(n):
-        num = num * BiPoly([[one - jm, one]])
-    rows = []
-    for i in range(num.deg_u + 1):
-        quot, rem = poly_divmod(num.u_coeff(i), denom)
+        num = num * UPoly([UPoly([one - jm, one])])
+    quotients = []
+    for c in num.coeffs:
+        quot, rem = poly_divmod(c, denom)
         if rem:
             raise AssertionError("generating function is not polynomial in v")
-        rows.append(quot.coeffs)
-    return BiPoly(rows)
+        quotients.append(quot)
+    return UPoly(quotients)
 
 
 def check_relations_H(la, z, h) -> dict:
@@ -321,22 +323,27 @@ def check_relations_H(la, z, h) -> dict:
     return relation_residuals(la, det_presentation("P", n, tuple(z), list(h)))
 
 
-def relation_residuals(la, det: BiPoly) -> dict:
+def relation_residuals(la, det: UPoly) -> dict:
     """Residuals of a scalar relation family read off a determinant
-    presentation det(u, w) at a partition la of n: the largest coefficient of
+    presentation det(u, w), a polynomial in u over polynomials in w, at a
+    partition la of n: the largest coefficient of
     u^(n-j) w^(n-i) with j < i, which must vanish, and the largest
     coefficient of the difference of the two sides of the diagonal identity
     sum_i [u^(n-i) w^(n-i)] prod_{j>i} (w + j) = prod_j (w + j - la_j)."""
     la = tuple(la)
     n = sum(la)
+
+    def coeff(i: int, j: int):  # det.coeff(i) is the int 0 above the u-degree
+        return (det.coeff(i) or UPoly()).coeff(j)
+
     offdiag = max(
-        (abs(det.coeff(n - j, n - i)) for i in range(n + 1) for j in range(i)),
+        (abs(coeff(n - j, n - i)) for i in range(n + 1) for j in range(i)),
         default=Fraction(0),
     )
     lhs = UPoly()
     for i in range(n + 1):
         tail = scalar_root_poly([Fraction(-j) for j in range(i + 1, n + 1)])
-        lhs = lhs + tail * det.coeff(n - i, n - i)
+        lhs = lhs + tail * coeff(n - i, n - i)
     rhs = scalar_root_poly([Fraction(lam - j)
                             for j, lam in enumerate(partition_parts(la, n), start=1)])
     diff = lhs - rhs
@@ -360,13 +367,13 @@ def check_relations_Ht(la, z, h) -> dict:
     det = det_presentation("Ptilde", n, z, list(h))
     pila = content_poly(la, n)
     pila1 = pila.shift_arg(Fraction(1))
-    top = det.u_coeff(n)  # coefficient of u^n, polynomial in v
+    top = det.coeff(n)  # coefficient of u^n, polynomial in v
     diff = top - pila
     top_residual = max((abs(c) for c in diff.coeffs), default=Fraction(0))
     frac_residual = Fraction(0)
     for i in range(1, n + 1):
         tail = scalar_root_poly([Fraction(-j) for j in range(1, n - i + 1)])
-        numer = det.u_coeff(n - i) * tail
+        numer = det.coeff(n - i) * tail
         _, rem = poly_divmod(numer, pila1)
         r = max((abs(c) for c in rem.coeffs), default=Fraction(0))
         frac_residual = max(frac_residual, r)

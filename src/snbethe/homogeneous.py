@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .rings import BiPoly, MultiPoly, UPoly, series_inverse, series_log, series_mul
+from .rings import MultiPoly, UPoly, series_inverse, series_log, series_mul
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -193,7 +193,7 @@ def charge_from_density(n: int, k: int, density: GroupAlgebraElement) -> GroupAl
     return acc
 
 
-def det_P_hat(n: int, q: UPoly) -> BiPoly:
+def det_P_hat(n: int, q: UPoly) -> UPoly:
     """Determinant presentation at the homogeneous point: the structured
     matrix has the upper shift in place of the diagonal parameters and Taylor
     coefficients of q(u)/(u+1)^b in place of the Cauchy entries."""

@@ -31,10 +31,11 @@ through, so it avoids per-term overhead in four ways:
   cd, and each result is divided by the gcd of d and its numerators.  The
   form is canonical, so ``==`` and ``hash`` read it directly, across the
   two kinds too.  ``terms`` builds the Fractions on first read; ``represent``
-  and ``trace_map`` read the numerators.  Polynomials (``UPoly``,
-  ``BiPoly``) hold elements as coefficients, so an operation of an element
+  and ``trace_map`` read the numerators.  Polynomials (``UPoly``, also
+  nested: a polynomial in u and v, or in u over polynomials in the trace
+  parameter p) hold elements as coefficients, so an operation of an element
   with a polynomial returns NotImplemented and the polynomial's reflected
-  operator applies; a polynomial in the trace parameter p is one of them.
+  operator applies.
 * One sum-of-products kernel.  ``GroupAlgebraElement.dot(pairs)`` is the
   sum of a*b over pairs (a, b) of elements, a scalar factor read on the
   identity.  A product is ``dot`` on one pair, and polynomial products and
@@ -80,7 +81,7 @@ from functools import lru_cache
 from itertools import permutations as _itperms
 from operator import itemgetter
 
-from .rings import BiPoly, UPoly, _int_scaled, format_rational
+from .rings import UPoly, _int_scaled, format_rational
 
 # The Cayley table of S_n holds (n!)^2 ids: 518,400 (about 4 MB) at n = 6,
 # 25.4M (about 200 MB) at n = 7, so larger degrees keep the dict product.
@@ -456,7 +457,7 @@ class GroupAlgebraElement:
             self.n, self._kind, self._d, {p: -x for p, x in self._nums.items()})
 
     def __add__(self, other):
-        if isinstance(other, (UPoly, BiPoly)):
+        if isinstance(other, UPoly):
             return NotImplemented
         if not isinstance(other, GroupAlgebraElement):
             other = GroupAlgebraElement.scalar(self.n, other)
@@ -501,7 +502,7 @@ class GroupAlgebraElement:
     def __mul__(self, other):
         if isinstance(other, GroupAlgebraElement):
             return _dot(((self, other),))
-        if isinstance(other, (UPoly, BiPoly)):
+        if isinstance(other, UPoly):
             return NotImplemented
         return self._scaled(other)
 
@@ -696,10 +697,10 @@ def ga_lift(n: int, x):
     """Read scalars as multiples of the identity of S_n.
 
     A scalar becomes a group-algebra element and a group-algebra element is
-    returned as it is.  A UPoly or BiPoly is lifted coefficientwise, into
-    nested polynomials too.
+    returned as it is.  A UPoly is lifted coefficientwise, into nested
+    polynomials too, so a polynomial over polynomials stays one.
     """
-    if isinstance(x, (UPoly, BiPoly)):
+    if isinstance(x, UPoly):
         return x.map_coeffs(lambda c: ga_lift(n, c))
     if isinstance(x, GroupAlgebraElement):
         return x

@@ -1,11 +1,29 @@
-"""Exact coefficient substrate: rationals, dense polynomials in one or two
-variables, truncated power series, and a seeded randomness source.
+"""Exact coefficient substrate: rationals, dense polynomials, truncated power
+series, sparse multivariable polynomials and a seeded randomness source.
 
-Every ring element used by the library (Fraction, UPoly, BiPoly, group-algebra
+Every ring element used by the library (Fraction, UPoly, group-algebra
 elements) supports +, -, *, == and truthiness (bool(x) is False iff x == 0),
 so the polynomial code below is ring-generic.  All arithmetic is exact; floats
 enter only through the spectral pipeline, which reuses the same classes with
 float coefficients but never relies on canonical trimming there.
+
+``UPoly`` is the one dense polynomial class.  A polynomial in u and v is a
+UPoly in u whose every coefficient is a UPoly in v, so the coefficient of
+u^i v^j is ``P.coeff(i).coeff(j)`` for i up to the u-degree; a constant c is
+``UPoly([UPoly([c])])``.  Invariant: every coefficient of such a polynomial,
+a zero one included, is a UPoly; were a bare ring element among them, the
+group-algebra ``dot`` would receive a UPoly factor and raise.  Products,
+``map_coeffs`` into UPolys and ``ga_lift`` keep it, since a product's empty
+slot over polynomials is ``UPoly()``.  A scalar polynomial such as ``P ** 0``
+(``UPoly([Fraction(1)])``) is not of this form, but ``UPoly.dot`` reads a
+scalar factor c as ``UPoly([c])``, so its product with P is.
+
+``UPoly.dot`` forms a sum of products of polynomial pairs in one pass, with
+one coefficient ``dot`` per output slot (``_dot_hook`` finds it), and a
+product is ``dot`` on one pair.  For polynomials over polynomials over the
+group algebra each u^i v^j coefficient of a product is one group-algebra
+``dot``, its term pairs in lexicographic (i, j) order of the left factor, so
+float sums round in that one order.
 """
 
 from __future__ import annotations
@@ -39,7 +57,7 @@ def _int_scaled(values):
     return d, [c.numerator * (d // e) for c, e in zip(values, dens)]
 
 
-def _dot_hook(*samples):
+def _dot_hook(samples):
     """The ``dot`` (sum of products over pairs) of the first sample whose
     type has one, else None; the polynomial products sum each output slot
     with it."""
@@ -58,6 +76,13 @@ def _sum_of_products(pairs):
         t = a * b
         acc = t if acc is None else acc + t
     return acc
+
+
+def _empty_slot(total):
+    """An output slot with no pairs when the slots are summed by ``total``:
+    ``UPoly()`` for ``UPoly.dot``, so that a polynomial over polynomials has
+    only polynomial coefficients, else 0."""
+    return UPoly() if total is UPoly.dot else 0
 
 
 def ring_one(sample):
@@ -123,12 +148,7 @@ class UPoly:
     def __add__(self, other):
         if isinstance(other, UPoly):
             a, b = self.coeffs, other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] = out[i] + c
-            return UPoly(out)
+            return UPoly([x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):])
         if not self.coeffs:
             return UPoly([other])
         out = list(self.coeffs)
@@ -140,18 +160,32 @@ class UPoly:
     def __sub__(self, other):
         return self + (-other)
 
+    @staticmethod
+    def dot(pairs) -> "UPoly":
+        """Sum of a*b over pairs (a, b) of polynomials, a scalar factor c read
+        as UPoly([c]), in one pass: output coefficient k is one sum of the
+        coefficient products a_i * b_j with i + j = k, in pair order and then
+        i order, formed by the ``dot`` of the first coefficient that has one
+        (see the module docstring)."""
+        slots, samples = [], []
+        for a, b in pairs:
+            a = a.coeffs if isinstance(a, UPoly) else [a]
+            b = b.coeffs if isinstance(b, UPoly) else [b]
+            samples += a
+            samples += b
+            slots += [[] for _ in range(len(a) + len(b) - 1 - len(slots))]
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            slots[i + j].append((x, y))
+        total = _dot_hook(samples) or _sum_of_products
+        zero = _empty_slot(total)
+        return UPoly([total(s) if s else zero for s in slots])
+
     def __mul__(self, other):
         if isinstance(other, UPoly):
-            if not self.coeffs or not other.coeffs:
-                return UPoly()
-            slots = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        if b:
-                            slots[i + j].append((a, b))
-            total = _dot_hook(self.coeffs[-1], other.coeffs[-1]) or _sum_of_products
-            return UPoly([total(pairs) if pairs else 0 for pairs in slots])
+            return UPoly.dot(((self, other),))
         return UPoly([c * other for c in self.coeffs])
 
     def __rmul__(self, other):
@@ -226,35 +260,46 @@ def scalar_root_poly(roots) -> UPoly:
 
 def poly_divmod(f: UPoly, g: UPoly):
     """Division with remainder.  The leading coefficient of g must be an
-    invertible scalar (Fraction or float); the coefficients of f may live in
-    any ring on which that scalar acts.
+    invertible scalar: an int or Fraction, inverted exactly, or a float; the
+    coefficients of f may live in any ring on which that scalar acts.
 
     Each output coefficient is a combination of f's coefficients with scalar
-    weights.  When f's coefficients have a ``dot`` hook, the division runs
-    on the weights (f_k read as t^k) and each output is one ``dot``: the
-    same values, though where coefficients mix int and Fraction terms an
-    output term's type, which follows the order of the additions, can
-    differ from the step-by-step division's.  The weights depend only on
-    len(f.coeffs) and g, so ``_division_weights`` computes them once per
-    such pair."""
+    weights.  When f's coefficients have a ``dot`` hook (group-algebra
+    elements, or polynomials for a polynomial over polynomials), the
+    weights are ``_divide`` of sum_k t^k u^k by g and each output is one
+    ``dot`` over f's coefficients: the same values, though where
+    coefficients mix int and Fraction terms an output term's type, which
+    follows the order of the additions, can differ from ``_divide`` on f.
+    The weights depend only on len(f.coeffs) and g, so
+    ``_division_weights`` computes them once per such pair."""
     if not g.coeffs:
         raise ZeroDivisionError("polynomial division by zero")
-    lead = g.lead()
-    if not isinstance(lead, Number):
+    if not isinstance(g.lead(), Number):
         raise ValueError("divisor must have scalar leading coefficient")
-    dot = _dot_hook(f.coeffs[-1]) if f.coeffs else None
-    if dot is not None:
-        def combine(weights):
-            pairs = [(c, w) for c, w in zip(f.coeffs, weights.coeffs) if c and w]
-            return dot(pairs) if pairs else 0
+    dot = _dot_hook(f.coeffs)
+    if dot is None:
+        return _divide(f.coeffs, g.coeffs)
+    zero = _empty_slot(dot)
 
-        divisor = tuple(g.coeffs)
-        return tuple(UPoly([combine(w) if w else 0 for w in part.coeffs])
-                     for part in _division_weights(len(f.coeffs), divisor,
-                                                   tuple(map(type, divisor))))
-    inv = Fraction(1) / lead if isinstance(lead, Fraction) else 1.0 / lead
-    rem = list(f.coeffs)
-    dg = g.degree
+    def combine(weights):
+        pairs = [(c, x) for c, x in zip(f.coeffs, weights.coeffs) if c and x]
+        return dot(pairs) if pairs else zero
+
+    divisor = tuple(g.coeffs)
+    return tuple(UPoly([combine(w) for w in part.coeffs])
+                 for part in _division_weights(len(f.coeffs), divisor,
+                                               tuple(map(type, divisor))))
+
+
+def _divide(f, g):
+    """(quotient, remainder) of the coefficient lists f by g, the step-by-step
+    division: the one division algorithm, run by ``poly_divmod`` on f's
+    coefficients or on the weights of its ``dot`` path.  A float leading
+    coefficient is inverted as a float, any other one exactly."""
+    lead = g[-1]
+    inv = 1.0 / lead if isinstance(lead, float) else Fraction(1) / lead
+    rem = list(f)
+    dg = len(g) - 1
     qcoeffs = [0] * max(len(rem) - dg, 0)
     for k in range(len(rem) - dg - 1, -1, -1):
         c = rem[k + dg]
@@ -262,7 +307,7 @@ def poly_divmod(f: UPoly, g: UPoly):
             continue
         q = c * inv
         qcoeffs[k] = q
-        for i, gc in enumerate(g.coeffs):
+        for i, gc in enumerate(g):
             rem[k + i] = rem[k + i] - q * gc
     return UPoly(qcoeffs), UPoly(rem[:dg])
 
@@ -273,8 +318,7 @@ def _division_weights(size: int, divisor: tuple, types: tuple):
     of the coefficients ``divisor``: the weights of ``poly_divmod``'s dot
     path, shared, so callers must not mutate them.  ``types`` keys the
     cache by coefficient type too, since 1 == 1.0 == Fraction(1)."""
-    units = UPoly([UPoly([0] * k + [1]) for k in range(size)])
-    return poly_divmod(units, UPoly(divisor))
+    return _divide([UPoly([0] * k + [1]) for k in range(size)], divisor)
 
 
 def poly_gcd(f: UPoly, g: UPoly) -> UPoly:
@@ -351,7 +395,7 @@ def series_inverse(f: UPoly, order: int) -> UPoly:
     c0 = f.coeffs[0]
     if not isinstance(c0, Number):
         raise ValueError("inverse implemented for scalar constant terms")
-    inv0 = Fraction(1) / c0 if isinstance(c0, Fraction) else 1.0 / c0
+    inv0 = 1.0 / c0 if isinstance(c0, float) else Fraction(1) / c0
     g = _series_trim(f.coeffs, order)
     out = [inv0] + [0] * order
     for k in range(1, order + 1):
@@ -361,142 +405,6 @@ def series_inverse(f: UPoly, order: int) -> UPoly:
                 s = s + g[j] * out[k - j]
         out[k] = -inv0 * s
     return UPoly(out)
-
-
-class BiPoly:
-    """Dense polynomial in two variables u, v; rows[i][j] is the coefficient
-    of u^i v^j.  Canonical form trims outer all-zero rows and columns."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows=()):
-        rs = [list(r) for r in rows]
-        while rs and all(not c for c in rs[-1]):
-            rs.pop()
-        width = 0
-        for r in rs:
-            w = len(r)
-            while w and not r[w - 1]:
-                w -= 1
-            width = max(width, w)
-        self.rows = [r[:width] + [0] * (width - len(r[:width])) for r in rs]
-
-    @classmethod
-    def const(cls, c) -> "BiPoly":
-        return cls([[c]])
-
-    @classmethod
-    def from_upoly_u(cls, p: UPoly) -> "BiPoly":
-        return cls([[c] for c in p.coeffs])
-
-    @classmethod
-    def from_upoly_v(cls, p: UPoly) -> "BiPoly":
-        return cls([list(p.coeffs)])
-
-    @property
-    def deg_u(self) -> int:
-        return len(self.rows) - 1
-
-    @property
-    def deg_v(self) -> int:
-        return (len(self.rows[0]) - 1) if self.rows else -1
-
-    def coeff(self, i: int, j: int):
-        if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
-            return self.rows[i][j]
-        return 0
-
-    def u_coeff(self, i: int) -> UPoly:
-        """Coefficient of u^i, as a polynomial in v."""
-        if 0 <= i < len(self.rows):
-            return UPoly(self.rows[i])
-        return UPoly()
-
-    def v_coeff(self, j: int) -> UPoly:
-        """Coefficient of v^j, as a polynomial in u."""
-        return UPoly([self.coeff(i, j) for i in range(len(self.rows))])
-
-    def __bool__(self):
-        return bool(self.rows)
-
-    def __eq__(self, other):
-        if isinstance(other, BiPoly):
-            a, b = self.rows, other.rows
-            if len(a) != len(b):
-                return False
-            for ra, rb in zip(a, b):
-                if len(ra) != len(rb):
-                    return False
-                for x, y in zip(ra, rb):
-                    if not (x == y):
-                        return False
-            return True
-        return NotImplemented
-
-    def __neg__(self):
-        return BiPoly([[-c for c in r] for r in self.rows])
-
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
-        nr = max(len(self.rows), len(other.rows))
-        nc = max(self.deg_v + 1, other.deg_v + 1, 0)
-        rows = [[0] * nc for _ in range(nr)]
-        for src in (self, other):
-            for i, r in enumerate(src.rows):
-                for j, c in enumerate(r):
-                    if c:
-                        rows[i][j] = rows[i][j] + c
-        return BiPoly(rows)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            if not self.rows or not other.rows:
-                return BiPoly()
-            nr = len(self.rows) + len(other.rows) - 1
-            nc = self.deg_v + other.deg_v + 1
-            slots = [[[] for _ in range(nc)] for _ in range(nr)]
-            for i, ra in enumerate(self.rows):
-                for j, a in enumerate(ra):
-                    if a:
-                        for k, rb in enumerate(other.rows):
-                            out = slots[i + k]
-                            for l, b in enumerate(rb):
-                                if b:
-                                    out[j + l].append((a, b))
-            # the last row of a nonzero BiPoly has a nonzero entry
-            total = _dot_hook(next(filter(None, self.rows[-1])),
-                              next(filter(None, other.rows[-1]))) or _sum_of_products
-            return BiPoly([[total(pairs) if pairs else 0 for pairs in r] for r in slots])
-        return BiPoly([[c * other for c in r] for r in self.rows])
-
-    def __rmul__(self, other):
-        return BiPoly([[other * c for c in r] for r in self.rows])
-
-    def __pow__(self, e: int) -> "BiPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        result = BiPoly.const(Fraction(1))
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def map_coeffs(self, f) -> "BiPoly":
-        return BiPoly([[f(c) for c in r] for r in self.rows])
-
-    def subst_v_shift(self, c) -> "BiPoly":
-        """P(u, v) -> P(u, v + c)."""
-        return BiPoly([UPoly(r).shift_arg(c).coeffs for r in self.rows])
-
-    def __repr__(self):
-        return f"BiPoly({self.rows!r})"
 
 
 class MultiPoly:

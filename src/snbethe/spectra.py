@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .rings import BiPoly, MultiPoly, SeededRandom, UPoly
+from .rings import MultiPoly, SeededRandom, UPoly
 from .linalg import Echelon, det, nullspace
 from .reps import BlockMatrix, partition_parts, partitions_of, seminormal_rep
 
@@ -46,10 +46,10 @@ def casorati(fs, hbar) -> UPoly:
     return det([[f.shift_arg(-hbar * i) for f in fs] for i in range(len(fs))])
 
 
-def f_bivariate(fs, hbar=Fraction(1), variant: str = "homogeneous") -> BiPoly:
-    """Bivariate eigenvalue polynomial of a polynomial subspace: the bordered
-    shift (or derivative) determinant with the exponential column expanded
-    symbolically in v.
+def f_bivariate(fs, hbar=Fraction(1), variant: str = "homogeneous") -> UPoly:
+    """Bivariate eigenvalue polynomial of a polynomial subspace, in u over
+    polynomials in v: the bordered shift (or derivative) determinant with the
+    exponential column expanded symbolically in v.
 
     Row r of the border matrix carries the argument shift -hbar*(r-1)
     (discrete variants) or the (r-1)-st derivative (differential variant);
@@ -69,23 +69,29 @@ def f_bivariate(fs, hbar=Fraction(1), variant: str = "homogeneous") -> BiPoly:
         power = lambda r: r
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    out = BiPoly()
+    out = UPoly()
     for r in range(n + 1):
         minor_rows = [rows[i] for i in range(n + 1) if i != r]
         minor = det(minor_rows) if n else UPoly([Fraction(1)])
         s = Fraction((-1) ** (n + r))  # (-1)^{(r+1) + (n+1)}
-        term = BiPoly.from_upoly_u(minor * s) * BiPoly([[0] * power(r) + [Fraction(1)]])
-        out = out + term
+        out = out + (minor * s).map_coeffs(lambda c: UPoly([0] * power(r) + [c]))
     return out
 
 
-def annihilator_residual(F: BiPoly, p: UPoly, hbar=Fraction(1), variant="discrete"):
+def _v_coeffs(F: UPoly) -> list:
+    """The coefficients of v^0, ..., v^d, d the v-degree, of a polynomial in
+    u over polynomials in v, as polynomials in u."""
+    d = max((c.degree for c in F.coeffs), default=-1)
+    return [UPoly([c.coeff(k) for c in F.coeffs]) for k in range(d + 1)]
+
+
+def annihilator_residual(F: UPoly, p: UPoly, hbar=Fraction(1), variant="discrete"):
     """Largest coefficient of the image of p under the operator read off from
     the v-expansion of F; zero exactly when p lies in the defining subspace."""
-    n = F.deg_v
+    fks = _v_coeffs(F)
+    n = len(fks) - 1
     acc = UPoly()
-    for k in range(n + 1):
-        fk = F.v_coeff(k)
+    for k, fk in enumerate(fks):
         if variant == "differential":
             tap = p
             for _ in range(k):
@@ -394,7 +400,7 @@ def joint_eigen(cert: dict, generators: dict, tol: float = 1e-8):
 
 
 def reconstruct_subspace(
-    F: BiPoly, n: int, degree_bound: int, hbar=1.0, variant: str = "discrete",
+    F: UPoly, n: int, degree_bound: int, hbar=1.0, variant: str = "discrete",
     tol: float = 1e-6,
 ):
     """Polynomial kernel of the operator read off from the v-expansion of a
@@ -402,10 +408,7 @@ def reconstruct_subspace(
     if the kernel dimension is not n."""
     import numpy as np
 
-    taps = []
-    for k in range(F.deg_v + 1):
-        fk = [complex(c) for c in F.v_coeff(k).coeffs]
-        taps.append(fk)
+    taps = [[complex(c) for c in fk.coeffs] for fk in _v_coeffs(F)]
     D = degree_bound
     max_u = max((len(fk) - 1 for fk in taps if fk), default=0) + D
     A = np.zeros((max_u + 1, D + 1), dtype=complex)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .rings import (
-    BiPoly, MultiPoly, SeededRandom, UPoly, falling_binomial, format_rational, scalar_root_poly,
+    MultiPoly, SeededRandom, UPoly, falling_binomial, format_rational, scalar_root_poly,
 )
 from .linalg import Matrix, rank
 from .permutations import (
@@ -111,15 +111,14 @@ def default_z(n: int) -> tuple:
 
 def max_abs(*xs) -> Fraction:
     """Largest absolute coefficient of scalars, group-algebra elements,
-    MultiPolys and (bi)polynomials over them, nested; Fraction(0) for none.
+    MultiPolys and polynomials over them, nested polynomials too (in u and
+    v, or over polynomials in p); Fraction(0) for none.
     The first largest wins, so an exact zero reads 0/1 and a float stays a
     float."""
     out = Fraction(0)
     for x in xs:
         if isinstance(x, UPoly):
             x = max_abs(*x.coeffs)
-        elif isinstance(x, BiPoly):
-            x = max_abs(*(c for row in x.rows for c in row))
         elif isinstance(x, (GroupAlgebraElement, MultiPoly)):
             x = max_abs(*x.terms.values())
         out = max(out, abs(x))
@@ -221,9 +220,9 @@ def homogeneous_eigen(n: int, seed: int):
     return sp.joint_eigen(certificate(n, tuple(homogeneous_generators(n)), seed), gens)
 
 
-def homogeneous_f_from_record(n: int, rec) -> BiPoly:
+def homogeneous_f_from_record(n: int, rec) -> UPoly:
     """Assemble the scalar bivariate eigenvalue polynomial from the recorded
-    generator eigenvalues."""
+    generator eigenvalues, a polynomial in u over polynomials in v."""
     polys = [UPoly([0.0] * n + [1.0])]
     polys += [UPoly([rec.eigenvalues[f"T{m}c{i}"] for i in range(n, -1, -1)])
               for m in range(1, n + 1)]
@@ -451,7 +450,7 @@ def gaudin_shifted_edges(cfg, rng):
     for x in z:
         zprod *= x
     tail = pi.shift_arg(Fraction(1)) * (Fraction((-1) ** n) * zprod)
-    return max_abs(pt.u_coeff(n) - ga_lift(n, pi), pt.u_coeff(0) - ga_lift(n, tail))
+    return max_abs(pt.coeff(n) - ga_lift(n, pi), pt.coeff(0) - ga_lift(n, tail))
 
 
 # ---------------------------------------------------------------------------

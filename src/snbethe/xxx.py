@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from .rings import BiPoly, UPoly, falling_binomial, scalar_root_poly
+from .rings import UPoly, falling_binomial, scalar_root_poly
 from .permutations import (
     GroupAlgebraElement,
     antisymmetrizer,
@@ -206,7 +206,7 @@ def qkz_elements(params: XXXParams) -> list:
     return elems
 
 
-def t_gen(params: XXXParams) -> BiPoly:
+def t_gen(params: XXXParams) -> UPoly:
     """Bivariate generating polynomial at trace parameter p = n; both the
     T-expansion in v and the S-expansion in v-1 are computed and their
     equality is enforced."""
@@ -218,7 +218,7 @@ def t_gen(params: XXXParams) -> BiPoly:
     return lhs
 
 
-def det_P_hbar(params: XXXParams, q: UPoly) -> BiPoly:
+def det_P_hbar(params: XXXParams, q: UPoly) -> UPoly:
     """Determinant presentation det((u - Z)(v - Q) - hbar Q) with Z = diag(z)
     and the shifted Cauchy-type Q_ab = c_a / (z_a - z_b + hbar), where
     c_a = q(z_a) / prod_{b != a} (z_a - z_b).  q must have pairwise commuting
@@ -260,7 +260,7 @@ def check_relations_Hh(la, params: XXXParams, qvals) -> dict:
         raise ValueError("need n coefficient values")
     q = UPoly(list(reversed(qvals)))  # q(u) = q_1 u^{n-1} + ... + q_n
     # coefficients in powers of w = v - 1
-    return relation_residuals(la, det_P_hbar(params, q).subst_v_shift(1))
+    return relation_residuals(la, det_P_hbar(params, q).map_coeffs(lambda c: c.shift_arg(1)))
 
 
 def ts_transform(s_family, m: int, p) -> UPoly:

@@ -87,12 +87,6 @@ F = Fraction
 SEED = 20260801
 
 
-def lift(n, obj):
-    return obj.map_coeffs(
-        lambda c: c if isinstance(c, GroupAlgebraElement) else GroupAlgebraElement.scalar(n, c)
-    )
-
-
 def announce(k, label):
     print(f"ACCEPT-{k:02d} {label}: PASS")
 
@@ -188,16 +182,16 @@ def test_acceptance_05_determinant_presentations():
         z = tuple(distinct_rationals(rng, n))
         polys = phi_polys(n, z)[0]
         fam = list(kz_elements(n, z, polys)) if n >= 2 else [GroupAlgebraElement.zero(1)]
-        assert lift(n, det_presentation("P", n, z, fam)) == phi_gen(n, z, polys)
-        assert lift(n, det_presentation("Ptilde", n, z, fam)) == phi_tilde(n, z, polys)
-        assert lift(n, det_presentation("Ptilde0", n, z, fam)) == lift(
+        assert ga_lift(n, det_presentation("P", n, z, fam)) == phi_gen(n, z, polys)
+        assert ga_lift(n, det_presentation("Ptilde", n, z, fam)) == phi_tilde(n, z, polys)
+        assert ga_lift(n, det_presentation("Ptilde0", n, z, fam)) == ga_lift(
             n, content_product_all(n)
         )
         pr = xxx_params(z, F(1))
         if pr.hbar_separated:
-            assert t_gen(pr) == lift(n, det_P_hbar(pr, s_k_poly(pr, 1)))
+            assert t_gen(pr) == ga_lift(n, det_P_hbar(pr, s_k_poly(pr, 1)))
         prh = homogeneous_params(n)
-        assert t_gen(prh) == lift(n, det_P_hat(n, s_k_poly(prh, 1)))
+        assert t_gen(prh) == ga_lift(n, det_P_hat(n, s_k_poly(prh, 1)))
     elapsed = time.time() - t0
     assert elapsed < 120.0
     announce(5, f"all four determinant presentations exact to n=4 ({elapsed:.0f}s)")
@@ -269,7 +263,7 @@ def test_acceptance_06_trace_calculus():
             assert not s_k_poly(pr, m) - st_transform(pr, m, p)
     # saturation, sum rule, telescoping
     pr = xxx_params((F(1), F(7, 2), F(-2)), F(2, 3))
-    shifted = lift(3, scalar_root_poly([x - pr.hbar for x in pr.z]))
+    shifted = ga_lift(3, scalar_root_poly([x - pr.hbar for x in pr.z]))
     assert t_m_poly(pr, 3, p=F(3)) == shifted
     assert t_m_poly(pr, 4, p=F(3)) == UPoly()
     acc = UPoly()

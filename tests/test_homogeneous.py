@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from snbethe.rings import BiPoly, UPoly
+from helpers import bivariate
+from snbethe.rings import UPoly
 from snbethe.permutations import (
     GroupAlgebraElement,
     Permutation,
+    ga_lift,
     ga_perm,
     ga_transposition,
 )
@@ -30,12 +32,6 @@ F = Fraction
 
 def ga(n, c):
     return GroupAlgebraElement.scalar(n, F(c))
-
-
-def lift(n, obj):
-    return obj.map_coeffs(
-        lambda c: c if isinstance(c, GroupAlgebraElement) else GroupAlgebraElement.scalar(n, c)
-    )
 
 
 def test_g_cycles_examples():
@@ -115,7 +111,7 @@ def test_charges_commute_with_shift_and_each_other():
 def test_det_P_hat_zero_polynomial():
     # q = 0: determinant of (u - shift)(v) is u^n v^n
     det = det_P_hat(3, UPoly())
-    want = BiPoly([[0] * 4, [0] * 4, [0] * 4, [0, 0, 0, F(1)]])
+    want = bivariate([[0] * 4, [0] * 4, [0] * 4, [0, 0, 0, F(1)]])
     assert det == want
 
 
@@ -124,7 +120,7 @@ def test_det_P_hat_n2_hand_value():
     # polynomial at the homogeneous point
     s = ga_transposition(2, 1, 2)
     q = UPoly([s, ga(2, 2)])
-    det = lift(2, det_P_hat(2, q))
+    det = ga_lift(2, det_P_hat(2, q))
     assert det == t_gen(homogeneous_params(2))
 
 
@@ -132,7 +128,7 @@ def test_det_P_hat_n1_scalar():
     # n = 1, q(u) = 1: entry q/(u+1) has Taylor coefficient 1 at order 0
     det = det_P_hat(1, UPoly([F(1)]))
     # (u)(v - 1) - 1
-    want = BiPoly([[F(-1)], [F(-1), F(1)]])
+    want = bivariate([[F(-1)], [F(-1), F(1)]])
     assert det == want
 
 
@@ -140,7 +136,7 @@ def test_det_P_hat_n1_scalar():
 def test_generating_det_presentation(n):
     params = homogeneous_params(n)
     lhs = t_gen(params)
-    rhs = lift(n, det_P_hat(n, s_k_poly(params, 1)))
+    rhs = ga_lift(n, det_P_hat(n, s_k_poly(params, 1)))
     assert lhs == rhs
 
 

@@ -7,11 +7,12 @@ from itertools import permutations
 
 import pytest
 
+from helpers import bivariate
 from snbethe import gaudin, homogeneous, spectra
 from snbethe.linalg import Echelon, det, nullspace, rank
 from snbethe.permutations import GroupAlgebraElement, all_permutations, ga_perm
 from snbethe.reps import partitions_of
-from snbethe.rings import BiPoly, SeededRandom, UPoly
+from snbethe.rings import SeededRandom, UPoly
 from snbethe.tensoract import varpi_perm
 from snbethe.xxx import s_k_poly
 
@@ -156,8 +157,8 @@ def random_upoly(rng):
 
 
 def random_bipoly(rng):
-    return BiPoly([[rng.rational(5, 3) for _ in range(rng.integer(1, 2))]
-                   for _ in range(rng.integer(0, 2))])
+    return bivariate([[rng.rational(5, 3) for _ in range(rng.integer(1, 2))]
+                      for _ in range(rng.integer(0, 2))])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -198,7 +199,7 @@ def test_det_polynomial_entries(entry):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_det_p_hat_matches_permutation_expansion(n, monkeypatch):
-    # BiPoly entries with group-algebra coefficients; det_P_hat reaches the
+    # entries in u over polynomials in v over the group algebra; det_P_hat reaches the
     # determinant through gaudin.presentation_det
     q = s_k_poly(homogeneous.homogeneous_params(n), 1)
     got = homogeneous.det_P_hat(n, q)

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import bivariate
 from snbethe.rings import (
-    BiPoly,
     SeededRandom,
     UPoly,
     _division_weights,
@@ -354,6 +354,12 @@ def test_dot_of_no_pairs_has_no_degree():
     assert GroupAlgebraElement.dot([(2, F(1, 3)), (F(1, 2), 4)]) == F(8, 3)
 
 
+def flat_coeffs(p) -> list:
+    """The coefficients of a polynomial, or of each coefficient in turn of a
+    polynomial over polynomials."""
+    return [c for x in p.coeffs for c in (x.coeffs if isinstance(x, UPoly) else [x])]
+
+
 @pytest.mark.parametrize("kind", ["fraction", "int", "mixed"])
 def test_polynomial_products_over_the_group_algebra_match_the_generic_loop(
         kind, monkeypatch):
@@ -387,8 +393,8 @@ def test_polynomial_products_over_the_group_algebra_match_the_generic_loop(
         g = UPoly([entry() for _ in range(rng.integer(1, 4))] + [entry() or 1])
         cases.append((multiply, f, g))
         rows = [[entry() for _ in range(3)] for _ in range(rng.integer(1, 3))]
-        cases.append((multiply, BiPoly(rows + [[ga_perm(s(n, 2, 3))]]),
-                      BiPoly([[entry(), entry()], [entry(), coeff(rng) or 1]])))
+        cases.append((multiply, bivariate(rows + [[ga_perm(s(n, 2, 3))]]),
+                      bivariate([[entry(), entry()], [entry(), coeff(rng) or 1]])))
         divisor = UPoly([rng.rational(3, 3) for _ in range(rng.integer(0, 3))]
                         + [rng.nonzero_rational(3, 3)])
         cases.append((divide, f * f, divisor))
@@ -400,8 +406,7 @@ def test_polynomial_products_over_the_group_algebra_match_the_generic_loop(
         same_types = kind != "mixed" or op is multiply
         for x, y in zip(got, op(f, g), strict=True):
             assert type(x) is type(y)
-            xs = x.coeffs if isinstance(x, UPoly) else [c for r in x.rows for c in r]
-            ys = y.coeffs if isinstance(y, UPoly) else [c for r in y.rows for c in r]
+            xs, ys = (flat_coeffs(p) for p in (x, y))
             assert len(xs) == len(ys)
             for a, b in zip(xs, ys):
                 if type(a) is not type(b):
@@ -936,11 +941,11 @@ def test_elements_hold_only_int_and_fraction_coefficients():
     # reflected operator takes the element as a coefficient
     x = UPoly.gen()
     for op in (a.__add__, a.__mul__, a.__eq__):
-        assert op(x) is NotImplemented and op(BiPoly.const(F(2))) is NotImplemented
+        assert op(x) is NotImplemented and op(bivariate([[F(2)]])) is NotImplemented
     assert a * x == x * a == UPoly([GroupAlgebraElement.zero(3), a])
     assert a + x == UPoly([a, GroupAlgebraElement.scalar(3, 1)])
     assert a - x == UPoly([a, GroupAlgebraElement.scalar(3, -1)])
-    assert a * BiPoly.const(F(2)) == BiPoly.const(a * 2)
+    assert a * bivariate([[F(2)]]) == bivariate([[a * 2]])
 
 
 def shuffled(rng, items) -> list:

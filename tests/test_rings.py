@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import bivariate, coeff_uv, v_coeff
 from snbethe.rings import (
-    BiPoly,
     MultiPoly,
     SeededRandom,
     UPoly,
+    _divide,
     _int_scaled,
     falling_binomial,
     poly_divmod,
@@ -18,7 +19,12 @@ from snbethe.rings import (
     series_inverse,
     series_log,
 )
-from snbethe.permutations import GroupAlgebraElement, ga_transposition
+from snbethe.permutations import (
+    GroupAlgebraElement,
+    all_permutations,
+    ga_lift,
+    ga_transposition,
+)
 
 F = Fraction
 
@@ -82,7 +88,7 @@ def test_series_inverse_example():
         assert all(type(c) is Fraction for c in got)
 
 
-@pytest.mark.parametrize("poly", [P(1, 1), BiPoly([[F(1), F(1)]])])
+@pytest.mark.parametrize("poly", [P(1, 1), bivariate([[F(1), F(1)]])])
 def test_negative_power_raises(poly):
     with pytest.raises(ValueError, match="negative power"):
         poly ** -1
@@ -147,7 +153,7 @@ def test_bipoly_ring_axioms_random():
     rng = SeededRandom(99)
 
     def rand_bp():
-        return BiPoly(
+        return bivariate(
             [[rng.rational(4, 2) for _ in range(rng.integer(1, 3))]
              for _ in range(rng.integer(1, 3))]
         )
@@ -159,18 +165,18 @@ def test_bipoly_ring_axioms_random():
 
 
 def bipoly_eval(b, u0, v0):
-    """b(u0, v0): each u-row's polynomial in v at v0, then the u-polynomial
-    at u0."""
-    return UPoly([UPoly(r).eval_at(v0) for r in b.rows]).eval_at(u0)
+    """b(u0, v0): each coefficient's polynomial in v at v0, then the
+    u-polynomial at u0."""
+    return UPoly([c.eval_at(v0) for c in b.coeffs]).eval_at(u0)
 
 
 def test_bipoly_coefficients_and_shifts():
-    # (u + v)^2
-    b = BiPoly([[0, 0, 1], [0, 2], [1]])
-    assert b.deg_u == 2 and b.deg_v == 2
-    assert b.coeff(1, 1) == 2
-    assert b.v_coeff(0) == P(0, 0, 1)
-    shifted = b.subst_v_shift(F(1))  # (u + v + 1)^2
+    # (u + v)^2, read through the coefficients in v of its u-coefficients
+    b = bivariate([[0, 0, 1], [0, 2], [1]])
+    assert b.degree == 2 and max(c.degree for c in b.coeffs) == 2
+    assert coeff_uv(b, 1, 1) == 2 and coeff_uv(b, 3, 0) == coeff_uv(b, 2, 1) == 0
+    assert v_coeff(b, 0) == P(0, 0, 1)
+    shifted = b.map_coeffs(lambda c: c.shift_arg(F(1)))  # (u + v + 1)^2
     for u0, v0 in ((F(0), F(0)), (F(2), F(-1)), (F(1, 3), F(5))):
         assert bipoly_eval(shifted, u0, v0) == (u0 + v0 + 1) ** 2
 
@@ -202,3 +208,147 @@ def test_falling_binomial_matches_integer_binomials():
     for p in range(0, 8):
         for m in range(0, 5):
             assert falling_binomial(F(p), m) == math.comb(p, m)
+
+
+def test_division_by_an_int_lead_is_exact():
+    # an int leading coefficient is inverted exactly, a float one as a float
+    q, r = poly_divmod(UPoly([F(1), F(2), F(3)]), UPoly([1, 1]))
+    assert (q, r) == (UPoly([F(-1), F(3)]), UPoly([F(2)]))
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+    inv = series_inverse(UPoly([2, 1]), 3)
+    assert inv.coeffs == [F(1, 2), F(-1, 4), F(1, 8), F(-1, 16)]
+    assert all(type(c) is Fraction for c in inv.coeffs)
+    assert all(type(c) is float for c in series_inverse(UPoly([2.0, 1]), 3).coeffs)
+    assert all(type(c) is float
+               for c in poly_divmod(UPoly([F(1), F(2), F(3)]), UPoly([1.0, 1.0]))[0].coeffs)
+    # over the group algebra the int divisor divides like the Fraction one
+    f = UPoly([ga_transposition(3, 1, 2), ga_transposition(3, 1, 3), ga_transposition(3, 2, 3)])
+    assert poly_divmod(f, UPoly([1, 1])) == poly_divmod(f, UPoly([F(1), F(1)]))
+
+
+# --- the dict-keyed oracle for polynomials in u over polynomials in v ------
+
+
+def as_dict(p) -> dict:
+    """{(i, j): coefficient of u^i v^j} over the nonzero coefficients of a
+    polynomial in u over polynomials in v."""
+    return {(i, j): c for i, row in enumerate(p.coeffs)
+            for j, c in enumerate(row.coeffs) if c}
+
+
+def oracle_mul(a: dict, b: dict) -> dict:
+    """Each u^i v^j coefficient of a*b as one sum of the products of its term
+    pairs, collected in lexicographic (i, j) order of a's terms: one
+    ``GroupAlgebraElement.dot`` when an element is among them, else added
+    left to right."""
+    slots = {}
+    for (i, j), x in sorted(a.items()):
+        for (k, l), y in sorted(b.items()):
+            slots.setdefault((i + k, j + l), []).append((x, y))
+    out = {}
+    for key, pairs in slots.items():
+        if any(isinstance(x, GroupAlgebraElement) for pair in pairs for x in pair):
+            c = GroupAlgebraElement.dot(pairs)
+        else:
+            c = pairs[0][0] * pairs[0][1]
+            for x, y in pairs[1:]:
+                c = c + x * y
+        if c:
+            out[key] = c
+    return out
+
+
+def oracle_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, y in b.items():
+        out[key] = out[key] + y if key in out else y
+    return {key: c for key, c in out.items() if c}
+
+
+def oracle_pow(a: dict, e: int) -> dict:
+    """a**e, e >= 1, by the squarings and products of ``UPoly.__pow__``."""
+    result, base = None, a
+    while True:
+        if e & 1:
+            result = base if result is None else oracle_mul(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = oracle_mul(base, base)
+
+
+def assert_matches_oracle(got, want: dict):
+    """The same nonzero coefficients, of the same types, an element's terms
+    in the same key order, and only polynomials as coefficients in u."""
+    assert all(isinstance(c, UPoly) for c in got.coeffs)
+    have = as_dict(got)
+    assert list(have) == sorted(want)
+    for key, c in want.items():
+        assert type(have[key]) is type(c)
+        assert have[key] == c
+        if isinstance(c, GroupAlgebraElement):
+            assert list(have[key].terms.items()) == list(c.terms.items())
+
+
+PERMS3 = all_permutations(3)
+BIVARIATE_KINDS = {
+    "fraction": lambda rng: rng.rational(5, 3),
+    "float": lambda rng: float(rng.rational(9, 7)) / 3,
+    "element": lambda rng: GroupAlgebraElement(
+        3, {rng.choice(PERMS3): rng.rational(3, 2) for _ in range(rng.integer(1, 3))}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BIVARIATE_KINDS))
+def test_bivariate_arithmetic_matches_the_dict_oracle(kind):
+    coeff = BIVARIATE_KINDS[kind]
+    rng = SeededRandom(4242)
+
+    def draw():
+        return bivariate([[coeff(rng) if rng.integer(0, 3) else 0
+                           for _ in range(rng.integer(0, 3))]
+                          for _ in range(rng.integer(1, 3))])
+
+    for _ in range(12):
+        a, b = draw(), draw()
+        da, db = as_dict(a), as_dict(b)
+        assert_matches_oracle(a * b, oracle_mul(da, db))
+        assert_matches_oracle(a + b, oracle_add(da, db))
+        assert_matches_oracle(a - b, oracle_add(da, {k: -c for k, c in db.items()}))
+        for e in (1, 2, 3):
+            assert_matches_oracle(a ** e, oracle_pow(da, e))
+
+
+def test_polynomials_over_polynomials_keep_polynomial_coefficients():
+    s = ga_transposition(3, 1, 2)
+    v = bivariate([[0, F(1)]])
+    u = bivariate([[0], [F(1)]])
+    p = (u * u - v * s) * (v - F(1))
+    # a constant, a zeroth power and a scalar polynomial are read as
+    # constants in a product, whose empty slots are zero polynomials
+    for q in (p * bivariate([[F(2)]]), p * p ** 0, p ** 0 * p, p * UPoly([F(2)]),
+              u * u * u, ga_lift(3, p)):
+        assert q.coeffs and all(isinstance(c, UPoly) for c in q.coeffs)
+    assert p ** 0 == UPoly([F(1)])
+    assert p * p ** 0 == p ** 0 * p == p
+    assert (u * u * u).coeffs[:3] == [UPoly(), UPoly(), UPoly()]
+    assert UPoly.dot([(p, F(2)), (F(-1), p)]) == p
+    assert UPoly.dot([]) == UPoly()
+
+
+def test_divmod_of_polynomials_over_polynomials_is_the_step_by_step_division():
+    # the dot path reads its weights from the step-by-step division, which
+    # must not take the dot path again for the weights' own coefficients
+    rng = SeededRandom(808)
+    element = BIVARIATE_KINDS["element"]
+    for coeff in (lambda r: r.rational(5, 3), element):
+        for _ in range(6):
+            f = bivariate([[coeff(rng) for _ in range(rng.integer(1, 3))]
+                           for _ in range(rng.integer(2, 5))])
+            g = UPoly([rng.rational(3, 2) for _ in range(rng.integer(0, 2))]
+                      + [rng.nonzero_rational(3, 2)])
+            got = poly_divmod(f, g)
+            assert got == _divide(f.coeffs, g.coeffs)
+            assert all(isinstance(c, UPoly) for part in got for c in part.coeffs)
+            q, r = got
+            assert q * g + r == f

@@ -9,6 +9,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+from helpers import coeff_uv, v_coeff
 from snbethe.rings import MultiPoly, SeededRandom, UPoly, poly_gcd
 from snbethe.linalg import Matrix, rank
 from snbethe.permutations import (
@@ -99,9 +100,9 @@ def test_f_bivariate_differential_kernel():
 def test_f_bivariate_degree_structure():
     fs = [P(1, 1), P(2, 0, 1), P(0, 1, 0, 1)]
     Fb = f_bivariate(fs, F(1), "general")
-    assert Fb.deg_v == 3
+    assert max(c.degree for c in Fb.coeffs) == 3  # the v-degree
     # the top v-coefficient is the signed shifted Casorati of the basis
-    top = Fb.v_coeff(3)
+    top = v_coeff(Fb, 3)
     assert top == casorati(fs, F(1)).shift_arg(F(-1)) * F((-1) ** 3)
 
 
@@ -600,9 +601,10 @@ def test_joint_eigen_n2_homogeneous_values():
     for rec in homogeneous_eigen(2, 777):
         Fb = homogeneous_f_from_record(2, rec)
         # shared leading data and block-specific lower coefficients
-        assert complex(Fb.coeff(2, 2)).real == pytest.approx(1.0)
+        assert complex(coeff_uv(Fb, 2, 2)).real == pytest.approx(1.0)
+        shifted = Fb.map_coeffs(lambda c: c.shift_arg(1))  # in u and w = v - 1
         for (i, j), val in expected[rec.partition].items():
-            got = complex(Fb.subst_v_shift(1).coeff(i, j))
+            got = complex(coeff_uv(shifted, i, j))
             assert got.real == pytest.approx(val, abs=1e-9)
             assert got.imag == pytest.approx(0.0, abs=1e-9)
 
@@ -623,7 +625,7 @@ def test_joint_eigen_counts_and_h_sum():
 
 def test_reconstruction_roundtrip():
     fs = [P(3, 1), P(-1, 0, 0, 1)]
-    Fb = f_bivariate(fs, F(1), "homogeneous").map_coeffs(float)
+    Fb = f_bivariate(fs, F(1), "homogeneous").map_coeffs(lambda c: c.map_coeffs(float))
     space = reconstruct_subspace(Fb, 2, degree_bound=3, hbar=1.0, variant="discrete")
     assert space.dim == 2
     assert sorted(space.degrees()) == [1, 3]
@@ -633,7 +635,7 @@ def test_reconstruction_roundtrip():
 
 def test_reconstruction_differential_roundtrip():
     fs = [P(1, 1), P(0, -2, 0, 1)]
-    Fb = f_bivariate(fs, F(1), "differential").map_coeffs(float)
+    Fb = f_bivariate(fs, F(1), "differential").map_coeffs(lambda c: c.map_coeffs(float))
     space = reconstruct_subspace(
         Fb, 2, degree_bound=3, hbar=1.0, variant="differential"
     )

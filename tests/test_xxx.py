@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import distinct_rationals
-from snbethe.rings import BiPoly, SeededRandom, UPoly, scalar_root_poly
+from helpers import bivariate, distinct_rationals, lift_u, v_coeff
+from snbethe.rings import SeededRandom, UPoly, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -303,25 +303,23 @@ def test_t_gen_n2_explicit():
     pr = xxx_params([0, 0], 1)
     t = ga_transposition(2, 1, 2)
     T = t_gen(pr)
-    w = BiPoly([[F(-1), F(1)]])  # v - 1
+    w = bivariate([[F(-1), F(1)]])  # v - 1
     want = (
-        BiPoly([[0], [0], [F(1)]]) * w * w
-        - BiPoly.from_upoly_u(UPoly([t, ga(2, 2)])) * w
-        + BiPoly.const(ga(2, 1) - t)
+        bivariate([[0], [0], [F(1)]]) * w * w
+        - lift_u(UPoly([t, ga(2, 2)])) * w
+        + bivariate([[ga(2, 1) - t]])
     )
-    assert T == want.map_coeffs(
-        lambda c: c if isinstance(c, GroupAlgebraElement) else GroupAlgebraElement.scalar(2, c)
-    )
+    assert T == ga_lift(2, want)
 
 
 def test_t_gen_n1_and_leading_coefficient():
     pr = xxx_params([F(3)], F(2))
     T = t_gen(pr)
     # (u - 3)v - (u - 3 + 2) = (u - 3)v - (u - 1)
-    assert T.v_coeff(1) == lift(1, UPoly([F(-3), F(1)]))
-    assert T.v_coeff(0) == lift(1, UPoly([F(1), F(-1)]))
+    assert v_coeff(T, 1) == lift(1, UPoly([F(-3), F(1)]))
+    assert v_coeff(T, 0) == lift(1, UPoly([F(1), F(-1)]))
     pr3 = xxx_params([0, 2, 5], 1)
-    assert t_gen(pr3).v_coeff(3) == lift(3, scalar_root_poly(pr3.z))
+    assert v_coeff(t_gen(pr3), 3) == lift(3, scalar_root_poly(pr3.z))
 
 
 def test_det_P_hbar_scalar_and_zero():
@@ -330,14 +328,14 @@ def test_det_P_hbar_scalar_and_zero():
     q = UPoly([F(7)])
     det = det_P_hbar(pr, q)
     c1 = F(7)
-    u = BiPoly([[F(-2)], [F(1)]])
-    v = BiPoly([[0, F(1)]])
-    want = u * (v - BiPoly.const(c1 / 3)) - BiPoly.const(F(3) * (c1 / 3))
+    u = bivariate([[F(-2)], [F(1)]])
+    v = bivariate([[0, F(1)]])
+    want = u * (v - bivariate([[c1 / 3]])) - bivariate([[F(3) * (c1 / 3)]])
     assert det == want
     # q = 0: v^n times the root product
     pr3 = xxx_params([0, 2, 5], 1)
     det0 = det_P_hbar(pr3, UPoly())
-    want0 = BiPoly.from_upoly_u(scalar_root_poly(pr3.z)) * BiPoly([[0, 0, 0, F(1)]])
+    want0 = lift_u(scalar_root_poly(pr3.z)) * bivariate([[0, 0, 0, F(1)]])
     assert det0 == want0
 
 
@@ -351,9 +349,7 @@ def test_generating_det_presentation(n):
             break
     T = t_gen(pr)
     D = det_P_hbar(pr, s_k_poly(pr, 1))
-    assert T == D.map_coeffs(
-        lambda c: c if isinstance(c, GroupAlgebraElement) else GroupAlgebraElement.scalar(n, c)
-    )
+    assert T == ga_lift(n, D)
 
 
 def test_det_P_hbar_rejects_bad_denominators():

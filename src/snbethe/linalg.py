@@ -1,7 +1,8 @@
-"""Exact dense linear algebra over the rationals: matrices, the one exact
-row reduction (a fraction-free echelon) with the rank and nullspace built on
-it, and the shared-minor determinant for matrices with entries in a
-commutative subring.
+"""Exact dense linear algebra over the rationals: the one exact row
+reduction (a fraction-free echelon) with the rank and nullspace built on it,
+and the shared-minor determinant for matrices with entries in a commutative
+subring.  Matrices are plain row lists here; the block-model matrices are
+``reps.BlockMatrix``.
 """
 
 from __future__ import annotations
@@ -9,81 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 from .rings import _int_scaled
-
-
-class Matrix:
-    """Dense matrix of exact rationals (int or Fraction entries).
-
-    The matrix product scales both factors to integer numerators over their
-    lcm denominators and returns Fraction entries; any other entry type
-    raises TypeError there.  Sums and scalar multiples keep whatever the
-    entries are.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "Matrix":
-        return cls([[Fraction(0)] * c for _ in range(r)])
-
-    @classmethod
-    def identity(cls, d: int) -> "Matrix":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-        )
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def __eq__(self, other):
-        if isinstance(other, Matrix):
-            if self.shape != other.shape:
-                return False
-            return all(
-                a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            r, k = self.shape
-            k2, c = other.shape
-            if k != k2:
-                raise ValueError("shape mismatch")
-            # exact: integer numerators over each factor's lcm denominator
-            da, a = _int_scaled(self.flatten())
-            db, b = _int_scaled(other.flatten())
-            d = da * db
-            arows = [a[i * k:(i + 1) * k] for i in range(r)]
-            bcols = [b[j::c] for j in range(c)]
-            return Matrix(
-                [[Fraction(sum(map(mul, row, col)), d) for col in bcols] for row in arows]
-            )
-        return Matrix([[a * other for a in r] for r in self.rows])
-
-    def is_zero(self) -> bool:
-        return all(not a for r in self.rows for a in r)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def flatten(self) -> list:
-        return [a for r in self.rows for a in r]
-
-    def __repr__(self):
-        return f"Matrix({self.rows!r})"
 
 
 class Echelon:

@@ -2,6 +2,11 @@
 partitions, irreducible characters, central idempotents, content polynomials,
 Young's seminormal matrices on standard tableaux, and the faithful block model
 of the group algebra as a direct sum of matrix algebras.
+
+A block-model matrix (``BlockMatrix``) holds integer numerators over one
+denominator, in the canonical form the group-algebra elements use, so the
+permutation images, ``represent`` and the block arithmetic run on Python ints;
+only the seminormal generators are Fraction rows.
 """
 
 from __future__ import annotations
@@ -9,9 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import mul
 
 from .rings import UPoly, _int_scaled, scalar_root_poly
-from .linalg import Matrix
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -133,10 +139,10 @@ def dimension(la) -> int:
 
 class IrrepAction:
     """Exact seminormal matrices of the adjacent transpositions on the
-    standard-tableau basis.  Matrices act on coordinate columns.  The image of
-    an arbitrary permutation is one sparse generator step from the cached
-    image of a neighbour with one inversion fewer, and is cached as integer
-    numerators over one denominator."""
+    standard-tableau basis, as Fraction rows (``gens``).  Matrices act on
+    coordinate columns.  The image of an arbitrary permutation is one sparse
+    generator step from the cached image of a neighbour with one inversion
+    fewer, and is cached as integer numerators over one denominator."""
 
     def __init__(self, la):
         self.shape = tuple(la)
@@ -150,13 +156,13 @@ class IrrepAction:
         k = self.dim
         self._steps = [(e, [[(c, x) for c, x in enumerate(nums[r * k:(r + 1) * k]) if x]
                             for r in range(k)])
-                       for e, nums in (_int_scaled(g.flatten()) for g in self.gens)]
+                       for e, nums in (_int_scaled(chain(*g)) for g in self.gens)]
         # permutation -> (d, row-major numerators of d * matrix), d the lcm of
         # the entries' denominators
         self._perm_cache = {Permutation.identity(self.n):
-                            _int_scaled(Matrix.identity(self.dim).flatten())}
+                            (1, [int(i == j) for i in range(k) for j in range(k)])}
 
-    def _gen_matrix(self, i: int) -> Matrix:
+    def _gen_matrix(self, i: int) -> list:
         d = self.dim
         rows = [[Fraction(0)] * d for _ in range(d)]
         done = set()
@@ -186,7 +192,7 @@ class IrrepAction:
             rows[second][second] = -1 / d_ax
             done.add(first)
             done.add(second)
-        return Matrix(rows)
+        return rows
 
     @staticmethod
     def _swap_symbols(t, i):
@@ -213,9 +219,10 @@ class IrrepAction:
         cached = self._perm_cache[p] = (d // g, [x // g for x in out])
         return cached
 
-    def matrix_of_ga(self, a: GroupAlgebraElement) -> Matrix:
-        """Image of a (int or Fraction coefficients): the sum of c * M_p is
-        accumulated on integer numerators, one Fraction per entry at the end."""
+    def matrix_of_ga(self, a: GroupAlgebraElement) -> tuple:
+        """Image of a (int or Fraction coefficients) as (d, row-major
+        numerators of d * matrix): the sum of c * M_p accumulated on integer
+        numerators, not reduced."""
         if a.n != self.n:
             raise ValueError("degree mismatch")
         k = self.dim
@@ -226,10 +233,7 @@ class IrrepAction:
         for c, (dp, nums) in zip(coeffs.values(), mats):
             f = c * (d // dp)
             acc = [x + f * y for x, y in zip(acc, nums)]
-        d *= dc
-        return Matrix(
-            [[Fraction(x, d) for x in acc[i * k:(i + 1) * k]] for i in range(k)]
-        )
+        return d * dc, acc
 
 
 @lru_cache(maxsize=None)
@@ -237,66 +241,91 @@ def seminormal_rep(la: Partition) -> IrrepAction:
     return IrrepAction(tuple(la))
 
 
+@lru_cache(maxsize=None)
+def block_shapes(n: int) -> tuple:
+    """(partition, block size) of each block of the block model of S_n, in
+    ``partitions_of`` order; built once per n and shared."""
+    return tuple((la, dimension(la)) for la in partitions_of(n))
+
+
 class BlockMatrix:
     """One exact matrix per partition of n, in reverse-lexicographic order:
     the image of a group-algebra element in the direct sum of all irreducible
-    matrix blocks."""
+    matrix blocks.
 
-    __slots__ = ("n", "blocks")
+    It holds one denominator d > 0 and, per block, the row-major integer
+    numerators of d times the block.  The constructor divides d and the
+    numerators by their gcd, so the form is canonical: equal matrices have
+    equal forms, and the zero matrix has d = 1.  A sum merges the numerators
+    over lcm(da, db), a product is one integer product per block over
+    da * db, and an int or Fraction scalar c = cn / cd multiplies the
+    numerators by cn and d by cd; any other scalar raises TypeError."""
 
-    def __init__(self, n: int, blocks):
-        self.n = n
-        self.blocks = list(blocks)
-        if len(self.blocks) != len(partitions_of(n)):
-            raise ValueError("one block per partition required")
+    __slots__ = ("n", "d", "blocks")
+
+    def __init__(self, n: int, d: int, blocks):
+        blocks = list(blocks)
+        if [len(b) for b in blocks] != [k * k for _, k in block_shapes(n)]:
+            raise ValueError("one square block per partition of n required")
+        if d < 1:
+            raise ValueError("the denominator must be positive")
+        if d > 1:
+            g = math.gcd(d, *chain(*blocks))
+            if g > 1:
+                d //= g
+                blocks = [[x // g for x in b] for b in blocks]
+        self.n, self.d, self.blocks = n, d, blocks
 
     @classmethod
     def identity(cls, n: int) -> "BlockMatrix":
-        return cls(n, [Matrix.identity(dimension(la)) for la in partitions_of(n)])
+        return cls(n, 1, [[int(i == j) for i in range(k) for j in range(k)]
+                          for _, k in block_shapes(n)])
+
+    def _check(self, other):
+        if other.n != self.n:
+            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
 
     def __add__(self, other):
-        return BlockMatrix(self.n, [a + b for a, b in zip(self.blocks, other.blocks)])
+        self._check(other)
+        da, db = self.d, other.d
+        d = math.lcm(da, db)
+        fa, fb = d // da, d // db
+        return BlockMatrix(self.n, d, [[x * fa + y * fb for x, y in zip(a, b)]
+                                       for a, b in zip(self.blocks, other.blocks)])
 
     def __mul__(self, other):
         if isinstance(other, BlockMatrix):
-            return BlockMatrix(self.n, [a * b for a, b in zip(self.blocks, other.blocks)])
-        return BlockMatrix(self.n, [b * other for b in self.blocks])
+            self._check(other)
+            out = []
+            for (_, k), a, b in zip(block_shapes(self.n), self.blocks, other.blocks):
+                cols = [b[j::k] for j in range(k)]
+                out.append([sum(map(mul, a[i:i + k], col))
+                            for i in range(0, k * k, k) for col in cols])
+            return BlockMatrix(self.n, self.d * other.d, out)
+        if type(other) is not int and type(other) is not Fraction:
+            raise TypeError("block matrices scale by an int or a Fraction, got "
+                            + type(other).__name__)
+        c = other.numerator
+        return BlockMatrix(self.n, self.d * other.denominator,
+                           [[x * c for x in b] for b in self.blocks])
 
     def __eq__(self, other):
         if isinstance(other, BlockMatrix):
-            return self.n == other.n and self.blocks == other.blocks
+            return self.n == other.n and self.d == other.d and self.blocks == other.blocks
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks)
-
     def __bool__(self):
-        return not self.is_zero()
-
-    def flatten(self) -> list:
-        out = []
-        for b in self.blocks:
-            out.extend(b.flatten())
-        return out
-
-    @classmethod
-    def from_flat(cls, n: int, row) -> "BlockMatrix":
-        """Inverse of flatten: one row-major d x d block per partition of n."""
-        blocks, at = [], 0
-        for la in partitions_of(n):
-            d = dimension(la)
-            blocks.append(Matrix([row[at + i * d:at + (i + 1) * d] for i in range(d)]))
-            at += d * d
-        if at != len(row):
-            raise ValueError("row length does not match the block model")
-        return cls(n, blocks)
+        return any(map(any, self.blocks))
 
 
 def represent(a: GroupAlgebraElement) -> BlockMatrix:
-    """Image of a group-algebra element in the full block model."""
-    return BlockMatrix(
-        a.n, [seminormal_rep(mu).matrix_of_ga(a) for mu in partitions_of(a.n)]
-    )
+    """Image of a group-algebra element in the full block model: each block's
+    numerators from ``IrrepAction.matrix_of_ga``, merged over the lcm of
+    their denominators."""
+    mats = [seminormal_rep(la).matrix_of_ga(a) for la, _ in block_shapes(a.n)]
+    d = math.lcm(*(e for e, _ in mats))
+    return BlockMatrix(a.n, d, [nums if e == d else [x * (d // e) for x in nums]
+                                for e, nums in mats])
 
 
 def central_idempotent(la, n: int) -> GroupAlgebraElement:
@@ -339,4 +368,4 @@ def content_product_all(n: int) -> UPoly:
 
 
 def sum_of_dims(n: int) -> int:
-    return sum(dimension(la) for la in partitions_of(n))
+    return sum(k for _, k in block_shapes(n))

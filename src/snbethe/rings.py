@@ -41,9 +41,9 @@ def format_rational(q: Fraction) -> str:
 def _int_scaled(values):
     """(d, [c*d for c in values]) with d the lcm of the values' denominators.
 
-    The exact kernels (group-algebra numerator form, block-matrix product,
-    span echelon) run on these integer numerators.  Every value must be an int or
-    a Fraction; anything else raises TypeError.
+    The exact kernels (group-algebra numerator form, seminormal generator
+    steps, span echelon) run on these integer numerators.  Every value must
+    be an int or a Fraction; anything else raises TypeError.
     """
     values = list(values)
     try:
@@ -159,6 +159,9 @@ class UPoly:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     @staticmethod
     def dot(pairs) -> "UPoly":

@@ -6,7 +6,10 @@ eigenvalue data, cyclic vectors, and a principal-angle subspace distance.
 Everything dimension-like is exact rational or a one-sided certificate mod a
 prime; floating point enters only for eigenvectors, reconstruction, and
 subspace distances.  Only those float functions import numpy, so the exact
-checks never load it.
+checks never load it.  The block-model kernels read a ``BlockMatrix``'s
+integer numerators over its one denominator d: the span echelon takes the
+numerators as they are (scaling a vector keeps its span), the Krylov chain
+inverts d once mod p, and the eigen floats are x / d per entry.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import TYPE_CHECKING
 
 from .rings import MultiPoly, SeededRandom, UPoly
 from .linalg import Echelon, det, nullspace
-from .reps import BlockMatrix, partition_parts, partitions_of, seminormal_rep
+from .reps import BlockMatrix, block_shapes, partition_parts, seminormal_rep
 
 if TYPE_CHECKING:
     import numpy as np
@@ -204,7 +208,7 @@ def echelon_polys(polys, tol: float = 0.0) -> PolySpace:
 
 class SpanBasis:
     """Span of block matrices, held as the exact echelon of their flattened
-    coordinates (``linalg.Echelon``); its rows are a canonical basis."""
+    numerators (``linalg.Echelon``); its rows are a canonical basis."""
 
     def __init__(self, n: int):
         self.n = n
@@ -216,10 +220,10 @@ class SpanBasis:
 
     def add(self, bm: BlockMatrix) -> bool:
         """Insert if independent; returns True when the dimension grew."""
-        return self.echelon.add(bm.flatten())
+        return self.echelon.add(chain(*bm.blocks))
 
     def contains(self, bm: BlockMatrix) -> bool:
-        return self.echelon.contains(bm.flatten())
+        return self.echelon.contains(chain(*bm.blocks))
 
     def same_span(self, other: "SpanBasis") -> bool:
         # each echelon row is the unique primitive positive multiple of its
@@ -300,7 +304,7 @@ def certificate(gens, seed: int) -> dict:
     Q: x has N distinct eigenvalues on V, so A has simple spectrum and
     ``joint_eigen`` can diagonalize x."""
     rng, p = SeededRandom(seed), CERT_PRIME
-    size = sum(len(b.rows) for b in gens[0].blocks)
+    size = sum(k for _, k in block_shapes(gens[0].n))
     for draws in range(1, CERT_DRAWS + 1):
         coeffs = [rng.integer(-999, 999) for _ in gens]
         x = sum((g * c for g, c in zip(gens[1:], coeffs[1:])), gens[0] * coeffs[0])
@@ -318,15 +322,15 @@ def certificate(gens, seed: int) -> dict:
 def _krylov_relation(x: BlockMatrix, v: list, p: int) -> tuple:
     """The monic relation sum_j chi[j] x^j v = 0 mod p, low degree first, of
     the first vector of v, xv, x^2 v, ... that depends on those before it;
-    () if p divides a denominator of x."""
+    () if p divides the denominator d of x, which is the lcm of its entries'
+    reduced denominators."""
+    if x.d % p == 0:
+        return ()
+    inv = pow(x.d, -1, p)
     mat, at = [], 0  # the rows of x mod p, each with its block's offset
-    for b in x.blocks:
-        try:
-            mat += [(at, [c.numerator * pow(c.denominator, -1, p) % p for c in row])
-                    for row in b.rows]
-        except ValueError:  # p divides the denominator
-            return ()
-        at += len(b.rows)
+    for (_, k), b in zip(block_shapes(x.n), x.blocks):
+        mat += [(at, [c * inv % p for c in b[i:i + k]]) for i in range(0, k * k, k)]
+        at += k
     # each row: a vector of the chain reduced to 1 at its pivot and 0 at every
     # earlier pivot, followed by its combination of the chain
     rows, w, n = [], v, len(v)
@@ -377,17 +381,17 @@ def joint_eigen(cert: dict, generators: dict, tol: float = 1e-8):
         raise ValueError("simple spectrum not certified for this seed")
     combo = cert["element"]
     records = []
-    for bi, la in enumerate(partitions_of(combo.n)):
-        M = np.array([[float(x) for x in row] for row in combo.blocks[bi].rows])
+    for bi, (la, k) in enumerate(block_shapes(combo.n)):
+        # x / d is correctly rounded, as float(Fraction) is
+        M = np.array([x / combo.d for x in combo.blocks[bi]]).reshape(k, k)
         _, vecs = np.linalg.eig(M)
-        d = M.shape[0]
-        for col in range(d):
+        for col in range(k):
             v = vecs[:, col]
             v = v / np.linalg.norm(v)
             eigs = {}
             worst = 0.0
             for name, g in generators.items():
-                G = np.array([[float(x) for x in row] for row in g.blocks[bi].rows])
+                G = np.array([x / g.d for x in g.blocks[bi]]).reshape(k, k)
                 mu = (np.conj(v) @ (G @ v)) / (np.conj(v) @ v)
                 res = float(np.linalg.norm(G @ v - mu * v))
                 scale = max(1.0, float(np.max(np.abs(G))))
@@ -552,10 +556,10 @@ def cyclic_vector(la, z, variant: str = "classic", hbar=Fraction(1)):
                 src = col(s, e)
                 acted = symmetric_action_on_poly(MultiPoly(n, {e: Fraction(1)}), i, hb)
                 for t in range(d):
-                    if not g.rows[t][s]:
+                    if not g[t][s]:
                         continue
                     for e2, c in acted.terms.items():
-                        mat[col(t, e2)][src] += g.rows[t][s] * c
+                        mat[col(t, e2)][src] += g[t][s] * c
         for r in range(nvar):
             mat[r][r] -= Fraction(1)
         system.extend(mat)

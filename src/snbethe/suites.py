@@ -17,7 +17,7 @@ from typing import Callable
 from .rings import (
     MultiPoly, SeededRandom, UPoly, falling_binomial, format_rational, scalar_root_poly,
 )
-from .linalg import Matrix, rank
+from .linalg import rank
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -847,13 +847,9 @@ def sw_transfer_commute(cfg, rng):
     x = (Fraction(0), Fraction(2))
     T1 = yangian_transfer(N, nn, 1, x)
     T2 = yangian_transfer(N, nn, 2, x)
-    d = N**nn
 
     def ev(T, u0):
-        M = Matrix.zeros(d, d)
-        for (r, c), v in T.items():
-            M.rows[r][c] = v.eval_at(u0)
-        return M
+        return TensorOperator(N, nn, {rc: v.eval_at(u0) for rc, v in T.items()})
 
     for (u0, v0) in ((Fraction(7), Fraction(9)), (Fraction(1, 3), Fraction(11, 2))):
         for (TA, TB) in ((T1, T2), (T1, T1)):

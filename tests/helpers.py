@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from snbethe.rings import UPoly
+from snbethe.reps import BlockMatrix, block_shapes
+from snbethe.rings import UPoly, _int_scaled
 
 
 def distinct_rationals(rng, k: int, spread: int = 40) -> list:
@@ -37,3 +38,55 @@ def v_coeff(p, j: int):
 def lift_u(p):
     """A polynomial in u read as one in u over polynomials in v."""
     return p.map_coeffs(lambda c: UPoly([c]))
+
+
+# Fraction-rows oracle of the block model: a block matrix read as one list of
+# Fraction rows per block, and the arithmetic written on those rows.
+
+def block_rows(bm):
+    """The blocks of a BlockMatrix as lists of Fraction rows."""
+    out = []
+    for (_, k), b in zip(block_shapes(bm.n), bm.blocks):
+        out.append([[Fraction(x, bm.d) for x in b[i:i + k]] for i in range(0, k * k, k)])
+    return out
+
+
+def block_entries(bm):
+    """The entries of a BlockMatrix, block after block, row-major."""
+    return [x for rows in block_rows(bm) for row in rows for x in row]
+
+
+def from_entries(n, entries):
+    """The BlockMatrix of S_n with the given flat int or Fraction entries,
+    block after block, row-major (the inverse of ``block_entries``)."""
+    d, nums = _int_scaled(entries)
+    blocks, at = [], 0
+    for _, k in block_shapes(n):
+        blocks.append(nums[at:at + k * k])
+        at += k * k
+    return BlockMatrix(n, d, blocks)
+
+
+def identity_rows(k):
+    return [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+
+
+def matmul(a, b):
+    """Product of two matrices given as rows, one multiply-add per nonzero
+    entry pair."""
+    if len(a[0]) != len(b):
+        raise ValueError("shape mismatch")
+    return [[sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def oracle_mul(a, b):
+    return [matmul(x, y) for x, y in zip(a, b)]
+
+
+def oracle_add(a, b):
+    return [[[x + y for x, y in zip(ra, rb)] for ra, rb in zip(x, y)] for x, y in zip(a, b)]
+
+
+def oracle_scale(a, c):
+    return [[[x * c for x in row] for row in rows] for rows in a]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import block_entries
 import snbethe
 from snbethe import spectra, suites
 from snbethe.cli import build_parser, config_from_args, main
@@ -130,6 +131,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("identities-gaudin-n5", ["run", "identities-gaudin", "--n", "5"]),
     ("homogeneous-n5", ["run", "homogeneous", "--n", "5"]),
     ("identities-gaudin-n6", ["run", "identities-gaudin", "--n", "6"]),
+    ("spectra-n4", ["run", "spectra", "--n", "4"]),
+    ("spectra-n5", ["run", "spectra", "--n", "5"]),
 ])
 def test_reports_match_golden(capsys, name, argv):
     rc, out = run_main(capsys, [*argv, "--format", "json", "--seed", "7"])
@@ -214,7 +217,7 @@ def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
     real = spectra.certificate
 
     def counted(gens, seed):
-        calls.append((tuple(tuple(g.flatten()) for g in gens), seed))
+        calls.append((tuple(tuple(block_entries(g)) for g in gens), seed))
         return real(gens, seed)
 
     monkeypatch.setattr(spectra, "certificate", counted)

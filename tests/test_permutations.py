@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bivariate
+from helpers import bivariate, block_entries
 from snbethe.rings import (
     SeededRandom,
     UPoly,
@@ -878,10 +878,10 @@ def test_element_operations_match_plain_dicts(n):
             continue
         else:
             (e, z) = rng.choice(pool)
-            blocks = represent(e).flatten()
+            blocks = block_entries(represent(e))
             want = [0] * len(blocks)
             for p, v in z.items():
-                image = represent(ga_perm(p)).flatten()
+                image = block_entries(represent(ga_perm(p)))
                 want = [w + v * m for w, m in zip(want, image)]
             assert blocks == want
             m = rng.integer(1, n - 1)

@@ -6,8 +6,18 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import (
+    block_entries,
+    block_rows,
+    from_entries,
+    identity_rows,
+    matmul,
+    oracle_add,
+    oracle_mul,
+    oracle_scale,
+)
 from snbethe.rings import SeededRandom, UPoly
-from snbethe.linalg import Matrix, rank
+from snbethe.linalg import rank
 from snbethe.permutations import (
     GroupAlgebraElement,
     all_permutations,
@@ -19,6 +29,8 @@ from snbethe.permutations import (
     sign,
 )
 from snbethe.reps import (
+    BlockMatrix,
+    block_shapes,
     central_idempotent,
     character,
     content_poly,
@@ -205,30 +217,31 @@ def test_content_poly_shift_ratio(n):
 def test_seminormal_one_dimensional_shapes():
     for n in (2, 3, 4, 5):
         triv = seminormal_rep((n,))
-        assert all(g == Matrix([[F(1)]]) for g in triv.gens)
+        assert all(g == [[F(1)]] for g in triv.gens)
         sgn = seminormal_rep((1,) * n)
-        assert all(g == Matrix([[F(-1)]]) for g in sgn.gens)
+        assert all(g == [[F(-1)]] for g in sgn.gens)
 
 
 def test_seminormal_two_one():
     rep = seminormal_rep((2, 1))
-    assert rep.gens[0] == Matrix([[F(1), F(0)], [F(0), F(-1)]])
-    assert rep.gens[1] == Matrix([[F(-1, 2), F(3, 4)], [F(1), F(1, 2)]])
+    assert rep.gens[0] == [[F(1), F(0)], [F(0), F(-1)]]
+    assert rep.gens[1] == [[F(-1, 2), F(3, 4)], [F(1), F(1, 2)]]
+    assert all(type(x) is Fraction for g in rep.gens for row in g for x in row)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_seminormal_relations(n):
     for la in partitions_of(n):
         rep = seminormal_rep(la)
-        ident = Matrix.identity(rep.dim)
+        ident = identity_rows(rep.dim)
         for g in rep.gens:
-            assert g * g == ident
+            assert matmul(g, g) == ident
         for i in range(len(rep.gens) - 1):
             a, b = rep.gens[i], rep.gens[i + 1]
-            assert a * b * a == b * a * b
+            assert matmul(matmul(a, b), a) == matmul(matmul(b, a), b)
         for i in range(len(rep.gens)):
             for j in range(i + 2, len(rep.gens)):
-                assert rep.gens[i] * rep.gens[j] == rep.gens[j] * rep.gens[i]
+                assert matmul(rep.gens[i], rep.gens[j]) == matmul(rep.gens[j], rep.gens[i])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -239,62 +252,111 @@ def test_jm_content_diagonal(n):
     for la in partitions_of(n):
         rep = seminormal_rep(la)
         for k, jm in enumerate(jm_elements(n), start=1):
-            m = rep.matrix_of_ga(jm)
+            d, nums = rep.matrix_of_ga(jm)
             for t_idx, t in enumerate(rep.tableaux):
                 pos = tableau_positions(t)[k]
                 content = F(pos[1] - pos[0])
                 for c in range(rep.dim):
                     want = content if c == t_idx else F(0)
-                    assert m.rows[t_idx][c] == want
+                    assert F(nums[t_idx * rep.dim + c], d) == want
 
 
-def oracle_matmul(a, b):
-    """The Matrix product as first written: a generic multiply-add over the
-    nonzero entry pairs, Fraction(0) where none is left."""
-    out = []
-    for row in a.rows:
-        orow = []
-        for col in zip(*b.rows):
-            acc = None
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = x * y if acc is None else acc + x * y
-            orow.append(Fraction(0) if acc is None else acc)
-        out.append(orow)
-    return out
+def assert_canonical(bm):
+    """The block-matrix form: integer numerators over d > 0 with gcd 1, and
+    d = 1 for the zero matrix."""
+    nums = [x for b in bm.blocks for x in b]
+    assert type(bm.d) is int and bm.d > 0
+    assert all(type(x) is int for x in nums)
+    assert math.gcd(bm.d, *nums) == 1
+    assert bool(bm) == any(nums)
+    if not bm:
+        assert bm.d == 1
+
+
+def random_blocks(rng, n, draw):
+    """One Fraction-rows block per partition of n, entries from draw()."""
+    return [[[F(draw()) for _ in range(k)] for _ in range(k)] for _, k in block_shapes(n)]
+
+
+def from_blocks(n, rows):
+    return from_entries(n, [x for blk in rows for row in blk for x in row])
 
 
 def test_matrix_product_matches_oracle():
+    # block products of every kind of entries, against the Fraction rows
     rng = SeededRandom(4099)
     kinds = {
         "fraction": lambda: rng.rational(3, 5),
         "int": lambda: rng.integer(-3, 3),
         "mixed": lambda: rng.integer(-3, 3) if rng.integer(0, 1) else rng.rational(3, 5),
-        "zero": lambda: Fraction(0),
+        "zero": lambda: 0,
     }
     for ka, kb in [(ka, kb) for ka in kinds for kb in kinds]:
-        for r, k, c in ((1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5), (3, 1, 4)):
-            a = Matrix([[kinds[ka]() for _ in range(k)] for _ in range(r)])
-            b = Matrix([[kinds[kb]() for _ in range(c)] for _ in range(k)])
-            got, want = a * b, oracle_matmul(a, b)
-            assert got.rows == want
-            assert all(type(x) is Fraction for row in got.rows for x in row)
-    # a seminormal block product, large denominators included
-    g = seminormal_rep((3, 2)).gens
+        for n in (1, 2, 3, 4):
+            a = random_blocks(rng, n, kinds[ka])
+            b = random_blocks(rng, n, kinds[kb])
+            got = from_blocks(n, a) * from_blocks(n, b)
+            assert_canonical(got)
+            assert block_rows(got) == oracle_mul(a, b)
+    # a seminormal image product, large denominators included
+    g = [represent(ga_transposition(5, i, i + 1)) for i in (1, 2, 3)]
     big = g[0] * Fraction(10**12, 7) + g[2] * Fraction(-3, 10**9)
-    assert (big * g[1]).rows == oracle_matmul(big, g[1])
-    with pytest.raises(ValueError):
-        Matrix([[1, 2]]) * Matrix([[1, 2]])
+    got = big * g[1]
+    assert_canonical(got)
+    assert block_rows(got) == oracle_mul(block_rows(big), block_rows(g[1]))
 
 
 @pytest.mark.parametrize("entry", [0.5, UPoly([Fraction(1), Fraction(1)])])
 def test_matrix_product_rejects_non_rational_entries(entry):
-    rational = Matrix([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1, 3)]])
-    other = Matrix([[Fraction(1), entry], [Fraction(2), Fraction(0)]])
+    # the scalars are ints and Fractions, the numerators ints
+    rational = represent(ga_transposition(2, 1, 2) * F(1, 3))
     with pytest.raises(TypeError):
-        rational * other
+        rational * entry
     with pytest.raises(TypeError):
-        other * rational
+        BlockMatrix(2, 3, [[1], [entry]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_matrix_arithmetic_matches_the_fraction_rows_oracle(n):
+    rng = SeededRandom(577 + n)
+    draws = (lambda: rng.rational(9, 4), lambda: rng.integer(-5, 5), lambda: 0)
+    pool = [(from_blocks(n, rows), rows)
+            for rows in [random_blocks(rng, n, rng.choice(draws)) for _ in range(6)]]
+    one = BlockMatrix.identity(n)
+    pool.append((one, [identity_rows(k) for _, k in block_shapes(n)]))
+    for bm, rows in pool:
+        assert_canonical(bm)
+        assert block_rows(bm) == rows
+    for _ in range(40):
+        (a, ra), (b, rb) = rng.choice(pool), rng.choice(pool)
+        c = rng.choice([0, 1, -3, F(0), F(5, 6), F(-10**9, 7), rng.rational(7, 3)])
+        for got, want in ((a * b, oracle_mul(ra, rb)), (a + b, oracle_add(ra, rb)),
+                          (a * c, oracle_scale(ra, c)),
+                          (a * b + a * c, oracle_add(oracle_mul(ra, rb), oracle_scale(ra, c)))):
+            assert_canonical(got)
+            assert block_rows(got) == want
+            # equal matrices have equal forms, however they were reached
+            assert got == from_blocks(n, want)
+            pool.append((got, want))
+        assert (a == b) == (ra == rb)
+        assert a * 1 == a == a * F(1) and a + a * -1 == a * 0 == one * 0
+        assert one * a == a * one == a
+    zero = one * F(0)
+    assert zero.d == 1 and not zero and zero == BlockMatrix(n, 7, [[0] * len(b) for b in one.blocks])
+    half = BlockMatrix(n, 4, [[2 * x for x in b] for b in one.blocks])
+    assert (half.d, half.blocks) == (2, one.blocks) and half == one * F(1, 2)
+    assert one != one * 2 and one != BlockMatrix.identity(n + 1)
+
+
+def test_block_matrix_degree_mismatch():
+    a, b = represent(ga_transposition(3, 1, 2)), represent(ga_transposition(4, 1, 2))
+    for op in (lambda: a + b, lambda: a * b, lambda: b + a, lambda: b * a):
+        with pytest.raises(ValueError, match="degree mismatch: [34] vs [34]"):
+            op()
+    with pytest.raises(ValueError):
+        BlockMatrix(3, 1, BlockMatrix.identity(4).blocks)
+    with pytest.raises(ValueError):
+        BlockMatrix(3, 0, BlockMatrix.identity(3).blocks)
 
 
 def oracle_matrix_of(rep, p):
@@ -310,17 +372,18 @@ def oracle_matrix_of(rep, p):
                 word.append(i)
                 pos[i], pos[i + 1] = pos[i + 1], pos[i]
                 changed = True
-    m = Matrix.identity(rep.dim)
+    m = identity_rows(rep.dim)
     for i in word:
-        m = m * rep.gens[i - 1]
+        m = matmul(m, rep.gens[i - 1])
     return m
 
 
 def oracle_matrix_of_ga(rep, a):
-    """One Fraction Matrix per term, summed."""
-    acc = Matrix.zeros(rep.dim, rep.dim)
+    """One Fraction matrix per term, summed."""
+    acc = [[F(0)] * rep.dim for _ in range(rep.dim)]
     for p, c in a.terms.items():
-        acc = acc + oracle_matrix_of(rep, p) * c
+        m = oracle_matrix_of(rep, p)
+        acc = [[x + c * y if y else x for x, y in zip(r, s)] for r, s in zip(acc, m)]
     return acc
 
 
@@ -337,10 +400,12 @@ def test_matrix_of_ga_matches_per_term_oracle(n):
     for la in partitions_of(n):
         # a fresh action, so the cache fills in the order the terms ask for it
         rep = seminormal_rep.__wrapped__(la)
+        k = rep.dim
         for a in elements:
-            got = rep.matrix_of_ga(a)
-            assert got.rows == oracle_matrix_of_ga(rep, a).rows
-            assert all(type(x) is Fraction for row in got.rows for x in row)
+            d, nums = rep.matrix_of_ga(a)
+            assert type(d) is int and d > 0 and all(type(x) is int for x in nums)
+            got = [[F(x, d) for x in nums[i:i + k]] for i in range(0, k * k, k)]
+            assert got == oracle_matrix_of_ga(rep, a)
 
 
 def test_matrix_of_ga_rejects_non_rational_coefficients():
@@ -351,8 +416,8 @@ def test_matrix_of_ga_rejects_non_rational_coefficients():
 
 def test_represent_identity_and_burnside():
     bm = represent(GroupAlgebraElement.scalar(4, F(1)))
-    for la, block in zip(partitions_of(bm.n), bm.blocks):
-        assert block == Matrix.identity(dimension(la))
+    assert bm == BlockMatrix.identity(4) and bm.d == 1
+    assert block_rows(bm) == [identity_rows(dimension(la)) for la in partitions_of(4)]
     assert sum(dimension(la) ** 2 for la in partitions_of(5)) == 120
     assert sum_of_dims(3) == 4
     assert sum_of_dims(4) == 10
@@ -373,7 +438,7 @@ def test_represent_multiplicative_random_sparse(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_represent_injective_on_group(n):
-    rows = [represent(ga_perm(p)).flatten() for p in all_permutations(n)]
+    rows = [block_entries(represent(ga_perm(p))) for p in all_permutations(n)]
     assert rank(rows) == math.factorial(n)
 
 
@@ -381,12 +446,11 @@ def test_represent_idempotent_blocks():
     n = 4
     for la in partitions_of(n):
         bm = represent(central_idempotent(la, n))
-        for mu, block in zip(partitions_of(bm.n), bm.blocks):
-            want = Matrix.identity(dimension(mu)) if mu == la else None
-            if want is not None:
-                assert block == want
+        for mu, block in zip(partitions_of(bm.n), block_rows(bm)):
+            if mu == la:
+                assert block == identity_rows(dimension(mu))
             else:
-                assert block.is_zero()
+                assert not any(x for row in block for x in row)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

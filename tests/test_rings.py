@@ -52,6 +52,18 @@ def test_int_scaled():
             _int_scaled([F(1), bad])
 
 
+def test_scalar_minus_polynomial():
+    assert 0 - P(1) == P(-1)
+    assert 2 - P(1, 3) == P(1, -3)
+    assert F(1, 2) - P(0, 1) == P(F(1, 2), -1)
+    assert F(1, 2) - P(F(1, 2)) == UPoly() and (0 - UPoly()) == UPoly()
+    # a nested read above the u-degree is the int 0
+    p, q = bivariate([[F(1), F(2)]]), bivariate([[F(1)], [F(3), F(0), F(4)]])
+    assert p.coeff(1) == 0
+    assert p.coeff(1) - q.coeff(1) == UPoly([F(-3), F(0), F(-4)])
+    assert [p.coeff(i) - q.coeff(i) for i in range(2)] == (p - q).coeffs
+
+
 def test_cancellation_gives_canonical_zero():
     f = P(2, 0, 5)
     z = f + (-f)

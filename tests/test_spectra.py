@@ -9,9 +9,17 @@ from operator import mul
 import numpy as np
 import pytest
 
-from helpers import coeff_uv, v_coeff
+from helpers import (
+    block_entries,
+    block_rows,
+    coeff_uv,
+    from_entries,
+    identity_rows,
+    matmul,
+    v_coeff,
+)
 from snbethe.rings import MultiPoly, SeededRandom, UPoly, poly_gcd
-from snbethe.linalg import Matrix, rank
+from snbethe.linalg import rank
 from snbethe.permutations import (
     GroupAlgebraElement,
     all_permutations,
@@ -20,6 +28,7 @@ from snbethe.permutations import (
 )
 from snbethe.reps import (
     BlockMatrix,
+    block_shapes,
     central_idempotent,
     dimension,
     partitions_of,
@@ -32,6 +41,7 @@ from snbethe.xxx import t_m_poly, t_m_table, xxx_params
 from snbethe.spectra import (
     CERT_DRAWS,
     SpanBasis,
+    _krylov_relation,
     algebra_span,
     annihilator_residual,
     casorati,
@@ -187,7 +197,7 @@ def oracle_span(mats):
     rows, pivots), each row 1 at its pivot and 0 at every other pivot."""
     accepted, rows, pivots = [], [], []
     for bm in mats:
-        v = oracle_reduce(rows, pivots, bm.flatten())
+        v = oracle_reduce(rows, pivots, block_entries(bm))
         piv = next((i for i, x in enumerate(v) if x), None)
         accepted.append(piv is not None)
         if piv is None:
@@ -210,11 +220,8 @@ def oracle_float_rows(rows):
 
 
 def random_block_matrix(rng, n):
-    return BlockMatrix(n, [
-        Matrix([[rng.rational(9, 4) for _ in range(dimension(la))]
-                for _ in range(dimension(la))])
-        for la in partitions_of(n)
-    ])
+    return from_entries(n, [rng.rational(9, 4) for _, k in block_shapes(n)
+                            for _ in range(k * k)])
 
 
 def combination(rng, mats):
@@ -226,7 +233,7 @@ def combination(rng, mats):
 
 def echelon_elements(sb):
     """The span's echelon rows as block matrices: a basis of the span."""
-    return [BlockMatrix.from_flat(sb.n, row) for row in sb.echelon.rows]
+    return [from_entries(sb.n, row) for row in sb.echelon.rows]
 
 
 def assert_matches_oracle(mats, probes=()):
@@ -245,7 +252,7 @@ def assert_matches_oracle(mats, probes=()):
         assert [irow[p] * x for x in frow] == irow
     assert sb.float_rows().tobytes() == oracle_float_rows(rows).tobytes()
     for m in [*mats, *probes]:
-        want = not any(oracle_reduce(rows, pivots, m.flatten()))
+        want = not any(oracle_reduce(rows, pivots, block_entries(m)))
         assert sb.contains(m) == want
     return sb
 
@@ -379,7 +386,7 @@ def oracle_commutant_dim(basis: SpanBasis) -> int:
         d = dimension(la)
         rows = []
         for b in elements:
-            B = b.blocks[bi].rows
+            B = block_rows(b)[bi]
             for i in range(d):
                 for j in range(d):
                     row = [Fraction(0)] * (d * d)
@@ -391,20 +398,21 @@ def oracle_commutant_dim(basis: SpanBasis) -> int:
     return total
 
 
-def oracle_charpoly(mat: Matrix) -> UPoly:
-    """det(xI - M), exact over the rationals (Faddeev-LeVerrier)."""
-    d = mat.shape[0]
+def oracle_charpoly(mat: list) -> UPoly:
+    """det(xI - M), exact over the rationals (Faddeev-LeVerrier), for M given
+    as Fraction rows."""
+    d = len(mat)
 
     def trace(m):
-        return sum(m.rows[i][i] for i in range(d))
+        return sum(m[i][i] for i in range(d))
 
     coeffs = [Fraction(1)]  # of x^d, then x^{d-1}, ...
     c = trace(mat)
     coeffs.append(-c)
     Mk = mat
     for k in range(2, d + 1):
-        Mk = mat * Matrix([[a - c * (i == j) for j, a in enumerate(row)]
-                           for i, row in enumerate(Mk.rows)])
+        Mk = matmul(mat, [[a - c * (i == j) for j, a in enumerate(row)]
+                          for i, row in enumerate(Mk)])
         c = trace(Mk) / k
         coeffs.append(-c)
     return UPoly(list(reversed(coeffs)))
@@ -413,7 +421,7 @@ def oracle_charpoly(mat: Matrix) -> UPoly:
 def oracle_chi(x: BlockMatrix) -> UPoly:
     """The product of the exact charpolys of the blocks."""
     chi = UPoly([Fraction(1)])
-    for block in x.blocks:
+    for block in block_rows(x):
         chi = chi * oracle_charpoly(block)
     return chi
 
@@ -427,9 +435,9 @@ def unital(n, elements):
 
 
 def test_oracle_charpoly_examples():
-    assert oracle_charpoly(Matrix([[F(2), F(1)], [F(0), F(3)]])) == P(6, -5, 1)
-    assert oracle_charpoly(Matrix([[F(0), F(-1)], [F(1), F(0)]])) == P(1, 0, 1)
-    assert oracle_charpoly(Matrix.identity(3)) == P(-1, 3, -3, 1)
+    assert oracle_charpoly([[F(2), F(1)], [F(0), F(3)]]) == P(6, -5, 1)
+    assert oracle_charpoly([[F(0), F(-1)], [F(1), F(0)]]) == P(1, 0, 1)
+    assert oracle_charpoly(identity_rows(3)) == P(-1, 3, -3, 1)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -514,6 +522,19 @@ def test_certificate_n1():
     assert cert["cyclic"] and cert["squarefree"] and cert["degree"] == 1
 
 
+def test_krylov_relation_is_empty_when_p_divides_the_denominator():
+    # blocks (1/3), [[1, 2], [0, 1]] and (1): the entry 1/3 makes d = 3, so x
+    # has no image mod 3; mod 5 the chain of v stops at the minimal
+    # polynomial (x - 1/3)(x - 1)^2
+    x = from_entries(3, [F(1, 3), 1, 2, 0, 1, 1])
+    assert x.d == 3
+    v = [1, 2, 3, 4]
+    assert _krylov_relation(x, v, 3) == ()
+    assert _krylov_relation(x * 2, v, 3) == ()
+    want = (F(-1, 3), F(5, 3), F(-7, 3), F(1))
+    assert _krylov_relation(x, v, 5) == tuple(mod_p(c, 5) for c in want)
+
+
 def oracle_squarefree(f: UPoly) -> bool:
     """gcd(f, f') over the rationals is constant."""
     return poly_gcd(f, f.deriv()).degree == 0
@@ -570,14 +591,23 @@ def test_certificate_draws_again_and_eigen_reuses_it():
     # the eigenvectors are those of the certified element
     parts = partitions_of(4)
     for rec in recs:
-        block = cert["element"].blocks[parts.index(rec.partition)]
-        M = np.array([[float(x) for x in row] for row in block.rows])
+        block = block_rows(cert["element"])[parts.index(rec.partition)]
+        M = np.array([[float(x) for x in row] for row in block])
         v = rec.vector
         mu = np.conj(v) @ (M @ v)
         assert np.linalg.norm(M @ v - mu * v) < 1e-8 * max(1.0, np.abs(M).max())
     # an element that is not squarefree is no witness
     with pytest.raises(ValueError):
         joint_eigen(certificate(unital(4, jm_elements(4)[:-1]), 3), named)
+
+
+def test_joint_eigen_rounds_each_entry_once():
+    # the numerator 2^53 + 5 is no float: read as one first it becomes
+    # 2^53 + 4, whose third rounds to a float other than that of (2^53 + 5) / 3
+    x = BlockMatrix(1, 3, [[2**53 + 5]])
+    recs = joint_eigen({"squarefree": True, "element": x}, {"x": x})
+    assert recs[0].eigenvalues["x"] == float(F(2**53 + 5, 3)) == 3002399751580332.5
+    assert float(2**53 + 5) / 3 == 3002399751580332.0
 
 
 def test_joint_eigen_n2_homogeneous_values():
@@ -703,8 +733,8 @@ def cyclicity_verdict(basis: SpanBasis, block_vectors: dict) -> bool:
     vectors = [block_vectors[la] for la in partitions_of(basis.n)]
     rows = []
     for r in basis.echelon.rows:
-        blocks = BlockMatrix.from_flat(basis.n, r).blocks
-        rows.append([sum(map(mul, br, w)) for b, w in zip(blocks, vectors) for br in b.rows])
+        blocks = block_rows(from_entries(basis.n, r))
+        rows.append([sum(map(mul, br, w)) for b, w in zip(blocks, vectors) for br in b])
     return rank(rows) == basis.dim
 
 
@@ -729,8 +759,6 @@ def test_cyclic_vector_degrees_and_cyclicity(variant, hbar):
 def test_span_distance_basics():
     span = algebra_span([represent(g) for g in homogeneous_generators(3)])
     assert span_distance(span, span) < 1e-6
-    e1 = BlockMatrix(2, [represent(ga_transposition(2, 1, 2)).blocks[0],
-                         represent(GroupAlgebraElement.zero(2)).blocks[1]])
     # orthogonal one-dimensional spans: distance 1
     a = linear_span([represent(GroupAlgebraElement.scalar(2, F(1)) +
                                ga_transposition(2, 1, 2))])

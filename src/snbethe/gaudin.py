@@ -91,7 +91,7 @@ def phi_gen_fixed_points(n: int, z) -> UPoly:
     for p in all_permutations(n):
         factor = UPoly([UPoly([Fraction(1)])])
         for b in range(1, n + 1):
-            if p(b) == b:
+            if p[b - 1] == b:
                 # 1 - v*(u - z_b)
                 factor = factor * UPoly([UPoly([Fraction(1), z[b - 1]]),
                                          UPoly([0, Fraction(-1)])])

@@ -12,19 +12,24 @@ from itertools import combinations
 from .rings import MultiPoly, UPoly, series_inverse, series_log, series_mul
 from .permutations import (
     GroupAlgebraElement,
-    Permutation,
     commutators,
+    compose,
+    cycle,
     embed,
     ga_perm,
+    identity,
+    inverse,
+    permutation,
+    transposition,
 )
 from .gaudin import presentation_det
 from .xxx import XXXParams, xxx_params
 
 
-def gamma_perm(n: int) -> Permutation:
+def gamma_perm(n: int) -> tuple:
     """The long cycle i -> i+1 (mod n); equals the product of the adjacent
     transpositions s(1,2) s(2,3) ... s(n-1,n)."""
-    return Permutation.cycle(n, range(1, n + 1))
+    return cycle(n, range(1, n + 1))
 
 
 def g_cycles(n: int, k: int) -> GroupAlgebraElement:
@@ -33,7 +38,7 @@ def g_cycles(n: int, k: int) -> GroupAlgebraElement:
         raise ValueError("need 2 <= k <= n")
     acc = GroupAlgebraElement.zero(n)
     for combo in combinations(range(1, n + 1), k):
-        acc = acc + ga_perm(Permutation.cycle(n, combo))
+        acc = acc + ga_perm(cycle(n, combo))
     return acc
 
 
@@ -58,20 +63,20 @@ def local_charges(n: int) -> list:
     if n < 3:
         raise ValueError("charges need n >= 3")
     order = n - 2
-    gam_inv = ga_perm(gamma_perm(n).inverse())
+    gam_inv = ga_perm(inverse(gamma_perm(n)))
     poly = s1_homogeneous(n).map_coeffs(lambda c: gam_inv * c)
     log = series_log(poly, order)
     return [log.coeff(k) for k in range(1, order + 1)]
 
 
-def _adjacent_wrapped(n: int, i: int) -> Permutation:
+def _adjacent_wrapped(n: int, i: int) -> tuple:
     # s(n, n+1) is read cyclically as s(1, n)
     if i == n:
-        return Permutation.transposition(n, 1, n)
-    return Permutation.transposition(n, i, i + 1)
+        return transposition(n, 1, n)
+    return transposition(n, i, i + 1)
 
 
-def increasing_cycle_word(n: int, subset) -> Permutation:
+def increasing_cycle_word(n: int, subset) -> tuple:
     """The ordered product of wrapped adjacent transpositions attached to a
     subset i_1 < ... < i_k: the factors below the cut come first (descending),
     then the factors above the cut (descending).  The cut must sit at a cyclic
@@ -80,12 +85,12 @@ def increasing_cycle_word(n: int, subset) -> Permutation:
     idx = list(subset)
     k = len(idx)
 
-    def build(m: int) -> Permutation:
-        p = Permutation.identity(n)
+    def build(m: int) -> tuple:
+        p = identity(n)
         for j in range(m, 0, -1):
-            p = p * _adjacent_wrapped(n, idx[j - 1])
+            p = compose(p, _adjacent_wrapped(n, idx[j - 1]))
         for j in range(k, m, -1):
-            p = p * _adjacent_wrapped(n, idx[j - 1])
+            p = compose(p, _adjacent_wrapped(n, idx[j - 1]))
         return p
 
     if k == 1:
@@ -114,7 +119,7 @@ def _window_table(n: int, bound: int) -> MultiPoly:
             X = X + MultiPoly(n, {tuple(e): ga_perm(increasing_cycle_word(n, subset))})
     # construction-time anchor: grouping by subset size recovers the shifted
     # increasing-cycle sums
-    gam_inv = ga_perm(gamma_perm(n).inverse())
+    gam_inv = ga_perm(inverse(gamma_perm(n)))
     for k in range(1, min(n - 2, bound) + 1):
         grouped = GroupAlgebraElement.zero(n)
         for e, c in X.terms.items():
@@ -153,7 +158,7 @@ def local_density(k: int) -> GroupAlgebraElement:
     n = k + 2
     table = _window_table(n, k)
     gam = gamma_perm(n)
-    gam_ga, gam_inv = ga_perm(gam), ga_perm(gam.inverse())
+    gam_ga, gam_inv = ga_perm(gam), ga_perm(inverse(gam))
     zero = GroupAlgebraElement.zero(n)
     for e, c in table.terms.items():
         rot = e[1:] + e[:1]
@@ -173,18 +178,18 @@ def local_density(k: int) -> GroupAlgebraElement:
             e = tuple(list(comp) + [0] * (n - m))
             acc = acc + table.terms.get(e, zero)
     for p in acc.terms:
-        if any(p(i) != i for i in range(k + 2, n + 1)):
+        if any(p[i - 1] != i for i in range(k + 2, n + 1)):
             raise AssertionError("density does not live on the first k+1 symbols")
     terms = {}
     for p, c in acc.terms.items():
-        terms[Permutation(p.images[: k + 1])] = c
+        terms[permutation(p[: k + 1])] = c
     return GroupAlgebraElement(k + 1, terms)
 
 
 def charge_from_density(n: int, k: int, density: GroupAlgebraElement) -> GroupAlgebraElement:
     """Cyclic sum of the shifted embeddings of a window density."""
     gam = gamma_perm(n)
-    gam_ga, gam_inv = ga_perm(gam), ga_perm(gam.inverse())
+    gam_ga, gam_inv = ga_perm(gam), ga_perm(inverse(gam))
     cur = embed(density, range(1, k + 2), n)
     acc = GroupAlgebraElement.zero(n)
     for _ in range(n):

@@ -22,8 +22,9 @@ class Echelon:
     positive entry at its pivot, and it is zero at every other row's pivot.
     So it is the unique positive integer multiple of the reduced row over the
     rationals with the same pivot, and the pivots are those of the reduced
-    row echelon form of the rows added.  A vector enters as integer
-    numerators over the lcm of its denominators (int or Fraction entries).
+    row echelon form of the rows added.  A vector enters as ints, read as
+    they are; ``rank`` and ``nullspace`` scale rational rows to integer
+    numerators over the lcm of their denominators first.
     """
 
     __slots__ = ("rows", "pivots")
@@ -41,7 +42,7 @@ class Echelon:
         entries used, L*v - sum_i (L / r_i[p_i]) * v[p_i] * r_i clears every
         pivot in one pass.
         """
-        _, v = _int_scaled(vec)
+        v = list(vec)
         used = [(row, p) for row, p in zip(self.rows, self.pivots) if v[p]]
         if not used:
             return v
@@ -80,7 +81,7 @@ class Echelon:
 
 
 def rank(rows) -> int:
-    return len(Echelon(rows).rows)
+    return len(Echelon(_int_scaled(row)[1] for row in rows).rows)
 
 
 def nullspace(rows):
@@ -90,7 +91,7 @@ def nullspace(rows):
     -row[fc] / row[pc] at the pivot pc of each echelon row."""
     if not rows:
         return []
-    ech = Echelon(rows)
+    ech = Echelon(_int_scaled(row)[1] for row in rows)
     pivot_rows = dict(zip(ech.pivots, ech.rows))
     ncols = len(rows[0])
     basis = []

@@ -1,34 +1,32 @@
-"""Permutations, the sparse group algebra of the symmetric group over the
-rationals and its pairwise commutators, embeddings, the antisymmetrizer and
-its conjugacy-class form, the two antiinvolutions, and the parametrized
-cycle-deletion trace map.
+"""Permutations as image tuples, the sparse group algebra of the symmetric
+group over the rationals and its pairwise commutators, embeddings, the
+antisymmetrizer and its conjugacy-class form, the two antiinvolutions, and
+the parametrized cycle-deletion trace map.
 
-Composition convention: in a product p*q the RIGHT factor acts first,
-(p*q)(i) = p(q(i)).  This is pinned by the requirement that the product of
-transpositions s(i1,i2) s(i2,i3) ... s(i_{k-1},i_k) is the increasing k-cycle
-(i1 i2 ... ik); see tests.
+A permutation of {1..n} is the plain tuple of its images: p[i-1] is the
+image of i.  ``permutation(images)`` validates a tuple built from a list;
+``identity``, ``transposition``, ``cycle``, ``compose`` and ``inverse``
+build the rest.
+
+Composition convention: in a product compose(p, q) the RIGHT factor acts
+first, compose(p, q)[i-1] = p[q[i-1]-1].  This is pinned by the requirement
+that the product of transpositions s(i1,i2) s(i2,i3) ... s(i_{k-1},i_k) is
+the increasing k-cycle (i1 i2 ... ik); see tests.
 
 The group-algebra arithmetic is the kernel every identity check runs
-through, so it avoids per-term overhead in four ways:
+through, so it avoids per-term overhead in three ways:
 
-* Index composition.  Each permutation q lazily builds an
-  ``operator.itemgetter`` over its zero-based images, kept in a slot, so the
-  images of p*q are ``getter(p.images)``: one C call per term pair.
-* Trusted construction.  A product (or inverse, embedding, trace residue) of
-  permutations is a permutation by construction, and so are the outputs of
-  ``itertools.permutations`` and the identity, so internal sites build them
-  through ``Permutation._trusted``, which skips the validation that the
-  public ``Permutation(images)`` performs.  The dict product accumulates on
-  image tuples and builds one ``Permutation`` per output term; the
-  Cayley-table product reuses the table's.  Likewise a product, sum or negation of
-  elements holds no zero coefficient by construction, so it is built from
-  its form through ``GroupAlgebraElement._trusted``, which skips the
-  constructor's zero filter and type scan.
+* Index composition.  The images of compose(p, q) are
+  ``itemgetter(q[0]-1, ..., q[n-1]-1)(p)``: one C call per term pair.  The
+  products build one such getter per term of the right factor and apply it
+  to every term of the left factor.
 * Numerator form.  Every element holds integer numerators over one
   denominator d (see ``GroupAlgebraElement``), so sums, negations, multiples
   by an int or Fraction and products run on Python ints: a sum merges the
   numerators over lcm(da, db), a scalar cn/cd multiplies them by cn and d by
-  cd, and each result is divided by the gcd of d and its numerators.  The
+  cd, and each result is divided by the gcd of d and its numerators
+  (``_reduced``, which builds the result with no zero filter or type scan:
+  an operation's numerators are nonzero ints by construction).  The
   form is canonical, so ``==`` and ``hash`` read it directly, across the
   two kinds too.  ``terms`` builds the Fractions on first read; ``represent``
   and ``trace_map`` read the numerators.  Polynomials (``UPoly``, also
@@ -60,8 +58,8 @@ through, so it avoids per-term overhead in four ways:
   - Cayley table.  For n <= CAYLEY_MAX_DEGREE, any other dot whose term
     pairs (the sum of |a|*|b| over its pairs) number at least n! runs on
     permutation ids: ``_cayley(n)``, built on first use, holds
-    rows[i][j] = the id of perms[i]*perms[j], and the sums go into a list of
-    n! ints.  Every other dot goes through ``_accumulate``.
+    rows[i][j] = the id of compose(images[i], images[j]), and the sums go
+    into a list of n! ints.  Every other dot goes through ``_accumulate``.
   - Key order: a dot on the Cayley table lists its terms in lexicographic
     image order.  A linear combination and ``_accumulate`` drop a key
     whenever its partial sum reaches zero, so they keep the key order of
@@ -88,84 +86,53 @@ from .rings import UPoly, _int_scaled, format_rational
 CAYLEY_MAX_DEGREE = 6
 
 
-class Permutation:
-    """Permutation of {1..n} in one-line notation: images[i] = image of i+1."""
+def permutation(images) -> tuple:
+    """The permutation of 1..n with the given images, as a tuple; anything
+    else raises ValueError."""
+    p = tuple(images)
+    if sorted(p) != list(range(1, len(p) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(p)}: {images}")
+    return p
 
-    __slots__ = ("images", "_hash", "_getter")
 
-    def __init__(self, images):
-        self.images = tuple(images)
-        self._hash = hash(self.images)
-        self._getter = None
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {images}")
+def identity(n: int) -> tuple:
+    return tuple(range(1, n + 1))
 
-    @classmethod
-    def _trusted(cls, images: tuple) -> "Permutation":
-        """Permutation from a tuple already known to be a permutation of 1..n."""
-        p = object.__new__(cls)
-        p.images = images
-        p._hash = hash(images)
-        p._getter = None
-        return p
 
-    def _composer(self):
-        """Callable g with g(p.images) == (p * self).images, built on first use."""
-        g = self._getter
-        if g is None:
-            im = self.images
-            # itemgetter of a single index returns an item, not a tuple
-            g = itemgetter(*[j - 1 for j in im]) if len(im) > 1 else tuple
-            self._getter = g
-        return g
+def transposition(n: int, a: int, b: int) -> tuple:
+    if not (1 <= a <= n and 1 <= b <= n and a != b):
+        raise ValueError(f"bad transposition ({a},{b}) in degree {n}")
+    im = list(range(1, n + 1))
+    im[a - 1], im[b - 1] = b, a
+    return tuple(im)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls._trusted(tuple(range(1, n + 1)))
 
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        if not (1 <= a <= n and 1 <= b <= n and a != b):
-            raise ValueError(f"bad transposition ({a},{b}) in degree {n}")
-        im = list(range(1, n + 1))
-        im[a - 1], im[b - 1] = b, a
-        return cls(im)
+def cycle(n: int, symbols) -> tuple:
+    im = list(range(1, n + 1))
+    syms = list(symbols)
+    for i, s in enumerate(syms):
+        im[s - 1] = syms[(i + 1) % len(syms)]
+    return permutation(im)
 
-    @classmethod
-    def cycle(cls, n: int, symbols) -> "Permutation":
-        im = list(range(1, n + 1))
-        syms = list(symbols)
-        for i, s in enumerate(syms):
-            im[s - 1] = syms[(i + 1) % len(syms)]
-        return cls(im)
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
+def _gather(q: tuple):
+    """Callable g with g(p) == compose(p, q)."""
+    # itemgetter of a single index returns an item, not a tuple
+    return itemgetter(*[j - 1 for j in q]) if len(q) > 1 else tuple
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # right factor acts first: (p*q)(i) = p(q(i))
-        if len(self.images) != len(other.images):
-            raise ValueError("degree mismatch")
-        return Permutation._trusted(other._composer()(self.images))
+def compose(p: tuple, q: tuple) -> tuple:
+    """The product p*q: the right factor acts first, (p*q)(i) = p(q(i))."""
+    if len(p) != len(q):
+        raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
+    return _gather(q)(p)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j - 1] = i + 1
-        return Permutation._trusted(tuple(inv))
 
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Permutation({list(self.images)})"
+def inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, j in enumerate(p, 1):
+        inv[j - 1] = i
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -175,9 +142,9 @@ class CycleData:
     sign: int
 
 
-def cycle_data(p: Permutation) -> CycleData:
+def cycle_data(p: tuple) -> CycleData:
     """Cycle decomposition with fixed points kept as 1-cycles."""
-    n = p.degree
+    n = len(p)
     seen = [False] * (n + 1)
     cycles = []
     for start in range(1, n + 1):
@@ -185,26 +152,26 @@ def cycle_data(p: Permutation) -> CycleData:
             continue
         cyc = [start]
         seen[start] = True
-        j = p(start)
+        j = p[start - 1]
         while j != start:
             cyc.append(j)
             seen[j] = True
-            j = p(j)
+            j = p[j - 1]
         cycles.append(tuple(cyc))
     c = len(cycles)
     return CycleData(tuple(cycles), c, (-1) ** (n - c))
 
 
-def sign(p: Permutation) -> int:
+def sign(p: tuple) -> int:
     return cycle_data(p).sign
 
 
-def cycle_type(p: Permutation) -> tuple:
+def cycle_type(p: tuple) -> tuple:
     return tuple(sorted((len(c) for c in cycle_data(p).cycles), reverse=True))
 
 
 def all_permutations(n: int):
-    return [Permutation._trusted(im) for im in _itperms(range(1, n + 1))]
+    return list(_itperms(range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -216,18 +183,17 @@ def typed_permutations(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _cayley(n: int):
-    """(index, perms, rows) for S_n: index maps image tuples to ids in
-    lexicographic order, perms[i] is the permutation of id i, and rows[i][j]
-    is the id of perms[i] * perms[j].  A breadth-first walk from the identity
-    over the adjacent transpositions s fills the rows: the row of s*t is the
-    row of s gathered along the row of t."""
+    """(index, images, rows) for S_n: index maps permutations to ids in
+    lexicographic order, images[i] is the permutation of id i, and rows[i][j]
+    is the id of compose(images[i], images[j]).  A breadth-first walk from
+    the identity over the adjacent transpositions s fills the rows: the row
+    of s*t is the row of s gathered along the row of t."""
     images = list(_itperms(range(1, n + 1)))
     index = {im: i for i, im in enumerate(images)}
-    perms = [Permutation._trusted(im) for im in images]
-    gens = [tuple(index[(s * q).images] for q in perms)
-            for s in (Permutation.transposition(n, k, k + 1) for k in range(1, n))]
-    rows = [None] * len(perms)
-    rows[0] = tuple(range(len(perms)))  # the identity comes first
+    gens = [tuple(index[_gather(q)(s)] for q in images)
+            for s in (transposition(n, k, k + 1) for k in range(1, n))]
+    rows = [None] * len(images)
+    rows[0] = tuple(range(len(images)))  # the identity comes first
     order = [0]
     for t in order:
         for row_s in gens:
@@ -235,19 +201,18 @@ def _cayley(n: int):
             if rows[st] is None:
                 rows[st] = itemgetter(*rows[t])(row_s)
                 order.append(st)
-    return index, perms, rows
+    return index, images, rows
 
 
 def _accumulate(acc, left, right):
     """The product loop: acc[r] += a*b over the term pairs (p, a) of ``left``
-    and (q, b) of ``right``, r the images of p*q; a partial sum that reaches
+    and (q, b) of ``right``, r = compose(p, q); a partial sum that reaches
     zero drops its key."""
-    right = [(q._composer(), b) for q, b in right]
+    right = [(_gather(q), b) for q, b in right]
     get, pop = acc.get, acc.pop
     for p, a in left:
-        pim = p.images
-        for compose, b in right:
-            r = compose(pim)
+        for gather, b in right:
+            r = gather(p)
             s = get(r, 0) + a * b
             if s:
                 acc[r] = s
@@ -267,15 +232,18 @@ def _rational(c):
 
 def _reduced(n: int, kind, d: int, nums: dict) -> "GroupAlgebraElement":
     """The element of the nonzero numerators ``nums`` over d of the given
-    kind, with d and the numerators divided by their gcd."""
+    kind, with d and the numerators divided by their gcd: its canonical form
+    (see ``GroupAlgebraElement``)."""
     if not nums:
-        return GroupAlgebraElement._trusted(n, int, 1, nums)
-    if d > 1:
+        kind, d = int, 1
+    elif d > 1:
         g = math.gcd(d, *nums.values())
         if g > 1:
             d //= g
             nums = {p: x // g for p, x in nums.items()}
-    return GroupAlgebraElement._trusted(n, kind, d, nums)
+    a = object.__new__(GroupAlgebraElement)
+    a.n, a._kind, a._d, a._nums, a._terms = n, kind, d, nums, None
+    return a
 
 
 def _factor(x, n: int):
@@ -284,7 +252,7 @@ def _factor(x, n: int):
     if isinstance(x, GroupAlgebraElement):
         return x._kind, x._d, x._nums
     kind = type(_rational(x))
-    return kind, x.denominator, {Permutation.identity(n): x.numerator} if x else {}
+    return kind, x.denominator, {identity(n): x.numerator} if x else {}
 
 
 def _dot(pairs) -> "GroupAlgebraElement":
@@ -320,8 +288,7 @@ def _dot(pairs) -> "GroupAlgebraElement":
     acc = {}
     for left, right in scaled:
         _accumulate(acc, left, right)
-    trusted = Permutation._trusted
-    return _reduced(n, kind, d, {trusted(r): s for r, s in acc.items()})
+    return _reduced(n, kind, d, acc)
 
 
 def _combination(n: int, live, d: int):
@@ -329,7 +296,7 @@ def _combination(n: int, live, d: int):
     some live pair (na, nb, da*db) has no factor c*1 alone: each pair adds
     its other factor's numerators times c*D/(da*db) on their own keys, in
     pair order, and a sum that reaches zero drops its key."""
-    one = Permutation.identity(n)
+    one = identity(n)
     parts = []
     for na, nb, dp in live:
         if len(na) == 1 and one in na:
@@ -357,20 +324,20 @@ def _cayley_dot(n: int, scaled) -> dict:
     """The dot on the Cayley table: the nonzero sums of the term
     pairs of the (left, right) numerator items in ``scaled``, keyed by
     permutation in id order."""
-    index, perms, rows = _cayley(n)
-    acc = [0] * len(perms)
+    index, images, rows = _cayley(n)
+    acc = [0] * len(images)
     for left, right in scaled:
-        right = [(index[q.images], b) for q, b in right]
+        right = [(index[q], b) for q, b in right]
         for p, a in left:
-            row = rows[index[p.images]]
+            row = rows[index[p]]
             for j, b in right:
                 acc[row[j]] += a * b
-    return {perms[i]: s for i, s in enumerate(acc) if s}
+    return {images[i]: s for i, s in enumerate(acc) if s}
 
 
 class GroupAlgebraElement:
     """Sparse element of the group algebra of S_n over the rationals:
-    Permutation -> int or Fraction coefficient.
+    permutation (image tuple) -> int or Fraction coefficient.
 
     Scalars occurring in mixed arithmetic are read as scalar multiples of
     the identity permutation.  Zero coefficients are never stored, and a
@@ -395,21 +362,9 @@ class GroupAlgebraElement:
             self._d, nums = _int_scaled(coeffs.values())
             self._kind, self._nums = Fraction, dict(zip(coeffs, nums))
 
-    @classmethod
-    def _trusted(cls, n: int, kind, d: int, nums: dict) -> "GroupAlgebraElement":
-        """Element of the form (kind, d, nums), which must be its canonical
-        form (see the class docstring)."""
-        a = object.__new__(cls)
-        a.n = n
-        a._kind = kind
-        a._d = d
-        a._nums = nums
-        a._terms = None
-        return a
-
     @property
     def terms(self) -> dict:
-        """Permutation -> coefficient, in the form's key order."""
+        """permutation -> coefficient, in the form's key order."""
         t = self._terms
         if t is None:
             d = self._d
@@ -427,11 +382,11 @@ class GroupAlgebraElement:
 
     @classmethod
     def scalar(cls, n: int, c) -> "GroupAlgebraElement":
-        return cls(n, {Permutation.identity(n): c})
+        return cls(n, {identity(n): c})
 
     @classmethod
-    def from_perm(cls, p: Permutation, c=Fraction(1)) -> "GroupAlgebraElement":
-        return cls(p.degree, {p: c})
+    def from_perm(cls, p: tuple, c=Fraction(1)) -> "GroupAlgebraElement":
+        return cls(len(p), {p: c})
 
     def ring_one(self) -> "GroupAlgebraElement":
         return GroupAlgebraElement.scalar(self.n, Fraction(1))
@@ -439,7 +394,7 @@ class GroupAlgebraElement:
     def __bool__(self):
         return bool(self._nums)
 
-    def coeff(self, p: Permutation):
+    def coeff(self, p: tuple):
         return self.terms.get(p, 0)
 
     def __eq__(self, other):
@@ -453,8 +408,7 @@ class GroupAlgebraElement:
         return hash((self.n, self._d, frozenset(self._nums.items())))
 
     def __neg__(self):
-        return GroupAlgebraElement._trusted(
-            self.n, self._kind, self._d, {p: -x for p, x in self._nums.items()})
+        return _reduced(self.n, self._kind, self._d, {p: -x for p, x in self._nums.items()})
 
     def __add__(self, other):
         if isinstance(other, UPoly):
@@ -515,12 +469,11 @@ class GroupAlgebraElement:
     def _rekeyed(self, n: int, f) -> "GroupAlgebraElement":
         """The element of S_n with each permutation p replaced by f(p); f
         must be injective."""
-        return GroupAlgebraElement._trusted(
-            n, self._kind, self._d, {f(p): x for p, x in self._nums.items()})
+        return _reduced(n, self._kind, self._d, {f(p): x for p, x in self._nums.items()})
 
     def dagger(self) -> "GroupAlgebraElement":
         """Linear antiinvolution: each permutation goes to its inverse."""
-        return self._rekeyed(self.n, Permutation.inverse)
+        return self._rekeyed(self.n, inverse)
 
     def star(self) -> "GroupAlgebraElement":
         """Semilinear antiinvolution: inverse permutations, conjugated
@@ -529,17 +482,16 @@ class GroupAlgebraElement:
         return self.dagger()
 
     def support(self):
-        return sorted(self.terms.keys(), key=lambda p: p.images)
+        return sorted(self.terms)
 
     def to_json(self):
         terms, fraction = self.terms, self._kind is Fraction
-        return [{"perm": list(p.images),
+        return [{"perm": list(p),
                  "coeff": format_rational(terms[p]) if fraction else terms[p]}
                 for p in self.support()]
 
     def __repr__(self):
-        parts = [f"{c!r}*{list(p.images)}" for p, c in sorted(
-            self.terms.items(), key=lambda t: t[0].images)]
+        parts = [f"{c!r}*{list(p)}" for p, c in sorted(self.terms.items())]
         return "GA(" + (" + ".join(parts) if parts else "0") + ")"
 
 
@@ -553,12 +505,12 @@ def commutators(elements) -> list:
             if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)]
 
 
-def ga_perm(p: Permutation) -> GroupAlgebraElement:
+def ga_perm(p: tuple) -> GroupAlgebraElement:
     return GroupAlgebraElement.from_perm(p)
 
 
 def ga_transposition(n: int, a: int, b: int) -> GroupAlgebraElement:
-    return ga_perm(Permutation.transposition(n, a, b))
+    return ga_perm(transposition(n, a, b))
 
 
 @lru_cache(maxsize=None)
@@ -590,14 +542,13 @@ def antisymmetrizer_classes(m: int) -> GroupAlgebraElement:
     )
 
 
-def embed_perm(p: Permutation, positions, n: int) -> Permutation:
+def _embed_perm(p: tuple, positions, n: int) -> tuple:
     """Image of p under symbol i -> positions[i-1]; the positions must be
     distinct symbols of 1..n, one per symbol of p (``embed`` checks this)."""
-    pos = list(positions)
     im = list(range(1, n + 1))
-    for i, r in enumerate(pos):
-        im[r - 1] = pos[p(i + 1) - 1]
-    return Permutation._trusted(tuple(im))
+    for i, r in enumerate(positions):
+        im[r - 1] = positions[p[i] - 1]
+    return tuple(im)
 
 
 def embed(a: GroupAlgebraElement, positions, n: int) -> GroupAlgebraElement:
@@ -609,7 +560,7 @@ def embed(a: GroupAlgebraElement, positions, n: int) -> GroupAlgebraElement:
         raise ValueError("positions out of range")
     if len(pos) != a.n:
         raise ValueError("positions must match the degree of the element")
-    return a._rekeyed(n, lambda p: embed_perm(p, pos, n))
+    return a._rekeyed(n, lambda p: _embed_perm(p, pos, n))
 
 
 def top_embed(a: GroupAlgebraElement, n: int, m: int) -> GroupAlgebraElement:
@@ -646,8 +597,7 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
     d, nums = a.numerators()
     top = range(n, n + m)  # zero-based top symbols
     acc = {}  # residual images -> {orbits lost: scaled sum}
-    for perm, s in nums.items():
-        im = perm.images
+    for im, s in nums.items():
         passed = [False] * (n + m)
         res = []
         for j in im[:n]:
@@ -664,7 +614,6 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
                     t = im[t] - 1
         sums = acc.setdefault(tuple(res), {})
         sums[lost] = sums.get(lost, 0) + s
-    trusted = Permutation._trusted
     # k, the most orbits any term loses
     k = max((max(sums) for sums in acc.values()), default=0)
     if symbolic:
@@ -672,7 +621,7 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
         for res, sums in acc.items():
             for l, s in sums.items():
                 if s:
-                    coeffs[l][trusted(res)] = s
+                    coeffs[l][res] = s
         return UPoly([_reduced(n, Fraction, d, c) for c in coeffs])
     # every sum over d * pd**k
     pn, pd = p.numerator, p.denominator
@@ -680,7 +629,7 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
     for res, sums in acc.items():
         total = sum(s * pn**l * pd ** (k - l) for l, s in sums.items())
         if total:
-            out[trusted(res)] = total
+            out[res] = total
     kind = int if isinstance(p, int) and a._kind is int else Fraction
     return _reduced(n, kind, d * pd**k, out)
 

@@ -20,8 +20,9 @@ from operator import mul
 from .rings import UPoly, _int_scaled, scalar_root_poly
 from .permutations import (
     GroupAlgebraElement,
-    Permutation,
     _reduced,
+    identity,
+    inverse,
     typed_permutations,
 )
 
@@ -159,7 +160,7 @@ class IrrepAction:
                        for e, nums in (_int_scaled(chain(*g)) for g in self.gens)]
         # permutation -> (d, row-major numerators of d * matrix), d the lcm of
         # the entries' denominators
-        self._perm_cache = {Permutation.identity(self.n):
+        self._perm_cache = {identity(self.n):
                             (1, [int(i == j) for i in range(k) for j in range(k)])}
 
     def _gen_matrix(self, i: int) -> list:
@@ -201,16 +202,18 @@ class IrrepAction:
             for row in t
         )
 
-    def _numerators(self, p: Permutation) -> tuple:
+    def _numerators(self, p: tuple) -> tuple:
         cached = self._perm_cache.get(p)
         if cached is not None:
             return cached
         # left-multiplying by s_i swaps the VALUES i, i+1 in one-line
         # notation; where i+1 comes before i, q = s_i p has one inversion
         # fewer and p = s_i q, so rho(p) = rho(s_i) rho(q)
-        pos = p.inverse().images
+        pos = inverse(p)
         i = next(i for i in range(1, self.n) if pos[i] < pos[i - 1])
-        dq, nums = self._numerators(Permutation.transposition(self.n, i, i + 1) * p)
+        q = list(p)
+        q[pos[i - 1] - 1], q[pos[i] - 1] = i + 1, i
+        dq, nums = self._numerators(tuple(q))
         e, rows = self._steps[i - 1]
         k = self.dim
         out = [sum(x * nums[c * k + j] for c, x in row) for row in rows for j in range(k)]
@@ -224,7 +227,7 @@ class IrrepAction:
         numerators of d * matrix): the sum of c * M_p accumulated on integer
         numerators, not reduced."""
         if a.n != self.n:
-            raise ValueError("degree mismatch")
+            raise ValueError(f"degree mismatch: {a.n} vs {self.n}")
         k = self.dim
         dc, coeffs = a.numerators()
         mats = [self._numerators(p) for p in coeffs]

@@ -20,15 +20,18 @@ from .rings import (
 from .linalg import rank
 from .permutations import (
     GroupAlgebraElement,
-    Permutation,
     all_permutations,
     antisymmetrizer,
     commutators,
+    compose,
+    cycle,
     cycle_data,
     embed,
     ga_lift,
     ga_perm,
     ga_transposition,
+    inverse,
+    permutation,
     top_embed,
     trace_map,
 )
@@ -393,10 +396,10 @@ def gaudin_equivariance(cfg, rng):
     residuals = []
     for _ in range(3):
         sig = rng.choice(all_permutations(n))
-        zperm = tuple(z[sig(a) - 1] for a in range(1, n + 1))
+        zperm = tuple(z[b - 1] for b in sig)
         polys_p = phi_polys(n, zperm)[0]
         g = ga_perm(sig)
-        ginv = ga_perm(sig.inverse())
+        ginv = ga_perm(inverse(sig))
         residuals += [pp.map_coeffs(lambda c: g * c * ginv) - p0
                       for pp, p0 in zip(polys_p, polys_0)]
     return max_abs(*residuals)
@@ -529,7 +532,7 @@ def xxx_telescoping(cfg, rng):
 def xxx_cycle_shift(cfg, rng):
     n, z, hbar = cfg.n, cfg.z, cfg.hbar
     gam = gamma_perm(n)
-    g, ginv = ga_perm(gam), ga_perm(gam.inverse())
+    g, ginv = ga_perm(gam), ga_perm(inverse(gam))
     prot = xxx_params(z[1:] + z[:1], hbar)
     params = xxx_params(z, hbar)
     return max_abs(*(
@@ -572,7 +575,7 @@ def mirror_residual(cfg, params, conj):
 
 
 def xxx_reversal(cfg, rng):
-    r = ga_perm(Permutation([cfg.n + 1 - i for i in range(1, cfg.n + 1)]))
+    r = ga_perm(permutation([cfg.n + 1 - i for i in range(1, cfg.n + 1)]))
     return mirror_residual(cfg, xxx_params(tuple(reversed(cfg.z)), cfg.hbar),
                            lambda c: r * c * r)
 
@@ -605,13 +608,11 @@ def xxx_binomial_trace(cfg, rng):
 
 
 def xxx_trace_example(cfg, rng):
-    sigma = (
-        Permutation.cycle(9, [1, 3, 7])
-        * Permutation.cycle(9, [2, 5, 6])
-        * Permutation.cycle(9, [8, 9])
+    sigma = compose(
+        compose(cycle(9, [1, 3, 7]), cycle(9, [2, 5, 6])), cycle(9, [8, 9])
     )
     got = trace_map(GroupAlgebraElement.from_perm(sigma), 4, 5, UPoly.gen())
-    return max_abs(got - UPoly.gen() * ga_perm(Permutation.cycle(4, [1, 3])))
+    return max_abs(got - UPoly.gen() * ga_perm(cycle(4, [1, 3])))
 
 
 def xxx_trace_reduction(cfg, rng):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations, product as _itproduct
 
 from .rings import UPoly, poly_divmod, poly_gcd, scalar_root_poly
-from .permutations import Permutation, all_permutations, sign
+from .permutations import all_permutations, inverse, sign
 
 
 def _sparse_add(A: dict, B: dict, zero) -> dict:
@@ -110,14 +110,14 @@ def _flat(N: int, key) -> int:
     return idx
 
 
-def varpi_perm(p: Permutation, N: int) -> TensorOperator:
+def varpi_perm(p: tuple, N: int) -> TensorOperator:
     """Permutation of tensor factors: factor a of the image carries the factor
     formerly at position p^{-1}(a)."""
-    n = p.degree
-    pinv = p.inverse()
+    n = len(p)
+    pinv = inverse(p)
     entries = {}
     for key in _itproduct(range(1, N + 1), repeat=n):
-        img = tuple(key[pinv(a) - 1] for a in range(1, n + 1))
+        img = tuple(key[b - 1] for b in pinv)
         entries[(_flat(N, img), _flat(N, key))] = Fraction(1)
     return TensorOperator(N, n, entries)
 
@@ -125,7 +125,7 @@ def varpi_perm(p: Permutation, N: int) -> TensorOperator:
 def varpi(a, N: int) -> TensorOperator:
     """Image of a group-algebra element (or bare permutation) on the tensor
     power; linear and multiplicative."""
-    if isinstance(a, Permutation):
+    if isinstance(a, tuple):
         return varpi_perm(a, N)
     acc = TensorOperator.zero(N, a.n)
     for p, c in a.terms.items():
@@ -337,7 +337,7 @@ def gaudin_diffop_coeffs(N: int, n: int, z) -> dict:
     for sigma in all_permutations(N):
         term = None
         for col in range(1, N + 1):
-            op = xops[(sigma(col), col)]
+            op = xops[(sigma[col - 1], col)]
             term = op if term is None else term * op
         if sign(sigma) < 0:
             term = -term
@@ -429,7 +429,7 @@ def yangian_transfer(N: int, n: int, m: int, x) -> dict:
             term = None
             for a in range(m):
                 # a-th factor carries argument u - m + 1 + a
-                mat = shifted(combo[sigma(a + 1) - 1], combo[a], m - 1 - a)
+                mat = shifted(combo[sigma[a] - 1], combo[a], m - 1 - a)
                 term = mat if term is None else _sparse_mul(term, mat, RF_ZERO)
             if sign(sigma) < 0:
                 term = _mat_scale(term, RationalFunc.const(-1))

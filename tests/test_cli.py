@@ -140,6 +140,22 @@ def test_reports_match_golden(capsys, name, argv):
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("emit-phi-n3", ["phi", "--n", "3"]),
+    *((f"emit-t-m{m}-n3", ["t", "--n", "3", "--m", str(m)]) for m in range(4)),
+    ("emit-s-n3", ["s", "--n", "3"]),
+    ("emit-qkz-n3", ["qkz", "--n", "3"]),
+    ("emit-kz-n3", ["kz", "--n", "3"]),
+    ("emit-charges-n4", ["charges", "--n", "4"]),
+    ("emit-theta-k2", ["theta", "--k", "2"]),
+    ("emit-idempotents-n3", ["idempotents", "--n", "3"]),
+])
+def test_emits_match_golden(capsys, name, argv):
+    rc, out = run_main(capsys, ["emit", *argv])
+    assert rc == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
     # the claims at the run's own z, the three presentations at n = 4
     # among them, read the generator polynomials from the cached

@@ -15,6 +15,7 @@ from snbethe.permutations import (
     ga_lift,
     ga_perm,
     ga_transposition,
+    inverse,
 )
 from snbethe.reps import content_product_all, represent
 from snbethe.gaudin import (
@@ -342,8 +343,8 @@ def test_conjugation_equivariance():
     z = tuple(distinct_rationals(rng, n))
     for _ in range(3):
         sig = rng.choice(all_permutations(n))
-        zperm = tuple(z[sig(a) - 1] for a in range(1, n + 1))
-        g, ginv = ga_perm(sig), ga_perm(sig.inverse())
+        zperm = tuple(z[b - 1] for b in sig)
+        g, ginv = ga_perm(sig), ga_perm(inverse(sig))
         for pp, p0 in zip(phi_polys(n, zperm)[0], phi_polys(n, z)[0]):
             assert pp.map_coeffs(lambda c: g * c * ginv) == p0
 

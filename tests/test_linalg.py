@@ -8,11 +8,11 @@ from itertools import permutations
 import pytest
 
 from helpers import bivariate
-from snbethe import gaudin, homogeneous, spectra
+from snbethe import gaudin, homogeneous, linalg, spectra
 from snbethe.linalg import Echelon, det, nullspace, rank
 from snbethe.permutations import GroupAlgebraElement, all_permutations, ga_perm
-from snbethe.reps import partitions_of
-from snbethe.rings import SeededRandom, UPoly
+from snbethe.reps import partitions_of, represent
+from snbethe.rings import SeededRandom, UPoly, _int_scaled
 from snbethe.tensoract import varpi_perm
 from snbethe.xxx import s_k_poly
 
@@ -72,7 +72,7 @@ def assert_matches_oracle(rows):
     got = nullspace(rows)
     assert got == oracle_nullspace(rows)
     assert all(type(x) is Fraction for v in got for x in v)
-    ech = Echelon(rows)
+    ech = Echelon(_int_scaled(row)[1] for row in rows)
     assert sorted(ech.pivots) == pivots
     want = dict(zip(pivots, red))
     for row, p in zip(ech.rows, ech.pivots):
@@ -109,6 +109,26 @@ def test_empty_and_zero_rows():
     zero = [[F(0)] * 4 for _ in range(3)]
     assert_matches_oracle(zero)
     assert nullspace(zero) == [[F(int(i == j)) for i in range(4)] for j in range(4)]
+
+
+def test_echelon_reads_integer_rows_as_they_are(monkeypatch):
+    # a span adds integer numerators, so the echelon scales none of them;
+    # rank and nullspace scale each rational row once
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return _int_scaled(values)
+
+    monkeypatch.setattr(linalg, "_int_scaled", counted)
+    gens = [represent(g) for g in homogeneous.homogeneous_generators(3)]
+    span = spectra.algebra_span(gens)
+    assert span.dim == 4 and span.contains(gens[0] * gens[1]) and not calls
+    ech = Echelon([[2, 4, 0], [0, 3, 3]])
+    assert ech.rows == [[1, 0, -2], [0, 1, 1]] and ech.reduce(iter([1, 1, -1])) == [0, 0, 0]
+    rows = [[F(1, 2), F(1)], [F(1, 3), F(2, 3)]]
+    assert rank(rows) == 1 and nullspace(rows) == [[F(-2), F(1)]]
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("nrows, ncols, rank_bound", [(4, 9, 4), (9, 6, 3)])

@@ -18,38 +18,44 @@ from snbethe.rings import (
 from snbethe.permutations import (
     CAYLEY_MAX_DEGREE,
     GroupAlgebraElement,
-    Permutation,
     all_permutations,
     antiinvolution,
     commutators,
     antisymmetrizer,
     class_sum,
+    compose,
+    cycle,
     cycle_data,
     embed,
-    embed_perm,
     ga_lift,
     ga_perm,
     ga_transposition,
+    identity,
+    inverse,
+    permutation,
     sign,
     top_embed,
     trace_map,
+    transposition,
     _cayley,
+    _embed_perm,
 )
-from snbethe.reps import central_idempotent, partitions_of, represent
+from snbethe import permutations
+from snbethe.reps import IrrepAction, central_idempotent, partitions_of, represent
 
 F = Fraction
 
 
 def s(n, a, b):
-    return Permutation.transposition(n, a, b)
+    return transposition(n, a, b)
 
 
 def test_increasing_cycle_convention():
     # s(1,2) s(2,3) must be the 3-cycle 1->2->3->1 (right factor acts first)
-    assert s(3, 1, 2) * s(3, 2, 3) == Permutation.cycle(3, [1, 2, 3])
+    assert compose(s(3, 1, 2), s(3, 2, 3)) == cycle(3, [1, 2, 3]) == (2, 3, 1)
     # and in general the chained product of s(i_k, i_{k+1}) is the increasing cycle
-    p = s(5, 1, 3) * s(5, 3, 4) * s(5, 4, 5)
-    assert p == Permutation.cycle(5, [1, 3, 4, 5])
+    p = compose(compose(s(5, 1, 3), s(5, 3, 4)), s(5, 4, 5))
+    assert p == cycle(5, [1, 3, 4, 5])
 
 
 def test_compose_inverse_and_cycle_order():
@@ -57,33 +63,37 @@ def test_compose_inverse_and_cycle_order():
     perms = all_permutations(4)
     for _ in range(10):
         p = rng.choice(perms)
-        assert p * p.inverse() == Permutation.identity(4)
+        assert compose(p, inverse(p)) == compose(inverse(p), p) == identity(4)
         q, r = rng.choice(perms), rng.choice(perms)
-        assert (p * q) * r == p * (q * r)
-    g = Permutation.cycle(3, [1, 2, 3])
-    assert g * g * g == Permutation.identity(3)  # order of an n-cycle is n
+        assert compose(compose(p, q), r) == compose(p, compose(q, r))
+        # the right factor acts first: (p*q)(i) = p(q(i))
+        assert compose(p, q) == tuple(p[q[i] - 1] for i in range(4))
+    g = cycle(3, [1, 2, 3])
+    assert compose(compose(g, g), g) == identity(3)  # order of an n-cycle is n
+    assert compose((1,), (1,)) == (1,) and compose((), ()) == ()
 
 
 def test_compose_degree_mismatch():
-    with pytest.raises(ValueError):
-        Permutation.identity(2) * Permutation.identity(3)
+    with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
+        compose(identity(2), identity(3))
 
 
 def test_public_constructor_validates():
-    with pytest.raises(ValueError):
-        Permutation([1, 1, 2])
-    with pytest.raises(ValueError):
-        Permutation([2, 3])
+    for bad in ([1, 1, 2], [2, 3], [0, 1]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permutation(bad)
+    assert permutation([2, 3, 1]) == (2, 3, 1)
+    assert type(permutation(range(1, 4))) is tuple
+    for a, b in ((1, 1), (0, 2), (1, 4)):
+        with pytest.raises(ValueError, match="bad transposition"):
+            transposition(3, a, b)
+    assert transposition(4, 1, 3) == (3, 2, 1, 4)
 
 
 def test_cycle_data_examples():
-    d = cycle_data(Permutation.identity(4))
+    d = cycle_data(identity(4))
     assert d.orbit_count == 4 and d.sign == 1
-    sigma = (
-        Permutation.cycle(9, [1, 3, 7])
-        * Permutation.cycle(9, [2, 5, 6])
-        * Permutation.cycle(9, [8, 9])
-    )
+    sigma = compose(compose(cycle(9, [1, 3, 7]), cycle(9, [2, 5, 6])), cycle(9, [8, 9]))
     assert cycle_data(sigma).orbit_count == 4  # the fixed point 4 counts
     d = cycle_data(s(3, 1, 2))
     assert d.orbit_count == 2 and d.sign == -1
@@ -94,7 +104,7 @@ def test_sign_homomorphism_random():
     perms = all_permutations(5)
     for _ in range(20):
         p, q = rng.choice(perms), rng.choice(perms)
-        assert sign(p * q) == sign(p) * sign(q)
+        assert sign(compose(p, q)) == sign(p) * sign(q)
 
 
 def test_embed_examples():
@@ -125,13 +135,12 @@ def test_ga_multiply_examples():
 
 def dict_product(x: dict, y: dict) -> dict:
     """The group-algebra product as first written, on plain dicts of
-    coefficients: one validated Permutation and one coefficient multiply-add
+    coefficients: one validated permutation and one coefficient multiply-add
     per term pair."""
     out = {}
     for p, a in x.items():
-        pim = p.images
         for q, b in y.items():
-            r = Permutation(tuple(pim[j - 1] for j in q.images))
+            r = permutation(p[j - 1] for j in q)
             s = out.get(r, 0) + a * b
             if not s:
                 out.pop(r, None)
@@ -161,7 +170,7 @@ def on_cayley_table(x, y):
     factor c*1 alone (that product is a linear combination), the degree at
     most CAYLEY_MAX_DEGREE, and at least n! term pairs."""
     def unit(a):
-        return list(a.terms) == [Permutation.identity(a.n)]
+        return list(a.terms) == [identity(a.n)]
 
     return (x.n <= CAYLEY_MAX_DEGREE and not (unit(x) or unit(y))
             and len(x.terms) * len(y.terms) >= math.factorial(x.n))
@@ -175,7 +184,7 @@ def assert_same_product(x, y):
     dense = on_cayley_table(x, y)
     assert got.terms == want.terms
     assert list(got.terms) == (
-        sorted(want.terms, key=lambda p: p.images) if dense else list(want.terms))
+        sorted(want.terms) if dense else list(want.terms))
     assert [type(c) for c in got.terms.values()] == [
         type(c) for c in want.terms.values()
     ]
@@ -201,12 +210,11 @@ def test_product_matches_oracle(kind):
             )
             paths.add(assert_same_product(x, y))
         one = GroupAlgebraElement.scalar(n, one_c)
-        s_ = GroupAlgebraElement.from_perm(Permutation.transposition(n, 1, 2), s_c)
+        s_ = GroupAlgebraElement.from_perm(transposition(n, 1, 2), s_c)
         assert_same_product(one - s_, one + s_)
         assert not (one - s_) * (one + s_)
         if n > 2:
-            t = GroupAlgebraElement.from_perm(
-                Permutation.transposition(n, 2, 3), s_c)
+            t = GroupAlgebraElement.from_perm(transposition(n, 2, 3), s_c)
             assert_same_product(one - s_, one + s_ + t)
             assert_same_product(t + one - s_, one + s_)
     # every kind reaches both the table and the dict product
@@ -231,23 +239,23 @@ def test_dense_products_with_cancellation(n):
         # they are pairwise distinct
         terms = {}
         for k, p in enumerate(all_permutations(n)):
-            terms[p] = (terms[p * t] if p(1) == 1 and p * t in terms
-                        else coeff() + 10 * k)
+            pt = compose(p, t)
+            terms[p] = terms[pt] if p[0] == 1 and pt in terms else coeff() + 10 * k
         x = GroupAlgebraElement(n, terms)
         for one in (1, F(1)):
-            y = GroupAlgebraElement(n, {Permutation.identity(n): one, t: -one})
+            y = GroupAlgebraElement(n, {identity(n): one, t: -one})
             assert assert_same_product(x, y)
             got = x * y
             assert len(x.terms) == math.factorial(n)
             assert len(got.terms) == math.factorial(n) - math.factorial(n - 1)
-            assert all(p(1) != 1 for p in got.terms)
+            assert all(p[0] != 1 for p in got.terms)
 
 
 def test_cayley_table_matches_permutation_product():
     for n in range(1, CAYLEY_MAX_DEGREE + 1):
         index, perms, rows = _cayley(n)
-        assert [p.images for p in perms] == [p.images for p in all_permutations(n)]
-        assert all(index[p.images] == i for i, p in enumerate(perms))
+        assert perms == all_permutations(n)
+        assert all(index[p] == i for i, p in enumerate(perms))
         assert len(rows) == len(perms)
         rng = SeededRandom(89 + n)
         # every entry to n = 5, a sample of 40 columns of every row at n = 6
@@ -256,7 +264,7 @@ def test_cayley_table_matches_permutation_product():
         for i, p in enumerate(perms):
             assert len(rows[i]) == len(perms)
             for j in columns:
-                assert perms[rows[i][j]] == p * perms[j]
+                assert perms[rows[i][j]] == compose(p, perms[j])
 
 
 def has_fraction(*xs) -> bool:
@@ -338,7 +346,7 @@ def test_dot_matches_sum_of_oracle_products(kind):
         # one pair is the product itself
         x, y = element(), element()
         assert_same_terms(GroupAlgebraElement.dot([(x, y)]), x * y)
-        s_ = GroupAlgebraElement.from_perm(Permutation.transposition(n, 1, 2), coeff(rng))
+        s_ = GroupAlgebraElement.from_perm(transposition(n, 1, 2), coeff(rng))
         assert not GroupAlgebraElement.dot([(s_, s_), (-s_, s_)])
 
 
@@ -457,8 +465,8 @@ def test_antisymmetrizer_examples():
 
 
 def test_antiinvolution_examples():
-    a = ga_perm(s(3, 1, 2) * s(3, 2, 3))
-    assert antiinvolution(a, "dagger") == ga_perm(s(3, 2, 3) * s(3, 1, 2))
+    a = ga_perm(compose(s(3, 1, 2), s(3, 2, 3)))
+    assert antiinvolution(a, "dagger") == ga_perm(compose(s(3, 2, 3), s(3, 1, 2)))
     rng = SeededRandom(17)
     for _ in range(10):
         x = ga_perm(rng.choice(all_permutations(4))) * rng.rational(3, 2)
@@ -493,7 +501,7 @@ def oracle_trace_map(a, n, m, p):
                 continue
             for i, s in enumerate(kept):
                 im[s - 1] = kept[(i + 1) % len(kept)]
-        tau = Permutation(im)
+        tau = permutation(im)
         acc[tau] = acc.get(tau, 0) + c * p**lost
     if isinstance(p, UPoly):
         # the sums are polynomials in p; T_l collects their p^l coefficients
@@ -508,7 +516,7 @@ def typed_terms(a):
     polynomial in p, those of each of its coefficients."""
     if isinstance(a, UPoly):
         return [typed_terms(c) for c in a.coeffs]
-    return [(q.images, type(c).__name__, c) for q, c in a.terms.items()]
+    return [(q, type(c).__name__, c) for q, c in a.terms.items()]
 
 
 TRACE_SHAPES = ((1, 0), (1, 1), (2, 2), (3, 3), (2, 4), (4, 2))
@@ -528,19 +536,19 @@ def test_trace_map_matches_cycle_record_oracle(kind, n, m):
         # x and g x g^-1, g in the top S_m, leave the same residual and lose
         # as many orbits, so c (x - g x g^-1) traces to zero and cancels
         # against any other term on the same residual
-        tops = [embed_perm(g, range(n + 1, n + m + 1), n + m)
+        tops = [_embed_perm(g, range(n + 1, n + m + 1), n + m)
                 for g in all_permutations(m)[1:]]
         for _ in range(4):
             x, g, c = rng.choice(perms), rng.choice(tops), coeff(rng) or unit
             cancel = GroupAlgebraElement(n + m, {x: c}) - GroupAlgebraElement(
-                n + m, {g * x * g.inverse(): c})
+                n + m, {compose(compose(g, x), inverse(g)): c})
             elements += [cancel, cancel + elements[1]]
     if m:
         # the identity loses m orbits and (n, n+1) one fewer, on the same
         # residual, so this cancels at p = 2
         elements.append(GroupAlgebraElement(n + m, {
-            Permutation.identity(n + m): unit,
-            Permutation.transposition(n + m, n, n + 1): -2 * unit}))
+            identity(n + m): unit,
+            transposition(n + m, n, n + 1): -2 * unit}))
     for p in (2, F(2), F(-1, 3), UPoly.gen()):
         for a in elements:
             got, want = trace_map(a, n, m, p), oracle_trace_map(a, n, m, p)
@@ -585,14 +593,10 @@ def test_symbolic_trace_evaluates_to_the_rational_traces(kind):
 
 
 def test_trace_map_worked_example():
-    sigma = (
-        Permutation.cycle(9, [1, 3, 7])
-        * Permutation.cycle(9, [2, 5, 6])
-        * Permutation.cycle(9, [8, 9])
-    )
+    sigma = compose(compose(cycle(9, [1, 3, 7]), cycle(9, [2, 5, 6])), cycle(9, [8, 9]))
     p = UPoly.gen()
     got = trace_map(GroupAlgebraElement.from_perm(sigma), 4, 5, p)
-    assert got == p * ga_perm(Permutation.cycle(4, [1, 3]))
+    assert got == p * ga_perm(cycle(4, [1, 3]))
 
 
 def test_trace_map_identity_and_binomial():
@@ -715,6 +719,45 @@ def test_class_sum_sizes():
     assert len(class_sum(4, (2, 2)).terms) == 3
 
 
+def test_every_key_is_a_tuple(monkeypatch):
+    # a permutation is its image tuple wherever an element or a cache keys
+    # one: products through each of the three loops, the element
+    # operations, the trace map at a rational and the symbolic p, and the
+    # irreducible action's cache of permutation images
+    loops = set()
+    for name in ("_combination", "_cayley_dot", "_accumulate"):
+        def spy(*args, name=name, real=getattr(permutations, name)):
+            out = real(*args)
+            if out is not None:
+                loops.add(name)
+            return out
+        monkeypatch.setattr(permutations, name, spy)
+
+    def keys(a):
+        if isinstance(a, UPoly):
+            return [k for c in a.coeffs for k in keys(c)]
+        return list(a.numerators()[1]) + list(a.terms)
+
+    n = 4
+    x = class_sum(n, (3, 1)) * F(1, 2) + ga_perm(cycle(n, [1, 2]))
+    y = class_sum(n, (2, 1, 1)) - 3
+    t = ga_transposition(n, 1, 2) + ga_transposition(n, 3, 4)
+    built = [x, y, t, -x, x * F(2, 3), x.dagger(), embed(t, (1, 2, 4, 5), 5),
+             top_embed(x, 2, n), antisymmetrizer(3), class_sum(5, (2, 2, 1))]
+    built += [x * 2, 2 * x, x * GroupAlgebraElement.scalar(n, 3), x * y, t * t,
+              GroupAlgebraElement.dot([(x, y), (t, t), (y, 5)])]
+    assert loops == {"_combination", "_cayley_dot", "_accumulate"}
+    wide = top_embed(x, 2, n) * embed(t, (1, 2, 3, 6), 6)
+    built += [trace_map(wide, 2, n, p) for p in (2, F(1, 3), UPoly.gen())]
+    rep = IrrepAction((2, 1, 1))
+    rep.matrix_of_ga(x * y)
+    assert len(rep._perm_cache) > 1
+    for a in built:
+        assert keys(a) and all(type(k) is tuple for k in keys(a)), a
+    assert all(type(k) is tuple for k in rep._perm_cache)
+    assert all(type(p) is tuple for p in all_permutations(n))
+
+
 def test_json_round_shapes():
     a = ga_transposition(2, 1, 2) * F(1, 3) + GroupAlgebraElement.scalar(2, F(2))
     j = a.to_json()
@@ -727,9 +770,9 @@ def test_json_round_shapes():
 def test_all_permutations_match_the_validated_list():
     # rng.choice draws depend on this order
     for n in range(1, 5):
-        validated = [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
+        validated = [permutation(im) for im in itertools.permutations(range(1, n + 1))]
         assert all_permutations(n) == validated
-        assert Permutation.identity(n) == Permutation(range(1, n + 1))
+        assert identity(n) == permutation(range(1, n + 1))
 
 
 # The element operations against plain dicts of coefficients: the same keys,
@@ -752,7 +795,7 @@ def dict_neg(x: dict) -> dict:
 
 
 def dict_lift(n: int, c) -> dict:
-    return {Permutation.identity(n): c} if c else {}
+    return {identity(n): c} if c else {}
 
 
 def dict_times(x: dict, c, left: bool) -> dict:
@@ -928,7 +971,7 @@ def test_hash_reads_the_form():
 
 
 def test_elements_hold_only_int_and_fraction_coefficients():
-    t = Permutation.transposition(3, 1, 2)
+    t = transposition(3, 1, 2)
     for bad in (0.5, 0.0, True, UPoly.gen(), UPoly([F(1)])):
         with pytest.raises(TypeError, match=type(bad).__name__):
             GroupAlgebraElement(3, {t: bad})
@@ -964,7 +1007,7 @@ def test_scalar_side_dots_match_plain_dicts(n):
     # product would take the Cayley table
     rng = SeededRandom(301 + n)
     perms = all_permutations(n)
-    one = Permutation.identity(n)
+    one = identity(n)
     draws = {int: lambda: rng.integer(-3, 3), F: lambda: rng.rational(3, 4)}
 
     def dot(case):
@@ -998,10 +1041,10 @@ def test_scalar_side_dots_match_plain_dicts(n):
             assert_matches(dot(case), dict_dot(n, case))
         # one true product beside a scalar pair stays on the product path:
         # n! term pairs on the Cayley table, so its keys come in sorted order
-        case = [(full, c), ({Permutation.transposition(n, 1, 2): kind(1)}, full)]
+        case = [(full, c), ({transposition(n, 1, 2): kind(1)}, full)]
         got, want = dot(case), dict_dot(n, case)
         assert_matches(got, want, ordered=False)
-        assert list(got.terms) == sorted(want, key=lambda p: p.images) != list(want)
+        assert list(got.terms) == sorted(want) != list(want)
 
 
 def test_rational_elements_build_no_terms_until_read():

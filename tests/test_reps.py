@@ -137,20 +137,19 @@ def _scaled_int_products(n, elements, scale):
     import numpy as np
 
     perms = all_permutations(n)
-    index = {p.images: i for i, p in enumerate(perms)}
+    index = {p: i for i, p in enumerate(perms)}
     order = len(perms)
     table = np.empty((order, order), dtype=np.int32)
     for i, p in enumerate(perms):
-        pim = p.images
         for j, q in enumerate(perms):
-            table[i, j] = index[tuple(pim[x - 1] for x in q.images)]
+            table[i, j] = index[tuple(p[x - 1] for x in q)]
     vecs = []
     for el in elements:
         v = np.zeros(order, dtype=np.int64)
         for p, c in el.terms.items():
             num = c * scale
             assert num.denominator == 1
-            v[index[p.images]] = int(num)
+            v[index[p]] = int(num)
         assert np.max(np.abs(v)) < 2**20  # int64 accumulation is exact
         vecs.append(v)
 
@@ -172,9 +171,9 @@ def test_idempotents_complete_and_orthogonal_n6():
     for i, chi in enumerate(chis4):
         direct = chi * chis4[(i + 1) % len(chis4)]
         fast = product4(vecs4[i], vecs4[(i + 1) % len(chis4)])
-        lookup = {p.images: k for k, p in enumerate(all_permutations(n4))}
+        lookup = {p: k for k, p in enumerate(all_permutations(n4))}
         for p in all_permutations(n4):
-            got = F(int(fast[lookup[p.images]]), math.factorial(n4) ** 2)
+            got = F(int(fast[lookup[p]]), math.factorial(n4) ** 2)
             assert got == direct.coeff(p)
 
     n = 6
@@ -353,6 +352,9 @@ def test_block_matrix_degree_mismatch():
     for op in (lambda: a + b, lambda: a * b, lambda: b + a, lambda: b * a):
         with pytest.raises(ValueError, match="degree mismatch: [34] vs [34]"):
             op()
+    # an irreducible action of S_4 applied to an element of S_3
+    with pytest.raises(ValueError, match="degree mismatch: 3 vs 4"):
+        seminormal_rep((3, 1)).matrix_of_ga(ga_transposition(3, 1, 2))
     with pytest.raises(ValueError):
         BlockMatrix(3, 1, BlockMatrix.identity(4).blocks)
     with pytest.raises(ValueError):
@@ -362,7 +364,7 @@ def test_block_matrix_degree_mismatch():
 def oracle_matrix_of(rep, p):
     """The seminormal image of a permutation as a dense Fraction product along
     its bubble-sort word, as first written."""
-    pos = {v: i for i, v in enumerate(p.images)}
+    pos = {v: i for i, v in enumerate(p)}
     word = []
     changed = True
     while changed:

@@ -608,6 +608,17 @@ def test_joint_eigen_rounds_each_entry_once():
     recs = joint_eigen({"squarefree": True, "element": x}, {"x": x})
     assert recs[0].eigenvalues["x"] == float(F(2**53 + 5, 3)) == 3002399751580332.5
     assert float(2**53 + 5) / 3 == 3002399751580332.0
+    # the certified element's own block: its eigenvectors are those of the
+    # correctly rounded entries, and rounding the numerators first moves them
+    blk = [2**53 + 5, 1, 0, 1]
+    y = BlockMatrix(3, 3, [[1], blk, [2]])
+    recs = joint_eigen({"squarefree": True, "element": y}, {"y": y})
+    _, vecs = np.linalg.eig(np.array([float(F(v, 3)) for v in blk]).reshape(2, 2))
+    _, twice = np.linalg.eig((np.array(blk, dtype=float) / 3).reshape(2, 2))
+    assert not np.array_equal(vecs, twice)
+    assert [rec.partition for rec in recs[1:3]] == [(2, 1)] * 2
+    for col, rec in enumerate(recs[1:3]):
+        assert np.array_equal(rec.vector, vecs[:, col] / np.linalg.norm(vecs[:, col]))
 
 
 def test_joint_eigen_n2_homogeneous_values():

@@ -10,10 +10,12 @@ from snbethe.rings import SeededRandom, UPoly, scalar_root_poly
 from snbethe.linalg import rank
 from snbethe.permutations import (
     GroupAlgebraElement,
-    Permutation,
     all_permutations,
     antisymmetrizer,
+    compose,
+    identity,
     trace_map,
+    transposition,
 )
 from snbethe.gaudin import phi_polys
 from snbethe.xxx import t_m_poly, xxx_params
@@ -35,7 +37,7 @@ F = Fraction
 def test_identity_and_swap():
     ident = varpi(GroupAlgebraElement.scalar(2, F(1)), 3)
     assert ident == TensorOperator.identity(3, 2)
-    swap = varpi_perm(Permutation.transposition(2, 1, 2), 2)
+    swap = varpi_perm(transposition(2, 1, 2), 2)
     # the 4x4 swap matrix: basis order 11, 12, 21, 22
     assert swap.entries == {
         (0, 0): F(1), (1, 2): F(1), (2, 1): F(1), (3, 3): F(1)
@@ -47,7 +49,7 @@ def test_varpi_multiplicative():
     perms = all_permutations(3)
     for _ in range(8):
         p, q = rng.choice(perms), rng.choice(perms)
-        assert varpi_perm(p * q, 2) == varpi_perm(p, 2) * varpi_perm(q, 2)
+        assert varpi_perm(compose(p, q), 2) == varpi_perm(p, 2) * varpi_perm(q, 2)
 
 
 @pytest.mark.parametrize("N,n", [(1, 2), (2, 2), (2, 3), (3, 3)])
@@ -77,7 +79,7 @@ def test_partial_trace_identity_and_factorized():
 
 
 def test_trace_of_swap():
-    got = partial_trace(varpi_perm(Permutation.transposition(2, 1, 2), 2), 1)
+    got = partial_trace(varpi_perm(transposition(2, 1, 2), 2), 1)
     assert got == TensorOperator.identity(2, 1)
 
 
@@ -103,7 +105,7 @@ def test_diffop_coefficients_N1():
     # C_{1,j} are the coefficients of Phi_1 (scalar multiples of the identity)
     for j in range(0, 2):
         c = polys[0].coeff(2 - 1 - j)
-        scalar = c.coeff(Permutation.identity(2)) if isinstance(c, GroupAlgebraElement) else c
+        scalar = c.coeff(identity(2)) if isinstance(c, GroupAlgebraElement) else c
         assert table[(1, j)] == TensorOperator.identity(1, 2) * scalar
     # leading row: coefficients of the root product
     root = scalar_root_poly(z)

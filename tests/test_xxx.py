@@ -10,13 +10,14 @@ from helpers import bivariate, distinct_rationals, lift_u, v_coeff
 from snbethe.rings import SeededRandom, UPoly, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
-    Permutation,
     antisymmetrizer,
     antisymmetrizer_classes,
     cycle_type,
     ga_lift,
     ga_perm,
     ga_transposition,
+    inverse,
+    permutation,
     top_embed,
     trace_map,
 )
@@ -69,7 +70,7 @@ def layout(poly):
     def terms(e):
         if isinstance(e, UPoly):
             return "UPoly", [terms(x) for x in e.coeffs]
-        return [(q.images, type(c).__name__, c) for q, c in e.terms.items()]
+        return [(q, type(c).__name__, c) for q, c in e.terms.items()]
 
     return [terms(e) for e in poly.coeffs]
 
@@ -417,7 +418,7 @@ def test_cycle_shift(n):
     from snbethe.homogeneous import gamma_perm
 
     gam = gamma_perm(n)
-    g, ginv = ga_perm(gam), ga_perm(gam.inverse())
+    g, ginv = ga_perm(gam), ga_perm(inverse(gam))
     zrot = pr.z[1:] + pr.z[:1]
     prot = xxx_params(zrot, pr.hbar)
     for m in range(1, n + 1):
@@ -447,7 +448,7 @@ def test_reversal_and_dagger(n):
     rng = SeededRandom(n + 111)
     pr = xxx_params(distinct_rationals(rng, n), F(1, 2))
     N = n
-    rho = ga_perm(Permutation([n + 1 - i for i in range(1, n + 1)]))
+    rho = ga_perm(permutation([n + 1 - i for i in range(1, n + 1)]))
     pneg = xxx_params(tuple(-x for x in pr.z), pr.hbar)
     prev = xxx_params(tuple(reversed(pr.z)), pr.hbar)
     for m in range(0, N + 1):

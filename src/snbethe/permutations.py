@@ -27,13 +27,12 @@ through, so it avoids per-term overhead in three ways:
   cd, and each result is divided by the gcd of d and its numerators
   (``_reduced``, which builds the result with no zero filter or type scan:
   an operation's numerators are nonzero ints by construction).  The
-  form is canonical, so ``==`` and ``hash`` read it directly, across the
-  two kinds too.  ``terms`` builds the Fractions on first read; ``represent``
-  and ``trace_map`` read the numerators.  Polynomials (``UPoly``, also
-  nested: a polynomial in u and v, or in u over polynomials in the trace
-  parameter p) hold elements as coefficients, so an operation of an element
-  with a polynomial returns NotImplemented and the polynomial's reflected
-  operator applies.
+  form is canonical, so ``==`` and ``hash`` read it directly.  ``terms``
+  builds the Fractions on first read; ``represent`` and ``trace_map`` read
+  the numerators.  Polynomials (``UPoly``, also nested: a polynomial in u
+  and v, or in u over polynomials in the trace parameter p) hold elements
+  as coefficients, so an operation of an element with a polynomial returns
+  NotImplemented and the polynomial's reflected operator applies.
 * One sum-of-products kernel.  ``GroupAlgebraElement.dot(pairs)`` is the
   sum of a*b over pairs (a, b) of elements, a scalar factor read on the
   identity.  A product is ``dot`` on one pair, and polynomial products and
@@ -42,13 +41,10 @@ through, so it avoids per-term overhead in three ways:
   loops: a linear combination, the Cayley table or ``_accumulate`` (the
   dict product).
 
-  - Kind rule: a sum or product of nonempty operands is int when both are,
-    and Fraction otherwise; a sum with an empty operand is the other one,
-    and an empty result is int.  A dot is int when every live pair (both
-    factors nonzero) has two int factors.  The factors' numerators are read
-    as they are, all term pairs accumulate Python ints over D, the lcm of
-    the live pairs' da*db (a pair's left numerators times D/(da*db)), and
-    the nonzero sums are the output's numerators over D.
+  - Denominators: a dot reads the numerators of its live pairs (both
+    factors nonzero) as they are, all term pairs accumulate Python ints over
+    D, the lcm of the live pairs' da*db (a pair's left numerators times
+    D/(da*db)), and the nonzero sums are the output's numerators over D.
   - Exactness: the scaled partial sum is the true partial sum times D, so it
     is zero exactly when the true one is.
   - Linear combinations.  When every live pair of a dot has a factor c*1
@@ -108,11 +104,14 @@ def transposition(n: int, a: int, b: int) -> tuple:
 
 
 def cycle(n: int, symbols) -> tuple:
-    im = list(range(1, n + 1))
     syms = list(symbols)
+    bad = sorted({s for s in syms if not 1 <= s <= n or syms.count(s) > 1})
+    if bad:
+        raise ValueError(f"bad cycle symbols {bad} in degree {n}")
+    im = list(range(1, n + 1))
     for i, s in enumerate(syms):
         im[s - 1] = syms[(i + 1) % len(syms)]
-    return permutation(im)
+    return tuple(im)
 
 
 def _gather(q: tuple):
@@ -230,29 +229,28 @@ def _rational(c):
                     + type(c).__name__)
 
 
-def _reduced(n: int, kind, d: int, nums: dict) -> "GroupAlgebraElement":
-    """The element of the nonzero numerators ``nums`` over d of the given
-    kind, with d and the numerators divided by their gcd: its canonical form
-    (see ``GroupAlgebraElement``)."""
+def _reduced(n: int, d: int, nums: dict) -> "GroupAlgebraElement":
+    """The element of the nonzero numerators ``nums`` over d, with d and the
+    numerators divided by their gcd: its canonical form (see
+    ``GroupAlgebraElement``)."""
     if not nums:
-        kind, d = int, 1
+        d = 1
     elif d > 1:
         g = math.gcd(d, *nums.values())
         if g > 1:
             d //= g
             nums = {p: x // g for p, x in nums.items()}
     a = object.__new__(GroupAlgebraElement)
-    a.n, a._kind, a._d, a._nums, a._terms = n, kind, d, nums, None
+    a.n, a._d, a._nums, a._terms = n, d, nums, None
     return a
 
 
 def _factor(x, n: int):
-    """(kind, d, nums) of a factor of ``dot``: an element's own form, a
-    scalar's on the identity; nums is empty for a zero factor."""
+    """(d, nums) of a factor of ``dot``: an element's own form, a scalar's
+    on the identity; nums is empty for a zero factor."""
     if isinstance(x, GroupAlgebraElement):
-        return x._kind, x._d, x._nums
-    kind = type(_rational(x))
-    return kind, x.denominator, {identity(n): x.numerator} if x else {}
+        return x._d, x._nums
+    return _rational(x).denominator, {identity(n): x.numerator} if x else {}
 
 
 def _dot(pairs) -> "GroupAlgebraElement":
@@ -269,26 +267,24 @@ def _dot(pairs) -> "GroupAlgebraElement":
     if not degrees:
         return sum(a * b for a, b in pairs)
     n = degrees.pop()
-    kind, live, d = int, [], 1
+    live, d = [], 1
     for a, b in pairs:
-        (ka, da, na), (kb, db, nb) = _factor(a, n), _factor(b, n)
+        (da, na), (db, nb) = _factor(a, n), _factor(b, n)
         if na and nb:
             live.append((na, nb, da * db))
             d = math.lcm(d, da * db)
-            if ka is Fraction or kb is Fraction:
-                kind = Fraction
     combination = _combination(n, live, d)
     if combination is not None:
-        return _reduced(n, kind, d, combination)
+        return _reduced(n, d, combination)
     scaled = [(na.items() if dp == d else [(p, x * (d // dp)) for p, x in na.items()],
                nb.items()) for na, nb, dp in live]
     if (n <= CAYLEY_MAX_DEGREE
             and sum(len(na) * len(nb) for na, nb, _ in live) >= math.factorial(n)):
-        return _reduced(n, kind, d, _cayley_dot(n, scaled))
+        return _reduced(n, d, _cayley_dot(n, scaled))
     acc = {}
     for left, right in scaled:
         _accumulate(acc, left, right)
-    return _reduced(n, kind, d, acc)
+    return _reduced(n, d, acc)
 
 
 def _combination(n: int, live, d: int):
@@ -337,39 +333,39 @@ def _cayley_dot(n: int, scaled) -> dict:
 
 class GroupAlgebraElement:
     """Sparse element of the group algebra of S_n over the rationals:
-    permutation (image tuple) -> int or Fraction coefficient.
+    permutation (image tuple of 1..n) -> Fraction coefficient, built from
+    int or Fraction coefficients.
 
     Scalars occurring in mixed arithmetic are read as scalar multiples of
-    the identity permutation.  Zero coefficients are never stored, and a
-    coefficient of any other type raises TypeError.
+    the identity permutation.  Zero coefficients are never stored; any other
+    key raises ValueError and any other coefficient type TypeError.
 
     The form: ``nums``, permutation -> integer numerator over one
-    denominator d, the lcm of the coefficients' reduced denominators, and a
-    kind, int when every coefficient is an int (then d = 1; the empty
-    element too) and Fraction otherwise.  ``terms``, permutation ->
-    coefficient of the element's kind, is built from the form on first read.
+    denominator d, the lcm of the coefficients' reduced denominators (1 for
+    the empty element); ``terms`` is built from it on first read.
     """
 
-    __slots__ = ("n", "_kind", "_d", "_nums", "_terms")
+    __slots__ = ("n", "_d", "_nums", "_terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
         self._terms = None
-        coeffs = {p: c for p, c in terms.items() if _rational(c)} if terms else {}
-        if all(type(c) is int for c in coeffs.values()):
-            self._kind, self._d, self._nums = int, 1, coeffs
-        else:
-            self._d, nums = _int_scaled(coeffs.values())
-            self._kind, self._nums = Fraction, dict(zip(coeffs, nums))
+        terms = terms or {}
+        symbols = set(range(1, n + 1))
+        for p in terms:
+            if type(p) is not tuple or len(p) != n or set(p) != symbols:
+                raise ValueError(f"not a permutation of 1..{n}: {p!r}")
+        coeffs = {p: c for p, c in terms.items() if _rational(c)}
+        self._d, nums = _int_scaled(coeffs.values())
+        self._nums = dict(zip(coeffs, nums))
 
     @property
     def terms(self) -> dict:
-        """permutation -> coefficient, in the form's key order."""
+        """permutation -> Fraction coefficient, in the form's key order."""
         t = self._terms
         if t is None:
             d = self._d
-            t = self._terms = (self._nums if self._kind is int
-                               else {p: Fraction(x, d) for p, x in self._nums.items()})
+            t = self._terms = {p: Fraction(x, d) for p, x in self._nums.items()}
         return t
 
     def numerators(self):
@@ -408,7 +404,7 @@ class GroupAlgebraElement:
         return hash((self.n, self._d, frozenset(self._nums.items())))
 
     def __neg__(self):
-        return _reduced(self.n, self._kind, self._d, {p: -x for p, x in self._nums.items()})
+        return _reduced(self.n, self._d, {p: -x for p, x in self._nums.items()})
 
     def __add__(self, other):
         if isinstance(other, UPoly):
@@ -421,7 +417,6 @@ class GroupAlgebraElement:
             return self
         if not self._nums:
             return other
-        kind = int if self._kind is int and other._kind is int else Fraction
         # the numerators merge over the lcm of the denominators
         da, db = self._d, other._d
         d = da if da == db else math.lcm(da, db)
@@ -435,7 +430,7 @@ class GroupAlgebraElement:
                 out[p] = s
             else:
                 pop(p, None)
-        return _reduced(self.n, kind, d, out)
+        return _reduced(self.n, d, out)
 
     __radd__ = __add__
 
@@ -446,11 +441,9 @@ class GroupAlgebraElement:
         return (-self) + other
 
     def _scaled(self, c):
-        """self times an int or Fraction c, on the numerators; the product
-        is a Fraction when either side is."""
-        kind = Fraction if type(_rational(c)) is Fraction else self._kind
-        cn = c.numerator
-        return _reduced(self.n, kind, self._d * c.denominator,
+        """self times an int or Fraction c, on the numerators."""
+        cn = _rational(c).numerator
+        return _reduced(self.n, self._d * c.denominator,
                         {p: x * cn for p, x in self._nums.items()} if cn else {})
 
     def __mul__(self, other):
@@ -469,7 +462,7 @@ class GroupAlgebraElement:
     def _rekeyed(self, n: int, f) -> "GroupAlgebraElement":
         """The element of S_n with each permutation p replaced by f(p); f
         must be injective."""
-        return _reduced(n, self._kind, self._d, {f(p): x for p, x in self._nums.items()})
+        return _reduced(n, self._d, {f(p): x for p, x in self._nums.items()})
 
     def dagger(self) -> "GroupAlgebraElement":
         """Linear antiinvolution: each permutation goes to its inverse."""
@@ -485,9 +478,8 @@ class GroupAlgebraElement:
         return sorted(self.terms)
 
     def to_json(self):
-        terms, fraction = self.terms, self._kind is Fraction
-        return [{"perm": list(p),
-                 "coeff": format_rational(terms[p]) if fraction else terms[p]}
+        terms = self.terms
+        return [{"perm": list(p), "coeff": format_rational(terms[p])}
                 for p in self.support()]
 
     def __repr__(self):
@@ -520,7 +512,7 @@ def antisymmetrizer(m: int) -> GroupAlgebraElement:
     it."""
     if m < 1:
         raise ValueError("antisymmetrizer needs m >= 1")
-    return _reduced(m, Fraction, math.factorial(m), {p: sign(p) for p in all_permutations(m)})
+    return _reduced(m, math.factorial(m), {p: sign(p) for p in all_permutations(m)})
 
 
 def antisymmetrizer_classes(m: int) -> GroupAlgebraElement:
@@ -574,10 +566,9 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
     Each permutation loses the symbols above n from its cycles, and the term
     is weighted by p to the number of orbits lost entirely.  p is a rational
     (int or Fraction) or the symbolic generator ``UPoly.gen()``.  For a
-    rational p the trace is an element of S_n, int when p and ``a`` are, else
-    Fraction.  For the symbolic p it is the polynomial in p
-    ``UPoly([T_0, T_1, ...])`` over the group algebra, T_l the Fraction
-    element of S_n that is the coefficient of p^l.
+    rational p the trace is an element of S_n.  For the symbolic p it is the
+    polynomial in p ``UPoly([T_0, T_1, ...])`` over the group algebra, T_l
+    the element of S_n that is the coefficient of p^l.
 
     One pass over integer numerators over one denominator d: each term sends
     every symbol i <= n to the next symbol <= n on its orbit, marking the top
@@ -622,7 +613,7 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
             for l, s in sums.items():
                 if s:
                     coeffs[l][res] = s
-        return UPoly([_reduced(n, Fraction, d, c) for c in coeffs])
+        return UPoly([_reduced(n, d, c) for c in coeffs])
     # every sum over d * pd**k
     pn, pd = p.numerator, p.denominator
     out = {}
@@ -630,8 +621,7 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
         total = sum(s * pn**l * pd ** (k - l) for l, s in sums.items())
         if total:
             out[res] = total
-    kind = int if isinstance(p, int) and a._kind is int else Fraction
-    return _reduced(n, kind, d * pd**k, out)
+    return _reduced(n, d * pd**k, out)
 
 
 def antiinvolution(a: GroupAlgebraElement, kind: str = "dagger") -> GroupAlgebraElement:

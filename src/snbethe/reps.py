@@ -344,7 +344,7 @@ def _central_idempotent(la: Partition, n: int) -> GroupAlgebraElement:
         raise ValueError("partition size mismatch")
     dim = dimension(la)
     weights = {mu: dim * character(la, mu).numerator for mu in partitions_of(n)}
-    return _reduced(n, Fraction, math.factorial(n),
+    return _reduced(n, math.factorial(n),
                     {p: weights[mu] for p, mu in typed_permutations(n) if weights[mu]})
 
 

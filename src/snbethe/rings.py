@@ -270,8 +270,8 @@ def poly_divmod(f: UPoly, g: UPoly):
     weights.  When f's coefficients have a ``dot`` hook (group-algebra
     elements, or polynomials for a polynomial over polynomials), the
     weights are ``_divide`` of sum_k t^k u^k by g and each output is one
-    ``dot`` over f's coefficients: the same values, though where
-    coefficients mix int and Fraction terms an output term's type, which
+    ``dot`` over f's coefficients: the same values, though over polynomials
+    whose scalars mix int and Fraction an output scalar's type, which
     follows the order of the additions, can differ from ``_divide`` on f.
     The weights depend only on len(f.coeffs) and g, so
     ``_division_weights`` computes them once per such pair."""

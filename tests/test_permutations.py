@@ -3,6 +3,7 @@ group-algebra arithmetic, antiinvolutions, and the cycle-deletion trace."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,24 @@ def test_public_constructor_validates():
         with pytest.raises(ValueError, match="bad transposition"):
             transposition(3, a, b)
     assert transposition(4, 1, 3) == (3, 2, 1, 4)
+    # a repeated symbol or one outside 1..n is named, not read modulo n
+    for symbols, named in (([1, 1], "[1]"), ([0, 2], "[0]"), ([1, 4], "[4]"),
+                           ([2, 3, 2, 5], "[2, 5]")):
+        with pytest.raises(ValueError, match=re.escape(f"bad cycle symbols {named} in degree 3")):
+            cycle(3, symbols)
+    assert cycle(3, [1, 2, 3]) == (2, 3, 1) and cycle(3, []) == identity(3)
+
+
+def test_element_keys_are_permutations_of_the_degree():
+    # every key the constructor is given must be a tuple permutation of 1..n,
+    # a zero coefficient's key too; the error names the key
+    for bad in ((1, 2), (1, 2, 3, 4), (1, 1, 3), (0, 1, 2), "123", 3):
+        with pytest.raises(ValueError, match=re.escape(f"not a permutation of 1..3: {bad!r}")):
+            GroupAlgebraElement(3, {bad: 1})
+        with pytest.raises(ValueError, match="not a permutation"):
+            GroupAlgebraElement(3, {(2, 1, 3): F(1, 2), bad: 0})
+    assert GroupAlgebraElement(3, {(3, 1, 2): 2}).terms == {(3, 1, 2): F(2)}
+    assert GroupAlgebraElement(0, {(): 1}) == GroupAlgebraElement.scalar(0, 1)
 
 
 def test_cycle_data_examples():
@@ -155,7 +174,7 @@ def oracle_product(x, y):
 
 # kind -> (coefficient of the identity, coefficient of a transposition,
 #          random coefficient); "mixed" draws an int or a Fraction per term,
-#          so that a dict of both builds a Fraction element, and it also
+#          so that an element is built from a dict of both, and it also
 #          multiplies all-int by all-Fraction factors
 COEFF_KINDS = {
     "fraction": (F(1), F(1), lambda rng: rng.rational(2, 3)),
@@ -267,46 +286,11 @@ def test_cayley_table_matches_permutation_product():
                 assert perms[rows[i][j]] == compose(p, perms[j])
 
 
-def has_fraction(*xs) -> bool:
-    """Whether a nonzero one of xs (elements, plain dicts or scalars) holds
-    a Fraction: the kind rule makes a sum or product of them Fraction."""
-    def values(x):
-        if isinstance(x, GroupAlgebraElement):
-            return x.terms.values()
-        return x.values() if isinstance(x, dict) else [x]
-
-    return any(type(c) is F for x in xs if x for c in values(x))
-
-
-def of_kind(terms: dict, fraction: bool) -> dict:
-    """The plain dict with the coefficients of the kind rule: Fractions
-    when fraction is set, else the ints they are."""
-    if fraction:
-        return {p: F(c) for p, c in terms.items()}
-    assert all(type(c) is int for c in terms.values())
-    return terms
-
-
-def dot_has_fraction(pairs) -> bool:
-    """The kind rule of a dot: Fraction when a live pair (both factors
-    nonzero) has a Fraction factor."""
-    return any(a and b and has_fraction(a, b) for a, b in pairs)
-
-
 def oracle_dot(n, pairs):
     def plain(x):
         return x.terms if isinstance(x, GroupAlgebraElement) else x
 
-    terms = dict_dot(n, [(plain(a), plain(b)) for a, b in pairs])
-    return GroupAlgebraElement(n, of_kind(terms, dot_has_fraction(pairs)))
-
-
-def assert_same_terms(got, want):
-    """Same keys, values and coefficient types; the key order may differ."""
-    assert got.terms == want.terms
-    assert {p: type(c) for p, c in got.terms.items()} == {
-        p: type(c) for p, c in want.terms.items()
-    }
+    return GroupAlgebraElement(n, dict_dot(n, [(plain(a), plain(b)) for a, b in pairs]))
 
 
 @pytest.mark.parametrize("kind", sorted(COEFF_KINDS))
@@ -342,10 +326,10 @@ def test_dot_matches_sum_of_oracle_products(kind):
                     pairs.append((-a, b))
             got = GroupAlgebraElement.dot(pairs)
             assert got.n == n
-            assert_same_terms(got, oracle_dot(n, pairs))
+            assert got.terms == oracle_dot(n, pairs).terms
         # one pair is the product itself
         x, y = element(), element()
-        assert_same_terms(GroupAlgebraElement.dot([(x, y)]), x * y)
+        assert GroupAlgebraElement.dot([(x, y)]).terms == (x * y).terms
         s_ = GroupAlgebraElement.from_perm(transposition(n, 1, 2), coeff(rng))
         assert not GroupAlgebraElement.dot([(s_, s_), (-s_, s_)])
 
@@ -409,9 +393,6 @@ def test_polynomial_products_over_the_group_algebra_match_the_generic_loop(
     hooked = [op(f, g) for op, f, g in cases]
     monkeypatch.delattr(GroupAlgebraElement, "dot")
     for got, (op, f, g) in zip(hooked, cases):
-        # a division by weights adds in another order than step by step, so
-        # with mixed int and Fraction terms only the values must agree
-        same_types = kind != "mixed" or op is multiply
         for x, y in zip(got, op(f, g), strict=True):
             assert type(x) is type(y)
             xs, ys = (flat_coeffs(p) for p in (x, y))
@@ -421,8 +402,8 @@ def test_polynomial_products_over_the_group_algebra_match_the_generic_loop(
                     # a zero output of a division may be the empty element
                     # on one side and the scalar 0 on the other
                     assert op is divide and not a and not b
-                elif isinstance(a, GroupAlgebraElement) and same_types:
-                    assert_same_terms(a, b)
+                elif isinstance(a, GroupAlgebraElement):
+                    assert a.terms == b.terms
                 else:
                     assert a == b
 
@@ -721,9 +702,10 @@ def test_class_sum_sizes():
 
 def test_every_key_is_a_tuple(monkeypatch):
     # a permutation is its image tuple wherever an element or a cache keys
-    # one: products through each of the three loops, the element
-    # operations, the trace map at a rational and the symbolic p, and the
-    # irreducible action's cache of permutation images
+    # one, and every coefficient an element reads is a Fraction, for
+    # int-built elements too: products through each of the three loops, the
+    # element operations, the trace map at a rational and the symbolic p,
+    # and the irreducible action's cache of permutation images
     loops = set()
     for name in ("_combination", "_cayley_dot", "_accumulate"):
         def spy(*args, name=name, real=getattr(permutations, name)):
@@ -738,22 +720,32 @@ def test_every_key_is_a_tuple(monkeypatch):
             return [k for c in a.coeffs for k in keys(c)]
         return list(a.numerators()[1]) + list(a.terms)
 
+    def terms(a):
+        if isinstance(a, UPoly):
+            return [c for x in a.coeffs for c in terms(x)]
+        return list(a.terms.values())
+
     n = 4
     x = class_sum(n, (3, 1)) * F(1, 2) + ga_perm(cycle(n, [1, 2]))
     y = class_sum(n, (2, 1, 1)) - 3
-    t = ga_transposition(n, 1, 2) + ga_transposition(n, 3, 4)
-    built = [x, y, t, -x, x * F(2, 3), x.dagger(), embed(t, (1, 2, 4, 5), 5),
-             top_embed(x, 2, n), antisymmetrizer(3), class_sum(5, (2, 2, 1))]
-    built += [x * 2, 2 * x, x * GroupAlgebraElement.scalar(n, 3), x * y, t * t,
-              GroupAlgebraElement.dot([(x, y), (t, t), (y, 5)])]
+    t = GroupAlgebraElement(n, {transposition(n, 1, 2): 1, transposition(n, 3, 4): 1})
+    three = GroupAlgebraElement.scalar(n, 3)
+    built = [x, y, t, three, -x, -t, t + t, t - 1, x * F(2, 3), x.dagger(), t.dagger(),
+             embed(t, (1, 2, 4, 5), 5), top_embed(x, 2, n), antisymmetrizer(3),
+             class_sum(5, (2, 2, 1))]
+    built += [x * 2, 2 * x, t * 2, x * three, x * y, t * t, three * three,
+              GroupAlgebraElement.dot([(x, y), (t, t), (y, 5)]),
+              GroupAlgebraElement.dot([(t, t), (three, t)])]
     assert loops == {"_combination", "_cayley_dot", "_accumulate"}
     wide = top_embed(x, 2, n) * embed(t, (1, 2, 3, 6), 6)
-    built += [trace_map(wide, 2, n, p) for p in (2, F(1, 3), UPoly.gen())]
+    ints = embed(t * t, (1, 2, 3, 6), 6)
+    built += [trace_map(a, 2, n, p) for a in (wide, ints) for p in (2, F(1, 3), UPoly.gen())]
     rep = IrrepAction((2, 1, 1))
     rep.matrix_of_ga(x * y)
     assert len(rep._perm_cache) > 1
     for a in built:
         assert keys(a) and all(type(k) is tuple for k in keys(a)), a
+        assert all(type(c) is F for c in terms(a)), a
     assert all(type(k) is tuple for k in rep._perm_cache)
     assert all(type(p) is tuple for p in all_permutations(n))
 
@@ -775,9 +767,9 @@ def test_all_permutations_match_the_validated_list():
         assert identity(n) == permutation(range(1, n + 1))
 
 
-# The element operations against plain dicts of coefficients: the same keys,
-# values and coefficient types, and the key order where the operation fixes
-# one (a sum lists self's keys then other's new ones).
+# The element operations against plain dicts of coefficients: the same keys
+# and values, and the key order where the operation fixes one (a sum lists
+# self's keys then other's new ones).
 
 def dict_add(x: dict, y: dict) -> dict:
     out = dict(x)
@@ -818,8 +810,6 @@ def dict_dot(n: int, pairs) -> dict:
 
 def assert_matches(got, want: dict, ordered=True):
     assert got.terms == want
-    assert {p: type(c) for p, c in got.terms.items()} == {
-        p: type(c) for p, c in want.items()}
     if ordered:
         assert list(got.terms) == list(want)
     assert bool(got) == bool(want)
@@ -827,8 +817,8 @@ def assert_matches(got, want: dict, ordered=True):
     assert got == built and hash(got) == hash(built)
 
 
-# element kind -> one random coefficient; "mixed" starts with an int and
-# ends with a Fraction, so that its dict builds a Fraction element
+# input kind -> one random coefficient; "mixed" starts with an int and ends
+# with a Fraction, so that its dict holds both
 ELEMENT_KINDS = {
     "int": lambda rng: rng.integer(-3, 3),
     "fraction": lambda rng: rng.rational(3, 4),
@@ -864,7 +854,7 @@ def test_element_operations_match_plain_dicts(n):
     for kind in ELEMENT_KINDS:
         for _ in range(3):
             x = random_plain(rng, perms, kind)
-            pool.append((GroupAlgebraElement(n, x), of_kind(x, has_fraction(x))))
+            pool.append((GroupAlgebraElement(n, x), x))
     base = len(pool)
     pool += pool
     for a, x in pool:
@@ -875,12 +865,10 @@ def test_element_operations_match_plain_dicts(n):
         c = SCALARS[rng.integer(0, len(SCALARS) - 1)](rng)
         op = rng.integer(0, 9)
         seen.add(op)
-        # a sum mixing int and Fraction is Fraction (see has_fraction); a
-        # product by a scalar is so on each coefficient
         if op == 0:
-            got, want = a + b, of_kind(dict_add(x, y), has_fraction(x, y))
+            got, want = a + b, dict_add(x, y)
         elif op == 1:
-            got, want = a - b, of_kind(dict_add(x, dict_neg(y)), has_fraction(x, y))
+            got, want = a - b, dict_add(x, dict_neg(y))
         elif op == 2:
             got, want = -a, dict_neg(x)
         elif op == 3:
@@ -888,10 +876,9 @@ def test_element_operations_match_plain_dicts(n):
         elif op == 4:
             got, want = a * c, dict_times(x, c, False)
         elif op == 5 and rng.integer(0, 1):
-            got, want = a + c, of_kind(dict_add(x, dict_lift(n, c)), has_fraction(x, c))
+            got, want = a + c, dict_add(x, dict_lift(n, c))
         elif op == 5:
-            got, want = c - a, of_kind(dict_add(dict_neg(x), dict_lift(n, c)),
-                                       has_fraction(x, c))
+            got, want = c - a, dict_add(dict_neg(x), dict_lift(n, c))
         elif op in (6, 7):
             pairs = [((a, x), (b, y))] + [
                 rng.choice([(rng.choice(pool), c), (c, rng.choice(pool)),
@@ -902,8 +889,7 @@ def test_element_operations_match_plain_dicts(n):
                  for pair in pairs])
             plain = [tuple(f[1] if isinstance(f, tuple) else f for f in pair)
                      for pair in pairs]
-            assert_matches(got, of_kind(dict_dot(n, plain), dot_has_fraction(plain)),
-                           ordered=False)
+            assert_matches(got, dict_dot(n, plain), ordered=False)
             continue
         elif op == 8:
             e, z = rng.choice(pool)
@@ -914,7 +900,7 @@ def test_element_operations_match_plain_dicts(n):
                 for v in plains[i + 1:]:
                     if isinstance(u, dict) or isinstance(v, dict):
                         pairs = [(u, v), (dict_neg(v) if isinstance(v, dict) else -v, u)]
-                        want.append(of_kind(dict_dot(n, pairs), dot_has_fraction(pairs)))
+                        want.append(dict_dot(n, pairs))
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert_matches(g, w, ordered=False)
@@ -941,29 +927,27 @@ def test_element_operations_match_plain_dicts(n):
         for e, z in pool:
             assert (got == e) == (want == z)
     assert seen == set(range(10))
-    # a dict of ints and Fractions builds a Fraction element, which traces
-    # like its plain dict, to Fractions
+    # a dict of ints and Fractions traces like its plain dict, to Fractions
     x = {perms[0]: 1, perms[-1]: F(1, 2), perms[1]: 2}
     got = trace_map(GroupAlgebraElement(n, x), n - 1, 1, 2)
     assert got.terms and {type(v) for v in got.terms.values()} == {F}
     assert got == oracle_trace_map(GroupAlgebraElement(n, x), n - 1, 1, 2)
-    # equal values of the two kinds are equal elements with one hash
+    # equal int and Fraction coefficients build equal elements with one hash
     ints = GroupAlgebraElement(n, {p: k + 1 for k, p in enumerate(perms[:3])})
     fracs = GroupAlgebraElement(n, {p: F(k + 1) for k, p in enumerate(perms[:3])})
     assert ints == fracs and hash(ints) == hash(fracs)
-    assert {type(v) for v in fracs.terms.values()} == {F}
+    assert list(ints.terms.items()) == list(fracs.terms.items())
 
 
 def test_hash_reads_the_form():
-    # equal elements of the two kinds hash equal, as the keys of a cache of
-    # elements need, and hashing builds no terms
+    # equal elements built from int and Fraction coefficients hash equal, as
+    # the keys of a cache of elements need, and hashing builds no terms
     perms = all_permutations(3)
     ints = GroupAlgebraElement(3, {p: k + 1 for k, p in enumerate(perms[:3])})
     fracs = GroupAlgebraElement(3, {p: F(k + 1) for k, p in enumerate(perms[:3])})
     halves = fracs * F(1, 2)
     doubled = halves * 2
     elements = (ints, fracs, halves, doubled)
-    assert (ints._kind, fracs._kind, doubled._kind) == (int, F, F)
     assert ints == fracs == doubled != halves
     assert hash(ints) == hash(fracs) == hash(doubled) != hash(halves)
     assert {(ints,): "cached"}[(fracs,)] == "cached"
@@ -1002,7 +986,7 @@ def shuffled(rng, items) -> list:
 @pytest.mark.parametrize("n", [3, 4])
 def test_scalar_side_dots_match_plain_dicts(n):
     # dots in which every live pair has a factor c*1 alone are linear
-    # combinations: the same keys, values and types as the plain dicts, and
+    # combinations: the same keys and values as the plain dicts, and
     # the key order of the accumulation, even at n! term pairs, where a
     # product would take the Cayley table
     rng = SeededRandom(301 + n)
@@ -1054,8 +1038,7 @@ def test_rational_elements_build_no_terms_until_read():
     # other test has read it
     table = phi_polys(4, (F(0), F(1, 2), F(3), F(7, 3)))[1]
     built = list(table.values()) + commutators(list(table.values()))
-    fractions = [a for a in built if a._kind is F]
-    assert fractions and all(a._terms is None for a in built)
-    for a in fractions:
+    assert built and all(a._terms is None for a in built)
+    for a in built:
         terms = a.terms
         assert a._terms is terms and all(type(c) is F for c in terms.values())

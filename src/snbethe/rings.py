@@ -22,8 +22,7 @@ scalar factor c as ``UPoly([c])``, so its product with P is.
 one coefficient ``dot`` per output slot (``_dot_hook`` finds it), and a
 product is ``dot`` on one pair.  For polynomials over polynomials over the
 group algebra each u^i v^j coefficient of a product is one group-algebra
-``dot``, its term pairs in lexicographic (i, j) order of the left factor, so
-float sums round in that one order.
+``dot``, its term pairs in lexicographic (i, j) order of the left factor.
 """
 
 from __future__ import annotations
@@ -469,17 +468,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    p = c1 * c2
-                    s = out.get(e, 0) + p
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return MultiPoly(self.nvars, out)
+            return self.mul_trunc(other, math.inf)
         return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
 
     def __rmul__(self, other):

@@ -1,15 +1,15 @@
 """Wronskian and Casorati utilities, fiber-relation checkers, exact spans in
 the block model, the cyclic-element certificate of the spectral claims,
 numeric joint eigenanalysis, reconstruction of polynomial subspaces from
-eigenvalue data, cyclic vectors, and a principal-angle subspace distance.
+eigenvalue data, cyclic vectors, and the exact chordal distance between spans.
 
 Everything dimension-like is exact rational or a one-sided certificate mod a
-prime; floating point enters only for eigenvectors, reconstruction, and
-subspace distances.  Only those float functions import numpy, so the exact
-checks never load it.  The block-model kernels read a ``BlockMatrix``'s
-integer numerators over its one denominator d: the span echelon takes the
-numerators as they are (scaling a vector keeps its span), the Krylov chain
-inverts d once mod p, and the eigen floats are x / d per entry.
+prime; floating point enters only for eigenvectors and reconstruction.  Only
+those float functions import numpy, so the exact checks never load it.  The
+block-model kernels read a ``BlockMatrix``'s integer numerators over its one
+denominator d: the span echelon takes the numerators as they are (scaling a
+vector keeps its span), the Krylov chain inverts d once mod p, and the eigen
+floats are x / d per entry.
 """
 
 from __future__ import annotations
@@ -230,19 +230,6 @@ class SpanBasis:
         # reduced row, so equal spans have equal (pivot, row) pairs
         return (sorted(zip(self.echelon.pivots, self.echelon.rows))
                 == sorted(zip(other.echelon.pivots, other.echelon.rows)))
-
-    def float_rows(self) -> np.ndarray:
-        # the exact echelon rows span the same space and have exact zeros in
-        # the other pivot columns, so their float image keeps full rank even
-        # when the raw elements have extreme dynamic range (steep parameters);
-        # int / int is correctly rounded, as float(Fraction) is
-        import numpy as np
-
-        rows = []
-        for r in self.echelon.rows:
-            m = max(abs(x) for x in r)
-            rows.append([x / m for x in r])
-        return np.array(rows, dtype=float)
 
 
 def linear_span(mats) -> SpanBasis:
@@ -468,20 +455,29 @@ def theta_membership_residual(space: PolySpace, n: int) -> float:
     return float(np.linalg.norm(cv - alpha * tv) / np.linalg.norm(cv))
 
 
-def span_distance(a: SpanBasis, b: SpanBasis) -> float:
-    """Principal-angle distance between two spans in the flattened block
-    coordinates; capped at 1 for unequal dimensions."""
-    import numpy as np
+def chordal_distance(a: SpanBasis, b: SpanBasis) -> Fraction:
+    """Squared chordal distance ||P_a - P_b||_F^2 between two spans in the
+    flattened block coordinates (Conway, Hardin and Sloane, Exp. Math. 5,
+    1996): dim a + dim b - 2 tr(P_a P_b), exact.  With A, B the echelon rows,
+    G = A A^T the Gram matrices and C = A B^T, tr(P_a P_b) is
+    tr(G_a^-1 C G_b^-1 C^T); each G^-1 M is read off the nullspace of
+    [G | M], whose vector for the free column of M's column j is
+    (-G^-1 M e_j, e_j)."""
+    A, B = a.echelon.rows, b.echelon.rows
 
-    A = a.float_rows()
-    B = b.float_rows()
-    qa = np.linalg.svd(A, full_matrices=False)[2]
-    qb = np.linalg.svd(B, full_matrices=False)[2]
-    if qa.shape[0] != qb.shape[0]:
-        return 1.0
-    sv = np.linalg.svd(qa @ qb.T, compute_uv=False)
-    smin = min(1.0, float(sv.min()))
-    return math.sqrt(max(0.0, 1.0 - smin * smin))
+    def gram(X, Y):
+        return [[sum(map(mul, x, y)) for y in Y] for x in X]
+
+    def solve(G, M):
+        # row j is -(G^-1 M) e_j
+        return [v[:len(G)] for v in nullspace([g + m for g, m in zip(G, M)])]
+
+    C = gram(A, B)
+    X = solve(gram(A, A), C)
+    Y = solve(gram(B, B), [list(col) for col in zip(*C)])
+    # tr(G_a^-1 C G_b^-1 C^T) = sum over i, j of X[j][i] * Y[i][j]
+    trace = sum(x * y for xs, ys in zip(X, zip(*Y)) for x, y in zip(xs, ys))
+    return len(A) + len(B) - 2 * trace
 
 
 def _divided_difference_exps(e: tuple, i: int):

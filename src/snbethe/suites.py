@@ -1008,8 +1008,9 @@ def spectra_deformed_action(cfg, rng):
 
 
 def contracts(spans, target) -> bool:
-    """The distances of the spans to ``target`` fall strictly."""
-    dists = [sp.span_distance(span, target) for span in spans]
+    """The exact chordal distances of the spans to ``target`` fall
+    strictly."""
+    dists = [sp.chordal_distance(span, target) for span in spans]
     return all(a > b for a, b in zip(dists, dists[1:]))
 
 

@@ -530,13 +530,13 @@ def test_acceptance_12_limit_trends():
         dists_g, dists_x = [], []
         for s in (F(100), F(10000), F(1000000)):
             z = tuple(s**k for k in range(n))
-            dists_g.append(sp.span_distance(gaudin_span(n, z), base))
-            dists_x.append(sp.span_distance(xxx_span(n, z, F(1)), base))
+            dists_g.append(sp.chordal_distance(gaudin_span(n, z), base))
+            dists_x.append(sp.chordal_distance(xxx_span(n, z, F(1)), base))
         assert dists_g[0] > dists_g[1] > dists_g[2]
         assert dists_x[0] > dists_x[1] > dists_x[2]
         z = default_z(n)
         ref = gaudin_span(n, z)
-        dists_h = [sp.span_distance(xxx_span(n, z, hb), ref)
+        dists_h = [sp.chordal_distance(xxx_span(n, z, hb), ref)
                    for hb in (F(1), F(1, 10), F(1, 100))]
         assert dists_h[0] > dists_h[1] > dists_h[2]
     announce(12, "steep-parameter and small-deformation contraction trends")

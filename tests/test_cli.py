@@ -211,9 +211,23 @@ def child_output(code: str) -> str:
 
 
 def test_cli_import_does_not_load_numpy():
-    # only the float pipeline (eigenvectors, reconstruction, span distances)
-    # needs numpy, and it imports it where it is used
+    # only the float pipeline (eigenvectors, reconstruction) needs numpy, and
+    # it imports it where it is used
     assert child_output("import sys, snbethe.cli; print('numpy' in sys.modules)") == "False"
+
+
+def test_trend_claims_do_not_load_numpy():
+    # the trends compare exact chordal distances
+    code = (
+        "import sys\n"
+        "from snbethe import cli, suites\n"
+        "cfg = cli.config_from_args(cli.build_parser().parse_args("
+        "['run', 'spectra', '--n', '3']))\n"
+        "print([claim(cfg, None) for claim in (suites.spectra_trend_rational, "
+        "suites.spectra_trend_shifted, suites.spectra_trend_hbar)], "
+        "'numpy' in sys.modules)\n"
+    )
+    assert child_output(code) == "[True, True, True] False"
 
 
 def test_cli_setup_builds_no_cayley_table():

@@ -1,6 +1,7 @@
 """Wronskian utilities, span machinery, the cyclic-element certificate
 against its exact oracles (closure, commutant, Fraction charpolys), joint
-eigenanalysis, fiber reconstruction, cyclic vectors, and subspace distance."""
+eigenanalysis, fiber reconstruction, cyclic vectors, and the exact chordal
+distance against a float principal-angle oracle."""
 
 import math
 from fractions import Fraction
@@ -38,6 +39,7 @@ from snbethe.reps import (
 from snbethe.gaudin import gz_spanning_set, jm_elements, kz_elements, phi_polys
 from snbethe.homogeneous import gamma_perm, homogeneous_generators
 from snbethe.xxx import t_m_poly, t_m_table, xxx_params
+from snbethe.suites import STEEP, contracts, gaudin_span, gz_span
 from snbethe.spectra import (
     CERT_DRAWS,
     SpanBasis,
@@ -47,13 +49,13 @@ from snbethe.spectra import (
     casorati,
     check_O_relations,
     certificate,
+    chordal_distance,
     cyclic_vector,
     echelon_polys,
     f_bivariate,
     joint_eigen,
     linear_span,
     reconstruct_subspace,
-    span_distance,
     symmetric_action_on_poly,
     theta_membership_residual,
     wronskian,
@@ -213,12 +215,6 @@ def oracle_span(mats):
     return accepted, rows, pivots
 
 
-def oracle_float_rows(rows):
-    return np.array(
-        [[float(x / max(abs(y) for y in r)) for x in r] for r in rows], dtype=float
-    )
-
-
 def random_block_matrix(rng, n):
     return from_entries(n, [rng.rational(9, 4) for _, k in block_shapes(n)
                             for _ in range(k * k)])
@@ -239,7 +235,7 @@ def echelon_elements(sb):
 def assert_matches_oracle(mats, probes=()):
     """SpanBasis against the Fraction echelon: same answers from add, same
     pivots, integer rows that are primitive positive multiples of the
-    oracle rows, bit-identical float rows, and the same membership."""
+    oracle rows, and the same membership."""
     sb = SpanBasis(mats[0].n)
     got = [sb.add(m) for m in mats]
     accepted, rows, pivots = oracle_span(mats)
@@ -250,7 +246,6 @@ def assert_matches_oracle(mats, probes=()):
         assert all(type(x) is int for x in irow)
         assert irow[p] > 0 and math.gcd(*irow) == 1
         assert [irow[p] * x for x in frow] == irow
-    assert sb.float_rows().tobytes() == oracle_float_rows(rows).tobytes()
     for m in [*mats, *probes]:
         want = not any(oracle_reduce(rows, pivots, block_entries(m)))
         assert sb.contains(m) == want
@@ -767,15 +762,50 @@ def test_cyclic_vector_degrees_and_cyclicity(variant, hbar):
         assert not cyclicity_verdict(span, {**vectors, la: [F(0)] * len(vectors[la])})
 
 
+def oracle_chordal_distance(a, b):
+    """|dim a - dim b| + 2 * sum of sin^2 of the principal angles, from the
+    SVD of the float images of the two echelons (each row scaled by its
+    largest entry): the float path the exact distance replaced, sound on
+    spans of modest dynamic range only."""
+    def orthonormal(sb):
+        rows = [[x / max(map(abs, r)) for x in r] for r in sb.echelon.rows]
+        return np.linalg.svd(np.array(rows, dtype=float), full_matrices=False)[2]
+
+    cosines = np.linalg.svd(orthonormal(a) @ orthonormal(b).T, compute_uv=False)
+    return abs(a.dim - b.dim) + 2 * sum(1 - min(1.0, c) ** 2 for c in cosines)
+
+
 def test_span_distance_basics():
     span = algebra_span([represent(g) for g in homogeneous_generators(3)])
-    assert span_distance(span, span) < 1e-6
-    # orthogonal one-dimensional spans: distance 1
+    assert chordal_distance(span, span) == 0
+    # orthogonal one-dimensional spans: k_a + k_b
     a = linear_span([represent(GroupAlgebraElement.scalar(2, F(1)) +
                                ga_transposition(2, 1, 2))])
     b = linear_span([represent(GroupAlgebraElement.scalar(2, F(1)) -
                                ga_transposition(2, 1, 2))])
-    assert span_distance(a, b) == pytest.approx(1.0)
+    assert chordal_distance(a, b) == 2
+    # nested spans: k_b - k_a, either way round
+    scalars = linear_span([BlockMatrix.identity(3)])
+    assert chordal_distance(scalars, span) == chordal_distance(span, scalars) == span.dim - 1
+    assert type(chordal_distance(a, b)) is Fraction
+
+
+def test_chordal_distance_matches_principal_angle_oracle():
+    rng = SeededRandom(24)
+    spans = [algebra_span([represent(g) for g in gz_spanning_set(3)]),
+             algebra_span([represent(g) for g in homogeneous_generators(3)])]
+    for z in [(F(0), F(1), F(3)), (F(-2), F(1, 2), F(5))]:
+        spans.append(algebra_span([represent(g) for g in phi_polys(3, z)[1].values()]))
+        for hbar in (F(1), F(1, 10)):
+            spans.append(linear_span([represent(g) for g in
+                                      t_m_table(xxx_params(z, hbar), F(2), range(1, 3),
+                                                range(1, 4)).values()]))
+    spans += [linear_span([random_block_matrix(rng, 3) for _ in range(k)])
+              for k in (1, 3, 5)]
+    for a in spans:
+        for b in spans:
+            assert (float(chordal_distance(a, b))
+                    == pytest.approx(oracle_chordal_distance(a, b), abs=1e-9))
 
 
 def test_span_distance_trend_to_tower():
@@ -785,8 +815,16 @@ def test_span_distance_trend_to_tower():
     for s in (F(100), F(10000), F(1000000)):
         z = (F(1), s, s * s)
         span = algebra_span([represent(g) for g in phi_polys(n, z)[1].values()])
-        dists.append(span_distance(span, gz))
-    assert dists[0] > dists[1] > dists[2]
+        dists.append(chordal_distance(span, gz))
+    assert dists[0] > dists[1] > dists[2] > 0
+
+
+def test_contracts_can_fail():
+    n = 3
+    steep = [gaudin_span(n, (F(1), s, s * s)) for s in STEEP]
+    assert contracts(steep, gz_span(n))
+    assert not contracts(steep[::-1], gz_span(n))
+    assert not contracts([steep[0], steep[0]], gz_span(n))
 
 
 def test_theta_membership_residual_soundness():

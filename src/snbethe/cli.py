@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .gaudin import kz_elements, phi_polys
@@ -31,19 +31,8 @@ from .suites import default_z, run_suite
 HARD_CAP = 7
 
 
-@dataclass
-class SuiteConfig:
-    suite: str
-    n: int
-    z: tuple
-    hbar: Fraction
-    lam: tuple | None
-    seed: int
-    tol: float
-    strict: bool
-    timings: bool
-    fmt: str
-    out: str | None
+SuiteConfig = namedtuple(
+    "SuiteConfig", "suite n z hbar lam seed tol strict timings fmt out")
 
 
 def _rational(flag: str, text) -> Fraction:

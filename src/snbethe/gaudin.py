@@ -10,7 +10,7 @@ families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -33,11 +33,10 @@ from .reps import content_poly, content_product_all, partition_parts, partitions
 V = UPoly([UPoly([0, Fraction(1)])])  # the variable v, in u over v
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class ParameterSet(namedtuple("ParameterSet", "z")):
     """Parameter tuple z_1..z_n with a distinctness flag."""
 
-    z: tuple
+    __slots__ = ()
 
     @property
     def distinct(self) -> bool:

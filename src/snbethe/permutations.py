@@ -69,7 +69,7 @@ through, so it avoids per-term overhead in three ways:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
@@ -134,11 +134,7 @@ def inverse(p: tuple) -> tuple:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class CycleData:
-    cycles: tuple
-    orbit_count: int
-    sign: int
+CycleData = namedtuple("CycleData", "cycles orbit_count sign")
 
 
 def cycle_data(p: tuple) -> CycleData:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -18,15 +18,9 @@ CONJECTURE_FAIL = "CONJECTURE-FAIL"
 SKIPPED = "SKIPPED"
 
 
-@dataclass
-class CheckRecord:
-    check_id: str
-    anchor: str
-    params: dict
-    status: str
-    residual: str
-    runtime_ms: float
-    detail: str = ""
+class CheckRecord(namedtuple("CheckRecord", "check_id anchor params status residual "
+                             "runtime_ms detail", defaults=("",))):
+    __slots__ = ()
 
     def to_json(self, with_timings: bool = False) -> dict:
         return {
@@ -40,12 +34,12 @@ class CheckRecord:
         }
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    config: dict
-    checks: list = field(default_factory=list)
-    internal_error: bool = False
+    def __init__(self, suite: str, config: dict):
+        self.suite = suite
+        self.config = config
+        self.checks = []
+        self.internal_error = False
 
     def add(self, record: CheckRecord):
         self.checks.append(record)

@@ -15,18 +15,14 @@ floats are x / d per entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .rings import MultiPoly, SeededRandom, UPoly
 from .linalg import Echelon, det, nullspace
 from .reps import BlockMatrix, block_shapes, partition_parts, seminormal_rep
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def wronskian(fs) -> UPoly:
@@ -147,12 +143,12 @@ def check_O_relations(la, a, fs, variant: str = "differential", hbar=Fraction(1)
     }
 
 
-@dataclass
 class PolySpace:
     """A space of polynomials given by a basis in reduced column-echelon form
     ordered by decreasing degree."""
 
-    basis: list
+    def __init__(self, basis: list):
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -349,12 +345,8 @@ def _coprime_to_derivative(chi, p: int) -> bool:
     return len(a) == 1
 
 
-@dataclass
-class EigenRecord:
-    partition: tuple
-    eigenvalues: dict
-    residual: float
-    vector: np.ndarray = field(repr=False, default=None)
+EigenRecord = namedtuple("EigenRecord", "partition eigenvalues residual vector",
+                         defaults=(None,))
 
 
 def joint_eigen(cert: dict, generators: dict, tol: float = 1e-8):

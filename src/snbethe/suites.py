@@ -9,10 +9,9 @@ never lets a conjecture outcome break the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .rings import (
     MultiPoly, SeededRandom, UPoly, falling_binomial, format_rational, scalar_root_poly,
@@ -277,13 +276,9 @@ class Suite:
         self.report.add(CheckRecord(check_id, anchor, params, SKIPPED, "-", 0.0, why))
 
 
-@dataclass(frozen=True)
-class Requirement:
-    """A condition on the configuration; ``text`` is the SKIP detail of a
-    claim whose first unmet requirement it is."""
-
-    text: str
-    holds: Callable
+# A condition ``holds(cfg)`` on the configuration; ``text`` is the SKIP
+# detail of a claim whose first unmet requirement it is.
+Requirement = namedtuple("Requirement", "text holds")
 
 
 def n_range(lo: int = 1, hi: int | None = None) -> Requirement:
@@ -318,17 +313,11 @@ def n_only(cfg) -> dict:
     return {"n": cfg.n}
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One check: ``fn(cfg, rng)`` returns its residual (an exact value, a
-    float compared with the tolerance, or a bool)."""
-
-    check_id: str
-    anchor: str
-    fn: Callable
-    params: Callable = n_only
-    requires: tuple = ()
-    conjecture: bool = False
+# One check: ``fn(cfg, rng)`` returns its residual (an exact value, a float
+# compared with the tolerance, or a bool); ``params(cfg)`` is its report
+# params, and ``requires`` the requirements it is skipped without.
+Claim = namedtuple("Claim", "check_id anchor fn params requires conjecture",
+                   defaults=(n_only, (), False))
 
 
 def run_claims(s: Suite, cfg, claims):

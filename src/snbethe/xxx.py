@@ -30,7 +30,7 @@ the group algebra, built and compared with plain ``UPoly`` arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from .rings import UPoly, falling_binomial, scalar_root_poly
@@ -48,16 +48,15 @@ from .permutations import (
 from .gaudin import V, diagonal, presentation_det, relation_residuals, v_expansion
 
 
-@dataclass(frozen=True)
-class XXXParams:
+class XXXParams(namedtuple("XXXParams", "z hbar")):
     """Parameters (z_1..z_n, hbar)."""
 
-    z: tuple
-    hbar: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.hbar:
+    def __new__(cls, z: tuple, hbar: Fraction):
+        if not hbar:
             raise ValueError("hbar must be nonzero")
+        return super().__new__(cls, z, hbar)
 
     @property
     def n(self) -> int:

@@ -1,5 +1,6 @@
 """Batch driver: exit codes, deterministic reports, object emission."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from helpers import block_entries
 import snbethe
 from snbethe import spectra, suites
 from snbethe.cli import build_parser, config_from_args, main
+from snbethe.reports import CheckRecord, VerificationReport
 
 F = Fraction
 
@@ -212,8 +214,61 @@ def child_output(code: str) -> str:
 
 def test_cli_import_does_not_load_numpy():
     # only the float pipeline (eigenvectors, reconstruction) needs numpy, and
-    # it imports it where it is used
-    assert child_output("import sys, snbethe.cli; print('numpy' in sys.modules)") == "False"
+    # it imports it where it is used; start-up (import the CLI, read a
+    # configuration) needs no dataclasses either, which would bring inspect
+    # (with ast, dis and tokenize) and compile record methods
+    code = (
+        "import sys\n"
+        "from snbethe import cli\n"
+        "cli.config_from_args(cli.build_parser().parse_args("
+        "['run', 'identities-gaudin', '--n', '5']))\n"
+        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    assert child_output(code) == "[]"
+
+
+def test_package_imports_neither_dataclasses_nor_typing():
+    # read from the sources: ``site`` may import typing before the package
+    found = []
+    for path in sorted(Path(snbethe.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
+def test_claim_defaults():
+    claim = suites.Claim("x.check", "an anchor", lambda cfg, rng: 0)
+    assert claim.params is suites.n_only
+    assert claim.requires == ()
+    assert claim.conjecture is False
+
+
+def test_check_record_json():
+    record = CheckRecord("x.check", "an anchor", {"n": 3}, "PASS", "0", 12.34567)
+    assert record.detail == ""
+    want = {"check": "x.check", "anchor": "an anchor", "params": {"n": 3},
+            "status": "PASS", "residual": "0", "runtime_ms": 0}
+    assert record.to_json() == want
+    assert record.to_json(with_timings=True) == {**want, "runtime_ms": 12.346}
+    skipped = CheckRecord("x.check", "an anchor", {"n": 3}, "SKIPPED", "-", 0.0,
+                          "needs n >= 4")
+    assert skipped.to_json() == {**want, "status": "SKIPPED", "residual": "-",
+                                 "detail": "needs n >= 4"}
+
+
+def test_reports_do_not_share_checks():
+    a, b = VerificationReport("all", {}), VerificationReport("all", {})
+    a.add(CheckRecord("x.check", "an anchor", {}, "FAIL", "1", 0.0))
+    assert len(a.checks) == 1 and b.checks == []
+    assert a.failed and not b.failed
+    assert not a.internal_error and not b.internal_error
 
 
 def test_trend_claims_do_not_load_numpy():

@@ -31,6 +31,7 @@ from snbethe.xxx import (
     t_gen,
     t_m_poly,
     t_m_table,
+    XXXParams,
     ts_transform,
     xxx_params,
 )
@@ -182,8 +183,11 @@ def test_params_flags():
     assert p.distinct and not p.hbar_separated
     p = xxx_params([0, 2], 1)
     assert p.distinct and p.hbar_separated
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hbar must be nonzero"):
         xxx_params([0, 1], 0)
+    with pytest.raises(ValueError, match="hbar must be nonzero"):
+        XXXParams((F(0), F(1)), F(0))
+    assert XXXParams((F(0), F(1)), F(1, 2)).n == 2
 
 
 def test_t0_is_root_product():

@@ -50,7 +50,8 @@ def _parse_z(text, n: int) -> tuple:
     z = (tuple(_rational("--z", part) for part in str(text).split(","))
          if text else default_z(n))
     if len(z) != n:
-        raise ValueError("need exactly n parameter values")
+        raise ValueError("need exactly n parameter values" if text else
+                         f"the default z has {len(z)} values; give n = {n} values with --z")
     return z
 
 

@@ -86,11 +86,10 @@ from .tensoract import (
     elementary,
     gaudin_diffop_coeffs,
     partial_trace,
+    transfer_at,
     varpi,
     varpi_perm,
     yangian_transfer,
-    RationalFunc,
-    RF_ZERO,
 )
 from . import spectra as sp
 from .reports import (
@@ -197,10 +196,16 @@ def certificate(n: int, elements: tuple, seed: int):
 
 
 @lru_cache(maxsize=None)
-def gaudin_eigen(n: int, z: tuple, seed: int):
+def kz_images(n: int, z: tuple) -> dict:
+    """Block images of the rational family's n elements H_a."""
     fam = kz_elements(n, z, gaudin_polys(n, z))
-    gens = {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
-    return sp.joint_eigen(certificate(n, tuple(gaudin_table(n, z).values()), seed), gens)
+    return {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
+
+
+@lru_cache(maxsize=None)
+def gaudin_eigen(n: int, z: tuple, seed: int):
+    return sp.joint_eigen(certificate(n, tuple(gaudin_table(n, z).values()), seed),
+                          kz_images(n, z))
 
 
 @lru_cache(maxsize=None)
@@ -215,11 +220,17 @@ def xxx_eigen(n: int, z: tuple, hbar: Fraction, seed: int):
 
 
 @lru_cache(maxsize=None)
-def homogeneous_eigen(n: int, seed: int):
+def t_images(n: int) -> dict:
+    """Block images of the homogeneous family's traced coefficients T_m,i."""
     table = t_m_table(homogeneous_params(n), Fraction(n), range(1, n + 1),
                       range(n + 1))
-    gens = {f"T{m}c{i}": represent(g) for (m, i), g in table.items()}
-    return sp.joint_eigen(certificate(n, tuple(homogeneous_generators(n)), seed), gens)
+    return {f"T{m}c{i}": represent(g) for (m, i), g in table.items()}
+
+
+@lru_cache(maxsize=None)
+def homogeneous_eigen(n: int, seed: int):
+    return sp.joint_eigen(certificate(n, tuple(homogeneous_generators(n)), seed),
+                          t_images(n))
 
 
 def homogeneous_f_from_record(n: int, rec) -> UPoly:
@@ -818,17 +829,15 @@ def sw_transfer_match(cfg, rng):
     params = xxx_params(z, hb)
     Ph = scalar_root_poly(z).subst_linear(hb, Fraction(0))
     for m in (1, 2):
+        # numer / Ph, numer the traced family at the rescaled argument, must
+        # equal the transfer image P / Q
         tm = t_m_poly(params, m, p=Fraction(N))
-        mats = [varpi(ga_lift(nn, c), N) * (hb**k)
-                for k, c in enumerate(tm.coeffs)]
-        psi = yangian_transfer(N, nn, m, [x / hb for x in z])
-        d = N**nn
-        for r in range(d):
-            for c in range(d):
-                numer = UPoly([mats[k].entries.get((r, c), Fraction(0))
-                               for k in range(len(mats))])
-                if RationalFunc(numer, Ph) != psi.get((r, c), RF_ZERO):
-                    return False
+        numer = TensorOperator.zero(N, nn)
+        for k, c in enumerate(tm.coeffs):
+            numer += varpi(ga_lift(nn, c), N) * UPoly([0] * k + [hb**k])
+        P, Q = yangian_transfer(N, nn, m, [x / hb for x in z])
+        if numer * Q != P * Ph:
+            return False
     return True
 
 
@@ -837,13 +846,9 @@ def sw_transfer_commute(cfg, rng):
     x = (Fraction(0), Fraction(2))
     T1 = yangian_transfer(N, nn, 1, x)
     T2 = yangian_transfer(N, nn, 2, x)
-
-    def ev(T, u0):
-        return TensorOperator(N, nn, {rc: v.eval_at(u0) for rc, v in T.items()})
-
     for (u0, v0) in ((Fraction(7), Fraction(9)), (Fraction(1, 3), Fraction(11, 2))):
         for (TA, TB) in ((T1, T2), (T1, T1)):
-            A, B = ev(TA, u0), ev(TB, v0)
+            A, B = transfer_at(TA, u0), transfer_at(TB, v0)
             if A * B != B * A:
                 return False
     return True
@@ -908,11 +913,22 @@ def spectra_simple_spectrum(cfg, rng):
         tuple(homogeneous_generators(n))))
 
 
+def _one_line_per_tableau(n: int, cert: dict, images: dict) -> bool:
+    """A squarefree certified x of degree sum_la d_la has that many
+    eigenlines, one per standard tableau; an image that commutes with x lies
+    in C_B(x) = Q[x], so it is diagonal on them too."""
+    x = cert["element"]
+    return (cert["squarefree"] and cert["degree"] == sum_of_dims(n)
+            and all(g * x == x * g for g in images.values()))
+
+
 def spectra_eigen_count(cfg, rng):
-    want = sum_of_dims(cfg.n)
+    n = cfg.n
     return (
-        len(gaudin_eigen(cfg.n, cfg.z, cfg.seed)) == want
-        and len(homogeneous_eigen(cfg.n, cfg.seed)) == want
+        _one_line_per_tableau(n, certificate(n, tuple(gaudin_table(n, cfg.z).values()),
+                                             cfg.seed), kz_images(n, cfg.z))
+        and _one_line_per_tableau(n, certificate(n, tuple(homogeneous_generators(n)),
+                                                 cfg.seed), t_images(n))
     )
 
 

@@ -1,7 +1,13 @@
 """Tensor-space cross-checks: the permutation action on tensor powers, partial
 trace over trailing factors, the polynomial differential operator whose
 coefficients realize the generator images, and evaluation-module transfer
-matrices with exact rational-function entries.
+matrices.
+
+Every operator is a ``TensorOperator`` over Q or over Q[u] (``UPoly``
+entries).  A rational function of u appears only as a polynomial numerator
+over a denominator known in advance: a power of the root product
+D = prod_a (u - z_a) in the differential operator, and a product of shifted
+root products for a transfer matrix.
 """
 
 from __future__ import annotations
@@ -9,43 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product as _itproduct
 
-from .rings import UPoly, poly_divmod, poly_gcd, scalar_root_poly
+from .rings import UPoly, poly_divmod, scalar_root_poly
 from .permutations import all_permutations, inverse, sign
-
-
-def _sparse_add(A: dict, B: dict, zero) -> dict:
-    """Sum of two sparse matrices {(row, col): entry}; ``zero`` is the
-    entries' additive identity, and zero sums are dropped."""
-    out = dict(A)
-    for k, v in B.items():
-        s = out.get(k, zero) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _sparse_mul(A: dict, B: dict, zero) -> dict:
-    """Product of two sparse matrices, as for ``_sparse_add``."""
-    rows = {}
-    for (r, c), v in B.items():
-        rows.setdefault(r, []).append((c, v))
-    out = {}
-    for (r, k), a in A.items():
-        for c, b in rows.get(k, ()):
-            key = (r, c)
-            s = out.get(key, zero) + a * b
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
 
 
 class TensorOperator:
     """Sparse exact operator on the n-th tensor power of an N-dimensional
-    space; entries indexed by (row, col) flat base-N indices."""
+    space; entries indexed by (row, col) flat base-N indices, each a
+    rational or a polynomial in u.  The constructor drops zero entries, so
+    sums and products drop what cancels."""
 
     __slots__ = ("N", "n", "entries")
 
@@ -76,17 +54,31 @@ class TensorOperator:
 
     def __add__(self, other):
         self._check(other)
-        return TensorOperator(self.N, self.n, _sparse_add(self.entries, other.entries, 0))
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out.get(k, 0) + v
+        return TensorOperator(self.N, self.n, out)
+
+    def __sub__(self, other):
+        return self + other * -1
 
     def __mul__(self, other):
-        if isinstance(other, TensorOperator):
-            self._check(other)
-            return TensorOperator(
-                self.N, self.n, _sparse_mul(self.entries, other.entries, 0)
-            )
-        return TensorOperator(
-            self.N, self.n, {k: v * other for k, v in self.entries.items()}
-        )
+        """Operator product, or every entry times a scalar or polynomial."""
+        if not isinstance(other, TensorOperator):
+            return self.map_entries(lambda v: v * other)
+        self._check(other)
+        rows = {}
+        for (r, c), v in other.entries.items():
+            rows.setdefault(r, []).append((c, v))
+        out = {}
+        for (r, k), a in self.entries.items():
+            for c, b in rows.get(k, ()):
+                out[(r, c)] = out.get((r, c), 0) + a * b
+        return TensorOperator(self.N, self.n, out)
+
+    def map_entries(self, f) -> "TensorOperator":
+        """f applied to every entry, zero results dropped."""
+        return TensorOperator(self.N, self.n, {k: f(v) for k, v in self.entries.items()})
 
     def __eq__(self, other):
         if isinstance(other, TensorOperator):
@@ -154,284 +146,116 @@ def partial_trace(X: TensorOperator, m: int) -> TensorOperator:
         if r % block != c % block:
             continue
         key = (r // block, c // block)
-        s = out.get(key, 0) + v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        out[key] = out.get(key, 0) + v
     return TensorOperator(N, n, out)
 
 
-class RationalFunc:
-    """Exact rational function in one variable: numerator / denominator over
-    the rationals, reduced, with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UPoly, den: UPoly | None = None, reduce: bool = True):
-        if den is None:
-            den = UPoly([Fraction(1)])
-        if not den.coeffs:
-            raise ZeroDivisionError("zero denominator")
-        if reduce and num.coeffs:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-        if not num.coeffs:
-            den = UPoly([Fraction(1)])
-        lead = den.lead()
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def const(cls, c) -> "RationalFunc":
-        return cls(UPoly([Fraction(c)]), UPoly([Fraction(1)]), reduce=False)
-
-    def __bool__(self):
-        return bool(self.num.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, RationalFunc):
-            return self.num * other.den == other.num * self.den
-        if isinstance(other, (int, Fraction)):
-            return self.num == self.den * Fraction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = other if isinstance(other, RationalFunc) else RationalFunc.const(other)
-        return RationalFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = other if isinstance(other, RationalFunc) else RationalFunc.const(other)
-        return RationalFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def deriv(self) -> "RationalFunc":
-        return RationalFunc(
-            self.num.deriv() * self.den - self.num * self.den.deriv(),
-            self.den * self.den,
-        )
-
-    def shift_arg(self, c) -> "RationalFunc":
-        return RationalFunc(self.num.shift_arg(c), self.den.shift_arg(c))
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def as_polynomial(self) -> UPoly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial")
-        return self.num
-
-    def eval_at(self, x):
-        return self.num.eval_at(x) / self.den.eval_at(x)
-
-    def __repr__(self):
-        return f"RationalFunc({self.num.coeffs}/{self.den.coeffs})"
-
-
-RF_ZERO = RationalFunc(UPoly())
-
-
-def _mat_scale(A: dict, c) -> dict:
-    return {k: v * c for k, v in A.items() if v * c}
-
-
-def _mat_deriv(A: dict) -> dict:
-    out = {}
-    for k, v in A.items():
-        d = v.deriv()
-        if d:
-            out[k] = d
-    return out
-
-
-class DiffOperator:
-    """Differential operator with matrix coefficients of rational functions:
-    a list per derivation power; composition uses (d/du) f = f (d/du) + f'."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-        while self.coeffs and not self.coeffs[-1]:
-            self.coeffs.pop()
-
-    def __mul__(self, other: "DiffOperator") -> "DiffOperator":
-        out = [dict() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, A in enumerate(self.coeffs):
-            if not A:
-                continue
-            for j, B in enumerate(other.coeffs):
-                if not B:
-                    continue
-                # d^i B = sum_l C(i,l) B^{(i-l)} d^l
-                deriv = B
-                binom = 1
-                for l in range(i, -1, -1):
-                    # at this point deriv = B^{(i-l)} and binom = C(i, l)
-                    scaled = _mat_scale(deriv, RationalFunc.const(binom))
-                    term = _sparse_mul(A, scaled, RF_ZERO)
-                    out[l + j] = _sparse_add(out[l + j], term, RF_ZERO)
-                    if l > 0:
-                        deriv = _mat_deriv(deriv)
-                        binom = binom * l // (i - l + 1)
-        return DiffOperator(out)
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        k = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(k):
-            A = self.coeffs[i] if i < len(self.coeffs) else {}
-            B = other.coeffs[i] if i < len(other.coeffs) else {}
-            out.append(_sparse_add(A, B, RF_ZERO))
-        return DiffOperator(out)
-
-    def __neg__(self):
-        return DiffOperator([_mat_scale(A, RationalFunc.const(-1)) for A in self.coeffs])
-
-    def scale(self, rf: RationalFunc) -> "DiffOperator":
-        return DiffOperator([_mat_scale(A, rf) for A in self.coeffs])
-
-
 def gaudin_diffop_coeffs(N: int, n: int, z) -> dict:
-    """Coefficient table of the polynomial differential operator: the signed
-    sum of first-order operators times the root product.  Polynomiality of
-    every entry is checked, not assumed.  Returns (i, j) -> TensorOperator."""
+    """Coefficient table of the polynomial differential operator
+    D cdet(delta_ij d/du - A_ij), with D = prod_a (u - z_a) and
+    A_ij = sum_a E^(a)_ij / (u - z_a) = R_ij / D, R_ij polynomial.
+    Polynomiality of every entry is checked, not assumed.  Returns
+    (i, j) -> TensorOperator."""
     z = tuple(z)
     if len(set(z)) != n:
         raise ValueError("parameters must be distinct")
-    # A[i][j] = sum_a E^(a)_{ij} / (u - z_a), sparse over the tensor space
-    pole = {
-        a: RationalFunc(UPoly([Fraction(1)]), UPoly([-z[a - 1], Fraction(1)]))
-        for a in range(1, n + 1)
-    }
-    ident = {
-        (r, r): RationalFunc.const(1) for r in range(N**n)
-    }
-
-    def amat(i, j):
-        out = {}
-        for a in range(1, n + 1):
-            e = elementary(N, n, a, i, j)
-            out = _sparse_add(out, {key: pole[a] * RationalFunc.const(v)
-                                    for key, v in e.entries.items()}, RF_ZERO)
-        return out
-
-    xops = {}
+    D = scalar_root_poly(z)
+    dD = D.deriv()
+    R = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            order0 = _mat_scale(amat(i, j), RationalFunc.const(-1))
-            order1 = ident if i == j else {}
-            xops[(i, j)] = DiffOperator([order0, order1])
+            R[(i, j)] = TensorOperator.zero(N, n)
+            for a in range(1, n + 1):
+                R[(i, j)] += elementary(N, n, a, i, j) * scalar_root_poly(z[:a - 1] + z[a:])
 
-    total = None
+    # Left-multiplying sum_l (p_l / D^k) d^l by delta d/du - R/D gives
+    # sum_l (q_l / D^(k+1)) d^l, q_l = delta (p_l' D - k p_l D' + p_(l-1) D) - R p_l,
+    # so each signed column product is numerators p_l over D^N.
+    ident = TensorOperator.identity(N, n) * UPoly([Fraction(1)])
+    total = [TensorOperator.zero(N, n)] * (N + 1)
     for sigma in all_permutations(N):
-        term = None
-        for col in range(1, N + 1):
-            op = xops[(sigma[col - 1], col)]
-            term = op if term is None else term * op
-        if sign(sigma) < 0:
-            term = -term
-        total = term if total is None else total + term
-    total = total.scale(RationalFunc(scalar_root_poly(z)))
+        ps = [ident]
+        for k, col in enumerate(range(N, 0, -1)):
+            row = sigma[col - 1]
+            qs = [R[(row, col)] * p * -1 for p in ps] + [TensorOperator.zero(N, n)]
+            if row == col:
+                for l, p in enumerate(ps):
+                    qs[l] += p.map_entries(UPoly.deriv) * D - p * (dD * k)
+                    qs[l + 1] += p * D
+            ps = qs
+        total = [t + p * sign(sigma) for t, p in zip(total, ps)]
 
+    # D times the operator: numerators over D^(N-1), which must divide them
+    Dpow = D ** (N - 1)
     table = {}
-    for power, mat in enumerate(total.coeffs):
+    for power, mat in enumerate(total):
         i = N - power
         if i < 0 or i > n:
-            if any(v for v in mat.values()):
+            if mat:
                 raise AssertionError("unexpected derivation power")
             continue
         polys = {}
-        maxdeg = -1
-        for key, v in mat.items():
-            if not v.is_polynomial():
+        for key, v in mat.entries.items():
+            q, r = poly_divmod(v, Dpow)
+            if r:
                 raise AssertionError("operator entry failed the polynomiality check")
-            p = v.as_polynomial()
-            polys[key] = p
-            maxdeg = max(maxdeg, p.degree)
-        if maxdeg > n - i:
+            polys[key] = q
+        if max((p.degree for p in polys.values()), default=-1) > n - i:
             raise AssertionError("entry degree exceeds the structured bound")
         for j in range(0, n - i + 1):
-            entries = {}
-            for key, p in polys.items():
-                c = p.coeff(n - i - j)
-                if c:
-                    entries[key] = Fraction((-1) ** i) * c
-            table[(i, j)] = TensorOperator(N, n, entries)
+            table[(i, j)] = TensorOperator(
+                N, n, {key: (-1) ** i * p.coeff(n - i - j) for key, p in polys.items()})
     return table
 
 
-def yangian_l_matrix(N: int, n: int, a: int, x) -> list:
-    """Evaluation building block on the a-th factor: the N x N matrix with
-    (i, j) entry delta_ij + E_{ji}/(u - x), as operator-valued rational
-    functions."""
-    out = []
-    pole = RationalFunc(UPoly([Fraction(1)]), UPoly([-x, Fraction(1)]))
-    for i in range(1, N + 1):
-        row = []
-        for j in range(1, N + 1):
-            ident = {(r, r): RationalFunc.const(1) for r in range(N**n)} if i == j else {}
-            e = elementary(N, n, a, j, i)
-            row.append(_sparse_add(ident, {key: pole * RationalFunc.const(v)
-                                           for key, v in e.entries.items()}, RF_ZERO))
-        out.append(row)
-    return out
-
-
 def yangian_generator_image(N: int, n: int, x) -> list:
-    """The full table psi(t_{i,j}(u)) on n evaluation factors: the ordered
-    product of the per-factor blocks over the auxiliary index, last factor
-    leftmost (fixed by the coproduct)."""
+    """Numerators of the table psi(t_{i,j}(u)) on n evaluation factors, over
+    prod_a (u - x_a): the ordered product over the auxiliary index of the
+    per-factor blocks (u - x_a) delta_ij + E^(a)_{ji}, last factor leftmost
+    (fixed by the coproduct)."""
     x = tuple(x)
-    acc = yangian_l_matrix(N, n, 1, x[0])
-    for a in range(2, n + 1):
-        L = yangian_l_matrix(N, n, a, x[a - 1])
-        nxt = []
+    one = UPoly([Fraction(1)])
+    acc = None
+    for a in range(1, n + 1):
+        lin = TensorOperator.identity(N, n) * UPoly([-x[a - 1], Fraction(1)])
+        L = [[elementary(N, n, a, j, i) * one for j in range(1, N + 1)]
+             for i in range(1, N + 1)]
         for i in range(N):
-            row = []
-            for j in range(N):
-                cell = {}
-                for k in range(N):
-                    term = _sparse_mul(L[i][k], acc[k][j], RF_ZERO)
-                    cell = _sparse_add(cell, term, RF_ZERO)
-                row.append(cell)
-            nxt.append(row)
-        acc = nxt
+            L[i][i] += lin
+        if acc is not None:
+            L = [[sum((L[i][k] * acc[k][j] for k in range(1, N)), L[i][0] * acc[0][j])
+                  for j in range(N)] for i in range(N)]
+        acc = L
     return acc
 
 
-def yangian_transfer(N: int, n: int, m: int, x) -> dict:
-    """Evaluation image of the m-th transfer series: the antisymmetrized sum
-    of shifted generator products; returns a sparse matrix of rational
-    functions on the tensor space."""
+def yangian_transfer(N: int, n: int, m: int, x) -> tuple:
+    """Evaluation image of the m-th transfer series as (P, Q): the operator P
+    with entries in Q[u], the antisymmetrized sum of shifted generator
+    numerator products, over the scalar Q = prod_{s<m} prod_a (u - s - x_a)."""
     if not (1 <= m <= N):
         raise ValueError("need 1 <= m <= N")
     x = tuple(x)
     base = yangian_generator_image(N, n, x)
 
     def shifted(i, j, s):
-        # entry table for t_{i,j}(u - s)
-        return {k: v.shift_arg(Fraction(-s)) for k, v in base[i - 1][j - 1].items()}
+        # numerator of t_{i,j}(u - s)
+        return base[i - 1][j - 1].map_entries(lambda v: v.shift_arg(Fraction(-s)))
 
-    total = {}
+    P = TensorOperator.zero(N, n)
     for combo in combinations(range(1, N + 1), m):
         for sigma in all_permutations(m):
             term = None
             for a in range(m):
                 # a-th factor carries argument u - m + 1 + a
                 mat = shifted(combo[sigma[a] - 1], combo[a], m - 1 - a)
-                term = mat if term is None else _sparse_mul(term, mat, RF_ZERO)
-            if sign(sigma) < 0:
-                term = _mat_scale(term, RationalFunc.const(-1))
-            total = _sparse_add(total, term, RF_ZERO)
-    return total
+                term = mat if term is None else term * mat
+            P += term * sign(sigma)
+    return P, scalar_root_poly([xa + s for s in range(m) for xa in x])
+
+
+def transfer_at(transfer: tuple, u0) -> TensorOperator:
+    """The value P(u0) / Q(u0) of a ``yangian_transfer`` (P, Q); a zero of Q
+    raises ZeroDivisionError."""
+    P, Q = transfer
+    return P.map_entries(lambda v: v.eval_at(u0)) * (Fraction(1) / Q.eval_at(u0))

@@ -466,6 +466,18 @@ def test_emit_rejects_bad_values(capsys, argv):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "all", "--n", "8", "--allow-large-n"],
+    ["emit", "phi", "--n", "8"],
+])
+def test_default_z_too_short_says_so(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("configuration error: the default z has 7 values; "
+                            "give n = 8 values with --z\n")
+
+
 def test_parser_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "nonsense"])

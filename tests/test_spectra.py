@@ -659,6 +659,20 @@ def test_joint_eigen_counts_and_h_sum():
             assert abs(total) < 1e-9  # the family sums to zero
 
 
+@pytest.mark.parametrize("images", ["kz_images", "t_images"])
+def test_eigen_count_fails_on_an_image_that_does_not_commute(monkeypatch, images):
+    # the exact eigen-count reads every generator image it used to count
+    # eigenvectors of; s_1 = (1 2) commutes with neither certified element
+    from snbethe import cli, suites
+
+    cfg = cli.config_from_args(cli.build_parser().parse_args(["run", "spectra", "--n", "3"]))
+    assert suites.spectra_eigen_count(cfg, None) is True
+    real = getattr(suites, images)
+    s1 = represent(ga_transposition(3, 1, 2))
+    monkeypatch.setattr(suites, images, lambda *args: {**real(*args), "s1": s1})
+    assert suites.spectra_eigen_count(cfg, None) is False
+
+
 def test_reconstruction_roundtrip():
     fs = [P(3, 1), P(-1, 0, 0, 1)]
     Fb = f_bivariate(fs, F(1), "homogeneous").map_coeffs(lambda c: c.map_coeffs(float))

@@ -19,13 +19,13 @@ from snbethe.permutations import (
 )
 from snbethe.gaudin import phi_polys
 from snbethe.xxx import t_m_poly, xxx_params
+from snbethe import tensoract
 from snbethe.tensoract import (
-    RF_ZERO,
-    RationalFunc,
     TensorOperator,
     elementary,
     gaudin_diffop_coeffs,
     partial_trace,
+    transfer_at,
     varpi,
     varpi_perm,
     yangian_transfer,
@@ -127,6 +127,29 @@ def test_diffop_rejects_coincident_parameters():
         gaudin_diffop_coeffs(2, 2, (F(1), F(1)))
 
 
+def test_diffop_polynomiality_check_catches_perturbed_residues(monkeypatch):
+    # with every residue E^(a) doubled, D times the column determinant is no
+    # longer polynomial, and the division by D^(N-1) must say so
+    real = tensoract.elementary
+    monkeypatch.setattr(tensoract, "elementary", lambda *args: real(*args) * 2)
+    with pytest.raises(AssertionError, match="polynomiality"):
+        gaudin_diffop_coeffs(2, 2, (F(0), F(1)))
+
+
+def test_polynomial_entries_drop_what_cancels():
+    u = UPoly.gen()
+    A = TensorOperator(2, 1, {(0, 0): u + F(1), (0, 1): u, (1, 1): UPoly()})
+    assert set(A.entries) == {(0, 0), (0, 1)}
+    assert (A - A).entries == {}
+    assert (A + A * -1) == TensorOperator.zero(2, 1)
+    assert (A * UPoly()).entries == {}
+    # (0, 0) of the product is u*u + u*(-u) = 0; (0, 1) is u*u
+    X = TensorOperator(2, 1, {(0, 0): u, (0, 1): u})
+    Y = TensorOperator(2, 1, {(0, 0): u, (1, 0): -u, (1, 1): u})
+    assert (X * Y).entries == {(0, 1): u * u}
+    assert (X * Y - X * Y).entries == {}
+
+
 @pytest.mark.parametrize("N,n", [(2, 2), (3, 3)])
 def test_faithfulness(N, n):
     rows = [varpi_perm(p, N).flatten_rows() for p in all_permutations(n)]
@@ -134,34 +157,54 @@ def test_faithfulness(N, n):
 
 
 def test_transfer_m1_n1():
-    T = yangian_transfer(2, 1, 1, [F(5)])
-    want = RationalFunc(UPoly([F(-9), F(2)]), UPoly([F(-5), F(1)]))
+    # psi = (2u - 9) / (u - 5) times the identity, so P (u - 5) = (2u - 9) Q
+    P, Q = yangian_transfer(2, 1, 1, [F(5)])
     for r in range(2):
-        assert T[(r, r)] == want
-    assert all(r == c for (r, c) in T)
+        assert P.entries[(r, r)] * UPoly([F(-5), F(1)]) == UPoly([F(-9), F(2)]) * Q
+    assert all(r == c for (r, c) in P.entries)
+
+
+def test_transfer_at_is_the_value_and_refuses_a_zero_of_the_denominator():
+    T = yangian_transfer(2, 1, 1, [F(5)])
+    assert transfer_at(T, F(7)) == TensorOperator.identity(2, 1) * F(5, 2)
+    with pytest.raises(ZeroDivisionError):
+        transfer_at(T, F(5))
+    # the family of sw.transfer-commute, at its poles u = 0, 2 (m = 1) and
+    # also u = 1, 3 (the shifted factor of m = 2)
+    x = (F(0), F(2))
+    for m, poles in ((1, (0, 2)), (2, (0, 1, 2, 3))):
+        T = yangian_transfer(2, 2, m, x)
+        transfer_at(T, F(7))
+        for u0 in poles:
+            with pytest.raises(ZeroDivisionError):
+                transfer_at(T, F(u0))
 
 
 def test_transfer_top_is_scalar_on_one_factor():
-    # m = N: the antisymmetrized product acts as a scalar on a single factor
+    # m = N: the antisymmetrized product acts as a scalar on a single factor;
+    # the entries share the denominator Q, so their numerators are equal
     N = 2
-    T = yangian_transfer(N, 1, N, [F(3)])
-    diag = {k: v for k, v in T.items() if k[0] == k[1]}
-    assert set(T) == set(diag)
+    P, _ = yangian_transfer(N, 1, N, [F(3)])
+    diag = {k: v for k, v in P.entries.items() if k[0] == k[1]}
+    assert set(P.entries) == set(diag)
     vals = list(diag.values())
+    assert len(vals) == N
     for v in vals[1:]:
         assert v == vals[0]
 
 
 def test_transfer_matrices_commute_at_points():
+    # P1(u0) P2(v0) = P2(v0) P1(u0) with Q1(u0), Q2(v0) nonzero is the
+    # commutation of the transfer values, cross-multiplied
     N, n = 2, 2
     x = (F(0), F(2))
-    T1 = yangian_transfer(N, n, 1, x)
-    T2 = yangian_transfer(N, n, 2, x)
+    P1, Q1 = yangian_transfer(N, n, 1, x)
+    P2, Q2 = yangian_transfer(N, n, 2, x)
     d = N**n
 
-    def ev(T, u0):
+    def ev(P, u0):
         M = [[F(0)] * d for _ in range(d)]
-        for (r, c), v in T.items():
+        for (r, c), v in P.entries.items():
             M[r][c] = v.eval_at(u0)
         return M
 
@@ -172,14 +215,16 @@ def test_transfer_matrices_commute_at_points():
         ]
 
     for u0, v0 in ((F(7), F(9)), (F(1, 3), F(11, 2))):
-        A, B = ev(T1, u0), ev(T2, v0)
+        assert Q1.eval_at(u0) and Q2.eval_at(v0)
+        A, B = ev(P1, u0), ev(P2, v0)
         assert mm(A, B) == mm(B, A)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_transfer_matches_traced_family(m):
     # the traced family at rescaled argument, divided by the root product,
-    # equals the evaluation image of the transfer series
+    # equals the evaluation image P / Q of the transfer series:
+    # numer Q = P Ph entry by entry
     N, n = 2, 2
     z = (F(0), F(2))
     hb = F(2)
@@ -193,12 +238,12 @@ def test_transfer_matches_traced_family(m):
         for k, c in enumerate(tm.coeffs)
     ]
     Ph = scalar_root_poly(z).subst_linear(hb, F(0))
-    psi = yangian_transfer(N, n, m, [x / hb for x in z])
+    P, Q = yangian_transfer(N, n, m, [x / hb for x in z])
     d = N**n
     for r in range(d):
         for c in range(d):
             numer = UPoly([mats[k].entries.get((r, c), F(0)) for k in range(len(mats))])
-            assert RationalFunc(numer, Ph) == psi.get((r, c), RF_ZERO)
+            assert numer * Q == P.entries.get((r, c), UPoly()) * Ph
 
 
 @pytest.mark.parametrize("n", [3, 4])

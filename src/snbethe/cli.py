@@ -8,8 +8,9 @@ Two subcommands:
 Suites: identities-gaudin, identities-xxx, homogeneous, schur-weyl, spectra,
 conjectures, all.  Exit status is 0 when nothing failed, 1 on FAIL (with
 --strict also on CONJECTURE-FAIL), 2 on configuration errors, 3 on internal
-inconsistencies.  Reports are byte-identical across reruns with the same
-configuration and seed unless --timings is given.
+inconsistencies (for emit: any other exception while building the object,
+reported in one line).  Reports are byte-identical across reruns with the
+same configuration and seed unless --timings is given.
 """
 
 from __future__ import annotations
@@ -226,6 +227,13 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # building an emitted object failed (MemoryError at large n, or a
+        # broken invariant): an internal error, as a claim's exception in run
+        if args.command != "emit":
+            raise
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     report = run_suite(cfg)
     text = (
         report.to_json(with_timings=cfg.timings)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .rings import MultiPoly, UPoly, series_inverse, series_log, series_mul
+from .rings import MultiPoly, UPoly, log1p, series_inverse, series_log
 from .permutations import (
     GroupAlgebraElement,
     commutators,
@@ -127,12 +127,7 @@ def _window_table(n: int, bound: int) -> MultiPoly:
                 grouped = grouped + c
         if grouped != gam_inv * g_cycles(n, n - k):
             raise AssertionError("ordered words do not regroup to cycle sums")
-    log = MultiPoly(n)
-    power = MultiPoly.const(n, GroupAlgebraElement.scalar(n, Fraction(1)))
-    for t in range(1, bound + 1):
-        power = power.mul_trunc(X, bound)
-        log = log + Fraction((-1) ** (t + 1), t) * power
-    return log
+    return log1p(X, bound)
 
 
 def _compositions(k: int, m: int):
@@ -205,15 +200,9 @@ def det_P_hat(n: int, q: UPoly) -> UPoly:
     if any(commutators(q.coeffs)):
         raise ValueError("coefficients of q do not pairwise commute")
     # Q[a][b] = coefficient of u^{n-a} in q(u) * (1+u)^{-b}
-    qc = list(q.coeffs) + [0] * (n - len(q.coeffs))
-    hat_q = []
-    for a in range(1, n + 1):
-        row = []
-        for b in range(1, n + 1):
-            inv = series_inverse(UPoly([Fraction(1), Fraction(1)]) ** b, n - a)
-            prod = series_mul(qc, inv.coeffs + [0] * (n - a + 1 - len(inv.coeffs)), n - a)
-            row.append(prod[n - a] if n - a < len(prod) else 0)
-        hat_q.append(row)
+    cols = [q.mul_trunc(series_inverse(UPoly([Fraction(1), Fraction(1)]) ** b, n - 1), n - 1)
+            for b in range(1, n + 1)]
+    hat_q = [[col.coeff(n - a) for col in cols] for a in range(1, n + 1)]
     # M = (u - Zhat)(v - Qhat) - Qhat, with Zhat the upper shift
     shift = [[1 if b == a + 1 else 0 for b in range(n)] for a in range(n)]
     return presentation_det(shift, hat_q, hat_q)

@@ -216,7 +216,15 @@ class IrrepAction:
         dq, nums = self._numerators(tuple(q))
         e, rows = self._steps[i - 1]
         k = self.dim
-        out = [sum(x * nums[c * k + j] for c, x in row) for row in rows for j in range(k)]
+        # each output row combines the one or two source rows of its nonzeros
+        out = []
+        for (c, x), *rest in rows:
+            src = nums[c * k:(c + 1) * k]
+            if rest:
+                (c2, y), = rest
+                out += [x * a + y * b for a, b in zip(src, nums[c2 * k:(c2 + 1) * k])]
+            else:
+                out += [x * a for a in src]
         d = dq * e
         g = math.gcd(d, *out)
         cached = self._perm_cache[p] = (d // g, [x // g for x in out])

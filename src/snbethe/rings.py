@@ -1,6 +1,11 @@
 """Exact coefficient substrate: rationals, dense polynomials, truncated power
 series, sparse multivariable polynomials and a seeded randomness source.
 
+A truncated power series is a ``UPoly``.  ``mul_trunc(other, order)``, on
+``UPoly`` and on ``MultiPoly``, forms a product with no term above the order
+(the degree in u, or the total degree), and ``log1p`` is the one logarithm,
+written once for both classes.
+
 Every ring element used by the library (Fraction, UPoly, group-algebra
 elements) supports +, -, *, == and truthiness (bool(x) is False iff x == 0),
 so the polynomial code below is ring-generic.  All arithmetic is exact; floats
@@ -163,22 +168,25 @@ class UPoly:
         return (-self) + other
 
     @staticmethod
-    def dot(pairs) -> "UPoly":
+    def dot(pairs, order=None) -> "UPoly":
         """Sum of a*b over pairs (a, b) of polynomials, a scalar factor c read
         as UPoly([c]), in one pass: output coefficient k is one sum of the
         coefficient products a_i * b_j with i + j = k, in pair order and then
         i order, formed by the ``dot`` of the first coefficient that has one
-        (see the module docstring)."""
+        (see the module docstring).  With an ``order``, no product above
+        u^order is formed."""
         slots, samples = [], []
         for a, b in pairs:
             a = a.coeffs if isinstance(a, UPoly) else [a]
             b = b.coeffs if isinstance(b, UPoly) else [b]
             samples += a
             samples += b
+            if order is not None:
+                a, b = a[:order + 1], b[:order + 1]
             slots += [[] for _ in range(len(a) + len(b) - 1 - len(slots))]
             for i, x in enumerate(a):
                 if x:
-                    for j, y in enumerate(b):
+                    for j, y in enumerate(b if order is None else b[:order + 1 - i]):
                         if y:
                             slots[i + j].append((x, y))
         total = _dot_hook(samples) or _sum_of_products
@@ -192,6 +200,10 @@ class UPoly:
 
     def __rmul__(self, other):
         return UPoly([other * c for c in self.coeffs])
+
+    def mul_trunc(self, other: "UPoly", order: int) -> "UPoly":
+        """The product with every term above u^order dropped, never formed."""
+        return UPoly.dot(((self, other),), order)
 
     def __pow__(self, e: int) -> "UPoly":
         if e < 0:
@@ -334,78 +346,48 @@ def poly_gcd(f: UPoly, g: UPoly) -> UPoly:
     return a
 
 
-def _series_trim(coeffs, order):
-    return list(coeffs[: order + 1]) + [0] * max(0, order + 1 - len(coeffs))
-
-
-def series_mul(a, b, order):
-    out = [0] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if not x:
-            continue
-        for j, y in enumerate(b[: order + 1 - i]):
-            if not y:
-                continue
-            out[i + j] = out[i + j] + x * y
-    return out
+def log1p(x, order: int):
+    """log(1 + x) = sum_t (-1)^(t+1) x^t / t up to degree ``order``, each
+    power a ``mul_trunc``: for a ``UPoly`` (the order in u) or a
+    ``MultiPoly`` (the total degree).  x has no constant term and no term
+    above the order."""
+    acc = power = x
+    for t in range(2, order + 1):
+        power = power.mul_trunc(x, order)
+        acc = acc + Fraction((-1) ** (t + 1), t) * power
+    return acc
 
 
 def series_log(f: UPoly, order: int) -> UPoly:
     """log f as a truncated series; the constant term of f must be the unit."""
-    if not f.coeffs:
-        raise ValueError("log of zero")
-    one = ring_one(f.coeffs[0])
-    if not (f.coeffs[0] == one):
+    one = ring_one(f.coeff(0))
+    if not (f.coeff(0) == one):
         raise ValueError("log needs unit constant term")
-    g = _series_trim(f.coeffs, order)
-    g[0] = g[0] - one
-    acc = [0] * (order + 1)
-    power = [one] + [0] * order
-    for k in range(1, order + 1):
-        power = series_mul(power, g, order)
-        c = Fraction((-1) ** (k + 1), k)
-        for i in range(order + 1):
-            if power[i]:
-                acc[i] = acc[i] + c * power[i]
-    return UPoly(acc)
+    return log1p(UPoly((f - one).coeffs[:order + 1]), order)
 
 
 def series_exp(f: UPoly, order: int) -> UPoly:
     """exp f as a truncated series; the constant term of f must vanish."""
-    if f.coeffs and f.coeffs[0]:
+    if f.coeff(0):
         raise ValueError("exp needs zero constant term")
-    g = _series_trim(f.coeffs, order)
-    sample = next((c for c in g if c), None)
-    one = Fraction(1) if sample is None else ring_one(sample)
-    acc = [one] + [0] * order
-    power = [one] + [0] * order
-    fact = 1
+    x = UPoly(f.coeffs[:order + 1])
+    acc = power = UPoly([ring_one(next(filter(None, x.coeffs), Fraction(1)))])
     for k in range(1, order + 1):
-        power = series_mul(power, g, order)
-        fact *= k
-        c = Fraction(1, fact)
-        for i in range(order + 1):
-            if power[i]:
-                acc[i] = acc[i] + c * power[i]
-    return UPoly(acc)
+        power = power.mul_trunc(x, order)
+        acc = acc + Fraction(1, math.factorial(k)) * power
+    return acc
 
 
 def series_inverse(f: UPoly, order: int) -> UPoly:
     """1/f as a truncated series; the constant term must be an invertible scalar."""
-    if not f.coeffs or not f.coeffs[0]:
-        raise ValueError("inverse needs invertible constant term")
-    c0 = f.coeffs[0]
-    if not isinstance(c0, Number):
-        raise ValueError("inverse implemented for scalar constant terms")
+    c0 = f.coeff(0)
+    if not (c0 and isinstance(c0, Number)):
+        raise ValueError("inverse needs an invertible scalar constant term")
     inv0 = 1.0 / c0 if isinstance(c0, float) else Fraction(1) / c0
-    g = _series_trim(f.coeffs, order)
-    out = [inv0] + [0] * order
+    out = [inv0]
     for k in range(1, order + 1):
-        s = 0
-        for j in range(1, k + 1):
-            if g[j]:
-                s = s + g[j] * out[k - j]
-        out[k] = -inv0 * s
+        s = sum(f.coeffs[j] * out[k - j] for j in range(1, min(k, f.degree) + 1))
+        out.append(-inv0 * s)
     return UPoly(out)
 
 

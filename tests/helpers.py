@@ -23,6 +23,18 @@ def bivariate(rows):
     return UPoly([UPoly(r) for r in rows])
 
 
+def series_mul_oracle(a, b, order):
+    """The product of the coefficient lists a and b up to u^order, as a list
+    of order + 1 coefficients (0 where no pair lands): the list-based series
+    product, kept as the oracle of ``UPoly.mul_trunc``."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[:order + 1]):
+        for j, y in enumerate(b[:order + 1 - i]):
+            if x and y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
 def coeff_uv(p, i: int, j: int):
     """The coefficient of u^i v^j of a polynomial in u over polynomials in v,
     0 beyond either degree."""

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import block_entries
 import snbethe
-from snbethe import spectra, suites
+from snbethe import cli, spectra, suites
 from snbethe.cli import build_parser, config_from_args, main
 from snbethe.reports import CheckRecord, VerificationReport
 
@@ -216,15 +216,22 @@ def test_cli_import_does_not_load_numpy():
     # only the float pipeline (eigenvectors, reconstruction) needs numpy, and
     # it imports it where it is used; start-up (import the CLI, read a
     # configuration) needs no dataclasses either, which would bring inspect
-    # (with ast, dis and tokenize) and compile record methods
+    # (with ast, dis and tokenize) and compile record methods.  The suites of
+    # the perfbench workloads run on exact arithmetic only, and numpy alone
+    # would double a bare interpreter's peak RSS.
     code = (
         "import sys\n"
         "from snbethe import cli\n"
         "cli.config_from_args(cli.build_parser().parse_args("
         "['run', 'identities-gaudin', '--n', '5']))\n"
         "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['run', 'identities-gaudin', '--n', '5']),\n"
+        "             cli.main(['run', 'homogeneous', '--n', '4'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
     )
-    assert child_output(code) == "[]"
+    assert child_output(code).splitlines() == ["[]", "[0, 0] False"]
 
 
 def test_package_imports_neither_dataclasses_nor_typing():
@@ -476,6 +483,20 @@ def test_default_z_too_short_says_so(capsys, argv):
     assert rc == 2 and captured.out == ""
     assert captured.err == ("configuration error: the default z has 7 values; "
                             "give n = 8 values with --z\n")
+
+
+def test_emit_exits_3_when_building_the_object_fails(capsys, monkeypatch):
+    # the configuration was valid, so a failure while building the object is
+    # an internal error: exit 3 and one line, as for a claim's exception in run
+    def out_of_memory(la, n):
+        raise MemoryError("no room for the idempotent")
+
+    monkeypatch.setattr(cli, "central_idempotent", out_of_memory)
+    rc = main(["emit", "idempotents", "--n", "3"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == "internal error: MemoryError: no room for the idempotent\n"
+    assert "Traceback" not in captured.err
 
 
 def test_parser_rejects_unknown_suite():

@@ -1,11 +1,13 @@
 """Homogeneous family: cycle sums, local charges, window densities, and the
 Taylor-coefficient determinant presentation."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from helpers import bivariate
+from helpers import bivariate, series_mul_oracle
+from snbethe import homogeneous
 from snbethe.rings import UPoly
 from snbethe.permutations import (
     GroupAlgebraElement,
@@ -134,6 +136,24 @@ def test_det_P_hat_n1_scalar():
     # (u)(v - 1) - 1
     want = bivariate([[F(-1)], [F(-1), F(1)]])
     assert det == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_P_hat_taylor_matrix_matches_per_entry_oracle(n, monkeypatch):
+    # Q[a][b] = coefficient of u^(n-a) in q(u) (1+u)^(-b), each entry formed
+    # on its own from the closed form of (1+u)^(-b) and a list product
+    q = s_k_poly(homogeneous_params(n), 1)
+    seen = []
+    monkeypatch.setattr(homogeneous, "presentation_det", lambda Z, Q, R: seen.append((Q, R)))
+    det_P_hat(n, q)
+    want = []
+    for a in range(1, n + 1):
+        row = []
+        for b in range(1, n + 1):
+            inv = [(-1) ** j * math.comb(b + j - 1, j) for j in range(n - a + 1)]
+            row.append(series_mul_oracle(q.coeffs, inv, n - a)[n - a])
+        want.append(row)
+    assert seen == [(want, want)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

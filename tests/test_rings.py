@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bivariate, coeff_uv, v_coeff
+from helpers import bivariate, coeff_uv, series_mul_oracle, v_coeff
 from snbethe.rings import (
     MultiPoly,
     SeededRandom,
@@ -13,6 +13,7 @@ from snbethe.rings import (
     _divide,
     _int_scaled,
     falling_binomial,
+    log1p,
     poly_divmod,
     poly_gcd,
     series_exp,
@@ -118,6 +119,80 @@ def test_series_roundtrip_group_algebra():
     one = GroupAlgebraElement.scalar(3, F(1))
     f = UPoly([one, s * F(1, 2) + t, t * F(-2), s * t])
     assert series_exp(series_log(f, 5), 5) == f
+
+
+def cut(p, order):
+    """p with every term above u^order dropped."""
+    return UPoly(p.coeffs[:order + 1])
+
+
+S12, S23 = ga_transposition(3, 1, 2), ga_transposition(3, 2, 3)
+# pairs of polynomials over the rationals, over the group algebra of S_3 and
+# over polynomials in v
+MUL_TRUNC_CASES = {
+    "fraction": (P(1, -2, 0, 3), P(F(1, 2), 1, 4)),
+    "group-algebra": (UPoly([S12, S23, S12 * S23]), UPoly([S23 * F(2), S12 + S23])),
+    "nested": (bivariate([[F(1), F(2)], [], [F(3), F(0), F(1)]]),
+               bivariate([[F(0), F(1)], [F(1, 2)]])),
+}
+
+
+@pytest.mark.parametrize("case", MUL_TRUNC_CASES)
+def test_mul_trunc_is_the_product_cut_at_the_order(case):
+    a, b = MUL_TRUNC_CASES[case]
+    full = a * b
+    # order 0 up to orders above the product's degree
+    for order in range(full.degree + 3):
+        got = a.mul_trunc(b, order)
+        assert got == cut(full, order)
+        assert got == UPoly(series_mul_oracle(a.coeffs, b.coeffs, order))
+        assert UPoly.dot(((a, b), (b, a)), order) == cut(a * b + b * a, order)
+
+
+def test_nested_truncated_product_keeps_polynomial_slots():
+    # u-coefficient 1 of a is zero and b has one u-coefficient, so slot 1 of
+    # the product has no pairs; it stays a polynomial in v
+    a, b = MUL_TRUNC_CASES["nested"][0], bivariate([[F(0), F(1)]])
+    for order in (2, 3, 5):
+        got = a.mul_trunc(b, order)
+        assert got.coeffs[1] == UPoly()
+        assert all(type(c) is UPoly for c in got.coeffs)
+
+
+def series_log_oracle(f, order):
+    """log f up to u^order on coefficient lists, each power a list product:
+    the list-based logarithm, kept as the oracle of ``series_log``."""
+    one = f.coeffs[0]
+    g = (f.coeffs + [0] * order)[:order + 1]
+    g[0] = g[0] - one
+    acc, power = [0] * (order + 1), [one] + [0] * order
+    for k in range(1, order + 1):
+        power = series_mul_oracle(power, g, order)
+        acc = [x + F((-1) ** (k + 1), k) * y for x, y in zip(acc, power)]
+    return UPoly(acc)
+
+
+def test_series_log_matches_the_list_oracle():
+    one = GroupAlgebraElement.scalar(3, F(1))
+    for f in (P(1, 1), P(1, 3, 0, F(-1, 2)),
+              UPoly([one, S12 * F(1, 2) + S23, S23 * F(-2), S12 * S23])):
+        for order in range(6):
+            assert series_log(f, order) == series_log_oracle(f, order)
+
+
+def test_log1p_of_a_multipoly_is_the_truncated_log_series():
+    # the sum of (-1)^(t+1) X^t / t over t <= 3, every power a truncated
+    # product: the window-table loop of the homogeneous charges
+    x, y, z = (MultiPoly.variable(3, i, c) for i, c in enumerate((S12, S23, S12 * S23)))
+    X = x + y * F(1, 2) + x * z - y * y
+    bound = 3
+    want = MultiPoly(3)
+    power = MultiPoly.const(3, GroupAlgebraElement.scalar(3, F(1)))
+    for t in range(1, bound + 1):
+        power = power.mul_trunc(X, bound)
+        want = want + F((-1) ** (t + 1), t) * power
+    assert total_degree(want) == bound
+    assert log1p(X, bound) == want
 
 
 def test_series_preconditions():

@@ -136,6 +136,21 @@ def test_diffop_polynomiality_check_catches_perturbed_residues(monkeypatch):
         gaudin_diffop_coeffs(2, 2, (F(0), F(1)))
 
 
+def test_diffop_degree_check_catches_an_entry_above_the_bound(monkeypatch):
+    # every quotient gains a factor u^(n+1) and keeps its zero remainder, so
+    # the table passes the polynomiality check and must fail the degree bound
+    n = 2
+    real = tensoract.poly_divmod
+
+    def raised(f, g):
+        q, r = real(f, g)
+        return q * UPoly([F(0)] * (n + 1) + [F(1)]), r
+
+    monkeypatch.setattr(tensoract, "poly_divmod", raised)
+    with pytest.raises(AssertionError, match="entry degree exceeds the structured bound"):
+        gaudin_diffop_coeffs(2, n, (F(0), F(1)))
+
+
 def test_polynomial_entries_drop_what_cancels():
     u = UPoly.gen()
     A = TensorOperator(2, 1, {(0, 0): u + F(1), (0, 1): u, (1, 1): UPoly()})

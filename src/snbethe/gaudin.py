@@ -19,14 +19,14 @@ from .rings import UPoly, poly_divmod, scalar_root_poly
 from .linalg import det
 from .permutations import (
     GroupAlgebraElement,
-    all_permutations,
+    _reduced,
     antisymmetrizer,
     class_sum,
     commutators,
     embed,
     ga_lift,
     ga_transposition,
-    sign,
+    typed_permutations,
 )
 from .reps import content_poly, content_product_all, partition_parts, partitions_of
 
@@ -48,31 +48,46 @@ class ParameterSet(namedtuple("ParameterSet", "z")):
         return all(self.z.count(x) < 3 for x in set(self.z))
 
 
-def signed_symmetrizer_sum(n: int, i: int, z) -> UPoly:
-    """i! * sum over i-subsets of the embedded antisymmetrizer times the
-    complementary root product; a polynomial in u with group-algebra
-    coefficients of degree n - i, each coefficient one sum of products over
-    the subsets."""
-    z = tuple(z)
+@lru_cache(maxsize=None)
+def embedded_antisymmetrizers(n: int, i: int) -> tuple:
+    """(r, i! times the antisymmetrizer of S_i embedded on the symbols r) for
+    each i-subset r of 1..n, in ``combinations`` order: the z-free factors of
+    ``phi_polys``, built once per (n, i) and shared, so callers must not
+    mutate them."""
     signed = antisymmetrizer(i) * Fraction(math.factorial(i))
-    subsets = [
-        (scalar_root_poly([z[a - 1] for a in range(1, n + 1) if a not in r]),
-         embed(signed, r, n))
-        for r in combinations(range(1, n + 1), i)
-    ]
-    return UPoly([GroupAlgebraElement.dot([(rest.coeff(k), ga) for rest, ga in subsets])
-                  for k in range(n - i + 1)])
+    return tuple((r, embed(signed, r, n)) for r in combinations(range(1, n + 1), i))
+
+
+def complement_root_polys(n: int, z) -> dict:
+    """rest -> prod over a in rest of (u - z_a), in a order, for every
+    increasing tuple rest of fewer than n symbols of 1..n (the complement of
+    a nonempty subset).  Each is formed once, by one linear factor from the
+    product over rest without its last symbol, the complement of the next
+    larger subset."""
+    z = tuple(z)
+    prods = {(): scalar_root_poly(())}
+    for size in range(1, n):
+        for rest in combinations(range(1, n + 1), size):
+            prods[rest] = scalar_root_poly([z[rest[-1] - 1]], prods[rest[:-1]])
+    return prods
 
 
 def phi_polys(n: int, z):
     """The generator polynomials and their coefficient table.
 
     Returns (polys, table): polys[i-1] is the degree n-i polynomial for
-    i = 1..n; table[(i, j)] is the coefficient of u^(n-i-j), as a
-    group-algebra element.
+    i = 1..n, i! times the sum over i-subsets r of the antisymmetrizer
+    embedded on r times the root product over the complement of r, each
+    coefficient one sum of products over the subsets; table[(i, j)] is the
+    coefficient of u^(n-i-j), as a group-algebra element.
     """
-    z = tuple(z)
-    polys = [signed_symmetrizer_sum(n, i, z) for i in range(1, n + 1)]
+    rests = complement_root_polys(n, z)
+    polys = []
+    for i in range(1, n + 1):
+        subsets = [(rests[tuple(a for a in range(1, n + 1) if a not in r)], ga)
+                   for r, ga in embedded_antisymmetrizers(n, i)]
+        polys.append(UPoly([GroupAlgebraElement.dot([(rest.coeff(k), ga) for rest, ga in subsets])
+                            for k in range(n - i + 1)]))
     table = {}
     for i, poly in enumerate(polys, start=1):
         for j in range(0, n - i + 1):
@@ -83,23 +98,39 @@ def phi_polys(n: int, z):
 def phi_gen_fixed_points(n: int, z) -> UPoly:
     """Fixed-point expansion of the generating function: (-1)^n times the sum
     over permutations of sign * sigma * prod over fixed points of
-    (1 - v(u - z_b)).  Each permutation lands in each coefficient once, so
-    the coefficients' terms are written directly."""
+    (1 - v(u - z_b)).  The product is formed once per fixed-point set, by one
+    factor from the set without its largest point, and each coefficient is
+    written as integer numerators over one denominator."""
     z = tuple(z)
+    products = {(): UPoly([UPoly([Fraction(1)])])}
+
+    def product(fixed: tuple) -> UPoly:
+        got = products.get(fixed)
+        if got is None:
+            # times 1 - v*(u - z_b) for the largest fixed point b
+            got = products[fixed] = product(fixed[:-1]) * UPoly(
+                [UPoly([Fraction(1), z[fixed[-1] - 1]]), UPoly([0, Fraction(-1)])])
+        return got
+
+    # (-1)^n sign(p) is (-1) to the number of cycles, fixed points included
+    rows = [(p, tuple(b for b, x in enumerate(p, 1) if x == b), (-1) ** len(mu))
+            for p, mu in typed_permutations(n)]
+    coeffs = {fixed: [(i, j, c) for i, row in enumerate(product(fixed).coeffs)
+                      for j, c in enumerate(row.coeffs) if c]
+              for _, fixed, _ in rows}
+    dens = [[1] * (n + 1) for _ in range(n + 1)]
+    for entries in coeffs.values():
+        for i, j, c in entries:
+            dens[i][j] = math.lcm(dens[i][j], c.denominator)
     slots = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
-    for p in all_permutations(n):
-        factor = UPoly([UPoly([Fraction(1)])])
-        for b in range(1, n + 1):
-            if p[b - 1] == b:
-                # 1 - v*(u - z_b)
-                factor = factor * UPoly([UPoly([Fraction(1), z[b - 1]]),
-                                         UPoly([0, Fraction(-1)])])
-        signed = Fraction((-1) ** n * sign(p))
-        for i, row in enumerate(factor.coeffs):
-            for j, c in enumerate(row.coeffs):
-                if c:
-                    slots[i][j][p] = signed * c
-    return UPoly([UPoly([GroupAlgebraElement(n, terms) for terms in row]) for row in slots])
+    scaled = {fixed: [(slots[i][j], c.numerator * (dens[i][j] // c.denominator))
+                      for i, j, c in entries]
+              for fixed, entries in coeffs.items()}
+    for p, fixed, s in rows:
+        for slot, x in scaled[fixed]:
+            slot[p] = x if s > 0 else -x
+    return UPoly([UPoly([_reduced(n, d, nums) for d, nums in zip(drow, row)])
+                  for drow, row in zip(dens, slots)])
 
 
 def v_expansion(polys, base=V) -> UPoly:
@@ -272,18 +303,18 @@ def det_presentation(variant: str, n: int, z, h):
     return d.coeff(0)
 
 
-def phi_tilde(n: int, z, polys) -> UPoly:
-    """Second generating function: the content product at v+1 times the sum of
-    the shifted generator polynomials ``polys`` (``phi_polys(n, z)[0]``) over
-    the partial denominators.  The rational expression is assembled over the
-    common denominator and the exact divisibility is verified rather than
-    assumed.
+def phi_tilde_coeff(n: int, z, polys, k: int) -> UPoly:
+    """The u^k coefficient of the second generating function
+    ``phi_tilde(n, z, polys)``, formed alone: a polynomial in v over the
+    group algebra.  Its numerator, the u^k coefficient of
+    prod (u - z_a) D(v) + sum_i (-1)^i u^i phi_i(u) prod_{j>i} (v + j) with
+    D(v) = prod_{j<=n} (v + j), is multiplied by the content product at v+1
+    and divided by D exactly; a nonzero remainder raises AssertionError.
 
     The content product at v+1 enters as its n sparse Jucys-Murphy factors
     v + 1 - J_k, not as its dense coefficients.  That it is their product is
     checked exactly first: ``jm_content_product(n)`` must equal
     ``content_product_all(n)``, else AssertionError."""
-    z = tuple(z)
     if jm_content_product(n) != content_product_all(n):
         raise AssertionError("Jucys-Murphy factors do not give the content product")
 
@@ -291,22 +322,29 @@ def phi_tilde(n: int, z, polys) -> UPoly:
         return scalar_root_poly([Fraction(-j) for j in range(lo, hi + 1)])
 
     denom = vfactors(1, n)
-    lead = scalar_root_poly(z)
-    num = ga_lift(n, lead.map_coeffs(lambda c: UPoly([c])) * UPoly([denom]))
+    pairs = [(scalar_root_poly(z).coeff(k), denom)]
     for i, poly in enumerate(polys, start=1):
-        u_part = poly.map_coeffs(lambda c: UPoly([c])) * UPoly(
-            [UPoly()] * i + [UPoly([Fraction((-1) ** i)])])
-        num = num + ga_lift(n, u_part) * ga_lift(n, UPoly([vfactors(i + 1, n)]))
+        c = poly.coeff(k - i) if k >= i else 0
+        if c:
+            pairs.append((c * Fraction((-1) ** i), vfactors(i + 1, n)))
+    num = ga_lift(n, UPoly.dot(pairs))
     one = GroupAlgebraElement.scalar(n, Fraction(1))
     for jm in jm_elements(n):
-        num = num * UPoly([UPoly([one - jm, one])])
-    quotients = []
-    for c in num.coeffs:
-        quot, rem = poly_divmod(c, denom)
-        if rem:
-            raise AssertionError("generating function is not polynomial in v")
-        quotients.append(quot)
-    return UPoly(quotients)
+        num = num * UPoly([one - jm, one])
+    quot, rem = poly_divmod(num, denom)
+    if rem:
+        raise AssertionError("generating function is not polynomial in v")
+    return quot
+
+
+def phi_tilde(n: int, z, polys) -> UPoly:
+    """Second generating function: the content product at v+1 times the sum of
+    the shifted generator polynomials ``polys`` (``phi_polys(n, z)[0]``) over
+    the partial denominators, a polynomial in u of degree n over polynomials
+    in v.  The rational expression is assembled over the common denominator
+    and the exact divisibility is verified rather than assumed, one
+    coefficient at a time (``phi_tilde_coeff``)."""
+    return UPoly([phi_tilde_coeff(n, z, polys, k) for k in range(n + 1)])
 
 
 def check_relations_H(la, z, h) -> dict:

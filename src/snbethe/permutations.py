@@ -64,6 +64,14 @@ through, so it avoids per-term overhead in three ways:
     accumulation over all their term pairs: the keys and values of adding
     the products one by one, the key order possibly not.  A sum ``a + b``
     lists a's keys, then b's new ones.
+
+* One product per self-adjoint commutator.  The dagger reverses products,
+  so when a and b are both fixed by it (a scalar always is), ba = (ab)†
+  and ``commutators`` forms [a, b] as ab - (ab)†: one product, then one
+  pass that subtracts each term again at its inverse.  Each element is
+  tested once; a pair with an unfixed element is the two-pair dot
+  ab + (-b)a.  Up to CAYLEY_MAX_DEGREE the dagger reads the inverses off
+  the Cayley table.
 """
 
 from __future__ import annotations
@@ -197,6 +205,17 @@ def _cayley(n: int):
                 rows[st] = itemgetter(*rows[t])(row_s)
                 order.append(st)
     return index, images, rows
+
+
+@lru_cache(maxsize=None)
+def _inverter(n: int):
+    """p -> inverse(p) on S_n: for n <= CAYLEY_MAX_DEGREE a lookup read off
+    the Cayley table (images[i] has the inverse images[j] with rows[i][j] ==
+    0), built once per n, else ``inverse`` itself."""
+    if n > CAYLEY_MAX_DEGREE:
+        return inverse
+    _, images, rows = _cayley(n)
+    return {p: images[row.index(0)] for p, row in zip(images, rows)}.__getitem__
 
 
 def _accumulate(acc, left, right):
@@ -462,7 +481,7 @@ class GroupAlgebraElement:
 
     def dagger(self) -> "GroupAlgebraElement":
         """Linear antiinvolution: each permutation goes to its inverse."""
-        return self._rekeyed(self.n, inverse)
+        return self._rekeyed(self.n, _inverter(self.n))
 
     def star(self) -> "GroupAlgebraElement":
         """Semilinear antiinvolution: inverse permutations, conjugated
@@ -483,14 +502,49 @@ class GroupAlgebraElement:
         return "GA(" + (" + ".join(parts) if parts else "0") + ")"
 
 
+def _minus_dagger(x: GroupAlgebraElement) -> GroupAlgebraElement:
+    """x - x† in one pass: each term of x is subtracted again at its inverse
+    permutation, also where x has no term."""
+    inv = _inverter(x.n)
+    out = dict(x._nums)
+    get, pop = out.get, out.pop
+    for p, c in x._nums.items():
+        q = inv(p)
+        s = get(q, 0) - c
+        if s:
+            out[q] = s
+        else:
+            pop(q, None)
+    return _reduced(x.n, x._d, out)
+
+
 def commutators(elements) -> list:
-    """ab - ba, each formed as one sum of products, for every pair a, b of
-    ``elements`` (group-algebra elements or scalars) that is not two
-    scalars."""
+    """ab - ba for every pair a, b of ``elements`` (group-algebra elements or
+    scalars) that is not two scalars: ab - (ab)†, one product, when both are
+    fixed by the dagger, else one sum of products (see the module
+    docstring)."""
     items = list(elements)
-    return [GroupAlgebraElement.dot(((a, b), (-b, a)))
-            for i, a in enumerate(items) for b in items[i + 1:]
-            if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)]
+    fixed = [not isinstance(x, GroupAlgebraElement) or x.dagger() == x for x in items]
+    out = []
+    for i, a in enumerate(items):
+        for j in range(i + 1, len(items)):
+            b = items[j]
+            if not (isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)):
+                continue
+            if fixed[i] and fixed[j]:
+                out.append(_minus_dagger(_dot(((a, b),))))
+            else:
+                out.append(_dot(((a, b), (-b, a))))
+    return out
+
+
+def conjugate(a: GroupAlgebraElement, s: tuple) -> GroupAlgebraElement:
+    """s a s^-1 for a permutation s of a's degree, with no product: each
+    term p moves to s p s^-1."""
+    if len(s) != a.n:
+        raise ValueError(f"degree mismatch: {a.n} vs {len(s)}")
+    back = _gather(inverse(s))
+    return a._rekeyed(a.n, lambda p: back(_gather(p)(s)))
 
 
 def ga_perm(p: tuple) -> GroupAlgebraElement:

@@ -140,11 +140,11 @@ class UPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, UPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, Number):
-            if not self.coeffs:
-                return other == 0
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
-        return NotImplemented
+        # any other ring element is the constant polynomial, so a nested
+        # constant equals one whose inner polynomial was read as a scalar
+        if not self.coeffs:
+            return other == 0
+        return len(self.coeffs) == 1 and self.coeffs[0] == other
 
     def __neg__(self) -> "UPoly":
         return UPoly([-c for c in self.coeffs])
@@ -261,15 +261,22 @@ class UPoly:
         return f"UPoly({self.coeffs!r})"
 
 
-def scalar_root_poly(roots) -> UPoly:
+def scalar_root_poly(roots, prefix=None) -> UPoly:
     """prod (u - r) over the roots, in order: monic, with a Fraction leading
     coefficient, so ``poly_divmod`` divides by it exactly.  Pass Fraction
     roots so that every coefficient is a Fraction (``to_json`` writes ints
-    and Fractions differently)."""
-    poly = UPoly([Fraction(1)])
+    and Fractions differently).  ``prefix``, the ``scalar_root_poly`` of
+    earlier roots, is continued: ``scalar_root_poly(b, scalar_root_poly(a))``
+    equals ``scalar_root_poly(a + b)``, coefficient types included.
+
+    Each factor is one coefficient recurrence, the product with u - r as
+    ``UPoly.dot`` forms it: slot k is c_(k-1) plus c_k * (-r), a term with a
+    zero factor left out, and the int 0 where both are."""
+    cs = [Fraction(1)] if prefix is None else prefix.coeffs
     for r in roots:
-        poly = poly * UPoly([-r, Fraction(1)])
-    return poly
+        cs = [(prev or 0) + (c * -r if c and r else 0)
+              for prev, c in zip([0, *cs], [*cs, 0])]
+    return UPoly(cs)
 
 
 def poly_divmod(f: UPoly, g: UPoly):

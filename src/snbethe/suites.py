@@ -23,13 +23,13 @@ from .permutations import (
     antisymmetrizer,
     commutators,
     compose,
+    conjugate,
     cycle,
     cycle_data,
     embed,
     ga_lift,
     ga_perm,
     ga_transposition,
-    inverse,
     permutation,
     top_embed,
     trace_map,
@@ -56,6 +56,7 @@ from .gaudin import (
     phi_gen_fixed_points,
     phi_polys,
     phi_tilde,
+    phi_tilde_coeff,
     v_expansion,
 )
 from .xxx import (
@@ -154,13 +155,6 @@ def gaudin_polys(n: int, z: tuple):
     table = gaudin_table(n, z)
     return [UPoly([table[(i, n - i - k)] for k in range(n - i + 1)])
             for i in range(1, n + 1)]
-
-
-@lru_cache(maxsize=None)
-def gaudin_shifted(n: int, z: tuple):
-    """The shifted generating polynomial φ̃ of ``gaudin_polys(n, z)``, built
-    once per (n, z) for the two claims that read it."""
-    return phi_tilde(n, z, gaudin_polys(n, z))
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +359,8 @@ def gaudin_generating_det(cfg, rng):
 
 
 def gaudin_shifted_det(cfg, rng):
-    return max_abs(gaudin_shifted(cfg.n, cfg.z) - gaudin_presentation(cfg, "Ptilde"))
+    return max_abs(phi_tilde(cfg.n, cfg.z, gaudin_polys(cfg.n, cfg.z))
+                   - gaudin_presentation(cfg, "Ptilde"))
 
 
 def gaudin_content_det(cfg, rng):
@@ -398,9 +393,7 @@ def gaudin_equivariance(cfg, rng):
         sig = rng.choice(all_permutations(n))
         zperm = tuple(z[b - 1] for b in sig)
         polys_p = phi_polys(n, zperm)[0]
-        g = ga_perm(sig)
-        ginv = ga_perm(inverse(sig))
-        residuals += [pp.map_coeffs(lambda c: g * c * ginv) - p0
+        residuals += [pp.map_coeffs(lambda c: conjugate(c, sig)) - p0
                       for pp, p0 in zip(polys_p, polys_0)]
     return max_abs(*residuals)
 
@@ -446,14 +439,16 @@ def gaudin_content_jm(cfg, rng):
 
 
 def gaudin_shifted_edges(cfg, rng):
+    # the two edge coefficients of φ̃ alone, not the whole polynomial
     n, z = cfg.n, cfg.z
-    pt = gaudin_shifted(n, z)
+    polys = gaudin_polys(n, z)
     pi = content_product_all(n)
     zprod = Fraction(1)
     for x in z:
         zprod *= x
     tail = pi.shift_arg(Fraction(1)) * (Fraction((-1) ** n) * zprod)
-    return max_abs(pt.coeff(n) - ga_lift(n, pi), pt.coeff(0) - ga_lift(n, tail))
+    return max_abs(phi_tilde_coeff(n, z, polys, n) - ga_lift(n, pi),
+                   phi_tilde_coeff(n, z, polys, 0) - ga_lift(n, tail))
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +527,10 @@ def xxx_telescoping(cfg, rng):
 def xxx_cycle_shift(cfg, rng):
     n, z, hbar = cfg.n, cfg.z, cfg.hbar
     gam = gamma_perm(n)
-    g, ginv = ga_perm(gam), ga_perm(inverse(gam))
     prot = xxx_params(z[1:] + z[:1], hbar)
     params = xxx_params(z, hbar)
     return max_abs(*(
-        t_m_poly(prot, m, p=Fraction(2)).map_coeffs(lambda c: g * c * ginv)
+        t_m_poly(prot, m, p=Fraction(2)).map_coeffs(lambda c: conjugate(c, gam))
         - t_m_poly(params, m, p=Fraction(2))
         for m in range(1, min(n, 3) + 1)
     ))
@@ -575,9 +569,9 @@ def mirror_residual(cfg, params, conj):
 
 
 def xxx_reversal(cfg, rng):
-    r = ga_perm(permutation([cfg.n + 1 - i for i in range(1, cfg.n + 1)]))
+    r = permutation([cfg.n + 1 - i for i in range(1, cfg.n + 1)])
     return mirror_residual(cfg, xxx_params(tuple(reversed(cfg.z)), cfg.hbar),
-                           lambda c: r * c * r)
+                           lambda c: conjugate(c, r))
 
 
 def xxx_dagger_reversal(cfg, rng):

@@ -1,7 +1,12 @@
 """Shared test helpers."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
+from snbethe.permutations import (
+    GroupAlgebraElement, all_permutations, antisymmetrizer, embed, ga_lift, sign,
+)
 from snbethe.reps import BlockMatrix, block_shapes
 from snbethe.rings import UPoly, _int_scaled
 
@@ -33,6 +38,56 @@ def series_mul_oracle(a, b, order):
             if x and y:
                 out[i + j] = out[i + j] + x * y
     return out
+
+
+def scalar_root_poly_oracle(roots):
+    """prod (u - r) over the roots as the polynomial product forms it, one
+    ``UPoly`` product per factor: the oracle of ``scalar_root_poly``'s
+    coefficient recurrence, coefficient types included."""
+    poly = UPoly([Fraction(1)])
+    for r in roots:
+        poly = poly * UPoly([-r, Fraction(1)])
+    return poly
+
+
+def phi_polys_oracle(n: int, z):
+    """``gaudin.phi_polys`` with the per-subset loop: i! times the
+    antisymmetrizer embedded afresh on each i-subset r, times the complement
+    root product formed afresh for each r."""
+    z = tuple(z)
+    polys = []
+    for i in range(1, n + 1):
+        signed = antisymmetrizer(i) * Fraction(math.factorial(i))
+        subsets = [
+            (scalar_root_poly_oracle([z[a - 1] for a in range(1, n + 1) if a not in r]),
+             embed(signed, r, n))
+            for r in combinations(range(1, n + 1), i)
+        ]
+        polys.append(UPoly([GroupAlgebraElement.dot([(rest.coeff(k), ga) for rest, ga in subsets])
+                            for k in range(n - i + 1)]))
+    table = {(i, j): ga_lift(n, poly.coeff(n - i - j))
+             for i, poly in enumerate(polys, start=1) for j in range(n - i + 1)}
+    return polys, table
+
+
+def phi_gen_fixed_points_oracle(n: int, z):
+    """``gaudin.phi_gen_fixed_points`` with the per-permutation loop: the
+    product over each permutation's fixed points formed afresh, each term
+    written as a Fraction."""
+    z = tuple(z)
+    slots = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
+    for p in all_permutations(n):
+        factor = UPoly([UPoly([Fraction(1)])])
+        for b in range(1, n + 1):
+            if p[b - 1] == b:
+                factor = factor * UPoly([UPoly([Fraction(1), z[b - 1]]),
+                                         UPoly([0, Fraction(-1)])])
+        signed = Fraction((-1) ** n * sign(p))
+        for i, row in enumerate(factor.coeffs):
+            for j, c in enumerate(row.coeffs):
+                if c:
+                    slots[i][j][p] = signed * c
+    return UPoly([UPoly([GroupAlgebraElement(n, terms) for terms in row]) for row in slots])
 
 
 def coeff_uv(p, i: int, j: int):

@@ -164,12 +164,13 @@ def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
     # gaudin_table; only the one-off z values (scaled, shifted, permuted)
     # build their own.  Seed 7 draws no identity permutation, scale 1 or
     # shift 0, so none of those is the run's z.  The shifted polynomial φ̃
-    # is built once for shifted-det and shifted-edges; at n = 5 shifted-det
-    # is capped, and shifted-edges alone builds it.
+    # is built whole only by shifted-det (n <= 4); shifted-edges forms its
+    # two edge coefficients u^0 and u^n alone, so at n = 5 no whole φ̃ is
+    # built.
     from snbethe import gaudin, reps
 
-    built, shifted = [], []
-    real, real_tilde = gaudin.phi_polys, gaudin.phi_tilde
+    built, shifted, coeffs = [], [], []
+    real, real_tilde, real_coeff = gaudin.phi_polys, gaudin.phi_tilde, gaudin.phi_tilde_coeff
 
     def counted(n, z):
         built.append(tuple(z))
@@ -179,22 +180,36 @@ def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
         shifted.append(tuple(z))
         return real_tilde(n, z, polys)
 
+    def counted_coeff(n, z, polys, k):
+        coeffs.append((tuple(z), k))
+        return real_coeff(n, z, polys, k)
+
     monkeypatch.setattr(suites, "phi_polys", counted)
     monkeypatch.setattr(gaudin, "phi_polys", counted)
     monkeypatch.setattr(suites, "phi_tilde", counted_tilde)
-    caches = (suites.gaudin_table, suites.gaudin_shifted, reps.content_product_all)
+    monkeypatch.setattr(suites, "phi_tilde_coeff", counted_coeff)
+    monkeypatch.setattr(gaudin, "phi_tilde_coeff", counted_coeff)
+    caches = (suites.gaudin_table, reps.content_product_all)
     try:
         for n in (4, 5):
             for cache in caches:
                 cache.cache_clear()
             built.clear()
             shifted.clear()
+            coeffs.clear()
             rc, _ = run_main(capsys, ["run", "identities-gaudin", "--n", str(n),
                                       "--format", "json", "--seed", "7"])
             assert rc == 0
             assert built.count(suites.default_z(n)) == 1
             assert len(built) == 6
-            assert shifted == [suites.default_z(n)]
+            z = suites.default_z(n)
+            edges = [(z, n), (z, 0)]
+            if n == 4:
+                assert shifted == [z]
+                assert coeffs == [(z, k) for k in range(n + 1)] + edges
+            else:
+                assert shifted == []
+                assert coeffs == edges
             assert reps.content_product_all.cache_info().misses == 1
     finally:
         for cache in caches:

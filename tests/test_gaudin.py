@@ -2,11 +2,15 @@
 elements, determinant presentations, and the scalar relation checkers."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import bivariate, coeff_uv, distinct_rationals, lift_u, v_coeff
-from snbethe import gaudin
+from helpers import (
+    bivariate, coeff_uv, distinct_rationals, lift_u, phi_gen_fixed_points_oracle,
+    phi_polys_oracle, v_coeff,
+)
+from snbethe import gaudin, suites
 from snbethe.rings import SeededRandom, UPoly, poly_divmod, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
@@ -30,6 +34,7 @@ from snbethe.gaudin import (
     phi_gen_fixed_points,
     phi_polys,
     phi_tilde,
+    phi_tilde_coeff,
     presentation_det,
     v_expansion,
 )
@@ -409,3 +414,55 @@ def test_fused_commutator_reports_the_unfused_residual():
     assert [set(map(type, c.terms.values())) for c in got] == \
         [set(map(type, c.terms.values())) for c in want]
     assert max_commutator(items) == 1
+
+
+# Fraction z, one set pairwise distinct and one with a repeated value, per n
+BUILDER_Z = {
+    n: ((F(1, 2), F(-3, 4), F(3), F(-7, 3), F(5, 2))[:n],
+        (F(1, 2), F(-3, 4), F(3), F(-7, 3), F(5, 2))[:n - 1] + (F(1, 2),))
+    for n in (2, 3, 4, 5)
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_builders_match_their_per_subset_and_per_permutation_oracles(n):
+    # the shared embedded antisymmetrizers and complement products, and the
+    # one product per fixed-point set, against the loops that form each
+    # afresh; each z builds the shared factors' cache entry or reuses it
+    for z in BUILDER_Z[n]:
+        polys, table = phi_polys(n, z)
+        want_polys, want_table = phi_polys_oracle(n, z)
+        assert polys == want_polys
+        assert list(table) == list(want_table) and table == want_table
+        assert phi_gen_fixed_points(n, z) == phi_gen_fixed_points_oracle(n, z)
+    rests = gaudin.complement_root_polys(n, BUILDER_Z[n][0])
+    assert len(rests) == 2 ** n - 1
+    for rest, poly in rests.items():
+        assert poly == scalar_root_poly([BUILDER_Z[n][0][a - 1] for a in rest])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_phi_tilde_coefficients_alone_match_the_whole(n):
+    for z in BUILDER_Z[n]:
+        polys = phi_polys(n, z)[0]
+        whole = oracle_phi_tilde(n, z, polys)
+        assert whole.degree == n
+        for k in range(n + 1):
+            assert phi_tilde_coeff(n, z, polys, k) == whole.coeff(k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_perturbed_generator_fails_the_edge_path(n, monkeypatch):
+    # phi_n enters the u^n coefficient over no partial denominator, so a
+    # transposition added to it leaves a remainder in v; the edge claim
+    # forms only u^0 and u^n and must still raise
+    for z in BUILDER_Z[n]:
+        polys = phi_polys(n, z)[0]
+        bad = polys[:-1] + [polys[-1] + ga_transposition(n, 1, 2)]
+        with pytest.raises(AssertionError, match="not polynomial in v"):
+            phi_tilde_coeff(n, z, bad, n)
+        with pytest.raises(AssertionError):
+            oracle_phi_tilde(n, z, bad)
+        monkeypatch.setattr(suites, "gaudin_polys", lambda m, zz: bad)
+        with pytest.raises(AssertionError, match="not polynomial in v"):
+            suites.gaudin_shifted_edges(SimpleNamespace(n=n, z=z), None)

@@ -1042,3 +1042,113 @@ def test_rational_elements_build_no_terms_until_read():
     for a in built:
         terms = a.terms
         assert a._terms is terms and all(type(c) is F for c in terms.values())
+
+
+# Commutators: the one-product form ab - (ab)† of dagger-fixed pairs against
+# the two-pair dot ab + (-b)a, compared as elements.
+
+def two_pair_commutators(items) -> list:
+    return [GroupAlgebraElement.dot(((a, b), (-b, a)))
+            for i, a in enumerate(items) for b in items[i + 1:]
+            if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_self_adjoint_commutators_match_the_two_pair_dot(n):
+    from snbethe.gaudin import phi_polys
+
+    table = list(phi_polys(n, (F(1, 2), F(-3, 4), F(3), F(-7, 3))[:n])[1].values())
+    assert all(a.dagger() == a for a in table)
+    got, want = commutators(table), two_pair_commutators(table)
+    assert len(got) == len(want) == len(table) * (len(table) - 1) // 2
+    assert got == want and not any(got)
+
+
+def test_self_adjoint_commutator_needs_both_supports():
+    # s(1,2) and s(2,3) are dagger-fixed and do not commute: ab is (1 2 3)
+    # and (ab)† = ba is (1 3 2), a key outside supp(ab)
+    a, b = ga_transposition(3, 1, 2), ga_transposition(3, 2, 3)
+    want = ga_perm(cycle(3, [1, 2, 3])) - ga_perm(cycle(3, [1, 3, 2]))
+    assert (a * b).support() == [cycle(3, [1, 2, 3])]
+    [got] = commutators([a, b])
+    assert got == want == a * b - b * a
+    assert got.support() == sorted([cycle(3, [1, 2, 3]), cycle(3, [1, 3, 2])])
+    assert commutators([b, a]) == [-want]
+
+
+def test_commutator_of_an_unfixed_element_takes_the_two_pair_dot():
+    c = ga_perm(cycle(4, [1, 2, 3])) + ga_perm(cycle(4, [1, 2, 3, 4])) * F(1, 2)
+    s = ga_transposition(4, 3, 4) * 3
+    assert c.dagger() != c and s.dagger() == s
+    items = [c, s, c * s]
+    got = commutators(items)
+    assert got == two_pair_commutators(items)
+    assert got == [x * y - y * x for i, x in enumerate(items) for y in items[i + 1:]]
+    assert all(got)
+
+
+def test_commutators_with_scalars():
+    a = ga_transposition(3, 1, 2) * F(2, 3) + ga_perm(cycle(3, [1, 2, 3]))
+    s = ga_transposition(3, 2, 3)
+    items = [F(2), s, 3, a, F(-1, 5)]
+    got = commutators(items)
+    # two scalars form no commutator; a scalar commutes with everything,
+    # on the one-product path beside s and on the two-pair dot beside a,
+    # which the dagger does not fix
+    assert a.dagger() != a
+    assert len(got) == 10 - 3
+    assert got == two_pair_commutators(items)
+    assert [bool(g) for g in got] == [False, False, False, True, False, False, False]
+    assert commutators([F(1), 2]) == []
+
+
+def test_max_commutator_forms_one_product_per_dagger_fixed_pair(monkeypatch):
+    # the term pairs that reach the two product loops on the n = 4 gaudin
+    # table: |a||b| once for each pair of elements neither of which is c*1
+    # alone (those are linear combinations and form none), and twice as
+    # many for the two-pair dot
+    from snbethe.gaudin import phi_polys
+    from snbethe.suites import default_z, max_commutator
+
+    pairs = []
+    real_cayley, real_accumulate = permutations._cayley_dot, permutations._accumulate
+
+    def cayley_dot(n, scaled):
+        scaled = [(list(left), list(right)) for left, right in scaled]
+        pairs.append(sum(len(left) * len(right) for left, right in scaled))
+        return real_cayley(n, scaled)
+
+    def accumulate(acc, left, right):
+        left, right = list(left), list(right)
+        pairs.append(len(left) * len(right))
+        return real_accumulate(acc, left, right)
+
+    monkeypatch.setattr(permutations, "_cayley_dot", cayley_dot)
+    monkeypatch.setattr(permutations, "_accumulate", accumulate)
+    table = list(phi_polys(4, default_z(4))[1].values())
+    one = identity(4)
+    sizes = [len(a.numerators()[1]) for a in table
+             if set(a.numerators()[1]) != {one}]
+    once = sum(x * y for i, x in enumerate(sizes) for y in sizes[i + 1:])
+    assert once > 0
+    assert max_commutator(table) == 0
+    assert sum(pairs) == once
+    pairs.clear()
+    two_pair_commutators(table)
+    assert sum(pairs) == 2 * once
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conjugate_relabels_as_the_two_products(n):
+    from snbethe.permutations import conjugate
+
+    rng = SeededRandom(501 + n)
+    perms = all_permutations(n)
+    for _ in range(20):
+        a = GroupAlgebraElement(n, random_plain(rng, perms, "mixed"))
+        s = rng.choice(perms)
+        got = conjugate(a, s)
+        assert got == ga_perm(s) * a * ga_perm(inverse(s))
+        assert got.numerators()[0] == a.numerators()[0]
+    with pytest.raises(ValueError, match="degree mismatch"):
+        conjugate(ga_perm(identity(n)), identity(n + 1))

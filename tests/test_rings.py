@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bivariate, coeff_uv, series_mul_oracle, v_coeff
+from helpers import bivariate, coeff_uv, scalar_root_poly_oracle, series_mul_oracle, v_coeff
 from snbethe.rings import (
     MultiPoly,
     SeededRandom,
@@ -16,6 +16,7 @@ from snbethe.rings import (
     log1p,
     poly_divmod,
     poly_gcd,
+    scalar_root_poly,
     series_exp,
     series_inverse,
     series_log,
@@ -439,3 +440,48 @@ def test_divmod_of_polynomials_over_polynomials_is_the_step_by_step_division():
             assert all(isinstance(c, UPoly) for part in got for c in part.coeffs)
             q, r = got
             assert q * g + r == f
+
+
+def typed(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+def test_scalar_root_poly_recurrence_matches_the_polynomial_product():
+    # values and coefficient types: a slot that no nonzero term reaches is
+    # the int 0, and which slots those are depends on the root order
+    # ((u - 0)(u - 1)(u + 1) has the Fraction 0 at u^2, (u - 1)(u + 1)(u - 0)
+    # the int 0), so the recurrence must leave out exactly the terms the
+    # product leaves out
+    import itertools
+
+    values = (0, F(0), 1, -1, F(1, 2), F(-1, 2), F(3))
+    for k in range(5):
+        for roots in itertools.product(values, repeat=k):
+            got = scalar_root_poly(roots)
+            assert typed(got) == typed(scalar_root_poly_oracle(roots))
+            for cut in range(k + 1):
+                continued = scalar_root_poly(roots[cut:], scalar_root_poly(roots[:cut]))
+                assert typed(continued) == typed(got)
+    assert typed(scalar_root_poly([0, 1, -1]))[2] == (F, 0)
+    assert typed(scalar_root_poly([1, -1, 0]))[2] == (int, 0)
+    assert typed(scalar_root_poly([])) == [(F, 1)]
+
+
+def test_nested_constant_equals_a_constant_read_as_a_scalar():
+    # (V - V) - 2 adds the scalar to the zero polynomial and so holds a
+    # bare scalar where the nested form holds UPoly([-2]); equality reads
+    # any non-polynomial ring element as the constant polynomial
+    from snbethe.gaudin import V
+
+    flat = (V - V) - F(2)
+    nested = UPoly([UPoly([F(-2)])])
+    assert flat.coeffs == [F(-2)]
+    assert flat == nested and nested == flat
+    assert ga_lift(3, flat) == ga_lift(3, nested)
+    assert ga_lift(3, nested) == ga_lift(3, flat)
+    assert ga_lift(3, flat) != ga_lift(3, UPoly([UPoly([F(2)])]))
+    assert ga_lift(3, flat) != ga_lift(3, UPoly([UPoly([F(-2), F(1)])]))
+    g = ga_transposition(3, 1, 2)
+    assert UPoly([g]) == g and g == UPoly([g]) and UPoly([UPoly([g])]) == g
+    assert UPoly() == GroupAlgebraElement.zero(3) and UPoly([g]) != GroupAlgebraElement.zero(3)
+    assert UPoly([g, g]) != g

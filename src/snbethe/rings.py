@@ -18,10 +18,11 @@ u^i v^j is ``P.coeff(i).coeff(j)`` for i up to the u-degree; a constant c is
 ``UPoly([UPoly([c])])``.  Invariant: every coefficient of such a polynomial,
 a zero one included, is a UPoly; were a bare ring element among them, the
 group-algebra ``dot`` would receive a UPoly factor and raise.  Products,
-``map_coeffs`` into UPolys and ``ga_lift`` keep it, since a product's empty
-slot over polynomials is ``UPoly()``.  A scalar polynomial such as ``P ** 0``
-(``UPoly([Fraction(1)])``) is not of this form, but ``UPoly.dot`` reads a
-scalar factor c as ``UPoly([c])``, so its product with P is.
+quotients, ``map_coeffs`` into UPolys and ``ga_lift`` keep it, since an empty
+product or quotient slot over polynomials is ``UPoly()``.  A scalar
+polynomial such as ``P ** 0`` (``UPoly([Fraction(1)])``) is not of this form,
+but ``UPoly.dot`` reads a scalar factor c as ``UPoly([c])``, so its product
+with P is.
 
 ``UPoly.dot`` forms a sum of products of polynomial pairs in one pass, with
 one coefficient ``dot`` per output slot (``_dot_hook`` finds it), and a
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Number
 
 
@@ -83,9 +83,10 @@ def _sum_of_products(pairs):
 
 
 def _empty_slot(total):
-    """An output slot with no pairs when the slots are summed by ``total``:
-    ``UPoly()`` for ``UPoly.dot``, so that a polynomial over polynomials has
-    only polynomial coefficients, else 0."""
+    """An output slot with no pairs, or a quotient slot that no division
+    step reaches, when the slots are summed by ``total``: ``UPoly()`` for
+    ``UPoly.dot``, so that a polynomial over polynomials has only polynomial
+    coefficients, else 0."""
     return UPoly() if total is UPoly.dot else 0
 
 
@@ -280,66 +281,30 @@ def scalar_root_poly(roots, prefix=None) -> UPoly:
 
 
 def poly_divmod(f: UPoly, g: UPoly):
-    """Division with remainder.  The leading coefficient of g must be an
-    invertible scalar: an int or Fraction, inverted exactly, or a float; the
-    coefficients of f may live in any ring on which that scalar acts.
-
-    Each output coefficient is a combination of f's coefficients with scalar
-    weights.  When f's coefficients have a ``dot`` hook (group-algebra
-    elements, or polynomials for a polynomial over polynomials), the
-    weights are ``_divide`` of sum_k t^k u^k by g and each output is one
-    ``dot`` over f's coefficients: the same values, though over polynomials
-    whose scalars mix int and Fraction an output scalar's type, which
-    follows the order of the additions, can differ from ``_divide`` on f.
-    The weights depend only on len(f.coeffs) and g, so
-    ``_division_weights`` computes them once per such pair."""
+    """(quotient, remainder) of f by g, the step-by-step division.  The
+    leading coefficient of g must be an invertible scalar: an int or
+    Fraction, inverted exactly, or a float, inverted as a float; the
+    coefficients of f may live in any ring on which that scalar acts.  A
+    quotient slot that no step reaches is the zero of f's coefficients:
+    ``UPoly()`` over polynomials (see the module docstring), else 0."""
     if not g.coeffs:
         raise ZeroDivisionError("polynomial division by zero")
-    if not isinstance(g.lead(), Number):
+    lead = g.lead()
+    if not isinstance(lead, Number):
         raise ValueError("divisor must have scalar leading coefficient")
-    dot = _dot_hook(f.coeffs)
-    if dot is None:
-        return _divide(f.coeffs, g.coeffs)
-    zero = _empty_slot(dot)
-
-    def combine(weights):
-        pairs = [(c, x) for c, x in zip(f.coeffs, weights.coeffs) if c and x]
-        return dot(pairs) if pairs else zero
-
-    divisor = tuple(g.coeffs)
-    return tuple(UPoly([combine(w) for w in part.coeffs])
-                 for part in _division_weights(len(f.coeffs), divisor,
-                                               tuple(map(type, divisor))))
-
-
-def _divide(f, g):
-    """(quotient, remainder) of the coefficient lists f by g, the step-by-step
-    division: the one division algorithm, run by ``poly_divmod`` on f's
-    coefficients or on the weights of its ``dot`` path.  A float leading
-    coefficient is inverted as a float, any other one exactly."""
-    lead = g[-1]
     inv = 1.0 / lead if isinstance(lead, float) else Fraction(1) / lead
-    rem = list(f)
-    dg = len(g) - 1
-    qcoeffs = [0] * max(len(rem) - dg, 0)
+    rem = list(f.coeffs)
+    dg = g.degree
+    qcoeffs = [_empty_slot(_dot_hook(rem))] * max(len(rem) - dg, 0)
     for k in range(len(rem) - dg - 1, -1, -1):
         c = rem[k + dg]
         if not c:
             continue
         q = c * inv
         qcoeffs[k] = q
-        for i, gc in enumerate(g):
+        for i, gc in enumerate(g.coeffs):
             rem[k + i] = rem[k + i] - q * gc
     return UPoly(qcoeffs), UPoly(rem[:dg])
-
-
-@lru_cache(maxsize=None)
-def _division_weights(size: int, divisor: tuple, types: tuple):
-    """(quotient, remainder) of sum_k t^k u^k, k < size, by the polynomial
-    of the coefficients ``divisor``: the weights of ``poly_divmod``'s dot
-    path, shared, so callers must not mutate them.  ``types`` keys the
-    cache by coefficient type too, since 1 == 1.0 == Fraction(1)."""
-    return _divide([UPoly([0] * k + [1]) for k in range(size)], divisor)
 
 
 def poly_gcd(f: UPoly, g: UPoly) -> UPoly:

@@ -3,6 +3,11 @@ the block model, the cyclic-element certificate of the spectral claims,
 numeric joint eigenanalysis, reconstruction of polynomial subspaces from
 eigenvalue data, cyclic vectors, and the exact chordal distance between spans.
 
+The Wronskian and Casorati determinants, ``f_bivariate`` and the operator
+``annihilate`` read off from it take their rows from ``_rows``, the one place
+that picks derivatives ("differential") or shifts ("discrete"); any other
+variant name raises ValueError.
+
 Everything dimension-like is exact rational or a one-sided certificate mod a
 prime; floating point enters only for eigenvectors and reconstruction.  Only
 those float functions import numpy, so the exact checks never load it.  The
@@ -25,56 +30,61 @@ from .linalg import Echelon, det, nullspace
 from .reps import BlockMatrix, block_shapes, partition_parts, seminormal_rep
 
 
+def _rows(fs, count, variant, hbar=Fraction(1)) -> list:
+    """Rows 0, ..., count - 1 of the matrix of ``variant`` on the polynomials
+    fs: row r holds their r-th derivatives ("differential") or their values
+    at u - hbar*r ("discrete", hbar nonzero), each shift formed once."""
+    if variant == "differential":
+        rows, cur = [], list(fs)
+        for _ in range(count):
+            rows.append(cur)
+            cur = [f.deriv() for f in cur]
+        return rows
+    if variant != "discrete":
+        raise ValueError(f"unknown variant {variant!r}")
+    if not hbar:
+        raise ValueError("hbar must be nonzero")
+    return [[f.shift_arg(-hbar * r) for f in fs] for r in range(count)]
+
+
+def _v_power(variant, n: int, r: int) -> int:
+    """The power of v that row r of the n + 1 rows of ``f_bivariate``
+    carries, r or n - r; as its own inverse it also gives the row of v^r."""
+    return r if variant == "differential" else n - r
+
+
 def wronskian(fs) -> UPoly:
     """Determinant of the derivative matrix (row i holds the (i-1)-st
     derivatives)."""
     fs = list(fs)
-    m = len(fs)
-    rows = []
-    cur = fs
-    for _ in range(m):
-        rows.append(list(cur))
-        cur = [f.deriv() for f in cur]
-    return det(rows)
+    return det(_rows(fs, len(fs), "differential"))
 
 
 def casorati(fs, hbar) -> UPoly:
     """Determinant of the shift matrix (row i holds f_j(u - hbar*(i-1)))."""
-    if not hbar:
-        raise ValueError("hbar must be nonzero")
     fs = list(fs)
-    return det([[f.shift_arg(-hbar * i) for f in fs] for i in range(len(fs))])
+    return det(_rows(fs, len(fs), "discrete", hbar))
 
 
-def f_bivariate(fs, hbar=Fraction(1), variant: str = "homogeneous") -> UPoly:
+def f_bivariate(fs, hbar=Fraction(1), variant: str = "discrete") -> UPoly:
     """Bivariate eigenvalue polynomial of a polynomial subspace, in u over
     polynomials in v: the bordered shift (or derivative) determinant with the
     exponential column expanded symbolically in v.
 
-    Row r of the border matrix carries the argument shift -hbar*(r-1)
-    (discrete variants) or the (r-1)-st derivative (differential variant);
-    deleting row r and signing cofactors gives the v-expansion directly.
+    The border matrix has the n + 1 rows of ``_rows``; deleting row r and
+    signing its cofactor gives the coefficient of v^(n-r) ("discrete") or
+    v^r ("differential") directly.
     """
     fs = list(fs)
     n = len(fs)
-    if variant in ("homogeneous", "general", "discrete"):
-        rows = [[f.shift_arg(-hbar * r) for f in fs] for r in range(n + 1)]
-        power = lambda r: n - r  # v-exponent of the row-r cofactor, rows 0-based
-    elif variant == "differential":
-        rows = []
-        cur = fs
-        for _ in range(n + 1):
-            rows.append(list(cur))
-            cur = [f.deriv() for f in cur]
-        power = lambda r: r
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    rows = _rows(fs, n + 1, variant, hbar)
     out = UPoly()
     for r in range(n + 1):
         minor_rows = [rows[i] for i in range(n + 1) if i != r]
         minor = det(minor_rows) if n else UPoly([Fraction(1)])
         s = Fraction((-1) ** (n + r))  # (-1)^{(r+1) + (n+1)}
-        out = out + (minor * s).map_coeffs(lambda c: UPoly([0] * power(r) + [c]))
+        power = _v_power(variant, n, r)
+        out = out + (minor * s).map_coeffs(lambda c: UPoly([0] * power + [c]))
     return out
 
 
@@ -85,21 +95,22 @@ def _v_coeffs(F: UPoly) -> list:
     return [UPoly([c.coeff(k) for c in F.coeffs]) for k in range(d + 1)]
 
 
-def annihilator_residual(F: UPoly, p: UPoly, hbar=Fraction(1), variant="discrete"):
-    """Largest coefficient of the image of p under the operator read off from
-    the v-expansion of F; zero exactly when p lies in the defining subspace."""
+def annihilate(F: UPoly, p: UPoly, hbar=Fraction(1), variant="discrete") -> UPoly:
+    """The image of p under the operator read off from the v-expansion of F,
+    a polynomial of v-degree n: the sum over k of the coefficient of v^k
+    times the row of ``_rows`` on p that carries v^k in ``f_bivariate``.
+    It is zero exactly when p lies in the subspace F was built from."""
     fks = _v_coeffs(F)
     n = len(fks) - 1
-    acc = UPoly()
-    for k, fk in enumerate(fks):
-        if variant == "differential":
-            tap = p
-            for _ in range(k):
-                tap = tap.deriv()
-        else:
-            tap = p.shift_arg(-hbar * (n - k))
-        acc = acc + fk * tap
-    return max((abs(c) for c in acc.coeffs), default=Fraction(0))
+    rows = _rows([p], n + 1, variant, hbar)
+    return UPoly.dot((fk, rows[_v_power(variant, n, k)][0]) for k, fk in enumerate(fks))
+
+
+def annihilator_residual(F: UPoly, p: UPoly, hbar=Fraction(1), variant="discrete"):
+    """Largest coefficient of ``annihilate(F, p, hbar, variant)``; zero
+    exactly when p lies in the defining subspace."""
+    return max((abs(c) for c in annihilate(F, p, hbar, variant).coeffs),
+               default=Fraction(0))
 
 
 def check_O_relations(la, a, fs, variant: str = "differential", hbar=Fraction(1)) -> dict:
@@ -111,7 +122,7 @@ def check_O_relations(la, a, fs, variant: str = "differential", hbar=Fraction(1)
     m = len(fs)
     n = len(a)
     parts = partition_parts(la, m)
-    w = wronskian(fs) if variant == "differential" else casorati(fs, hbar)
+    w = det(_rows(fs, m, variant, hbar))
     prefactor = Fraction(1)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -143,25 +154,10 @@ def check_O_relations(la, a, fs, variant: str = "differential", hbar=Fraction(1)
     }
 
 
-class PolySpace:
-    """A space of polynomials given by a basis in reduced column-echelon form
-    ordered by decreasing degree."""
-
-    def __init__(self, basis: list):
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def degrees(self) -> list:
-        return [p.degree for p in self.basis]
-
-
-def echelon_polys(polys, tol: float = 0.0) -> PolySpace:
-    """Reduce a list of polynomials (exact or float coefficients) to echelon
-    form by degree; with a positive tol, coefficients below tol times the
-    largest one count as zero."""
+def echelon_polys(polys, tol: float = 0.0) -> list:
+    """A basis of the span of the polynomials (exact or float coefficients)
+    in reduced echelon form, ordered by decreasing degree; with a positive
+    tol, coefficients below tol times the largest one count as zero."""
     work = [list(p.coeffs) for p in polys]
 
     def top(cs):
@@ -199,7 +195,7 @@ def echelon_polys(polys, tol: float = 0.0) -> PolySpace:
                     x - f * y
                     for x, y in zip(out[i], out[j] + [0] * (len(out[i]) - len(out[j])))
                 ]
-    return PolySpace([UPoly(cs) for cs in out])
+    return [UPoly(cs) for cs in out]
 
 
 class SpanBasis:
@@ -386,37 +382,20 @@ def reconstruct_subspace(
     F: UPoly, n: int, degree_bound: int, hbar=1.0, variant: str = "discrete",
     tol: float = 1e-6,
 ):
-    """Polynomial kernel of the operator read off from the v-expansion of a
-    scalar eigenvalue polynomial, degree-bounded; returns a PolySpace, raising
-    if the kernel dimension is not n."""
+    """Polynomial kernel of the operator that ``annihilate`` reads off from
+    the v-expansion of a scalar eigenvalue polynomial, degree-bounded;
+    returns the ``echelon_polys`` basis, raising if the kernel dimension is
+    not n.  Column d of the kernel matrix is the image of u^d, over complex
+    coefficients."""
     import numpy as np
 
-    taps = [[complex(c) for c in fk.coeffs] for fk in _v_coeffs(F)]
+    Fc = F.map_coeffs(lambda c: c.map_coeffs(complex))
     D = degree_bound
-    max_u = max((len(fk) - 1 for fk in taps if fk), default=0) + D
-    A = np.zeros((max_u + 1, D + 1), dtype=complex)
-    for k, fk in enumerate(taps):
-        if not fk:
-            continue
-        for d in range(D + 1):
-            if variant == "discrete":
-                # p(u - hbar*(n-k)) contributes binomial expansion of (u - s)^d
-                s = float(hbar) * (n - k)
-                for t in range(d + 1):
-                    c = math.comb(d, t) * (-s) ** (d - t)
-                    if not c:
-                        continue
-                    for e, fc in enumerate(fk):
-                        A[e + t, d] += fc * c
-            elif variant == "differential":
-                # k-th derivative of u^d
-                if d - k < 0:
-                    continue
-                c = math.perm(d, k)
-                for e, fc in enumerate(fk):
-                    A[e + d - k, d] += fc * c
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
+    A = np.zeros((max((fk.degree for fk in _v_coeffs(Fc) if fk), default=0) + D + 1,
+                  D + 1), dtype=complex)
+    for d in range(D + 1):
+        image = annihilate(Fc, UPoly([0j] * d + [1 + 0j]), hbar, variant).coeffs
+        A[:len(image), d] = image
     _, sv, vt = np.linalg.svd(A)
     smax = sv[0] if len(sv) else 1.0
     kernel = [np.conj(vt[i]) for i in range(len(vt)) if i >= len(sv) or sv[i] < tol * smax]
@@ -431,12 +410,12 @@ def reconstruct_subspace(
     return echelon_polys(polys, tol=1e-9)
 
 
-def theta_membership_residual(space: PolySpace, n: int) -> float:
+def theta_membership_residual(basis, n: int) -> float:
     """Relative distance of the Casorati determinant of the basis from the
     line through (u+1)^n (unit shift)."""
     import numpy as np
 
-    c = casorati(space.basis, 1.0)
+    c = casorati(basis, 1.0)
     target = UPoly([float(math.comb(n, k)) for k in range(n + 1)])
     size = max(len(c.coeffs), len(target.coeffs))
     cv = np.array([complex(c.coeff(k)) for k in range(size)])
@@ -514,9 +493,12 @@ def symmetric_action_on_poly(q: MultiPoly, i: int, hbar) -> MultiPoly:
 
 def cyclic_vector(la, z, variant: str = "classic", hbar=Fraction(1)):
     """The (unique up to scale) invariant of minimal degree in the module
-    tensored with polynomials, under either the plain permutation action or
-    its hbar deformation; returned as a list of MultiPoly coordinates in the
-    tableau basis, normalized, together with its evaluation at y = z."""
+    tensored with polynomials, under either the plain permutation action
+    ("classic") or its hbar deformation ("hbar"); returned as a list of
+    MultiPoly coordinates in the tableau basis, normalized, together with its
+    evaluation at y = z."""
+    if variant not in ("classic", "hbar"):
+        raise ValueError(f"unknown variant {variant!r}")
     la = tuple(la)
     n = sum(la)
     z = tuple(z)

@@ -958,7 +958,7 @@ def spectra_fiber_loop(cfg, rng):
                 F, nn, degree_bound=la[0] + nn - 1, hbar=1.0,
                 variant="discrete", tol=1e-6,
             )
-            degrees = sorted(space.degrees(), reverse=True)
+            degrees = sorted((p.degree for p in space), reverse=True)
             want = [la[i] + nn - i - 1 if i < len(la) else nn - i - 1
                     for i in range(nn)]
             if degrees != sorted(want, reverse=True):

@@ -107,6 +107,49 @@ def lift_u(p):
     return p.map_coeffs(lambda c: UPoly([c]))
 
 
+def _v_degree(F) -> int:
+    return max((c.degree for c in F.coeffs), default=-1)
+
+
+def annihilator_oracle(F, p, hbar, variant):
+    """The image of p under the operator of F's v-expansion, n the v-degree
+    of F, as the annihilator loop formed it: the sum over k of the v^k
+    coefficient times p differentiated k times ("differential") or
+    p(u - hbar*(n - k)) ("discrete")."""
+    n = _v_degree(F)
+    acc = UPoly()
+    for k in range(n + 1):
+        if variant == "differential":
+            tap = p
+            for _ in range(k):
+                tap = tap.deriv()
+        else:
+            tap = p.shift_arg(-hbar * (n - k))
+        acc = acc + v_coeff(F, k) * tap
+    return acc
+
+
+def kernel_column_oracle(F, d: int, hbar, variant):
+    """The image of u^d under the operator of F's v-expansion, expanded by
+    hand as the kernel matrix of the reconstruction was: the binomial
+    expansion of (u - hbar*(n - k))^d ("discrete") or the falling factorial
+    d!/(d - k)! times u^(d - k) ("differential"), times the v^k coefficient,
+    n the v-degree of F."""
+    n = _v_degree(F)
+    col = {}
+    for k in range(n + 1):
+        fk = v_coeff(F, k).coeffs
+        if variant == "discrete":
+            s = hbar * (n - k)
+            terms = [(t, math.comb(d, t) * (-s) ** (d - t)) for t in range(d + 1)]
+        else:
+            terms = [(d - k, math.perm(d, k))] if d >= k else []
+        for t, c in terms:
+            for e, fc in enumerate(fk):
+                col[e + t] = col.get(e + t, 0) + fc * c
+    return UPoly([col.get(i, 0) for i in range(max(col, default=-1) + 1)])
+
+
 # Fraction-rows oracle of the block model: a block matrix read as one list of
 # Fraction rows per block, and the arithmetic written on those rows.
 

@@ -510,15 +510,15 @@ def test_acceptance_11_spectra():
         for rec in homogeneous_eigen(n, SEED):
             Fb = homogeneous_f_from_record(n, rec)
             la = rec.partition
-            space = sp.reconstruct_subspace(
+            basis = sp.reconstruct_subspace(
                 Fb, n, degree_bound=la[0] + n - 1, hbar=1.0,
                 variant="discrete", tol=1e-6)
-            degrees = sorted(space.degrees(), reverse=True)
+            degrees = sorted((p.degree for p in basis), reverse=True)
             want = sorted(
                 (partition_parts(la, n)[i] + n - i - 1 for i in range(n)),
                 reverse=True)
             assert degrees == want, f"degrees {degrees} vs block {la}"
-            assert sp.theta_membership_residual(space, n) < 1e-6
+            assert sp.theta_membership_residual(basis, n) < 1e-6
     announce(11, "certificates, eigencounts, relations, fiber loop")
 
 

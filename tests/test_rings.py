@@ -10,7 +10,6 @@ from snbethe.rings import (
     MultiPoly,
     SeededRandom,
     UPoly,
-    _divide,
     _int_scaled,
     falling_binomial,
     log1p,
@@ -425,8 +424,6 @@ def test_polynomials_over_polynomials_keep_polynomial_coefficients():
 
 
 def test_divmod_of_polynomials_over_polynomials_is_the_step_by_step_division():
-    # the dot path reads its weights from the step-by-step division, which
-    # must not take the dot path again for the weights' own coefficients
     rng = SeededRandom(808)
     element = BIVARIATE_KINDS["element"]
     for coeff in (lambda r: r.rational(5, 3), element):
@@ -435,11 +432,27 @@ def test_divmod_of_polynomials_over_polynomials_is_the_step_by_step_division():
                            for _ in range(rng.integer(2, 5))])
             g = UPoly([rng.rational(3, 2) for _ in range(rng.integer(0, 2))]
                       + [rng.nonzero_rational(3, 2)])
-            got = poly_divmod(f, g)
-            assert got == _divide(f.coeffs, g.coeffs)
-            assert all(isinstance(c, UPoly) for part in got for c in part.coeffs)
-            q, r = got
+            q, r = poly_divmod(f, g)
+            assert all(isinstance(c, UPoly) for c in q.coeffs + r.coeffs)
             assert q * g + r == f
+
+
+def test_a_quotient_slot_that_no_step_reaches_is_the_zero_of_the_coefficients():
+    # a*u^3 + b divided by u^2 + 1, and by u: each step below the top finds
+    # a zero remainder coefficient and is skipped
+    a, b = UPoly([F(1), F(2)]), UPoly([F(-3), 0, F(1, 2)])
+    f = UPoly([b, UPoly(), UPoly(), a])
+    for g, want in ((UPoly([F(1), 0, F(1)]), [UPoly(), a]),
+                    (UPoly([0, F(1)]), [UPoly(), UPoly(), a])):
+        q, r = poly_divmod(f, g)
+        assert q.coeffs == want
+        assert all(type(c) is UPoly for c in q.coeffs + r.coeffs)
+        assert q * g + r == f
+    # over the group algebra the skipped slot is the scalar zero
+    s, t = ga_transposition(3, 1, 2), ga_transposition(3, 2, 3)
+    q, r = poly_divmod(UPoly([t, GroupAlgebraElement.zero(3), s]), UPoly([0, F(1)]))
+    assert q.coeffs == [0, s] and type(q.coeffs[0]) is int
+    assert r.coeffs == [t]
 
 
 def typed(p):

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    annihilator_oracle,
     block_entries,
     block_rows,
     coeff_uv,
     from_entries,
     identity_rows,
+    kernel_column_oracle,
     matmul,
     v_coeff,
 )
@@ -45,6 +47,7 @@ from snbethe.spectra import (
     SpanBasis,
     _krylov_relation,
     algebra_span,
+    annihilate,
     annihilator_residual,
     casorati,
     check_O_relations,
@@ -92,7 +95,7 @@ def test_f_bivariate_discrete_kernel():
         UPoly([rng.rational(4, 2) for _ in range(2)] + [F(1)]),
         UPoly([rng.rational(4, 2) for _ in range(4)] + [F(1)]),
     ]
-    Fb = f_bivariate(fs, F(1), "homogeneous")
+    Fb = f_bivariate(fs, F(1), "discrete")
     for f in fs:
         assert annihilator_residual(Fb, f, F(1), "discrete") == 0
     combo = fs[0] * F(2, 3) - fs[1] * F(5)
@@ -111,7 +114,7 @@ def test_f_bivariate_differential_kernel():
 
 def test_f_bivariate_degree_structure():
     fs = [P(1, 1), P(2, 0, 1), P(0, 1, 0, 1)]
-    Fb = f_bivariate(fs, F(1), "general")
+    Fb = f_bivariate(fs, F(1), "discrete")
     assert max(c.degree for c in Fb.coeffs) == 3  # the v-degree
     # the top v-coefficient is the signed shifted Casorati of the basis
     top = v_coeff(Fb, 3)
@@ -133,6 +136,44 @@ def test_check_O_relations_gap_constraints():
     fs = [P(0, 0, 0, 1), P(0, 1)]  # degrees 3 and 1? degree pattern for (2,0): 3, 0
     rep = check_O_relations(la, [F(0), F(0)], fs, "differential")
     assert rep["degree_violations"]
+
+
+def test_unknown_variants_raise():
+    # an unknown name is refused, not read as "discrete"; "general" and
+    # "homogeneous" were once names of the discrete variant
+    fs = [P(3, 1), P(-1, 0, 0, 1)]
+    Fb = f_bivariate(fs)
+    for call in (
+        lambda v: f_bivariate(fs, F(1), v),
+        lambda v: annihilate(Fb, P(1, 1), F(1), v),
+        lambda v: annihilator_residual(Fb, P(1, 1), F(1), v),
+        lambda v: check_O_relations((1, 1), [F(0), F(0)], fs, v),
+        lambda v: reconstruct_subspace(Fb.map_coeffs(lambda c: c.map_coeffs(float)),
+                                       2, degree_bound=3, variant=v),
+        lambda v: cyclic_vector((1,), (F(5),), v),
+    ):
+        for name in ("bogus", "general", "homogeneous"):
+            with pytest.raises(ValueError, match="unknown variant"):
+                call(name)
+
+
+@pytest.mark.parametrize("variant", ["discrete", "differential"])
+@pytest.mark.parametrize("hbar", [F(1), F(2, 3)])
+def test_annihilate_matches_the_loop_and_the_hand_expanded_column(variant, hbar):
+    rng = SeededRandom(61)
+    for size in (1, 2, 3):
+        fs = [UPoly([rng.rational(4, 3) for _ in range(rng.integer(0, 3) + i)] + [F(1)])
+              for i in range(size)]
+        Fb = f_bivariate(fs, hbar, variant)
+        assert Fb
+        for f in fs + [P(1, 1, 0, 0, 0, 7), fs[0] * F(2, 3) + P(0, 1)]:
+            assert annihilate(Fb, f, hbar, variant) == annihilator_oracle(Fb, f, hbar, variant)
+        for f in fs:
+            assert not annihilate(Fb, f, hbar, variant)
+        for d in range(5):
+            monomial = UPoly([F(0)] * d + [F(1)])
+            assert (annihilate(Fb, monomial, hbar, variant)
+                    == kernel_column_oracle(Fb, d, hbar, variant))
 
 
 def test_intro_example_span_n3():
@@ -675,28 +716,28 @@ def test_eigen_count_fails_on_an_image_that_does_not_commute(monkeypatch, images
 
 def test_reconstruction_roundtrip():
     fs = [P(3, 1), P(-1, 0, 0, 1)]
-    Fb = f_bivariate(fs, F(1), "homogeneous").map_coeffs(lambda c: c.map_coeffs(float))
-    space = reconstruct_subspace(Fb, 2, degree_bound=3, hbar=1.0, variant="discrete")
-    assert space.dim == 2
-    assert sorted(space.degrees()) == [1, 3]
-    for p in space.basis:
+    Fb = f_bivariate(fs, F(1), "discrete").map_coeffs(lambda c: c.map_coeffs(float))
+    basis = reconstruct_subspace(Fb, 2, degree_bound=3, hbar=1.0, variant="discrete")
+    assert len(basis) == 2
+    assert sorted(p.degree for p in basis) == [1, 3]
+    for p in basis:
         assert annihilator_residual(Fb, p, 1.0, "discrete") < 1e-8
 
 
 def test_reconstruction_differential_roundtrip():
     fs = [P(1, 1), P(0, -2, 0, 1)]
     Fb = f_bivariate(fs, F(1), "differential").map_coeffs(lambda c: c.map_coeffs(float))
-    space = reconstruct_subspace(
+    basis = reconstruct_subspace(
         Fb, 2, degree_bound=3, hbar=1.0, variant="differential"
     )
-    assert space.dim == 2
-    for p in space.basis:
+    assert len(basis) == 2
+    for p in basis:
         assert annihilator_residual(Fb, p, 1.0, "differential") < 1e-8
 
 
 def test_echelon_polys_degrees():
-    space = echelon_polys([P(1, 1, 1), P(1, 1), P(0, 1)])
-    assert space.degrees() == [2, 1, 0]
+    basis = echelon_polys([P(1, 1, 1), P(1, 1), P(0, 1)])
+    assert [p.degree for p in basis] == [2, 1, 0]
 
 
 def test_cyclic_vector_trivial_and_sign():
@@ -860,7 +901,6 @@ def test_theta_membership_residual_soundness():
             found = [p1, p2]
             break
     assert found is not None
-    space = echelon_polys(found)
-    assert theta_membership_residual(space, 2) < 1e-12
+    assert theta_membership_residual(echelon_polys(found), 2) < 1e-12
     bad = echelon_polys([P(0, 0, 1), P(5, 1)])
     assert theta_membership_residual(bad, 2) > 1e-3

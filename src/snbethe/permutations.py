@@ -235,6 +235,19 @@ def _accumulate(acc, left, right):
     return acc
 
 
+def _merge(acc: dict, items, c: int) -> dict:
+    """acc[p] += x*c over the (p, x) of ``items``; a sum that reaches zero
+    drops its key."""
+    get, pop = acc.get, acc.pop
+    for p, x in items:
+        s = get(p, 0) + x * c
+        if s:
+            acc[p] = s
+        else:
+            pop(p, None)
+    return acc
+
+
 def _rational(c):
     """c itself when it is an int or a Fraction, the only coefficients an
     element holds; anything else raises TypeError naming its type."""
@@ -318,16 +331,7 @@ def _combination(n: int, live, d: int):
             return None
     acc = {}
     for nums, c in parts:
-        if not acc:
-            acc = {p: x * c for p, x in nums.items()}
-            continue
-        get, pop = acc.get, acc.pop
-        for p, x in nums.items():
-            s = get(p, 0) + x * c
-            if s:
-                acc[p] = s
-            else:
-                pop(p, None)
+        _merge(acc, nums.items(), c)
     return acc
 
 
@@ -437,15 +441,7 @@ class GroupAlgebraElement:
         d = da if da == db else math.lcm(da, db)
         f = d // da
         out = dict(self._nums) if f == 1 else {p: x * f for p, x in self._nums.items()}
-        f = d // db
-        get, pop = out.get, out.pop
-        for p, y in other._nums.items():
-            s = get(p, 0) + y * f
-            if s:
-                out[p] = s
-            else:
-                pop(p, None)
-        return _reduced(self.n, d, out)
+        return _reduced(self.n, d, _merge(out, other._nums.items(), d // db))
 
     __radd__ = __add__
 
@@ -506,16 +502,8 @@ def _minus_dagger(x: GroupAlgebraElement) -> GroupAlgebraElement:
     """x - x† in one pass: each term of x is subtracted again at its inverse
     permutation, also where x has no term."""
     inv = _inverter(x.n)
-    out = dict(x._nums)
-    get, pop = out.get, out.pop
-    for p, c in x._nums.items():
-        q = inv(p)
-        s = get(q, 0) - c
-        if s:
-            out[q] = s
-        else:
-            pop(q, None)
-    return _reduced(x.n, x._d, out)
+    return _reduced(x.n, x._d, _merge(dict(x._nums),
+                                      [(inv(p), c) for p, c in x._nums.items()], -1))
 
 
 def commutators(elements) -> list:

@@ -307,17 +307,6 @@ def poly_divmod(f: UPoly, g: UPoly):
     return UPoly(qcoeffs), UPoly(rem[:dg])
 
 
-def poly_gcd(f: UPoly, g: UPoly) -> UPoly:
-    """Monic gcd over a field (Fraction coefficients)."""
-    a, b = f, g
-    while b.coeffs:
-        a, b = b, poly_divmod(a, b)[1]
-    if a.coeffs:
-        inv = Fraction(1) / a.lead()
-        a = a * inv
-    return a
-
-
 def log1p(x, order: int):
     """log(1 + x) = sum_t (-1)^(t+1) x^t / t up to degree ``order``, each
     power a ``mul_trunc``: for a ``UPoly`` (the order in u) or a
@@ -383,12 +372,6 @@ class MultiPoly:
     @classmethod
     def const(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars, i, c=Fraction(1)):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): c})
 
     def __bool__(self):
         return bool(self.terms)

@@ -106,13 +106,6 @@ def annihilate(F: UPoly, p: UPoly, hbar=Fraction(1), variant="discrete") -> UPol
     return UPoly.dot((fk, rows[_v_power(variant, n, k)][0]) for k, fk in enumerate(fks))
 
 
-def annihilator_residual(F: UPoly, p: UPoly, hbar=Fraction(1), variant="discrete"):
-    """Largest coefficient of ``annihilate(F, p, hbar, variant)``; zero
-    exactly when p lies in the defining subspace."""
-    return max((abs(c) for c in annihilate(F, p, hbar, variant).coeffs),
-               default=Fraction(0))
-
-
 def check_O_relations(la, a, fs, variant: str = "differential", hbar=Fraction(1)) -> dict:
     """Residual report for the fiber relations: the (discrete) Wronskian of
     the given polynomials against the prescribed right-hand side, plus the

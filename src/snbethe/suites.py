@@ -3,7 +3,9 @@ exact or numeric residual for one verified statement and declares what it
 needs of the configuration.  The runner turns residuals into PASS or FAIL
 records (CONJECTURE-* for the two conjecture probes), writes a SKIPPED record
 naming the first requirement a configuration misses, collects timings, and
-never lets a conjecture outcome break the run.
+never lets a conjecture outcome break the run.  The objects that claims
+share (tables, spans, certificates, images, eigen records) are built once
+per run, in the run's store ``Builds``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .rings import (
     MultiPoly, SeededRandom, UPoly, falling_binomial, format_rational, scalar_root_poly,
@@ -55,7 +56,6 @@ from .gaudin import (
     phi_gen,
     phi_gen_fixed_points,
     phi_polys,
-    phi_tilde,
     phi_tilde_coeff,
     v_expansion,
 )
@@ -134,7 +134,18 @@ def max_commutator(elements) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# shared cached objects
+# the objects a run shares between its claims
+
+
+class Builds(dict):
+    """One run's store: ``b(builder, *key)`` is ``builder(b, *key)``, built
+    on the first read of that key; each builder below takes the store first."""
+
+    def __call__(self, builder, *key):
+        k = (builder, *key)
+        if k not in self:
+            self[k] = builder(self, *key)
+        return self[k]
 
 
 def span_of(n: int, elements):
@@ -143,88 +154,79 @@ def span_of(n: int, elements):
     return sp.algebra_span([BlockMatrix.identity(n)] + [represent(g) for g in elements])
 
 
-@lru_cache(maxsize=None)
-def gaudin_table(n: int, z: tuple):
+def gaudin_table(b, n: int, z: tuple):
     return phi_polys(n, z)[1]
 
 
-def gaudin_polys(n: int, z: tuple):
+def gaudin_polys(b, n: int, z: tuple):
     """The generator polynomials of ``phi_polys(n, z)``, read back from the
-    cached coefficient table: table[(i, j)] is the coefficient of
+    stored coefficient table: table[(i, j)] is the coefficient of
     u^(n-i-j)."""
-    table = gaudin_table(n, z)
+    table = b(gaudin_table, n, z)
     return [UPoly([table[(i, n - i - k)] for k in range(n - i + 1)])
             for i in range(1, n + 1)]
 
 
-@lru_cache(maxsize=None)
-def gaudin_span(n: int, z: tuple):
-    return span_of(n, gaudin_table(n, z).values())
+def gaudin_tilde_coeff(b, n: int, z: tuple, k: int):
+    """The u^k coefficient of φ̃ at the rational family's polynomials."""
+    return phi_tilde_coeff(n, z, gaudin_polys(b, n, z), k)
 
 
-@lru_cache(maxsize=None)
-def xxx_table(n: int, z: tuple, hbar: Fraction, p: Fraction):
-    return t_m_table(xxx_params(z, hbar), p, range(1, n), range(1, n + 1))
+def gaudin_span(b, n: int, z: tuple):
+    return span_of(n, b(gaudin_table, n, z).values())
 
 
-@lru_cache(maxsize=None)
-def xxx_span(n: int, z: tuple, hbar: Fraction, p: Fraction = Fraction(2)):
-    return span_of(n, xxx_table(n, z, hbar, p).values())
+def xxx_table(b, n: int, z: tuple, hbar: Fraction):
+    # the generator table at the trace parameter p = 2
+    return t_m_table(xxx_params(z, hbar), Fraction(2), range(1, n), range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def homogeneous_span(n: int):
+def xxx_span(b, n: int, z: tuple, hbar: Fraction):
+    return span_of(n, b(xxx_table, n, z, hbar).values())
+
+
+def homogeneous_span(b, n: int):
     return span_of(n, homogeneous_generators(n))
 
 
-@lru_cache(maxsize=None)
-def gz_span(n: int):
+def gz_span(b, n: int):
     return span_of(n, gz_spanning_set(n))
 
 
-@lru_cache(maxsize=None)
-def certificate(n: int, elements: tuple, seed: int):
+def certificate(b, n: int, elements: tuple, seed: int):
     """``spectra.certificate`` of the unital algebra that group-algebra
-    elements of S_n generate, built once per element tuple and seed."""
+    elements of S_n generate."""
     return sp.certificate([BlockMatrix.identity(n)] + [represent(g) for g in elements], seed)
 
 
-@lru_cache(maxsize=None)
-def kz_images(n: int, z: tuple) -> dict:
+def kz_images(b, n: int, z: tuple) -> dict:
     """Block images of the rational family's n elements H_a."""
-    fam = kz_elements(n, z, gaudin_polys(n, z))
+    fam = kz_elements(n, z, gaudin_polys(b, n, z))
     return {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
 
 
-@lru_cache(maxsize=None)
-def gaudin_eigen(n: int, z: tuple, seed: int):
-    return sp.joint_eigen(certificate(n, tuple(gaudin_table(n, z).values()), seed),
-                          kz_images(n, z))
+def gaudin_eigen(b, n: int, z: tuple, seed: int):
+    return sp.joint_eigen(b(certificate, n, tuple(b(gaudin_table, n, z).values()), seed),
+                          b(kz_images, n, z))
 
 
-@lru_cache(maxsize=None)
-def xxx_eigen(n: int, z: tuple, hbar: Fraction, seed: int):
-    params = xxx_params(z, hbar)
-    gens = {
-        f"S{i}": represent(el)
-        for i, el in enumerate(s1_coeff_elements(params), start=1)
-    }
-    cert = certificate(n, tuple(xxx_table(n, z, hbar, Fraction(2)).values()), seed)
+def xxx_eigen(b, n: int, z: tuple, hbar: Fraction, seed: int):
+    gens = {f"S{i}": represent(el)
+            for i, el in enumerate(s1_coeff_elements(xxx_params(z, hbar)), start=1)}
+    cert = b(certificate, n, tuple(b(xxx_table, n, z, hbar).values()), seed)
     return sp.joint_eigen(cert, gens)
 
 
-@lru_cache(maxsize=None)
-def t_images(n: int) -> dict:
+def t_images(b, n: int) -> dict:
     """Block images of the homogeneous family's traced coefficients T_m,i."""
     table = t_m_table(homogeneous_params(n), Fraction(n), range(1, n + 1),
                       range(n + 1))
     return {f"T{m}c{i}": represent(g) for (m, i), g in table.items()}
 
 
-@lru_cache(maxsize=None)
-def homogeneous_eigen(n: int, seed: int):
-    return sp.joint_eigen(certificate(n, tuple(homogeneous_generators(n)), seed),
-                          t_images(n))
+def homogeneous_eigen(b, n: int, seed: int):
+    return sp.joint_eigen(b(certificate, n, tuple(homogeneous_generators(n)), seed),
+                          b(t_images, n))
 
 
 def homogeneous_f_from_record(n: int, rec) -> UPoly:
@@ -318,16 +320,16 @@ def n_only(cfg) -> dict:
     return {"n": cfg.n}
 
 
-# One check: ``fn(cfg, rng)`` returns its residual (an exact value, a float
-# compared with the tolerance, or a bool); ``params(cfg)`` is its report
-# params, and ``requires`` the requirements it is skipped without.
+# One check: ``fn(cfg, rng, b)`` returns its residual (an exact value, a float
+# compared with the tolerance, or a bool), b the run's store; ``params(cfg)``
+# is its report params, and ``requires`` the requirements it is skipped without.
 Claim = namedtuple("Claim", "check_id anchor fn params requires conjecture",
                    defaults=(n_only, (), False))
 
 
-def run_claims(s: Suite, cfg, claims):
-    """Run the claims in declaration order on one seeded stream; a claim with
-    an unmet requirement is skipped, naming the first one."""
+def run_claims(s: Suite, cfg, claims, b: Builds):
+    """Run the claims in declaration order on one seeded stream and store; a
+    claim with an unmet requirement is skipped, naming the first one."""
     rng = SeededRandom(cfg.seed)
     for claim in claims:
         params = claim.params(cfg)
@@ -335,7 +337,7 @@ def run_claims(s: Suite, cfg, claims):
         if missing is not None:
             s.skip(claim.check_id, claim.anchor, params, missing)
             continue
-        s.run(claim.check_id, claim.anchor, params, lambda: claim.fn(cfg, rng),
+        s.run(claim.check_id, claim.anchor, params, lambda: claim.fn(cfg, rng, b),
               claim.conjecture)
 
 
@@ -343,51 +345,51 @@ def run_claims(s: Suite, cfg, claims):
 # gaudin identities
 
 
-def gaudin_commuting(cfg, rng):
-    return max_commutator(list(gaudin_table(cfg.n, cfg.z).values()))
+def gaudin_commuting(cfg, rng, b):
+    return max_commutator(list(b(gaudin_table, cfg.n, cfg.z).values()))
 
 
-def gaudin_presentation(cfg, kind):
+def gaudin_presentation(cfg, b, kind):
     n, z = cfg.n, cfg.z
-    fam = kz_elements(n, z, gaudin_polys(n, z))
+    fam = kz_elements(n, z, gaudin_polys(b, n, z))
     return ga_lift(n, det_presentation(kind, n, z, fam))
 
 
-def gaudin_generating_det(cfg, rng):
-    return max_abs(phi_gen(cfg.n, cfg.z, gaudin_polys(cfg.n, cfg.z))
-                   - gaudin_presentation(cfg, "P"))
+def gaudin_generating_det(cfg, rng, b):
+    return max_abs(phi_gen(cfg.n, cfg.z, gaudin_polys(b, cfg.n, cfg.z))
+                   - gaudin_presentation(cfg, b, "P"))
 
 
-def gaudin_shifted_det(cfg, rng):
-    return max_abs(phi_tilde(cfg.n, cfg.z, gaudin_polys(cfg.n, cfg.z))
-                   - gaudin_presentation(cfg, "Ptilde"))
+def gaudin_shifted_det(cfg, rng, b):
+    tilde = UPoly([b(gaudin_tilde_coeff, cfg.n, cfg.z, k) for k in range(cfg.n + 1)])
+    return max_abs(tilde - gaudin_presentation(cfg, b, "Ptilde"))
 
 
-def gaudin_content_det(cfg, rng):
-    return max_abs(gaudin_presentation(cfg, "Ptilde0")
+def gaudin_content_det(cfg, rng, b):
+    return max_abs(gaudin_presentation(cfg, b, "Ptilde0")
                    - ga_lift(cfg.n, content_product_all(cfg.n)))
 
 
-def gaudin_dagger_fixed(cfg, rng):
-    return max_abs(*(h - g for g in gaudin_table(cfg.n, cfg.z).values()
+def gaudin_dagger_fixed(cfg, rng, b):
+    return max_abs(*(h - g for g in b(gaudin_table, cfg.n, cfg.z).values()
                      for h in (g.dagger(), g.star())))
 
 
-def gaudin_covariance(cfg, rng):
+def gaudin_covariance(cfg, rng, b):
     n, z = cfg.n, cfg.z
     sscale = rng.nonzero_rational(5, 3)
     sshift = rng.rational(5, 3)
     table_s = phi_polys(n, tuple(sscale * x for x in z))[1]
     scaled = [table_s[(i, j)] - g * sscale**j
-              for (i, j), g in gaudin_table(n, z).items()]
+              for (i, j), g in b(gaudin_table, n, z).items()]
     polys_t = phi_polys(n, tuple(x + sshift for x in z))[0]
     return max_abs(*scaled, *(pt.shift_arg(sshift) - p0
-                              for pt, p0 in zip(polys_t, gaudin_polys(n, z))))
+                              for pt, p0 in zip(polys_t, gaudin_polys(b, n, z))))
 
 
-def gaudin_equivariance(cfg, rng):
+def gaudin_equivariance(cfg, rng, b):
     n, z = cfg.n, cfg.z
-    polys_0 = gaudin_polys(n, z)
+    polys_0 = gaudin_polys(b, n, z)
     residuals = []
     for _ in range(3):
         sig = rng.choice(all_permutations(n))
@@ -398,9 +400,9 @@ def gaudin_equivariance(cfg, rng):
     return max_abs(*residuals)
 
 
-def gaudin_fixed_points(cfg, rng):
+def gaudin_fixed_points(cfg, rng, b):
     n, z = cfg.n, cfg.z
-    return max_abs(phi_expansion(n, z, gaudin_polys(n, z))
+    return max_abs(phi_expansion(n, z, gaudin_polys(b, n, z))
                    - ga_lift(n, phi_gen_fixed_points(n, z)))
 
 
@@ -409,9 +411,9 @@ def shifted_u(n: int, c) -> UPoly:
     return UPoly([ga_lift(n, c), GroupAlgebraElement.scalar(n, Fraction(1))])
 
 
-def gaudin_center_poly(cfg, rng):
+def gaudin_center_poly(cfg, rng, b):
     n = cfg.n
-    table = gaudin_table(n, cfg.z)
+    table = b(gaudin_table, n, cfg.z)
     lhs = UPoly()
     for i in range(0, n + 1):
         top = GroupAlgebraElement.scalar(n, Fraction(1)) if i == 0 else table[(i, 0)]
@@ -426,7 +428,7 @@ def gaudin_center_poly(cfg, rng):
     return max_abs(lhs - rhs)
 
 
-def gaudin_content_jm(cfg, rng):
+def gaudin_content_jm(cfg, rng, b):
     n = cfg.n
     pi = content_product_all(n)
     prod = jm_content_product(n)
@@ -438,17 +440,16 @@ def gaudin_content_jm(cfg, rng):
                    pi - UPoly([GroupAlgebraElement(n, terms) for terms in coeffs]))
 
 
-def gaudin_shifted_edges(cfg, rng):
-    # the two edge coefficients of φ̃ alone, not the whole polynomial
+def gaudin_shifted_edges(cfg, rng, b):
+    # φ̃'s two edge coefficients alone, read back where shifted-det built them
     n, z = cfg.n, cfg.z
-    polys = gaudin_polys(n, z)
     pi = content_product_all(n)
     zprod = Fraction(1)
     for x in z:
         zprod *= x
     tail = pi.shift_arg(Fraction(1)) * (Fraction((-1) ** n) * zprod)
-    return max_abs(phi_tilde_coeff(n, z, polys, n) - ga_lift(n, pi),
-                   phi_tilde_coeff(n, z, polys, 0) - ga_lift(n, tail))
+    return max_abs(b(gaudin_tilde_coeff, n, z, n) - ga_lift(n, pi),
+                   b(gaudin_tilde_coeff, n, z, 0) - ga_lift(n, tail))
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +468,14 @@ def transform_setup(cfg):
     return xxx_params(cfg.z, cfg.hbar), UPoly.gen(), range(0, min(cfg.n + 1, 4) + 1)
 
 
-def xxx_binomial_transform(cfg, rng):
+def xxx_binomial_transform(cfg, rng, b):
     params, psym, orders = transform_setup(cfg)
     family = [s_k_poly(params, k) for k in orders]
     return transform_residual([t_m_poly(params, m) for m in orders],
                               [ts_transform(family, m, psym) for m in orders])
 
 
-def xxx_inverse_transform(cfg, rng):
+def xxx_inverse_transform(cfg, rng, b):
     params, psym, orders = transform_setup(cfg)
     return transform_residual([s_k_poly(params, m) for m in orders],
                               [st_transform(params, m, psym) for m in orders])
@@ -484,7 +485,7 @@ def shifted_root_target(cfg):
     return ga_lift(cfg.n, scalar_root_poly([x - cfg.hbar for x in cfg.z]))
 
 
-def xxx_saturation(cfg, rng):
+def xxx_saturation(cfg, rng, b):
     n, params = cfg.n, xxx_params(cfg.z, cfg.hbar)
     target = shifted_root_target(cfg)
     orders = (n, n + 1) if n <= 5 else (n,)
@@ -494,13 +495,13 @@ def xxx_saturation(cfg, rng):
     return max_abs(*residuals)
 
 
-def xxx_sum_rule(cfg, rng):
+def xxx_sum_rule(cfg, rng, b):
     params = xxx_params(cfg.z, cfg.hbar)
     acc = sum((s_k_poly(params, k) for k in range(0, cfg.n + 1)), UPoly())
     return max_abs(acc - shifted_root_target(cfg))
 
 
-def xxx_telescoping(cfg, rng):
+def xxx_telescoping(cfg, rng, b):
     hbar = cfg.hbar
     residuals = []
     for nn in (1, 2):
@@ -524,7 +525,7 @@ def xxx_telescoping(cfg, rng):
     return max_abs(*residuals)
 
 
-def xxx_cycle_shift(cfg, rng):
+def xxx_cycle_shift(cfg, rng, b):
     n, z, hbar = cfg.n, cfg.z, cfg.hbar
     gam = gamma_perm(n)
     prot = xxx_params(z[1:] + z[:1], hbar)
@@ -536,9 +537,10 @@ def xxx_cycle_shift(cfg, rng):
     ))
 
 
-def xxx_swap_intertwiner(cfg, rng):
+def xxx_swap_intertwiner(cfg, rng, b):
     n, z, hbar = cfg.n, cfg.z, cfg.hbar
-    params = xxx_params(z, hbar)
+    orders = range(1, min(n, 3) + 1)
+    base = [t_m_poly(xxx_params(z, hbar), m, p=Fraction(2)) for m in orders]
     residuals = []
     for a in range(1, n):
         w = ga_transposition(n, a, a + 1) * (z[a - 1] - z[a]) + \
@@ -546,8 +548,8 @@ def xxx_swap_intertwiner(cfg, rng):
         zs = list(z)
         zs[a - 1], zs[a] = zs[a], zs[a - 1]
         pswap = xxx_params(tuple(zs), hbar)
-        for m in range(1, min(n, 3) + 1):
-            lhs = t_m_poly(params, m, p=Fraction(2)).map_coeffs(lambda c: w * c)
+        for m, t in zip(orders, base):
+            lhs = t.map_coeffs(lambda c: w * c)
             rhs = t_m_poly(pswap, m, p=Fraction(2)).map_coeffs(lambda c: c * w)
             residuals.append(lhs - rhs)
     return max_abs(*residuals)
@@ -568,17 +570,17 @@ def mirror_residual(cfg, params, conj):
     ))
 
 
-def xxx_reversal(cfg, rng):
+def xxx_reversal(cfg, rng, b):
     r = permutation([cfg.n + 1 - i for i in range(1, cfg.n + 1)])
     return mirror_residual(cfg, xxx_params(tuple(reversed(cfg.z)), cfg.hbar),
                            lambda c: conjugate(c, r))
 
 
-def xxx_dagger_reversal(cfg, rng):
+def xxx_dagger_reversal(cfg, rng, b):
     return mirror_residual(cfg, xxx_params(cfg.z, cfg.hbar), lambda c: c.dagger())
 
 
-def xxx_p_independence(cfg, rng):
+def xxx_p_independence(cfg, rng, b):
     """Built from the literal trace: through the binomial transform T_m is
     S_m plus lower S_k, so that span would not depend on p by construction."""
     n, params = cfg.n, xxx_params(cfg.z, cfg.hbar)
@@ -592,7 +594,7 @@ def xxx_p_independence(cfg, rng):
     return spans[0].same_span(spans[1]) and spans[0].same_span(spans[2])
 
 
-def xxx_binomial_trace(cfg, rng):
+def xxx_binomial_trace(cfg, rng, b):
     psym = UPoly.gen()
     return max_abs(*(
         trace_map(top_embed(antisymmetrizer(m), 2, m), 2, m, psym)
@@ -601,7 +603,7 @@ def xxx_binomial_trace(cfg, rng):
     ))
 
 
-def xxx_trace_example(cfg, rng):
+def xxx_trace_example(cfg, rng, b):
     sigma = compose(
         compose(cycle(9, [1, 3, 7]), cycle(9, [2, 5, 6])), cycle(9, [8, 9])
     )
@@ -609,7 +611,7 @@ def xxx_trace_example(cfg, rng):
     return max_abs(got - UPoly.gen() * ga_perm(cycle(4, [1, 3])))
 
 
-def xxx_trace_reduction(cfg, rng):
+def xxx_trace_reduction(cfg, rng, b):
     psym = UPoly.gen()
     residuals = []
     for nn in (1, 2):
@@ -643,7 +645,7 @@ def draw_distinct(rng, pool, k) -> list:
     return out
 
 
-def xxx_trace_commutes(cfg, rng):
+def xxx_trace_commutes(cfg, rng, b):
     psym = UPoly.gen()
     residuals = []
     for nn in (1, 2, 3):
@@ -667,7 +669,7 @@ def xxx_trace_commutes(cfg, rng):
     return max_abs(*residuals)
 
 
-def xxx_trace_dagger(cfg, rng):
+def xxx_trace_dagger(cfg, rng, b):
     psym = UPoly.gen()
     residuals = []
     for nn in (2, 3):
@@ -682,22 +684,22 @@ def xxx_trace_dagger(cfg, rng):
     return max_abs(*residuals)
 
 
-def xxx_ordered_products(cfg, rng):
+def xxx_ordered_products(cfg, rng, b):
     # the construction self-checks the value and the product
     return max_commutator(qkz_elements(xxx_params(cfg.z, cfg.hbar)))
 
 
-def xxx_generating_det(cfg, rng):
+def xxx_generating_det(cfg, rng, b):
     params = xxx_params(cfg.z, cfg.hbar)
     return max_abs(t_gen(params)
                    - ga_lift(cfg.n, det_P_hbar(params, s_k_poly(params, 1))))
 
 
-def xxx_commuting(cfg, rng):
-    return max_commutator(list(xxx_table(cfg.n, cfg.z, cfg.hbar, Fraction(2)).values()))
+def xxx_commuting(cfg, rng, b):
+    return max_commutator(list(b(xxx_table, cfg.n, cfg.z, cfg.hbar).values()))
 
 
-def xxx_covariance(cfg, rng):
+def xxx_covariance(cfg, rng, b):
     n, z, hbar = cfg.n, cfg.z, cfg.hbar
     params = xxx_params(z, hbar)
     sc = rng.nonzero_rational(4, 2)
@@ -724,17 +726,17 @@ def xxx_covariance(cfg, rng):
 # homogeneous suite
 
 
-def homog_s1_cycles(cfg, rng):
+def homog_s1_cycles(cfg, rng, b):
     return max_abs(s1_homogeneous(cfg.n) - s_k_poly(homogeneous_params(cfg.n), 1))
 
 
-def homog_generating_det(cfg, rng):
+def homog_generating_det(cfg, rng, b):
     n = cfg.n
     params = homogeneous_params(n)
     return max_abs(t_gen(params) - ga_lift(n, det_P_hat(n, s_k_poly(params, 1))))
 
 
-def homog_charge_densities(cfg, rng):
+def homog_charge_densities(cfg, rng, b):
     n = cfg.n
     charges = local_charges(n)
     return max_abs(*(
@@ -743,20 +745,20 @@ def homog_charge_densities(cfg, rng):
     ))
 
 
-def homog_charge_shift_commute(cfg, rng):
+def homog_charge_shift_commute(cfg, rng, b):
     gam = ga_perm(gamma_perm(cfg.n))
     return max_abs(*(ik * gam - gam * ik for ik in local_charges(cfg.n)))
 
 
-def homog_charges_generate(cfg, rng):
+def homog_charges_generate(cfg, rng, b):
     n = cfg.n
     gens = [ga_perm(gamma_perm(n))] + local_charges(n)
-    return span_of(n, gens).same_span(homogeneous_span(n))
+    return span_of(n, gens).same_span(b(homogeneous_span, n))
 
 
-def homog_well_defined(cfg, rng):
+def homog_well_defined(cfg, rng, b):
     n = cfg.n
-    base = homogeneous_span(n)
+    base = b(homogeneous_span, n)
     return all(
         span_of(n, t_m_table(homogeneous_params(n, hb, z1), Fraction(2),
                              range(1, n), range(1, n + 1)).values()).same_span(base)
@@ -764,11 +766,11 @@ def homog_well_defined(cfg, rng):
     )
 
 
-def homog_dagger_invariant(cfg, rng):
+def homog_dagger_invariant(cfg, rng, b):
     # the dagger reverses products, so the daggers of the generators generate
     # an algebra of the same dimension as the span; that algebra is the span
     # exactly when it lies in it, that is when each dagger lies in it
-    span = homogeneous_span(cfg.n)
+    span = b(homogeneous_span, cfg.n)
     return all(span.contains(represent(g.dagger()))
                for g in homogeneous_generators(cfg.n))
 
@@ -777,7 +779,7 @@ def homog_dagger_invariant(cfg, rng):
 # schur-weyl / yangian suite
 
 
-def sw_trace_compat(cfg, rng):
+def sw_trace_compat(cfg, rng, b):
     for N in (2, 3):
         for (nn, m) in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3), (3, 2)):
             if nn + m > 5:
@@ -795,7 +797,7 @@ def sw_trace_compat(cfg, rng):
     return True
 
 
-def sw_diffop_image(cfg, rng):
+def sw_diffop_image(cfg, rng, b):
     for (N, nn) in ((2, 2), (3, 2), (3, 3)):
         if nn > cfg.n:
             continue
@@ -808,7 +810,7 @@ def sw_diffop_image(cfg, rng):
     return True
 
 
-def sw_faithful(cfg, rng):
+def sw_faithful(cfg, rng, b):
     return all(
         rank([varpi_perm(p, N).flatten_rows() for p in all_permutations(nn)])
         == math.factorial(nn)
@@ -816,7 +818,7 @@ def sw_faithful(cfg, rng):
     )
 
 
-def sw_transfer_match(cfg, rng):
+def sw_transfer_match(cfg, rng, b):
     N, nn = 2, 2
     z = (Fraction(0), Fraction(2))
     hb = Fraction(2)
@@ -835,7 +837,7 @@ def sw_transfer_match(cfg, rng):
     return True
 
 
-def sw_transfer_commute(cfg, rng):
+def sw_transfer_commute(cfg, rng, b):
     N, nn = 2, 2
     x = (Fraction(0), Fraction(2))
     T1 = yangian_transfer(N, nn, 1, x)
@@ -848,7 +850,7 @@ def sw_transfer_commute(cfg, rng):
     return True
 
 
-def sw_heisenberg(cfg, rng):
+def sw_heisenberg(cfg, rng, b):
     N = 2
     for nn in (3, 4):
         if nn > max(cfg.n, 3):
@@ -871,39 +873,39 @@ def sw_heisenberg(cfg, rng):
 # spectra suite
 
 
-def spectra_dimension_law(cfg, rng):
+def spectra_dimension_law(cfg, rng, b):
     n, z = cfg.n, cfg.z
-    return all(certificate(n, gens, cfg.seed)["cyclic"] for gens in (
-        tuple(gaudin_table(n, z).values()),
-        tuple(xxx_table(n, z, cfg.hbar, Fraction(2)).values()),
+    return all(b(certificate, n, gens, cfg.seed)["cyclic"] for gens in (
+        tuple(b(gaudin_table, n, z).values()),
+        tuple(b(xxx_table, n, z, cfg.hbar).values()),
         tuple(homogeneous_generators(n))))
 
 
-def spectra_maximality(cfg, rng):
+def spectra_maximality(cfg, rng, b):
     # a cyclic element makes its algebra maximal commutative too, so the
     # certificates of the dimension law prove maximality
-    return (spectra_dimension_law(cfg, rng)
-            and certificate(cfg.n, tuple(gz_spanning_set(cfg.n)), cfg.seed)["cyclic"])
+    return (spectra_dimension_law(cfg, rng, b)
+            and b(certificate, cfg.n, tuple(gz_spanning_set(cfg.n)), cfg.seed)["cyclic"])
 
 
-def spectra_coincidences(cfg, rng):
+def spectra_coincidences(cfg, rng, b):
     # the triple family is symmetric in its first three symbols: s(1,2) and
     # s(2,3), which do not commute, commute with every generator, so the
     # commutant of that algebra is not commutative, and it is not the algebra
     zp = (Fraction(0), Fraction(0), Fraction(1), Fraction(3))
     zt = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    return (certificate(4, tuple(phi_polys(4, zp)[1].values()), cfg.seed)["cyclic"]
+    return (b(certificate, 4, tuple(phi_polys(4, zp)[1].values()), cfg.seed)["cyclic"]
             and all(s * g == g * s for s in (ga_transposition(4, 1, 2),
                                              ga_transposition(4, 2, 3))
                     for g in phi_polys(4, zt)[1].values()))
 
 
-def spectra_simple_spectrum(cfg, rng):
+def spectra_simple_spectrum(cfg, rng, b):
     n = cfg.n
     zx = tuple(Fraction(3 - i) for i in range(n))
-    return all(certificate(n, gens, cfg.seed)["squarefree"] for gens in (
-        tuple(gaudin_table(n, cfg.z).values()),
-        tuple(xxx_table(n, zx, Fraction(1, 2), Fraction(2)).values()),
+    return all(b(certificate, n, gens, cfg.seed)["squarefree"] for gens in (
+        tuple(b(gaudin_table, n, cfg.z).values()),
+        tuple(b(xxx_table, n, zx, Fraction(1, 2)).values()),
         tuple(homogeneous_generators(n))))
 
 
@@ -916,14 +918,12 @@ def _one_line_per_tableau(n: int, cert: dict, images: dict) -> bool:
             and all(g * x == x * g for g in images.values()))
 
 
-def spectra_eigen_count(cfg, rng):
-    n = cfg.n
-    return (
-        _one_line_per_tableau(n, certificate(n, tuple(gaudin_table(n, cfg.z).values()),
-                                             cfg.seed), kz_images(n, cfg.z))
-        and _one_line_per_tableau(n, certificate(n, tuple(homogeneous_generators(n)),
-                                                 cfg.seed), t_images(n))
-    )
+def spectra_eigen_count(cfg, rng, b):
+    n, seed = cfg.n, cfg.seed
+    gaudin = tuple(b(gaudin_table, n, cfg.z).values())
+    return (_one_line_per_tableau(n, b(certificate, n, gaudin, seed), b(kz_images, n, cfg.z))
+            and _one_line_per_tableau(n, b(certificate, n, tuple(homogeneous_generators(n)),
+                                           seed), b(t_images, n)))
 
 
 def first_three(cfg):
@@ -940,18 +940,18 @@ def h_values(rec, n: int) -> list:
     return [rec.eigenvalues[f"H{a}"] for a in range(1, n + 1)]
 
 
-def spectra_relations(cfg, rng):
+def spectra_relations(cfg, rng, b):
     n, z = first_three(cfg)
     return relation_residual(
-        gaudin_eigen(n, z, cfg.seed),
+        b(gaudin_eigen, n, z, cfg.seed),
         lambda rec: check_relations_H(rec.partition, z, h_values(rec, n)))
 
 
-def spectra_fiber_loop(cfg, rng):
+def spectra_fiber_loop(cfg, rng, b):
     for nn in (3, 4):
         if nn > cfg.n:
             continue
-        for rec in homogeneous_eigen(nn, cfg.seed):
+        for rec in b(homogeneous_eigen, nn, cfg.seed):
             F = homogeneous_f_from_record(nn, rec)
             la = rec.partition
             space = sp.reconstruct_subspace(
@@ -971,7 +971,7 @@ def spectra_fiber_loop(cfg, rng):
     return True
 
 
-def spectra_cyclic_vectors(cfg, rng):
+def spectra_cyclic_vectors(cfg, rng, b):
     for la in partitions_of(min(cfg.n, 4)):
         coords, value = sp.cyclic_vector(la, cfg.z[:sum(la)], "classic")
         deg = max(
@@ -983,7 +983,7 @@ def spectra_cyclic_vectors(cfg, rng):
     return True
 
 
-def spectra_deformed_action(cfg, rng):
+def spectra_deformed_action(cfg, rng, b):
     nn = min(cfg.n, 4)
 
     def act(q, *indices):
@@ -1016,24 +1016,24 @@ def contracts(spans, target) -> bool:
 STEEP = (Fraction(100), Fraction(10000), Fraction(1000000))
 
 
-def spectra_trend_rational(cfg, rng):
+def spectra_trend_rational(cfg, rng, b):
     n = cfg.n
-    return contracts((gaudin_span(n, tuple(sv**k for k in range(n))) for sv in STEEP),
-                     gz_span(n))
+    return contracts((b(gaudin_span, n, tuple(sv**k for k in range(n))) for sv in STEEP),
+                     b(gz_span, n))
 
 
-def spectra_trend_shifted(cfg, rng):
+def spectra_trend_shifted(cfg, rng, b):
     n = cfg.n
     return contracts(
-        (xxx_span(n, tuple(sv**k for k in range(n)), Fraction(1)) for sv in STEEP),
-        gz_span(n))
+        (b(xxx_span, n, tuple(sv**k for k in range(n)), Fraction(1)) for sv in STEEP),
+        b(gz_span, n))
 
 
-def spectra_trend_hbar(cfg, rng):
+def spectra_trend_hbar(cfg, rng, b):
     return contracts(
-        (xxx_span(cfg.n, cfg.z, hb) for hb in (Fraction(1), Fraction(1, 10),
+        (b(xxx_span, cfg.n, cfg.z, hb) for hb in (Fraction(1), Fraction(1, 10),
                                                Fraction(1, 100))),
-        gaudin_span(cfg.n, cfg.z))
+        b(gaudin_span, cfg.n, cfg.z))
 
 
 # ---------------------------------------------------------------------------
@@ -1045,14 +1045,14 @@ def kept_records(cfg, records):
             if cfg.lam is None or rec.partition == tuple(cfg.lam)]
 
 
-def conjecture_shifted_relations(cfg, rng):
+def conjecture_shifted_relations(cfg, rng, b):
     n, z = first_three(cfg)
     return relation_residual(
-        kept_records(cfg, gaudin_eigen(n, z, cfg.seed)),
+        kept_records(cfg, b(gaudin_eigen, n, z, cfg.seed)),
         lambda rec: check_relations_Ht(rec.partition, z, h_values(rec, n)))
 
 
-def conjecture_deformed_relations(cfg, rng):
+def conjecture_deformed_relations(cfg, rng, b):
     n, z = first_three(cfg)
     hbar = Fraction(1)
     params = xxx_params(z, hbar)
@@ -1065,7 +1065,7 @@ def conjecture_deformed_relations(cfg, rng):
         ]
         return check_relations_Hh(rec.partition, params, qvals)
 
-    return relation_residual(kept_records(cfg, xxx_eigen(n, z, hbar, cfg.seed)), check)
+    return relation_residual(kept_records(cfg, b(xxx_eigen, n, z, hbar, cfg.seed)), check)
 
 
 # ---------------------------------------------------------------------------
@@ -1243,8 +1243,8 @@ def run_suite(cfg) -> VerificationReport:
             "tol": cfg.tol,
         },
     )
-    s = Suite(report, cfg.tol)
+    s, b = Suite(report, cfg.tol), Builds()
     for name, claims in SUITES.items():
         if cfg.suite in ("all", name):
-            run_claims(s, cfg, claims)
+            run_claims(s, cfg, claims, b)
     return report

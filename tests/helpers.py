@@ -8,7 +8,8 @@ from snbethe.permutations import (
     GroupAlgebraElement, all_permutations, antisymmetrizer, embed, ga_lift, sign,
 )
 from snbethe.reps import BlockMatrix, block_shapes
-from snbethe.rings import UPoly, _int_scaled
+from snbethe.rings import MultiPoly, UPoly, _int_scaled, poly_divmod
+from snbethe.spectra import annihilate
 
 
 def distinct_rationals(rng, k: int, spread: int = 40) -> list:
@@ -38,6 +39,24 @@ def series_mul_oracle(a, b, order):
             if x and y:
                 out[i + j] = out[i + j] + x * y
     return out
+
+
+def poly_gcd(f, g):
+    """Monic gcd of two UPolys over a field (Fraction coefficients): the
+    oracle of ``spectra._coprime_to_derivative``."""
+    a, b = f, g
+    while b.coeffs:
+        a, b = b, poly_divmod(a, b)[1]
+    if a.coeffs:
+        a = a * (Fraction(1) / a.lead())
+    return a
+
+
+def multi_variable(nvars, i, c=Fraction(1)):
+    """The MultiPoly c*x_i in nvars variables."""
+    e = [0] * nvars
+    e[i] = 1
+    return MultiPoly(nvars, {tuple(e): c})
 
 
 def scalar_root_poly_oracle(roots):
@@ -127,6 +146,13 @@ def annihilator_oracle(F, p, hbar, variant):
             tap = p.shift_arg(-hbar * (n - k))
         acc = acc + v_coeff(F, k) * tap
     return acc
+
+
+def annihilator_residual(F, p, hbar=Fraction(1), variant="discrete"):
+    """Largest coefficient of ``spectra.annihilate(F, p, hbar, variant)``;
+    zero exactly when p lies in the subspace F was built from."""
+    return max((abs(c) for c in annihilate(F, p, hbar, variant).coeffs),
+               default=Fraction(0))
 
 
 def kernel_column_oracle(F, d: int, hbar, variant):

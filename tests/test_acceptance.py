@@ -70,6 +70,7 @@ from snbethe.tensoract import (
 )
 from snbethe import spectra as sp
 from snbethe.suites import (
+    Builds,
     certificate,
     default_z,
     gaudin_eigen,
@@ -105,7 +106,7 @@ def test_acceptance_01_intro_example():
     assert span.same_span(sp.linear_span([represent(g) for g in explicit]))
     hb = F(1)
     gens = []
-    for (m, i), g in xxx_table(3, z, hb, F(2)).items():
+    for (m, i), g in xxx_table(Builds(), 3, z, hb).items():
         gens.append(represent(g))
     span_x = sp.algebra_span(gens)
     assert span_x.dim == 4
@@ -146,32 +147,35 @@ def test_acceptance_02_commutativity_to_n5():
 
 def test_acceptance_03_dimension_law():
     t0 = time.time()
+    b = Builds()
     for n, want in ((3, 4), (4, 10), (5, 26)):
         z = default_z(n)
         assert sum_of_dims(n) == want
-        assert gaudin_span(n, z).dim == want
-        assert xxx_span(n, z, F(1)).dim == want
-        assert homogeneous_span(n).dim == want
+        assert b(gaudin_span, n, z).dim == want
+        assert b(xxx_span, n, z, F(1)).dim == want
+        assert b(homogeneous_span, n).dim == want
     elapsed = time.time() - t0
     assert elapsed < 600.0
     announce(3, f"span dimensions 4/10/26 for all three families ({elapsed:.0f}s)")
 
 
-def family_elements(n, z, hbar):
-    """The rational, deformed and homogeneous generators, a tuple each."""
-    return (tuple(gaudin_table(n, z).values()),
-            tuple(xxx_table(n, z, hbar, F(2)).values()),
+def family_elements(b, n, z, hbar):
+    """The rational, deformed and homogeneous generators, a tuple each, read
+    from the store b."""
+    return (tuple(b(gaudin_table, n, z).values()),
+            tuple(b(xxx_table, n, z, hbar).values()),
             tuple(homogeneous_generators(n)))
 
 
 def test_acceptance_04_maximality_and_coincidences():
+    b = Builds()
     for n in (2, 3, 4):
-        for elements in family_elements(n, default_z(n), F(1)):
-            assert certificate(n, elements, SEED)["cyclic"]
+        for elements in family_elements(b, n, default_z(n), F(1)):
+            assert b(certificate, n, elements, SEED)["cyclic"]
     pair = tuple(phi_polys(4, (F(0), F(0), F(1), F(3)))[1].values())
-    assert certificate(4, pair, SEED)["cyclic"]
+    assert b(certificate, 4, pair, SEED)["cyclic"]
     triple = tuple(phi_polys(4, (F(0), F(0), F(0), F(1)))[1].values())
-    assert not certificate(4, triple, SEED)["cyclic"]
+    assert not b(certificate, 4, triple, SEED)["cyclic"]
     announce(4, "maximality at n<=4; pair survives, triple fails")
 
 
@@ -449,7 +453,7 @@ def test_acceptance_09_local_charges():
         gens1 = [represent(ga_perm(gamma_perm(n)))] + [
             represent(c) for c in local_charges(n)]
         span1 = sp.algebra_span(gens1)
-        assert span1.same_span(homogeneous_span(n))
+        assert span1.same_span(homogeneous_span(Builds(), n))
     announce(9, "window densities and charge generation to n=6 / n=5")
 
 
@@ -489,25 +493,26 @@ def test_acceptance_10_tensor_crosschecks():
 
 
 def test_acceptance_11_spectra():
+    b = Builds()
     for n in (2, 3, 4, 5):
         zx = tuple(F(3 - i) for i in range(n))
-        gaudin, _, homogeneous = family_elements(n, default_z(n), F(1))
+        gaudin, _, homogeneous = family_elements(b, n, default_z(n), F(1))
         for name, elements in (("rational", gaudin), ("homogeneous", homogeneous),
-                               ("deformed", family_elements(n, zx, F(1, 2))[1])):
-            assert certificate(n, elements, SEED)["squarefree"], \
+                               ("deformed", family_elements(b, n, zx, F(1, 2))[1])):
+            assert b(certificate, n, elements, SEED)["squarefree"], \
                 f"{name} certificate failed at n={n}"
     for n in (2, 3, 4):
         z = default_z(n)
-        assert len(gaudin_eigen(n, z, SEED)) == sum_of_dims(n)
-        assert len(homogeneous_eigen(n, SEED)) == sum_of_dims(n)
+        assert len(b(gaudin_eigen, n, z, SEED)) == sum_of_dims(n)
+        assert len(b(homogeneous_eigen, n, SEED)) == sum_of_dims(n)
     for n in (2, 3):
         z = default_z(n)
-        for rec in gaudin_eigen(n, z, SEED):
+        for rec in b(gaudin_eigen, n, z, SEED):
             h = [rec.eigenvalues[f"H{a}"] for a in range(1, n + 1)]
             rep = check_relations_H(rec.partition, z, h)
             assert float(rep["max_residual"]) < 1e-8
     for n in (3, 4):
-        for rec in homogeneous_eigen(n, SEED):
+        for rec in b(homogeneous_eigen, n, SEED):
             Fb = homogeneous_f_from_record(n, rec)
             la = rec.partition
             basis = sp.reconstruct_subspace(
@@ -523,18 +528,19 @@ def test_acceptance_11_spectra():
 
 
 def test_acceptance_12_limit_trends():
+    b = Builds()
     for n in (3, 4):
-        base = gz_span(n)
+        base = b(gz_span, n)
         dists_g, dists_x = [], []
         for s in (F(100), F(10000), F(1000000)):
             z = tuple(s**k for k in range(n))
-            dists_g.append(sp.chordal_distance(gaudin_span(n, z), base))
-            dists_x.append(sp.chordal_distance(xxx_span(n, z, F(1)), base))
+            dists_g.append(sp.chordal_distance(b(gaudin_span, n, z), base))
+            dists_x.append(sp.chordal_distance(b(xxx_span, n, z, F(1)), base))
         assert dists_g[0] > dists_g[1] > dists_g[2]
         assert dists_x[0] > dists_x[1] > dists_x[2]
         z = default_z(n)
-        ref = gaudin_span(n, z)
-        dists_h = [sp.chordal_distance(xxx_span(n, z, hb), ref)
+        ref = b(gaudin_span, n, z)
+        dists_h = [sp.chordal_distance(b(xxx_span, n, z, hb), ref)
                    for hb in (F(1), F(1, 10), F(1, 100))]
         assert dists_h[0] > dists_h[1] > dists_h[2]
     announce(12, "steep-parameter and small-deformation contraction trends")

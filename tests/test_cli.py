@@ -160,25 +160,21 @@ def test_emits_match_golden(capsys, name, argv):
 
 def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
     # the claims at the run's own z, the three presentations at n = 4
-    # among them, read the generator polynomials from the cached
+    # among them, read the generator polynomials from the run's
     # gaudin_table; only the one-off z values (scaled, shifted, permuted)
     # build their own.  Seed 7 draws no identity permutation, scale 1 or
-    # shift 0, so none of those is the run's z.  The shifted polynomial φ̃
-    # is built whole only by shifted-det (n <= 4); shifted-edges forms its
-    # two edge coefficients u^0 and u^n alone, so at n = 5 no whole φ̃ is
-    # built.
+    # shift 0, so none of those is the run's z.  Each u-coefficient of the
+    # shifted polynomial φ̃ is built once per run: shifted-det (n <= 4)
+    # builds all of them and shifted-edges reads its two edges u^n and u^0
+    # back, so at n = 5 only those two are built.
     from snbethe import gaudin, reps
 
-    built, shifted, coeffs = [], [], []
-    real, real_tilde, real_coeff = gaudin.phi_polys, gaudin.phi_tilde, gaudin.phi_tilde_coeff
+    built, coeffs = [], []
+    real, real_coeff = gaudin.phi_polys, gaudin.phi_tilde_coeff
 
     def counted(n, z):
         built.append(tuple(z))
         return real(n, z)
-
-    def counted_tilde(n, z, polys):
-        shifted.append(tuple(z))
-        return real_tilde(n, z, polys)
 
     def counted_coeff(n, z, polys, k):
         coeffs.append((tuple(z), k))
@@ -186,16 +182,12 @@ def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
 
     monkeypatch.setattr(suites, "phi_polys", counted)
     monkeypatch.setattr(gaudin, "phi_polys", counted)
-    monkeypatch.setattr(suites, "phi_tilde", counted_tilde)
     monkeypatch.setattr(suites, "phi_tilde_coeff", counted_coeff)
     monkeypatch.setattr(gaudin, "phi_tilde_coeff", counted_coeff)
-    caches = (suites.gaudin_table, reps.content_product_all)
     try:
         for n in (4, 5):
-            for cache in caches:
-                cache.cache_clear()
+            reps.content_product_all.cache_clear()
             built.clear()
-            shifted.clear()
             coeffs.clear()
             rc, _ = run_main(capsys, ["run", "identities-gaudin", "--n", str(n),
                                       "--format", "json", "--seed", "7"])
@@ -203,17 +195,13 @@ def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
             assert built.count(suites.default_z(n)) == 1
             assert len(built) == 6
             z = suites.default_z(n)
-            edges = [(z, n), (z, 0)]
             if n == 4:
-                assert shifted == [z]
-                assert coeffs == [(z, k) for k in range(n + 1)] + edges
+                assert coeffs == [(z, k) for k in range(n + 1)]
             else:
-                assert shifted == []
-                assert coeffs == edges
+                assert coeffs == [(z, n), (z, 0)]
             assert reps.content_product_all.cache_info().misses == 1
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        reps.content_product_all.cache_clear()
 
 
 def child_output(code: str) -> str:
@@ -300,7 +288,8 @@ def test_trend_claims_do_not_load_numpy():
         "from snbethe import cli, suites\n"
         "cfg = cli.config_from_args(cli.build_parser().parse_args("
         "['run', 'spectra', '--n', '3']))\n"
-        "print([claim(cfg, None) for claim in (suites.spectra_trend_rational, "
+        "b = suites.Builds()\n"
+        "print([claim(cfg, None, b) for claim in (suites.spectra_trend_rational, "
         "suites.spectra_trend_shifted, suites.spectra_trend_hbar)], "
         "'numpy' in sys.modules)\n"
     )
@@ -328,9 +317,6 @@ def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
         return real(gens, seed)
 
     monkeypatch.setattr(spectra, "certificate", counted)
-    for builder in (suites.certificate, suites.gaudin_eigen,
-                    suites.xxx_eigen, suites.homogeneous_eigen):
-        builder.cache_clear()
     rc, _ = run_main(capsys, ["run", "spectra", "--n", "4", "--seed", "7"])
     assert rc == 0
     # the gaudin, xxx and homogeneous generators at the run's parameters (the
@@ -339,6 +325,52 @@ def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
     # the eigen records reuse two of them and add gaudin and homogeneous at
     # n = 3
     assert len(calls) == len(set(calls)) == 8
+
+
+# The suite's builders: each takes the run's store first and is read through it.
+BUILDERS = (
+    "gaudin_table", "gaudin_tilde_coeff", "gaudin_span", "xxx_table", "xxx_span",
+    "homogeneous_span", "gz_span", "certificate", "kz_images", "gaudin_eigen",
+    "xxx_eigen", "t_images", "homogeneous_eigen",
+)
+
+
+def test_suites_hold_no_module_cache():
+    # shared objects live in the run's store, so suites.py names neither
+    # functools cache, as a decorator or otherwise
+    tree = ast.parse(Path(suites.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    assert names & {"lru_cache", "cache"} == set()
+
+
+def test_runs_share_no_builds(monkeypatch):
+    # two runs of one configuration in one process build the same objects,
+    # each key once per run: no run reads what an earlier run built
+    from collections import Counter
+
+    calls = Counter()
+    for name in BUILDERS:
+        def counted(b, *key, real=getattr(suites, name), name=name):
+            calls[(name, *key)] += 1
+            return real(b, *key)
+
+        monkeypatch.setattr(suites, name, counted)
+    cfg = config_from_args(build_parser().parse_args(["run", "all", "--n", "3"]))
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert not suites.run_suite(cfg).failed
+        runs.append(dict(calls))
+    assert runs[0] == runs[1]
+    assert set(runs[0].values()) == {1}
+    assert {key[0] for key in runs[0]} == set(BUILDERS)
 
 
 @pytest.mark.parametrize("values", [

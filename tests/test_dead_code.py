@@ -91,9 +91,8 @@ TEST_ONLY = {
     "spectra.f_bivariate": "paper content kept for the tests (ROADMAP item 5)",
     "spectra.check_O_relations": "paper content kept for the tests (ROADMAP item 5)",
     "spectra.wronskian": "paper content kept for the tests (ROADMAP item 5)",
-    "rings.poly_gcd": "the oracle of spectra._coprime_to_derivative",
-    "rings.MultiPoly.variable": "builds the variables of the MultiPoly tests",
-    "spectra.annihilator_residual": "the kernel check of the f_bivariate tests",
+    "gaudin.phi_tilde": "the whole shifted generating function; the suites "
+                        "build it one stored coefficient at a time",
 }
 
 

@@ -463,6 +463,6 @@ def test_perturbed_generator_fails_the_edge_path(n, monkeypatch):
             phi_tilde_coeff(n, z, bad, n)
         with pytest.raises(AssertionError):
             oracle_phi_tilde(n, z, bad)
-        monkeypatch.setattr(suites, "gaudin_polys", lambda m, zz: bad)
+        monkeypatch.setattr(suites, "gaudin_polys", lambda b, m, zz: bad)
         with pytest.raises(AssertionError, match="not polynomial in v"):
-            suites.gaudin_shifted_edges(SimpleNamespace(n=n, z=z), None)
+            suites.gaudin_shifted_edges(SimpleNamespace(n=n, z=z), None, suites.Builds())

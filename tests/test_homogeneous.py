@@ -220,11 +220,11 @@ def test_dagger_invariant_claim_is_a_membership_check(monkeypatch):
     from snbethe import suites
 
     cfg = SimpleNamespace(n=3)
-    assert suites.homog_dagger_invariant(cfg, None) is True
+    assert suites.homog_dagger_invariant(cfg, None, suites.Builds()) is True
     # x = s(1,2) + (1 2 3): alg(x) has dimension 3 and does not hold x^dagger
     x = ga_transposition(3, 1, 2) + ga_perm(cycle(3, [1, 2, 3]))
     span = suites.span_of(3, [x])
     assert span.dim == 3
     monkeypatch.setattr(suites, "homogeneous_generators", lambda n: [x])
-    monkeypatch.setattr(suites, "homogeneous_span", lambda n: span)
-    assert suites.homog_dagger_invariant(cfg, None) is False
+    monkeypatch.setattr(suites, "homogeneous_span", lambda b, n: span)
+    assert suites.homog_dagger_invariant(cfg, None, suites.Builds()) is False

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bivariate, coeff_uv, scalar_root_poly_oracle, series_mul_oracle, v_coeff
+from helpers import (
+    bivariate, coeff_uv, multi_variable, poly_gcd, scalar_root_poly_oracle, series_mul_oracle,
+    v_coeff,
+)
 from snbethe.rings import (
     MultiPoly,
     SeededRandom,
@@ -14,7 +17,6 @@ from snbethe.rings import (
     falling_binomial,
     log1p,
     poly_divmod,
-    poly_gcd,
     scalar_root_poly,
     series_exp,
     series_inverse,
@@ -183,7 +185,7 @@ def test_series_log_matches_the_list_oracle():
 def test_log1p_of_a_multipoly_is_the_truncated_log_series():
     # the sum of (-1)^(t+1) X^t / t over t <= 3, every power a truncated
     # product: the window-table loop of the homogeneous charges
-    x, y, z = (MultiPoly.variable(3, i, c) for i, c in enumerate((S12, S23, S12 * S23)))
+    x, y, z = (multi_variable(3, i, c) for i, c in enumerate((S12, S23, S12 * S23)))
     X = x + y * F(1, 2) + x * z - y * y
     bound = 3
     want = MultiPoly(3)
@@ -274,8 +276,8 @@ def total_degree(p: MultiPoly) -> int:
 
 
 def test_multipoly_truncated_products():
-    x = MultiPoly.variable(3, 0)
-    y = MultiPoly.variable(3, 1)
+    x = multi_variable(3, 0)
+    y = multi_variable(3, 1)
     p = (x + y).mul_trunc(x + y, 2)
     assert p.coeff((1, 1, 0)) == 2 and total_degree(p) == 2
     assert total_degree((x * y).mul_trunc(x, 2)) == -1  # truncated away

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     annihilator_oracle,
+    annihilator_residual,
     block_entries,
     block_rows,
     coeff_uv,
@@ -19,9 +20,10 @@ from helpers import (
     identity_rows,
     kernel_column_oracle,
     matmul,
+    poly_gcd,
     v_coeff,
 )
-from snbethe.rings import MultiPoly, SeededRandom, UPoly, poly_gcd
+from snbethe.rings import MultiPoly, SeededRandom, UPoly
 from snbethe.linalg import rank
 from snbethe.permutations import (
     GroupAlgebraElement,
@@ -41,14 +43,13 @@ from snbethe.reps import (
 from snbethe.gaudin import gz_spanning_set, jm_elements, kz_elements, phi_polys
 from snbethe.homogeneous import gamma_perm, homogeneous_generators
 from snbethe.xxx import t_m_poly, t_m_table, xxx_params
-from snbethe.suites import STEEP, contracts, gaudin_span, gz_span
+from snbethe.suites import STEEP, Builds, contracts, gaudin_span, gz_span
 from snbethe.spectra import (
     CERT_DRAWS,
     SpanBasis,
     _krylov_relation,
     algebra_span,
     annihilate,
-    annihilator_residual,
     casorati,
     check_O_relations,
     certificate,
@@ -675,7 +676,7 @@ def test_joint_eigen_n2_homogeneous_values():
         (2,): {(1, 1): -2.0, (0, 1): -1.0, (0, 0): 0.0},
         (1, 1): {(1, 1): -2.0, (0, 1): 1.0, (0, 0): 2.0},
     }
-    for rec in homogeneous_eigen(2, 777):
+    for rec in homogeneous_eigen(Builds(), 2, 777):
         Fb = homogeneous_f_from_record(2, rec)
         # shared leading data and block-specific lower coefficients
         assert complex(coeff_uv(Fb, 2, 2)).real == pytest.approx(1.0)
@@ -707,11 +708,11 @@ def test_eigen_count_fails_on_an_image_that_does_not_commute(monkeypatch, images
     from snbethe import cli, suites
 
     cfg = cli.config_from_args(cli.build_parser().parse_args(["run", "spectra", "--n", "3"]))
-    assert suites.spectra_eigen_count(cfg, None) is True
+    assert suites.spectra_eigen_count(cfg, None, Builds()) is True
     real = getattr(suites, images)
     s1 = represent(ga_transposition(3, 1, 2))
     monkeypatch.setattr(suites, images, lambda *args: {**real(*args), "s1": s1})
-    assert suites.spectra_eigen_count(cfg, None) is False
+    assert suites.spectra_eigen_count(cfg, None, Builds()) is False
 
 
 def test_reconstruction_roundtrip():
@@ -875,11 +876,11 @@ def test_span_distance_trend_to_tower():
 
 
 def test_contracts_can_fail():
-    n = 3
-    steep = [gaudin_span(n, (F(1), s, s * s)) for s in STEEP]
-    assert contracts(steep, gz_span(n))
-    assert not contracts(steep[::-1], gz_span(n))
-    assert not contracts([steep[0], steep[0]], gz_span(n))
+    n, b = 3, Builds()
+    steep = [b(gaudin_span, n, (F(1), s, s * s)) for s in STEEP]
+    assert contracts(steep, b(gz_span, n))
+    assert not contracts(steep[::-1], b(gz_span, n))
+    assert not contracts([steep[0], steep[0]], b(gz_span, n))
 
 
 def test_theta_membership_residual_soundness():

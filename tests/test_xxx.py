@@ -127,19 +127,10 @@ def test_span_and_eigen_builders_stay_in_s_n(monkeypatch):
 
     monkeypatch.setattr(xxx_module, "t_m_poly", refuse)
     monkeypatch.setattr(xxx_module, "trace_map", refuse)
-    builders = (suites.xxx_table, suites.xxx_span, suites.homogeneous_span,
-                suites.certificate, suites.homogeneous_eigen)
-    for builder in builders:
-        builder.cache_clear()
-    try:
-        n, z = 3, (F(0), F(1), F(3))
-        assert suites.xxx_span(n, z, F(1)).dim == 4
-        assert suites.homog_well_defined(SimpleNamespace(n=n), None)
-        assert len(suites.homogeneous_eigen(n, 7)) == 4
-    finally:
-        # the caches hold equal values either way; start the next test cold
-        for builder in builders:
-            builder.cache_clear()
+    n, z, b = 3, (F(0), F(1), F(3)), suites.Builds()
+    assert b(suites.xxx_span, n, z, F(1)).dim == 4
+    assert suites.homog_well_defined(SimpleNamespace(n=n), None, b)
+    assert len(b(suites.homogeneous_eigen, n, 7)) == 4
 
 
 def test_p_independence_claim_uses_the_literal_trace(monkeypatch):
@@ -148,7 +139,7 @@ def test_p_independence_claim_uses_the_literal_trace(monkeypatch):
     from snbethe import suites
 
     cfg = SimpleNamespace(n=3, z=(F(0), F(1), F(3)), hbar=F(1))
-    assert suites.xxx_p_independence(cfg, None) is True
+    assert suites.xxx_p_independence(cfg, None, suites.Builds()) is True
 
     def refuse(*args, **kwargs):
         raise AssertionError("literal trace called")
@@ -156,7 +147,7 @@ def test_p_independence_claim_uses_the_literal_trace(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(suites, "t_m_poly", refuse)
         with pytest.raises(AssertionError, match="literal trace called"):
-            suites.xxx_p_independence(cfg, None)
+            suites.xxx_p_independence(cfg, None, suites.Builds())
 
     # a trace whose coefficients moved with p is caught
     def drifting(params, m, p=None):
@@ -166,7 +157,7 @@ def test_p_independence_claim_uses_the_literal_trace(monkeypatch):
         return poly
 
     monkeypatch.setattr(suites, "t_m_poly", drifting)
-    assert suites.xxx_p_independence(cfg, None) is False
+    assert suites.xxx_p_independence(cfg, None, suites.Builds()) is False
 
 
 def test_antisymmetrizer_classes():

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import namedtuple
@@ -33,7 +32,7 @@ HARD_CAP = 7
 
 
 SuiteConfig = namedtuple(
-    "SuiteConfig", "suite n z hbar lam seed tol strict timings fmt out")
+    "SuiteConfig", "suite n z hbar lam seed strict timings fmt out")
 
 
 def _rational(flag: str, text) -> Fraction:
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lambda", dest="lam", type=str,
                      help="partition, comma-separated")
     run.add_argument("--seed", type=int, default=20260801)
-    run.add_argument("--tol", type=float, default=1e-8)
     run.add_argument("--format", dest="fmt", choices=["json", "text"],
                      default="text")
     run.add_argument("--out", type=str)
@@ -146,9 +144,9 @@ def config_from_args(args) -> SuiteConfig:
             raise ValueError("the partition must have positive, non-increasing parts")
         if sum(lam) != n:
             raise ValueError("the partition must have size n")
-    tol = float(values["tol"])
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+        if values["suite"] not in ("conjectures", "all"):
+            raise ValueError("--lambda applies only to the conjecture probes "
+                             "(suites conjectures and all)")
     hbar = _rational("--hbar", values["hbar"])
     if not hbar:
         raise ValueError("hbar must be nonzero")
@@ -161,7 +159,6 @@ def config_from_args(args) -> SuiteConfig:
         hbar=hbar,
         lam=lam,
         seed=int(values["seed"]),
-        tol=tol,
         strict=bool(values.get("strict")),
         timings=bool(values.get("timings")),
         fmt=values["fmt"],

@@ -347,76 +347,50 @@ def phi_tilde(n: int, z, polys) -> UPoly:
     return UPoly([phi_tilde_coeff(n, z, polys, k) for k in range(n + 1)])
 
 
-def check_relations_H(la, z, h) -> dict:
+def check_relations_H(la, z, h) -> list:
     """Residuals of the scalar relation family attached to the first
-    determinant presentation, at concrete parameter values h.
-
-    Returns a report with the largest lower-triangular coefficient (which the
-    relations say must vanish) and the coefficient residual of the diagonal
-    identity against the partition data.  Nothing is asserted here; callers
-    decide what counts as a failure.
-    """
+    determinant presentation at a commuting family h: scalars (the joint
+    eigenvalues on one line of block la) or group-algebra elements (read on
+    block la through its central idempotent).  See ``relation_residuals``;
+    nothing is asserted here."""
     n = sum(la)
     return relation_residuals(la, det_presentation("P", n, tuple(z), list(h)))
 
 
-def relation_residuals(la, det: UPoly) -> dict:
+def relation_residuals(la, det: UPoly) -> list:
     """Residuals of a scalar relation family read off a determinant
     presentation det(u, w), a polynomial in u over polynomials in w, at a
-    partition la of n: the largest coefficient of
-    u^(n-j) w^(n-i) with j < i, which must vanish, and the largest
-    coefficient of the difference of the two sides of the diagonal identity
+    partition la of n, each zero when the relations hold: the coefficients
+    of u^(n-j) w^(n-i) with j < i, and the coefficients of the difference of
+    the two sides of the diagonal identity
     sum_i [u^(n-i) w^(n-i)] prod_{j>i} (w + j) = prod_j (w + j - la_j)."""
-    la = tuple(la)
     n = sum(la)
 
     def coeff(i: int, j: int):  # det.coeff(i) is the int 0 above the u-degree
         return (det.coeff(i) or UPoly()).coeff(j)
 
-    offdiag = max(
-        (abs(coeff(n - j, n - i)) for i in range(n + 1) for j in range(i)),
-        default=Fraction(0),
-    )
     lhs = UPoly()
     for i in range(n + 1):
         tail = scalar_root_poly([Fraction(-j) for j in range(i + 1, n + 1)])
         lhs = lhs + tail * coeff(n - i, n - i)
     rhs = scalar_root_poly([Fraction(lam - j)
                             for j, lam in enumerate(partition_parts(la, n), start=1)])
-    diff = lhs - rhs
-    diagonal = max((abs(c) for c in diff.coeffs), default=Fraction(0))
-    return {
-        "partition": la,
-        "offdiag_residual": offdiag,
-        "diagonal_residual": diagonal,
-        "max_residual": max(offdiag, diagonal),
-    }
+    return ([coeff(n - j, n - i) for i in range(n + 1) for j in range(i)]
+            + (lhs - rhs).coeffs)
 
 
-def check_relations_Ht(la, z, h) -> dict:
-    """Residuals of the second (conjectural) relation family: the top
-    coefficient must reproduce the content polynomial of the partition, and
-    each remaining coefficient must have vanishing fractional part against the
+def check_relations_Ht(la, z, h) -> list:
+    """Residuals of the second (conjectural) relation family at a commuting
+    family h, scalars or elements as in ``check_relations_H``, each zero when
+    the relations hold: the top coefficient minus the content polynomial of
+    the partition, and the remainder of each further coefficient against the
     shifted content polynomial."""
-    la = tuple(la)
     n = sum(la)
-    z = tuple(z)
-    det = det_presentation("Ptilde", n, z, list(h))
+    det = det_presentation("Ptilde", n, tuple(z), list(h))
     pila = content_poly(la, n)
     pila1 = pila.shift_arg(Fraction(1))
-    top = det.coeff(n)  # coefficient of u^n, polynomial in v
-    diff = top - pila
-    top_residual = max((abs(c) for c in diff.coeffs), default=Fraction(0))
-    frac_residual = Fraction(0)
+    out = (det.coeff(n) - pila).coeffs  # coefficient of u^n, polynomial in v
     for i in range(1, n + 1):
         tail = scalar_root_poly([Fraction(-j) for j in range(1, n - i + 1)])
-        numer = det.coeff(n - i) * tail
-        _, rem = poly_divmod(numer, pila1)
-        r = max((abs(c) for c in rem.coeffs), default=Fraction(0))
-        frac_residual = max(frac_residual, r)
-    return {
-        "partition": la,
-        "top_residual": top_residual,
-        "fractional_residual": frac_residual,
-        "max_residual": max(top_residual, frac_residual),
-    }
+        out += poly_divmod(det.coeff(n - i) * tail, pila1)[1].coeffs
+    return out

@@ -9,8 +9,9 @@ that picks derivatives ("differential") or shifts ("discrete"); any other
 variant name raises ValueError.
 
 Everything dimension-like is exact rational or a one-sided certificate mod a
-prime; floating point enters only for eigenvectors and reconstruction.  Only
-those float functions import numpy, so the exact checks never load it.  The
+prime.  Floating point and numpy serve only ``spectra.fiber-loop``: its
+eigenvectors and reconstruction import numpy where used, so no other claim
+loads it.  The
 block-model kernels read a ``BlockMatrix``'s integer numerators over its one
 denominator d: the span echelon takes the numerators as they are (scaling a
 vector keeps its span), the Krylov chain inverts d once mod p, and the eigen

@@ -1,5 +1,5 @@
 """Named verification suites as one claim table.  Each claim computes an
-exact or numeric residual for one verified statement and declares what it
+exact residual or a bool for one verified statement and declares what it
 needs of the configuration.  The runner turns residuals into PASS or FAIL
 records (CONJECTURE-* for the two conjecture probes), writes a SKIPPED record
 naming the first requirement a configuration misses, collects timings, and
@@ -63,7 +63,6 @@ from .xxx import (
     check_relations_Hh,
     det_P_hbar,
     qkz_elements,
-    s1_coeff_elements,
     s_k_poly,
     st_transform,
     t_gen,
@@ -114,9 +113,8 @@ def default_z(n: int) -> tuple:
 def max_abs(*xs) -> Fraction:
     """Largest absolute coefficient of scalars, group-algebra elements,
     MultiPolys and polynomials over them, nested polynomials too (in u and
-    v, or over polynomials in p); Fraction(0) for none.
-    The first largest wins, so an exact zero reads 0/1 and a float stays a
-    float."""
+    v, or over polynomials in p); Fraction(0) for none, so an exact zero
+    reads 0/1."""
     out = Fraction(0)
     for x in xs:
         if isinstance(x, UPoly):
@@ -205,18 +203,6 @@ def kz_images(b, n: int, z: tuple) -> dict:
     return {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
 
 
-def gaudin_eigen(b, n: int, z: tuple, seed: int):
-    return sp.joint_eigen(b(certificate, n, tuple(b(gaudin_table, n, z).values()), seed),
-                          b(kz_images, n, z))
-
-
-def xxx_eigen(b, n: int, z: tuple, hbar: Fraction, seed: int):
-    gens = {f"S{i}": represent(el)
-            for i, el in enumerate(s1_coeff_elements(xxx_params(z, hbar)), start=1)}
-    cert = b(certificate, n, tuple(b(xxx_table, n, z, hbar).values()), seed)
-    return sp.joint_eigen(cert, gens)
-
-
 def t_images(b, n: int) -> dict:
     """Block images of the homogeneous family's traced coefficients T_m,i."""
     table = t_m_table(homogeneous_params(n), Fraction(n), range(1, n + 1),
@@ -243,9 +229,8 @@ def homogeneous_f_from_record(n: int, rec) -> UPoly:
 
 
 class Suite:
-    def __init__(self, report: VerificationReport, tol: float):
+    def __init__(self, report: VerificationReport):
         self.report = report
-        self.tol = tol
 
     def run(self, check_id, anchor, params, fn, conjecture=False):
         with Timer() as t:
@@ -267,9 +252,6 @@ class Suite:
         if isinstance(residual, bool):
             ok = residual
             shown = "0" if ok else "1/1"
-        elif isinstance(residual, float):
-            ok = residual <= self.tol
-            shown = repr(residual)
         else:
             ok = residual == 0
             shown = format_rational(residual) if isinstance(residual, Fraction) else str(residual)
@@ -320,9 +302,9 @@ def n_only(cfg) -> dict:
     return {"n": cfg.n}
 
 
-# One check: ``fn(cfg, rng, b)`` returns its residual (an exact value, a float
-# compared with the tolerance, or a bool), b the run's store; ``params(cfg)``
-# is its report params, and ``requires`` the requirements it is skipped without.
+# One check: ``fn(cfg, rng, b)`` returns its residual (an exact value, zero
+# when the claim holds, or a bool), b the run's store; ``params(cfg)`` is its
+# report params, and ``requires`` the requirements it is skipped without.
 Claim = namedtuple("Claim", "check_id anchor fn params requires conjecture",
                    defaults=(n_only, (), False))
 
@@ -931,20 +913,19 @@ def first_three(cfg):
     return n, cfg.z[:n]
 
 
-def relation_residual(records, check) -> float:
-    """Largest ``max_residual`` of ``check(rec)`` over the eigen records."""
-    return max([0.0] + [float(check(rec)["max_residual"]) for rec in records])
-
-
-def h_values(rec, n: int) -> list:
-    return [rec.eigenvalues[f"H{a}"] for a in range(1, n + 1)]
+def block_residual(n: int, partitions, residuals) -> Fraction:
+    """Largest coefficient of e_la r over the partitions la of n and the
+    residuals r in ``residuals(la)`` of a relation family R at commuting
+    elements H, e_la the central idempotent: R(H) e_la = 0 exactly when R
+    holds at every joint eigenvalue tuple of block la, H being diagonalizable."""
+    return max_abs(*(central_idempotent(la, n) * r
+                     for la in partitions for r in residuals(la)))
 
 
 def spectra_relations(cfg, rng, b):
     n, z = first_three(cfg)
-    return relation_residual(
-        b(gaudin_eigen, n, z, cfg.seed),
-        lambda rec: check_relations_H(rec.partition, z, h_values(rec, n)))
+    h = kz_elements(n, z, gaudin_polys(b, n, z))
+    return block_residual(n, partitions_of(n), lambda la: check_relations_H(la, z, h))
 
 
 def spectra_fiber_loop(cfg, rng, b):
@@ -1040,32 +1021,28 @@ def spectra_trend_hbar(cfg, rng, b):
 # conjecture probes
 
 
-def kept_records(cfg, records):
-    return [rec for rec in records
-            if cfg.lam is None or rec.partition == tuple(cfg.lam)]
+def probe_params(cfg) -> dict:
+    return {"n": min(cfg.n, 3), **({} if cfg.lam is None else {"lambda": list(cfg.lam)})}
+
+
+def kept_partitions(cfg, n: int) -> list:
+    """The partitions of n that the probes read: all, or --lambda's alone."""
+    return [la for la in partitions_of(n) if cfg.lam is None or la == cfg.lam]
 
 
 def conjecture_shifted_relations(cfg, rng, b):
     n, z = first_three(cfg)
-    return relation_residual(
-        kept_records(cfg, b(gaudin_eigen, n, z, cfg.seed)),
-        lambda rec: check_relations_Ht(rec.partition, z, h_values(rec, n)))
+    h = kz_elements(n, z, gaudin_polys(b, n, z))
+    return block_residual(n, kept_partitions(cfg, n),
+                          lambda la: check_relations_Ht(la, z, h))
 
 
 def conjecture_deformed_relations(cfg, rng, b):
     n, z = first_three(cfg)
-    hbar = Fraction(1)
-    params = xxx_params(z, hbar)
-
-    # coefficients of the scalar image of the first-order polynomial: leading
-    # term hbar*n, then the hbar-power-weighted eigenvalues
-    def check(rec):
-        qvals = [float(hbar * n)] + [
-            float(hbar ** (i + 1)) * rec.eigenvalues[f"S{i}"] for i in range(1, n)
-        ]
-        return check_relations_Hh(rec.partition, params, qvals)
-
-    return relation_residual(kept_records(cfg, b(xxx_eigen, n, z, hbar, cfg.seed)), check)
+    params = xxx_params(z)
+    q = s_k_poly(params, 1)
+    return block_residual(n, kept_partitions(cfg, n),
+                          lambda la: check_relations_Hh(la, params, q))
 
 
 # ---------------------------------------------------------------------------
@@ -1221,11 +1198,11 @@ SUITES = {
     "conjectures": (
         Claim("conjecture.shifted-relations",
               "eigen data satisfies the shifted scalar relations",
-              conjecture_shifted_relations, lambda cfg: {"n": min(cfg.n, 3)},
+              conjecture_shifted_relations, probe_params,
               requires=(LAMBDA_AT_MOST_THREE, FIRST_THREE_DISTINCT), conjecture=True),
         Claim("conjecture.deformed-relations",
               "eigen data satisfies the deformed scalar relations",
-              conjecture_deformed_relations, lambda cfg: {"n": min(cfg.n, 3)},
+              conjecture_deformed_relations, probe_params,
               requires=(LAMBDA_AT_MOST_THREE, FIRST_THREE_DISTINCT, FIRST_THREE_SEPARATED),
               conjecture=True),
     ),
@@ -1240,10 +1217,9 @@ def run_suite(cfg) -> VerificationReport:
             "z": [format_rational(x) for x in cfg.z],
             "hbar": format_rational(cfg.hbar),
             "seed": cfg.seed,
-            "tol": cfg.tol,
         },
     )
-    s, b = Suite(report, cfg.tol), Builds()
+    s, b = Suite(report), Builds()
     for name, claims in SUITES.items():
         if cfg.suite in ("all", name):
             run_claims(s, cfg, claims, b)

@@ -155,18 +155,6 @@ def s_k_poly(params: XXXParams, k: int) -> UPoly:
     return total * hbar**k
 
 
-def s1_coeff_elements(params: XXXParams) -> list:
-    """The normalized coefficients of the first-order polynomial: strips the
-    powers of hbar so that the k-th entry is the sum of increasing
-    (k+1)-cycles at z = 0."""
-    n, hbar = params.n, params.hbar
-    s1 = s_k_poly(params, 1)
-    out = []
-    for i in range(1, n):
-        out.append(s1.coeff(n - i - 1) * (Fraction(1) / hbar ** (i + 1)))
-    return out
-
-
 def qkz_elements(params: XXXParams) -> list:
     """The commuting elements K_a, each the ordered product of linear
     factors; invertible iff the parameters are hbar-separated.  Verified on
@@ -245,20 +233,14 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> UPoly:
     return presentation_det(diagonal(z), qh, [[hbar * x for x in row] for row in qh])
 
 
-def check_relations_Hh(la, params: XXXParams, qvals) -> dict:
-    """Residuals of the conjectural scalar relation family: expand the
-    determinant presentation in powers of u and (v - 1) at concrete values of
-    the q-coefficients, report the largest lower-triangular coefficient and
-    the coefficient residual of the diagonal identity."""
-    la = tuple(la)
-    n = sum(la)
-    if params.n != n:
+def check_relations_Hh(la, params: XXXParams, q: UPoly) -> list:
+    """Residuals of the conjectural scalar relation family, each zero when
+    the relations hold: the determinant presentation at q in powers of u and
+    w = v - 1, read as in ``gaudin.relation_residuals``.  q(u) = q_1 u^(n-1)
+    + ... + q_n has pairwise commuting coefficients: scalars (eigenvalues on
+    one line of block la) or elements (the first-order polynomial itself)."""
+    if params.n != sum(la):
         raise ValueError("partition size must match the parameter count")
-    qvals = list(qvals)
-    if len(qvals) != n:
-        raise ValueError("need n coefficient values")
-    q = UPoly(list(reversed(qvals)))  # q(u) = q_1 u^{n-1} + ... + q_n
-    # coefficients in powers of w = v - 1
     return relation_residuals(la, det_P_hbar(params, q).map_coeffs(lambda c: c.shift_arg(1)))
 
 

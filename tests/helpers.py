@@ -10,6 +10,7 @@ from snbethe.permutations import (
 from snbethe.reps import BlockMatrix, block_shapes
 from snbethe.rings import MultiPoly, UPoly, _int_scaled, poly_divmod
 from snbethe.spectra import annihilate
+from snbethe.xxx import s_k_poly
 
 
 def distinct_rationals(rng, k: int, spread: int = 40) -> list:
@@ -20,6 +21,18 @@ def distinct_rationals(rng, k: int, spread: int = 40) -> list:
         q = Fraction(rng.integer(-spread, spread), rng.integer(1, 3))
         if all(q != z and abs(q - z) != 1 for z in out):
             out.append(q)
+    return out
+
+
+def s1_coeff_elements(params) -> list:
+    """The normalized coefficients of the first-order polynomial: strips the
+    powers of hbar so that the k-th entry is the sum of increasing
+    (k+1)-cycles at z = 0."""
+    n, hbar = params.n, params.hbar
+    s1 = s_k_poly(params, 1)
+    out = []
+    for i in range(1, n):
+        out.append(s1.coeff(n - i - 1) * (Fraction(1) / hbar ** (i + 1)))
     return out
 
 

@@ -15,6 +15,8 @@ import snbethe
 from snbethe import cli, spectra, suites
 from snbethe.cli import build_parser, config_from_args, main
 from snbethe.reports import CheckRecord, VerificationReport
+from snbethe.reps import central_idempotent, partitions_of
+from snbethe.rings import SeededRandom
 
 F = Fraction
 
@@ -102,8 +104,9 @@ RUN_N2 = ["run", "identities-gaudin", "--n", "2"]
 @pytest.mark.parametrize("flags", [
     # (argv, the configuration error it reports)
     (RUN_N2 + ["--z", "1/0,1"], "--z: '1/0' is not a rational number"),
-    (RUN_N2 + ["--tol", "nan"], "tol must be finite and positive"),
-    (RUN_N2 + ["--tol", "-1"], "tol must be finite and positive"),
+    (RUN_N2 + ["--lambda", "2"], "--lambda applies only to the conjecture probes "
+     "(suites conjectures and all)"),
+    (["run", "conjectures", "--n", "2", "--lambda", "2,1"], "the partition must have size n"),
     (RUN_N2 + ["--hbar", "0"], "hbar must be nonzero"),
     (RUN_N2 + ["--lambda", "0,2"],  # a zero part
      "the partition must have positive, non-increasing parts"),
@@ -282,18 +285,25 @@ def test_reports_do_not_share_checks():
 
 
 def test_trend_claims_do_not_load_numpy():
-    # the trends compare exact chordal distances
+    # the trends compare exact chordal distances, and the relation claims
+    # read exact identities block by block; the conjecture run loads no
+    # numpy either
     code = (
-        "import sys\n"
+        "import sys, contextlib, io\n"
         "from snbethe import cli, suites\n"
         "cfg = cli.config_from_args(cli.build_parser().parse_args("
         "['run', 'spectra', '--n', '3']))\n"
         "b = suites.Builds()\n"
-        "print([claim(cfg, None, b) for claim in (suites.spectra_trend_rational, "
-        "suites.spectra_trend_shifted, suites.spectra_trend_hbar)], "
+        "print([str(claim(cfg, None, b)) for claim in (suites.spectra_trend_rational, "
+        "suites.spectra_trend_shifted, suites.spectra_trend_hbar, suites.spectra_relations, "
+        "suites.conjecture_shifted_relations, suites.conjecture_deformed_relations)], "
         "'numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['run', 'conjectures', '--n', '3'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
     )
-    assert child_output(code) == "[True, True, True] False"
+    assert child_output(code).splitlines() == [
+        "['True', 'True', 'True', '0', '0', '0'] False", "0 False"]
 
 
 def test_cli_setup_builds_no_cayley_table():
@@ -322,16 +332,16 @@ def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
     # the gaudin, xxx and homogeneous generators at the run's parameters (the
     # dimension law and maximality), the Gelfand-Zetlin ones, the pair of
     # spectra.coincidences, and xxx at its own parameters (simple spectrum);
-    # the eigen records reuse two of them and add gaudin and homogeneous at
+    # the fiber loop's eigen records reuse the homogeneous one and add it at
     # n = 3
-    assert len(calls) == len(set(calls)) == 8
+    assert len(calls) == len(set(calls)) == 7
 
 
 # The suite's builders: each takes the run's store first and is read through it.
 BUILDERS = (
     "gaudin_table", "gaudin_tilde_coeff", "gaudin_span", "xxx_table", "xxx_span",
-    "homogeneous_span", "gz_span", "certificate", "kz_images", "gaudin_eigen",
-    "xxx_eigen", "t_images", "homogeneous_eigen",
+    "homogeneous_span", "gz_span", "certificate", "kz_images", "t_images",
+    "homogeneous_eigen",
 )
 
 
@@ -377,13 +387,14 @@ def test_runs_share_no_builds(monkeypatch):
     {"nosuch": 1},  # not a flag
     {"suite": "nosuch"},  # the suite is the positional argument
     {"suite": "homogeneous"},
-    {"tol": [1]},  # wrong JSON type
+    {"hbar": [1]},  # wrong JSON type
     {"slow": "yes"},
     {"n": True},
     {"seed": 2.5},  # an integer flag
     [2],  # not an object
     {"p": 5},  # a flag of emit only
     {"slow": True},  # the removed --slow switch is no flag
+    {"tol": 1e-8},  # nor is the removed --tol
 ])
 def test_bad_config_files_are_configuration_errors(capsys, tmp_path, values):
     cfg = tmp_path / "cfg.json"
@@ -560,7 +571,7 @@ def test_strict_flag_plumbs_through():
 
 @pytest.mark.parametrize("flags, code", [([], 0), (["--strict"], 1)])
 def test_strict_exits_1_on_conjecture_fail(capsys, monkeypatch, flags, code):
-    monkeypatch.setattr(suites, "relation_residual", lambda records, check: 1.0)
+    monkeypatch.setattr(suites, "block_residual", lambda n, partitions, residuals: F(1))
     rc, out = run_main(capsys, ["run", "conjectures", "--n", "3", *flags])
     assert rc == code
     assert out.count("CONJECTURE-FAIL") == 2
@@ -573,3 +584,119 @@ def test_readme_flag_list_matches_parser():
     flags = [opt for action in run._actions for opt in action.option_strings
              if opt.startswith("--") and opt != "--help"]
     assert sorted(listed) == sorted(flags)
+
+
+def test_probe_records_name_lambda(capsys):
+    rc, out = run_main(capsys, ["run", "all", "--n", "3", "--lambda", "2,1",
+                                "--format", "json"])
+    assert rc == 0
+    params = {r["check"]: r["params"] for r in json.loads(out)["checks"]}
+    for check in ("conjecture.shifted-relations", "conjecture.deformed-relations"):
+        assert params[check] == {"n": 3, "lambda": [2, 1]}
+    assert params["spectra.relations"] == {"n": 3}
+
+
+def perturbed(name):
+    """suites' kz_elements with e_(n) added to H_1, or its s_k_poly with e_(n)
+    added to S_1: central, so the family still commutes, and nonzero on the
+    block (n) alone."""
+    real = getattr(suites, name)
+    if name == "kz_elements":
+        def fn(n, z, polys):
+            fam = real(n, z, polys)
+            return [fam[0] + central_idempotent((n,), n)] + fam[1:]
+    else:
+        def fn(params, k):
+            out = real(params, k)
+            return out + central_idempotent((params.n,), params.n) if k == 1 else out
+    return fn
+
+
+@pytest.mark.parametrize("name, probe", [
+    ("kz_elements", "conjecture.shifted-relations"),
+    ("s_k_poly", "conjecture.deformed-relations"),
+])
+def test_relation_claims_see_a_central_perturbation(capsys, monkeypatch, name, probe):
+    monkeypatch.setattr(suites, name, perturbed(name))
+
+    def statuses(*argv):
+        # z_1 != 0: the shifted presentation reads H_1 only through z_1 H_1
+        rc, out = run_main(capsys, ["run", *argv, "--n", "3", "--z", "1,3,6",
+                                    "--format", "json"])
+        return rc, {r["check"]: r["status"] for r in json.loads(out)["checks"]}
+
+    rc, got = statuses("spectra")
+    assert got["spectra.relations"] == ("FAIL" if name == "kz_elements" else "PASS")
+    assert rc == (1 if name == "kz_elements" else 0)
+    rc, got = statuses("conjectures")
+    other = ({"conjecture.shifted-relations", "conjecture.deformed-relations"}
+             - {probe}).pop()
+    assert rc == 0
+    assert got == {probe: "CONJECTURE-FAIL", other: "CONJECTURE-PASS"}
+    for lam, want in (("2,1", "CONJECTURE-PASS"), ("1,1,1", "CONJECTURE-PASS"),
+                      ("3", "CONJECTURE-FAIL")):
+        _, got = statuses("conjectures", "--lambda", lam)
+        assert got[probe] == want
+
+
+CONTRACT_SUITES = ("conjectures", "schur-weyl", "identities-gaudin")
+# the invalid part of each drawn configuration, in turn; None draws a valid one
+FAULTS = (None, "n", "z count", "z 1/0", "z x", "hbar 0", "hbar 1/0", "lambda size",
+          "lambda order", "lambda zero", "lambda word", "lambda suite", "tol",
+          "config unknown", "config mistyped", "config tol", None, None, None, None)
+
+
+def contract_config(rng, fault, cfg_path):
+    """A drawn ``run`` configuration over three suites at n <= 3 whose one
+    invalid part, if any, is ``fault``; a config file, if drawn, is written to
+    cfg_path."""
+    suite = rng.choice(CONTRACT_SUITES[1:] if fault == "lambda suite" else CONTRACT_SUITES)
+    n = rng.integer(-1, 0) if fault == "n" else rng.integer(1, 3)
+    size = max(n, 1)
+    argv = ["run", suite, "--n", str(n), "--seed", str(rng.integer(0, 9)),
+            "--format", "json"]
+    pool = ["0", "2/3", "-5", "7"]
+    z = {"z count": pool[:size + (1 if size == 1 else rng.choice((-1, 1)))],
+         "z 1/0": ["1/0"] + pool[1:size], "z x": pool[1:size] + ["x"]}.get(
+        fault, rng.choice((None, pool[:size], ["1/2"] * size)))
+    if z is not None:
+        argv += ["--z", ",".join(z)]
+    hbar = fault[5:] if fault in ("hbar 0", "hbar 1/0") else rng.choice((None, "1/2", "3"))
+    if hbar is not None:
+        argv += ["--hbar", hbar]
+    bad_lambda = {"lambda size": str(size + 1), "lambda order": "1,2",
+                  "lambda zero": f"0,{size}", "lambda word": "two"}
+    if fault in bad_lambda:
+        argv += ["--lambda", bad_lambda[fault]]
+    elif fault == "lambda suite" or (suite == "conjectures" and rng.integer(0, 1)):
+        argv += ["--lambda", ",".join(map(str, rng.choice(partitions_of(size))))]
+    if fault == "tol":
+        argv += ["--tol", "1e-8"]  # a removed flag
+    file_values = {"config unknown": {"nosuch": 1}, "config tol": {"tol": 1e-8},
+                   "config mistyped": rng.choice(({"n": True}, {"hbar": [1]}, {"seed": 2.5})),
+                   }.get(fault, rng.choice((None, None, {"seed": 5})))
+    if file_values is not None:
+        cfg_path.write_text(json.dumps(file_values))
+        argv += ["--config", str(cfg_path)]
+    return argv
+
+
+def test_seeded_cli_contract(capsys, tmp_path):
+    # every drawn configuration exits 0, 1, 2 or 3, with 2 exactly for the
+    # invalid ones, prints no traceback, and reruns byte for byte
+    rng = SeededRandom(20261021)
+    for k in range(40):
+        fault = FAULTS[k % len(FAULTS)]
+        argv = contract_config(rng, fault, tmp_path / f"cfg{k}.json")
+        runs = []
+        for _ in range(2):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects a removed flag
+                rc = exc.code
+            captured = capsys.readouterr()
+            runs.append((rc, captured.out, captured.err))
+        rc, out, err = runs[0]
+        assert runs[1] == runs[0], argv
+        assert rc in (0, 1, 2, 3) and "Traceback" not in err, argv
+        assert (rc == 2) == (fault is not None), argv

@@ -102,7 +102,8 @@ def test_test_only_definitions_are_listed():
 
 # Names the benchmark reports that no longer exist; each of its metrics reads
 # 0.  The benchmark's own files must drop them, and then this set shrinks.
-BENCHMARK_STALE = {"linalg.det_perm_expansion", "permutations.trace_perm"}
+BENCHMARK_STALE = {"linalg.det_perm_expansion", "permutations.trace_perm",
+                   "suites.gaudin_eigen", "suites.xxx_eigen"}
 
 
 def benchmark_names() -> set:

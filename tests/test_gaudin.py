@@ -21,7 +21,7 @@ from snbethe.permutations import (
     ga_transposition,
     inverse,
 )
-from snbethe.reps import content_product_all, represent
+from snbethe.reps import central_idempotent, content_product_all, partitions_of, represent
 from snbethe.gaudin import (
     ParameterSet,
     check_relations_H,
@@ -377,23 +377,32 @@ def test_jm_and_gz_spanning():
 
 def test_check_relations_H_examples():
     # n = 1: the single lower coefficient is -h
-    rep = check_relations_H((1,), (F(5),), [F(0)])
-    assert rep["max_residual"] == 0
+    assert not any(check_relations_H((1,), (F(5),), [F(0)]))
+    # at z = 0 the diagonal identity holds for every h; the lower one does not
+    assert any(check_relations_H((1,), (F(0),), [F(5)]))
     # n = 2, trivial block: H_a act by sums of inverse differences
     z = (F(0), F(1))
-    h = [F(-1), F(1)]
-    rep = check_relations_H((2,), z, h)
-    assert rep["max_residual"] == 0
+    assert not any(check_relations_H((2,), z, [F(-1), F(1)]))
     # soundness: perturbed values give a nonzero residual
-    rep = check_relations_H((2,), z, [F(-1), F(1, 2)])
-    assert rep["max_residual"] != 0
+    assert any(check_relations_H((2,), z, [F(-1), F(1, 2)]))
 
 
 def test_check_relations_Ht_examples():
-    rep = check_relations_Ht((1,), (F(4),), [F(0)])
-    assert rep["max_residual"] == 0
-    rep = check_relations_Ht((1,), (F(4),), [F(1, 3)])
-    assert rep["max_residual"] != 0
+    assert not any(check_relations_Ht((1,), (F(4),), [F(0)]))
+    assert any(check_relations_Ht((1,), (F(4),), [F(1, 3)]))
+
+
+@pytest.mark.parametrize("check", [check_relations_H, check_relations_Ht])
+def test_relations_on_elements_hold_block_by_block(check):
+    # the family itself satisfies each block's relations through its central
+    # idempotent, and a block's relations fail on some other block
+    z = default_z(3)
+    fam = kz_elements(3, z, phi_polys(3, z)[0])
+    for la in partitions_of(3):
+        residuals = check(la, z, fam)
+        assert all(central_idempotent(la, 3) * r == 0 for r in residuals)
+        assert any(central_idempotent(mu, 3) * r
+                   for mu in partitions_of(3) if mu != la for r in residuals)
 
 
 def test_fused_commutator_reports_the_unfused_residual():

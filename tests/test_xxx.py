@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bivariate, distinct_rationals, lift_u, v_coeff
+from helpers import bivariate, distinct_rationals, lift_u, s1_coeff_elements, v_coeff
 from snbethe.rings import SeededRandom, UPoly, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
@@ -21,11 +21,11 @@ from snbethe.permutations import (
     top_embed,
     trace_map,
 )
+from snbethe.reps import central_idempotent, partitions_of
 from snbethe.xxx import (
     check_relations_Hh,
     det_P_hbar,
     qkz_elements,
-    s1_coeff_elements,
     s_k_poly,
     st_transform,
     t_gen,
@@ -354,10 +354,21 @@ def test_det_P_hbar_rejects_bad_denominators():
 
 
 def test_check_relations_Hh_n1():
-    rep = check_relations_Hh((1,), xxx_params([F(4)], F(1)), [F(1)])
-    assert rep["max_residual"] == 0
-    rep = check_relations_Hh((1,), xxx_params([F(4)], F(1)), [F(2)])
-    assert rep["max_residual"] != 0
+    assert not any(check_relations_Hh((1,), xxx_params([F(4)], F(1)), UPoly([F(1)])))
+    assert any(check_relations_Hh((1,), xxx_params([F(4)], F(1)), UPoly([F(2)])))
+
+
+def test_check_relations_Hh_on_elements():
+    # at n = 3 the first-order polynomial itself satisfies the relations on
+    # each block, read through the central idempotent, and only there
+    pr = xxx_params([F(0), F(2), F(5)], F(1))
+    q = s_k_poly(pr, 1)
+    for la in partitions_of(3):
+        chi = central_idempotent(la, 3)
+        residuals = check_relations_Hh(la, pr, q)
+        assert residuals and all(chi * r == 0 for r in residuals)
+        assert any(central_idempotent(mu, 3) * r
+                   for mu in partitions_of(3) if mu != la for r in residuals)
 
 
 @pytest.mark.parametrize("n,sets", [(2, 3), (3, 3), (4, 2), (5, 1)])

@@ -139,7 +139,11 @@ def config_from_args(args) -> SuiteConfig:
     z = _parse_z(values.get("z"), n)
     lam = None
     if values.get("lam"):
-        lam = tuple(int(x) for x in str(values["lam"]).split(","))
+        text = str(values["lam"])
+        try:
+            lam = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise ValueError(f"--lambda: {text!r} is not a list of integers") from None
         if any(x < 1 for x in lam) or list(lam) != sorted(lam, reverse=True):
             raise ValueError("the partition must have positive, non-increasing parts")
         if sum(lam) != n:

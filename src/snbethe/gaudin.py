@@ -3,8 +3,8 @@ generator polynomials and their bivariate generating function, the rational
 commuting elements built from pairwise-distinct parameters, Jucys-Murphy and
 related spanning sets, the determinant presentations over one builder of
 det((u - Z)(v - Q) - R) and one signed v-expansion (both shared with ``xxx``
-and ``homogeneous``), and the residual checkers for the two scalar relation
-families.
+and ``homogeneous``), and the residual readers of the two scalar relation
+families, each reading one determinant built once per family.
 """
 
 from __future__ import annotations
@@ -347,16 +347,6 @@ def phi_tilde(n: int, z, polys) -> UPoly:
     return UPoly([phi_tilde_coeff(n, z, polys, k) for k in range(n + 1)])
 
 
-def check_relations_H(la, z, h) -> list:
-    """Residuals of the scalar relation family attached to the first
-    determinant presentation at a commuting family h: scalars (the joint
-    eigenvalues on one line of block la) or group-algebra elements (read on
-    block la through its central idempotent).  See ``relation_residuals``;
-    nothing is asserted here."""
-    n = sum(la)
-    return relation_residuals(la, det_presentation("P", n, tuple(z), list(h)))
-
-
 def relation_residuals(la, det: UPoly) -> list:
     """Residuals of a scalar relation family read off a determinant
     presentation det(u, w), a polynomial in u over polynomials in w, at a
@@ -379,14 +369,14 @@ def relation_residuals(la, det: UPoly) -> list:
             + (lhs - rhs).coeffs)
 
 
-def check_relations_Ht(la, z, h) -> list:
-    """Residuals of the second (conjectural) relation family at a commuting
-    family h, scalars or elements as in ``check_relations_H``, each zero when
-    the relations hold: the top coefficient minus the content polynomial of
-    the partition, and the remainder of each further coefficient against the
-    shifted content polynomial."""
+def shifted_relation_residuals(la, det: UPoly) -> list:
+    """Residuals of the second (conjectural) relation family read off the
+    shifted presentation det(u, v) (``det_presentation("Ptilde", ...)``) at
+    a partition la of n, each zero when the relations hold: the top
+    coefficient minus the content polynomial of the partition, and the
+    remainder of each further coefficient against the shifted content
+    polynomial."""
     n = sum(la)
-    det = det_presentation("Ptilde", n, tuple(z), list(h))
     pila = content_poly(la, n)
     pila1 = pila.shift_arg(Fraction(1))
     out = (det.coeff(n) - pila).coeffs  # coefficient of u^n, polynomial in v

@@ -1,8 +1,8 @@
 """Structured verification reports: per-check records with deterministic JSON
-serialization.  Exact checks report the residual "0" or an exact nonzero
-value; numeric checks report a float.  Runtimes are measured but zeroed in the
-serialized form unless explicitly requested, so that rerunning a suite with
-the same configuration and seed produces byte-identical output.
+serialization.  Every check is exact and reports the residual "0" or an
+exact nonzero value ("1/1" for a false bool).  Runtimes are measured but
+zeroed in the serialized form unless explicitly requested, so that rerunning
+a suite with the same configuration and seed produces byte-identical output.
 """
 
 from __future__ import annotations

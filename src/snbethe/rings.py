@@ -9,8 +9,8 @@ written once for both classes.
 Every ring element used by the library (Fraction, UPoly, group-algebra
 elements) supports +, -, *, == and truthiness (bool(x) is False iff x == 0),
 so the polynomial code below is ring-generic.  All arithmetic is exact; floats
-enter only through the spectral pipeline, which reuses the same classes with
-float coefficients but never relies on canonical trimming there.
+live only in the tests' oracle, which reuses the same classes with float
+coefficients but never relies on canonical trimming there.
 
 ``UPoly`` is the one dense polynomial class.  A polynomial in u and v is a
 UPoly in u whose every coefficient is a UPoly in v, so the coefficient of

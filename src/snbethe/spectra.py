@@ -1,27 +1,22 @@
 """Wronskian and Casorati utilities, fiber-relation checkers, exact spans in
-the block model, the cyclic-element certificate of the spectral claims,
-numeric joint eigenanalysis, reconstruction of polynomial subspaces from
-eigenvalue data, cyclic vectors, and the exact chordal distance between spans.
+the block model, the cyclic-element certificate of the spectral claims, the
+degrees of an operator's polynomial kernel on one block, cyclic vectors, and
+the exact chordal distance between spans.
 
 The Wronskian and Casorati determinants, ``f_bivariate`` and the operator
 ``annihilate`` read off from it take their rows from ``_rows``, the one place
 that picks derivatives ("differential") or shifts ("discrete"); any other
 variant name raises ValueError.
 
-Everything dimension-like is exact rational or a one-sided certificate mod a
-prime.  Floating point and numpy serve only ``spectra.fiber-loop``: its
-eigenvectors and reconstruction import numpy where used, so no other claim
-loads it.  The
-block-model kernels read a ``BlockMatrix``'s integer numerators over its one
-denominator d: the span echelon takes the numerators as they are (scaling a
-vector keeps its span), the Krylov chain inverts d once mod p, and the eigen
-floats are x / d per entry.
+Everything is exact rational or a one-sided certificate mod a prime; floats
+live only in the tests' oracle.  The block-model kernels read a
+``BlockMatrix``'s integer numerators over its one denominator d: the span
+echelon takes the numerators as they are (scaling a vector keeps its span),
+and the Krylov chain inverts d once mod p.
 """
 
 from __future__ import annotations
 
-import math
-from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -148,50 +143,6 @@ def check_O_relations(la, a, fs, variant: str = "differential", hbar=Fraction(1)
     }
 
 
-def echelon_polys(polys, tol: float = 0.0) -> list:
-    """A basis of the span of the polynomials (exact or float coefficients)
-    in reduced echelon form, ordered by decreasing degree; with a positive
-    tol, coefficients below tol times the largest one count as zero."""
-    work = [list(p.coeffs) for p in polys]
-
-    def top(cs):
-        limit = max((abs(x) for x in cs), default=0) * tol
-        for k in range(len(cs) - 1, -1, -1):
-            if (abs(cs[k]) > limit) if tol else cs[k]:
-                return k
-        return -1
-
-    out = []
-    while work:
-        work = [cs for cs in work if top(cs) >= 0]
-        if not work:
-            break
-        work.sort(key=lambda cs: top(cs), reverse=True)
-        lead = work.pop(0)
-        d = top(lead)
-        inv = (Fraction(1) / lead[d]) if isinstance(lead[d], Fraction) else 1.0 / lead[d]
-        lead = [c * inv for c in lead[: d + 1]]
-        nxt = []
-        for cs in work:
-            t = top(cs)
-            if t == d:
-                cs = [x - cs[d] * y for x, y in zip(cs, lead + [0] * (len(cs) - d - 1))]
-            nxt.append(cs)
-        out.append(lead)
-        work = nxt
-    # back-substitute so every pivot degree appears in exactly one basis element
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            dj = len(out[j]) - 1
-            if dj < len(out[i]) and out[i][dj]:
-                f = out[i][dj]
-                out[i] = [
-                    x - f * y
-                    for x, y in zip(out[i], out[j] + [0] * (len(out[i]) - len(out[j])))
-                ]
-    return [UPoly(cs) for cs in out]
-
-
 class SpanBasis:
     """Span of block matrices, held as the exact echelon of their flattened
     numerators (``linalg.Echelon``); its rows are a canonical basis."""
@@ -274,8 +225,8 @@ def certificate(gens, seed: int) -> dict:
     coprime charpolys, and C_B(x) = sum_la Q[x_la] = Q[x] has dimension N.
     So A = Q[x] = C_B(x) has dimension N and is maximal commutative.  If
     also gcd(chi, chi') = 1 over F_p, the discriminant of chi is nonzero over
-    Q: x has N distinct eigenvalues on V, so A has simple spectrum and
-    ``joint_eigen`` can diagonalize x."""
+    Q: x has N distinct eigenvalues on V, so A has simple spectrum and each
+    eigenline of x is a joint eigenline of A."""
     rng, p = SeededRandom(seed), CERT_PRIME
     size = sum(k for _, k in block_shapes(gens[0].n))
     for draws in range(1, CERT_DRAWS + 1):
@@ -335,89 +286,20 @@ def _coprime_to_derivative(chi, p: int) -> bool:
     return len(a) == 1
 
 
-EigenRecord = namedtuple("EigenRecord", "partition eigenvalues residual vector",
-                         defaults=(None,))
-
-
-def joint_eigen(cert: dict, generators: dict, tol: float = 1e-8):
-    """Numeric joint eigenrecords: eigen-decompose the squarefree element of
-    a ``certificate`` blockwise and read off every generator eigenvalue by
-    Rayleigh quotient; an uncertified element or a residual above tol
-    raises."""
-    import numpy as np
-
-    if not cert["squarefree"]:
-        raise ValueError("simple spectrum not certified for this seed")
-    combo = cert["element"]
-    records = []
-    for bi, (la, k) in enumerate(block_shapes(combo.n)):
-        # x / d is correctly rounded, as float(Fraction) is
-        M = np.array([x / combo.d for x in combo.blocks[bi]]).reshape(k, k)
-        _, vecs = np.linalg.eig(M)
-        for col in range(k):
-            v = vecs[:, col]
-            v = v / np.linalg.norm(v)
-            eigs = {}
-            worst = 0.0
-            for name, g in generators.items():
-                G = np.array([x / g.d for x in g.blocks[bi]]).reshape(k, k)
-                mu = (np.conj(v) @ (G @ v)) / (np.conj(v) @ v)
-                res = float(np.linalg.norm(G @ v - mu * v))
-                scale = max(1.0, float(np.max(np.abs(G))))
-                worst = max(worst, res / scale)
-                eigs[name] = complex(mu).real if abs(complex(mu).imag) < tol else complex(mu)
-            if worst > tol:
-                raise ValueError(f"eigen residual {worst} above tolerance")
-            records.append(EigenRecord(tuple(la), eigs, worst, v))
-    return records
-
-
-def reconstruct_subspace(
-    F: UPoly, n: int, degree_bound: int, hbar=1.0, variant: str = "discrete",
-    tol: float = 1e-6,
-):
-    """Polynomial kernel of the operator that ``annihilate`` reads off from
-    the v-expansion of a scalar eigenvalue polynomial, degree-bounded;
-    returns the ``echelon_polys`` basis, raising if the kernel dimension is
-    not n.  Column d of the kernel matrix is the image of u^d, over complex
-    coefficients."""
-    import numpy as np
-
-    Fc = F.map_coeffs(lambda c: c.map_coeffs(complex))
-    D = degree_bound
-    A = np.zeros((max((fk.degree for fk in _v_coeffs(Fc) if fk), default=0) + D + 1,
-                  D + 1), dtype=complex)
-    for d in range(D + 1):
-        image = annihilate(Fc, UPoly([0j] * d + [1 + 0j]), hbar, variant).coeffs
-        A[:len(image), d] = image
-    _, sv, vt = np.linalg.svd(A)
-    smax = sv[0] if len(sv) else 1.0
-    kernel = [np.conj(vt[i]) for i in range(len(vt)) if i >= len(sv) or sv[i] < tol * smax]
-    if len(kernel) != n:
-        raise ValueError(f"kernel dimension {len(kernel)} != {n}")
-    polys = []
-    for vec in kernel:
-        if np.max(np.abs(vec.imag)) < 1e-9 * max(np.max(np.abs(vec)), 1.0):
-            polys.append(UPoly([float(x) for x in vec.real]))
-        else:
-            polys.append(UPoly([complex(x) for x in vec]))
-    return echelon_polys(polys, tol=1e-9)
-
-
-def theta_membership_residual(basis, n: int) -> float:
-    """Relative distance of the Casorati determinant of the basis from the
-    line through (u+1)^n (unit shift)."""
-    import numpy as np
-
-    c = casorati(basis, 1.0)
-    target = UPoly([float(math.comb(n, k)) for k in range(n + 1)])
-    size = max(len(c.coeffs), len(target.coeffs))
-    cv = np.array([complex(c.coeff(k)) for k in range(size)])
-    tv = np.array([complex(target.coeff(k)) for k in range(size)])
-    alpha = np.vdot(tv, cv) / np.vdot(tv, tv)
-    if not alpha:
-        return 1.0
-    return float(np.linalg.norm(cv - alpha * tv) / np.linalg.norm(cv))
+def kernel_degrees(images, bi: int, k: int) -> list:
+    """The degrees of a kernel basis, in degree <= D, on block bi (of size
+    k) of an operator whose image of u^d has the block-matrix coefficients
+    images[d], low degree first, for d <= D.  Column (d, s) of the kernel
+    matrix is column s of block bi of images[d], by ascending d; each
+    nullspace vector is zero past its free column, so those whose free
+    column has degree <= e span the kernel in degree <= e."""
+    rows = [[Fraction(0)] * (k * len(images)) for _ in range(k * max(1, *map(len, images)))]
+    for d, coeffs in enumerate(images):
+        for j, c in enumerate(coeffs):
+            for t in range(k):
+                rows[j * k + t][d * k:(d + 1) * k] = [
+                    Fraction(a, c.d) for a in c.blocks[bi][t * k:(t + 1) * k]]
+    return [max(i for i, a in enumerate(v) if a) // k for v in nullspace(rows)]
 
 
 def chordal_distance(a: SpanBasis, b: SpanBasis) -> Fraction:

@@ -4,8 +4,9 @@ needs of the configuration.  The runner turns residuals into PASS or FAIL
 records (CONJECTURE-* for the two conjecture probes), writes a SKIPPED record
 naming the first requirement a configuration misses, collects timings, and
 never lets a conjecture outcome break the run.  The objects that claims
-share (tables, spans, certificates, images, eigen records) are built once
-per run, in the run's store ``Builds``.
+share (tables, spans, certificates, images) are built once per run, in the
+run's store ``Builds``.  No claim computes in floats; floats live only in
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .permutations import (
 )
 from .reps import (
     BlockMatrix,
+    block_shapes,
     central_idempotent,
     content_product_all,
     partition_parts,
@@ -46,8 +48,6 @@ from .reps import (
 )
 from .gaudin import (
     ParameterSet,
-    check_relations_H,
-    check_relations_Ht,
     det_presentation,
     gz_spanning_set,
     jm_content_product,
@@ -57,10 +57,11 @@ from .gaudin import (
     phi_gen_fixed_points,
     phi_polys,
     phi_tilde_coeff,
+    relation_residuals,
+    shifted_relation_residuals,
     v_expansion,
 )
 from .xxx import (
-    check_relations_Hh,
     det_P_hbar,
     qkz_elements,
     s_k_poly,
@@ -203,24 +204,24 @@ def kz_images(b, n: int, z: tuple) -> dict:
     return {f"H{a}": represent(h) for a, h in enumerate(fam, start=1)}
 
 
+def t_table(b, n: int) -> dict:
+    """The homogeneous family's traced coefficients: (m, i) -> T_m,i, the
+    coefficient of u^(n-i) in T_m(u) at p = n, for m = 1..n and i = 0..n."""
+    return t_m_table(homogeneous_params(n), Fraction(n), range(1, n + 1), range(n + 1))
+
+
 def t_images(b, n: int) -> dict:
     """Block images of the homogeneous family's traced coefficients T_m,i."""
-    table = t_m_table(homogeneous_params(n), Fraction(n), range(1, n + 1),
-                      range(n + 1))
-    return {f"T{m}c{i}": represent(g) for (m, i), g in table.items()}
+    return {f"T{m}c{i}": represent(g) for (m, i), g in b(t_table, n).items()}
 
 
-def homogeneous_eigen(b, n: int, seed: int):
-    return sp.joint_eigen(b(certificate, n, tuple(homogeneous_generators(n)), seed),
-                          b(t_images, n))
-
-
-def homogeneous_f_from_record(n: int, rec) -> UPoly:
-    """Assemble the scalar bivariate eigenvalue polynomial from the recorded
-    generator eigenvalues, a polynomial in u over polynomials in v."""
-    polys = [UPoly([0.0] * n + [1.0])]
-    polys += [UPoly([rec.eigenvalues[f"T{m}c{i}"] for i in range(n, -1, -1)])
-              for m in range(1, n + 1)]
+def homogeneous_f(n: int, T) -> UPoly:
+    """u^n v^n + sum_m (-1)^m T_m(u) v^(n-m), in u over polynomials in v,
+    from a table T[(m, i)] of the u^(n-i) coefficients of T_m: ``t_table``'s
+    elements, or the joint eigenvalues on one line.  ``spectra.annihilate``
+    reads off it the operator p(u) -> sum_m (-1)^m T_m(u) p(u - m), T_0 = u^n."""
+    polys = [UPoly([0] * n + [1])]
+    polys += [UPoly([T[(m, i)] for i in range(n, -1, -1)]) for m in range(1, n + 1)]
     return v_expansion(polys)
 
 
@@ -924,31 +925,39 @@ def block_residual(n: int, partitions, residuals) -> Fraction:
 
 def spectra_relations(cfg, rng, b):
     n, z = first_three(cfg)
-    h = kz_elements(n, z, gaudin_polys(b, n, z))
-    return block_residual(n, partitions_of(n), lambda la: check_relations_H(la, z, h))
+    det = det_presentation("P", n, z, kz_elements(n, z, gaudin_polys(b, n, z)))
+    return block_residual(n, partitions_of(n), lambda la: relation_residuals(la, det))
 
 
 def spectra_fiber_loop(cfg, rng, b):
-    for nn in (3, 4):
-        if nn > cfg.n:
+    # On an eigenline of x, the operator of homogeneous_f at the joint
+    # eigenvalues has a_0 = u^n and a_n = (-1)^n T_n(u), so the unit-shift
+    # Casorati W of its kernel has W(u - 1) a_n(u) = (-1)^n a_0(u) W(u) (Abel):
+    # with T_n(u) = (u + 1)^n, W(u) / (u + 1)^n is 1-periodic, a nonzero
+    # constant.  The images commute with x, so on a block the kernel in degree
+    # <= e is the sum of its k lines' kernels, each growing by at most one per
+    # degree: the sum grows by k at each of the distinct degrees la_i + n - i
+    # and by 0 elsewhere exactly when every line has one kernel polynomial of
+    # each.
+    for n in (3, 4):
+        if n > cfg.n:
             continue
-        for rec in b(homogeneous_eigen, nn, cfg.seed):
-            F = homogeneous_f_from_record(nn, rec)
-            la = rec.partition
-            space = sp.reconstruct_subspace(
-                F, nn, degree_bound=la[0] + nn - 1, hbar=1.0,
-                variant="discrete", tol=1e-6,
-            )
-            degrees = sorted((p.degree for p in space), reverse=True)
-            want = [la[i] + nn - i - 1 if i < len(la) else nn - i - 1
-                    for i in range(nn)]
-            if degrees != sorted(want, reverse=True):
-                raise AssertionError(
-                    f"degrees {degrees} do not match the block {la}"
-                )
-            resid = sp.theta_membership_residual(space, nn)
-            if resid > 1e-6:
-                raise AssertionError(f"unit-shift residual {resid}")
+        cert = b(certificate, n, tuple(homogeneous_generators(n)), cfg.seed)
+        if not cert["squarefree"]:
+            raise ValueError("simple spectrum not certified for this seed")
+        table = b(t_table, n)
+        if not (_one_line_per_tableau(n, cert, b(t_images, n))
+                and all(table[(n, i)] == math.comb(n, i) for i in range(n + 1))):
+            return False
+        f = homogeneous_f(n, table)
+        # the images of u^d for d <= la_1 + n - 1 on every block
+        images = [[represent(ga_lift(n, c))
+                   for c in sp.annihilate(f, UPoly([0] * d + [1])).coeffs]
+                  for d in range(2 * n)]
+        for bi, (la, k) in enumerate(block_shapes(n)):
+            degrees = [part + n - i for i, part in enumerate(partition_parts(la, n), start=1)]
+            if sorted(sp.kernel_degrees(images[:degrees[0] + 1], bi, k)) != sorted(degrees * k):
+                return False
     return True
 
 
@@ -1031,18 +1040,20 @@ def kept_partitions(cfg, n: int) -> list:
 
 
 def conjecture_shifted_relations(cfg, rng, b):
+    # the presentation reads H_1 only as z_1 H_1, so at the default z (z_1 = 0)
+    # it cannot see H_1: the probe proves the relations for the given z
     n, z = first_three(cfg)
-    h = kz_elements(n, z, gaudin_polys(b, n, z))
+    det = det_presentation("Ptilde", n, z, kz_elements(n, z, gaudin_polys(b, n, z)))
     return block_residual(n, kept_partitions(cfg, n),
-                          lambda la: check_relations_Ht(la, z, h))
+                          lambda la: shifted_relation_residuals(la, det))
 
 
 def conjecture_deformed_relations(cfg, rng, b):
     n, z = first_three(cfg)
     params = xxx_params(z)
-    q = s_k_poly(params, 1)
-    return block_residual(n, kept_partitions(cfg, n),
-                          lambda la: check_relations_Hh(la, params, q))
+    # the presentation at the first-order polynomial, in powers of u and w = v - 1
+    det = det_P_hbar(params, s_k_poly(params, 1)).map_coeffs(lambda c: c.shift_arg(1))
+    return block_residual(n, kept_partitions(cfg, n), lambda la: relation_residuals(la, det))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """XXX-type commuting families: the trace-built generator polynomials
 T_m(u; p; hbar), the p-independent family S_k(u; hbar), the ordered-product
-commuting elements, the bivariate generating polynomial, the shifted-Cauchy
-determinant presentation, and the residual checker for the conjectural scalar
-relation family.
+commuting elements, the bivariate generating polynomial and the
+shifted-Cauchy determinant presentation, on which the conjectural scalar
+relation family is read in powers of u and w = v - 1.
 
 T_m is the cycle-deletion trace of the antisymmetrized ordered product in
 the group algebra of S_{n+m} with polynomial coefficients.  Because the trace
@@ -12,7 +12,7 @@ sgn(mu)/z_mu (p(m) terms); ``t_m_poly`` gives the argument, and the literal
 m!-term construction is kept in the tests as the oracle.
 
 The binomial transform ``ts_transform`` writes T_m exactly through S_k, a
-sum over k-subsets in S_n.  The generator tables that spans and eigen-records
+sum over k-subsets in S_n.  The generator tables that spans and block images
 are built from (``t_m_table``) come from the transform, so no algebra builder
 works in S_{n+m}.  The literal trace ``t_m_poly`` stays where the trace is the
 claim: the binomial and inverse transforms, saturation, the cycle shift, the
@@ -45,7 +45,7 @@ from .permutations import (
     top_embed,
     trace_map,
 )
-from .gaudin import V, diagonal, presentation_det, relation_residuals, v_expansion
+from .gaudin import V, diagonal, presentation_det, v_expansion
 
 
 class XXXParams(namedtuple("XXXParams", "z hbar")):
@@ -231,17 +231,6 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> UPoly:
     qh = [[c * (Fraction(1) / (z[a] - z[b] + hbar)) for b in range(n)]
           for a, c in enumerate(c_vals)]
     return presentation_det(diagonal(z), qh, [[hbar * x for x in row] for row in qh])
-
-
-def check_relations_Hh(la, params: XXXParams, q: UPoly) -> list:
-    """Residuals of the conjectural scalar relation family, each zero when
-    the relations hold: the determinant presentation at q in powers of u and
-    w = v - 1, read as in ``gaudin.relation_residuals``.  q(u) = q_1 u^(n-1)
-    + ... + q_n has pairwise commuting coefficients: scalars (eigenvalues on
-    one line of block la) or elements (the first-order polynomial itself)."""
-    if params.n != sum(la):
-        raise ValueError("partition size must match the parameter count")
-    return relation_residuals(la, det_P_hbar(params, q).map_coeffs(lambda c: c.shift_arg(1)))
 
 
 def ts_transform(s_family, m: int, p) -> UPoly:

@@ -1,16 +1,23 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the float oracle of the spectral claims: joint
+eigenvectors, polynomial-subspace reconstruction and the scalar relation
+checks at joint eigenvalues.  Only the oracle uses numpy, imported where
+used."""
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
+from snbethe.gaudin import det_presentation, relation_residuals, shifted_relation_residuals
+from snbethe.homogeneous import homogeneous_generators
 from snbethe.permutations import (
     GroupAlgebraElement, all_permutations, antisymmetrizer, embed, ga_lift, sign,
 )
-from snbethe.reps import BlockMatrix, block_shapes
+from snbethe.reps import BlockMatrix, block_shapes, partition_parts
 from snbethe.rings import MultiPoly, UPoly, _int_scaled, poly_divmod
-from snbethe.spectra import annihilate
-from snbethe.xxx import s_k_poly
+from snbethe.spectra import _v_coeffs, annihilate, casorati
+from snbethe.suites import certificate, homogeneous_f, t_images
+from snbethe.xxx import XXXParams, det_P_hbar, s_k_poly
 
 
 def distinct_rationals(rng, k: int, spread: int = 40) -> list:
@@ -239,3 +246,200 @@ def oracle_add(a, b):
 
 def oracle_scale(a, c):
     return [[[x * c for x in row] for row in rows] for rows in a]
+
+
+# The float oracle of the spectral claims: the float path that decided
+# spectra.fiber-loop, and the scalar relation checks read at joint
+# eigenvalues (acceptance 11 and the relation tests).
+
+def echelon_polys(polys, tol: float = 0.0) -> list:
+    """A basis of the span of the polynomials (exact or float coefficients)
+    in reduced echelon form, ordered by decreasing degree; with a positive
+    tol, coefficients below tol times the largest one count as zero."""
+    work = [list(p.coeffs) for p in polys]
+
+    def top(cs):
+        limit = max((abs(x) for x in cs), default=0) * tol
+        for k in range(len(cs) - 1, -1, -1):
+            if (abs(cs[k]) > limit) if tol else cs[k]:
+                return k
+        return -1
+
+    out = []
+    while work:
+        work = [cs for cs in work if top(cs) >= 0]
+        if not work:
+            break
+        work.sort(key=lambda cs: top(cs), reverse=True)
+        lead = work.pop(0)
+        d = top(lead)
+        inv = (Fraction(1) / lead[d]) if isinstance(lead[d], Fraction) else 1.0 / lead[d]
+        lead = [c * inv for c in lead[: d + 1]]
+        nxt = []
+        for cs in work:
+            t = top(cs)
+            if t == d:
+                cs = [x - cs[d] * y for x, y in zip(cs, lead + [0] * (len(cs) - d - 1))]
+            nxt.append(cs)
+        out.append(lead)
+        work = nxt
+    # back-substitute so every pivot degree appears in exactly one basis element
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            dj = len(out[j]) - 1
+            if dj < len(out[i]) and out[i][dj]:
+                f = out[i][dj]
+                out[i] = [
+                    x - f * y
+                    for x, y in zip(out[i], out[j] + [0] * (len(out[i]) - len(out[j])))
+                ]
+    return [UPoly(cs) for cs in out]
+
+
+EigenRecord = namedtuple("EigenRecord", "partition eigenvalues residual vector",
+                         defaults=(None,))
+
+
+def joint_eigen(cert: dict, generators: dict, tol: float = 1e-8):
+    """Numeric joint eigenrecords: eigen-decompose the squarefree element of
+    a ``certificate`` blockwise and read off every generator eigenvalue by
+    Rayleigh quotient; an uncertified element or a residual above tol
+    raises."""
+    import numpy as np
+
+    if not cert["squarefree"]:
+        raise ValueError("simple spectrum not certified for this seed")
+    combo = cert["element"]
+    records = []
+    for bi, (la, k) in enumerate(block_shapes(combo.n)):
+        # x / d is correctly rounded, as float(Fraction) is
+        M = np.array([x / combo.d for x in combo.blocks[bi]]).reshape(k, k)
+        _, vecs = np.linalg.eig(M)
+        for col in range(k):
+            v = vecs[:, col]
+            v = v / np.linalg.norm(v)
+            eigs = {}
+            worst = 0.0
+            for name, g in generators.items():
+                G = np.array([x / g.d for x in g.blocks[bi]]).reshape(k, k)
+                mu = (np.conj(v) @ (G @ v)) / (np.conj(v) @ v)
+                res = float(np.linalg.norm(G @ v - mu * v))
+                scale = max(1.0, float(np.max(np.abs(G))))
+                worst = max(worst, res / scale)
+                eigs[name] = complex(mu).real if abs(complex(mu).imag) < tol else complex(mu)
+            if worst > tol:
+                raise ValueError(f"eigen residual {worst} above tolerance")
+            records.append(EigenRecord(tuple(la), eigs, worst, v))
+    return records
+
+
+def reconstruct_subspace(
+    F: UPoly, n: int, degree_bound: int, hbar=1.0, variant: str = "discrete",
+    tol: float = 1e-6,
+):
+    """Polynomial kernel of the operator that ``annihilate`` reads off from
+    the v-expansion of a scalar eigenvalue polynomial, degree-bounded;
+    returns the ``echelon_polys`` basis, raising if the kernel dimension is
+    not n.  Column d of the kernel matrix is the image of u^d, over complex
+    coefficients."""
+    import numpy as np
+
+    Fc = F.map_coeffs(lambda c: c.map_coeffs(complex))
+    D = degree_bound
+    A = np.zeros((max((fk.degree for fk in _v_coeffs(Fc) if fk), default=0) + D + 1,
+                  D + 1), dtype=complex)
+    for d in range(D + 1):
+        image = annihilate(Fc, UPoly([0j] * d + [1 + 0j]), hbar, variant).coeffs
+        A[:len(image), d] = image
+    _, sv, vt = np.linalg.svd(A)
+    smax = sv[0] if len(sv) else 1.0
+    kernel = [np.conj(vt[i]) for i in range(len(vt)) if i >= len(sv) or sv[i] < tol * smax]
+    if len(kernel) != n:
+        raise ValueError(f"kernel dimension {len(kernel)} != {n}")
+    polys = []
+    for vec in kernel:
+        if np.max(np.abs(vec.imag)) < 1e-9 * max(np.max(np.abs(vec)), 1.0):
+            polys.append(UPoly([float(x) for x in vec.real]))
+        else:
+            polys.append(UPoly([complex(x) for x in vec]))
+    return echelon_polys(polys, tol=1e-9)
+
+
+def theta_membership_residual(basis, n: int) -> float:
+    """Relative distance of the Casorati determinant of the basis from the
+    line through (u+1)^n (unit shift)."""
+    import numpy as np
+
+    c = casorati(basis, 1.0)
+    target = UPoly([float(math.comb(n, k)) for k in range(n + 1)])
+    size = max(len(c.coeffs), len(target.coeffs))
+    cv = np.array([complex(c.coeff(k)) for k in range(size)])
+    tv = np.array([complex(target.coeff(k)) for k in range(size)])
+    alpha = np.vdot(tv, cv) / np.vdot(tv, tv)
+    if not alpha:
+        return 1.0
+    return float(np.linalg.norm(cv - alpha * tv) / np.linalg.norm(cv))
+
+
+def homogeneous_eigen(b, n: int, seed: int):
+    """Float joint eigenrecords of the homogeneous family's T_m,i images, a
+    builder of the run's store ``suites.Builds``."""
+    return joint_eigen(b(certificate, n, tuple(homogeneous_generators(n)), seed),
+                       b(t_images, n))
+
+
+def homogeneous_f_from_record(n: int, rec) -> UPoly:
+    """``suites.homogeneous_f`` at the recorded generator eigenvalues."""
+    return homogeneous_f(n, {(m, i): rec.eigenvalues[f"T{m}c{i}"]
+                             for m in range(1, n + 1) for i in range(n + 1)})
+
+
+def float_fiber_loop(b, n: int, seed: int) -> bool:
+    """The float fiber loop at n: on every eigen record of the homogeneous
+    family, the reconstructed kernel has the degrees la_i + n - i and a
+    unit-shift Casorati near the line through (u+1)^n; False on the first
+    record that misses either or whose kernel has not n polynomials."""
+    for rec in b(homogeneous_eigen, n, seed):
+        la = rec.partition
+        try:
+            space = reconstruct_subspace(homogeneous_f_from_record(n, rec), n,
+                                         degree_bound=la[0] + n - 1, hbar=1.0,
+                                         variant="discrete", tol=1e-6)
+        except ValueError as exc:
+            if "kernel dimension" not in str(exc):
+                raise
+            return False
+        want = [part + n - i for i, part in enumerate(partition_parts(la, n), start=1)]
+        if (sorted(p.degree for p in space) != sorted(want)
+                or theta_membership_residual(space, n) > 1e-6):
+            return False
+    return True
+
+
+def check_relations_H(la, z, h) -> list:
+    """Residuals of the scalar relation family attached to the first
+    determinant presentation at a commuting family h: scalars (the joint
+    eigenvalues on one line of block la) or group-algebra elements (read on
+    block la through its central idempotent).  See
+    ``gaudin.relation_residuals``; nothing is asserted here."""
+    n = sum(la)
+    return relation_residuals(la, det_presentation("P", n, tuple(z), list(h)))
+
+
+def check_relations_Ht(la, z, h) -> list:
+    """Residuals of the second (conjectural) relation family at a commuting
+    family h, scalars or elements as in ``check_relations_H``; see
+    ``gaudin.shifted_relation_residuals``."""
+    n = sum(la)
+    return shifted_relation_residuals(la, det_presentation("Ptilde", n, tuple(z), list(h)))
+
+
+def check_relations_Hh(la, params: XXXParams, q: UPoly) -> list:
+    """Residuals of the conjectural scalar relation family, each zero when
+    the relations hold: the determinant presentation at q in powers of u and
+    w = v - 1, read as in ``gaudin.relation_residuals``.  q(u) = q_1 u^(n-1)
+    + ... + q_n has pairwise commuting coefficients: scalars (eigenvalues on
+    one line of block la) or elements (the first-order polynomial itself)."""
+    if params.n != sum(la):
+        raise ValueError("partition size must match the parameter count")
+    return relation_residuals(la, det_P_hbar(params, q).map_coeffs(lambda c: c.shift_arg(1)))

@@ -7,7 +7,11 @@ import math
 import time
 from fractions import Fraction
 
-from helpers import distinct_rationals, identity_rows, matmul, s1_coeff_elements
+from helpers import (
+    check_relations_H, check_relations_Ht, check_relations_Hh, distinct_rationals,
+    float_fiber_loop, homogeneous_eigen, identity_rows, joint_eigen, matmul,
+    s1_coeff_elements,
+)
 from snbethe.rings import SeededRandom, UPoly, falling_binomial, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
@@ -35,8 +39,6 @@ from snbethe.reps import (
     tableau_positions,
 )
 from snbethe.gaudin import (
-    check_relations_H,
-    check_relations_Ht,
     det_presentation,
     jm_elements,
     kz_elements,
@@ -45,7 +47,6 @@ from snbethe.gaudin import (
     phi_tilde,
 )
 from snbethe.xxx import (
-    check_relations_Hh,
     det_P_hbar,
     s_k_poly,
     st_transform,
@@ -78,8 +79,6 @@ from snbethe.suites import (
     gaudin_span,
     gaudin_table,
     gz_span,
-    homogeneous_eigen,
-    homogeneous_f_from_record,
     homogeneous_span,
     kz_images,
     xxx_span,
@@ -514,7 +513,7 @@ def test_acceptance_11_spectra():
         pr = xxx_params(z, F(1))
         s_images = {f"S{i}": represent(el)
                     for i, el in enumerate(s1_coeff_elements(pr), start=1)}
-        s_records = sp.joint_eigen(
+        s_records = joint_eigen(
             b(certificate, n, tuple(b(xxx_table, n, z, F(1)).values()), SEED), s_images)
         residuals = []
         for rec in gaudin_eigen(b, n, z):
@@ -526,25 +525,14 @@ def test_acceptance_11_spectra():
             residuals += check_relations_Hh(rec.partition, pr, q)
         assert max(abs(r) for r in residuals) <= 1e-8
     for n in (3, 4):
-        for rec in b(homogeneous_eigen, n, SEED):
-            Fb = homogeneous_f_from_record(n, rec)
-            la = rec.partition
-            basis = sp.reconstruct_subspace(
-                Fb, n, degree_bound=la[0] + n - 1, hbar=1.0,
-                variant="discrete", tol=1e-6)
-            degrees = sorted((p.degree for p in basis), reverse=True)
-            want = sorted(
-                (partition_parts(la, n)[i] + n - i - 1 for i in range(n)),
-                reverse=True)
-            assert degrees == want, f"degrees {degrees} vs block {la}"
-            assert sp.theta_membership_residual(basis, n) < 1e-6
+        assert float_fiber_loop(b, n, SEED), f"float fiber loop failed at n={n}"
     announce(11, "certificates, eigencounts, relations, fiber loop")
 
 
 def gaudin_eigen(b, n, z):
     """Float joint eigenrecords of the rational family."""
     gens = tuple(b(gaudin_table, n, z).values())
-    return sp.joint_eigen(b(certificate, n, gens, SEED), b(kz_images, n, z))
+    return joint_eigen(b(certificate, n, gens, SEED), b(kz_images, n, z))
 
 
 def test_acceptance_12_limit_trends():

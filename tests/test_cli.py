@@ -219,12 +219,11 @@ def child_output(code: str) -> str:
 
 
 def test_cli_import_does_not_load_numpy():
-    # only the float pipeline (eigenvectors, reconstruction) needs numpy, and
-    # it imports it where it is used; start-up (import the CLI, read a
+    # no module of the package imports numpy; start-up (import the CLI, read a
     # configuration) needs no dataclasses either, which would bring inspect
-    # (with ast, dis and tokenize) and compile record methods.  The suites of
-    # the perfbench workloads run on exact arithmetic only, and numpy alone
-    # would double a bare interpreter's peak RSS.
+    # (with ast, dis and tokenize) and compile record methods.  Every suite
+    # runs on exact arithmetic, and numpy alone would double a bare
+    # interpreter's peak RSS.
     code = (
         "import sys\n"
         "from snbethe import cli\n"
@@ -240,8 +239,9 @@ def test_cli_import_does_not_load_numpy():
     assert child_output(code).splitlines() == ["[]", "[0, 0] False"]
 
 
-def test_package_imports_neither_dataclasses_nor_typing():
-    # read from the sources: ``site`` may import typing before the package
+def package_imports(modules) -> list:
+    """'file: module' for each import of one of the top-level modules in the
+    package's sources, read with ``ast``."""
     found = []
     for path in sorted(Path(snbethe.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -252,8 +252,18 @@ def test_package_imports_neither_dataclasses_nor_typing():
             else:
                 continue
             found += [f"{path.name}: {name}" for name in names
-                      if name.split(".")[0] in ("dataclasses", "typing")]
-    assert found == []
+                      if name.split(".")[0] in modules]
+    return found
+
+
+def test_package_imports_neither_dataclasses_nor_typing():
+    # read from the sources: ``site`` may import typing before the package
+    assert package_imports(("dataclasses", "typing")) == []
+
+
+def test_package_imports_no_numpy():
+    # every claim is exact; numpy serves only the tests' float oracle
+    assert package_imports(("numpy",)) == []
 
 
 def test_claim_defaults():
@@ -285,9 +295,9 @@ def test_reports_do_not_share_checks():
 
 
 def test_trend_claims_do_not_load_numpy():
-    # the trends compare exact chordal distances, and the relation claims
-    # read exact identities block by block; the conjecture run loads no
-    # numpy either
+    # the trends compare exact chordal distances, the relation claims read
+    # exact identities block by block, and the fiber loop reads one exact
+    # kernel per block; the conjecture and spectra runs load no numpy either
     code = (
         "import sys, contextlib, io\n"
         "from snbethe import cli, suites\n"
@@ -296,14 +306,15 @@ def test_trend_claims_do_not_load_numpy():
         "b = suites.Builds()\n"
         "print([str(claim(cfg, None, b)) for claim in (suites.spectra_trend_rational, "
         "suites.spectra_trend_shifted, suites.spectra_trend_hbar, suites.spectra_relations, "
-        "suites.conjecture_shifted_relations, suites.conjecture_deformed_relations)], "
-        "'numpy' in sys.modules)\n"
+        "suites.conjecture_shifted_relations, suites.conjecture_deformed_relations, "
+        "suites.spectra_fiber_loop)], 'numpy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['run', 'conjectures', '--n', '3'])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "    codes = [cli.main(['run', 'conjectures', '--n', '3']),\n"
+        "             cli.main(['run', 'spectra', '--n', '4'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
     )
     assert child_output(code).splitlines() == [
-        "['True', 'True', 'True', '0', '0', '0'] False", "0 False"]
+        "['True', 'True', 'True', '0', '0', '0', 'True'] False", "[0, 0] False"]
 
 
 def test_cli_setup_builds_no_cayley_table():
@@ -332,16 +343,14 @@ def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
     # the gaudin, xxx and homogeneous generators at the run's parameters (the
     # dimension law and maximality), the Gelfand-Zetlin ones, the pair of
     # spectra.coincidences, and xxx at its own parameters (simple spectrum);
-    # the fiber loop's eigen records reuse the homogeneous one and add it at
-    # n = 3
+    # the fiber loop reuses the homogeneous one and adds it at n = 3
     assert len(calls) == len(set(calls)) == 7
 
 
 # The suite's builders: each takes the run's store first and is read through it.
 BUILDERS = (
     "gaudin_table", "gaudin_tilde_coeff", "gaudin_span", "xxx_table", "xxx_span",
-    "homogeneous_span", "gz_span", "certificate", "kz_images", "t_images",
-    "homogeneous_eigen",
+    "homogeneous_span", "gz_span", "certificate", "kz_images", "t_table", "t_images",
 )
 
 
@@ -700,3 +709,6 @@ def test_seeded_cli_contract(capsys, tmp_path):
         assert runs[1] == runs[0], argv
         assert rc in (0, 1, 2, 3) and "Traceback" not in err, argv
         assert (rc == 2) == (fault is not None), argv
+        if fault == "lambda word":
+            # the error names the flag and the value, as --z and --hbar do
+            assert "configuration error: --lambda: 'two' is not a list of integers" in err

@@ -91,6 +91,7 @@ TEST_ONLY = {
     "spectra.f_bivariate": "paper content kept for the tests (ROADMAP item 5)",
     "spectra.check_O_relations": "paper content kept for the tests (ROADMAP item 5)",
     "spectra.wronskian": "paper content kept for the tests (ROADMAP item 5)",
+    "spectra.casorati": "paper content kept for the tests (ROADMAP item 5)",
     "gaudin.phi_tilde": "the whole shifted generating function; the suites "
                         "build it one stored coefficient at a time",
 }
@@ -103,7 +104,7 @@ def test_test_only_definitions_are_listed():
 # Names the benchmark reports that no longer exist; each of its metrics reads
 # 0.  The benchmark's own files must drop them, and then this set shrinks.
 BENCHMARK_STALE = {"linalg.det_perm_expansion", "permutations.trace_perm",
-                   "suites.gaudin_eigen", "suites.xxx_eigen"}
+                   "suites.gaudin_eigen", "suites.xxx_eigen", "suites.homogeneous_eigen"}
 
 
 def benchmark_names() -> set:

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import (
-    bivariate, coeff_uv, distinct_rationals, lift_u, phi_gen_fixed_points_oracle,
-    phi_polys_oracle, v_coeff,
+    bivariate, check_relations_H, check_relations_Ht, coeff_uv, distinct_rationals, lift_u,
+    phi_gen_fixed_points_oracle, phi_polys_oracle, v_coeff,
 )
 from snbethe import gaudin, suites
 from snbethe.rings import SeededRandom, UPoly, poly_divmod, scalar_root_poly
@@ -24,8 +24,6 @@ from snbethe.permutations import (
 from snbethe.reps import central_idempotent, content_product_all, partitions_of, represent
 from snbethe.gaudin import (
     ParameterSet,
-    check_relations_H,
-    check_relations_Ht,
     det_presentation,
     gz_spanning_set,
     jm_elements,

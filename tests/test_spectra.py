@@ -16,11 +16,18 @@ from helpers import (
     block_entries,
     block_rows,
     coeff_uv,
+    echelon_polys,
+    float_fiber_loop,
     from_entries,
+    homogeneous_eigen,
+    homogeneous_f_from_record,
     identity_rows,
+    joint_eigen,
     kernel_column_oracle,
     matmul,
     poly_gcd,
+    reconstruct_subspace,
+    theta_membership_residual,
     v_coeff,
 )
 from snbethe.rings import MultiPoly, SeededRandom, UPoly
@@ -55,13 +62,10 @@ from snbethe.spectra import (
     certificate,
     chordal_distance,
     cyclic_vector,
-    echelon_polys,
     f_bivariate,
-    joint_eigen,
+    kernel_degrees,
     linear_span,
-    reconstruct_subspace,
     symmetric_action_on_poly,
-    theta_membership_residual,
     wronskian,
 )
 
@@ -669,8 +673,6 @@ def test_joint_eigen_n2_homogeneous_values():
     by_partition = {rec.partition: rec for rec in recs}
     assert by_partition[(2,)].eigenvalues["g2"] == pytest.approx(1.0)
     assert by_partition[(1, 1)].eigenvalues["g2"] == pytest.approx(-1.0)
-    from snbethe.suites import homogeneous_eigen, homogeneous_f_from_record
-
     # sigma -> +1: u^2 w^2 - (2u+1)w;  sigma -> -1: u^2 w^2 - (2u-1)w + 2
     expected = {
         (2,): {(1, 1): -2.0, (0, 1): -1.0, (0, 0): 0.0},
@@ -713,6 +715,97 @@ def test_eigen_count_fails_on_an_image_that_does_not_commute(monkeypatch, images
     s1 = represent(ga_transposition(3, 1, 2))
     monkeypatch.setattr(suites, images, lambda *args: {**real(*args), "s1": s1})
     assert suites.spectra_eigen_count(cfg, None, Builds()) is False
+
+
+def fiber_cfg(n: int, seed: int = 20260801):
+    from snbethe import cli
+
+    return cli.config_from_args(cli.build_parser().parse_args(
+        ["run", "spectra", "--n", str(n), "--seed", str(seed)]))
+
+
+# Perturbations of the homogeneous table T[(m, i)], the coefficient of
+# u^(n-i) in T_m: a central T_1 coefficient leaves no kernel in degree 0 on
+# the blocks that want one, and a T_n coefficient moves T_n(u) off (u + 1)^n.
+TABLE_PERTURBATIONS = {
+    "T1 central": lambda n, table: {**table, (1, 2): table[(1, 2)] + 1},
+    "Tn": lambda n, table: {**table, (n, 1): table[(n, 1)] + 1},
+}
+
+
+def perturb(monkeypatch, perturbation):
+    """Patch the suite's homogeneous builders with one perturbation: a table
+    entry, or "image", an image s_1 = (1 2) that does not commute with x."""
+    from snbethe import suites
+
+    if perturbation == "image":
+        real = suites.t_images
+        monkeypatch.setattr(suites, "t_images", lambda b, n: {
+            **real(b, n), "s1": represent(ga_transposition(n, 1, 2))})
+    elif perturbation is not None:
+        real = suites.t_table
+        monkeypatch.setattr(suites, "t_table", lambda b, n: TABLE_PERTURBATIONS[
+            perturbation](n, real(b, n)))
+
+
+@pytest.mark.parametrize("perturbation", ["T1 central", "Tn", "image"])
+def test_fiber_loop_fails_on_a_perturbation(monkeypatch, capsys, perturbation):
+    import json
+
+    from snbethe import cli, spectra, suites
+
+    perturb(monkeypatch, perturbation)
+    assert cli.main(["run", "spectra", "--n", "4", "--format", "json"]) == 1
+    record = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+                  if c["check"] == "spectra.fiber-loop")
+    assert (record["status"], record["residual"]) == ("FAIL", "1/1")
+    if perturbation != "T1 central":
+        # Abel's check and the commutation check see theirs before any kernel
+        def refuse(*args):
+            raise AssertionError("the kernel was read")
+
+        monkeypatch.setattr(spectra, "kernel_degrees", refuse)
+        assert suites.spectra_fiber_loop(fiber_cfg(3), None, Builds()) is False
+
+
+@pytest.mark.parametrize("perturbation", [None, "T1 central", "Tn"])
+@pytest.mark.parametrize("seed", [20260801, 1, 7])
+def test_fiber_loop_agrees_with_the_float_oracle(monkeypatch, seed, perturbation):
+    from snbethe import suites
+
+    perturb(monkeypatch, perturbation)
+    b = Builds()
+    for n in (3, 4):
+        exact = suites.spectra_fiber_loop(fiber_cfg(n, seed), None, b)
+        assert exact is float_fiber_loop(b, n, seed) is (perturbation is None)
+
+
+def test_fiber_loop_keeps_the_uncertified_error(monkeypatch):
+    from snbethe import suites
+
+    monkeypatch.setattr(suites, "certificate", lambda b, n, elements, seed: {
+        "squarefree": False, "element": None})
+    with pytest.raises(ValueError, match="simple spectrum not certified"):
+        suites.spectra_fiber_loop(fiber_cfg(3), None, Builds())
+
+
+def test_kernel_degrees_read_each_eigenline():
+    # one line (n = 1) with the kernel spanned by polynomials of degrees 1
+    # and 3, read up to degree 4 and up to degree 2
+    u = UPoly.gen()
+    lines = [f_bivariate([P(3, 1), P(-1, 0, 0, 1)]), f_bivariate([P(2), P(0, 0, 0, 1)])]
+    images = [[annihilate(F, u ** d) for d in range(5)] for F in lines]
+    one = [[from_entries(1, [c]) for c in image.coeffs] for image in images[0]]
+    assert sorted(kernel_degrees(one, 0, 1)) == [1, 3]
+    assert kernel_degrees(one[:3], 0, 1) == [1]
+    # two lines on the block (2, 1) of S_3, the operator diagonal there, with
+    # kernel degrees 1, 3 and 0, 3
+    two = []
+    for a, c in zip(*images):
+        size = max(a.degree, c.degree) + 1
+        two.append([from_entries(3, [0, a.coeff(j), 0, 0, c.coeff(j), 0])
+                    for j in range(size)])
+    assert sorted(kernel_degrees(two, 1, 2)) == [0, 1, 3, 3]
 
 
 def test_reconstruction_roundtrip():

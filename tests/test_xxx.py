@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bivariate, distinct_rationals, lift_u, s1_coeff_elements, v_coeff
+from helpers import (
+    bivariate, check_relations_Hh, distinct_rationals, homogeneous_eigen, lift_u,
+    s1_coeff_elements, v_coeff,
+)
 from snbethe.rings import SeededRandom, UPoly, scalar_root_poly
 from snbethe.permutations import (
     GroupAlgebraElement,
@@ -23,7 +26,6 @@ from snbethe.permutations import (
 )
 from snbethe.reps import central_idempotent, partitions_of
 from snbethe.xxx import (
-    check_relations_Hh,
     det_P_hbar,
     qkz_elements,
     s_k_poly,
@@ -103,7 +105,7 @@ def literal_table(params, p, ms, rows):
 def test_t_m_table_matches_literal_trace(n, monkeypatch):
     pr = xxx_params([F(k, 3) - 1 for k in range(n)], F(1, 2))
     for p in (F(2), F(n), UPoly.gen()):
-        # the orders of xxx_table (none at n = 1) and of homogeneous_eigen
+        # the orders of xxx_table (none at n = 1) and of t_table
         for ms, rows in ((range(1, n), range(1, n + 1)),
                          (range(1, n + 1), range(n + 1))):
             want = literal_table(pr, p, ms, rows)
@@ -130,7 +132,7 @@ def test_span_and_eigen_builders_stay_in_s_n(monkeypatch):
     n, z, b = 3, (F(0), F(1), F(3)), suites.Builds()
     assert b(suites.xxx_span, n, z, F(1)).dim == 4
     assert suites.homog_well_defined(SimpleNamespace(n=n), None, b)
-    assert len(b(suites.homogeneous_eigen, n, 7)) == 4
+    assert len(b(homogeneous_eigen, n, 7)) == 4
 
 
 def test_p_independence_claim_uses_the_literal_trace(monkeypatch):

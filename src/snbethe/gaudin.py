@@ -4,7 +4,8 @@ commuting elements built from pairwise-distinct parameters, Jucys-Murphy and
 related spanning sets, the determinant presentations over one builder of
 det((u - Z)(v - Q) - R) and one signed v-expansion (both shared with ``xxx``
 and ``homogeneous``), and the residual readers of the two scalar relation
-families, each reading one determinant built once per family.
+families, each reading one determinant built once per family (the shifted
+one also forms its coefficients' products with their tails once).
 """
 
 from __future__ import annotations
@@ -369,18 +370,23 @@ def relation_residuals(la, det: UPoly) -> list:
             + (lhs - rhs).coeffs)
 
 
-def shifted_relation_residuals(la, det: UPoly) -> list:
+def shifted_relation_reader(n: int, det: UPoly):
     """Residuals of the second (conjectural) relation family read off the
-    shifted presentation det(u, v) (``det_presentation("Ptilde", ...)``) at
-    a partition la of n, each zero when the relations hold: the top
-    coefficient minus the content polynomial of the partition, and the
-    remainder of each further coefficient against the shifted content
-    polynomial."""
-    n = sum(la)
-    pila = content_poly(la, n)
-    pila1 = pila.shift_arg(Fraction(1))
-    out = (det.coeff(n) - pila).coeffs  # coefficient of u^n, polynomial in v
-    for i in range(1, n + 1):
-        tail = scalar_root_poly([Fraction(-j) for j in range(1, n - i + 1)])
-        out += poly_divmod(det.coeff(n - i) * tail, pila1)[1].coeffs
-    return out
+    shifted presentation det(u, v) (``det_presentation("Ptilde", ...)``), as
+    a function of a partition la of n, each zero when the relations hold: the
+    top coefficient minus the content polynomial of la, and the remainder of
+    each further coefficient times its tail against the shifted content
+    polynomial.  Only the divisor depends on la, so the products are formed
+    once, here."""
+    products = [det.coeff(n - i) * scalar_root_poly([Fraction(-j) for j in range(1, n - i + 1)])
+                for i in range(1, n + 1)]
+
+    def residuals(la) -> list:
+        pila = content_poly(la, n)
+        pila1 = pila.shift_arg(Fraction(1))
+        out = (det.coeff(n) - pila).coeffs  # coefficient of u^n, polynomial in v
+        for prod in products:
+            out += poly_divmod(prod, pila1)[1].coeffs
+        return out
+
+    return residuals

@@ -63,7 +63,8 @@ through, so it avoids per-term overhead in three ways:
     factors' keys in pair order).  A sum of several products is one
     accumulation over all their term pairs: the keys and values of adding
     the products one by one, the key order possibly not.  A sum ``a + b``
-    lists a's keys, then b's new ones.
+    lists a's keys, then b's new ones (so a trace at a rational p, read off
+    its polynomial in p by Horner's rule, lists its top coefficient's first).
 
 * One product per self-adjoint commutator.  The dagger reverses products,
   so when a and b are both fixed by it (a scalar always is), ba = (ab)†
@@ -602,27 +603,19 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
     """Cycle-deletion trace from the group algebra of S_{n+m} down to S_n.
 
     Each permutation loses the symbols above n from its cycles, and the term
-    is weighted by p to the number of orbits lost entirely.  p is a rational
-    (int or Fraction) or the symbolic generator ``UPoly.gen()``.  For a
-    rational p the trace is an element of S_n.  For the symbolic p it is the
-    polynomial in p ``UPoly([T_0, T_1, ...])`` over the group algebra, T_l
-    the element of S_n that is the coefficient of p^l.
+    is weighted by p to the number of orbits lost entirely.  The trace is
+    the polynomial in p ``UPoly([T_0, T_1, ...])`` over the group algebra,
+    T_l the element of S_n that is the coefficient of p^l, read at p by
+    ``trace_at``: p is ``UPoly.gen()`` or a rational (int or Fraction).
 
     One pass over integer numerators over one denominator d: each term sends
     every symbol i <= n to the next symbol <= n on its orbit, marking the top
     symbols passed; the unmarked ones form the lost orbits.  Sums s_l are kept
-    per (residual, l lost orbits).  A rational p builds each output term
-    once, as sum_l s_l p^l / d, in the order its residual first occurs; the
-    symbolic p puts s_l / d on that residual in T_l.
+    per (residual, l lost orbits); T_l puts s_l / d on each residual, in the
+    order the residuals first occur.
     """
     if a.n != n + m:
         raise ValueError(f"trace_map: element has degree {a.n}, expected {n + m}")
-    symbolic = isinstance(p, UPoly)
-    if symbolic:
-        if p != UPoly.gen():
-            raise ValueError("a symbolic trace parameter must be UPoly.gen()")
-    elif not isinstance(p, (int, Fraction)):
-        raise TypeError(f"trace parameter must be rational, got {type(p).__name__}")
     d, nums = a.numerators()
     top = range(n, n + m)  # zero-based top symbols
     acc = {}  # residual images -> {orbits lost: scaled sum}
@@ -643,23 +636,25 @@ def trace_map(a: GroupAlgebraElement, n: int, m: int, p):
                     t = im[t] - 1
         sums = acc.setdefault(tuple(res), {})
         sums[lost] = sums.get(lost, 0) + s
-    # k, the most orbits any term loses
-    k = max((max(sums) for sums in acc.values()), default=0)
-    if symbolic:
-        coeffs = [{} for _ in range(k + 1)]
-        for res, sums in acc.items():
-            for l, s in sums.items():
-                if s:
-                    coeffs[l][res] = s
-        return UPoly([_reduced(n, d, c) for c in coeffs])
-    # every sum over d * pd**k
-    pn, pd = p.numerator, p.denominator
-    out = {}
+    coeffs = [{} for _ in range(m + 1)]  # at most m orbits are lost
     for res, sums in acc.items():
-        total = sum(s * pn**l * pd ** (k - l) for l, s in sums.items())
-        if total:
-            out[res] = total
-    return _reduced(n, d * pd**k, out)
+        for l, s in sums.items():
+            if s:
+                coeffs[l][res] = s
+    return trace_at(UPoly([_reduced(n, d, c) for c in coeffs]), n, p)
+
+
+def trace_at(t: UPoly, n: int, p):
+    """A trace polynomial t in p over S_n at the trace parameter p: t itself
+    at ``UPoly.gen()``, at a rational p its value lifted into S_n (the zero
+    element where t vanishes); any other p raises."""
+    if isinstance(p, UPoly):
+        if p != UPoly.gen():
+            raise ValueError("a symbolic trace parameter must be UPoly.gen()")
+        return t
+    if not isinstance(p, (int, Fraction)):
+        raise TypeError(f"trace parameter must be rational, got {type(p).__name__}")
+    return ga_lift(n, t.eval_at(p))
 
 
 def antiinvolution(a: GroupAlgebraElement, kind: str = "dagger") -> GroupAlgebraElement:

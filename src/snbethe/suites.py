@@ -58,7 +58,7 @@ from .gaudin import (
     phi_polys,
     phi_tilde_coeff,
     relation_residuals,
-    shifted_relation_residuals,
+    shifted_relation_reader,
     v_expansion,
 )
 from .xxx import (
@@ -66,6 +66,7 @@ from .xxx import (
     qkz_elements,
     s_k_poly,
     st_transform,
+    t_at,
     t_gen,
     t_m_poly,
     t_m_table,
@@ -178,6 +179,17 @@ def gaudin_span(b, n: int, z: tuple):
 def xxx_table(b, n: int, z: tuple, hbar: Fraction):
     # the generator table at the trace parameter p = 2
     return t_m_table(xxx_params(z, hbar), Fraction(2), range(1, n), range(1, n + 1))
+
+
+def t_poly(b, params, m: int) -> UPoly:
+    """The literal T_m(u) of ``params``, symbolic in the trace parameter p:
+    one product in S_{n+m} per run, which claims read through ``t_value``."""
+    return t_m_poly(params, m)
+
+
+def t_value(b, params, m: int, p) -> UPoly:
+    """The stored T_m(u) of ``params`` at the trace parameter p."""
+    return t_at(b(t_poly, params, m), params.n, p)
 
 
 def xxx_span(b, n: int, z: tuple, hbar: Fraction):
@@ -439,29 +451,23 @@ def gaudin_shifted_edges(cfg, rng, b):
 # xxx identities
 
 
-def transform_residual(direct, via):
-    """The largest coefficient of direct[m] - via[m], polynomials in u whose
-    coefficients are elements or polynomials in p over the group algebra."""
-    return max_abs(*(d - v for d, v in zip(direct, via)))
-
-
-def transform_setup(cfg):
-    """Parameters, symbolic p and the orders 0..min(n+1, 4) of the transform
-    claims."""
-    return xxx_params(cfg.z, cfg.hbar), UPoly.gen(), range(0, min(cfg.n + 1, 4) + 1)
+def transform_families(cfg, b):
+    """The S_k and the stored T_k, symbolic in p, of the run's parameters
+    for the orders k = 0..min(n+1, 4) of the transform claims."""
+    params, orders = xxx_params(cfg.z, cfg.hbar), range(0, min(cfg.n + 1, 4) + 1)
+    return [s_k_poly(params, k) for k in orders], [b(t_poly, params, k) for k in orders]
 
 
 def xxx_binomial_transform(cfg, rng, b):
-    params, psym, orders = transform_setup(cfg)
-    family = [s_k_poly(params, k) for k in orders]
-    return transform_residual([t_m_poly(params, m) for m in orders],
-                              [ts_transform(family, m, psym) for m in orders])
+    s_family, t_family = transform_families(cfg, b)
+    return max_abs(*(t - ts_transform(s_family, m, UPoly.gen())
+                     for m, t in enumerate(t_family)))
 
 
 def xxx_inverse_transform(cfg, rng, b):
-    params, psym, orders = transform_setup(cfg)
-    return transform_residual([s_k_poly(params, m) for m in orders],
-                              [st_transform(params, m, psym) for m in orders])
+    s_family, t_family = transform_families(cfg, b)
+    return max_abs(*(s - st_transform(t_family, m, UPoly.gen())
+                     for m, s in enumerate(s_family)))
 
 
 def shifted_root_target(cfg):
@@ -472,9 +478,9 @@ def xxx_saturation(cfg, rng, b):
     n, params = cfg.n, xxx_params(cfg.z, cfg.hbar)
     target = shifted_root_target(cfg)
     orders = (n, n + 1) if n <= 5 else (n,)
-    residuals = [t_m_poly(params, m, p=Fraction(m)) - target for m in orders]
+    residuals = [t_value(b, params, m, Fraction(m)) - target for m in orders]
     if n <= 5:
-        residuals.append(t_m_poly(params, n + 1, p=Fraction(n)))
+        residuals.append(t_value(b, params, n + 1, Fraction(n)))
     return max_abs(*residuals)
 
 
@@ -514,8 +520,8 @@ def xxx_cycle_shift(cfg, rng, b):
     prot = xxx_params(z[1:] + z[:1], hbar)
     params = xxx_params(z, hbar)
     return max_abs(*(
-        t_m_poly(prot, m, p=Fraction(2)).map_coeffs(lambda c: conjugate(c, gam))
-        - t_m_poly(params, m, p=Fraction(2))
+        t_value(b, prot, m, Fraction(2)).map_coeffs(lambda c: conjugate(c, gam))
+        - t_value(b, params, m, Fraction(2))
         for m in range(1, min(n, 3) + 1)
     ))
 
@@ -523,7 +529,7 @@ def xxx_cycle_shift(cfg, rng, b):
 def xxx_swap_intertwiner(cfg, rng, b):
     n, z, hbar = cfg.n, cfg.z, cfg.hbar
     orders = range(1, min(n, 3) + 1)
-    base = [t_m_poly(xxx_params(z, hbar), m, p=Fraction(2)) for m in orders]
+    base = [t_value(b, xxx_params(z, hbar), m, Fraction(2)) for m in orders]
     residuals = []
     for a in range(1, n):
         w = ga_transposition(n, a, a + 1) * (z[a - 1] - z[a]) + \
@@ -533,19 +539,19 @@ def xxx_swap_intertwiner(cfg, rng, b):
         pswap = xxx_params(tuple(zs), hbar)
         for m, t in zip(orders, base):
             lhs = t.map_coeffs(lambda c: w * c)
-            rhs = t_m_poly(pswap, m, p=Fraction(2)).map_coeffs(lambda c: c * w)
+            rhs = t_value(b, pswap, m, Fraction(2)).map_coeffs(lambda c: c * w)
             residuals.append(lhs - rhs)
     return max_abs(*residuals)
 
 
-def mirror_residual(cfg, params, conj):
+def mirror_residual(cfg, b, params, conj):
     """T_m of ``params`` at p = n, conjugated coefficientwise, against
     (-1)^n T_{n-m}(-u - hbar) of the negated parameters, for m = 0..n."""
     n, hbar = cfg.n, cfg.hbar
     pneg = xxx_params(tuple(-x for x in cfg.z), hbar)
     return max_abs(*(
-        t_m_poly(params, m, p=Fraction(n)).map_coeffs(conj)
-        - t_m_poly(pneg, n - m, p=Fraction(n)).subst_linear(
+        t_value(b, params, m, Fraction(n)).map_coeffs(conj)
+        - t_value(b, pneg, n - m, Fraction(n)).subst_linear(
             GroupAlgebraElement.scalar(n, Fraction(-1)),
             GroupAlgebraElement.scalar(n, -hbar),
         ) * Fraction((-1) ** n)
@@ -555,23 +561,24 @@ def mirror_residual(cfg, params, conj):
 
 def xxx_reversal(cfg, rng, b):
     r = permutation([cfg.n + 1 - i for i in range(1, cfg.n + 1)])
-    return mirror_residual(cfg, xxx_params(tuple(reversed(cfg.z)), cfg.hbar),
+    return mirror_residual(cfg, b, xxx_params(tuple(reversed(cfg.z)), cfg.hbar),
                            lambda c: conjugate(c, r))
 
 
 def xxx_dagger_reversal(cfg, rng, b):
-    return mirror_residual(cfg, xxx_params(cfg.z, cfg.hbar), lambda c: c.dagger())
+    return mirror_residual(cfg, b, xxx_params(cfg.z, cfg.hbar), lambda c: c.dagger())
 
 
 def xxx_p_independence(cfg, rng, b):
-    """Built from the literal trace: through the binomial transform T_m is
-    S_m plus lower S_k, so that span would not depend on p by construction."""
+    """Built from the literal trace, read at each p: through the binomial
+    transform T_m is S_m plus lower S_k, so that span would not depend on p
+    by construction."""
     n, params = cfg.n, xxx_params(cfg.z, cfg.hbar)
     spans = []
     for p in (Fraction(1), Fraction(2), Fraction(17)):
         mats = [BlockMatrix.identity(n)]
         for m in range(1, n):
-            poly = t_m_poly(params, m, p=p)
+            poly = t_value(b, params, m, p)
             mats += [represent(ga_lift(n, poly.coeff(n - i))) for i in range(1, n + 1)]
         spans.append(sp.linear_span(mats))
     return spans[0].same_span(spans[1]) and spans[0].same_span(spans[2])
@@ -672,9 +679,15 @@ def xxx_ordered_products(cfg, rng, b):
     return max_commutator(qkz_elements(xxx_params(cfg.z, cfg.hbar)))
 
 
+def generating_t(b, params) -> UPoly:
+    """``xxx.t_gen`` of the stored T_0..T_n of ``params`` at p = n."""
+    return t_gen(params, [t_value(b, params, m, Fraction(params.n))
+                          for m in range(params.n + 1)])
+
+
 def xxx_generating_det(cfg, rng, b):
     params = xxx_params(cfg.z, cfg.hbar)
-    return max_abs(t_gen(params)
+    return max_abs(generating_t(b, params)
                    - ga_lift(cfg.n, det_P_hbar(params, s_k_poly(params, 1))))
 
 
@@ -690,8 +703,8 @@ def xxx_covariance(cfg, rng, b):
     residuals = []
     pscale = xxx_params(tuple(sc * x for x in z), sc * hbar)
     for m in range(1, min(n, 3) + 1):
-        base = t_m_poly(params, m, p=Fraction(2))
-        scaled = t_m_poly(pscale, m, p=Fraction(2))
+        base = t_value(b, params, m, Fraction(2))
+        scaled = t_value(b, pscale, m, Fraction(2))
         # T(s*u; p; s*hbar; s*z) = s^n T(u; p; hbar; z)
         residuals.append(
             scaled.subst_linear(
@@ -700,7 +713,7 @@ def xxx_covariance(cfg, rng, b):
             ) - base * sc**n
         )
         pshift = xxx_params(tuple(x + sh for x in z), hbar)
-        shifted = t_m_poly(pshift, m, p=Fraction(2))
+        shifted = t_value(b, pshift, m, Fraction(2))
         residuals.append(shifted.shift_arg(sh) - base)
     return max_abs(*residuals)
 
@@ -716,7 +729,7 @@ def homog_s1_cycles(cfg, rng, b):
 def homog_generating_det(cfg, rng, b):
     n = cfg.n
     params = homogeneous_params(n)
-    return max_abs(t_gen(params) - ga_lift(n, det_P_hat(n, s_k_poly(params, 1))))
+    return max_abs(generating_t(b, params) - ga_lift(n, det_P_hat(n, s_k_poly(params, 1))))
 
 
 def homog_charge_densities(cfg, rng, b):
@@ -810,7 +823,7 @@ def sw_transfer_match(cfg, rng, b):
     for m in (1, 2):
         # numer / Ph, numer the traced family at the rescaled argument, must
         # equal the transfer image P / Q
-        tm = t_m_poly(params, m, p=Fraction(N))
+        tm = t_value(b, params, m, Fraction(N))
         numer = TensorOperator.zero(N, nn)
         for k, c in enumerate(tm.coeffs):
             numer += varpi(ga_lift(nn, c), N) * UPoly([0] * k + [hb**k])
@@ -1044,8 +1057,7 @@ def conjecture_shifted_relations(cfg, rng, b):
     # it cannot see H_1: the probe proves the relations for the given z
     n, z = first_three(cfg)
     det = det_presentation("Ptilde", n, z, kz_elements(n, z, gaudin_polys(b, n, z)))
-    return block_residual(n, kept_partitions(cfg, n),
-                          lambda la: shifted_relation_residuals(la, det))
+    return block_residual(n, kept_partitions(cfg, n), shifted_relation_reader(n, det))
 
 
 def conjecture_deformed_relations(cfg, rng, b):

@@ -11,20 +11,20 @@ antisymmetrizer is replaced by one representative per cycle type, weighted
 sgn(mu)/z_mu (p(m) terms); ``t_m_poly`` gives the argument, and the literal
 m!-term construction is kept in the tests as the oracle.
 
-The binomial transform ``ts_transform`` writes T_m exactly through S_k, a
-sum over k-subsets in S_n.  The generator tables that spans and block images
-are built from (``t_m_table``) come from the transform, so no algebra builder
-works in S_{n+m}.  The literal trace ``t_m_poly`` stays where the trace is the
-claim: the binomial and inverse transforms, saturation, the cycle shift, the
-swap intertwiner, the reversal, the dagger reversal, the covariance, the
-p-independence (through the transform its span is S_1..S_{n-1}'s for every p)
-and the Schur-Weyl transfer-match checks, and also in ``t_gen``, whose
-T-against-S equality is its own cross-check, and in the CLI's ``emit t``.
-The Schur-Weyl trace compatibility check calls ``trace_map`` directly.
+T_m has one form, symbolic in the trace parameter p: each coefficient in u
+is a ``UPoly`` in p over the group algebra, and ``t_at`` reads it at a
+rational p.  A verification run forms each T_m once, in its store
+(``suites.t_poly``), and every claim evaluates it at its own p.
 
-A symbolic trace parameter p is ``UPoly.gen()``: a polynomial in u whose
-coefficients depend on p then has as each coefficient a ``UPoly`` in p over
-the group algebra, built and compared with plain ``UPoly`` arithmetic.
+The binomial transform ``ts_transform`` writes T_m exactly through S_k, a
+sum over k-subsets in S_n; with sign -1 it inverts from the T_k.  The
+generator tables that spans and block images are built from (``t_m_table``)
+come from the transform, so no algebra builder works in S_{n+m}.  The
+literal trace stays where the trace is the claim: the transform, symmetry,
+saturation and p-independence claims (through the transform that span is
+S_1..S_{n-1}'s for every p), the Schur-Weyl transfer match, the family that
+``t_gen`` takes (its T-against-S equality is its own cross-check) and the
+CLI's ``emit t``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .permutations import (
     ga_lift,
     ga_transposition,
     top_embed,
+    trace_at,
     trace_map,
 )
 from .gaudin import V, diagonal, presentation_det, v_expansion
@@ -81,10 +82,10 @@ def xxx_params(z, hbar=Fraction(1)) -> XXXParams:
 
 
 def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
-    """The m-th generator polynomial, built in the group algebra of S_{n+m}
-    and traced down at the trace parameter p; degree n in u.  p=None reads as
-    the symbolic ``UPoly.gen()``, and then each coefficient of the output is
-    a ``UPoly`` in p over the group algebra of S_n (see ``trace_map``).
+    """The m-th generator polynomial, degree n in u, built in the group
+    algebra of S_{n+m} and traced down symbolically in the trace parameter
+    p: each coefficient is a ``UPoly`` in p over the group algebra of S_n
+    (see ``trace_map``).  Given a p, its value there (``t_at``).
 
     T_m(u) = tr(A_m X(u)), with A_m the antisymmetrizer of the top S_m (the
     symbols n+1..n+m) and X(u) the ordered product of the factors
@@ -97,20 +98,24 @@ def t_m_poly(params: XXXParams, m: int, p=None) -> UPoly:
     if m < 0:
         raise ValueError("m must be nonnegative")
     n, z, hbar = params.n, params.z, params.hbar
-    if p is None:
-        p = UPoly.gen()
     if m == 0:
-        poly = ga_lift(n, scalar_root_poly(z))
-        return poly.map_coeffs(lambda c: UPoly([c])) if isinstance(p, UPoly) else poly
-    big = n + m
-    acc = UPoly([top_embed(antisymmetrizer_classes(m), n, m)])
-    for a in range(n, 0, -1):
-        const = GroupAlgebraElement.scalar(big, -z[a - 1])
-        for i in range(1, m + 1):
-            const = const + ga_transposition(big, a, n + i) * hbar
-        factor = UPoly([const, GroupAlgebraElement.scalar(big, Fraction(1))])
-        acc = acc * factor
-    return UPoly([trace_map(c, n, m, p) for c in acc.coeffs])
+        poly = ga_lift(n, scalar_root_poly(z)).map_coeffs(lambda c: UPoly([c]))
+    else:
+        big = n + m
+        acc = UPoly([top_embed(antisymmetrizer_classes(m), n, m)])
+        for a in range(n, 0, -1):
+            const = GroupAlgebraElement.scalar(big, -z[a - 1])
+            for i in range(1, m + 1):
+                const = const + ga_transposition(big, a, n + i) * hbar
+            acc = acc * UPoly([const, GroupAlgebraElement.scalar(big, Fraction(1))])
+        poly = UPoly([trace_map(c, n, m, UPoly.gen()) for c in acc.coeffs])
+    return poly if p is None else t_at(poly, n, p)
+
+
+def t_at(poly: UPoly, n: int, p) -> UPoly:
+    """A symbolic T_m(u) over S_n (``t_m_poly`` with no p) at the trace
+    parameter p, each u-coefficient read by ``trace_at``."""
+    return poly.map_coeffs(lambda c: trace_at(c, n, p))
 
 
 def t_m_table(params: XXXParams, p, ms, rows) -> dict:
@@ -118,8 +123,8 @@ def t_m_table(params: XXXParams, p, ms, rows) -> dict:
     group algebra, for m in ms and i in rows; the keys run m-major, which is
     the order span closures receive them in.  The tables come from the
     binomial transform of the S_k, each built once in S_n, not from S_{n+m};
-    the literal ``t_m_poly`` stays in the trace claims, ``t_gen`` and
-    ``emit t`` (see the module docstring)."""
+    the literal T_m, traced once per run and read at each claim's own p, is
+    for the trace claims and ``emit t`` (see the module docstring)."""
     n, ms = params.n, list(ms)
     s_family = [s_k_poly(params, k) for k in range(max(ms, default=0) + 1)]
     out = {}
@@ -165,16 +170,9 @@ def qkz_elements(params: XXXParams) -> list:
     elems = []
     for a in range(1, n + 1):
         acc = GroupAlgebraElement.scalar(n, Fraction(1))
-        for b in range(a - 1, 0, -1):
-            acc = acc * (
-                GroupAlgebraElement.scalar(n, z[a - 1] - z[b - 1])
-                + ga_transposition(n, b, a) * hbar
-            )
-        for b in range(n, a, -1):
-            acc = acc * (
-                GroupAlgebraElement.scalar(n, z[a - 1] - z[b - 1])
-                + ga_transposition(n, a, b) * hbar
-            )
+        for b in (*range(a - 1, 0, -1), *range(n, a, -1)):
+            acc = acc * (GroupAlgebraElement.scalar(n, z[a - 1] - z[b - 1])
+                         + ga_transposition(n, a, b) * hbar)
         elems.append(acc)
     s1 = s_k_poly(params, 1)
     for a in range(1, n + 1):
@@ -183,22 +181,18 @@ def qkz_elements(params: XXXParams) -> list:
     prod = GroupAlgebraElement.scalar(n, Fraction(1))
     for e in elems:
         prod = prod * e
-    scalar = Fraction(1)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                scalar *= z[a] - z[b] + hbar
+    scalar = math.prod(z[a] - z[b] + hbar for a in range(n) for b in range(n) if a != b)
     if prod != GroupAlgebraElement.scalar(n, scalar):
         raise AssertionError("product of the family disagrees with closed form")
     return elems
 
 
-def t_gen(params: XXXParams) -> UPoly:
-    """Bivariate generating polynomial at trace parameter p = n; both the
-    T-expansion in v and the S-expansion in v-1 are computed and their
-    equality is enforced."""
+def t_gen(params: XXXParams, t_family) -> UPoly:
+    """Bivariate generating polynomial of ``t_family``, T_0..T_n at the trace
+    parameter p = n; both the T-expansion in v and the S-expansion in v-1 are
+    computed and their equality is enforced."""
     n = params.n
-    lhs = ga_lift(n, v_expansion([t_m_poly(params, m, p=Fraction(n)) for m in range(n + 1)]))
+    lhs = ga_lift(n, v_expansion(t_family))
     rhs = ga_lift(n, v_expansion([s_k_poly(params, k) for k in range(n + 1)], V - Fraction(1)))
     if lhs != rhs:
         raise AssertionError("the two generating expansions disagree")
@@ -213,10 +207,8 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> UPoly:
     n, z, hbar = params.n, params.z, params.hbar
     if not params.distinct:
         raise ValueError("parameters must be pairwise distinct")
-    for a in range(n):
-        for b in range(n):
-            if z[a] - z[b] + hbar == 0:
-                raise ValueError("entry denominator vanishes: z_a - z_b = -hbar")
+    if not params.hbar_separated:  # z_a - z_b + hbar = 0 for some a, b
+        raise ValueError("entry denominator vanishes: z_a - z_b = -hbar")
     if any(commutators(q.coeffs)):
         raise ValueError("coefficients of q do not pairwise commute")
     # each c_a, hence each entry, is a scalar combination of q's
@@ -233,27 +225,21 @@ def det_P_hbar(params: XXXParams, q: UPoly) -> UPoly:
     return presentation_det(diagonal(z), qh, [[hbar * x for x in row] for row in qh])
 
 
-def ts_transform(s_family, m: int, p) -> UPoly:
-    """The binomial transform sum_k S_k/(m-k)! * prod_{i=1..m-k}(p - m + i),
-    which equals T_m for every p; ``s_family[k]`` is S_k for k = 0..m, built
-    once by the caller and shared across orders.  For the symbolic
-    ``UPoly.gen()`` each weight is a ``UPoly`` in p, so a coefficient of the
-    output is one too, or an element where only S_m contributes to it."""
+def ts_transform(family, m: int, p, sign: int = 1) -> UPoly:
+    """The binomial transform sum_k sign^(m-k) F_k/(m-k)! *
+    prod_{i=1..m-k}(p - m + i) of ``family``, F_0..F_m built once by the
+    caller and shared across orders.  Of the S_k it equals T_m for every p;
+    with sign -1, of the T_k at p, it equals S_m (``st_transform``).  For the
+    symbolic ``UPoly.gen()`` each weight is a ``UPoly`` in p, so a
+    coefficient of the output is one too, or an element where only F_m
+    contributes to it."""
     acc = UPoly()
     for k in range(0, m + 1):
-        sk = s_family[k]
-        if not sk:
-            continue
-        scale = falling_binomial(p - k, m - k)
-        acc = acc + sk.map_coeffs(lambda c, s=scale: c * s)
+        scale = falling_binomial(p - k, m - k) * sign ** (m - k)
+        acc = acc + family[k].map_coeffs(lambda c, s=scale: c * s)
     return acc
 
 
-def st_transform(params: XXXParams, m: int, p) -> UPoly:
-    """Inverse transform reproducing S_m from the T-family at any p."""
-    acc = UPoly()
-    for k in range(0, m + 1):
-        tk = t_m_poly(params, k, p=p)
-        scale = falling_binomial(p - k, m - k) * (-1) ** (m - k)
-        acc = acc + tk.map_coeffs(lambda c, s=scale: c * s)
-    return acc
+def st_transform(t_family, m: int, p) -> UPoly:
+    """The inverse transform: S_m from T_0..T_m at p."""
+    return ts_transform(t_family, m, p, -1)

@@ -8,7 +8,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from snbethe.gaudin import det_presentation, relation_residuals, shifted_relation_residuals
+from snbethe.gaudin import det_presentation, relation_residuals, shifted_relation_reader
 from snbethe.homogeneous import homogeneous_generators
 from snbethe.permutations import (
     GroupAlgebraElement, all_permutations, antisymmetrizer, embed, ga_lift, sign,
@@ -17,7 +17,7 @@ from snbethe.reps import BlockMatrix, block_shapes, partition_parts
 from snbethe.rings import MultiPoly, UPoly, _int_scaled, poly_divmod
 from snbethe.spectra import _v_coeffs, annihilate, casorati
 from snbethe.suites import certificate, homogeneous_f, t_images
-from snbethe.xxx import XXXParams, det_P_hbar, s_k_poly
+from snbethe.xxx import XXXParams, det_P_hbar, s_k_poly, t_gen, t_m_poly
 
 
 def distinct_rationals(rng, k: int, spread: int = 40) -> list:
@@ -29,6 +29,12 @@ def distinct_rationals(rng, k: int, spread: int = 40) -> list:
         if all(q != z and abs(q - z) != 1 for z in out):
             out.append(q)
     return out
+
+
+def literal_t_gen(params: XXXParams) -> UPoly:
+    """``xxx.t_gen`` of the literal T_0..T_n at the trace parameter p = n."""
+    n = params.n
+    return t_gen(params, [t_m_poly(params, m, p=Fraction(n)) for m in range(n + 1)])
 
 
 def s1_coeff_elements(params) -> list:
@@ -429,9 +435,9 @@ def check_relations_H(la, z, h) -> list:
 def check_relations_Ht(la, z, h) -> list:
     """Residuals of the second (conjectural) relation family at a commuting
     family h, scalars or elements as in ``check_relations_H``; see
-    ``gaudin.shifted_relation_residuals``."""
+    ``gaudin.shifted_relation_reader``."""
     n = sum(la)
-    return shifted_relation_residuals(la, det_presentation("Ptilde", n, tuple(z), list(h)))
+    return shifted_relation_reader(n, det_presentation("Ptilde", n, tuple(z), list(h)))(la)
 
 
 def check_relations_Hh(la, params: XXXParams, q: UPoly) -> list:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from helpers import (
     check_relations_H, check_relations_Ht, check_relations_Hh, distinct_rationals,
-    float_fiber_loop, homogeneous_eigen, identity_rows, joint_eigen, matmul,
+    float_fiber_loop, homogeneous_eigen, identity_rows, joint_eigen, literal_t_gen, matmul,
     s1_coeff_elements,
 )
 from snbethe.rings import SeededRandom, UPoly, falling_binomial, scalar_root_poly
@@ -50,7 +50,6 @@ from snbethe.xxx import (
     det_P_hbar,
     s_k_poly,
     st_transform,
-    t_gen,
     t_m_poly,
     ts_transform,
     xxx_params,
@@ -194,9 +193,9 @@ def test_acceptance_05_determinant_presentations():
         )
         pr = xxx_params(z, F(1))
         if pr.hbar_separated:
-            assert t_gen(pr) == ga_lift(n, det_P_hbar(pr, s_k_poly(pr, 1)))
+            assert literal_t_gen(pr) == ga_lift(n, det_P_hbar(pr, s_k_poly(pr, 1)))
         prh = homogeneous_params(n)
-        assert t_gen(prh) == ga_lift(n, det_P_hat(n, s_k_poly(prh, 1)))
+        assert literal_t_gen(prh) == ga_lift(n, det_P_hat(n, s_k_poly(prh, 1)))
     elapsed = time.time() - t0
     assert elapsed < 120.0
     announce(5, f"all four determinant presentations exact to n=4 ({elapsed:.0f}s)")
@@ -262,9 +261,10 @@ def test_acceptance_06_trace_calculus():
         pr = xxx_params(tuple(distinct_rationals(rng, n)),
                         rng.nonzero_rational(3, 2))
         family = [s_k_poly(pr, k) for k in range(0, min(n + 1, 4) + 1)]
+        t_family = [t_m_poly(pr, k) for k in range(0, min(n + 1, 4) + 1)]
         for m in range(0, min(n + 1, 4) + 1):
-            assert not t_m_poly(pr, m) - ts_transform(family, m, p)
-            assert not s_k_poly(pr, m) - st_transform(pr, m, p)
+            assert not t_family[m] - ts_transform(family, m, p)
+            assert not s_k_poly(pr, m) - st_transform(t_family, m, p)
     # saturation, sum rule, telescoping
     pr = xxx_params((F(1), F(7, 2), F(-2)), F(2, 3))
     shifted = ga_lift(3, scalar_root_poly([x - pr.hbar for x in pr.z]))

@@ -351,6 +351,7 @@ def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
 BUILDERS = (
     "gaudin_table", "gaudin_tilde_coeff", "gaudin_span", "xxx_table", "xxx_span",
     "homogeneous_span", "gz_span", "certificate", "kz_images", "t_table", "t_images",
+    "t_poly",
 )
 
 
@@ -367,6 +368,47 @@ def test_suites_hold_no_module_cache():
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
     assert names & {"lru_cache", "cache"} == set()
+
+
+def test_only_the_store_builder_traces():
+    # every claim reads T_m(u) from the run's store and evaluates it at its
+    # own p, so suites.py names the literal trace in its builder alone
+    tree = ast.parse(Path(suites.__file__).read_text())
+    builder = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "t_poly")
+
+    def uses(root):
+        return sum(isinstance(node, ast.Name) and node.id == "t_m_poly"
+                   for node in ast.walk(root))
+
+    assert uses(builder) == uses(tree) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "identities-xxx", "--n", "4"],
+    ["run", "all", "--n", "3"],
+])
+def test_each_literal_trace_is_built_once_per_run(capsys, monkeypatch, argv):
+    # one symbolic product in S_{n+m} per parameters and m, whatever p the
+    # claims read it at
+    from collections import Counter
+
+    from snbethe import xxx
+
+    calls, ps = Counter(), []
+    real = xxx.t_m_poly
+
+    def counted(params, m, p=None):
+        calls[(params, m)] += 1
+        ps.append(p)
+        return real(params, m, p=p)
+
+    monkeypatch.setattr(suites, "t_m_poly", counted)
+    monkeypatch.setattr(xxx, "t_m_poly", counted)
+    rc, _ = run_main(capsys, [*argv, "--seed", "7"])
+    assert rc == 0
+    assert calls and set(calls.values()) == {1}
+    assert set(ps) == {None}
 
 
 def test_runs_share_no_builds(monkeypatch):
@@ -690,6 +732,21 @@ def contract_config(rng, fault, cfg_path):
     return argv
 
 
+def run_twice(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``, asserting that a rerun
+    gives the same three byte for byte."""
+    runs = []
+    for _ in range(2):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects a removed flag
+            rc = exc.code
+        captured = capsys.readouterr()
+        runs.append((rc, captured.out, captured.err))
+    assert runs[1] == runs[0], argv
+    return runs[0]
+
+
 def test_seeded_cli_contract(capsys, tmp_path):
     # every drawn configuration exits 0, 1, 2 or 3, with 2 exactly for the
     # invalid ones, prints no traceback, and reruns byte for byte
@@ -697,18 +754,68 @@ def test_seeded_cli_contract(capsys, tmp_path):
     for k in range(40):
         fault = FAULTS[k % len(FAULTS)]
         argv = contract_config(rng, fault, tmp_path / f"cfg{k}.json")
-        runs = []
-        for _ in range(2):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse rejects a removed flag
-                rc = exc.code
-            captured = capsys.readouterr()
-            runs.append((rc, captured.out, captured.err))
-        rc, out, err = runs[0]
-        assert runs[1] == runs[0], argv
+        rc, out, err = run_twice(capsys, argv)
         assert rc in (0, 1, 2, 3) and "Traceback" not in err, argv
         assert (rc == 2) == (fault is not None), argv
         if fault == "lambda word":
             # the error names the flag and the value, as --z and --hbar do
             assert "configuration error: --lambda: 'two' is not a list of integers" in err
+
+
+# the kinds that read --z, and the invalid part of each drawn emit
+# configuration, in turn; None draws a valid one
+Z_KINDS = ("phi", "t", "s", "qkz", "kz")
+EMIT_FAULTS = (None, "n", "z count", "z 1/0", "z x", "z repeated", "hbar 0", "hbar 1/0",
+               "p 1/0", "p x", "m -1", "m word", "k s", "k theta", "charges n",
+               None, None, None, None, None)
+
+
+def emit_config(rng, fault):
+    """A drawn ``emit`` configuration at n <= 4 whose one invalid part, if
+    any, is ``fault``; each fault is drawn with a kind that reads its flag."""
+    kind = {"z repeated": "kz", "hbar 0": rng.choice(("t", "s", "qkz")),
+            "m -1": "t", "m word": "t", "k s": "s", "k theta": "theta",
+            "charges n": "charges"}.get(fault) or rng.choice(
+        Z_KINDS if fault in ("z count", "z 1/0", "z x") else
+        ("phi", "t", "t", "t", "s", "qkz", "kz", "charges", "theta", "idempotents"))
+    n = {"n": rng.integer(-1, 0), "charges n": rng.integer(1, 2),
+         "z repeated": rng.integer(2, 3)}.get(
+        fault, rng.integer(3, 4) if kind == "charges" else rng.integer(1, 3))
+    argv = ["emit", kind, "--n", str(n)]
+    pool = ["0", "2/3", "-5", "7"]
+    z = {"z count": pool[:n + 1], "z 1/0": ["1/0"] + pool[1:n], "z x": pool[1:n] + ["x"],
+         "z repeated": ["1/2"] * n}.get(fault, rng.choice(
+             (None, pool[:n]) + ((["1/2"] * n,) if kind == "t" else ())))
+    if z is not None:
+        argv += ["--z", ",".join(z)]
+    hbar = fault[5:] if fault in ("hbar 0", "hbar 1/0") else rng.choice((None, "1/2", "-2"))
+    if hbar is not None:
+        argv += ["--hbar", hbar]
+    p = fault[2:] if fault in ("p 1/0", "p x") else rng.choice((None, "0", "7/2", "-1/3"))
+    if p is not None:
+        argv.append(f"--p={p}")
+    m = {"m -1": "-1", "m word": "two"}.get(fault, str(rng.integer(0, 3)))
+    argv.append(f"--m={m}")
+    k = {"k s": "-1", "k theta": "0"}.get(fault, str(rng.integer(1, 3)))
+    argv.append(f"--k={k}")
+    return argv
+
+
+def test_seeded_emit_contract(capsys):
+    # every drawn emit exits 0, 2 or 3, with 2 exactly for the invalid ones,
+    # prints no traceback, and reruns byte for byte; a valid ``emit t`` reads
+    # the symbolic trace at its p
+    rng = SeededRandom(20261022)
+    kinds = set()
+    for k in range(100):
+        fault = EMIT_FAULTS[k % len(EMIT_FAULTS)]
+        argv = emit_config(rng, fault)
+        rc, out, err = run_twice(capsys, argv)
+        assert rc in (0, 2, 3) and "Traceback" not in err, argv
+        assert (rc == 2) == (fault is not None), argv
+        if rc == 0:
+            kinds.add(argv[1])
+            assert json.loads(out) is not None and err == "", argv
+        else:
+            assert out == "", argv
+    assert kinds == {"phi", "t", "s", "qkz", "kz", "charges", "theta", "idempotents"}

@@ -390,6 +390,26 @@ def test_check_relations_Ht_examples():
     assert any(check_relations_Ht((1,), (F(4),), [F(1, 3)]))
 
 
+def test_shifted_reader_matches_its_per_partition_form():
+    # the tail products are formed once per determinant; read at each
+    # partition they give the residuals of forming them there
+    from snbethe.reps import content_poly
+
+    rng = SeededRandom(5)
+    for n in (1, 2, 3):
+        z = tuple(distinct_rationals(rng, n))
+        for h in ([rng.rational(5, 3) for _ in range(n)], [F(0)] * n):
+            det = det_presentation("Ptilde", n, z, h)
+            reader = gaudin.shifted_relation_reader(n, det)
+            for la in partitions_of(n):
+                pila = content_poly(la, n)
+                want = (det.coeff(n) - pila).coeffs
+                for i in range(1, n + 1):
+                    tail = scalar_root_poly([F(-j) for j in range(1, n - i + 1)])
+                    want += poly_divmod(det.coeff(n - i) * tail, pila.shift_arg(1))[1].coeffs
+                assert reader(la) == want
+
+
 @pytest.mark.parametrize("check", [check_relations_H, check_relations_Ht])
 def test_relations_on_elements_hold_block_by_block(check):
     # the family itself satisfies each block's relations through its central

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bivariate, series_mul_oracle
+from helpers import bivariate, literal_t_gen, series_mul_oracle
 from snbethe import homogeneous
 from snbethe.rings import UPoly
 from snbethe.permutations import (
@@ -31,7 +31,7 @@ from snbethe.homogeneous import (
     local_density,
     s1_homogeneous,
 )
-from snbethe.xxx import s_k_poly, t_gen, t_m_poly, xxx_params
+from snbethe.xxx import s_k_poly, t_m_poly, xxx_params
 
 F = Fraction
 
@@ -127,7 +127,7 @@ def test_det_P_hat_n2_hand_value():
     s = ga_transposition(2, 1, 2)
     q = UPoly([s, ga(2, 2)])
     det = ga_lift(2, det_P_hat(2, q))
-    assert det == t_gen(homogeneous_params(2))
+    assert det == literal_t_gen(homogeneous_params(2))
 
 
 def test_det_P_hat_n1_scalar():
@@ -159,7 +159,7 @@ def test_det_P_hat_taylor_matrix_matches_per_entry_oracle(n, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generating_det_presentation(n):
     params = homogeneous_params(n)
-    lhs = t_gen(params)
+    lhs = literal_t_gen(params)
     rhs = ga_lift(n, det_P_hat(n, s_k_poly(params, 1)))
     assert lhs == rhs
 

@@ -442,9 +442,28 @@ def test_phi_generators_dagger_fixed_n3():
         assert g.dagger() == g
 
 
+def horner_order(poly, p) -> list:
+    """The keys of sum_l T_l p^l, a polynomial in p over the group algebra,
+    in the order Horner's rule from the top power meets them, on plain
+    dicts: a sum that reaches zero drops its key, and scaling by p = 0 drops
+    them all."""
+    acc = {}
+    for c in reversed(poly.coeffs):
+        acc = {t: x * p for t, x in acc.items() if x * p}
+        for t, x in c.terms.items():
+            s = acc.get(t, 0) + x
+            if s:
+                acc[t] = s
+            else:
+                acc.pop(t, None)
+    return list(acc)
+
+
 def oracle_trace_map(a, n, m, p):
     """The trace map as first written: each permutation's cycle record loses
-    the symbols above n, and each term adds c * p**lost."""
+    the symbols above n, and each term adds c * p**lost.  A rational p lists
+    the keys in the order of evaluating the symbolic trace (``horner_order``),
+    the one form ``trace_map`` builds."""
     assert a.n == n + m
     acc = {}
     for perm, c in a.terms.items():
@@ -464,7 +483,8 @@ def oracle_trace_map(a, n, m, p):
         top = max((c.degree for c in acc.values()), default=-1)
         return UPoly([GroupAlgebraElement(n, {t: c.coeff(l) for t, c in acc.items()})
                       for l in range(top + 1)])
-    return GroupAlgebraElement(n, acc)
+    order = horner_order(oracle_trace_map(a, n, m, UPoly.gen()), p)
+    return GroupAlgebraElement(n, {t: acc[t] for t in order})
 
 
 def typed_terms(a):

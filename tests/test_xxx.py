@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    bivariate, check_relations_Hh, distinct_rationals, homogeneous_eigen, lift_u,
+    bivariate, check_relations_Hh, distinct_rationals, homogeneous_eigen, lift_u, literal_t_gen,
     s1_coeff_elements, v_coeff,
 )
 from snbethe.rings import SeededRandom, UPoly, scalar_root_poly
@@ -30,7 +30,6 @@ from snbethe.xxx import (
     qkz_elements,
     s_k_poly,
     st_transform,
-    t_gen,
     t_m_poly,
     t_m_table,
     XXXParams,
@@ -151,11 +150,14 @@ def test_p_independence_claim_uses_the_literal_trace(monkeypatch):
         with pytest.raises(AssertionError, match="literal trace called"):
             suites.xxx_p_independence(cfg, None, suites.Builds())
 
-    # a trace whose coefficients moved with p is caught
-    def drifting(params, m, p=None):
-        poly = t_m_poly(params, m, p=p)
-        if p == 17 and m == 1:
-            poly = poly + UPoly([ga_transposition(params.n, 1, 2)])
+    # a symbolic trace whose coefficients move with p is caught: the term
+    # (p - 1)(p - 2) s(1, 2) on T_1's u^0 coefficient vanishes at p = 1 and
+    # p = 2 but not at p = 17
+    def drifting(params, m):
+        poly = t_m_poly(params, m)
+        if m == 1:
+            s = ga_transposition(params.n, 1, 2)
+            poly = poly + UPoly([UPoly([s * 2, s * -3, s])])
         return poly
 
     monkeypatch.setattr(suites, "t_m_poly", drifting)
@@ -265,8 +267,9 @@ def test_inverse_transform_symbolic(n):
     rng = SeededRandom(n + 60)
     pr = xxx_params(distinct_rationals(rng, n), rng.nonzero_rational(3, 2))
     p = UPoly.gen()
+    t_family = [t_m_poly(pr, k) for k in range(0, min(n + 1, 4) + 1)]
     for m in range(0, min(n + 1, 4) + 1):
-        assert not s_k_poly(pr, m) - st_transform(pr, m, p)
+        assert not s_k_poly(pr, m) - st_transform(t_family, m, p)
 
 
 def test_qkz_examples():
@@ -300,7 +303,7 @@ def test_qkz_matches_first_order_values():
 def test_t_gen_n2_explicit():
     pr = xxx_params([0, 0], 1)
     t = ga_transposition(2, 1, 2)
-    T = t_gen(pr)
+    T = literal_t_gen(pr)
     w = bivariate([[F(-1), F(1)]])  # v - 1
     want = (
         bivariate([[0], [0], [F(1)]]) * w * w
@@ -312,12 +315,12 @@ def test_t_gen_n2_explicit():
 
 def test_t_gen_n1_and_leading_coefficient():
     pr = xxx_params([F(3)], F(2))
-    T = t_gen(pr)
+    T = literal_t_gen(pr)
     # (u - 3)v - (u - 3 + 2) = (u - 3)v - (u - 1)
     assert v_coeff(T, 1) == lift(1, UPoly([F(-3), F(1)]))
     assert v_coeff(T, 0) == lift(1, UPoly([F(1), F(-1)]))
     pr3 = xxx_params([0, 2, 5], 1)
-    assert v_coeff(t_gen(pr3), 3) == lift(3, scalar_root_poly(pr3.z))
+    assert v_coeff(literal_t_gen(pr3), 3) == lift(3, scalar_root_poly(pr3.z))
 
 
 def test_det_P_hbar_scalar_and_zero():
@@ -345,7 +348,7 @@ def test_generating_det_presentation(n):
         pr = xxx_params(z, F(1))
         if pr.hbar_separated:
             break
-    T = t_gen(pr)
+    T = literal_t_gen(pr)
     D = det_P_hbar(pr, s_k_poly(pr, 1))
     assert T == ga_lift(n, D)
 

@@ -299,16 +299,9 @@ AT_MOST_PAIRS_Z = Requirement("needs no z value repeated three times",
 HBAR_SEPARATED = Requirement(
     "needs hbar-separated parameters",
     lambda cfg: xxx_params(cfg.z, cfg.hbar).hbar_separated)
-# the eigenvalue relations are checked at min(n, 3), on the first three z,
-# so the conjecture probes find no record of a partition --lambda of n > 3
-LAMBDA_AT_MOST_THREE = Requirement("needs n <= 3 with --lambda",
-                                   lambda cfg: cfg.lam is None or cfg.n <= 3)
-FIRST_THREE_DISTINCT = Requirement(
-    "needs the first three z values pairwise distinct",
-    lambda cfg: ParameterSet(cfg.z[:3]).distinct)
-FIRST_THREE_SEPARATED = Requirement(
-    "needs the first three z values hbar-separated at hbar = 1",
-    lambda cfg: xxx_params(cfg.z[:3]).hbar_separated)
+# the deformed probe builds its presentation at hbar = 1, whatever --hbar is
+SEPARATED_AT_ONE = Requirement("needs z hbar-separated at hbar = 1",
+                               lambda cfg: xxx_params(cfg.z).hbar_separated)
 
 
 def n_only(cfg) -> dict:
@@ -451,11 +444,23 @@ def gaudin_shifted_edges(cfg, rng, b):
 # xxx identities
 
 
+# The orders m of the transform claims, and of the symmetry claims, which
+# compare T_m of the run's parameters with T_m of others: each T_m is a
+# product in S_{n+m}, so the orders stop at a fixed m_max whatever n is.
+TRANSFORM_ORDERS = range(0, 5)
+T_ORDERS = range(1, 4)
+
+
+def orders_params(orders):
+    return lambda cfg: {"n": cfg.n, "m_max": orders[-1]}
+
+
 def transform_families(cfg, b):
     """The S_k and the stored T_k, symbolic in p, of the run's parameters
-    for the orders k = 0..min(n+1, 4) of the transform claims."""
-    params, orders = xxx_params(cfg.z, cfg.hbar), range(0, min(cfg.n + 1, 4) + 1)
-    return [s_k_poly(params, k) for k in orders], [b(t_poly, params, k) for k in orders]
+    for the orders of the transform claims (S_k = 0 for k > n)."""
+    params = xxx_params(cfg.z, cfg.hbar)
+    return ([s_k_poly(params, k) for k in TRANSFORM_ORDERS],
+            [b(t_poly, params, k) for k in TRANSFORM_ORDERS])
 
 
 def xxx_binomial_transform(cfg, rng, b):
@@ -475,13 +480,15 @@ def shifted_root_target(cfg):
 
 
 def xxx_saturation(cfg, rng, b):
+    params = xxx_params(cfg.z, cfg.hbar)
+    return max_abs(t_value(b, params, cfg.n, Fraction(cfg.n)) - shifted_root_target(cfg))
+
+
+def xxx_saturation_next(cfg, rng, b):
+    # T_{n+1} is a product in S_{2n+1}
     n, params = cfg.n, xxx_params(cfg.z, cfg.hbar)
-    target = shifted_root_target(cfg)
-    orders = (n, n + 1) if n <= 5 else (n,)
-    residuals = [t_value(b, params, m, Fraction(m)) - target for m in orders]
-    if n <= 5:
-        residuals.append(t_value(b, params, n + 1, Fraction(n)))
-    return max_abs(*residuals)
+    return max_abs(t_value(b, params, n + 1, Fraction(n + 1)) - shifted_root_target(cfg),
+                   t_value(b, params, n + 1, Fraction(n)))
 
 
 def xxx_sum_rule(cfg, rng, b):
@@ -522,14 +529,13 @@ def xxx_cycle_shift(cfg, rng, b):
     return max_abs(*(
         t_value(b, prot, m, Fraction(2)).map_coeffs(lambda c: conjugate(c, gam))
         - t_value(b, params, m, Fraction(2))
-        for m in range(1, min(n, 3) + 1)
+        for m in T_ORDERS
     ))
 
 
 def xxx_swap_intertwiner(cfg, rng, b):
     n, z, hbar = cfg.n, cfg.z, cfg.hbar
-    orders = range(1, min(n, 3) + 1)
-    base = [t_value(b, xxx_params(z, hbar), m, Fraction(2)) for m in orders]
+    base = [t_value(b, xxx_params(z, hbar), m, Fraction(2)) for m in T_ORDERS]
     residuals = []
     for a in range(1, n):
         w = ga_transposition(n, a, a + 1) * (z[a - 1] - z[a]) + \
@@ -537,7 +543,7 @@ def xxx_swap_intertwiner(cfg, rng, b):
         zs = list(z)
         zs[a - 1], zs[a] = zs[a], zs[a - 1]
         pswap = xxx_params(tuple(zs), hbar)
-        for m, t in zip(orders, base):
+        for m, t in zip(T_ORDERS, base):
             lhs = t.map_coeffs(lambda c: w * c)
             rhs = t_value(b, pswap, m, Fraction(2)).map_coeffs(lambda c: c * w)
             residuals.append(lhs - rhs)
@@ -702,7 +708,7 @@ def xxx_covariance(cfg, rng, b):
     sh = rng.rational(4, 2)
     residuals = []
     pscale = xxx_params(tuple(sc * x for x in z), sc * hbar)
-    for m in range(1, min(n, 3) + 1):
+    for m in T_ORDERS:
         base = t_value(b, params, m, Fraction(2))
         scaled = t_value(b, pscale, m, Fraction(2))
         # T(s*u; p; s*hbar; s*z) = s^n T(u; p; hbar; z)
@@ -732,12 +738,18 @@ def homog_generating_det(cfg, rng, b):
     return max_abs(generating_t(b, params) - ga_lift(n, det_P_hat(n, s_k_poly(params, 1))))
 
 
+def charge_k_max(n: int) -> int:
+    """The last charge I_k that homog.charge-densities rebuilds at n: I_k
+    exists for k <= n - 2, and its window density is built up to k = 3."""
+    return min(n - 2, 3)
+
+
 def homog_charge_densities(cfg, rng, b):
     n = cfg.n
     charges = local_charges(n)
     return max_abs(*(
         charge_from_density(n, k, local_density(k)) - charges[k - 1]
-        for k in range(1, min(n - 2, 3) + 1)
+        for k in range(1, charge_k_max(n) + 1)
     ))
 
 
@@ -778,8 +790,6 @@ def homog_dagger_invariant(cfg, rng, b):
 def sw_trace_compat(cfg, rng, b):
     for N in (2, 3):
         for (nn, m) in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3), (3, 2)):
-            if nn + m > 5:
-                continue
             for _ in range(4):
                 sig = rng.choice(all_permutations(nn + m))
                 lhs = partial_trace(varpi_perm(sig, N), m)
@@ -795,8 +805,6 @@ def sw_trace_compat(cfg, rng, b):
 
 def sw_diffop_image(cfg, rng, b):
     for (N, nn) in ((2, 2), (3, 2), (3, 3)):
-        if nn > cfg.n:
-            continue
         z = default_z(nn)
         table = gaudin_diffop_coeffs(N, nn, z)
         _, phis = phi_polys(nn, z)
@@ -849,8 +857,6 @@ def sw_transfer_commute(cfg, rng, b):
 def sw_heisenberg(cfg, rng, b):
     N = 2
     for nn in (3, 4):
-        if nn > max(cfg.n, 3):
-            continue
         lhs = varpi(local_charges(nn)[0], N)
         rhs = TensorOperator.zero(N, nn)
         for a in range(1, nn + 1):
@@ -922,11 +928,6 @@ def spectra_eigen_count(cfg, rng, b):
                                            seed), b(t_images, n)))
 
 
-def first_three(cfg):
-    n = min(cfg.n, 3)
-    return n, cfg.z[:n]
-
-
 def block_residual(n: int, partitions, residuals) -> Fraction:
     """Largest coefficient of e_la r over the partitions la of n and the
     residuals r in ``residuals(la)`` of a relation family R at commuting
@@ -937,9 +938,8 @@ def block_residual(n: int, partitions, residuals) -> Fraction:
 
 
 def spectra_relations(cfg, rng, b):
-    n, z = first_three(cfg)
-    det = det_presentation("P", n, z, kz_elements(n, z, gaudin_polys(b, n, z)))
-    return block_residual(n, partitions_of(n), lambda la: relation_residuals(la, det))
+    det = gaudin_presentation(cfg, b, "P")
+    return block_residual(cfg.n, partitions_of(cfg.n), lambda la: relation_residuals(la, det))
 
 
 def spectra_fiber_loop(cfg, rng, b):
@@ -952,42 +952,36 @@ def spectra_fiber_loop(cfg, rng, b):
     # degree: the sum grows by k at each of the distinct degrees la_i + n - i
     # and by 0 elsewhere exactly when every line has one kernel polynomial of
     # each.
-    for n in (3, 4):
-        if n > cfg.n:
-            continue
-        cert = b(certificate, n, tuple(homogeneous_generators(n)), cfg.seed)
-        if not cert["squarefree"]:
-            raise ValueError("simple spectrum not certified for this seed")
-        table = b(t_table, n)
-        if not (_one_line_per_tableau(n, cert, b(t_images, n))
-                and all(table[(n, i)] == math.comb(n, i) for i in range(n + 1))):
+    n = cfg.n
+    cert = b(certificate, n, tuple(homogeneous_generators(n)), cfg.seed)
+    if not cert["squarefree"]:
+        raise ValueError("simple spectrum not certified for this seed")
+    table = b(t_table, n)
+    if not (_one_line_per_tableau(n, cert, b(t_images, n))
+            and all(table[(n, i)] == math.comb(n, i) for i in range(n + 1))):
+        return False
+    f = homogeneous_f(n, table)
+    # the images of u^d for d <= la_1 + n - 1 on every block
+    images = [[represent(ga_lift(n, c))
+               for c in sp.annihilate(f, UPoly([0] * d + [1])).coeffs]
+              for d in range(2 * n)]
+    for bi, (la, k) in enumerate(block_shapes(n)):
+        degrees = [part + n - i for i, part in enumerate(partition_parts(la, n), start=1)]
+        if sorted(sp.kernel_degrees(images[:degrees[0] + 1], bi, k)) != sorted(degrees * k):
             return False
-        f = homogeneous_f(n, table)
-        # the images of u^d for d <= la_1 + n - 1 on every block
-        images = [[represent(ga_lift(n, c))
-                   for c in sp.annihilate(f, UPoly([0] * d + [1])).coeffs]
-                  for d in range(2 * n)]
-        for bi, (la, k) in enumerate(block_shapes(n)):
-            degrees = [part + n - i for i, part in enumerate(partition_parts(la, n), start=1)]
-            if sorted(sp.kernel_degrees(images[:degrees[0] + 1], bi, k)) != sorted(degrees * k):
-                return False
     return True
 
 
 def spectra_cyclic_vectors(cfg, rng, b):
-    for la in partitions_of(min(cfg.n, 4)):
-        coords, value = sp.cyclic_vector(la, cfg.z[:sum(la)], "classic")
-        deg = max(
-            (sum(e) for c in coords for e in c.terms), default=0
-        )
-        want = sum((i - 1) * part for i, part in enumerate(la, start=1))
-        if deg != want:
-            return False
-    return True
+    # the invariant of block la has degree sum_i (i - 1) la_i
+    return all(
+        max((sum(e) for c in sp.cyclic_vector(la, cfg.z, "classic")[0] for e in c.terms),
+            default=0) == sum((i - 1) * part for i, part in enumerate(la, start=1))
+        for la in partitions_of(cfg.n))
 
 
 def spectra_deformed_action(cfg, rng, b):
-    nn = min(cfg.n, 4)
+    n = cfg.n
 
     def act(q, *indices):
         for i in indices:
@@ -997,15 +991,15 @@ def spectra_deformed_action(cfg, rng, b):
     residuals = []
     for _ in range(4):
         q = MultiPoly(
-            nn,
+            n,
             {
-                tuple(rng.integer(0, 2) for _ in range(nn)): rng.rational(5, 2)
+                tuple(rng.integer(0, 2) for _ in range(n)): rng.rational(5, 2)
                 for _ in range(3)
             },
         )
-        residuals += [act(q, i, i) - q for i in range(nn - 1)]
+        residuals += [act(q, i, i) - q for i in range(n - 1)]
         residuals += [act(q, i, i + 1, i) - act(q, i + 1, i, i + 1)
-                      for i in range(nn - 2)]
+                      for i in range(n - 2)]
     return max_abs(*residuals)
 
 
@@ -1044,28 +1038,26 @@ def spectra_trend_hbar(cfg, rng, b):
 
 
 def probe_params(cfg) -> dict:
-    return {"n": min(cfg.n, 3), **({} if cfg.lam is None else {"lambda": list(cfg.lam)})}
+    return {"n": cfg.n, **({} if cfg.lam is None else {"lambda": list(cfg.lam)})}
 
 
-def kept_partitions(cfg, n: int) -> list:
+def kept_partitions(cfg) -> list:
     """The partitions of n that the probes read: all, or --lambda's alone."""
-    return [la for la in partitions_of(n) if cfg.lam is None or la == cfg.lam]
+    return [la for la in partitions_of(cfg.n) if cfg.lam is None or la == cfg.lam]
 
 
 def conjecture_shifted_relations(cfg, rng, b):
     # the presentation reads H_1 only as z_1 H_1, so at the default z (z_1 = 0)
     # it cannot see H_1: the probe proves the relations for the given z
-    n, z = first_three(cfg)
-    det = det_presentation("Ptilde", n, z, kz_elements(n, z, gaudin_polys(b, n, z)))
-    return block_residual(n, kept_partitions(cfg, n), shifted_relation_reader(n, det))
+    det = gaudin_presentation(cfg, b, "Ptilde")
+    return block_residual(cfg.n, kept_partitions(cfg), shifted_relation_reader(cfg.n, det))
 
 
 def conjecture_deformed_relations(cfg, rng, b):
-    n, z = first_three(cfg)
-    params = xxx_params(z)
+    params = xxx_params(cfg.z)
     # the presentation at the first-order polynomial, in powers of u and w = v - 1
     det = det_P_hbar(params, s_k_poly(params, 1)).map_coeffs(lambda c: c.shift_arg(1))
-    return block_residual(n, kept_partitions(cfg, n), lambda la: relation_residuals(la, det))
+    return block_residual(cfg.n, kept_partitions(cfg), lambda la: relation_residuals(la, det))
 
 
 # ---------------------------------------------------------------------------
@@ -1103,18 +1095,22 @@ SUITES = {
     ),
     "identities-xxx": (
         Claim("xxx.binomial-transform", "trace family from the p-free family, symbolic p",
-              xxx_binomial_transform, lambda cfg: {"n": cfg.n, "m_max": min(cfg.n + 1, 4)}),
+              xxx_binomial_transform, orders_params(TRANSFORM_ORDERS)),
         Claim("xxx.inverse-transform", "p-free family from the trace family, symbolic p",
-              xxx_inverse_transform),
+              xxx_inverse_transform, orders_params(TRANSFORM_ORDERS)),
         Claim("xxx.saturation", "trace family saturates at integer p", xxx_saturation),
+        Claim("xxx.saturation-next",
+              "the next trace polynomial saturates at p = n + 1 and vanishes at p = n",
+              xxx_saturation_next, lambda cfg: {"n": cfg.n, "m": cfg.n + 1},
+              requires=(n_range(hi=5),)),
         Claim("xxx.sum-rule", "the p-free family sums to the shifted root product",
               xxx_sum_rule),
         Claim("xxx.telescoping", "antisymmetrizer telescoping identity",
               xxx_telescoping, lambda cfg: {"hbar": str(cfg.hbar)}),
         Claim("xxx.cycle-shift", "long-cycle conjugation rotates the parameters",
-              xxx_cycle_shift),
+              xxx_cycle_shift, orders_params(T_ORDERS)),
         Claim("xxx.swap-intertwiner", "adjacent swap intertwines neighbouring parameters",
-              xxx_swap_intertwiner),
+              xxx_swap_intertwiner, orders_params(T_ORDERS)),
         Claim("xxx.reversal", "order reversal exchanges the family with its mirror",
               xxx_reversal, lambda cfg: {"n": cfg.n, "N": cfg.n},
               requires=(n_range(hi=3),)),
@@ -1146,7 +1142,7 @@ SUITES = {
         Claim("xxx.commuting", "pairwise commutativity of the trace family",
               xxx_commuting),
         Claim("xxx.covariance", "simultaneous scaling and shift covariance",
-              xxx_covariance),
+              xxx_covariance, orders_params(T_ORDERS)),
     ),
     "homogeneous": (
         Claim("homog.s1-cycles", "first-order polynomial from increasing-cycle sums",
@@ -1157,7 +1153,7 @@ SUITES = {
         Claim("homog.charge-densities",
               "window densities rebuild the charges as cyclic sums",
               homog_charge_densities,
-              lambda cfg: {"n": cfg.n, "k_max": min(cfg.n - 2, 3)},
+              lambda cfg: {"n": cfg.n, "k_max": charge_k_max(cfg.n)},
               requires=(n_range(3),)),
         Claim("homog.charge-shift-commute", "charges commute with the long cycle",
               homog_charge_shift_commute, requires=(n_range(3),)),
@@ -1183,7 +1179,7 @@ SUITES = {
         Claim("sw.transfer-commute", "transfer matrices commute at sample points",
               sw_transfer_commute, lambda cfg: {"N": 2, "n": 2}),
         Claim("sw.heisenberg", "first charge maps to the nearest-neighbour exchange sum",
-              sw_heisenberg, lambda cfg: {"N": 2}),
+              sw_heisenberg, lambda cfg: {"N": 2, "n": [3, 4]}),
     ),
     # the rational family keeps the dimension law, maximality and simple
     # spectrum while parameters coincide at most in pairs (spectra.coincidences)
@@ -1194,7 +1190,8 @@ SUITES = {
               requires=(AT_MOST_PAIRS_Z,)),
         Claim("spectra.maximality", "each family is its own commutant",
               spectra_maximality, requires=(AT_MOST_PAIRS_Z,)),
-        Claim("spectra.coincidences", "maximality survives a pair but fails on a triple",
+        Claim("spectra.coincidences",
+              "maximality survives a pair but fails on a triple, at n = 4 with fixed parameters",
               spectra_coincidences, lambda cfg: {"n": 4}, requires=(n_range(4),)),
         Claim("spectra.simple-spectrum", "random combinations have squarefree charpoly",
               spectra_simple_spectrum, lambda cfg: {"n": cfg.n, "seed": cfg.seed},
@@ -1202,15 +1199,14 @@ SUITES = {
         Claim("spectra.eigen-count", "one joint eigenvector per standard tableau",
               spectra_eigen_count, requires=(DISTINCT_Z,)),
         Claim("spectra.relations", "eigenvalue data satisfies the scalar relations",
-              spectra_relations, lambda cfg: {"n": min(cfg.n, 3)},
-              requires=(FIRST_THREE_DISTINCT,)),
+              spectra_relations, requires=(n_range(hi=6), DISTINCT_Z)),
         Claim("spectra.fiber-loop",
               "eigen data reconstructs polynomial subspaces with the right shape",
-              spectra_fiber_loop, lambda cfg: {"n_range": [3, 4]}),
+              spectra_fiber_loop, requires=(n_range(3, 5),)),
         Claim("spectra.cyclic-vectors", "minimal-degree invariants exist and are unique",
-              spectra_cyclic_vectors, lambda cfg: {"n": min(cfg.n, 4)}),
+              spectra_cyclic_vectors, requires=(n_range(hi=4),)),
         Claim("spectra.deformed-action", "the divided-difference deformation is an action",
-              spectra_deformed_action, lambda cfg: {"n": min(cfg.n, 4)}),
+              spectra_deformed_action),
         Claim("spectra.trend-rational", "steep parameters contract to the tower span",
               spectra_trend_rational, requires=(n_range(3, 4),)),
         Claim("spectra.trend-shifted", "the deformed family contracts likewise",
@@ -1222,12 +1218,11 @@ SUITES = {
         Claim("conjecture.shifted-relations",
               "eigen data satisfies the shifted scalar relations",
               conjecture_shifted_relations, probe_params,
-              requires=(LAMBDA_AT_MOST_THREE, FIRST_THREE_DISTINCT), conjecture=True),
+              requires=(n_range(hi=5), DISTINCT_Z), conjecture=True),
         Claim("conjecture.deformed-relations",
               "eigen data satisfies the deformed scalar relations",
               conjecture_deformed_relations, probe_params,
-              requires=(LAMBDA_AT_MOST_THREE, FIRST_THREE_DISTINCT, FIRST_THREE_SEPARATED),
-              conjecture=True),
+              requires=(n_range(hi=5), DISTINCT_Z, SEPARATED_AT_ONE), conjecture=True),
     ),
 }
 

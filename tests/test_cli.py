@@ -343,8 +343,8 @@ def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
     # the gaudin, xxx and homogeneous generators at the run's parameters (the
     # dimension law and maximality), the Gelfand-Zetlin ones, the pair of
     # spectra.coincidences, and xxx at its own parameters (simple spectrum);
-    # the fiber loop reuses the homogeneous one and adds it at n = 3
-    assert len(calls) == len(set(calls)) == 7
+    # the fiber loop reuses the homogeneous one
+    assert len(calls) == len(set(calls)) == 6
 
 
 # The suite's builders: each takes the run's store first and is read through it.
@@ -382,6 +382,74 @@ def test_only_the_store_builder_traces():
                    for node in ast.walk(root))
 
     assert uses(builder) == uses(tree) == 1
+
+
+def hidden_clamps(tree) -> list:
+    """(function, line) of every place where the claim table, or a suites.py
+    function it reaches by name, bounds the configured n inside a claim: min
+    or max over an expression of cfg.n, a branch on cfg.n against a
+    constant, or a loop over a literal tuple of sizes whose body reads
+    cfg.n.  Local names bound to cfg.n count as cfg.n; a helper that takes
+    n as a plain argument does not, so an order bound it computes is named
+    in its claim's params (m_max, k_max)."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(node for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "SUITES" for t in node.targets))
+
+    def is_cfg_n(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "n"
+                and isinstance(node.value, ast.Name) and node.value.id == "cfg")
+
+    def aliases(root):
+        out = set()
+        for node in ast.walk(root):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (zip(target.elts, value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                out |= {t.id for t, v in pairs if isinstance(t, ast.Name) and is_cfg_n(v)}
+        return out
+
+    def literal_sizes(node, top=True):
+        # a tuple or list of ints, or of tuples of ints
+        return (not top and isinstance(node, ast.Constant) and type(node.value) is int
+                or isinstance(node, (ast.Tuple, ast.List))
+                and all(literal_sizes(x, False) for x in node.elts))
+
+    found, seen, todo = [], set(), [("SUITES", table)]
+    while todo:
+        name, root = todo.pop()
+        names = aliases(root)
+
+        def reads_n(node):
+            return any(is_cfg_n(x) or isinstance(x, ast.Name) and x.id in names
+                       for x in ast.walk(node))
+
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and node.id in defs and node.id not in seen:
+                seen.add(node.id)
+                todo.append((node.id, defs[node.id]))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("min", "max"):
+                hit = any(map(reads_n, node.args))
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                hit = (any(is_cfg_n(s) or getattr(s, "id", None) in names for s in sides)
+                       and any(isinstance(s, ast.Constant) for s in sides))
+            elif isinstance(node, ast.For):
+                hit = literal_sizes(node.iter) and any(map(reads_n, node.body))
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                hit = any(literal_sizes(g.iter) for g in node.generators) and reads_n(node)
+            else:
+                hit = False
+            if hit:
+                found.append((name, node.lineno))
+    return found
+
+
+def test_claims_bound_n_only_by_their_requirements():
+    # a claim runs at cfg.n, and a cap is an n_range that its SKIP names
+    assert hidden_clamps(ast.parse(Path(suites.__file__).read_text())) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -485,7 +553,6 @@ def test_repeated_z_skips_what_needs_distinct_z(capsys, argv, skipped):
 @pytest.mark.parametrize("argv", [
     *(["run", suite, "--n", n] for suite in suites.SUITES for n in ("1", "2", "3")),
     ["run", "spectra", "--n", "4", "--z", "0,0,0,1"],
-    # the probes run at min(n, 3), where no record has a partition of 4
     ["run", "conjectures", "--n", "4", "--lambda", "2,1,1"],
 ], ids=lambda argv: "".join(argv[1:]).replace("--", "-"))
 def test_every_declared_check_reported_once(capsys, argv):
@@ -500,16 +567,24 @@ def test_every_declared_check_reported_once(capsys, argv):
             assert r["detail"] in [q.text for q in claims[r["check"]].requires]
 
 
-def test_lambda_above_three_skips_the_probes(capsys):
-    # a partition of 4 matches no eigen record at min(n, 3), so the probes
-    # would check nothing
-    rc, out = run_main(capsys, ["run", "conjectures", "--n", "4", "--lambda", "2,1,1",
-                                "--format", "json"])
+@pytest.mark.parametrize("name, probe", [
+    (None, None),
+    ("kz_elements", "conjecture.shifted-relations"),
+    ("s_k_poly", "conjecture.deformed-relations"),
+])
+def test_lambda_probes_read_their_block_at_n(capsys, monkeypatch, name, probe):
+    # the probes run at n = 4 itself, so --lambda 2,1,1 reads that block:
+    # both pass, and a perturbation on that block alone fails its probe
+    if name is not None:
+        monkeypatch.setattr(suites, name, perturbed(name, (2, 1, 1)))
+    rc, out = run_main(capsys, ["run", "conjectures", "--n", "4", "--z", "1,3,6,10",
+                                "--lambda", "2,1,1", "--format", "json"])
     assert rc == 0
-    got = {r["check"]: (r["status"], r["detail"]) for r in json.loads(out)["checks"]}
-    skip = ("SKIPPED", "needs n <= 3 with --lambda")
-    assert got == {"conjecture.deformed-relations": skip,
-                   "conjecture.shifted-relations": skip}
+    records = json.loads(out)["checks"]
+    assert {r["check"]: r["status"] for r in records} == {
+        check: "CONJECTURE-FAIL" if check == probe else "CONJECTURE-PASS"
+        for check in ("conjecture.shifted-relations", "conjecture.deformed-relations")}
+    assert all(r["params"] == {"n": 4, "lambda": [2, 1, 1]} for r in records)
 
 
 def test_config_file_mirrors_flags(capsys, tmp_path):
@@ -647,34 +722,42 @@ def test_probe_records_name_lambda(capsys):
     assert params["spectra.relations"] == {"n": 3}
 
 
-def perturbed(name):
-    """suites' kz_elements with e_(n) added to H_1, or its s_k_poly with e_(n)
-    added to S_1: central, so the family still commutes, and nonzero on the
-    block (n) alone."""
+def perturbed(name, block=None):
+    """suites' kz_elements with e_la added to H_1, or its s_k_poly with e_la
+    added to S_1, la the partition ``block`` or (n): central, so the family
+    still commutes, and nonzero on the block la alone."""
     real = getattr(suites, name)
+
+    def e(n):
+        return central_idempotent(block or (n,), n)
+
     if name == "kz_elements":
         def fn(n, z, polys):
             fam = real(n, z, polys)
-            return [fam[0] + central_idempotent((n,), n)] + fam[1:]
+            return [fam[0] + e(n)] + fam[1:]
     else:
         def fn(params, k):
             out = real(params, k)
-            return out + central_idempotent((params.n,), params.n) if k == 1 else out
+            return out + e(params.n) if k == 1 else out
     return fn
 
 
-@pytest.mark.parametrize("name, probe", [
-    ("kz_elements", "conjecture.shifted-relations"),
-    ("s_k_poly", "conjecture.deformed-relations"),
+@pytest.mark.parametrize("name, probe, n", [
+    pytest.param(name, probe, n, id=f"{name}-{probe}" + ("" if n == 3 else f"-n{n}"))
+    for name, probe in (("kz_elements", "conjecture.shifted-relations"),
+                        ("s_k_poly", "conjecture.deformed-relations"))
+    for n in (3, 4, 5)
 ])
-def test_relation_claims_see_a_central_perturbation(capsys, monkeypatch, name, probe):
+def test_relation_claims_see_a_central_perturbation(capsys, monkeypatch, name, probe, n):
     monkeypatch.setattr(suites, name, perturbed(name))
 
     def statuses(*argv):
         # z_1 != 0: the shifted presentation reads H_1 only through z_1 H_1
-        rc, out = run_main(capsys, ["run", *argv, "--n", "3", "--z", "1,3,6",
-                                    "--format", "json"])
-        return rc, {r["check"]: r["status"] for r in json.loads(out)["checks"]}
+        rc, out = run_main(capsys, ["run", *argv, "--n", str(n), "--z",
+                                    ",".join("1 3 6 10 15".split()[:n]), "--format", "json"])
+        records = json.loads(out)["checks"]
+        assert all(r["params"]["n"] == n for r in records if "relations" in r["check"])
+        return rc, {r["check"]: r["status"] for r in records}
 
     rc, got = statuses("spectra")
     assert got["spectra.relations"] == ("FAIL" if name == "kz_elements" else "PASS")
@@ -684,8 +767,11 @@ def test_relation_claims_see_a_central_perturbation(capsys, monkeypatch, name, p
              - {probe}).pop()
     assert rc == 0
     assert got == {probe: "CONJECTURE-FAIL", other: "CONJECTURE-PASS"}
-    for lam, want in (("2,1", "CONJECTURE-PASS"), ("1,1,1", "CONJECTURE-PASS"),
-                      ("3", "CONJECTURE-FAIL")):
+    # --lambda is read at n = 3 and 4: the dense e_(n) slows each perturbed
+    # probe run at n = 5 to about a second
+    blocks = ((f"{n - 1},1", "CONJECTURE-PASS"), (",".join("1" * n), "CONJECTURE-PASS"),
+              (str(n), "CONJECTURE-FAIL"))
+    for lam, want in blocks if n < 5 else ():
         _, got = statuses("conjectures", "--lambda", lam)
         assert got[probe] == want
 

@@ -780,6 +780,18 @@ def test_fiber_loop_agrees_with_the_float_oracle(monkeypatch, seed, perturbation
         assert exact is float_fiber_loop(b, n, seed) is (perturbation is None)
 
 
+def test_fiber_loop_names_its_cap(capsys):
+    import json
+
+    from snbethe import cli
+
+    assert cli.main(["run", "spectra", "--n", "2", "--format", "json"]) == 0
+    record = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+                  if c["check"] == "spectra.fiber-loop")
+    assert (record["status"], record["detail"], record["params"]) == (
+        "SKIPPED", "needs 3 <= n <= 5", {"n": 2})
+
+
 def test_fiber_loop_keeps_the_uncertified_error(monkeypatch):
     from snbethe import suites
 

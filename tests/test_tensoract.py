@@ -122,6 +122,22 @@ def test_schur_weyl_coefficient_match(N, n):
         assert table[key] == varpi(phi, N)
 
 
+def test_diffop_image_claim_checks_every_pair_at_n1(capsys, monkeypatch):
+    # its pairs are fixed examples, so --n 1 runs all three of them
+    from snbethe import cli, suites
+
+    seen, real = [], suites.gaudin_diffop_coeffs
+
+    def counted(N, n, z):
+        seen.append((N, n))
+        return real(N, n, z)
+
+    monkeypatch.setattr(suites, "gaudin_diffop_coeffs", counted)
+    assert cli.main(["run", "schur-weyl", "--n", "1"]) == 0
+    assert "sw.diffop-image      PASS" in capsys.readouterr().out
+    assert seen == [(2, 2), (3, 2), (3, 3)]
+
+
 def test_diffop_rejects_coincident_parameters():
     with pytest.raises(ValueError):
         gaudin_diffop_coeffs(2, 2, (F(1), F(1)))

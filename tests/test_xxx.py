@@ -211,6 +211,29 @@ def test_saturation_at_integer_p():
     assert t_m_poly(pr3, 4, p=F(3)) == UPoly()
 
 
+@pytest.mark.parametrize("root", [0, 1])
+def test_saturation_next_sees_a_perturbed_next_trace(capsys, monkeypatch, root):
+    # (p - n - root) added to T_{n+1} leaves one of its two readings, at
+    # p = n and p = n + 1, in place and moves the other; at n = 3 no other
+    # claim reads T_4 through the store's values
+    import json
+
+    from snbethe import cli, suites
+
+    real = suites.t_value
+
+    def t_value(b, params, m, p):
+        out = real(b, params, m, p)
+        if m == params.n + 1:
+            out = out + UPoly([GroupAlgebraElement.scalar(params.n, p - params.n - root)])
+        return out
+
+    monkeypatch.setattr(suites, "t_value", t_value)
+    assert cli.main(["run", "identities-xxx", "--n", "3", "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["checks"]
+    assert [r["check"] for r in records if r["status"] != "PASS"] == ["xxx.saturation-next"]
+
+
 def test_s_polys_n2_zero_parameters():
     pr = xxx_params([0, 0], 1)
     t = ga_transposition(2, 1, 2)

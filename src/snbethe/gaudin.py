@@ -1,11 +1,12 @@
 """Gaudin-type commuting families in the symmetric group algebra: the
 generator polynomials and their bivariate generating function, the rational
-commuting elements built from pairwise-distinct parameters, Jucys-Murphy and
-related spanning sets, the determinant presentations over one builder of
-det((u - Z)(v - Q) - R) and one signed v-expansion (both shared with ``xxx``
-and ``homogeneous``), and the residual readers of the two scalar relation
-families, each reading one determinant built once per family (the shifted
-one also forms its coefficients' products with their tails once).
+commuting elements built from pairwise-distinct parameters, the Jucys-Murphy
+elements (the generators of the Gelfand-Zetlin algebra), the determinant
+presentations over one builder of det((u - Z)(v - Q) - R) and one signed
+v-expansion (both shared with ``xxx`` and ``homogeneous``), and the residual
+readers of the two scalar relation families, each reading one determinant
+built once per family (the shifted one also forms its coefficients' products
+with their tails once).
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from .permutations import (
     GroupAlgebraElement,
     _reduced,
     antisymmetrizer,
-    class_sum,
     commutators,
     embed,
     ga_lift,
     ga_transposition,
     typed_permutations,
 )
-from .reps import content_poly, content_product_all, partition_parts, partitions_of
+from .reps import content_poly, content_product_all, partition_parts
 
 V = UPoly([UPoly([0, Fraction(1)])])  # the variable v, in u over v
 
@@ -227,17 +227,6 @@ def jm_content_product(n: int) -> UPoly:
     for jm in jm_elements(n):
         prod = prod * UPoly([-jm, one])
     return prod
-
-
-def gz_spanning_set(n: int):
-    """Embedded class sums of every smaller symmetric group: a spanning set of
-    the Gelfand-Zetlin subalgebra."""
-    out = []
-    for m in range(1, n + 1):
-        for mu in partitions_of(m):
-            cs = class_sum(m, mu)
-            out.append(embed(cs, range(1, m + 1), n))
-    return out
 
 
 def diagonal(values) -> list:

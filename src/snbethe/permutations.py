@@ -677,10 +677,3 @@ def ga_lift(n: int, x):
     if isinstance(x, GroupAlgebraElement):
         return x
     return GroupAlgebraElement.scalar(n, x)
-
-
-def class_sum(n: int, mu) -> GroupAlgebraElement:
-    """Sum of all permutations of S_n with the given cycle type."""
-    mu = tuple(sorted(mu, reverse=True))
-    return GroupAlgebraElement(n, {p: Fraction(1) for p, t in typed_permutations(n)
-                                   if t == mu})

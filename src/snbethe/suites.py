@@ -49,8 +49,8 @@ from .reps import (
 from .gaudin import (
     ParameterSet,
     det_presentation,
-    gz_spanning_set,
     jm_content_product,
+    jm_elements,
     kz_elements,
     phi_expansion,
     phi_gen,
@@ -201,13 +201,26 @@ def homogeneous_span(b, n: int):
 
 
 def gz_span(b, n: int):
-    return span_of(n, gz_spanning_set(n))
+    """The Gelfand-Zetlin algebra GZ of S_1 < ... < S_n, as the algebra that
+    the Jucys-Murphy elements J_1..J_n generate.  J_k is the transposition
+    class sum of S_k minus that of S_(k-1), so alg(J) lies in GZ, which is
+    commutative.  Equality is the Okounkov-Vershik theorem (Selecta Math. 2,
+    1996); the tests check it against the class sums for n <= 5, and
+    ``spectra_maximality`` certifies it at the run's n."""
+    return span_of(n, jm_elements(n))
 
 
 def certificate(b, n: int, elements: tuple, seed: int):
     """``spectra.certificate`` of the unital algebra that group-algebra
     elements of S_n generate."""
     return sp.certificate([BlockMatrix.identity(n)] + [represent(g) for g in elements], seed)
+
+
+def gaudin_presentation(b, n: int, z: tuple, kind: str):
+    """The rational family's determinant presentation of variant ``kind``
+    ("P", "Ptilde" or "Ptilde0"), lifted into S_n."""
+    fam = kz_elements(n, z, gaudin_polys(b, n, z))
+    return ga_lift(n, det_presentation(kind, n, z, fam))
 
 
 def kz_images(b, n: int, z: tuple) -> dict:
@@ -337,24 +350,18 @@ def gaudin_commuting(cfg, rng, b):
     return max_commutator(list(b(gaudin_table, cfg.n, cfg.z).values()))
 
 
-def gaudin_presentation(cfg, b, kind):
-    n, z = cfg.n, cfg.z
-    fam = kz_elements(n, z, gaudin_polys(b, n, z))
-    return ga_lift(n, det_presentation(kind, n, z, fam))
-
-
 def gaudin_generating_det(cfg, rng, b):
     return max_abs(phi_gen(cfg.n, cfg.z, gaudin_polys(b, cfg.n, cfg.z))
-                   - gaudin_presentation(cfg, b, "P"))
+                   - b(gaudin_presentation, cfg.n, cfg.z, "P"))
 
 
 def gaudin_shifted_det(cfg, rng, b):
     tilde = UPoly([b(gaudin_tilde_coeff, cfg.n, cfg.z, k) for k in range(cfg.n + 1)])
-    return max_abs(tilde - gaudin_presentation(cfg, b, "Ptilde"))
+    return max_abs(tilde - b(gaudin_presentation, cfg.n, cfg.z, "Ptilde"))
 
 
 def gaudin_content_det(cfg, rng, b):
-    return max_abs(gaudin_presentation(cfg, b, "Ptilde0")
+    return max_abs(b(gaudin_presentation, cfg.n, cfg.z, "Ptilde0")
                    - ga_lift(cfg.n, content_product_all(cfg.n)))
 
 
@@ -884,10 +891,15 @@ def spectra_dimension_law(cfg, rng, b):
 
 
 def spectra_maximality(cfg, rng, b):
-    # a cyclic element makes its algebra maximal commutative too, so the
-    # certificates of the dimension law prove maximality
+    """A cyclic element makes its algebra maximal commutative too, so the
+    certificates of the dimension law prove maximality for the three
+    families.  For the Gelfand-Zetlin algebra GZ the certificate is of the
+    Jucys-Murphy elements: J_k is the transposition class sum of S_k minus
+    that of S_(k-1), so alg(J) lies in GZ, and GZ is commutative.  A cyclic
+    certificate gives alg(J) = C_B(x) for an x in alg(J), and C_B(x) holds
+    GZ since x lies in GZ, so GZ = alg(J) and GZ is maximal commutative."""
     return (spectra_dimension_law(cfg, rng, b)
-            and b(certificate, cfg.n, tuple(gz_spanning_set(cfg.n)), cfg.seed)["cyclic"])
+            and b(certificate, cfg.n, tuple(jm_elements(cfg.n)), cfg.seed)["cyclic"])
 
 
 def spectra_coincidences(cfg, rng, b):
@@ -938,7 +950,7 @@ def block_residual(n: int, partitions, residuals) -> Fraction:
 
 
 def spectra_relations(cfg, rng, b):
-    det = gaudin_presentation(cfg, b, "P")
+    det = b(gaudin_presentation, cfg.n, cfg.z, "P")
     return block_residual(cfg.n, partitions_of(cfg.n), lambda la: relation_residuals(la, det))
 
 
@@ -1049,7 +1061,7 @@ def kept_partitions(cfg) -> list:
 def conjecture_shifted_relations(cfg, rng, b):
     # the presentation reads H_1 only as z_1 H_1, so at the default z (z_1 = 0)
     # it cannot see H_1: the probe proves the relations for the given z
-    det = gaudin_presentation(cfg, b, "Ptilde")
+    det = b(gaudin_presentation, cfg.n, cfg.z, "Ptilde")
     return block_residual(cfg.n, kept_partitions(cfg), shifted_relation_reader(cfg.n, det))
 
 

@@ -12,8 +12,9 @@ from snbethe.gaudin import det_presentation, relation_residuals, shifted_relatio
 from snbethe.homogeneous import homogeneous_generators
 from snbethe.permutations import (
     GroupAlgebraElement, all_permutations, antisymmetrizer, embed, ga_lift, sign,
+    typed_permutations,
 )
-from snbethe.reps import BlockMatrix, block_shapes, partition_parts
+from snbethe.reps import BlockMatrix, block_shapes, partition_parts, partitions_of
 from snbethe.rings import MultiPoly, UPoly, _int_scaled, poly_divmod
 from snbethe.spectra import _v_coeffs, annihilate, casorati
 from snbethe.suites import certificate, homogeneous_f, t_images
@@ -29,6 +30,21 @@ def distinct_rationals(rng, k: int, spread: int = 40) -> list:
         if all(q != z and abs(q - z) != 1 for z in out):
             out.append(q)
     return out
+
+
+def class_sum(n: int, mu) -> GroupAlgebraElement:
+    """Sum of all permutations of S_n with the given cycle type."""
+    mu = tuple(sorted(mu, reverse=True))
+    return GroupAlgebraElement(n, {p: Fraction(1) for p, t in typed_permutations(n)
+                                   if t == mu})
+
+
+def gz_spanning_set(n: int) -> list:
+    """The class-sum oracle of the Gelfand-Zetlin algebra, by its definition:
+    the class sums of each S_m, m = 1..n, embedded on the symbols 1..m, which
+    generate the algebra of the centres of S_1 < ... < S_n."""
+    return [embed(class_sum(m, mu), range(1, m + 1), n)
+            for m in range(1, n + 1) for mu in partitions_of(m)]
 
 
 def literal_t_gen(params: XXXParams) -> UPoly:

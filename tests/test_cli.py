@@ -207,6 +207,24 @@ def test_gaudin_run_builds_each_generator_table_once(capsys, monkeypatch):
         reps.content_product_all.cache_clear()
 
 
+def test_each_gaudin_presentation_is_built_once_per_run(capsys, monkeypatch):
+    # gaudin.generating-det and spectra.relations read one "P" determinant,
+    # gaudin.shifted-det and conjecture.shifted-relations one "Ptilde"
+    from collections import Counter
+
+    calls = Counter()
+    real = suites.det_presentation
+
+    def counted(kind, n, z, h):
+        calls[kind] += 1
+        return real(kind, n, z, h)
+
+    monkeypatch.setattr(suites, "det_presentation", counted)
+    rc, _ = run_main(capsys, ["run", "all", "--n", "4", "--seed", "7"])
+    assert rc == 0
+    assert calls == {"P": 1, "Ptilde": 1, "Ptilde0": 1}
+
+
 def child_output(code: str) -> str:
     """Standard output of a fresh interpreter running code, which imports
     the package from where this process found it."""
@@ -351,7 +369,7 @@ def test_one_certificate_per_span_and_seed(capsys, monkeypatch):
 BUILDERS = (
     "gaudin_table", "gaudin_tilde_coeff", "gaudin_span", "xxx_table", "xxx_span",
     "homogeneous_span", "gz_span", "certificate", "kz_images", "t_table", "t_images",
-    "t_poly",
+    "t_poly", "gaudin_presentation",
 )
 
 
@@ -776,7 +794,9 @@ def test_relation_claims_see_a_central_perturbation(capsys, monkeypatch, name, p
         assert got[probe] == want
 
 
-CONTRACT_SUITES = ("conjectures", "schur-weyl", "identities-gaudin")
+# every suite of ``run``; the first two read --lambda
+CONTRACT_SUITES = ("conjectures", "all", "identities-gaudin", "identities-xxx", "homogeneous",
+                   "schur-weyl", "spectra")
 # the invalid part of each drawn configuration, in turn; None draws a valid one
 FAULTS = (None, "n", "z count", "z 1/0", "z x", "hbar 0", "hbar 1/0", "lambda size",
           "lambda order", "lambda zero", "lambda word", "lambda suite", "tol",
@@ -784,10 +804,10 @@ FAULTS = (None, "n", "z count", "z 1/0", "z x", "hbar 0", "hbar 1/0", "lambda si
 
 
 def contract_config(rng, fault, cfg_path):
-    """A drawn ``run`` configuration over three suites at n <= 3 whose one
+    """A drawn ``run`` configuration over every suite at n <= 3 whose one
     invalid part, if any, is ``fault``; a config file, if drawn, is written to
     cfg_path."""
-    suite = rng.choice(CONTRACT_SUITES[1:] if fault == "lambda suite" else CONTRACT_SUITES)
+    suite = rng.choice(CONTRACT_SUITES[2:] if fault == "lambda suite" else CONTRACT_SUITES)
     n = rng.integer(-1, 0) if fault == "n" else rng.integer(1, 3)
     size = max(n, 1)
     argv = ["run", suite, "--n", str(n), "--seed", str(rng.integer(0, 9)),
@@ -805,7 +825,7 @@ def contract_config(rng, fault, cfg_path):
                   "lambda zero": f"0,{size}", "lambda word": "two"}
     if fault in bad_lambda:
         argv += ["--lambda", bad_lambda[fault]]
-    elif fault == "lambda suite" or (suite == "conjectures" and rng.integer(0, 1)):
+    elif fault == "lambda suite" or (suite in CONTRACT_SUITES[:2] and rng.integer(0, 1)):
         argv += ["--lambda", ",".join(map(str, rng.choice(partitions_of(size))))]
     if fault == "tol":
         argv += ["--tol", "1e-8"]  # a removed flag
@@ -835,17 +855,22 @@ def run_twice(capsys, argv) -> tuple:
 
 def test_seeded_cli_contract(capsys, tmp_path):
     # every drawn configuration exits 0, 1, 2 or 3, with 2 exactly for the
-    # invalid ones, prints no traceback, and reruns byte for byte
+    # invalid ones, prints no traceback, and reruns byte for byte; each suite
+    # runs in at least one valid draw
     rng = SeededRandom(20261021)
-    for k in range(40):
+    ran = set()
+    for k in range(80):
         fault = FAULTS[k % len(FAULTS)]
         argv = contract_config(rng, fault, tmp_path / f"cfg{k}.json")
         rc, out, err = run_twice(capsys, argv)
         assert rc in (0, 1, 2, 3) and "Traceback" not in err, argv
         assert (rc == 2) == (fault is not None), argv
+        if fault is None:
+            ran.add(argv[1])
         if fault == "lambda word":
             # the error names the flag and the value, as --z and --hbar do
             assert "configuration error: --lambda: 'two' is not a list of integers" in err
+    assert ran == set(CONTRACT_SUITES)
 
 
 # the kinds that read --z, and the invalid part of each drawn emit

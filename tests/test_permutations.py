@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bivariate, block_entries
+from helpers import bivariate, block_entries, class_sum
 from snbethe.rings import (
     SeededRandom,
     UPoly,
@@ -22,7 +22,6 @@ from snbethe.permutations import (
     antiinvolution,
     commutators,
     antisymmetrizer,
-    class_sum,
     compose,
     cycle,
     cycle_data,

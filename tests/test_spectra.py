@@ -19,6 +19,7 @@ from helpers import (
     echelon_polys,
     float_fiber_loop,
     from_entries,
+    gz_spanning_set,
     homogeneous_eigen,
     homogeneous_f_from_record,
     identity_rows,
@@ -30,6 +31,7 @@ from helpers import (
     theta_membership_residual,
     v_coeff,
 )
+from snbethe import suites
 from snbethe.rings import MultiPoly, SeededRandom, UPoly
 from snbethe.linalg import rank
 from snbethe.permutations import (
@@ -47,10 +49,10 @@ from snbethe.reps import (
     represent,
     sum_of_dims,
 )
-from snbethe.gaudin import gz_spanning_set, jm_elements, kz_elements, phi_polys
+from snbethe.gaudin import jm_elements, kz_elements, phi_polys
 from snbethe.homogeneous import gamma_perm, homogeneous_generators
 from snbethe.xxx import t_m_poly, t_m_table, xxx_params
-from snbethe.suites import STEEP, Builds, contracts, gaudin_span, gz_span
+from snbethe.suites import STEEP, Builds, contracts, gaudin_span, gz_span, span_of
 from snbethe.spectra import (
     CERT_DRAWS,
     SpanBasis,
@@ -986,6 +988,35 @@ def test_contracts_can_fail():
     assert contracts(steep, b(gz_span, n))
     assert not contracts(steep[::-1], b(gz_span, n))
     assert not contracts([steep[0], steep[0]], b(gz_span, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gz_span_is_the_class_sum_algebra(n):
+    # the Jucys-Murphy elements generate the algebra of the tower's centres
+    # (Okounkov-Vershik), checked against the class sums of its definition
+    assert gz_span(Builds(), n).same_span(span_of(n, gz_spanning_set(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_jucys_murphy_certificate_is_cyclic(n):
+    # the Gelfand-Zetlin certificate of spectra.maximality, at the seed of
+    # the goldens and the default one
+    for seed in (7, 20260801):
+        assert suites.certificate(Builds(), n, tuple(jm_elements(n)), seed)["cyclic"]
+
+
+def test_maximality_reads_the_jucys_murphy_elements(capsys, monkeypatch):
+    # without J_n the elements generate a proper subalgebra of GZ, which is
+    # not maximal commutative; the claims that read the families still pass
+    import json
+
+    from snbethe import cli
+
+    monkeypatch.setattr(suites, "jm_elements", lambda n: jm_elements(n)[:-1])
+    assert cli.main(["run", "spectra", "--n", "4", "--format", "json"]) == 1
+    status = {c["check"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert status.pop("spectra.maximality") == "FAIL"
+    assert set(status.values()) == {"PASS"}
 
 
 def test_theta_membership_residual_soundness():
